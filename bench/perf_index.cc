@@ -9,14 +9,21 @@
  * paths. The query mix is mostly outputs of known chips
  * (error-string supersets of a database fingerprint) with a fraction
  * of unknown chips, which exercises both the shortlist hit path and
- * the full-scan fallback; the speedup an index can deliver is capped
- * at 1/fallback_fraction, so the mix is reported per phase alongside
- * the numbers.
+ * the full-scan fallback; the mix is reported per phase alongside
+ * the numbers. The exact fallback scan every reject ends in
+ * (queryFullScan: overlap counts from the inverted position index)
+ * is timed on its own against the linear scan over a set of unknown
+ * chips' outputs, and checked against it on every query.
  *
  * Enforced gates (exit nonzero):
  *   - zero accept/reject divergences from the linear Algorithm 2,
  *     for the in-memory index and the mmap-ed v3 database alike;
+ *   - zero fallback-scan divergences from the linear scan on the
+ *     verdict, the nearest record, the distance bits and the
+ *     computed/pruned kernel counters;
  *   - the 5x indexed-query speedup floor at 10k records;
+ *   - the 5x fallback-scan speedup floor over the linear scan at
+ *     10k records;
  *   - the mean candidates-scanned ceiling at every population — the
  *     knob that makes "candidate sets stop scaling with population"
  *     falsifiable rather than aspirational;
@@ -28,6 +35,7 @@
  * job; --full is the scheduled nightly configuration.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -53,7 +61,10 @@ constexpr std::size_t universeBits = 8192;
 constexpr std::size_t fingerprintWeight = 256;
 constexpr std::size_t noiseBits = 64; //!< extra error-string bits
 constexpr unsigned knownPerUnknown = 15; //!< 15:1 known:unknown mix
+constexpr std::size_t rejectQueries = 32; //!< fallback-timing set
+constexpr std::size_t timingRounds = 3;   //!< best of, per path
 constexpr double speedupFloor = 5.0;
+constexpr double fallbackSpeedupFloor = 5.0;
 constexpr std::size_t floorPopulation = 10000;
 
 /** Mean shortlist size must stay under this at every population —
@@ -105,12 +116,15 @@ struct PopulationResult
     double buildSeconds = 0.0;
     double serialBuildEstimate = 0.0;
     double linearSeconds = 0.0;
+    double rejectLinearSeconds = 0.0;
+    double fallbackSeconds = 0.0;
     double indexedSeconds = 0.0;
     double batchSeconds = 0.0;
     double meanCandidates = 0.0;
     double indexedFallbackFraction = 0.0;
     double batchFallbackFraction = 0.0;
     std::size_t divergences = 0;
+    std::size_t fallbackDivergences = 0;
     std::size_t wrongMatches = 0;
 
     // mmap phase (largest population only; 0 = not measured)
@@ -125,6 +139,14 @@ struct PopulationResult
         return serialBuildEstimate / buildSeconds;
     }
     double speedup() const { return linearSeconds / indexedSeconds; }
+    double fallbackSpeedup() const
+    {
+        return rejectLinearSeconds / fallbackSeconds;
+    }
+    double nsPerRecord(double seconds) const
+    {
+        return seconds * 1e9 / static_cast<double>(records);
+    }
     double batchSpeedup() const { return linearSeconds / batchSeconds; }
 };
 
@@ -184,13 +206,75 @@ runPopulation(std::size_t num_records, std::size_t num_queries,
     // --- Linear reference (serial bounded full scan) --------------
     const IdentifyParams prm;
     std::vector<IdentifyResult> linear(num_queries);
+    std::vector<AttackStats> linear_stats(num_queries);
     const auto lin_start = std::chrono::steady_clock::now();
-    for (std::size_t q = 0; q < num_queries; ++q)
-        linear[q] = store.queryLinear(queries[q].errorString, prm);
+    for (std::size_t q = 0; q < num_queries; ++q) {
+        linear[q] = store.queryLinear(queries[q].errorString, prm,
+                                      &linear_stats[q]);
+    }
     res.linearSeconds = secondsSince(lin_start) / num_queries;
 
+    // --- Fallback scan alone, against linear on rejects -----------
+    // Unknown chips' outputs are the scan's real work: it only runs
+    // when the shortlist accepts nothing.
+    std::vector<BitVec> rejects(rejectQueries);
+    for (BitVec &r : rejects)
+        r = randomPattern(rng, fingerprintWeight);
+    // Interleaved rounds, best round kept for each path: both are
+    // memory-bound scans that drift with the machine between runs.
+    std::vector<IdentifyResult> reject_linear(rejectQueries);
+    std::vector<AttackStats> reject_linear_stats(rejectQueries);
+    std::vector<IdentifyResult> reject_fallback(rejectQueries);
+    std::vector<AttackStats> reject_fallback_stats(rejectQueries);
+    res.rejectLinearSeconds = res.fallbackSeconds = 1e300;
+    for (std::size_t round = 0; round < timingRounds; ++round) {
+        const auto rl_start = std::chrono::steady_clock::now();
+        for (std::size_t q = 0; q < rejectQueries; ++q) {
+            reject_linear_stats[q] = {};
+            reject_linear[q] = store.queryLinear(
+                rejects[q], prm, &reject_linear_stats[q]);
+        }
+        res.rejectLinearSeconds =
+            std::min(res.rejectLinearSeconds,
+                     secondsSince(rl_start) / rejectQueries);
+
+        const auto fb_start = std::chrono::steady_clock::now();
+        for (std::size_t q = 0; q < rejectQueries; ++q) {
+            reject_fallback_stats[q] = {};
+            reject_fallback[q] = store.queryFullScan(
+                rejects[q], prm, &reject_fallback_stats[q]);
+        }
+        res.fallbackSeconds =
+            std::min(res.fallbackSeconds,
+                     secondsSince(fb_start) / rejectQueries);
+    }
+
+    // Same verdict, nearest record, distance bits and kernel
+    // counters as the linear scan, on the rejects and on the mix.
+    const auto sameScan = [](const IdentifyResult &a,
+                             const AttackStats &as,
+                             const IdentifyResult &b,
+                             const AttackStats &bs) {
+        return a.match == b.match && a.nearest == b.nearest &&
+               std::memcmp(&a.bestDistance, &b.bestDistance,
+                           sizeof(double)) == 0 &&
+               as.distancesComputed == bs.distancesComputed &&
+               as.distancesPruned == bs.distancesPruned;
+    };
+    for (std::size_t q = 0; q < rejectQueries; ++q) {
+        if (!sameScan(reject_fallback[q], reject_fallback_stats[q],
+                      reject_linear[q], reject_linear_stats[q]))
+            ++res.fallbackDivergences;
+    }
+    for (std::size_t q = 0; q < num_queries; ++q) {
+        AttackStats fs;
+        const IdentifyResult f =
+            store.queryFullScan(queries[q].errorString, prm, &fs);
+        if (!sameScan(f, fs, linear[q], linear_stats[q]))
+            ++res.fallbackDivergences;
+    }
+
     // --- Indexed (serial loop; per-phase counters) ----------------
-    store.setThreadPool(nullptr); // keep the fallback scan serial
     AttackStats indexed_stats;
     std::vector<IdentifyResult> indexed(num_queries);
     const auto idx_start = std::chrono::steady_clock::now();
@@ -207,7 +291,6 @@ runPopulation(std::size_t num_records, std::size_t num_queries,
         num_queries;
 
     // --- Batch over the pool (its own counters, not cumulative) ---
-    store.setThreadPool(&pool);
     std::vector<BitVec> error_strings;
     error_strings.reserve(num_queries);
     for (const Query &q : queries)
@@ -309,6 +392,15 @@ main(int argc, char **argv)
             r.speedup(), r.batchSeconds * 1e3, r.batchSpeedup(),
             r.meanCandidates, r.indexedFallbackFraction,
             r.batchFallbackFraction, r.divergences);
+        std::printf(
+            "%7zu records: rejects: fallback scan %9.3f ms/q %7.1f "
+            "ns/record vs linear %9.3f ms/q %7.1f ns/record (%6.1fx), "
+            "fallback divergences %zu\n",
+            r.records, r.fallbackSeconds * 1e3,
+            r.nsPerRecord(r.fallbackSeconds),
+            r.rejectLinearSeconds * 1e3,
+            r.nsPerRecord(r.rejectLinearSeconds), r.fallbackSpeedup(),
+            r.fallbackDivergences);
         if (r.mmapMeasured) {
             std::printf(
                 "%7zu records: v3 save %8.1f ms, mmap open %6.2f ms, "
@@ -327,6 +419,20 @@ main(int argc, char **argv)
             std::printf("FAIL: linear reference misattributed %zu "
                         "queries at %zu records\n", r.wrongMatches,
                         r.records);
+            ok = false;
+        }
+        if (r.fallbackDivergences > 0) {
+            std::printf("FAIL: %zu fallback-scan divergences from the "
+                        "linear scan at %zu records\n",
+                        r.fallbackDivergences, r.records);
+            ok = false;
+        }
+        if (r.records == floorPopulation &&
+            r.fallbackSpeedup() < fallbackSpeedupFloor) {
+            std::printf("FAIL: fallback scan %.1fx over linear at %zu "
+                        "records below the %.0fx floor\n",
+                        r.fallbackSpeedup(), r.records,
+                        fallbackSpeedupFloor);
             ok = false;
         }
         if (r.records == floorPopulation && r.speedup() < speedupFloor) {
@@ -378,6 +484,8 @@ main(int argc, char **argv)
          << "  \"threads\": " << ThreadPool::global().size() << ",\n"
          << "  \"full\": " << (full ? "true" : "false") << ",\n"
          << "  \"speedup_floor\": " << speedupFloor << ",\n"
+         << "  \"fallback_speedup_floor\": " << fallbackSpeedupFloor
+         << ",\n"
          << "  \"floor_population\": " << floorPopulation << ",\n"
          << "  \"candidates_ceiling\": " << candidatesCeiling << ",\n"
          << "  \"build_speedup_floor\": " << buildSpeedupFloor << ",\n"
@@ -394,6 +502,16 @@ main(int argc, char **argv)
              << ", \"build_threads\": " << r.buildThreads
              << ", \"build_speedup\": " << r.buildSpeedup()
              << ", \"linear_ms_per_query\": " << r.linearSeconds * 1e3
+             << ", \"reject_linear_ms_per_query\": "
+             << r.rejectLinearSeconds * 1e3
+             << ", \"reject_linear_ns_per_record\": "
+             << r.nsPerRecord(r.rejectLinearSeconds)
+             << ", \"fallback_ms_per_query\": "
+             << r.fallbackSeconds * 1e3
+             << ", \"fallback_ns_per_record\": "
+             << r.nsPerRecord(r.fallbackSeconds)
+             << ", \"fallback_speedup\": " << r.fallbackSpeedup()
+             << ", \"fallback_divergences\": " << r.fallbackDivergences
              << ", \"indexed_ms_per_query\": " << r.indexedSeconds * 1e3
              << ", \"batch_ms_per_query\": " << r.batchSeconds * 1e3
              << ", \"speedup\": " << r.speedup()

@@ -1,23 +1,13 @@
 #include "core/distance.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 #include "util/simd.hh"
 
 namespace pcause
 {
 
-namespace
-{
-
-/**
- * Largest integer miss count still within @p bound for a
- * fingerprint of @p fp_weight bits, computed so that
- * (d <= limit) <=> (double(d) / fp_weight <= bound) under the exact
- * floating-point division the unbounded metric performs. The nudge
- * loops correct any rounding in the double-precision product (each
- * runs at most a step or two). Shared by the dense and sparse
- * bounded kernels so their early-exit decisions cannot diverge.
- */
 std::size_t
 boundedCountLimit(double bound, std::size_t fp_weight)
 {
@@ -35,8 +25,6 @@ boundedCountLimit(double bound, std::size_t fp_weight)
         --limit;
     return limit;
 }
-
-} // anonymous namespace
 
 double
 modifiedJaccard(const BitVec &error_string, const BitVec &fingerprint)
@@ -200,6 +188,36 @@ normalizedHamming(const BitVec &a, const BitVec &b)
     PC_ASSERT(a.size() == b.size() && !a.empty(),
               "distance: size mismatch");
     return static_cast<double>(a.hammingDistance(b)) / a.size();
+}
+
+double
+overlapDistance(DistanceMetric metric, std::size_t a_weight,
+                std::size_t b_weight, std::size_t overlap,
+                std::size_t universe)
+{
+    switch (metric) {
+      case DistanceMetric::ModifiedJaccard: {
+        // modifiedJaccard(): the lower-weight operand plays the
+        // fingerprint, and everything of it outside the overlap is
+        // a miss.
+        const std::size_t fp_weight = std::min(a_weight, b_weight);
+        if (fp_weight == 0)
+            return a_weight == b_weight ? 0.0 : 1.0;
+        return static_cast<double>(fp_weight - overlap) / fp_weight;
+      }
+      case DistanceMetric::Jaccard: {
+        const std::size_t uni = a_weight + b_weight - overlap;
+        if (uni == 0)
+            return 0.0;
+        return 1.0 - static_cast<double>(overlap) / uni;
+      }
+      case DistanceMetric::Hamming:
+        PC_ASSERT(universe > 0, "distance: size mismatch");
+        return static_cast<double>(a_weight + b_weight - 2 * overlap) /
+               universe;
+      default:
+        panic("unhandled distance metric");
+    }
 }
 
 double

@@ -38,6 +38,19 @@ double modifiedJaccard(const BitVec &error_string,
                        const BitVec &fingerprint);
 
 /**
+ * Largest integer miss count still within @p bound for a
+ * fingerprint of @p fp_weight bits, computed so that
+ * (d <= limit) <=> (double(d) / fp_weight <= bound) under the exact
+ * floating-point division the unbounded metric performs. The nudge
+ * loops correct any rounding in the double-precision product (each
+ * runs at most a step or two). Every bounded Algorithm 3 scan — the
+ * dense and sparse kernels and the store's overlap-count scan —
+ * prunes a record exactly when its miss count exceeds this limit,
+ * so their early-exit decisions cannot diverge.
+ */
+std::size_t boundedCountLimit(double bound, std::size_t fp_weight);
+
+/**
  * Bounded Algorithm 3: modifiedJaccard() with an early exit once
  * the distance provably exceeds @p bound.
  *
@@ -115,6 +128,20 @@ enum class DistanceMetric
     Jaccard,         //!< classic Jaccard distance
     Hamming,         //!< normalized Hamming distance
 };
+
+/**
+ * @p metric between two sets known only by their sizes: @p a_weight
+ * and @p b_weight set bits, @p overlap of them shared, in a universe
+ * of @p universe bits. Each metric is an integer identity of those
+ * counts (misses = min weight - overlap; union = a + b - overlap;
+ * Hamming = a + b - 2 overlap) followed by the very division
+ * modifiedJaccard(), jaccardDistance() and normalizedHamming()
+ * perform, so the result is bit-identical to them on any operands
+ * with these counts.
+ */
+double overlapDistance(DistanceMetric metric, std::size_t a_weight,
+                       std::size_t b_weight, std::size_t overlap,
+                       std::size_t universe);
 
 /** Dispatch on @p metric. */
 double distance(DistanceMetric metric, const BitVec &a, const BitVec &b);

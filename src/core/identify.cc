@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "core/error_string.hh"
+#include "core/scan.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -39,6 +40,8 @@ FingerprintDb::record(std::size_t i)
 namespace
 {
 
+using namespace detail;
+
 /** Wall-clock scope timer accumulating into an AttackStats field. */
 class PhaseTimer
 {
@@ -63,24 +66,6 @@ class PhaseTimer
     std::chrono::steady_clock::time_point start;
 };
 
-/** What one contiguous database shard learned. */
-struct ScanOutcome
-{
-    /** Lowest record index under threshold, with its distance. */
-    std::optional<std::size_t> match;
-    double matchDist = 1.0;
-
-    /** First record achieving the shard's minimum distance. */
-    std::optional<std::size_t> nearest;
-    double nearestDist = 1.0;
-
-    /** Whether any distance fell under the threshold. */
-    bool anyUnderThreshold = false;
-
-    std::uint64_t computed = 0;
-    std::uint64_t pruned = 0;
-};
-
 /**
  * Distance with the metric-appropriate kernel: the bounded
  * Algorithm 3 scan when the metric supports it, the plain metric
@@ -99,69 +84,10 @@ boundedDistance(const IdentifyParams &params, const BitVec &es,
 }
 
 /**
- * Scan records [begin, end) exactly as serial identify() visits
- * them, but through a bounded kernel @p distAt(i, bound, &pruned).
- * The bound is max(threshold, running best distance): any distance
- * the serial code would compare against the threshold or use to
- * update the running minimum is therefore computed exactly, and a
- * pruned evaluation returns a lower bound already above both, so
- * verdicts and reported distances match the unbounded scan bit for
- * bit — for every kernel (dense or sparse) honoring that contract.
- *
- * @p earliest_match, when non-null (first-match mode, sharded
- * scan), carries the lowest match index found by any shard; shards
- * whose remaining records all sit above it stop scanning, and a
- * shard finding a match publishes it.
- */
-template <typename DistAt>
-ScanOutcome
-scanRangeT(std::size_t begin, std::size_t end,
-           const IdentifyParams &params,
-           std::atomic<std::size_t> *earliest_match,
-           const DistAt &distAt)
-{
-    ScanOutcome out;
-    for (std::size_t i = begin; i < end; ++i) {
-        if (earliest_match &&
-            earliest_match->load(std::memory_order_relaxed) < i)
-            break;
-        const double bound =
-            std::max(params.threshold,
-                     out.nearest ? out.nearestDist : 1.0);
-        bool pruned = false;
-        const double d = distAt(i, bound, &pruned);
-        ++(pruned ? out.pruned : out.computed);
-        if (!out.nearest || d < out.nearestDist) {
-            out.nearest = i;
-            out.nearestDist = d;
-        }
-        if (d < params.threshold) {
-            out.anyUnderThreshold = true;
-            if (!out.match) {
-                out.match = i;
-                out.matchDist = d;
-            }
-            if (params.firstMatch) {
-                if (earliest_match) {
-                    std::size_t cur = earliest_match->load(
-                        std::memory_order_relaxed);
-                    while (i < cur &&
-                           !earliest_match->compare_exchange_weak(
-                               cur, i, std::memory_order_relaxed)) {
-                    }
-                }
-                break;
-            }
-        }
-    }
-    return out;
-}
-
-/**
  * scanRangeT() over an explicit index list instead of a contiguous
- * range: visits @p candidates in order through the bounded kernel
- * with the same bound policy, so verdicts match a serial scan of a
- * database containing exactly those records in that order.
+ * range: visits @p candidates in order through the same scanStep(),
+ * so verdicts match a serial scan of a database containing exactly
+ * those records in that order.
  */
 template <typename DistAt>
 ScanOutcome
@@ -170,25 +96,8 @@ scanIndicesT(const std::vector<std::size_t> &candidates,
 {
     ScanOutcome out;
     for (const std::size_t i : candidates) {
-        const double bound =
-            std::max(params.threshold,
-                     out.nearest ? out.nearestDist : 1.0);
-        bool pruned = false;
-        const double d = distAt(i, bound, &pruned);
-        ++(pruned ? out.pruned : out.computed);
-        if (!out.nearest || d < out.nearestDist) {
-            out.nearest = i;
-            out.nearestDist = d;
-        }
-        if (d < params.threshold) {
-            out.anyUnderThreshold = true;
-            if (!out.match) {
-                out.match = i;
-                out.matchDist = d;
-            }
-            if (params.firstMatch)
-                break;
-        }
+        if (scanStep(i, params, distAt, out) && params.firstMatch)
+            break;
     }
     return out;
 }
@@ -251,35 +160,6 @@ scanShard(const BitVec &es, const FingerprintDb &db,
 {
     return scanRangeT(begin, end, params, earliest_match,
                       DenseDistAt{es, db, params});
-}
-
-/** Convert a whole-range ScanOutcome to the Algorithm 2 result. */
-IdentifyResult
-outcomeToResult(const ScanOutcome &out, const IdentifyParams &params)
-{
-    IdentifyResult res;
-    if (params.firstMatch && out.match) {
-        // Algorithm 2 line 4: the first hit is the verdict.
-        res.match = out.match;
-        res.nearest = out.match;
-        res.bestDistance = out.matchDist;
-        return res;
-    }
-    res.nearest = out.nearest;
-    if (out.nearest)
-        res.bestDistance = out.nearestDist;
-    if (out.anyUnderThreshold)
-        res.match = res.nearest;
-    return res;
-}
-
-void
-mergeScanCounters(AttackStats *stats, const ScanOutcome &out)
-{
-    if (stats) {
-        stats->distancesComputed += out.computed;
-        stats->distancesPruned += out.pruned;
-    }
 }
 
 /**

@@ -20,13 +20,15 @@
  * accept/reject decisions match FingerprintStore on the same data
  * exactly.
  *
- * Trust model (same as the stream loader's signature trailer):
- * structural metadata is fully validated at open; position and
- * signature *values* are trusted, and a corrupted position panics on
- * the bounds-checked BitVec access instead of corrupting memory.
- * Unlike the stream loader, positions are not checked for ascending
- * order at open — that would touch every record page and defeat the
- * lazy mapping.
+ * Trust model: structural metadata is fully validated at open;
+ * position and signature *values* are trusted and never checked.
+ * The sparse scan kernels index the query's words with
+ * words[pos >> 6] unchecked, so a corrupted position (>= the
+ * record's universe) in a mapped file is an out-of-bounds read, not
+ * a clean failure — map only files a trusted writer produced.
+ * Unlike the stream loader, positions are not checked for range or
+ * ascending order at open — that would touch every record page and
+ * defeat the lazy mapping.
  */
 
 #ifndef PCAUSE_CORE_MAPPED_STORE_HH
@@ -79,8 +81,7 @@ class MappedStore : public SparseFingerprintSource
     const MinHashParams &indexParams() const { return prm; }
 
     /**
-     * Use @p pool for fallback scans (null reverts to serial), as
-     * FingerprintStore::setThreadPool().
+     * Use @p pool for fallback scans (null reverts to serial).
      */
     void setThreadPool(ThreadPool *pool) { workers = pool; }
 

@@ -1,6 +1,7 @@
 #include "core/minhash.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -225,8 +226,110 @@ lshProbeKeys(const MinHashParams &params, const MinHashSketch &sketch,
     return keys;
 }
 
+namespace
+{
+
+/** Record id marking a free band-table slot. */
+constexpr std::uint32_t emptySlot = ~std::uint32_t{0};
+
+/** Slots for @p entries at the ~0.7 load bulk builds size to. */
+std::size_t
+slotsFor(std::size_t entries)
+{
+    return std::max<std::size_t>(16, entries * 10 / 7 + 1);
+}
+
+} // anonymous namespace
+
+std::size_t
+LshIndex::BandTable::home(std::uint64_t key) const
+{
+    // Band keys are mix64 outputs, so the multiply-shift range
+    // reduction spreads them evenly over any table size.
+    return static_cast<std::size_t>(
+        (static_cast<unsigned __int128>(key) * keys.size()) >> 64);
+}
+
+void
+LshIndex::BandTable::reserve(std::size_t entries)
+{
+    const std::size_t slots = slotsFor(entries);
+    if (slots <= keys.size())
+        return;
+    const std::vector<std::uint64_t> old_keys =
+        std::exchange(keys, std::vector<std::uint64_t>(slots));
+    const std::vector<std::uint32_t> old_ids =
+        std::exchange(ids, std::vector<std::uint32_t>(slots, emptySlot));
+    used = 0;
+    for (std::size_t s = 0; s < old_ids.size(); ++s) {
+        if (old_ids[s] != emptySlot)
+            insert(old_keys[s], old_ids[s]);
+    }
+}
+
+void
+LshIndex::BandTable::insert(std::uint64_t key, std::uint32_t id)
+{
+    // Grow past a 0.8 load; incremental adds double, bulk builds
+    // reserve up front and never get here.
+    if ((used + 1) * 5 > keys.size() * 4)
+        reserve(2 * (used + 1));
+    std::size_t s = home(key);
+    while (ids[s] != emptySlot)
+        s = s + 1 == ids.size() ? 0 : s + 1;
+    keys[s] = key;
+    ids[s] = id;
+    ++used;
+}
+
+bool
+LshIndex::BandTable::erase(std::uint64_t key, std::uint32_t id)
+{
+    if (ids.empty())
+        return false;
+    const std::size_t n = ids.size();
+    std::size_t hole = home(key);
+    while (ids[hole] != emptySlot &&
+           !(keys[hole] == key && ids[hole] == id))
+        hole = hole + 1 == n ? 0 : hole + 1;
+    if (ids[hole] == emptySlot)
+        return false;
+
+    // Backward-shift deletion: pull each later slot of the probe
+    // run into the hole unless its home lies cyclically in
+    // (hole, slot], so every remaining entry stays reachable from
+    // its home without tombstones.
+    for (std::size_t s = hole + 1 == n ? 0 : hole + 1;
+         ids[s] != emptySlot; s = s + 1 == n ? 0 : s + 1) {
+        const std::size_t h = home(keys[s]);
+        const bool stays = hole < s ? (h > hole && h <= s)
+                                    : (h > hole || h <= s);
+        if (!stays) {
+            keys[hole] = keys[s];
+            ids[hole] = ids[s];
+            hole = s;
+        }
+    }
+    ids[hole] = emptySlot;
+    --used;
+    return true;
+}
+
+void
+LshIndex::BandTable::find(std::uint64_t key,
+                          std::vector<std::uint32_t> &out) const
+{
+    if (ids.empty())
+        return;
+    for (std::size_t s = home(key); ids[s] != emptySlot;
+         s = s + 1 == ids.size() ? 0 : s + 1) {
+        if (keys[s] == key)
+            out.push_back(ids[s]);
+    }
+}
+
 LshIndex::LshIndex(const MinHashParams &params)
-    : prm(params), bandBuckets(params.bands)
+    : prm(params), bands(params.bands)
 {
     checkParams(prm, "LshIndex: bands must divide numHashes");
 }
@@ -236,9 +339,10 @@ LshIndex::add(std::size_t record, const MinHashSignature &sig)
 {
     PC_ASSERT(sig.size() == prm.numHashes,
               "LshIndex::add: signature length mismatch");
+    PC_ASSERT(record < emptySlot, "LshIndex::add: record id range");
     for (std::uint32_t band = 0; band < prm.bands; ++band) {
-        bandBuckets[band][lshBandKey(prm, sig, band)].push_back(
-            static_cast<std::uint32_t>(record));
+        bands[band].insert(lshBandKey(prm, sig, band),
+                           static_cast<std::uint32_t>(record));
     }
     ++numRecords;
 }
@@ -248,18 +352,21 @@ LshIndex::addAll(std::size_t first_record,
                  const std::vector<MinHashSignature> &sigs,
                  ThreadPool *pool)
 {
-    // Bands shard naturally: each band's bucket map is touched by
-    // exactly one task, and within a band records are inserted in
-    // ascending id order — the same structure serial add() builds.
+    PC_ASSERT(first_record + sigs.size() <= emptySlot,
+              "LshIndex::addAll: record id range");
+    for (const MinHashSignature &sig : sigs) {
+        PC_ASSERT(sig.size() == prm.numHashes,
+                  "LshIndex::addAll: signature length mismatch");
+    }
+    // Bands shard naturally: each band's table is touched by
+    // exactly one task, and is sized once for the whole batch.
     const auto insertBand = [&](std::size_t band) {
-        auto &buckets = bandBuckets[band];
+        BandTable &table = bands[band];
+        table.reserve(table.used + sigs.size());
         for (std::size_t i = 0; i < sigs.size(); ++i) {
-            PC_ASSERT(sigs[i].size() == prm.numHashes,
-                      "LshIndex::addAll: signature length mismatch");
-            buckets[lshBandKey(prm, sigs[i],
-                               static_cast<std::uint32_t>(band))]
-                .push_back(static_cast<std::uint32_t>(
-                    first_record + i));
+            table.insert(lshBandKey(prm, sigs[i],
+                                    static_cast<std::uint32_t>(band)),
+                         static_cast<std::uint32_t>(first_record + i));
         }
     };
     if (pool && pool->size() > 1) {
@@ -284,23 +391,26 @@ LshIndex::update(std::size_t record, const MinHashSignature &old_sig,
         const std::uint64_t new_key = lshBandKey(prm, new_sig, band);
         if (old_key == new_key)
             continue;
-        auto &buckets = bandBuckets[band];
-        const auto bucket_it = buckets.find(old_key);
-        PC_ASSERT(bucket_it != buckets.end(),
+        const bool was_indexed = bands[band].erase(old_key, id);
+        PC_ASSERT(was_indexed,
                   "LshIndex::update: record not under old signature");
-        auto &old_ids = bucket_it->second;
-        const auto pos =
-            std::lower_bound(old_ids.begin(), old_ids.end(), id);
-        PC_ASSERT(pos != old_ids.end() && *pos == id,
-                  "LshIndex::update: record not under old signature");
-        old_ids.erase(pos);
-        if (old_ids.empty())
-            buckets.erase(bucket_it); // keep occupancy() honest
-        auto &new_ids = buckets[new_key];
-        new_ids.insert(
-            std::lower_bound(new_ids.begin(), new_ids.end(), id), id);
+        bands[band].insert(new_key, id);
     }
 }
+
+namespace
+{
+
+/** Sorted, deduplicated widening of collected bucket hits. */
+std::vector<std::size_t>
+shortlist(std::vector<std::uint32_t> &hits)
+{
+    std::sort(hits.begin(), hits.end());
+    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+    return std::vector<std::size_t>(hits.begin(), hits.end());
+}
+
+} // anonymous namespace
 
 std::vector<std::size_t>
 LshIndex::candidates(const MinHashSignature &sig) const
@@ -308,16 +418,9 @@ LshIndex::candidates(const MinHashSignature &sig) const
     PC_ASSERT(sig.size() == prm.numHashes,
               "LshIndex::candidates: signature length mismatch");
     std::vector<std::uint32_t> hits;
-    for (std::uint32_t band = 0; band < prm.bands; ++band) {
-        const auto &buckets = bandBuckets[band];
-        const auto it = buckets.find(lshBandKey(prm, sig, band));
-        if (it != buckets.end())
-            hits.insert(hits.end(), it->second.begin(),
-                        it->second.end());
-    }
-    std::sort(hits.begin(), hits.end());
-    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
-    return std::vector<std::size_t>(hits.begin(), hits.end());
+    for (std::uint32_t band = 0; band < prm.bands; ++band)
+        bands[band].find(lshBandKey(prm, sig, band), hits);
+    return shortlist(hits);
 }
 
 std::vector<std::size_t>
@@ -328,25 +431,16 @@ LshIndex::candidates(const MinHashSketch &sketch) const
               "LshIndex::candidates: sketch length mismatch");
     std::vector<std::uint32_t> hits;
     for (std::uint32_t band = 0; band < prm.bands; ++band) {
-        const auto &buckets = bandBuckets[band];
-        for (const std::uint64_t key :
-             lshProbeKeys(prm, sketch, band)) {
-            const auto it = buckets.find(key);
-            if (it != buckets.end())
-                hits.insert(hits.end(), it->second.begin(),
-                            it->second.end());
-        }
+        for (const std::uint64_t key : lshProbeKeys(prm, sketch, band))
+            bands[band].find(key, hits);
     }
-    std::sort(hits.begin(), hits.end());
-    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
-    return std::vector<std::size_t>(hits.begin(), hits.end());
+    return shortlist(hits);
 }
 
 void
 LshIndex::clear()
 {
-    for (auto &buckets : bandBuckets)
-        buckets.clear();
+    bands.assign(prm.bands, BandTable{});
     numRecords = 0;
 }
 
@@ -354,10 +448,17 @@ LshIndex::Occupancy
 LshIndex::occupancy() const
 {
     Occupancy occ;
-    for (const auto &buckets : bandBuckets) {
-        occ.buckets += buckets.size();
-        for (const auto &[key, ids] : buckets)
-            occ.largestBucket = std::max(occ.largestBucket, ids.size());
+    for (std::uint32_t band = 0; band < prm.bands; ++band) {
+        const auto entries = bandEntries(band);
+        for (std::size_t b = 0; b < entries.size();) {
+            std::size_t e = b + 1;
+            while (e < entries.size() &&
+                   entries[e].first == entries[b].first)
+                ++e;
+            ++occ.buckets;
+            occ.largestBucket = std::max(occ.largestBucket, e - b);
+            b = e;
+        }
     }
     return occ;
 }
@@ -366,14 +467,26 @@ std::vector<std::pair<std::uint64_t, std::uint32_t>>
 LshIndex::bandEntries(std::uint32_t band) const
 {
     PC_ASSERT(band < prm.bands, "LshIndex::bandEntries: band range");
+    const BandTable &table = bands[band];
     std::vector<std::pair<std::uint64_t, std::uint32_t>> entries;
-    entries.reserve(numRecords);
-    for (const auto &[key, ids] : bandBuckets[band]) {
-        for (const std::uint32_t id : ids)
-            entries.emplace_back(key, id);
+    entries.reserve(table.used);
+    for (std::size_t s = 0; s < table.ids.size(); ++s) {
+        if (table.ids[s] != emptySlot)
+            entries.emplace_back(table.keys[s], table.ids[s]);
     }
     std::sort(entries.begin(), entries.end());
     return entries;
+}
+
+std::size_t
+LshIndex::memoryBytes() const
+{
+    std::size_t bytes = bands.capacity() * sizeof(BandTable);
+    for (const BandTable &table : bands) {
+        bytes += table.keys.capacity() * sizeof(std::uint64_t) +
+                 table.ids.capacity() * sizeof(std::uint32_t);
+    }
+    return bytes;
 }
 
 } // namespace pcause

@@ -34,7 +34,6 @@
 #define PCAUSE_CORE_MINHASH_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -208,10 +207,17 @@ std::vector<std::uint64_t> lshProbeKeys(const MinHashParams &params,
 /**
  * Banded LSH bucket index mapping signatures to record ids.
  *
+ * Each band is one flat open-addressing multimap of (bucket key,
+ * record id) slots — linear probing from a multiply-shift home slot,
+ * sized to a ~0.7 load on bulk builds — so a record costs 12 bytes
+ * per band and a bucket lookup reads one contiguous run of slots.
+ * Bucket contents come back sorted (candidates(), bandEntries()),
+ * so slot order is never observable.
+ *
  * The index is append-only (records are identified by the caller's
  * dense ids, as in FingerprintDb) and externally synchronized:
  * concurrent candidates() calls are safe against each other but not
- * against add() / addAll().
+ * against add() / addAll() / update().
  */
 class LshIndex
 {
@@ -232,10 +238,10 @@ class LshIndex
 
     /**
      * Bulk-index records first_record, first_record + 1, ... under
-     * @p sigs, parallelized across bands on @p pool (band bucket
-     * maps are independent, so the result is bit-identical to
-     * serial add() calls in record order). Null @p pool runs
-     * serially.
+     * @p sigs, parallelized across bands on @p pool (band tables
+     * are independent, and each is sized once for the whole batch).
+     * The index answers every query exactly as after serial add()
+     * calls in record order. Null @p pool runs serially.
      */
     void addAll(std::size_t first_record,
                 const std::vector<MinHashSignature> &sigs,
@@ -246,11 +252,10 @@ class LshIndex
      * @p new_sig, leaving bands whose bucket key is unchanged
      * untouched. @p old_sig must be the signature the record is
      * currently indexed under (as passed to add()); the record keeps
-     * its id, and bucket id-ordering is preserved, so a subsequent
-     * candidates() behaves exactly as if the record had originally
-     * been added under @p new_sig. This is the re-signing hook the
-     * indexed clusterer uses when intersection shrinks a cluster's
-     * fingerprint.
+     * its id, so a subsequent candidates() behaves exactly as if the
+     * record had originally been added under @p new_sig. This is the
+     * re-signing hook the indexed clusterer uses when intersection
+     * shrinks a cluster's fingerprint.
      */
     void update(std::size_t record, const MinHashSignature &old_sig,
                 const MinHashSignature &new_sig);
@@ -277,7 +282,7 @@ class LshIndex
 
     /**
      * Occupancy snapshot for diagnostics: bucket count and largest
-     * bucket across all bands.
+     * bucket across all bands (sorts each band's keys: O(n log n)).
      */
     struct Occupancy
     {
@@ -294,14 +299,35 @@ class LshIndex
     std::vector<std::pair<std::uint64_t, std::uint32_t>>
     bandEntries(std::uint32_t band) const;
 
+    /** Bytes held by the band tables (container capacities). */
+    std::size_t memoryBytes() const;
+
   private:
+    /** One band: a linear-probing multimap of (key, id) slots. */
+    struct BandTable
+    {
+        /** Slot keys; meaningful where ids[s] != emptySlot. */
+        std::vector<std::uint64_t> keys;
+        /** Slot record ids; emptySlot marks a free slot. */
+        std::vector<std::uint32_t> ids;
+        /** Occupied slots. */
+        std::size_t used = 0;
+
+        /** Make room for @p entries at no more than the bulk load. */
+        void reserve(std::size_t entries);
+        void insert(std::uint64_t key, std::uint32_t id);
+        /** Remove the (key, id) slot; false when absent. */
+        bool erase(std::uint64_t key, std::uint32_t id);
+        /** Append the ids stored under @p key to @p out. */
+        void find(std::uint64_t key,
+                  std::vector<std::uint32_t> &out) const;
+        /** First slot of @p key's probe run. */
+        std::size_t home(std::uint64_t key) const;
+    };
+
     MinHashParams prm;
     std::size_t numRecords = 0;
-
-    /** Per band: bucket key -> ascending record ids. */
-    std::vector<std::unordered_map<std::uint64_t,
-                                   std::vector<std::uint32_t>>>
-        bandBuckets;
+    std::vector<BandTable> bands;
 };
 
 } // namespace pcause

@@ -629,19 +629,31 @@ loadStore(std::istream &in)
     if (!err.empty())
         return {std::nullopt, "loadStore: " + err};
 
-    FingerprintStore store(raw.version >= dbVersionV2
-                               ? raw.index
-                               : MinHashParams{});
+    // One bulk add, so every index structure is sized once at its
+    // exact final size instead of grown record by record.
+    std::vector<ChipLabel> labels;
+    std::vector<Fingerprint> fps;
+    std::vector<MinHashSignature> sigs;
+    labels.reserve(raw.records.size());
+    fps.reserve(raw.records.size());
+    sigs.reserve(raw.records.size());
     for (RawRecord &rec : raw.records) {
-        Fingerprint fp(std::move(rec.bits), rec.sources);
-        if (raw.version >= dbVersionV2) {
-            store.addWithSignature(std::move(rec.label), std::move(fp),
-                                   std::move(rec.sig), raw.index);
-        } else {
-            // v1 carries no signatures: recompute on load.
-            store.add(std::move(rec.label), std::move(fp));
-        }
+        labels.push_back(std::move(rec.label));
+        fps.emplace_back(std::move(rec.bits), rec.sources);
+        sigs.push_back(std::move(rec.sig));
     }
+    raw.records.clear();
+
+    const MinHashParams params =
+        raw.version >= dbVersionV2 ? raw.index : MinHashParams{};
+    if (raw.version < dbVersionV2) {
+        // v1 carries no signatures: recompute on load.
+        for (std::size_t i = 0; i < fps.size(); ++i)
+            sigs[i] = minhashSignature(fps[i].bits(), params);
+    }
+    FingerprintStore store(params);
+    store.addBatch(std::move(labels), std::move(fps), std::move(sigs),
+                   params);
     return {std::move(store), ""};
 }
 

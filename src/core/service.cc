@@ -252,30 +252,32 @@ AttackService::identifyBatch(const std::vector<BitVec> &error_strings,
     (void)failpoint::hit("service.query");
     std::vector<IdentifyVerdict> verdicts;
     verdicts.reserve(error_strings.size());
-    AttackStats delta;
+    AttackStats total;
     {
         std::shared_lock<std::shared_mutex> lock(*gate);
         if (owned && !options.linear) {
             // The batched path: queryBatch spreads queries across
-            // the pool, elementwise bit-identical to query().
+            // the pool, elementwise bit-identical to query(), and
+            // reports each element's own delta beside the total.
+            std::vector<AttackStats> each;
             const std::vector<IdentifyResult> results =
                 owned->queryBatch(error_strings,
-                                  options.identifyParams(), &delta);
-            for (const IdentifyResult &r : results)
-                verdicts.push_back(resolve(r, AttackStats{}));
+                                  options.identifyParams(), &total,
+                                  &each);
+            for (std::size_t i = 0; i < results.size(); ++i)
+                verdicts.push_back(resolve(results[i], each[i]));
         } else {
             // Mapped or linear backends have no batch entry; the
             // per-query dispatch is already the exact path.
             for (const BitVec &es : error_strings) {
-                const IdentifyResult r =
-                    dispatch(es, options, &delta);
-                verdicts.push_back(resolve(r, AttackStats{}));
+                AttackStats delta;
+                const IdentifyResult r = dispatch(es, options, &delta);
+                total += delta;
+                verdicts.push_back(resolve(r, delta));
             }
         }
     }
-    // Per-element deltas are not separable inside a shared batch
-    // scan; the batch total reports through snapshot() instead.
-    counters->accumulate(delta);
+    counters->accumulate(total);
     return verdicts;
 }
 
@@ -352,6 +354,8 @@ AttackService::dbStats() const
         s.hasOccupancy = true;
         s.lshBuckets = occ.buckets;
         s.largestBucket = occ.largestBucket;
+        s.lshBytes = owned->index().memoryBytes();
+        s.postingsBytes = owned->postingsBytes();
         for (std::size_t i = 0; i < owned->size(); ++i) {
             const FingerprintRecord &rec = owned->record(i);
             const std::size_t weight = rec.fingerprint.weight();

@@ -139,11 +139,15 @@ struct ServiceDbStats
     std::size_t diskBytesEstimate = 0;
     MinHashParams indexParams;
 
-    /** In-memory LSH occupancy; meaningful only when hasOccupancy
-     *  (the mmap-ed backend keeps its index on disk). */
+    /** In-memory LSH occupancy and index memory; meaningful only
+     *  when hasOccupancy (the mmap-ed backend keeps its index on
+     *  disk). The byte counts are container capacities: the LSH
+     *  band tables and the inverted position index. */
     bool hasOccupancy = false;
     std::size_t lshBuckets = 0;
     std::size_t largestBucket = 0;
+    std::size_t lshBytes = 0;
+    std::size_t postingsBytes = 0;
 
     /** "store" (in-memory) or "mmap" (v3 file queried in place). */
     const char *backend = "store";
@@ -275,7 +279,7 @@ class AttackService
      * server's micro-batcher feeds. In-memory backends run
      * FingerprintStore::queryBatch across the thread pool; each
      * element is bit-identical to the corresponding identify()
-     * call.
+     * call, delta included (its counters and its own query time).
      */
     std::vector<IdentifyVerdict>
     identifyBatch(const std::vector<BitVec> &error_strings,

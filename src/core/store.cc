@@ -2,9 +2,12 @@
 #define PCAUSE_ALLOW_DEPRECATED_IDENTIFY
 #include "core/store.hh"
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "core/error_string.hh"
+#include "core/scan.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -77,6 +80,7 @@ FingerprintStore::addWithSignature(ChipLabel label, Fingerprint fp,
     const std::size_t i = records.add(std::move(label), std::move(fp));
     lsh.add(i, sig);
     signatures.push_back(std::move(sig));
+    indexPositions(i);
     return i;
 }
 
@@ -84,31 +88,104 @@ void
 FingerprintStore::addBatch(std::vector<ChipLabel> labels,
                            std::vector<Fingerprint> fps)
 {
-    PC_ASSERT(labels.size() == fps.size(),
-              "addBatch: label/fingerprint count mismatch");
-    if (labels.empty())
-        return;
-
-    ThreadPool &pool = workers ? *workers : ThreadPool::global();
-    const std::size_t first = records.size();
-    const MinHashParams &prm = lsh.params();
-
     // Signatures are pure functions of (fingerprint, params):
     // hashing them across the pool cannot change their values.
+    ThreadPool &pool = workers ? *workers : ThreadPool::global();
     std::vector<MinHashSignature> sigs(fps.size());
     pool.parallelFor(0, fps.size(), [&](std::size_t i) {
-        sigs[i] = minhashSignature(fps[i].bits(), prm);
+        sigs[i] = minhashSignature(fps[i].bits(), lsh.params());
     });
+    appendBatch(std::move(labels), std::move(fps), std::move(sigs),
+                &pool);
+}
 
-    // Band-sharded bucket fill; ids ascend within every band, the
-    // same structure serial add() builds.
-    lsh.addAll(first, sigs, &pool);
+void
+FingerprintStore::addBatch(std::vector<ChipLabel> labels,
+                           std::vector<Fingerprint> fps,
+                           std::vector<MinHashSignature> sigs,
+                           const MinHashParams &sig_params)
+{
+    if (!sameSignatureSpace(sig_params, lsh.params())) {
+        // Same rule as addWithSignature(): recompute, never mix
+        // signature spaces.
+        addBatch(std::move(labels), std::move(fps));
+        return;
+    }
+    appendBatch(std::move(labels), std::move(fps), std::move(sigs),
+                workers);
+}
+
+void
+FingerprintStore::appendBatch(std::vector<ChipLabel> labels,
+                              std::vector<Fingerprint> fps,
+                              std::vector<MinHashSignature> sigs,
+                              ThreadPool *pool)
+{
+    PC_ASSERT(labels.size() == fps.size() && sigs.size() == fps.size(),
+              "addBatch: label/fingerprint/signature count mismatch");
+    for (const MinHashSignature &sig : sigs) {
+        PC_ASSERT(sig.size() == lsh.params().numHashes,
+                  "FingerprintStore: signature length mismatch");
+    }
+    if (fps.empty())
+        return;
+
+    // Band-sharded table fill, each band sized once for the batch.
+    const std::size_t first = records.size();
+    lsh.addAll(first, sigs, pool);
 
     for (std::size_t i = 0; i < fps.size(); ++i) {
         sparse.add(fps[i].bits());
         records.add(std::move(labels[i]), std::move(fps[i]));
         signatures.push_back(std::move(sigs[i]));
     }
+    indexPositions(first);
+}
+
+void
+FingerprintStore::indexPositions(std::size_t first)
+{
+    const std::size_t end = sparse.count();
+    std::size_t universe = postings.size();
+    for (std::size_t i = first; i < end; ++i) {
+        universe = std::max(universe,
+                            static_cast<std::size_t>(
+                                sparse.view(i).universe));
+    }
+    postings.resize(universe);
+
+    if (end - first > 1) {
+        // A batch sizes each touched list once, exactly: growing
+        // thousands of lists by doubling would leave up to half of
+        // every list as slack.
+        std::vector<std::size_t> grow(universe, 0);
+        for (std::size_t i = first; i < end; ++i) {
+            const SparseView v = sparse.view(i);
+            for (std::size_t k = 0; k < v.count; ++k)
+                ++grow[v.positions[k]];
+        }
+        for (std::size_t p = 0; p < universe; ++p) {
+            if (grow[p] > 0)
+                postings[p].reserve(postings[p].size() + grow[p]);
+        }
+    }
+    for (std::size_t i = first; i < end; ++i) {
+        const SparseView v = sparse.view(i);
+        for (std::size_t k = 0; k < v.count; ++k) {
+            postings[v.positions[k]].push_back(
+                static_cast<std::uint32_t>(i));
+        }
+    }
+}
+
+std::size_t
+FingerprintStore::postingsBytes() const
+{
+    std::size_t bytes =
+        postings.capacity() * sizeof(std::vector<std::uint32_t>);
+    for (const std::vector<std::uint32_t> &ids : postings)
+        bytes += ids.capacity() * sizeof(std::uint32_t);
+    return bytes;
 }
 
 const MinHashSignature &
@@ -122,8 +199,7 @@ FingerprintStore::signature(std::size_t i) const
 IdentifyResult
 FingerprintStore::queryImpl(const BitVec &error_string,
                             const IdentifyParams &params,
-                            AttackStats *stats,
-                            bool sharded_fallback) const
+                            AttackStats *stats) const
 {
     if (stats) {
         ++stats->indexQueries;
@@ -136,17 +212,15 @@ FingerprintStore::queryImpl(const BitVec &error_string,
     if (stats)
         stats->candidatesScanned += cand.size();
 
-    // The ModifiedJaccard scans run on the sparse position arena
-    // (bit-identical kernel, ~30x less memory traffic); other
+    // The ModifiedJaccard shortlist scan runs on the sparse position
+    // arena (bit-identical kernel, ~30x less memory traffic); other
     // metrics keep the dense records. Either way the query operand
     // is hashed once here, never per candidate.
-    const bool use_sparse =
-        params.metric == DistanceMetric::ModifiedJaccard;
     const std::size_t es_weight = error_string.popcount();
 
     if (!cand.empty()) {
         const IdentifyResult res =
-            use_sparse
+            params.metric == DistanceMetric::ModifiedJaccard
                 ? identifySparseAmong(error_string, es_weight, sparse,
                                       cand, params, stats)
                 : identifyAmong(error_string, es_weight, records,
@@ -160,31 +234,79 @@ FingerprintStore::queryImpl(const BitVec &error_string,
     // accept/reject decisions to the linear Algorithm 2.
     if (stats)
         ++stats->indexFallbacks;
-    if (use_sparse) {
-        if (sharded_fallback && workers) {
-            return identifySparseParallel(error_string, es_weight,
-                                          sparse, params, *workers,
-                                          stats);
-        }
-        return identifySparseBounded(error_string, es_weight, sparse,
-                                     params, stats);
+    return fullScan(error_string, es_weight, params, stats);
+}
+
+IdentifyResult
+FingerprintStore::fullScan(const BitVec &error_string,
+                           std::size_t es_weight,
+                           const IdentifyParams &params,
+                           AttackStats *stats) const
+{
+    // An overlap never exceeds the query's weight, so 16-bit
+    // counters serve every realistic query and halve the counting
+    // traffic.
+    return es_weight <= 0xffff
+               ? overlapScan<std::uint16_t>(error_string, es_weight,
+                                            params, stats)
+               : overlapScan<std::uint32_t>(error_string, es_weight,
+                                            params, stats);
+}
+
+template <typename Count>
+IdentifyResult
+FingerprintStore::overlapScan(const BitVec &error_string,
+                              std::size_t es_weight,
+                              const IdentifyParams &params,
+                              AttackStats *stats) const
+{
+    // Each record's overlap with the query, counted from the
+    // query's own positions: about weight x records-per-position
+    // increments, instead of reading every record's positions.
+    std::vector<Count> overlap(records.size(), 0);
+    for (const std::size_t p : error_string.setBits()) {
+        if (p >= postings.size())
+            break; // no record reaches this far into the universe
+        for (const std::uint32_t id : postings[p])
+            ++overlap[id];
     }
-    if (sharded_fallback && workers) {
-        // identifyErrorStringParallel stamps its own wall time; the
-        // public query entries time the whole query exactly once,
-        // so strip the inner stamp before merging the counters.
-        AttackStats inner;
-        const IdentifyResult res = identifyErrorStringParallel(
-            error_string, records, params, *workers,
-            stats ? &inner : nullptr);
-        if (stats) {
-            inner.identifySeconds = 0.0;
-            *stats += inner;
+
+    // Walk in id order under the linear scan's rules. A bounded
+    // kernel prunes a record exactly when its miss count exceeds
+    // boundedCountLimit(bound, lower weight); applying that rule to
+    // the exact count keeps distancesPruned equal to the linear
+    // scan's. The limit only moves with the bound (a new nearest
+    // record), so it is memoized per lower weight.
+    const std::size_t universe = error_string.size();
+    const bool bounded =
+        params.metric == DistanceMetric::ModifiedJaccard;
+    std::vector<std::size_t> limit(es_weight + 1);
+    std::vector<double> limitBound(
+        es_weight + 1, std::numeric_limits<double>::quiet_NaN());
+    const auto distAt = [&](std::size_t i, double bound,
+                            bool *pruned) {
+        const SparseView v = sparse.view(i);
+        PC_ASSERT(v.universe == universe, "distance: size mismatch");
+        const std::size_t fp_weight = std::min(es_weight, v.count);
+        if (bounded && fp_weight > 0) {
+            if (!(limitBound[fp_weight] == bound)) {
+                limit[fp_weight] = boundedCountLimit(bound, fp_weight);
+                limitBound[fp_weight] = bound;
+            }
+            *pruned = fp_weight - overlap[i] > limit[fp_weight];
+            if (*pruned) {
+                // Any value above the bound is all a pruned
+                // evaluation promises; scanStep reads no more.
+                return std::numeric_limits<double>::infinity();
+            }
         }
-        return res;
-    }
-    return identifyErrorStringBounded(error_string, records, params,
-                                      stats);
+        return overlapDistance(params.metric, es_weight, v.count,
+                               overlap[i], universe);
+    };
+    const detail::ScanOutcome out = detail::scanRangeT(
+        0, records.size(), params, nullptr, distAt);
+    detail::mergeScanCounters(stats, out);
+    return detail::outcomeToResult(out, params);
 }
 
 IdentifyResult
@@ -194,8 +316,7 @@ FingerprintStore::query(const BitVec &error_string,
 {
     const auto start = std::chrono::steady_clock::now();
     AttackStats local;
-    const IdentifyResult res =
-        queryImpl(error_string, params, &local, true);
+    const IdentifyResult res = queryImpl(error_string, params, &local);
     // queryImpl never stamps identify time itself, so each query's
     // wall time is counted exactly once, here.
     local.identifySeconds = secondsSince(start);
@@ -215,42 +336,30 @@ FingerprintStore::query(const BitVec &approx, const BitVec &exact,
 std::vector<IdentifyResult>
 FingerprintStore::queryBatch(const std::vector<BitVec> &error_strings,
                              const IdentifyParams &params,
-                             AttackStats *stats) const
+                             AttackStats *stats,
+                             std::vector<AttackStats> *per_query) const
 {
-    std::vector<IdentifyResult> results(error_strings.size());
-    if (error_strings.empty())
-        return results;
+    const std::size_t n = error_strings.size();
+    std::vector<IdentifyResult> results(n);
+    std::vector<AttackStats> each(n);
 
     ThreadPool &pool = workers ? *workers : ThreadPool::global();
     const auto start = std::chrono::steady_clock::now();
+    pool.parallelFor(0, n, [&](std::size_t q) {
+        const auto query_start = std::chrono::steady_clock::now();
+        results[q] = queryImpl(error_strings[q], params, &each[q]);
+        each[q].identifySeconds = secondsSince(query_start);
+    });
+
+    // The total carries one wall-time stamp for the whole batch.
     AttackStats total;
-
-    if (error_strings.size() < pool.size()) {
-        // Few queries: let each query's fallback shard the database
-        // scan across the pool instead.
-        for (std::size_t q = 0; q < error_strings.size(); ++q) {
-            results[q] = queryImpl(error_strings[q], params, &total,
-                                   true);
-        }
-    } else {
-        std::vector<AttackStats> locals(pool.size());
-        pool.parallelChunks(
-            0, error_strings.size(),
-            [&](std::size_t b, std::size_t e, std::size_t c) {
-                for (std::size_t q = b; q < e; ++q) {
-                    results[q] = queryImpl(error_strings[q], params,
-                                           &locals[c], false);
-                }
-            });
-        for (const AttackStats &l : locals)
-            total += l;
-    }
-
-    // One wall-time stamp for the whole batch (queryImpl leaves
-    // identifySeconds untouched on every path).
-    total.identifySeconds = secondsSince(start);
+    for (const AttackStats &one : each)
+        total += one;
+    total.identifySeconds = n > 0 ? secondsSince(start) : 0.0;
     if (stats)
         *stats += total;
+    if (per_query)
+        *per_query = std::move(each);
     return results;
 }
 
@@ -263,6 +372,22 @@ FingerprintStore::queryLinear(const BitVec &error_string,
     AttackStats local;
     const IdentifyResult res = identifyErrorStringBounded(
         error_string, records, params, &local);
+    local.recordsAvailable += records.size();
+    local.identifySeconds = secondsSince(start);
+    if (stats)
+        *stats += local;
+    return res;
+}
+
+IdentifyResult
+FingerprintStore::queryFullScan(const BitVec &error_string,
+                                const IdentifyParams &params,
+                                AttackStats *stats) const
+{
+    const auto start = std::chrono::steady_clock::now();
+    AttackStats local;
+    const IdentifyResult res = fullScan(
+        error_string, error_string.popcount(), params, &local);
     local.recordsAvailable += records.size();
     local.identifySeconds = secondsSince(start);
     if (stats)

@@ -13,10 +13,20 @@
  * under threshold exists (the exact kernel verified it), and a
  * shortlist miss falls back to the full scan, whose result is
  * returned verbatim. The only permitted divergence is *which*
- * record is reported when several sit under the threshold in
- * first-match mode — the shortlist may surface a later record than
- * the linear scan's first hit (distinct chips are never that close;
- * see docs/ALGORITHMS.md "Fingerprint index").
+ * record is reported when several sit under the threshold — the
+ * shortlist may surface a later record than the linear scan's first
+ * hit, or in best-match mode its own best rather than the global one
+ * (distinct chips are never that close at a working threshold; see
+ * docs/ALGORITHMS.md "Fingerprint index").
+ *
+ * The full scan reads an inverted position index (per universe
+ * position, the ascending ids of the records containing it) instead
+ * of every record: it counts each record's overlap with the query's
+ * own set positions, then walks the records in id order under the
+ * linear scan's rules (core/scan.hh), deriving each distance and
+ * each prune decision exactly from (overlap, weights). Its verdict,
+ * nearest record, distance bits and kernel counters equal
+ * queryLinear()'s (docs/ALGORITHMS.md "Exact reject scan").
  */
 
 #ifndef PCAUSE_CORE_STORE_HH
@@ -67,14 +77,28 @@ class FingerprintStore
     /**
      * Bulk add with a parallel index build: signatures are computed
      * across the thread pool (setThreadPool(), else the process
-     * global) and the LSH bucket maps are filled band-sharded. The
-     * resulting store is bit-identical to serial add() calls in
-     * order — signatures are order-independent and each band's
-     * buckets see records in ascending id order either way.
-     * @p labels and @p fps pair up elementwise and are consumed.
+     * global), the LSH band tables are filled band-sharded, and
+     * every index structure is sized once for the whole batch. The
+     * resulting store answers every query exactly as after serial
+     * add() calls in order — signatures are order-independent and
+     * records keep their ids. @p labels and @p fps pair up
+     * elementwise and are consumed.
      */
     void addBatch(std::vector<ChipLabel> labels,
                   std::vector<Fingerprint> fps);
+
+    /**
+     * addBatch() of records whose signatures are already known (the
+     * loader's path), with addWithSignature()'s rule: signatures
+     * from a foreign signature space are recomputed. Nothing is
+     * left to hash, so the band tables fill on the store's pool when
+     * one is set and serially otherwise (never the process-global
+     * pool).
+     */
+    void addBatch(std::vector<ChipLabel> labels,
+                  std::vector<Fingerprint> fps,
+                  std::vector<MinHashSignature> sigs,
+                  const MinHashParams &sig_params);
 
     /** Number of records. */
     std::size_t size() const { return records.size(); }
@@ -110,19 +134,22 @@ class FingerprintStore
         return sparse;
     }
 
+    /** Bytes held by the inverted position index (capacities). */
+    std::size_t postingsBytes() const;
+
     /**
-     * Use @p pool (not owned; null reverts to serial single-query
-     * fallbacks and the process-global pool for batches) for query
-     * fallback scans, batch queries, and reindexing.
+     * Use @p pool (not owned; null reverts to the process-global
+     * pool) for batch adds, batch queries, and reindexing.
      */
     void setThreadPool(ThreadPool *pool) { workers = pool; }
 
     /**
      * Indexed Algorithm 2 from a precomputed error string: exact
-     * bounded-distance scan of the LSH shortlist, full fallback
-     * scan when the shortlist yields no accept. @p stats, when
-     * non-null, accumulates candidates-scanned vs database-size
-     * counters, kernel counters, and identify wall time.
+     * bounded-distance scan of the LSH shortlist, exact full scan
+     * (queryFullScan()) when the shortlist yields no accept.
+     * @p stats, when non-null, accumulates candidates-scanned vs
+     * database-size counters, kernel counters, and identify wall
+     * time.
      */
     IdentifyResult query(const BitVec &error_string,
                          const IdentifyParams &params = {},
@@ -136,12 +163,17 @@ class FingerprintStore
     /**
      * Batch query: elementwise equal to query() on each error
      * string, spread across the thread pool (the process-global
-     * pool when none is set).
+     * pool when none is set). @p stats receives the batch total
+     * (identify time = the batch's wall time); @p per_query, when
+     * non-null, is resized to one entry per error string holding
+     * exactly what query() would have added for it, including its
+     * own query time.
      */
     std::vector<IdentifyResult>
     queryBatch(const std::vector<BitVec> &error_strings,
                const IdentifyParams &params = {},
-               AttackStats *stats = nullptr) const;
+               AttackStats *stats = nullptr,
+               std::vector<AttackStats> *per_query = nullptr) const;
 
     /**
      * Reference linear Algorithm 2 (serial bounded full scan,
@@ -153,6 +185,18 @@ class FingerprintStore
                                AttackStats *stats = nullptr) const;
 
     /**
+     * The exact full scan query() falls back to, on its own: every
+     * record's overlap with the query counted from the inverted
+     * position index, then walked in id order under the linear
+     * scan's rules. Verdict, nearest record, distance bits and
+     * computed/pruned counters equal queryLinear()'s; @p stats
+     * accumulates the same fields queryLinear() reports.
+     */
+    IdentifyResult queryFullScan(const BitVec &error_string,
+                                 const IdentifyParams &params = {},
+                                 AttackStats *stats = nullptr) const;
+
+    /**
      * Rebuild the index under new signature/banding parameters;
      * signatures are recomputed (across the pool when one is set).
      */
@@ -161,20 +205,48 @@ class FingerprintStore
   private:
     /**
      * query() body accumulating into @p stats without timing; the
-     * public entry points add wall time around it. @p sharded_fallback
-     * selects the pool-sharded fallback scan (single-query path)
-     * over the serial bounded one (batch path, where queries
-     * already occupy the pool).
+     * public entry points add wall time around it.
      */
     IdentifyResult queryImpl(const BitVec &error_string,
                              const IdentifyParams &params,
-                             AttackStats *stats,
-                             bool sharded_fallback) const;
+                             AttackStats *stats) const;
+
+    /** queryFullScan() body: kernel counters only, untimed.
+     *  @p es_weight must equal error_string.popcount(). */
+    IdentifyResult fullScan(const BitVec &error_string,
+                            std::size_t es_weight,
+                            const IdentifyParams &params,
+                            AttackStats *stats) const;
+
+    /** fullScan() with overlap counters of type @p Count, which
+     *  must hold @p es_weight. */
+    template <typename Count>
+    IdentifyResult overlapScan(const BitVec &error_string,
+                               std::size_t es_weight,
+                               const IdentifyParams &params,
+                               AttackStats *stats) const;
+
+    /** Shared tail of both addBatch() overloads: append records
+     *  whose signatures are in this store's signature space, filling
+     *  the band tables on @p pool (serially when null). */
+    void appendBatch(std::vector<ChipLabel> labels,
+                     std::vector<Fingerprint> fps,
+                     std::vector<MinHashSignature> sigs,
+                     ThreadPool *pool);
+
+    /** Post records [first, size()) to the position index; a batch
+     *  sizes each touched list once, exactly. */
+    void indexPositions(std::size_t first);
 
     FingerprintDb records;
     std::vector<MinHashSignature> signatures;
     SparseFingerprintArena sparse;
     LshIndex lsh;
+
+    /** Per universe position: ascending ids of the records whose
+     *  fingerprint contains it. */
+    std::vector<std::vector<std::uint32_t>> postings;
+
     ThreadPool *workers = nullptr;
 };
 

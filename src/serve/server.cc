@@ -307,6 +307,9 @@ Server::handleFrame(int fd, const Payload &request)
                     std::to_string(s.lshBuckets);
             json += ", \"lsh_largest_bucket\": " +
                     std::to_string(s.largestBucket);
+            json += ", \"lsh_bytes\": " + std::to_string(s.lshBytes);
+            json += ", \"postings_bytes\": " +
+                    std::to_string(s.postingsBytes);
         }
         json += "}";
         return sendReply(fd, encodeJson(json));

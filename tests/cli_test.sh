@@ -48,6 +48,8 @@ fi
 
 # Index diagnostics and reindexing under new parameters.
 "$PCAUSE" db --db db.pcdb stats | grep -q "minhash"
+"$PCAUSE" db --db db.pcdb stats | grep -q "lsh_bytes [1-9]"
+"$PCAUSE" db --db db.pcdb stats | grep -q "postings_bytes [1-9]"
 "$PCAUSE" db --db db.pcdb reindex --hashes 32 --bands 16 \
     | grep -q "reindexed 2 records"
 "$PCAUSE" db --db db.pcdb stats | grep -q "32 hashes"

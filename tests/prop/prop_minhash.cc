@@ -4,12 +4,18 @@
  * the bit set and the parameters, similarity is a bounded symmetric
  * estimate that is exactly 1 for identical sets, and the candidate
  * index never loses an exact duplicate — the recall floor the
- * store's accept/reject equivalence stands on.
+ * store's accept/reject equivalence stands on. The flat band tables
+ * behave as a per-band std::multimap under any sequence of adds,
+ * bulk adds and re-signing updates.
  */
 
 #include "prop_common.hh"
 
+#include <algorithm>
+#include <map>
+
 #include "core/minhash.hh"
+#include "util/thread_pool.hh"
 
 using namespace pcause;
 using pcheck::Ctx;
@@ -82,4 +88,157 @@ PCHECK_PROPERTY(PropMinhash, DuplicateSetsAlwaysCandidates,
     // Shortlists are ascending and deduplicated.
     for (std::size_t i = 1; i < hits.size(); ++i)
         PCHECK(hits[i - 1] < hits[i]);
+})
+
+namespace
+{
+
+/** Reference model of an LshIndex: one std::multimap per band. */
+using BandModel = std::multimap<std::uint64_t, std::uint32_t>;
+
+/** A signature over a tiny value alphabet, so buckets collide. */
+MinHashSignature
+genCollidingSignature(Ctx &ctx, const MinHashParams &mh)
+{
+    MinHashSignature sig(mh.numHashes);
+    const bool wide = ctx.boolean(0.2, "wide_values");
+    for (std::uint32_t &v : sig) {
+        v = wide ? static_cast<std::uint32_t>(ctx.bits("value"))
+                 : static_cast<std::uint32_t>(ctx.below(3, "value"));
+    }
+    return sig;
+}
+
+std::vector<std::size_t>
+modelCandidates(const MinHashParams &mh,
+                const std::vector<BandModel> &model,
+                const MinHashSketch &sketch, bool multi_probe)
+{
+    std::vector<std::size_t> ids;
+    for (std::uint32_t band = 0; band < mh.bands; ++band) {
+        const std::vector<std::uint64_t> keys =
+            multi_probe
+                ? lshProbeKeys(mh, sketch, band)
+                : std::vector<std::uint64_t>{
+                      lshBandKey(mh, sketch.primary, band)};
+        for (const std::uint64_t key : keys) {
+            const auto [lo, hi] = model[band].equal_range(key);
+            for (auto it = lo; it != hi; ++it)
+                ids.push_back(it->second);
+        }
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    return ids;
+}
+
+} // namespace
+
+PCHECK_PROPERTY(PropMinhash, FlatIndexMatchesMultimapModel,
+                [](Ctx &ctx) {
+    static ThreadPool pool(4);
+    MinHashParams mh;
+    mh.numHashes = 8u << ctx.sizeRange(0, 1, "hashes_log8");
+    const std::uint32_t rows[] = {1, 2, 4, 8};
+    mh.bands = mh.numHashes / rows[ctx.sizeRange(0, 3, "rows")];
+    mh.seed = ctx.bits("seed");
+    mh.probes = static_cast<std::uint32_t>(
+        ctx.sizeRange(1, 5, "probes"));
+    LshIndex index(mh);
+    std::vector<BandModel> model(mh.bands);
+    std::vector<MinHashSignature> sigs;
+
+    const auto indexModel = [&](std::size_t id,
+                                const MinHashSignature &sig) {
+        for (std::uint32_t band = 0; band < mh.bands; ++band) {
+            model[band].emplace(lshBandKey(mh, sig, band),
+                                static_cast<std::uint32_t>(id));
+        }
+    };
+
+    const std::size_t ops = ctx.sizeRange(1, 24, "ops");
+    for (std::size_t op = 0; op < ops; ++op) {
+        switch (ctx.sizeRange(0, 2, "op")) {
+          case 0: { // add
+            sigs.push_back(genCollidingSignature(ctx, mh));
+            index.add(sigs.size() - 1, sigs.back());
+            indexModel(sigs.size() - 1, sigs.back());
+            break;
+          }
+          case 1: { // addAll, serial or band-sharded
+            const std::size_t first = sigs.size();
+            std::vector<MinHashSignature> batch(
+                ctx.sizeRange(0, 40, "batch"));
+            for (MinHashSignature &sig : batch)
+                sig = genCollidingSignature(ctx, mh);
+            index.addAll(first, batch,
+                         ctx.boolean(0.5, "pool") ? &pool : nullptr);
+            for (MinHashSignature &sig : batch) {
+                indexModel(sigs.size(), sig);
+                sigs.push_back(std::move(sig));
+            }
+            break;
+          }
+          default: { // update an existing record
+            if (sigs.empty())
+                break;
+            const std::size_t id = ctx.below(sigs.size(), "target");
+            MinHashSignature next = sigs[id];
+            const std::size_t changes = ctx.sizeRange(1, 4, "changes");
+            for (std::size_t c = 0; c < changes; ++c) {
+                next[ctx.below(next.size(), "row")] =
+                    static_cast<std::uint32_t>(ctx.below(3, "value"));
+            }
+            index.update(id, sigs[id], next);
+            for (std::uint32_t band = 0; band < mh.bands; ++band) {
+                const std::uint64_t old_key =
+                    lshBandKey(mh, sigs[id], band);
+                const auto [lo, hi] = model[band].equal_range(old_key);
+                for (auto it = lo; it != hi; ++it) {
+                    if (it->second == id) {
+                        model[band].erase(it);
+                        break;
+                    }
+                }
+                model[band].emplace(lshBandKey(mh, next, band),
+                                    static_cast<std::uint32_t>(id));
+            }
+            sigs[id] = std::move(next);
+            break;
+          }
+        }
+    }
+
+    PCHECK_EQ(index.size(), sigs.size());
+    LshIndex::Occupancy want;
+    for (std::uint32_t band = 0; band < mh.bands; ++band) {
+        std::vector<std::pair<std::uint64_t, std::uint32_t>> sorted(
+            model[band].begin(), model[band].end());
+        std::sort(sorted.begin(), sorted.end());
+        PCHECK(index.bandEntries(band) == sorted);
+        for (auto it = model[band].begin(); it != model[band].end();
+             it = model[band].upper_bound(it->first)) {
+            ++want.buckets;
+            want.largestBucket =
+                std::max(want.largestBucket, model[band].count(it->first));
+        }
+    }
+    const LshIndex::Occupancy got = index.occupancy();
+    PCHECK_EQ(got.buckets, want.buckets);
+    PCHECK_EQ(got.largestBucket, want.largestBucket);
+
+    // Probes: every stored signature, plus fresh ones.
+    const std::size_t probes = ctx.sizeRange(1, 4, "probes_run");
+    for (std::size_t q = 0; q < probes; ++q) {
+        MinHashSketch sketch;
+        sketch.primary =
+            !sigs.empty() && ctx.boolean(0.5, "stored_probe")
+                ? sigs[ctx.below(sigs.size(), "probe_id")]
+                : genCollidingSignature(ctx, mh);
+        sketch.second = genCollidingSignature(ctx, mh);
+        PCHECK(index.candidates(sketch.primary) ==
+               modelCandidates(mh, model, sketch, false));
+        PCHECK(index.candidates(sketch) ==
+               modelCandidates(mh, model, sketch, true));
+    }
 })

@@ -3,14 +3,17 @@
  * Serve-layer differential oracle: the network is a transparent
  * transport. A verdict served by pcaused over a real loopback
  * socket must be bit-identical to a direct FingerprintStore query —
- * same match flag, same label, same IEEE-754 distance bits. Plus
+ * same match flag, same label, same IEEE-754 distance bits — and
+ * the same per-query diagnostics, batched or not. Plus
  * codec properties: encode/decode round-trips exactly, and every
  * strict prefix of a valid payload decodes to a clean error.
  */
 
 #include "prop_common.hh"
 
+#include <chrono>
 #include <cstring>
+#include <thread>
 
 #include "core/service.hh"
 #include "core/store.hh"
@@ -89,6 +92,68 @@ PCHECK_PROPERTY(PropServe, ServedVerdictEqualsDirectQuery,
         if (want.match)
             PCHECK_EQ(served->label,
                       direct.record(*want.match).label);
+    }
+})
+
+PCHECK_PROPERTY(PropServe, ServedDiagnosticsEqualDirectIdentify,
+                [](Ctx &ctx) {
+    // Every served identify goes through the batcher into
+    // identifyBatch; each verdict must still carry its own query's
+    // diagnostics, whether it was batched alone or with others.
+    const std::size_t records = ctx.sizeRange(1, 5, "records");
+    const std::size_t nbits = 64 * records;
+    const FingerprintStore direct = genStore(ctx, records, nbits);
+    AttackService svc{FingerprintStore(direct)};
+
+    ServerConfig cfg;
+    const bool batched = ctx.boolean(0.5, "batched");
+    if (batched) {
+        // Gather every time, long enough for the concurrent
+        // requests below to land in shared batches.
+        cfg.batcher.gatherThreshold = 0;
+        cfg.batcher.gatherWindow = std::chrono::milliseconds(5);
+    }
+    Server server(svc, cfg);
+
+    const std::size_t queries = ctx.sizeRange(1, 4, "queries");
+    std::vector<IdentifyRequest> reqs(queries);
+    for (IdentifyRequest &req : reqs) {
+        req.errorString = genProbe(ctx, direct, nbits);
+        req.options.linear = ctx.boolean(0.3, "linear");
+        req.options.firstMatch = ctx.boolean(0.5, "first_match");
+    }
+
+    std::vector<std::optional<IdentifyVerdict>> served(queries);
+    if (batched) {
+        // One connection per request, all in flight together.
+        std::vector<std::thread> senders;
+        for (std::size_t q = 0; q < queries; ++q) {
+            senders.emplace_back([&, q] {
+                Client client;
+                if (client.connect(server.port()).empty())
+                    served[q] = client.identify(reqs[q], 16);
+            });
+        }
+        for (std::thread &t : senders)
+            t.join();
+    } else {
+        Client client;
+        PCHECK_EQ(client.connect(server.port()), std::string());
+        for (std::size_t q = 0; q < queries; ++q)
+            served[q] = client.identify(reqs[q], 16);
+    }
+
+    for (std::size_t q = 0; q < queries; ++q) {
+        const IdentifyVerdict want = svc.identify(reqs[q]);
+        PCHECK(served[q].has_value());
+        PCHECK_EQ(served[q]->matched, want.matched);
+        PCHECK(sameBits(served[q]->distance, want.distance));
+        PCHECK_EQ(served[q]->delta.candidatesScanned,
+                  want.delta.candidatesScanned);
+        PCHECK_EQ(served[q]->delta.recordsAvailable,
+                  want.delta.recordsAvailable);
+        PCHECK_EQ(served[q]->delta.indexFallbacks,
+                  want.delta.indexFallbacks > 0 ? 1u : 0u);
     }
 })
 

@@ -3,13 +3,22 @@
  * FingerprintStore differential oracle: the MinHash/LSH candidate
  * index is a pure shortlist, so query() must agree with the linear
  * Algorithm 2 scan (queryLinear) on every accept/reject verdict —
- * and in best-match mode on the record and distance too. Reindexing
- * under different banding parameters changes only speed, never
- * verdicts.
+ * on a reject also on the nearest record and the distance bits (what
+ * a served reject carries), and in best-match mode with a single
+ * record under the threshold on the record and distance too. The exact fallback scan (queryFullScan) must equal
+ * the linear scan outright: verdict, nearest record, distance bits
+ * and computed/pruned kernel counters. Reindexing under different
+ * banding parameters changes only speed, never verdicts.
  */
 
+// The sparse bounded scan is the oracle for the overlap scan.
+#define PCAUSE_ALLOW_DEPRECATED_IDENTIFY
 #include "prop_common.hh"
 
+#include <cstring>
+#include <sstream>
+
+#include "core/serialize.hh"
 #include "core/store.hh"
 #include "util/thread_pool.hh"
 
@@ -42,6 +51,43 @@ genStore(Ctx &ctx, std::size_t records, std::size_t nbits)
     return store;
 }
 
+/**
+ * genStore() through every way records reach a store: some
+ * fingerprints emptied, a bulk addBatch() prefix, optionally a v3
+ * save/loadStore round trip, then single add()s on top — so the
+ * position index is checked after bulk and incremental growth.
+ */
+FingerprintStore
+genGrownStore(Ctx &ctx, std::size_t records, std::size_t nbits)
+{
+    FingerprintDb db = pcheck::genDb(ctx, nbits, records);
+    std::vector<ChipLabel> labels;
+    std::vector<Fingerprint> fps;
+    for (std::size_t i = 0; i < db.size(); ++i) {
+        labels.push_back(db.record(i).label);
+        fps.push_back(ctx.boolean(0.15, "empty_record")
+                          ? Fingerprint(BitVec(nbits), 1u)
+                          : db.record(i).fingerprint);
+    }
+    const std::size_t bulk = ctx.sizeRange(0, records, "bulk_prefix");
+
+    FingerprintStore store(genIndexParams(ctx));
+    store.addBatch(std::vector<ChipLabel>(labels.begin(),
+                                          labels.begin() + bulk),
+                   std::vector<Fingerprint>(fps.begin(),
+                                            fps.begin() + bulk));
+    if (ctx.boolean(0.5, "round_trip")) {
+        std::stringstream file;
+        PCHECK(saveStore(store, file));
+        StoreLoadResult loaded = loadStore(file);
+        PCHECK(static_cast<bool>(loaded));
+        store = std::move(*loaded);
+    }
+    for (std::size_t i = bulk; i < records; ++i)
+        store.add(labels[i], fps[i]);
+    return store;
+}
+
 BitVec
 genProbe(Ctx &ctx, const FingerprintStore &store, std::size_t nbits)
 {
@@ -53,7 +99,30 @@ genProbe(Ctx &ctx, const FingerprintStore &store, std::size_t nbits)
             ctx, fp, 0.93,
             std::max<std::size_t>(1, fp.popcount() / 4));
     }
+    if (ctx.boolean(0.1, "empty_probe"))
+        return BitVec(nbits);
     return pcheck::genBitVec(ctx, nbits, 2);
+}
+
+/** Metric, threshold (0, default, >= 1) and mode, all swept. */
+IdentifyParams
+genQueryParams(Ctx &ctx)
+{
+    IdentifyParams p;
+    const DistanceMetric metrics[] = {DistanceMetric::ModifiedJaccard,
+                                      DistanceMetric::Jaccard,
+                                      DistanceMetric::Hamming};
+    p.metric = metrics[ctx.sizeRange(0, 2, "metric")];
+    const double thresholds[] = {0.0, 0.1, 1.0, 1.5};
+    p.threshold = thresholds[ctx.sizeRange(0, 3, "threshold")];
+    p.firstMatch = ctx.boolean(0.5, "first_match");
+    return p;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
 
 } // namespace
@@ -61,21 +130,77 @@ genProbe(Ctx &ctx, const FingerprintStore &store, std::size_t nbits)
 PCHECK_PROPERTY(PropStore, QueryAgreesWithLinearScan, [](Ctx &ctx) {
     const std::size_t records = ctx.sizeRange(1, 6, "records");
     const std::size_t nbits = 64 * records;
-    const FingerprintStore store = genStore(ctx, records, nbits);
+    const FingerprintStore store = genGrownStore(ctx, records, nbits);
     const BitVec probe = genProbe(ctx, store, nbits);
 
-    IdentifyParams p;
-    p.firstMatch = ctx.boolean(0.5, "first_match");
+    const IdentifyParams p = genQueryParams(ctx);
     const IdentifyResult indexed = store.query(probe, p);
     const IdentifyResult linear = store.queryLinear(probe, p);
     PCHECK_EQ(indexed.match.has_value(), linear.match.has_value());
-    if (!p.firstMatch && indexed.match) {
+    if (!indexed.match) {
+        // A reject's nearest record and distance are what a served
+        // reject carries: both must be the linear scan's.
+        PCHECK(indexed.nearest == linear.nearest);
+        PCHECK(sameBits(indexed.bestDistance, linear.bestDistance));
+    } else if (!p.firstMatch && p.threshold < 1.0) {
         // Best-match mode is fully determined by the fingerprint
-        // set; first-match mode may legally report a different
-        // (still sub-threshold) record, so only the verdict binds.
+        // set while at most one record sits under the threshold
+        // (genDb's records are far apart). At a threshold of 1 or
+        // more every record does, and the shortlist may legally
+        // report its own best one — as first-match mode may at any
+        // threshold — so there only the verdict binds.
         PCHECK_EQ(*indexed.match, *linear.match);
-        PCHECK_EQ(indexed.bestDistance, linear.bestDistance);
+        PCHECK(sameBits(indexed.bestDistance, linear.bestDistance));
     }
+})
+
+PCHECK_PROPERTY(PropStore, FullScanEqualsLinearScan, [](Ctx &ctx) {
+    const std::size_t records = ctx.sizeRange(1, 6, "records");
+    const std::size_t nbits = 64 * records;
+    const FingerprintStore store = genGrownStore(ctx, records, nbits);
+    const BitVec probe = genProbe(ctx, store, nbits);
+
+    const IdentifyParams p = genQueryParams(ctx);
+    AttackStats full_stats;
+    AttackStats linear_stats;
+    const IdentifyResult full = store.queryFullScan(probe, p, &full_stats);
+    const IdentifyResult linear =
+        store.queryLinear(probe, p, &linear_stats);
+    PCHECK(full.match == linear.match);
+    PCHECK(full.nearest == linear.nearest);
+    PCHECK(sameBits(full.bestDistance, linear.bestDistance));
+    PCHECK_EQ(full_stats.distancesComputed,
+              linear_stats.distancesComputed);
+    PCHECK_EQ(full_stats.distancesPruned, linear_stats.distancesPruned);
+    PCHECK_EQ(full_stats.recordsAvailable,
+              linear_stats.recordsAvailable);
+})
+
+PCHECK_PROPERTY(PropStore, FullScanCountersEqualSparseBoundedScan,
+                [](Ctx &ctx) {
+    // The counters the overlap scan derives from (overlap, weights)
+    // are the sparse bounded kernel's own prune decisions.
+    const std::size_t records = ctx.sizeRange(1, 6, "records");
+    const std::size_t nbits = 64 * records;
+    const FingerprintStore store = genGrownStore(ctx, records, nbits);
+    const BitVec probe = genProbe(ctx, store, nbits);
+
+    IdentifyParams p = genQueryParams(ctx);
+    p.metric = DistanceMetric::ModifiedJaccard;
+    AttackStats full_stats;
+    AttackStats sparse_stats;
+    const IdentifyResult full = store.queryFullScan(probe, p, &full_stats);
+    const IdentifyResult sparse =
+        identifySparseBounded(probe, probe.popcount(),
+                              store.sparseFingerprints(), p,
+                              &sparse_stats);
+    PCHECK(full.match == sparse.match);
+    PCHECK(full.nearest == sparse.nearest);
+    PCHECK(sameBits(full.bestDistance, sparse.bestDistance));
+    PCHECK_EQ(full_stats.distancesComputed,
+              sparse_stats.distancesComputed);
+    PCHECK_EQ(full_stats.distancesPruned,
+              sparse_stats.distancesPruned);
 })
 
 PCHECK_PROPERTY(PropStore, BatchAgreesWithSingleQueries,
@@ -93,16 +218,37 @@ PCHECK_PROPERTY(PropStore, BatchAgreesWithSingleQueries,
 
     IdentifyParams p;
     p.firstMatch = ctx.boolean(0.5, "first_match");
+    AttackStats total;
+    std::vector<AttackStats> each;
     const std::vector<IdentifyResult> batch =
-        store.queryBatch(probes, p);
+        store.queryBatch(probes, p, &total, &each);
     PCHECK_EQ(batch.size(), probes.size());
+    PCHECK_EQ(each.size(), probes.size());
+    AttackStats summed;
     for (std::size_t q = 0; q < queries; ++q) {
-        const IdentifyResult one = store.query(probes[q], p);
+        AttackStats one_stats;
+        const IdentifyResult one = store.query(probes[q], p, &one_stats);
         PCHECK_EQ(batch[q].match.has_value(), one.match.has_value());
         if (one.match)
             PCHECK_EQ(*batch[q].match, *one.match);
         PCHECK_EQ(batch[q].bestDistance, one.bestDistance);
+        // Each element's delta is exactly its own query()'s.
+        PCHECK_EQ(each[q].indexQueries, one_stats.indexQueries);
+        PCHECK_EQ(each[q].indexFallbacks, one_stats.indexFallbacks);
+        PCHECK_EQ(each[q].candidatesScanned,
+                  one_stats.candidatesScanned);
+        PCHECK_EQ(each[q].recordsAvailable, one_stats.recordsAvailable);
+        PCHECK_EQ(each[q].distancesComputed,
+                  one_stats.distancesComputed);
+        PCHECK_EQ(each[q].distancesPruned, one_stats.distancesPruned);
+        PCHECK(each[q].identifySeconds > 0.0);
+        summed += each[q];
     }
+    // The total is unchanged: the elements' counters, batch time.
+    PCHECK_EQ(total.indexQueries, summed.indexQueries);
+    PCHECK_EQ(total.candidatesScanned, summed.candidatesScanned);
+    PCHECK_EQ(total.distancesComputed, summed.distancesComputed);
+    PCHECK_EQ(total.distancesPruned, summed.distancesPruned);
 })
 
 PCHECK_PROPERTY(PropStore, ReindexPreservesVerdicts, [](Ctx &ctx) {

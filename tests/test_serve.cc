@@ -325,6 +325,8 @@ TEST(Server, DbStatsAndLiveStatsAnswerJson)
     LoadResult<std::string> db = decodeJson(r.payload);
     ASSERT_TRUE(db);
     EXPECT_NE(db->find("\"records\": 7"), std::string::npos);
+    EXPECT_NE(db->find("\"lsh_bytes\": "), std::string::npos);
+    EXPECT_NE(db->find("\"postings_bytes\": "), std::string::npos);
 
     r = client.exchange(encodeEmpty(Opcode::Stats));
     ASSERT_TRUE(r.ok());

@@ -123,7 +123,93 @@ TEST(AttackService, BatchElementwiseEqualsIdentify)
         EXPECT_EQ(solo.matched, batch[i].matched);
         EXPECT_EQ(solo.label, batch[i].label);
         EXPECT_TRUE(sameBits(solo.distance, batch[i].distance));
+        // Each element carries its own query's diagnostics.
+        EXPECT_EQ(solo.delta.candidatesScanned,
+                  batch[i].delta.candidatesScanned);
+        EXPECT_EQ(solo.delta.recordsAvailable,
+                  batch[i].delta.recordsAvailable);
+        EXPECT_EQ(solo.delta.indexFallbacks,
+                  batch[i].delta.indexFallbacks);
+        EXPECT_EQ(solo.delta.distancesComputed,
+                  batch[i].delta.distancesComputed);
+        EXPECT_EQ(solo.delta.distancesPruned,
+                  batch[i].delta.distancesPruned);
+        EXPECT_GT(batch[i].delta.identifySeconds, 0.0);
     }
+}
+
+TEST(AttackService, AddsWhileReadersQuery)
+{
+    // Writers grow every index structure (dense records, position
+    // arena, LSH tables, inverted position index) under the
+    // exclusive lock while readers run indexed, full-scan and
+    // batched queries under the shared one.
+    constexpr std::size_t initial = 40;
+    constexpr std::size_t added = 160;
+    AttackService svc(makeStore(initial, 0x5eed));
+    ThreadPool pool(2);
+    svc.setThreadPool(&pool);
+    const std::vector<BitVec> queries =
+        makeQueries(*svc.store(), 4, 0x7);
+
+    Rng rng(0xadd);
+    std::vector<Fingerprint> extra;
+    for (std::size_t i = 0; i < added; ++i)
+        extra.emplace_back(randomPattern(rng, 64), 3);
+
+    std::atomic<bool> done{false};
+    std::atomic<std::size_t> wrong{0};
+    const auto reader = [&](bool batched) {
+        std::size_t q = 0;
+        while (!done.load()) {
+            const std::size_t i = q++ % queries.size();
+            IdentifyVerdict v;
+            if (batched) {
+                v = svc.identifyBatch({queries[i]}, {}).front();
+            } else {
+                IdentifyRequest req;
+                req.errorString = queries[i];
+                v = svc.identify(req);
+            }
+            const bool known = i < initial;
+            const std::size_t seen = v.delta.recordsAvailable;
+            if (v.matched != known ||
+                (known && v.label != "chip-" + std::to_string(i)) ||
+                seen < initial || seen > initial + added)
+                wrong.fetch_add(1);
+        }
+    };
+    std::vector<std::thread> readers;
+    readers.emplace_back(reader, false);
+    readers.emplace_back(reader, false);
+    readers.emplace_back(reader, true);
+    for (std::size_t i = 0; i < added; ++i) {
+        const AttackService::AddOutcome out =
+            svc.addRecord("new-" + std::to_string(i), extra[i]);
+        EXPECT_TRUE(out.added);
+    }
+    done.store(true);
+    for (std::thread &t : readers)
+        t.join();
+    EXPECT_EQ(wrong.load(), 0u);
+
+    // Every added record is found, and a reject now scans them all.
+    ASSERT_EQ(svc.size(), initial + added);
+    for (std::size_t i = 0; i < added; ++i) {
+        IdentifyRequest req;
+        req.errorString = extra[i].bits();
+        const IdentifyVerdict v = svc.identify(req);
+        EXPECT_TRUE(v.matched);
+        EXPECT_EQ(v.label, "new-" + std::to_string(i));
+    }
+    IdentifyRequest reject;
+    reject.errorString = queries.back();
+    const IdentifyVerdict v = svc.identify(reject);
+    EXPECT_FALSE(v.matched);
+    EXPECT_EQ(v.delta.indexFallbacks, 1u);
+    EXPECT_EQ(v.delta.recordsAvailable, initial + added);
+    EXPECT_EQ(v.delta.distancesComputed + v.delta.distancesPruned,
+              v.delta.candidatesScanned + initial + added);
 }
 
 TEST(AttackService, OptionsMapOntoIdentifyParams)
@@ -227,6 +313,13 @@ TEST(AttackService, DbStatsCountsRecordsAndCells)
     EXPECT_GT(s.diskBytesEstimate, 0u);
     EXPECT_TRUE(s.hasOccupancy);
     EXPECT_STREQ(s.backend, "store");
+    // Index memory is reported from capacities: at least one slot
+    // per record per band, and one id per volatile cell.
+    EXPECT_GE(s.lshBytes, s.records * s.indexParams.bands *
+                              (sizeof(std::uint64_t) +
+                               sizeof(std::uint32_t)));
+    EXPECT_GE(s.postingsBytes,
+              s.volatileCells * sizeof(std::uint32_t));
 }
 
 TEST(AttackService, StatsSnapshotSumsQueries)

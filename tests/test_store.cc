@@ -336,7 +336,7 @@ TEST(FingerprintStore, StatsCountEachQueryExactlyOnce)
     pop.store.setThreadPool(&pool);
 
     // A miss query evaluates every shortlist candidate plus (via the
-    // sharded fallback) every record exactly once.
+    // fallback scan) every record exactly once.
     AttackStats stats;
     const auto start = std::chrono::steady_clock::now();
     const IdentifyResult miss =
@@ -353,9 +353,8 @@ TEST(FingerprintStore, StatsCountEachQueryExactlyOnce)
 
 TEST(FingerprintStore, BatchStatsCountEachQueryExactlyOnce)
 {
-    // Same regression at the batch level: miss queries below the
-    // pool size take the per-query sharded-fallback path, whose
-    // inner scan must contribute counters but no extra time stamp.
+    // Same regression at the batch level: each miss query's fallback
+    // scan must contribute counters but no extra time stamp.
     TestPopulation pop = makePopulation(32, 71);
     ThreadPool pool(4);
     pop.store.setThreadPool(&pool);
@@ -379,6 +378,23 @@ TEST(FingerprintStore, BatchStatsCountEachQueryExactlyOnce)
                   misses.size() * pop.store.size());
     EXPECT_GT(stats.identifySeconds, 0.0);
     EXPECT_LE(stats.identifySeconds, outer);
+}
+
+TEST(FingerprintStoreDeathTest, UniverseMismatchStillPanics)
+{
+    // The overlap-count fallback reads no record positions, so it
+    // checks each record's universe itself: a query from another
+    // universe must panic as the scan kernels always did, not
+    // answer from overlap counts.
+    TestPopulation pop = makePopulation(16, 79);
+    const BitVec wider(universe + 64);
+    const BitVec narrower(universe / 2);
+    EXPECT_DEATH(pop.store.query(wider), "size mismatch");
+    EXPECT_DEATH(pop.store.queryFullScan(narrower), "size mismatch");
+    IdentifyParams jaccard;
+    jaccard.metric = DistanceMetric::Jaccard;
+    EXPECT_DEATH(pop.store.queryFullScan(wider, jaccard),
+                 "size mismatch");
 }
 
 TEST(FingerprintStore, AddBatchEqualsSerialAdds)

@@ -431,6 +431,9 @@ cmdDbStats(FingerprintStore store)
     std::printf("lsh buckets       : %zu (largest holds %zu "
                 "records)\n",
                 s.lshBuckets, s.largestBucket);
+    std::printf("index memory      : lsh_bytes %zu, postings_bytes "
+                "%zu\n",
+                s.lshBytes, s.postingsBytes);
     std::printf("record disk size  : %zu bytes estimated\n",
                 s.diskBytesEstimate);
     std::printf("simd dispatch     : %s (best available %s)\n",
