@@ -2,16 +2,14 @@
  * @file
  * Serial-vs-parallel throughput of the batch attack engine.
  *
- * Sweeps a 1000-record fingerprint database with both the serial
- * Algorithm 2 scan and the batch APIs (thread-pool sharding plus
- * the bounded distance kernel), verifies the parallel results are
- * bit-identical to serial, and reports the speedup — the trackable
- * perf metric for this reproduction's attacker hot path. Also
- * times parallel characterization and batched stitching ingest.
+ * Sweeps a 1000-record fingerprint store with serial indexed
+ * queries and with queryBatch() spread across a thread pool,
+ * verifies the batch results are bit-identical to serial, and
+ * reports the speedup — the trackable perf metric for this
+ * reproduction's attacker hot path. Also times parallel
+ * characterization and batched stitching ingest.
  */
 
-// Times the raw serial/parallel kernels against each other.
-#define PCAUSE_ALLOW_DEPRECATED_IDENTIFY
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -21,6 +19,7 @@
 #include "core/characterize.hh"
 #include "core/identify.hh"
 #include "core/stitcher.hh"
+#include "core/store.hh"
 #include "dram/modeled_dram.hh"
 #include "os/page.hh"
 #include "util/csv.hh"
@@ -100,57 +99,41 @@ main()
         }
     }
 
+    FingerprintStore store = FingerprintStore::fromDb(std::move(db));
+    store.setThreadPool(&pool);
     const IdentifyParams params;
     const double t_serial = now();
     std::vector<IdentifyResult> serial;
     serial.reserve(queries.size());
     for (const auto &es : queries)
-        serial.push_back(identifyErrorString(es, db, params));
+        serial.push_back(store.query(es, params));
     const double serial_secs = now() - t_serial;
 
     AttackStats stats;
     const double t_par = now();
     const std::vector<IdentifyResult> parallel =
-        identifyErrorStringBatch(queries, db, params, &pool, &stats);
+        store.queryBatch(queries, params, &stats);
     const double par_secs = now() - t_par;
 
     std::size_t mismatches = 0;
     for (std::size_t q = 0; q < queries.size(); ++q)
         mismatches += !sameResult(serial[q], parallel[q]);
 
-    // Single-query latency: the database scan itself sharded.
-    AttackStats shard_stats;
-    const double t_one_serial = now();
-    const IdentifyResult one_serial =
-        identifyErrorString(queries[1], db, params);
-    const double one_serial_secs = now() - t_one_serial;
-    const double t_one_par = now();
-    const IdentifyResult one_par = identifyErrorStringParallel(
-        queries[1], db, params, pool, &shard_stats);
-    const double one_par_secs = now() - t_one_par;
-    mismatches += !sameResult(one_serial, one_par);
-
     const double batch_speedup = serial_secs / par_secs;
-    const double scan_speedup = one_serial_secs / one_par_secs;
     std::printf("identification sweep (%zu queries x %zu records):\n",
                 kQueries, kDbRecords);
-    std::printf("  serial          : %8.3f s (%.0f scans/s)\n",
+    std::printf("  serial          : %8.3f s (%.0f queries/s)\n",
                 serial_secs, kQueries / serial_secs);
-    std::printf("  parallel batch  : %8.3f s (%.0f scans/s)  "
+    std::printf("  parallel batch  : %8.3f s (%.0f queries/s)  "
                 "speedup %.2fx\n",
                 par_secs, kQueries / par_secs, batch_speedup);
     std::printf("  results identical to serial: %s\n",
                 mismatches == 0 ? "yes" : "NO — BUG");
-    std::printf("  distances computed %llu, pruned early %llu "
-                "(%.1f%%)\n",
+    std::printf("  index fallbacks %llu, distances computed %llu, "
+                "pruned early %llu\n\n",
+                (unsigned long long)stats.indexFallbacks,
                 (unsigned long long)stats.distancesComputed,
-                (unsigned long long)stats.distancesPruned,
-                100.0 * stats.distancesPruned /
-                    (stats.distancesComputed +
-                     stats.distancesPruned));
-    std::printf("  single no-match scan: serial %.4f s, sharded "
-                "%.4f s (%.2fx)\n\n",
-                one_serial_secs, one_par_secs, scan_speedup);
+                (unsigned long long)stats.distancesPruned);
 
     // --- characterization ----------------------------------------
     std::vector<BitVec> outputs;
@@ -217,10 +200,6 @@ main()
         "identify_batch", std::to_string(serial_secs),
         std::to_string(par_secs), std::to_string(batch_speedup),
         mismatches == 0 ? "1" : "0"});
-    csv.writeRow(std::vector<std::string>{
-        "identify_single_scan", std::to_string(one_serial_secs),
-        std::to_string(one_par_secs), std::to_string(scan_speedup),
-        sameResult(one_serial, one_par) ? "1" : "0"});
     csv.writeRow(std::vector<std::string>{
         "characterize", std::to_string(cser_secs),
         std::to_string(cpar_secs),

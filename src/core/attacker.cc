@@ -135,13 +135,14 @@ SupplyChainAttacker::attributeWithData(const BitVec &approx,
                                        const BitVec &exact,
                                        const DramConfig &config) const
 {
-    return identifyWithData(approx, exact, config, *svc.db(), prm);
+    return identifyWithData(approx, exact, config,
+                            store().sparseFingerprints(), prm);
 }
 
 const std::string &
 SupplyChainAttacker::label(std::size_t index) const
 {
-    return svc.store()->record(index).label;
+    return store().label(index);
 }
 
 const AttackStats &

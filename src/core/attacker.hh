@@ -54,9 +54,9 @@ class SupplyChainAttacker
                               {40.0, 50.0, 60.0});
 
     /**
-     * Use @p pool (not owned; null reverts to serial) for
-     * characterization, batch attribution, and the store's query
-     * fallback scans.
+     * Use @p pool (not owned) for characterization and batch
+     * attribution. With none set (null), characterization runs
+     * serially and batch attribution uses the process-global pool.
      */
     void setThreadPool(ThreadPool *pool)
     {
@@ -108,9 +108,6 @@ class SupplyChainAttacker
 
     /** The indexed fingerprint store backing this attacker. */
     const FingerprintStore &store() const { return *svc.store(); }
-
-    /** The accumulated fingerprint database (view into store()). */
-    const FingerprintDb &database() const { return *svc.db(); }
 
     /** Session counters and per-phase wall time (characterization
      *  time plus the facade's query counters, merged). */

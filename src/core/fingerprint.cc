@@ -34,6 +34,15 @@ Fingerprint::augment(const BitVec &error_string)
     ++numSources;
 }
 
+BitVec
+denseBits(const SparseView &v)
+{
+    BitVec bits(v.universe);
+    for (std::size_t k = 0; k < v.count; ++k)
+        bits.set(v.positions[k]);
+    return bits;
+}
+
 SparseView
 SparseFingerprintArena::view(std::size_t i) const
 {

@@ -69,8 +69,7 @@ class Fingerprint
  * Read-only view of a collection of sparse fingerprints, indexed by
  * record id. Abstracts over where the position lists live — the
  * FingerprintStore's in-memory arena or an mmap-ed v3 database file
- * — so the sparse identification scans in core/identify run
- * unchanged against both.
+ * — so the exact scans in core/scan run unchanged against both.
  */
 class SparseFingerprintSource
 {
@@ -83,6 +82,9 @@ class SparseFingerprintSource
     /** Sorted position list of fingerprint @p i. */
     virtual SparseView view(std::size_t i) const = 0;
 };
+
+/** The dense bit vector holding exactly @p v's positions. */
+BitVec denseBits(const SparseView &v);
 
 /**
  * Contiguous sparse-fingerprint storage: all position lists live in

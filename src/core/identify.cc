@@ -1,17 +1,11 @@
-// This TU *is* the deprecated surface.
-#define PCAUSE_ALLOW_DEPRECATED_IDENTIFY
 #include "core/identify.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
 #include "core/error_string.hh"
-#include "core/scan.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace pcause
 {
@@ -40,211 +34,30 @@ FingerprintDb::record(std::size_t i)
 namespace
 {
 
-using namespace detail;
-
-/** Wall-clock scope timer accumulating into an AttackStats field. */
-class PhaseTimer
-{
-  public:
-    PhaseTimer(AttackStats *stats, double AttackStats::*field)
-        : out(stats), member(field),
-          start(std::chrono::steady_clock::now())
-    {
-    }
-
-    ~PhaseTimer()
-    {
-        if (out) {
-            out->*member += std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start).count();
-        }
-    }
-
-  private:
-    AttackStats *out;
-    double AttackStats::*member;
-    std::chrono::steady_clock::time_point start;
-};
-
 /**
- * Distance with the metric-appropriate kernel: the bounded
- * Algorithm 3 scan when the metric supports it, the plain metric
- * otherwise.
+ * Serial, unbounded Algorithm 2 over records [0, n): @p distanceOf(i)
+ * is record i's distance, or nullopt to skip the record (a data mask
+ * left none of its cells; see identifyWithData()).
  */
-double
-boundedDistance(const IdentifyParams &params, const BitVec &es,
-                std::size_t es_weight, const BitVec &fp, double bound,
-                bool *pruned)
-{
-    if (params.metric == DistanceMetric::ModifiedJaccard)
-        return modifiedJaccardBounded(es, es_weight, fp, bound,
-                                      pruned);
-    *pruned = false;
-    return distance(params.metric, es, fp);
-}
-
-/**
- * scanRangeT() over an explicit index list instead of a contiguous
- * range: visits @p candidates in order through the same scanStep(),
- * so verdicts match a serial scan of a database containing exactly
- * those records in that order.
- */
-template <typename DistAt>
-ScanOutcome
-scanIndicesT(const std::vector<std::size_t> &candidates,
-             const IdentifyParams &params, const DistAt &distAt)
-{
-    ScanOutcome out;
-    for (const std::size_t i : candidates) {
-        if (scanStep(i, params, distAt, out) && params.firstMatch)
-            break;
-    }
-    return out;
-}
-
-/**
- * Dense bounded kernel bound to a FingerprintDb record. The query
- * operand's popcount is hashed once at construction, not once per
- * candidate (mirroring SparseDistAt).
- */
-struct DenseDistAt
-{
-    const BitVec &es;
-    std::size_t esWeight;
-    const FingerprintDb &db;
-    const IdentifyParams &params;
-
-    DenseDistAt(const BitVec &es_, const FingerprintDb &db_,
-                const IdentifyParams &params_)
-        : DenseDistAt(es_, es_.popcount(), db_, params_)
-    {
-    }
-
-    DenseDistAt(const BitVec &es_, std::size_t es_weight,
-                const FingerprintDb &db_,
-                const IdentifyParams &params_)
-        : es(es_), esWeight(es_weight), db(db_), params(params_)
-    {
-    }
-
-    double operator()(std::size_t i, double bound,
-                      bool *pruned) const
-    {
-        return boundedDistance(params, es, esWeight,
-                               db.record(i).fingerprint.bits(),
-                               bound, pruned);
-    }
-};
-
-/** Sparse Algorithm 3 kernel bound to a position-arena record. */
-struct SparseDistAt
-{
-    const BitVec &es;
-    std::size_t esWeight;
-    const SparseFingerprintSource &fps;
-
-    double operator()(std::size_t i, double bound,
-                      bool *pruned) const
-    {
-        return modifiedJaccardSparseBounded(es, esWeight,
-                                            fps.view(i), bound,
-                                            pruned);
-    }
-};
-
-ScanOutcome
-scanShard(const BitVec &es, const FingerprintDb &db,
-          std::size_t begin, std::size_t end,
-          const IdentifyParams &params,
-          std::atomic<std::size_t> *earliest_match)
-{
-    return scanRangeT(begin, end, params, earliest_match,
-                      DenseDistAt{es, db, params});
-}
-
-/**
- * Sharded full scan over records [0, n) with any bounded kernel:
- * the parallel core of identifyErrorStringParallel() /
- * identifySparseParallel(). Performs no timing of its own — public
- * entry points stamp wall time exactly once.
- */
-template <typename DistAt>
+template <typename DistanceOf>
 IdentifyResult
-parallelScanT(std::size_t n, const IdentifyParams &params,
-              ThreadPool &pool, AttackStats *stats,
-              const DistAt &distAt)
-{
-    // Sharding overhead beats the scan itself on tiny databases.
-    if (pool.size() == 1 || n < 2 * pool.size()) {
-        const ScanOutcome out =
-            scanRangeT(0, n, params, nullptr, distAt);
-        mergeScanCounters(stats, out);
-        return outcomeToResult(out, params);
-    }
-
-    std::vector<ScanOutcome> shards(pool.size());
-    std::atomic<std::size_t> earliest(
-        std::numeric_limits<std::size_t>::max());
-    pool.parallelChunks(
-        0, n,
-        [&](std::size_t b, std::size_t e, std::size_t c) {
-            shards[c] = scanRangeT(b, e, params,
-                                   params.firstMatch ? &earliest
-                                                     : nullptr,
-                                   distAt);
-        });
-
-    for (const auto &s : shards)
-        mergeScanCounters(stats, s);
-
-    if (params.firstMatch) {
-        // Shards cover ascending index ranges; records below the
-        // first shard-local match were all scanned and missed, so
-        // the lowest shard's match is exactly serial line 4's hit.
-        for (const auto &s : shards) {
-            if (s.match) {
-                IdentifyResult res;
-                res.match = s.match;
-                res.nearest = s.match;
-                res.bestDistance = s.matchDist;
-                return res;
-            }
-        }
-    }
-
-    // Merge shard minima in ascending order with a strict compare,
-    // reproducing the serial "first record achieving the minimum".
-    ScanOutcome merged;
-    for (const auto &s : shards) {
-        if (s.nearest &&
-            (!merged.nearest || s.nearestDist < merged.nearestDist)) {
-            merged.nearest = s.nearest;
-            merged.nearestDist = s.nearestDist;
-        }
-        merged.anyUnderThreshold |= s.anyUnderThreshold;
-    }
-    return outcomeToResult(merged, params);
-}
-
-} // anonymous namespace
-
-IdentifyResult
-identifyErrorString(const BitVec &error_string, const FingerprintDb &db,
-                    const IdentifyParams &params)
+literalScan(std::size_t n, const IdentifyParams &params,
+            const DistanceOf &distanceOf)
 {
     IdentifyResult res;
-    for (std::size_t i = 0; i < db.size(); ++i) {
-        const double d = distance(params.metric, error_string,
-                                  db.record(i).fingerprint.bits());
-        if (!res.nearest || d < res.bestDistance) {
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::optional<double> d = distanceOf(i);
+        if (!d)
+            continue;
+        if (!res.nearest || *d < res.bestDistance) {
             res.nearest = i;
-            res.bestDistance = d;
+            res.bestDistance = *d;
         }
-        if (d < params.threshold) {
+        if (*d < params.threshold) {
             if (params.firstMatch) {
                 // Algorithm 2 line 4: return the first hit.
                 res.match = i;
-                res.bestDistance = d;
+                res.bestDistance = *d;
                 res.nearest = i;
                 return res;
             }
@@ -254,6 +67,19 @@ identifyErrorString(const BitVec &error_string, const FingerprintDb &db,
     if (res.match)
         res.match = res.nearest;
     return res;
+}
+
+} // anonymous namespace
+
+IdentifyResult
+identifyErrorString(const BitVec &error_string, const FingerprintDb &db,
+                    const IdentifyParams &params)
+{
+    return literalScan(
+        db.size(), params, [&](std::size_t i) -> std::optional<double> {
+            return distance(params.metric, error_string,
+                            db.record(i).fingerprint.bits());
+        });
 }
 
 IdentifyResult
@@ -270,188 +96,46 @@ identifyWithData(const BitVec &approx, const BitVec &exact,
 {
     const BitVec es = errorString(approx, exact);
     const BitVec mask = maskableCells(exact, config);
-
-    IdentifyResult res;
-    for (std::size_t i = 0; i < db.size(); ++i) {
-        const BitVec masked_fp =
-            db.record(i).fingerprint.bits() & mask;
-        if (masked_fp.none()) {
-            // The data charges none of this fingerprint's cells:
-            // the output carries no evidence about this chip either
-            // way, so it must not match (an empty-vs-empty compare
-            // would report distance zero).
-            continue;
-        }
-        const double d = distance(params.metric, es, masked_fp);
-        if (!res.nearest || d < res.bestDistance) {
-            res.nearest = i;
-            res.bestDistance = d;
-        }
-        if (d < params.threshold) {
-            if (params.firstMatch) {
-                res.match = i;
-                res.bestDistance = d;
-                res.nearest = i;
-                return res;
+    return literalScan(
+        db.size(), params, [&](std::size_t i) -> std::optional<double> {
+            const BitVec masked_fp =
+                db.record(i).fingerprint.bits() & mask;
+            if (masked_fp.none()) {
+                // The data charges none of this fingerprint's cells:
+                // the output carries no evidence about this chip
+                // either way, so it must not match (an
+                // empty-vs-empty compare would report distance 0).
+                return std::nullopt;
             }
-            res.match = res.nearest;
-        }
-    }
-    if (res.match)
-        res.match = res.nearest;
-    return res;
-}
-
-IdentifyResult
-identifyAmong(const BitVec &error_string, const FingerprintDb &db,
-              const std::vector<std::size_t> &candidates,
-              const IdentifyParams &params, AttackStats *stats)
-{
-    return identifyAmong(error_string, error_string.popcount(), db,
-                         candidates, params, stats);
-}
-
-IdentifyResult
-identifyAmong(const BitVec &error_string, std::size_t es_weight,
-              const FingerprintDb &db,
-              const std::vector<std::size_t> &candidates,
-              const IdentifyParams &params, AttackStats *stats)
-{
-    const ScanOutcome out = scanIndicesT(
-        candidates, params,
-        DenseDistAt{error_string, es_weight, db, params});
-    mergeScanCounters(stats, out);
-    return outcomeToResult(out, params);
-}
-
-IdentifyResult
-identifySparseAmong(const BitVec &error_string, std::size_t es_weight,
-                    const SparseFingerprintSource &fps,
-                    const std::vector<std::size_t> &candidates,
-                    const IdentifyParams &params, AttackStats *stats)
-{
-    PC_ASSERT(params.metric == DistanceMetric::ModifiedJaccard,
-              "identifySparseAmong: sparse kernel is ModifiedJaccard "
-              "only");
-    const ScanOutcome out = scanIndicesT(
-        candidates, params,
-        SparseDistAt{error_string, es_weight, fps});
-    mergeScanCounters(stats, out);
-    return outcomeToResult(out, params);
-}
-
-IdentifyResult
-identifySparseBounded(const BitVec &error_string,
-                      std::size_t es_weight,
-                      const SparseFingerprintSource &fps,
-                      const IdentifyParams &params, AttackStats *stats)
-{
-    PC_ASSERT(params.metric == DistanceMetric::ModifiedJaccard,
-              "identifySparseBounded: sparse kernel is "
-              "ModifiedJaccard only");
-    const ScanOutcome out =
-        scanRangeT(0, fps.count(), params, nullptr,
-                   SparseDistAt{error_string, es_weight, fps});
-    mergeScanCounters(stats, out);
-    return outcomeToResult(out, params);
-}
-
-IdentifyResult
-identifySparseParallel(const BitVec &error_string,
-                       std::size_t es_weight,
-                       const SparseFingerprintSource &fps,
-                       const IdentifyParams &params, ThreadPool &pool,
-                       AttackStats *stats)
-{
-    PC_ASSERT(params.metric == DistanceMetric::ModifiedJaccard,
-              "identifySparseParallel: sparse kernel is "
-              "ModifiedJaccard only");
-    return parallelScanT(fps.count(), params, pool, stats,
-                         SparseDistAt{error_string, es_weight, fps});
-}
-
-IdentifyResult
-identifyErrorStringBounded(const BitVec &error_string,
-                           const FingerprintDb &db,
-                           const IdentifyParams &params,
-                           AttackStats *stats)
-{
-    const ScanOutcome out =
-        scanShard(error_string, db, 0, db.size(), params, nullptr);
-    mergeScanCounters(stats, out);
-    return outcomeToResult(out, params);
-}
-
-IdentifyResult
-identifyErrorStringParallel(const BitVec &error_string,
-                            const FingerprintDb &db,
-                            const IdentifyParams &params,
-                            ThreadPool &pool, AttackStats *stats)
-{
-    PhaseTimer timer(stats, &AttackStats::identifySeconds);
-    return parallelScanT(db.size(), params, pool, stats,
-                         DenseDistAt{error_string, db, params});
-}
-
-std::vector<IdentifyResult>
-identifyErrorStringBatch(const std::vector<BitVec> &error_strings,
-                         const FingerprintDb &db,
-                         const IdentifyParams &params,
-                         ThreadPool *pool, AttackStats *stats)
-{
-    if (!pool)
-        pool = &ThreadPool::global();
-    std::vector<IdentifyResult> results(error_strings.size());
-    if (error_strings.empty())
-        return results;
-
-    // Few queries: shard the database scan itself. Many queries:
-    // queries are independent, so spread them across the pool and
-    // keep each scan serial (better locality, no merge step).
-    if (error_strings.size() < pool->size()) {
-        for (std::size_t q = 0; q < error_strings.size(); ++q) {
-            results[q] = identifyErrorStringParallel(
-                error_strings[q], db, params, *pool, stats);
-        }
-        return results;
-    }
-
-    PhaseTimer timer(stats, &AttackStats::identifySeconds);
-    std::vector<ScanOutcome> totals(pool->size());
-    pool->parallelChunks(
-        0, error_strings.size(),
-        [&](std::size_t b, std::size_t e, std::size_t c) {
-            for (std::size_t q = b; q < e; ++q) {
-                const ScanOutcome out = scanShard(
-                    error_strings[q], db, 0, db.size(), params,
-                    nullptr);
-                results[q] = outcomeToResult(out, params);
-                totals[c].computed += out.computed;
-                totals[c].pruned += out.pruned;
-            }
+            return distance(params.metric, es, masked_fp);
         });
-    for (const auto &t : totals)
-        mergeScanCounters(stats, t);
-    return results;
 }
 
-std::vector<IdentifyResult>
-identifyBatch(const std::vector<BitVec> &approx_outputs,
-              const std::vector<BitVec> &exact_values,
-              const FingerprintDb &db, const IdentifyParams &params,
-              ThreadPool *pool, AttackStats *stats)
+IdentifyResult
+identifyWithData(const BitVec &approx, const BitVec &exact,
+                 const DramConfig &config,
+                 const SparseFingerprintSource &fps,
+                 const IdentifyParams &params)
 {
-    PC_ASSERT(approx_outputs.size() == exact_values.size(),
-              "identifyBatch: output/exact count mismatch");
-    if (!pool)
-        pool = &ThreadPool::global();
-    std::vector<BitVec> error_strings(approx_outputs.size());
-    pool->parallelFor(0, approx_outputs.size(), [&](std::size_t i) {
-        error_strings[i] =
-            errorString(approx_outputs[i], exact_values[i]);
-    });
-    return identifyErrorStringBatch(error_strings, db, params, pool,
-                                    stats);
+    const BitVec es = errorString(approx, exact);
+    const BitVec mask = maskableCells(exact, config);
+    const std::size_t es_weight = es.popcount();
+    return literalScan(
+        fps.count(), params, [&](std::size_t i) -> std::optional<double> {
+            const SparseView v = fps.view(i);
+            PC_ASSERT(v.universe == es.size(), "distance: size mismatch");
+            std::size_t masked = 0, overlap = 0;
+            for (std::size_t k = 0; k < v.count; ++k) {
+                if (mask.get(v.positions[k])) {
+                    ++masked;
+                    overlap += es.get(v.positions[k]);
+                }
+            }
+            if (masked == 0)
+                return std::nullopt;
+            return overlapDistance(params.metric, es_weight, masked,
+                                   overlap, es.size());
+        });
 }
 
 double

@@ -8,6 +8,11 @@
  * calibrated threshold. Includes the threshold-calibration helper
  * the paper alludes to ("Section 7 discusses how we experimentally
  * determine this threshold").
+ *
+ * This is the paper-literal, dense, unbounded reference: the oracle
+ * the indexed and sparse scans (FingerprintStore, MappedStore, both
+ * built on core/scan) are tested against. Serving code goes through
+ * AttackService (core/service.hh).
  */
 
 #ifndef PCAUSE_CORE_IDENTIFY_HH
@@ -18,33 +23,13 @@
 #include <string>
 #include <vector>
 
-#include "core/attack_stats.hh"
 #include "core/distance.hh"
 #include "core/fingerprint.hh"
 #include "dram/dram_config.hh"
 #include "util/bitvec.hh"
 
-/**
- * The raw scan entry points below are superseded by the
- * AttackService facade (core/service.hh): one QueryOptions-driven
- * identify() covers the indexed, linear, sparse, and batch paths.
- * They stay available — the store's query kernels and the
- * differential-test oracles are built on them — but new callers
- * outside src/core should go through AttackService. TUs that *are*
- * the implementation (or deliberately diff against the raw kernels)
- * define PCAUSE_ALLOW_DEPRECATED_IDENTIFY before their first
- * include to opt out of the warning.
- */
-#if defined(PCAUSE_ALLOW_DEPRECATED_IDENTIFY)
-#define PCAUSE_DEPRECATED_IDENTIFY(msg)
-#else
-#define PCAUSE_DEPRECATED_IDENTIFY(msg) [[deprecated(msg)]]
-#endif
-
 namespace pcause
 {
-
-class ThreadPool;
 
 /** Identity attached to a fingerprint in the database. */
 using ChipLabel = std::string;
@@ -150,147 +135,17 @@ IdentifyResult identifyWithData(const BitVec &approx,
                                 const IdentifyParams &params = {});
 
 /**
- * Single-query parallel scan: Algorithm 2 with the FingerprintDb
- * partitioned into contiguous shards across @p pool's threads. Each
- * shard runs the bounded Algorithm 3 kernel (early exit at
- * max(threshold, shard-local best distance), which provably cannot
- * change any verdict — see docs/ALGORITHMS.md), and in first-match
- * mode shards beyond an already-found match abort early. The result
- * is bit-identical to serial identify() for both firstMatch
- * settings. @p stats, when non-null, accumulates kernel counters.
+ * identifyWithData() over sparse fingerprints (a store's position
+ * arena): each masked distance is derived from the masked weight and
+ * its overlap with the error string through overlapDistance(), so
+ * verdicts and distances equal the dense overload's on the same
+ * records bit for bit.
  */
-PCAUSE_DEPRECATED_IDENTIFY(
-    "superseded by AttackService (core/service.hh)")
-IdentifyResult
-identifyErrorStringParallel(const BitVec &error_string,
-                            const FingerprintDb &db,
-                            const IdentifyParams &params,
-                            ThreadPool &pool,
-                            AttackStats *stats = nullptr);
-
-/**
- * Exact bounded Algorithm 3 scan restricted to an explicit record
- * shortlist, visited in the order given. Verdicts are what a serial
- * identifyErrorString() would produce if the database held only the
- * listed records (in that order): the candidate-index query path is
- * built on this. @p stats, when non-null, accumulates kernel
- * counters.
- */
-PCAUSE_DEPRECATED_IDENTIFY(
-    "superseded by AttackService (core/service.hh)")
-IdentifyResult identifyAmong(const BitVec &error_string,
-                             const FingerprintDb &db,
-                             const std::vector<std::size_t> &candidates,
-                             const IdentifyParams &params = {},
-                             AttackStats *stats = nullptr);
-
-/**
- * identifyAmong() with the error string's popcount precomputed, the
- * way identifySparseAmong() takes it: batch callers (the store's
- * dense query path) hash the query operand once per query instead
- * of once per shortlisted candidate. @p es_weight must equal
- * error_string.popcount().
- */
-PCAUSE_DEPRECATED_IDENTIFY(
-    "superseded by AttackService (core/service.hh)")
-IdentifyResult identifyAmong(const BitVec &error_string,
-                             std::size_t es_weight,
-                             const FingerprintDb &db,
-                             const std::vector<std::size_t> &candidates,
-                             const IdentifyParams &params = {},
-                             AttackStats *stats = nullptr);
-
-/**
- * Serial full scan through the bounded Algorithm 3 kernel:
- * bit-identical verdicts and distances to identifyErrorString(),
- * with the early-exit pruning (and counter reporting) of the
- * parallel scan but no thread pool.
- */
-PCAUSE_DEPRECATED_IDENTIFY(
-    "superseded by AttackService (core/service.hh)")
-IdentifyResult
-identifyErrorStringBounded(const BitVec &error_string,
-                           const FingerprintDb &db,
-                           const IdentifyParams &params = {},
-                           AttackStats *stats = nullptr);
-
-/**
- * identifyAmong() against sparse fingerprints: the same shortlist
- * scan through the sparse bounded Algorithm 3 kernel, which is
- * bit-identical to the dense one (see modifiedJaccardSparseBounded),
- * so verdicts cannot differ from the dense path. ModifiedJaccard
- * metric only. @p es_weight must equal error_string.popcount() —
- * callers hash it once per query. Performs no timing of its own;
- * callers stamp wall time.
- */
-PCAUSE_DEPRECATED_IDENTIFY(
-    "superseded by AttackService (core/service.hh)")
-IdentifyResult
-identifySparseAmong(const BitVec &error_string, std::size_t es_weight,
-                    const SparseFingerprintSource &fps,
-                    const std::vector<std::size_t> &candidates,
-                    const IdentifyParams &params = {},
-                    AttackStats *stats = nullptr);
-
-/**
- * identifyErrorStringBounded() against sparse fingerprints
- * (ModifiedJaccard only, untimed — see identifySparseAmong()).
- */
-PCAUSE_DEPRECATED_IDENTIFY(
-    "superseded by AttackService (core/service.hh)")
-IdentifyResult
-identifySparseBounded(const BitVec &error_string,
-                      std::size_t es_weight,
-                      const SparseFingerprintSource &fps,
-                      const IdentifyParams &params = {},
-                      AttackStats *stats = nullptr);
-
-/**
- * identifyErrorStringParallel() against sparse fingerprints
- * (ModifiedJaccard only, untimed — see identifySparseAmong()):
- * the database sharded across @p pool with the same
- * earliest-match protocol, bit-identical to the serial sparse scan.
- */
-PCAUSE_DEPRECATED_IDENTIFY(
-    "superseded by AttackService (core/service.hh)")
-IdentifyResult
-identifySparseParallel(const BitVec &error_string,
-                       std::size_t es_weight,
-                       const SparseFingerprintSource &fps,
-                       const IdentifyParams &params, ThreadPool &pool,
-                       AttackStats *stats = nullptr);
-
-/**
- * Batch identification of many error strings against one database.
- * Queries are independent, so they are spread across the pool
- * (falling back to a per-query database-sharded scan when there are
- * fewer queries than threads); every element of the result is
- * bit-identical to a serial identifyErrorString() call. Passing a
- * null @p pool uses ThreadPool::global().
- */
-PCAUSE_DEPRECATED_IDENTIFY(
-    "superseded by AttackService (core/service.hh)")
-std::vector<IdentifyResult>
-identifyErrorStringBatch(const std::vector<BitVec> &error_strings,
-                         const FingerprintDb &db,
-                         const IdentifyParams &params = {},
-                         ThreadPool *pool = nullptr,
-                         AttackStats *stats = nullptr);
-
-/**
- * Batch Algorithm 2 from raw outputs: extracts every error string
- * (in parallel), then runs identifyErrorStringBatch().
- * @p approx_outputs and @p exact_values pair up elementwise.
- */
-PCAUSE_DEPRECATED_IDENTIFY(
-    "superseded by AttackService (core/service.hh)")
-std::vector<IdentifyResult>
-identifyBatch(const std::vector<BitVec> &approx_outputs,
-              const std::vector<BitVec> &exact_values,
-              const FingerprintDb &db,
-              const IdentifyParams &params = {},
-              ThreadPool *pool = nullptr,
-              AttackStats *stats = nullptr);
+IdentifyResult identifyWithData(const BitVec &approx,
+                                const BitVec &exact,
+                                const DramConfig &config,
+                                const SparseFingerprintSource &fps,
+                                const IdentifyParams &params = {});
 
 /**
  * Experimentally calibrate the identification threshold from

@@ -1,13 +1,10 @@
-// The mapped query path is built on the raw sparse kernels.
-#define PCAUSE_ALLOW_DEPRECATED_IDENTIFY
 #include "core/mapped_store.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 
+#include "core/scan.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace pcause
 {
@@ -17,14 +14,6 @@ namespace
 
 /** Sanity cap on a chip label (matches the stream loader). */
 constexpr std::uint32_t maxLabelBytes = 1u << 16;
-
-/** Seconds elapsed since @p start. */
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start).count();
-}
 
 } // anonymous namespace
 
@@ -225,58 +214,24 @@ MappedStore::candidates(const MinHashSketch &sketch) const
 }
 
 IdentifyResult
-MappedStore::queryImpl(const BitVec &error_string,
-                       const IdentifyParams &params,
-                       AttackStats *stats) const
-{
-    PC_ASSERT(params.metric == DistanceMetric::ModifiedJaccard,
-              "MappedStore: only the ModifiedJaccard metric is "
-              "available on a mapped database");
-    if (stats) {
-        ++stats->indexQueries;
-        stats->recordsAvailable += header.recordCount;
-    }
-
-    const MinHashSketch sketch = minhashSketch(error_string, prm);
-    const std::vector<std::size_t> cand = candidates(sketch);
-    if (stats)
-        stats->candidatesScanned += cand.size();
-
-    const std::size_t es_weight = error_string.popcount();
-    if (!cand.empty()) {
-        const IdentifyResult res = identifySparseAmong(
-            error_string, es_weight, *this, cand, params, stats);
-        if (res.match)
-            return res;
-    }
-
-    // Same fallback contract as FingerprintStore::query(): the full
-    // scan's verdict is returned verbatim, pinning accept/reject to
-    // the linear Algorithm 2.
-    if (stats)
-        ++stats->indexFallbacks;
-    if (workers) {
-        return identifySparseParallel(error_string, es_weight, *this,
-                                      params, *workers, stats);
-    }
-    return identifySparseBounded(error_string, es_weight, *this,
-                                 params, stats);
-}
-
-IdentifyResult
 MappedStore::query(const BitVec &error_string,
                    const IdentifyParams &params,
                    AttackStats *stats) const
 {
-    const auto start = std::chrono::steady_clock::now();
-    AttackStats local;
-    const IdentifyResult res =
-        queryImpl(error_string, params, &local);
-    // queryImpl never stamps identify time; one wall stamp here.
-    local.identifySeconds = secondsSince(start);
-    if (stats)
-        *stats += local;
-    return res;
+    return detail::timedQuery(stats, [&](AttackStats *local) {
+        // Same contract as FingerprintStore::query(); a miss falls
+        // back to the exact scan, sharded across the pool when set.
+        return detail::indexedQuery(
+            error_string, params, prm, *this, local,
+            [&](const MinHashSketch &sketch) {
+                return candidates(sketch);
+            },
+            [&](std::size_t es_weight) {
+                return detail::sparseScan(error_string, es_weight,
+                                          *this, params, workers,
+                                          local);
+            });
+    });
 }
 
 IdentifyResult
@@ -284,15 +239,7 @@ MappedStore::queryLinear(const BitVec &error_string,
                          const IdentifyParams &params,
                          AttackStats *stats) const
 {
-    const auto start = std::chrono::steady_clock::now();
-    AttackStats local;
-    const IdentifyResult res = identifySparseBounded(
-        error_string, error_string.popcount(), *this, params, &local);
-    local.recordsAvailable += header.recordCount;
-    local.identifySeconds = secondsSince(start);
-    if (stats)
-        *stats += local;
-    return res;
+    return detail::linearQuery(error_string, params, *this, stats);
 }
 
 } // namespace pcause

@@ -15,10 +15,11 @@
  *
  * Verdict equivalence: candidate sets are computed with the same
  * lshProbeKeys() fold the in-memory index uses (binary search over
- * the per-band sorted key arrays instead of a hash lookup), and the
- * scans run the identical sparse bounded Algorithm 3 kernel, so
- * accept/reject decisions match FingerprintStore on the same data
- * exactly.
+ * the per-band sorted key arrays instead of a hash lookup), and
+ * queries run FingerprintStore's own query body and sparse distance
+ * (core/scan), for every metric, so accept/reject decisions match
+ * FingerprintStore on the same data exactly. A miss falls back to
+ * the linear scan, sharded across the pool when one is set.
  *
  * Trust model: structural metadata is fully validated at open;
  * position and signature *values* are trusted and never checked.
@@ -39,6 +40,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/attack_stats.hh"
 #include "core/identify.hh"
 #include "core/minhash.hh"
 #include "core/pcdb_format.hh"
@@ -81,7 +83,8 @@ class MappedStore : public SparseFingerprintSource
     const MinHashParams &indexParams() const { return prm; }
 
     /**
-     * Use @p pool for fallback scans (null reverts to serial).
+     * Use @p pool (not owned) to shard the fallback scans of
+     * query(); with none set (null) they run serially.
      */
     void setThreadPool(ThreadPool *pool) { workers = pool; }
 
@@ -96,14 +99,15 @@ class MappedStore : public SparseFingerprintSource
 
     /**
      * Indexed Algorithm 2, bit-identical in verdict to
-     * FingerprintStore::query() on the same records. ModifiedJaccard
-     * only (the mapping holds no dense fingerprints).
+     * FingerprintStore::query() on the same records, for every
+     * metric.
      */
     IdentifyResult query(const BitVec &error_string,
                          const IdentifyParams &params = {},
                          AttackStats *stats = nullptr) const;
 
-    /** Reference linear scan (serial sparse bounded full scan). */
+    /** Reference linear scan: the serial sparse scan of
+     *  FingerprintStore::queryLinear(), over the mapping. */
     IdentifyResult queryLinear(const BitVec &error_string,
                                const IdentifyParams &params = {},
                                AttackStats *stats = nullptr) const;
@@ -116,10 +120,6 @@ class MappedStore : public SparseFingerprintSource
 
     /** First byte of band @p band's on-disk section. */
     const std::uint8_t *bandBase(std::uint32_t band) const;
-
-    IdentifyResult queryImpl(const BitVec &error_string,
-                             const IdentifyParams &params,
-                             AttackStats *stats) const;
 
     MmapFile map;
     pcdb::V3Header header;

@@ -1,13 +1,19 @@
 /**
  * @file
- * The scan rules every exact Algorithm 2 scan shares.
+ * The one exact scan every indexed Algorithm 2 query runs.
  *
- * identify.cc's linear, sharded and shortlist scans and the store's
- * overlap-count scan visit records through one loop, so the bound
- * they hand each distance evaluation, the order they update the
- * running nearest record, and when they stop are one definition —
- * the reason their verdicts, distances and kernel counters agree.
- * Internal to core/: callers go through FingerprintStore or
+ * Both stores keep fingerprints only as sparse position lists
+ * (SparseFingerprintSource). Every exact scan over them — the LSH
+ * shortlist, the reference linear scan, the mmap backend's
+ * pool-sharded fallback and the in-memory store's overlap-count
+ * fallback — evaluates one distance (SparseDistAt) and visits
+ * records through one step (scanStep), so the bound handed to each
+ * distance evaluation, the order the running nearest record moves,
+ * and when a scan stops are one definition: the reason their
+ * verdicts, distances and kernel counters agree. indexedQuery() is
+ * the query body both stores share; they differ only in where
+ * candidates come from and which full scan backs a miss. Internal to
+ * core/: callers go through FingerprintStore, MappedStore or
  * AttackService.
  */
 
@@ -16,12 +22,23 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
+#include "core/attack_stats.hh"
 #include "core/identify.hh"
+#include "core/minhash.hh"
+#include "util/logging.hh"
+#include "util/simd.hh"
 
-namespace pcause::detail
+namespace pcause
+{
+
+class ThreadPool;
+
+namespace detail
 {
 
 /** What one scan over a range (or list) of records learned. */
@@ -40,6 +57,37 @@ struct ScanOutcome
 
     std::uint64_t computed = 0;
     std::uint64_t pruned = 0;
+};
+
+/**
+ * The distance from a query error string to sparse record i, for
+ * every metric. ModifiedJaccard runs the bounded sparse Algorithm 3
+ * kernel (modifiedJaccardSparseBounded). Jaccard and Hamming count
+ * the exact overlap (the miss-count kernel with limit = weight never
+ * exits early) and derive the metric with overlapDistance(),
+ * bit-identical to the dense metrics; they never prune.
+ */
+struct SparseDistAt
+{
+    const BitVec &es;
+    /** Must equal es.popcount(): hashed once per query. */
+    std::size_t esWeight;
+    const SparseFingerprintSource &fps;
+    DistanceMetric metric;
+
+    double operator()(std::size_t i, double bound, bool *pruned) const
+    {
+        const SparseView v = fps.view(i);
+        if (metric == DistanceMetric::ModifiedJaccard)
+            return modifiedJaccardSparseBounded(es, esWeight, v, bound,
+                                                pruned);
+        PC_ASSERT(v.universe == es.size(), "distance: size mismatch");
+        *pruned = false;
+        const std::size_t misses = simd::sparseMissCountBounded(
+            es.words().data(), v.positions, v.count, v.count);
+        return overlapDistance(metric, esWeight, v.count,
+                               v.count - misses, es.size());
+    }
 };
 
 /**
@@ -144,6 +192,101 @@ mergeScanCounters(AttackStats *stats, const ScanOutcome &out)
     }
 }
 
-} // namespace pcause::detail
+/**
+ * Exact scan of every record of @p fps in id order. Serial when
+ * @p pool is null, has one lane, or holds fewer than two records
+ * per lane; otherwise sharded into contiguous ranges across
+ * @p pool, each shard bounded by its own running nearest distance
+ * and first-match shards stopping above the earliest match any
+ * shard found. Either way the verdict, nearest record and distance
+ * are the serial scan's bit for bit (docs/ALGORITHMS.md); only a
+ * sharded scan's kernel counters differ. @p es_weight must equal
+ * es.popcount(). Untimed; @p stats receives kernel counters.
+ */
+IdentifyResult sparseScan(const BitVec &es, std::size_t es_weight,
+                          const SparseFingerprintSource &fps,
+                          const IdentifyParams &params,
+                          ThreadPool *pool, AttackStats *stats);
+
+/**
+ * The indexed Algorithm 2 body both stores run: sketch the query,
+ * scan the shortlist @p candidates(sketch) returns in the order
+ * given, and when it yields no accept return @p fallback(es_weight)
+ * — an exact full scan — verbatim, which pins accept/reject to the
+ * linear scan. Untimed; @p stats receives index and kernel
+ * counters.
+ */
+template <typename Candidates, typename Fallback>
+IdentifyResult
+indexedQuery(const BitVec &es, const IdentifyParams &params,
+             const MinHashParams &index_params,
+             const SparseFingerprintSource &fps, AttackStats *stats,
+             const Candidates &candidates, const Fallback &fallback)
+{
+    if (stats) {
+        ++stats->indexQueries;
+        stats->recordsAvailable += fps.count();
+    }
+    const std::vector<std::size_t> cand =
+        candidates(minhashSketch(es, index_params));
+    if (stats)
+        stats->candidatesScanned += cand.size();
+
+    // The query operand is hashed once here, never per candidate.
+    const std::size_t es_weight = es.popcount();
+    if (!cand.empty()) {
+        const SparseDistAt distAt{es, es_weight, fps, params.metric};
+        ScanOutcome out;
+        for (const std::size_t i : cand) {
+            if (scanStep(i, params, distAt, out) && params.firstMatch)
+                break;
+        }
+        mergeScanCounters(stats, out);
+        const IdentifyResult res = outcomeToResult(out, params);
+        if (res.match)
+            return res;
+    }
+    if (stats)
+        ++stats->indexFallbacks;
+    return fallback(es_weight);
+}
+
+/** Seconds elapsed since @p start. */
+inline double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - start).count();
+}
+
+/**
+ * The timing shell of every public store query: run @p body into
+ * fresh counters, stamp its wall time as identify time exactly
+ * once, and add the counters to @p stats (when non-null).
+ */
+template <typename Body>
+IdentifyResult
+timedQuery(AttackStats *stats, const Body &body)
+{
+    const auto start = std::chrono::steady_clock::now();
+    AttackStats local;
+    const IdentifyResult res = body(&local);
+    local.identifySeconds = secondsSince(start);
+    if (stats)
+        *stats += local;
+    return res;
+}
+
+/**
+ * queryLinear() of both stores: the timed serial sparseScan() of
+ * every record of @p fps, with recordsAvailable counted.
+ */
+IdentifyResult linearQuery(const BitVec &es,
+                           const IdentifyParams &params,
+                           const SparseFingerprintSource &fps,
+                           AttackStats *stats);
+
+} // namespace detail
+} // namespace pcause
 
 #endif // PCAUSE_CORE_SCAN_HH

@@ -97,21 +97,22 @@ class Reader
     std::string msg;
 };
 
-/** One record as parsed off disk. */
+/** One record's metadata as parsed off disk. */
 struct RawRecord
 {
     std::string label;
     std::uint32_t sources = 0;
-    BitVec bits;
     MinHashSignature sig; //!< empty in v1 files
 };
 
-/** Parsed file: header parameters plus all records. */
+/** Parsed file: header parameters, record metadata, and every
+ *  record's positions in one arena (record i is fps.view(i)). */
 struct RawDatabase
 {
     std::uint32_t version = 0;
     MinHashParams index;
     std::vector<RawRecord> records;
+    SparseFingerprintArena fps;
 };
 
 /** Skip (and discard) @p bytes from the reader. */
@@ -225,22 +226,23 @@ parseV3(Reader &r, RawDatabase &out)
               "signature padding");
 
     // --- position arena -------------------------------------------
+    // Into the arena the store adopts, one validated list at a time.
+    std::vector<std::uint32_t> pos;
     for (std::size_t i = 0; i < entries.size(); ++i) {
-        RawRecord &rec = out.records[i];
-        rec.sources = entries[i].sources;
-        rec.bits = BitVec(entries[i].universe);
-        std::uint32_t prev = 0;
+        out.records[i].sources = entries[i].sources;
+        pos.clear();
         for (std::uint32_t p = 0; p < entries[i].posCount; ++p) {
-            std::uint32_t pos = 0;
-            if (!r.read(pos, "position arena"))
+            std::uint32_t at = 0;
+            if (!r.read(at, "position arena"))
                 return r.error();
-            if (pos >= entries[i].universe)
+            if (at >= entries[i].universe)
                 return "position beyond universe";
-            if (p > 0 && pos <= prev)
+            if (p > 0 && at <= pos.back())
                 return "positions not strictly ascending";
-            prev = pos;
-            rec.bits.set(pos);
+            pos.push_back(at);
         }
+        out.fps.addPositions(pos.data(), pos.size(),
+                             entries[i].universe);
     }
     skipBytes(r, lay.labelOff - (h.posOff + h.totalPositions * 4),
               "position padding");
@@ -339,15 +341,16 @@ parseDatabase(std::istream &in, RawDatabase &out)
         if (positions > universe)
             return "more positions than universe bits";
 
-        rec.bits = BitVec(universe);
+        BitVec bits(universe);
         for (std::uint64_t p = 0; p < positions; ++p) {
             std::uint32_t pos = 0;
             if (!r.read(pos, "position"))
                 return r.error();
             if (pos >= universe)
                 return "position beyond universe";
-            rec.bits.set(pos);
+            bits.set(pos);
         }
+        out.fps.add(bits);
 
         if (out.version >= dbVersionV2) {
             rec.sig.resize(out.index.numHashes);
@@ -441,7 +444,7 @@ saveStore(const FingerprintStore &store, std::ostream &out)
 
     std::uint64_t label_bytes = 0;
     for (std::size_t i = 0; i < n; ++i)
-        label_bytes += store.record(i).label.size();
+        label_bytes += store.label(i).size();
     const std::uint64_t total_pos = sparse.totalPositions();
 
     const pcdb::V3Layout lay = pcdb::v3Layout(
@@ -468,18 +471,18 @@ saveStore(const FingerprintStore &store, std::ostream &out)
     // --- record table (canonical running arena offsets) -----------
     std::uint64_t next_label = 0, next_pos = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        const FingerprintRecord &rec = store.record(i);
+        const std::size_t label_len = store.label(i).size();
         const SparseView v = sparse.view(i);
         writeScalar<std::uint64_t>(out, next_label);
         writeScalar<std::uint64_t>(out, next_pos);
         writeScalar<std::uint64_t>(out, v.universe);
         writeScalar<std::uint32_t>(
-            out, static_cast<std::uint32_t>(rec.label.size()));
+            out, static_cast<std::uint32_t>(label_len));
         writeScalar<std::uint32_t>(
             out, static_cast<std::uint32_t>(v.count));
-        writeScalar<std::uint32_t>(out, rec.fingerprint.sources());
+        writeScalar<std::uint32_t>(out, store.sources(i));
         writeScalar<std::uint32_t>(out, 0); // reserved
-        next_label += rec.label.size();
+        next_label += label_len;
         next_pos += v.count;
     }
 
@@ -504,7 +507,7 @@ saveStore(const FingerprintStore &store, std::ostream &out)
 
     // --- label arena ----------------------------------------------
     for (std::size_t i = 0; i < n; ++i) {
-        const ChipLabel &label = store.record(i).label;
+        const ChipLabel &label = store.label(i);
         out.write(label.data(),
                   static_cast<std::streamsize>(label.size()));
     }
@@ -605,9 +608,10 @@ loadDatabase(std::istream &in)
         return {std::nullopt, "loadDatabase: " + err};
 
     FingerprintDb db;
-    for (RawRecord &rec : raw.records) {
-        db.add(std::move(rec.label),
-               Fingerprint(std::move(rec.bits), rec.sources));
+    for (std::size_t i = 0; i < raw.records.size(); ++i) {
+        db.add(std::move(raw.records[i].label),
+               Fingerprint(denseBits(raw.fps.view(i)),
+                           raw.records[i].sources));
     }
     return {std::move(db), ""};
 }
@@ -629,17 +633,18 @@ loadStore(std::istream &in)
     if (!err.empty())
         return {std::nullopt, "loadStore: " + err};
 
-    // One bulk add, so every index structure is sized once at its
-    // exact final size instead of grown record by record.
+    // One bulk add that adopts the parsed arena, so every index
+    // structure is sized once at its exact final size (and a v3
+    // record is never materialized densely).
     std::vector<ChipLabel> labels;
-    std::vector<Fingerprint> fps;
+    std::vector<unsigned> sources;
     std::vector<MinHashSignature> sigs;
     labels.reserve(raw.records.size());
-    fps.reserve(raw.records.size());
+    sources.reserve(raw.records.size());
     sigs.reserve(raw.records.size());
     for (RawRecord &rec : raw.records) {
         labels.push_back(std::move(rec.label));
-        fps.emplace_back(std::move(rec.bits), rec.sources);
+        sources.push_back(rec.sources);
         sigs.push_back(std::move(rec.sig));
     }
     raw.records.clear();
@@ -648,12 +653,13 @@ loadStore(std::istream &in)
         raw.version >= dbVersionV2 ? raw.index : MinHashParams{};
     if (raw.version < dbVersionV2) {
         // v1 carries no signatures: recompute on load.
-        for (std::size_t i = 0; i < fps.size(); ++i)
-            sigs[i] = minhashSignature(fps[i].bits(), params);
+        for (std::size_t i = 0; i < sigs.size(); ++i)
+            sigs[i] = minhashSignature(denseBits(raw.fps.view(i)),
+                                       params);
     }
     FingerprintStore store(params);
-    store.addBatch(std::move(labels), std::move(fps), std::move(sigs),
-                   params);
+    store.addBatch(std::move(labels), std::move(sources),
+                   std::move(raw.fps), std::move(sigs), params);
     return {std::move(store), ""};
 }
 

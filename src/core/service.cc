@@ -199,9 +199,6 @@ AttackService::dispatch(const BitVec &error_string,
 {
     const IdentifyParams p = options.identifyParams();
     if (mapped) {
-        PC_ASSERT(options.metric == DistanceMetric::ModifiedJaccard,
-                  "AttackService: the mmap backend serves the "
-                  "ModifiedJaccard metric only");
         return options.linear
                    ? mapped->queryLinear(error_string, p, delta)
                    : mapped->query(error_string, p, delta);
@@ -347,6 +344,7 @@ AttackService::dbStats() const
     ServiceDbStats s;
     std::shared_lock<std::shared_mutex> lock(*gate);
     s.records = size();
+    const SparseFingerprintSource *fps = nullptr;
     if (owned) {
         s.backend = "store";
         s.indexParams = owned->indexParams();
@@ -356,27 +354,21 @@ AttackService::dbStats() const
         s.largestBucket = occ.largestBucket;
         s.lshBytes = owned->index().memoryBytes();
         s.postingsBytes = owned->postingsBytes();
-        for (std::size_t i = 0; i < owned->size(); ++i) {
-            const FingerprintRecord &rec = owned->record(i);
-            const std::size_t weight = rec.fingerprint.weight();
-            s.volatileCells += weight;
-            if (rec.fingerprint.bits().size() > s.universeBits)
-                s.universeBits = rec.fingerprint.bits().size();
-            s.diskBytesEstimate += recordDiskSize(
-                weight, rec.label.size(), s.indexParams.numHashes);
-        }
-        return s;
+        fps = &owned->sparseFingerprints();
+    } else {
+        s.backend = "mmap";
+        s.indexParams = mapped->indexParams();
+        fps = &*mapped;
     }
-    s.backend = "mmap";
-    s.indexParams = mapped->indexParams();
-    for (std::size_t i = 0; i < mapped->size(); ++i) {
-        const SparseView v = mapped->view(i);
+    for (std::size_t i = 0; i < fps->count(); ++i) {
+        const SparseView v = fps->view(i);
+        const std::size_t label_len = owned ? owned->label(i).size()
+                                            : mapped->label(i).size();
         s.volatileCells += v.count;
         if (v.universe > s.universeBits)
             s.universeBits = static_cast<std::size_t>(v.universe);
-        s.diskBytesEstimate += recordDiskSize(
-            v.count, mapped->label(i).size(),
-            s.indexParams.numHashes);
+        s.diskBytesEstimate += recordDiskSize(v.count, label_len,
+                                              s.indexParams.numHashes);
     }
     return s;
 }
@@ -424,7 +416,7 @@ std::string
 AttackService::label(std::size_t i) const
 {
     if (owned)
-        return owned->record(i).label;
+        return owned->label(i);
     return std::string(mapped->label(i));
 }
 

@@ -2,17 +2,14 @@
  * @file
  * AttackService: one identification API for every frontend.
  *
- * Identification grew several entry points as it got faster — the
- * raw Algorithm 2 scans in core/identify, the indexed
- * FingerprintStore::query* family, and the mmap-ed MappedStore
- * twins — and every frontend (CLI, benches, attackers, and now the
- * pcaused network server) re-picked a combination by hand.
- * AttackService is the facade that ends that proliferation: it owns
- * one backend (an in-memory FingerprintStore or a read-only
- * MappedStore over a v3 file), exposes a single QueryOptions-driven
- * identify entry point plus the batch variant the micro-batcher
- * feeds, and resolves record indices to labels so callers never
- * reach into the backend for presentation.
+ * Every frontend (CLI, benches, attackers, and the pcaused network
+ * server) identifies through this facade. It owns one backend (an
+ * in-memory FingerprintStore or a read-only MappedStore over a v3
+ * file; both run the one query body in core/scan, for every
+ * metric), exposes a single QueryOptions-driven identify entry
+ * point plus the batch variant the micro-batcher feeds, and resolves
+ * record indices to labels so callers never reach into the backend
+ * for presentation.
  *
  * Verdicts are bit-identical to direct FingerprintStore /
  * MappedStore queries by construction: the facade adds locking,
@@ -261,8 +258,11 @@ class AttackService
     std::size_t size() const;
 
     /**
-     * Use @p pool (not owned; null reverts to serial) for the
-     * backend's fallback scans and batch queries.
+     * Hand @p pool (not owned) to the backend: the mmap backend
+     * shards its fallback scans on it, the in-memory backend spreads
+     * identifyBatch() queries across it. With none set (null), the
+     * mmap backend's fallback scans run serially and the in-memory
+     * backend's batch queries use the process-global pool.
      */
     void setThreadPool(ThreadPool *pool);
 
@@ -332,12 +332,6 @@ class AttackService
     const FingerprintStore *store() const
     {
         return owned ? &*owned : nullptr;
-    }
-
-    /** The wrapped plain database, or null when mapped. */
-    const FingerprintDb *db() const
-    {
-        return owned ? &owned->db() : nullptr;
     }
 
     /** Label of record @p i (copied; safe past the call). */

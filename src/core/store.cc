@@ -1,5 +1,3 @@
-// The store query path is built on the raw scan kernels.
-#define PCAUSE_ALLOW_DEPRECATED_IDENTIFY
 #include "core/store.hh"
 
 #include <algorithm>
@@ -16,14 +14,6 @@ namespace pcause
 
 namespace
 {
-
-/** Seconds elapsed since @p start. */
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start).count();
-}
 
 /**
  * Whether a signature computed under @p a is valid content under
@@ -76,8 +66,10 @@ FingerprintStore::addWithSignature(ChipLabel label, Fingerprint fp,
     }
     PC_ASSERT(sig.size() == lsh.params().numHashes,
               "FingerprintStore: signature length mismatch");
+    const std::size_t i = size();
     sparse.add(fp.bits());
-    const std::size_t i = records.add(std::move(label), std::move(fp));
+    chipLabels.push_back(std::move(label));
+    sourceCounts.push_back(fp.sources());
     lsh.add(i, sig);
     signatures.push_back(std::move(sig));
     indexPositions(i);
@@ -95,50 +87,75 @@ FingerprintStore::addBatch(std::vector<ChipLabel> labels,
     pool.parallelFor(0, fps.size(), [&](std::size_t i) {
         sigs[i] = minhashSignature(fps[i].bits(), lsh.params());
     });
-    appendBatch(std::move(labels), std::move(fps), std::move(sigs),
-                &pool);
+    std::vector<unsigned> sources;
+    SparseFingerprintArena arena;
+    for (const Fingerprint &fp : fps) {
+        sources.push_back(fp.sources());
+        arena.add(fp.bits());
+    }
+    appendBatch(std::move(labels), std::move(sources), std::move(arena),
+                std::move(sigs), &pool);
 }
 
 void
 FingerprintStore::addBatch(std::vector<ChipLabel> labels,
-                           std::vector<Fingerprint> fps,
+                           std::vector<unsigned> sources,
+                           SparseFingerprintArena fps,
                            std::vector<MinHashSignature> sigs,
                            const MinHashParams &sig_params)
 {
     if (!sameSignatureSpace(sig_params, lsh.params())) {
         // Same rule as addWithSignature(): recompute, never mix
         // signature spaces.
-        addBatch(std::move(labels), std::move(fps));
-        return;
+        sigs.resize(fps.count());
+        for (std::size_t i = 0; i < fps.count(); ++i) {
+            sigs[i] = minhashSignature(denseBits(fps.view(i)),
+                                       lsh.params());
+        }
     }
-    appendBatch(std::move(labels), std::move(fps), std::move(sigs),
-                workers);
+    appendBatch(std::move(labels), std::move(sources), std::move(fps),
+                std::move(sigs), workers);
 }
 
 void
-FingerprintStore::appendBatch(std::vector<ChipLabel> labels,
-                              std::vector<Fingerprint> fps,
+FingerprintStore::appendBatch(std::vector<ChipLabel> new_labels,
+                              std::vector<unsigned> sources,
+                              SparseFingerprintArena fps,
                               std::vector<MinHashSignature> sigs,
                               ThreadPool *pool)
 {
-    PC_ASSERT(labels.size() == fps.size() && sigs.size() == fps.size(),
-              "addBatch: label/fingerprint/signature count mismatch");
+    PC_ASSERT(new_labels.size() == fps.count() &&
+                  sources.size() == fps.count() &&
+                  sigs.size() == fps.count(),
+              "addBatch: label/source/fingerprint/signature count "
+              "mismatch");
     for (const MinHashSignature &sig : sigs) {
         PC_ASSERT(sig.size() == lsh.params().numHashes,
                   "FingerprintStore: signature length mismatch");
     }
-    if (fps.empty())
+    if (fps.count() == 0)
         return;
 
     // Band-sharded table fill, each band sized once for the batch.
-    const std::size_t first = records.size();
+    const std::size_t first = size();
     lsh.addAll(first, sigs, pool);
 
-    for (std::size_t i = 0; i < fps.size(); ++i) {
-        sparse.add(fps[i].bits());
-        records.add(std::move(labels[i]), std::move(fps[i]));
-        signatures.push_back(std::move(sigs[i]));
+    if (first == 0) {
+        sparse = std::move(fps);
+    } else {
+        for (std::size_t i = 0; i < fps.count(); ++i) {
+            const SparseView v = fps.view(i);
+            sparse.addPositions(v.positions, v.count, v.universe);
+        }
     }
+    chipLabels.insert(chipLabels.end(),
+                      std::make_move_iterator(new_labels.begin()),
+                      std::make_move_iterator(new_labels.end()));
+    sourceCounts.insert(sourceCounts.end(), sources.begin(),
+                        sources.end());
+    signatures.insert(signatures.end(),
+                      std::make_move_iterator(sigs.begin()),
+                      std::make_move_iterator(sigs.end()));
     indexPositions(first);
 }
 
@@ -188,6 +205,31 @@ FingerprintStore::postingsBytes() const
     return bytes;
 }
 
+FingerprintRecord
+FingerprintStore::record(std::size_t i) const
+{
+    BitVec bits = denseBits(sparse.view(i));
+    return {label(i), sourceCounts[i] > 0
+                          ? Fingerprint(std::move(bits), sourceCounts[i])
+                          : Fingerprint()};
+}
+
+const ChipLabel &
+FingerprintStore::label(std::size_t i) const
+{
+    PC_ASSERT(i < chipLabels.size(),
+              "FingerprintStore record index out of range");
+    return chipLabels[i];
+}
+
+unsigned
+FingerprintStore::sources(std::size_t i) const
+{
+    PC_ASSERT(i < sourceCounts.size(),
+              "FingerprintStore record index out of range");
+    return sourceCounts[i];
+}
+
 const MinHashSignature &
 FingerprintStore::signature(std::size_t i) const
 {
@@ -201,40 +243,14 @@ FingerprintStore::queryImpl(const BitVec &error_string,
                             const IdentifyParams &params,
                             AttackStats *stats) const
 {
-    if (stats) {
-        ++stats->indexQueries;
-        stats->recordsAvailable += records.size();
-    }
-
-    const MinHashSketch sketch =
-        minhashSketch(error_string, lsh.params());
-    const std::vector<std::size_t> cand = lsh.candidates(sketch);
-    if (stats)
-        stats->candidatesScanned += cand.size();
-
-    // The ModifiedJaccard shortlist scan runs on the sparse position
-    // arena (bit-identical kernel, ~30x less memory traffic); other
-    // metrics keep the dense records. Either way the query operand
-    // is hashed once here, never per candidate.
-    const std::size_t es_weight = error_string.popcount();
-
-    if (!cand.empty()) {
-        const IdentifyResult res =
-            params.metric == DistanceMetric::ModifiedJaccard
-                ? identifySparseAmong(error_string, es_weight, sparse,
-                                      cand, params, stats)
-                : identifyAmong(error_string, es_weight, records,
-                                cand, params, stats);
-        if (res.match)
-            return res;
-    }
-
-    // No shortlist accept: fall back to the exact full scan, whose
-    // verdict is returned verbatim — this is what pins the store's
-    // accept/reject decisions to the linear Algorithm 2.
-    if (stats)
-        ++stats->indexFallbacks;
-    return fullScan(error_string, es_weight, params, stats);
+    return detail::indexedQuery(
+        error_string, params, lsh.params(), sparse, stats,
+        [&](const MinHashSketch &sketch) {
+            return lsh.candidates(sketch);
+        },
+        [&](std::size_t es_weight) {
+            return fullScan(error_string, es_weight, params, stats);
+        });
 }
 
 IdentifyResult
@@ -263,7 +279,7 @@ FingerprintStore::overlapScan(const BitVec &error_string,
     // Each record's overlap with the query, counted from the
     // query's own positions: about weight x records-per-position
     // increments, instead of reading every record's positions.
-    std::vector<Count> overlap(records.size(), 0);
+    std::vector<Count> overlap(size(), 0);
     for (const std::size_t p : error_string.setBits()) {
         if (p >= postings.size())
             break; // no record reaches this far into the universe
@@ -303,8 +319,8 @@ FingerprintStore::overlapScan(const BitVec &error_string,
         return overlapDistance(params.metric, es_weight, v.count,
                                overlap[i], universe);
     };
-    const detail::ScanOutcome out = detail::scanRangeT(
-        0, records.size(), params, nullptr, distAt);
+    const detail::ScanOutcome out =
+        detail::scanRangeT(0, size(), params, nullptr, distAt);
     detail::mergeScanCounters(stats, out);
     return detail::outcomeToResult(out, params);
 }
@@ -314,15 +330,9 @@ FingerprintStore::query(const BitVec &error_string,
                         const IdentifyParams &params,
                         AttackStats *stats) const
 {
-    const auto start = std::chrono::steady_clock::now();
-    AttackStats local;
-    const IdentifyResult res = queryImpl(error_string, params, &local);
-    // queryImpl never stamps identify time itself, so each query's
-    // wall time is counted exactly once, here.
-    local.identifySeconds = secondsSince(start);
-    if (stats)
-        *stats += local;
-    return res;
+    return detail::timedQuery(stats, [&](AttackStats *local) {
+        return queryImpl(error_string, params, local);
+    });
 }
 
 IdentifyResult
@@ -348,14 +358,14 @@ FingerprintStore::queryBatch(const std::vector<BitVec> &error_strings,
     pool.parallelFor(0, n, [&](std::size_t q) {
         const auto query_start = std::chrono::steady_clock::now();
         results[q] = queryImpl(error_strings[q], params, &each[q]);
-        each[q].identifySeconds = secondsSince(query_start);
+        each[q].identifySeconds = detail::secondsSince(query_start);
     });
 
     // The total carries one wall-time stamp for the whole batch.
     AttackStats total;
     for (const AttackStats &one : each)
         total += one;
-    total.identifySeconds = n > 0 ? secondsSince(start) : 0.0;
+    total.identifySeconds = n > 0 ? detail::secondsSince(start) : 0.0;
     if (stats)
         *stats += total;
     if (per_query)
@@ -368,15 +378,7 @@ FingerprintStore::queryLinear(const BitVec &error_string,
                               const IdentifyParams &params,
                               AttackStats *stats) const
 {
-    const auto start = std::chrono::steady_clock::now();
-    AttackStats local;
-    const IdentifyResult res = identifyErrorStringBounded(
-        error_string, records, params, &local);
-    local.recordsAvailable += records.size();
-    local.identifySeconds = secondsSince(start);
-    if (stats)
-        *stats += local;
-    return res;
+    return detail::linearQuery(error_string, params, sparse, stats);
 }
 
 IdentifyResult
@@ -384,32 +386,27 @@ FingerprintStore::queryFullScan(const BitVec &error_string,
                                 const IdentifyParams &params,
                                 AttackStats *stats) const
 {
-    const auto start = std::chrono::steady_clock::now();
-    AttackStats local;
-    const IdentifyResult res = fullScan(
-        error_string, error_string.popcount(), params, &local);
-    local.recordsAvailable += records.size();
-    local.identifySeconds = secondsSince(start);
-    if (stats)
-        *stats += local;
-    return res;
+    return detail::timedQuery(stats, [&](AttackStats *local) {
+        local->recordsAvailable += size();
+        return fullScan(error_string, error_string.popcount(), params,
+                        local);
+    });
 }
 
 void
 FingerprintStore::reindex(const MinHashParams &new_params)
 {
     LshIndex next(new_params);
-    std::vector<MinHashSignature> sigs(records.size());
+    std::vector<MinHashSignature> sigs(size());
 
     ThreadPool *pool = workers;
     const auto hashRecord = [&](std::size_t i) {
-        sigs[i] = minhashSignature(records.record(i).fingerprint.bits(),
-                                   new_params);
+        sigs[i] = minhashSignature(denseBits(sparse.view(i)), new_params);
     };
     if (pool) {
-        pool->parallelFor(0, records.size(), hashRecord);
+        pool->parallelFor(0, sigs.size(), hashRecord);
     } else {
-        for (std::size_t i = 0; i < records.size(); ++i)
+        for (std::size_t i = 0; i < sigs.size(); ++i)
             hashRecord(i);
     }
     next.addAll(0, sigs, pool);

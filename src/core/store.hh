@@ -2,11 +2,14 @@
  * @file
  * FingerprintStore: the attacker database behind one API.
  *
- * Wraps the plain FingerprintDb with a MinHash/LSH candidate index
- * (core/minhash) so identification is sublinear in the number of
+ * Holds each record as the paper's database does — "only tracking
+ * the fast decaying bits": a label, a source count and the
+ * fingerprint's position list in one sparse arena (the v3 on-disk
+ * layout), never a dense bit vector. A MinHash/LSH candidate index
+ * (core/minhash) makes identification sublinear in the number of
  * known chips: a query hashes its error string to a signature,
  * pulls the records colliding in at least one LSH band, and runs
- * the exact bounded Algorithm 3 kernel on that shortlist only.
+ * the exact sparse kernel (core/scan) on that shortlist only.
  *
  * Accept/reject equivalence with the paper's linear Algorithm 2 is
  * guaranteed by construction: a shortlist accept implies a record
@@ -27,6 +30,9 @@
  * each prune decision exactly from (overlap, weights). Its verdict,
  * nearest record, distance bits and kernel counters equal
  * queryLinear()'s (docs/ALGORITHMS.md "Exact reject scan").
+ * queryLinear() itself is the serial sparse scan over the arena; the
+ * independent reference outside the arena is identifyErrorString()
+ * over the FingerprintDb a store was built from.
  */
 
 #ifndef PCAUSE_CORE_STORE_HH
@@ -35,6 +41,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/attack_stats.hh"
 #include "core/identify.hh"
 #include "core/minhash.hh"
 
@@ -43,7 +50,7 @@ namespace pcause
 
 class ThreadPool;
 
-/** Indexed attacker database: FingerprintDb + LSH candidate index. */
+/** Indexed attacker database: sparse records + LSH candidate index. */
 class FingerprintStore
 {
   public:
@@ -88,32 +95,40 @@ class FingerprintStore
                   std::vector<Fingerprint> fps);
 
     /**
-     * addBatch() of records whose signatures are already known (the
-     * loader's path), with addWithSignature()'s rule: signatures
-     * from a foreign signature space are recomputed. Nothing is
-     * left to hash, so the band tables fill on the store's pool when
-     * one is set and serially otherwise (never the process-global
-     * pool).
+     * Bulk add of records already in sparse form — the loader's
+     * path. @p labels, @p sources and @p sigs pair up with @p fps's
+     * records; an empty store adopts @p fps outright, otherwise its
+     * positions are appended. addWithSignature()'s rule applies:
+     * signatures from a foreign signature space are recomputed.
+     * Nothing else is hashed, so the band tables fill on the store's
+     * pool when one is set and serially otherwise (never the
+     * process-global pool).
      */
     void addBatch(std::vector<ChipLabel> labels,
-                  std::vector<Fingerprint> fps,
+                  std::vector<unsigned> sources,
+                  SparseFingerprintArena fps,
                   std::vector<MinHashSignature> sigs,
                   const MinHashParams &sig_params);
 
     /** Number of records. */
-    std::size_t size() const { return records.size(); }
+    std::size_t size() const { return chipLabels.size(); }
 
     /** True when no record has been added. */
-    bool empty() const { return records.size() == 0; }
+    bool empty() const { return chipLabels.empty(); }
 
-    /** Record @p i. */
-    const FingerprintRecord &record(std::size_t i) const
-    {
-        return records.record(i);
-    }
+    /**
+     * Record @p i, rebuilt as a dense copy from the arena (the store
+     * keeps no dense fingerprints): for tools and tests that want a
+     * Fingerprint. Per-verdict and all-records paths read label(),
+     * sources() and sparseFingerprints() instead.
+     */
+    FingerprintRecord record(std::size_t i) const;
 
-    /** The wrapped database (for the unindexed legacy APIs). */
-    const FingerprintDb &db() const { return records; }
+    /** Label of record @p i. */
+    const ChipLabel &label(std::size_t i) const;
+
+    /** Number of error strings record @p i's fingerprint folds. */
+    unsigned sources(std::size_t i) const;
 
     /** MinHash signature of record @p i. */
     const MinHashSignature &signature(std::size_t i) const;
@@ -125,9 +140,8 @@ class FingerprintStore
     const LshIndex &index() const { return lsh; }
 
     /**
-     * Sparse position-arena mirror of the fingerprints, maintained
-     * alongside the dense records: the representation the
-     * ModifiedJaccard query paths scan and the v3 writer persists.
+     * The fingerprints, as one sparse position arena: what every
+     * query path scans and the v3 writer persists verbatim.
      */
     const SparseFingerprintArena &sparseFingerprints() const
     {
@@ -138,8 +152,10 @@ class FingerprintStore
     std::size_t postingsBytes() const;
 
     /**
-     * Use @p pool (not owned; null reverts to the process-global
-     * pool) for batch adds, batch queries, and reindexing.
+     * Use @p pool (not owned) for batch adds, batch queries and
+     * reindexing. With no pool set (null), addBatch() of
+     * fingerprints and queryBatch() run on the process-global pool,
+     * while reindex() and the sparse addBatch() run serially.
      */
     void setThreadPool(ThreadPool *pool) { workers = pool; }
 
@@ -176,9 +192,10 @@ class FingerprintStore
                std::vector<AttackStats> *per_query = nullptr) const;
 
     /**
-     * Reference linear Algorithm 2 (serial bounded full scan,
-     * bit-identical verdicts to identifyErrorString()) — the
-     * baseline the index is measured against.
+     * Reference linear Algorithm 2: the serial sparse scan over
+     * every record (core/scan), bit-identical in verdict, nearest
+     * record and distance to identifyErrorString() — the baseline
+     * the index is measured against.
      */
     IdentifyResult queryLinear(const BitVec &error_string,
                                const IdentifyParams &params = {},
@@ -198,7 +215,8 @@ class FingerprintStore
 
     /**
      * Rebuild the index under new signature/banding parameters;
-     * signatures are recomputed (across the pool when one is set).
+     * signatures are recomputed from the arena (across the pool
+     * when one is set, serially otherwise).
      */
     void reindex(const MinHashParams &new_params);
 
@@ -226,11 +244,13 @@ class FingerprintStore
                                const IdentifyParams &params,
                                AttackStats *stats) const;
 
-    /** Shared tail of both addBatch() overloads: append records
-     *  whose signatures are in this store's signature space, filling
-     *  the band tables on @p pool (serially when null). */
-    void appendBatch(std::vector<ChipLabel> labels,
-                     std::vector<Fingerprint> fps,
+    /** Shared tail of both addBatch() overloads: append @p fps's
+     *  records (an empty store adopts the arena) with signatures in
+     *  this store's signature space, filling the band tables on
+     *  @p pool (serially when null). */
+    void appendBatch(std::vector<ChipLabel> new_labels,
+                     std::vector<unsigned> sources,
+                     SparseFingerprintArena fps,
                      std::vector<MinHashSignature> sigs,
                      ThreadPool *pool);
 
@@ -238,7 +258,8 @@ class FingerprintStore
      *  sizes each touched list once, exactly. */
     void indexPositions(std::size_t first);
 
-    FingerprintDb records;
+    std::vector<ChipLabel> chipLabels;
+    std::vector<unsigned> sourceCounts;
     std::vector<MinHashSignature> signatures;
     SparseFingerprintArena sparse;
     LshIndex lsh;

@@ -133,9 +133,9 @@ directVerdicts(const FingerprintStore &store,
         v.matched = r.match.has_value();
         v.distance = r.bestDistance;
         if (r.match)
-            v.label = store.record(*r.match).label;
+            v.label = store.label(*r.match);
         if (r.nearest)
-            v.nearestLabel = store.record(*r.nearest).label;
+            v.nearestLabel = store.label(*r.nearest);
         verdicts.push_back(std::move(v));
     }
     return verdicts;

@@ -259,12 +259,6 @@ Server::handleFrame(int fd, const Payload &request)
             sendReply(fd, encodeError(req.error));
             return false;
         }
-        if (svc.readOnly() &&
-            req->options.metric != DistanceMetric::ModifiedJaccard) {
-            sendReply(fd, encodeError("mmap backend serves the "
-                                      "ModifiedJaccard metric only"));
-            return false;
-        }
         std::optional<IdentifyVerdict> verdict =
             coalescer.submit(std::move(*req));
         if (!verdict)

@@ -3,20 +3,21 @@
  * Algorithm 2 (IDENTIFY) invariances. The attack's verdict must be
  * a function of the *sets* involved, not of incidental ordering:
  * permuting the database cannot change accept/reject or the best
- * distance (best-match mode), and every fast path — bounded scan,
- * pool-parallel scan, batch — must be bit-identical to the serial
- * reference.
+ * distance (best-match mode), a pool-batched store query keeps the
+ * serial reference's verdicts, and permuting a batch permutes its
+ * results and nothing else. (The store's scans against the
+ * reference, linear and sharded, are pinned in prop_store.)
  */
 
-// Differential oracle: properties over the raw kernels.
-#define PCAUSE_ALLOW_DEPRECATED_IDENTIFY
 #include "prop_common.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include "core/distance.hh"
 #include "core/identify.hh"
+#include "core/store.hh"
 #include "util/thread_pool.hh"
 
 using namespace pcause;
@@ -47,6 +48,12 @@ genScenario(Ctx &ctx)
     else
         s.probe = pcheck::genBitVec(ctx, 64 * records, 2);
     return s;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
 
 /** A random permutation of [0, n) driven by the tape. */
@@ -93,34 +100,6 @@ PCHECK_PROPERTY(PropIdentify, DbAddOrderInvariant, [](Ctx &ctx) {
     }
 })
 
-PCHECK_PROPERTY(PropIdentify, BoundedEqualsSerial, [](Ctx &ctx) {
-    const Scenario s = genScenario(ctx);
-    IdentifyParams p;
-    p.firstMatch = ctx.boolean(0.5, "first_match");
-    const IdentifyResult plain = identifyErrorString(s.probe, s.db, p);
-    const IdentifyResult bounded =
-        identifyErrorStringBounded(s.probe, s.db, p);
-    PCHECK_EQ(plain.match.has_value(), bounded.match.has_value());
-    if (plain.match)
-        PCHECK_EQ(*plain.match, *bounded.match);
-    PCHECK_EQ(plain.bestDistance, bounded.bestDistance);
-})
-
-PCHECK_PROPERTY(PropIdentify, ParallelEqualsSerial, [](Ctx &ctx) {
-    static ThreadPool pool(4);
-    const Scenario s = genScenario(ctx);
-    IdentifyParams p;
-    p.firstMatch = ctx.boolean(0.5, "first_match");
-    const IdentifyResult serial =
-        identifyErrorString(s.probe, s.db, p);
-    const IdentifyResult parallel =
-        identifyErrorStringParallel(s.probe, s.db, p, pool);
-    PCHECK_EQ(serial.match.has_value(), parallel.match.has_value());
-    if (serial.match)
-        PCHECK_EQ(*serial.match, *parallel.match);
-    PCHECK_EQ(serial.bestDistance, parallel.bestDistance);
-})
-
 PCHECK_PROPERTY(PropIdentify, BatchEqualsSerialEverywhere,
                 [](Ctx &ctx) {
     static ThreadPool pool(4);
@@ -143,20 +122,23 @@ PCHECK_PROPERTY(PropIdentify, BatchEqualsSerialEverywhere,
     IdentifyParams p;
     p.firstMatch = ctx.boolean(0.5, "first_match");
 
-    const std::vector<IdentifyResult> batch =
-        identifyErrorStringBatch(probes, db, p, &pool);
+    FingerprintStore store = FingerprintStore::fromDb(db);
+    store.setThreadPool(&pool);
+    const std::vector<IdentifyResult> batch = store.queryBatch(probes, p);
     PCHECK_EQ(batch.size(), probes.size());
     for (std::size_t q = 0; q < queries; ++q) {
+        // The indexed contract: the serial reference's verdict; on a
+        // reject its nearest record and distance bits; in best-match
+        // mode its record and distance (genDb's records are far
+        // apart, so at most one sits under the threshold).
         const IdentifyResult one =
             identifyErrorString(probes[q], db, p);
         PCHECK_EQ(batch[q].match.has_value(), one.match.has_value());
-        if (one.match)
-            PCHECK_EQ(*batch[q].match, *one.match);
-        PCHECK_EQ(batch[q].bestDistance, one.bestDistance);
-        PCHECK_EQ(batch[q].nearest.has_value(),
-                  one.nearest.has_value());
-        if (one.nearest)
-            PCHECK_EQ(*batch[q].nearest, *one.nearest);
+        if (!one.match || !p.firstMatch) {
+            PCHECK(batch[q].match == one.match);
+            PCHECK(batch[q].nearest == one.nearest);
+            PCHECK(sameBits(batch[q].bestDistance, one.bestDistance));
+        }
     }
 })
 
@@ -177,16 +159,15 @@ PCHECK_PROPERTY(PropIdentify, QueryPermutationInvariant,
     for (std::size_t i : perm)
         shuffled.push_back(probes[i]);
 
-    const std::vector<IdentifyResult> base =
-        identifyErrorStringBatch(probes, db, {}, &pool);
-    const std::vector<IdentifyResult> moved =
-        identifyErrorStringBatch(shuffled, db, {}, &pool);
+    FingerprintStore store = FingerprintStore::fromDb(db);
+    store.setThreadPool(&pool);
+    const std::vector<IdentifyResult> base = store.queryBatch(probes);
+    const std::vector<IdentifyResult> moved = store.queryBatch(shuffled);
     for (std::size_t q = 0; q < queries; ++q) {
         const IdentifyResult &x = base[perm[q]];
         const IdentifyResult &y = moved[q];
-        PCHECK_EQ(x.match.has_value(), y.match.has_value());
-        if (x.match)
-            PCHECK_EQ(*x.match, *y.match);
-        PCHECK_EQ(x.bestDistance, y.bestDistance);
+        PCHECK(x.match == y.match);
+        PCHECK(x.nearest == y.nearest);
+        PCHECK(sameBits(x.bestDistance, y.bestDistance));
     }
 })

@@ -44,7 +44,7 @@ genProbe(Ctx &ctx, const FingerprintStore &store, std::size_t nbits)
     if (ctx.boolean(0.5, "matching_probe")) {
         const std::size_t target =
             ctx.below(store.size(), "target");
-        const BitVec &fp = store.record(target).fingerprint.bits();
+        const BitVec fp = store.record(target).fingerprint.bits();
         return pcheck::genNoisyObservation(
             ctx, fp, 0.93,
             std::max<std::size_t>(1, fp.popcount() / 4));

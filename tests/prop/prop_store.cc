@@ -1,23 +1,31 @@
 /**
  * @file
- * FingerprintStore differential oracle: the MinHash/LSH candidate
- * index is a pure shortlist, so query() must agree with the linear
- * Algorithm 2 scan (queryLinear) on every accept/reject verdict —
- * on a reject also on the nearest record and the distance bits (what
- * a served reject carries), and in best-match mode with a single
- * record under the threshold on the record and distance too. The exact fallback scan (queryFullScan) must equal
- * the linear scan outright: verdict, nearest record, distance bits
- * and computed/pruned kernel counters. Reindexing under different
- * banding parameters changes only speed, never verdicts.
+ * FingerprintStore differential oracle. queryLinear, the serial
+ * sparse scan over the store's arena, must equal the paper-literal
+ * dense Algorithm 2 (identifyErrorString) over the records the store
+ * was built from: verdict, nearest record and distance bits. The
+ * MinHash/LSH candidate index is a pure shortlist, so query() must
+ * agree with queryLinear on every accept/reject verdict — on a
+ * reject also on the nearest record and the distance bits (what a
+ * served reject carries), and in best-match mode with a single
+ * record under the threshold on the record and distance too. The
+ * exact fallback scan (queryFullScan) must equal the linear scan
+ * outright: verdict, nearest record, distance bits and
+ * computed/pruned kernel counters. A v3 file mapped with a thread
+ * pool, whose fallback is the pool-sharded scan, keeps the same
+ * contract for every metric. Reindexing under different banding
+ * parameters changes only speed, never verdicts.
  */
 
-// The sparse bounded scan is the oracle for the overlap scan.
-#define PCAUSE_ALLOW_DEPRECATED_IDENTIFY
 #include "prop_common.hh"
 
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 
+#include <unistd.h>
+
+#include "core/mapped_store.hh"
 #include "core/serialize.hh"
 #include "core/store.hh"
 #include "util/thread_pool.hh"
@@ -56,9 +64,11 @@ genStore(Ctx &ctx, std::size_t records, std::size_t nbits)
  * fingerprints emptied, a bulk addBatch() prefix, optionally a v3
  * save/loadStore round trip, then single add()s on top — so the
  * position index is checked after bulk and incremental growth.
+ * @p built_from, when non-null, receives the records in id order.
  */
 FingerprintStore
-genGrownStore(Ctx &ctx, std::size_t records, std::size_t nbits)
+genGrownStore(Ctx &ctx, std::size_t records, std::size_t nbits,
+              FingerprintDb *built_from = nullptr)
 {
     FingerprintDb db = pcheck::genDb(ctx, nbits, records);
     std::vector<ChipLabel> labels;
@@ -68,6 +78,8 @@ genGrownStore(Ctx &ctx, std::size_t records, std::size_t nbits)
         fps.push_back(ctx.boolean(0.15, "empty_record")
                           ? Fingerprint(BitVec(nbits), 1u)
                           : db.record(i).fingerprint);
+        if (built_from)
+            built_from->add(labels.back(), fps.back());
     }
     const std::size_t bulk = ctx.sizeRange(0, records, "bulk_prefix");
 
@@ -94,7 +106,7 @@ genProbe(Ctx &ctx, const FingerprintStore &store, std::size_t nbits)
     if (ctx.boolean(0.5, "matching_probe")) {
         const std::size_t target =
             ctx.below(store.size(), "target");
-        const BitVec &fp = store.record(target).fingerprint.bits();
+        const BitVec fp = store.record(target).fingerprint.bits();
         return pcheck::genNoisyObservation(
             ctx, fp, 0.93,
             std::max<std::size_t>(1, fp.popcount() / 4));
@@ -176,31 +188,57 @@ PCHECK_PROPERTY(PropStore, FullScanEqualsLinearScan, [](Ctx &ctx) {
               linear_stats.recordsAvailable);
 })
 
-PCHECK_PROPERTY(PropStore, FullScanCountersEqualSparseBoundedScan,
-                [](Ctx &ctx) {
-    // The counters the overlap scan derives from (overlap, weights)
-    // are the sparse bounded kernel's own prune decisions.
+PCHECK_PROPERTY(PropStore, LinearScanEqualsAlgorithm2, [](Ctx &ctx) {
+    // queryLinear reads only the arena; the independent reference is
+    // the dense, unbounded literal scan over the records the store
+    // was built from (through a v3 round trip on some trials).
     const std::size_t records = ctx.sizeRange(1, 6, "records");
     const std::size_t nbits = 64 * records;
-    const FingerprintStore store = genGrownStore(ctx, records, nbits);
+    FingerprintDb db;
+    const FingerprintStore store =
+        genGrownStore(ctx, records, nbits, &db);
     const BitVec probe = genProbe(ctx, store, nbits);
 
-    IdentifyParams p = genQueryParams(ctx);
-    p.metric = DistanceMetric::ModifiedJaccard;
-    AttackStats full_stats;
-    AttackStats sparse_stats;
-    const IdentifyResult full = store.queryFullScan(probe, p, &full_stats);
-    const IdentifyResult sparse =
-        identifySparseBounded(probe, probe.popcount(),
-                              store.sparseFingerprints(), p,
-                              &sparse_stats);
-    PCHECK(full.match == sparse.match);
-    PCHECK(full.nearest == sparse.nearest);
-    PCHECK(sameBits(full.bestDistance, sparse.bestDistance));
-    PCHECK_EQ(full_stats.distancesComputed,
-              sparse_stats.distancesComputed);
-    PCHECK_EQ(full_stats.distancesPruned,
-              sparse_stats.distancesPruned);
+    const IdentifyParams p = genQueryParams(ctx);
+    const IdentifyResult linear = store.queryLinear(probe, p);
+    const IdentifyResult literal = identifyErrorString(probe, db, p);
+    PCHECK(linear.match == literal.match);
+    PCHECK(linear.nearest == literal.nearest);
+    PCHECK(sameBits(linear.bestDistance, literal.bestDistance));
+})
+
+PCHECK_PROPERTY(PropStore, PooledMappedQueryEqualsLinearScan,
+                [](Ctx &ctx) {
+    // pcaused gives its service a pool, so every mmap reject runs
+    // the pool-sharded fallback scan. At least two records per lane
+    // keep the scan sharded (fewer run it serially).
+    static ThreadPool pool(4);
+    const std::size_t records = ctx.sizeRange(8, 16, "records");
+    const std::size_t nbits = 64 * records;
+    const FingerprintStore store = genGrownStore(ctx, records, nbits);
+    const std::string path =
+        "prop_store_mapped." + std::to_string(::getpid()) + ".pcdb";
+    PCHECK(saveStore(store, path));
+    LoadResult<MappedStore> mapped = MappedStore::open(path);
+    std::remove(path.c_str()); // the mapping outlives the name
+    PCHECK_MSG(static_cast<bool>(mapped), mapped.error);
+    mapped->setThreadPool(&pool);
+    const BitVec probe = genProbe(ctx, store, nbits);
+
+    const IdentifyParams p = genQueryParams(ctx);
+    AttackStats stats;
+    const IdentifyResult got = mapped->query(probe, p, &stats);
+    const IdentifyResult linear = store.queryLinear(probe, p);
+    PCHECK_EQ(got.match.has_value(), linear.match.has_value());
+    PCHECK_EQ(got.match.has_value(),
+              store.query(probe, p).match.has_value());
+    if (stats.indexFallbacks > 0) {
+        // The answer is the sharded scan's verbatim: the serial
+        // scan's verdict, nearest record and distance bits.
+        PCHECK(got.match == linear.match);
+        PCHECK(got.nearest == linear.nearest);
+        PCHECK(sameBits(got.bestDistance, linear.bestDistance));
+    }
 })
 
 PCHECK_PROPERTY(PropStore, BatchAgreesWithSingleQueries,

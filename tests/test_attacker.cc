@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/attacker.hh"
+#include "core/error_string.hh"
 #include "platform/platform.hh"
 #include "util/thread_pool.hh"
 
@@ -23,7 +26,7 @@ TEST(SupplyChainAttacker, InterceptsAndAttributes)
         TestHarness h = platform.harness(c);
         attacker.interceptChip(h, "victim-" + std::to_string(c));
     }
-    EXPECT_EQ(attacker.database().size(), 3u);
+    EXPECT_EQ(attacker.store().size(), 3u);
 
     // A public output from chip 1 deanonymizes its machine.
     TestHarness h = platform.harness(1);
@@ -55,6 +58,75 @@ TEST(SupplyChainAttacker, UnknownChipFailsToAttribute)
     const IdentifyResult r =
         attacker.attribute(h.runWorstCaseTrial(spec).approx, exact);
     EXPECT_FALSE(r.match.has_value());
+}
+
+TEST(SupplyChainAttacker, DataAwareAttributionEqualsDenseReference)
+{
+    // attributeWithData() masks the store's sparse records; the
+    // dense identifyWithData() over the same records held as a
+    // FingerprintDb is the reference. The published data charges
+    // only chip 0's cells outside chip 1's fingerprint, so chip 1's
+    // record masks to empty and must be skipped by both.
+    const DramConfig cfg = DramConfig::tiny();
+    Platform platform(cfg, 3, 0x5EED);
+    const DistanceMetric metrics[] = {DistanceMetric::ModifiedJaccard,
+                                      DistanceMetric::Jaccard,
+                                      DistanceMetric::Hamming};
+    for (const DistanceMetric metric : metrics) {
+        for (const bool first_match : {true, false}) {
+            IdentifyParams prm;
+            prm.metric = metric;
+            prm.firstMatch = first_match;
+            prm.threshold = 0.9;
+            SupplyChainAttacker attacker(prm);
+            for (unsigned c = 0; c < 3; ++c) {
+                TestHarness h = platform.harness(c);
+                attacker.interceptChip(h, "chip-" + std::to_string(c),
+                                       3, 0.95);
+            }
+            FingerprintDb db;
+            for (std::size_t i = 0; i < attacker.store().size(); ++i) {
+                const FingerprintRecord rec = attacker.store().record(i);
+                db.add(rec.label, rec.fingerprint);
+            }
+            const BitVec chip0 = db.record(0).fingerprint.bits();
+            const BitVec chip1 = db.record(1).fingerprint.bits();
+
+            // Default contents everywhere, anti-default exactly on
+            // chip 0's cells outside chip 1's fingerprint.
+            BitVec exact(cfg.totalBits());
+            for (std::size_t cell = 0; cell < cfg.totalBits(); ++cell) {
+                const bool def = cfg.defaultBit(cell / cfg.rowBits());
+                const bool charged = chip0.get(cell) && !chip1.get(cell);
+                if (def != charged)
+                    exact.set(cell);
+            }
+            ASSERT_TRUE((maskableCells(exact, cfg) & chip1).none());
+            ASSERT_FALSE((maskableCells(exact, cfg) & chip0).none());
+
+            // Chip 0's output: most of its charged cells decayed.
+            BitVec approx = exact;
+            std::size_t k = 0;
+            for (const std::size_t cell :
+                 maskableCells(exact, cfg).setBits()) {
+                if (k++ % 4 != 0)
+                    approx.set(cell, !approx.get(cell));
+            }
+            for (const BitVec &out : {approx, exact}) {
+                const IdentifyResult want =
+                    identifyWithData(out, exact, cfg, db, prm);
+                const IdentifyResult got =
+                    attacker.attributeWithData(out, exact, cfg);
+                EXPECT_EQ(got.match, want.match);
+                EXPECT_EQ(got.nearest, want.nearest);
+                EXPECT_EQ(std::memcmp(&got.bestDistance,
+                                      &want.bestDistance,
+                                      sizeof(double)),
+                          0);
+                EXPECT_NE(want.nearest, std::optional<std::size_t>(1));
+            }
+        }
+    }
 }
 
 TEST(SupplyChainAttacker, BatchAttributionMatchesSerial)

@@ -4,8 +4,6 @@
  * calibration.
  */
 
-// Differential oracle: tests the raw kernels on purpose.
-#define PCAUSE_ALLOW_DEPRECATED_IDENTIFY
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,8 +12,6 @@
 #include "core/error_string.hh"
 #include "core/identify.hh"
 #include "platform/platform.hh"
-#include "util/rng.hh"
-#include "util/thread_pool.hh"
 
 namespace pcause
 {
@@ -276,78 +272,6 @@ TEST(Identify, MatchAtRecordZeroIsTruthy)
     EXPECT_TRUE(static_cast<bool>(r.match));
     ASSERT_TRUE(r.nearest.has_value());
     EXPECT_EQ(*r.nearest, 0u);
-}
-
-TEST(Identify, BatchMatchesSerialOnRandomDatabases)
-{
-    // The batch/parallel scans promise bit-identical results. Sweep
-    // randomized databases and queries across both firstMatch
-    // settings and pool sizes 1 (inline) and 4 (real threads); the
-    // queries include exact copies (distance 0), noisy supersets,
-    // and unrelated patterns so matches land at varied indices
-    // including none.
-    Rng rng(0x1DE57);
-    const std::size_t bits = 4096;
-    for (unsigned round = 0; round < 3; ++round) {
-        FingerprintDb db;
-        const std::size_t nrec = 17 + round * 10;
-        for (std::size_t i = 0; i < nrec; ++i) {
-            BitVec fp(bits);
-            const std::size_t weight = 8 + rng.nextBelow(40);
-            while (fp.popcount() < weight)
-                fp.set(rng.nextBelow(bits));
-            db.add("r" + std::to_string(i), Fingerprint(fp));
-        }
-        std::vector<BitVec> queries;
-        for (unsigned q = 0; q < 12; ++q) {
-            BitVec es = db.record(rng.nextBelow(nrec))
-                            .fingerprint.bits();
-            if (q % 3 == 1) { // noisy superset
-                for (unsigned k = 0; k < 30; ++k)
-                    es.set(rng.nextBelow(bits));
-            } else if (q % 3 == 2) { // unrelated
-                es = BitVec(bits);
-                for (unsigned k = 0; k < 25; ++k)
-                    es.set(rng.nextBelow(bits));
-            }
-            queries.push_back(std::move(es));
-        }
-
-        for (bool first_match : {true, false}) {
-            IdentifyParams p;
-            p.firstMatch = first_match;
-            std::vector<IdentifyResult> serial;
-            for (const auto &es : queries)
-                serial.push_back(identifyErrorString(es, db, p));
-
-            for (unsigned lanes : {1u, 4u}) {
-                ThreadPool pool(lanes);
-                AttackStats stats;
-                const auto batch = identifyErrorStringBatch(
-                    queries, db, p, &pool, &stats);
-                ASSERT_EQ(batch.size(), serial.size());
-                for (std::size_t q = 0; q < serial.size(); ++q) {
-                    EXPECT_EQ(batch[q].match, serial[q].match)
-                        << "round " << round << " q " << q
-                        << " lanes " << lanes << " fm "
-                        << first_match;
-                    EXPECT_EQ(batch[q].nearest, serial[q].nearest);
-                    EXPECT_EQ(batch[q].bestDistance,
-                              serial[q].bestDistance);
-                }
-                // Single-query sharded scan, same contract.
-                for (std::size_t q = 0; q < queries.size(); ++q) {
-                    const IdentifyResult r =
-                        identifyErrorStringParallel(queries[q], db,
-                                                    p, pool);
-                    EXPECT_EQ(r.match, serial[q].match);
-                    EXPECT_EQ(r.nearest, serial[q].nearest);
-                    EXPECT_EQ(r.bestDistance,
-                              serial[q].bestDistance);
-                }
-            }
-        }
-    }
 }
 
 TEST(Identify, EndToEndOnSimulatedChips)

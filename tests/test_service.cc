@@ -287,6 +287,21 @@ TEST(AttackService, MappedBackendMatchesOwned)
         }
     }
 
+    // Both backends run one query body for every metric: a Jaccard
+    // and a Hamming request answer exactly as the owned store does.
+    for (const DistanceMetric metric :
+         {DistanceMetric::Jaccard, DistanceMetric::Hamming}) {
+        IdentifyRequest req;
+        req.errorString = queries.front();
+        req.options.metric = metric;
+        const IdentifyResult want =
+            direct.query(req.errorString, req.options.identifyParams());
+        const IdentifyVerdict got = svc->identify(req);
+        EXPECT_EQ(want.match, got.record);
+        EXPECT_EQ(want.nearest, got.nearest);
+        EXPECT_TRUE(sameBits(want.bestDistance, got.distance));
+    }
+
     // The mmap backend is read-only: adds refuse with a reason.
     const AttackService::AddOutcome out =
         svc->addRecord("new", Fingerprint(BitVec(universe), 1));

@@ -411,10 +411,15 @@ TEST(FingerprintStore, AddBatchEqualsSerialAdds)
     for (std::size_t i = 0; i < fps.size(); ++i)
         serial.add(labels[i], fps[i]);
 
+    // Two batches: the first lands in an empty store (which adopts
+    // the batch's arena), the second is appended behind it.
     ThreadPool pool(4);
     FingerprintStore batch;
     batch.setThreadPool(&pool);
-    batch.addBatch(labels, fps);
+    batch.addBatch({labels.begin(), labels.begin() + 25},
+                   {fps.begin(), fps.begin() + 25});
+    batch.addBatch({labels.begin() + 25, labels.end()},
+                   {fps.begin() + 25, fps.end()});
 
     ASSERT_EQ(batch.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -547,12 +547,11 @@ cmdDb(const Args &args)
 
     std::printf("%zu records\n", store.size());
     for (std::size_t i = 0; i < store.size(); ++i) {
-        const auto &rec = store.record(i);
+        const SparseView v = store.sparseFingerprints().view(i);
         std::printf("  %-24s %7zu cells  %u sources  (%zu bits of "
                     "memory)\n",
-                    rec.label.c_str(), rec.fingerprint.weight(),
-                    rec.fingerprint.sources(),
-                    rec.fingerprint.bits().size());
+                    store.label(i).c_str(), v.count, store.sources(i),
+                    static_cast<std::size_t>(v.universe));
     }
     return 0;
 }
