@@ -12,9 +12,9 @@
  *   - open-loop: requests paced at a fixed offered rate, latency
  *     measured from the *scheduled* send time so queueing delay
  *     counts (the honest tail-latency number);
- *   - backpressure: the batcher queue capped at zero so every
- *     identify is shed — BUSY replies must come back explicitly
- *     and no request may be silently dropped.
+ *   - backpressure: the in-flight identify cap set to zero so
+ *     every identify is shed — BUSY replies must come back
+ *     explicitly and no request may be silently dropped.
  *
  * Enforced gates (exit nonzero):
  *   - zero served-verdict divergences from direct store queries
@@ -141,11 +141,11 @@ main(int argc, char **argv)
     }
 
     {
-        // Backpressure tier: queueCap 0 sheds every identify, so
+        // Backpressure tier: maxInFlight 0 sheds every identify, so
         // the gate is about accounting, not latency — each request
         // must come back BUSY (then count as shed), never vanish.
         ServerConfig scfg;
-        scfg.batcher.queueCap = 0;
+        scfg.maxInFlight = 0;
         Server server(svc, scfg);
 
         TierSpec pressure;

@@ -7,7 +7,7 @@
  * in-memory FingerprintStore or a read-only MappedStore over a v3
  * file; both run the one query body in core/scan, for every
  * metric), exposes a single QueryOptions-driven identify entry
- * point plus the batch variant the micro-batcher feeds, and resolves
+ * point plus the batch variant the attackers call, and resolves
  * record indices to labels so callers never reach into the backend
  * for presentation.
  *
@@ -89,7 +89,7 @@ struct QueryOptions
 };
 
 /** One identification request: an error string plus its options.
- *  The same struct travels the wire, the CLI, and the batcher. */
+ *  The same struct travels the wire, the CLI, and the server. */
 struct IdentifyRequest
 {
     BitVec errorString;
@@ -276,7 +276,7 @@ class AttackService
 
     /**
      * Batch identification under one option set — the entry the
-     * server's micro-batcher feeds. In-memory backends run
+     * attackers call. In-memory backends run
      * FingerprintStore::queryBatch across the thread pool; each
      * element is bit-identical to the corresponding identify()
      * call, delta included (its counters and its own query time).

@@ -43,7 +43,7 @@
  *     u8 added, u64 record index, u64 weight,
  *     u32 error length + bytes (refusal reason when added == 0)
  *   Json (0x83): u32 length + bytes (stats snapshots).
- *   Busy (0x84): empty — the bounded request queue is full; the
+ *   Busy (0x84): empty — identifies in flight are at the cap; the
  *     connection stays open and the client may retry (explicit
  *     backpressure, never a silent drop).
  *   Error (0x85): u32 length + message bytes; the server closes the

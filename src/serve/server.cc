@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <system_error>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -36,8 +37,33 @@ setSocketTimeout(int fd, int option, unsigned ms)
 
 } // anonymous namespace
 
+bool
+IdentifyGate::enter(std::size_t cap)
+{
+    std::lock_guard<std::mutex> lock(m);
+    if (inFlight >= cap)
+        return false;
+    ++inFlight;
+    return true;
+}
+
+void
+IdentifyGate::leave()
+{
+    std::lock_guard<std::mutex> lock(m);
+    --inFlight;
+    ++answered;
+}
+
+std::size_t
+IdentifyGate::served() const
+{
+    std::lock_guard<std::mutex> lock(m);
+    return answered;
+}
+
 Server::Server(AttackService &service, ServerConfig config)
-    : svc(service), cfg(config), coalescer(service, config.batcher)
+    : svc(service), cfg(config)
 {
     listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listenFd < 0)
@@ -101,10 +127,9 @@ Server::drain()
     // Stop accepting (the acceptor checks draining after every
     // wake) but keep the write sides of live connections open:
     // SHUT_RD makes each peer's next request read as EOF while
-    // replies to requests already in flight — including ones parked
-    // in the batcher queue — still go out. This is the ordering fix
-    // for the old stop path, whose SHUT_RDWR cut the reply path and
-    // silently dropped answers the batcher was still computing.
+    // replies to requests already being computed still go out.
+    // SHUT_RDWR here would cut the reply path and silently drop
+    // those answers.
     const char byte = 1;
     (void)!::write(wakeWrite, &byte, 1);
     {
@@ -180,7 +205,28 @@ Server::acceptLoop()
         setSocketTimeout(fd, SO_SNDTIMEO, cfg.writeTimeoutMs);
 
         std::lock_guard<std::mutex> lock(connMutex);
-        if (active.load() >= cfg.maxConnections) {
+        // Join the workers that finished since the last accept: a
+        // finished std::thread stays joinable, and keeps its stack
+        // mapped, until someone joins it. Each has already taken
+        // connMutex for the last time, so joining under it is safe.
+        for (const std::thread::id id : finished) {
+            const auto it = std::find_if(
+                connections.begin(), connections.end(),
+                [id](const std::thread &t) { return t.get_id() == id; });
+            it->join();
+            connections.erase(it);
+        }
+        finished.clear();
+
+        std::thread worker;
+        if (active.load() < cfg.maxConnections) {
+            try {
+                worker = std::thread([this, fd] { serveConnection(fd); });
+            } catch (const std::system_error &) {
+                // Out of threads: refuse like the connection cap.
+            }
+        }
+        if (!worker.joinable()) {
             // Explicit refusal, not a silent drop.
             writeFrame(fd, encodeError("too many connections"));
             ::close(fd);
@@ -188,16 +234,7 @@ Server::acceptLoop()
         }
         active.fetch_add(1);
         openFds.push_back(fd);
-        // Reap finished workers so long-lived servers don't grow an
-        // unbounded thread vector.
-        connections.erase(
-            std::remove_if(connections.begin(), connections.end(),
-                           [](std::thread &t) {
-                               return !t.joinable();
-                           }),
-            connections.end());
-        connections.emplace_back(
-            [this, fd] { serveConnection(fd); });
+        connections.push_back(std::move(worker));
     }
     ::close(listenFd);
     listenFd = -1;
@@ -232,6 +269,7 @@ Server::serveConnection(int fd)
         openFds.erase(
             std::remove(openFds.begin(), openFds.end(), fd),
             openFds.end());
+        finished.push_back(std::this_thread::get_id());
     }
     {
         std::lock_guard<std::mutex> lock(activeMutex);
@@ -259,11 +297,11 @@ Server::handleFrame(int fd, const Payload &request)
             sendReply(fd, encodeError(req.error));
             return false;
         }
-        std::optional<IdentifyVerdict> verdict =
-            coalescer.submit(std::move(*req));
-        if (!verdict)
+        if (!identifies.enter(cfg.maxInFlight))
             return sendReply(fd, encodeEmpty(Opcode::Busy));
-        return sendReply(fd, encodeVerdict(*verdict));
+        const IdentifyVerdict verdict = svc.identify(*req);
+        identifies.leave();
+        return sendReply(fd, encodeVerdict(verdict));
       }
       case Opcode::Characterize: {
         LoadResult<CharacterizeRequest> req =

@@ -9,9 +9,16 @@
  * gets a worker thread that reads frames, dispatches, and writes
  * replies until the peer closes or sends something malformed
  * (answered with Error, then the connection is closed — hostile
- * bytes never take the server down). Identify requests go through
- * the shared Batcher so concurrent clients coalesce into
- * queryBatch calls; a full queue answers BUSY.
+ * bytes never take the server down). The acceptor joins finished
+ * workers before it spawns the next, so a long-lived server keeps
+ * one thread per live connection, not one per connection ever made.
+ *
+ * Each identify runs inline on its connection's thread:
+ * AttackService::identify under the service's shared lock, then the
+ * reply. Identify concurrency is therefore the number of busy
+ * connections, at most maxConnections. A connection never has more
+ * than one identify in flight, so the BUSY cap (maxInFlight) only
+ * sheds load when it is below maxConnections.
  */
 
 #ifndef PCAUSE_SERVE_SERVER_HH
@@ -27,7 +34,6 @@
 #include <vector>
 
 #include "core/service.hh"
-#include "serve/batcher.hh"
 #include "serve/protocol.hh"
 
 namespace pcause::serve
@@ -62,8 +68,33 @@ struct ServerConfig
      *  before forcing the remaining connections closed. */
     unsigned drainTimeoutMs = 5000;
 
-    /** Micro-batcher tuning (queue bound = backpressure point). */
-    BatcherConfig batcher;
+    /** An identify that arrives while this many are in flight is
+     *  answered BUSY. Zero sheds every identify. */
+    std::size_t maxInFlight = 1024;
+};
+
+/** Identify admission: the BUSY cap's in-flight count and the
+ *  number of identifies answered. */
+class IdentifyGate
+{
+  public:
+    /** Claim an in-flight slot; false when @p cap are taken. */
+    bool enter(std::size_t cap);
+
+    /** Release a slot enter() claimed and count one answer. */
+    void leave();
+
+    /** Identifies answered so far. */
+    std::size_t served() const;
+
+    /** Service calls behind those answers: each identify is its
+     *  own call, so this equals served(). */
+    std::size_t batches() const { return served(); }
+
+  private:
+    mutable std::mutex m;
+    std::size_t inFlight = 0;
+    std::size_t answered = 0;
 };
 
 /** A running pcaused instance (see file comment). */
@@ -88,10 +119,10 @@ class Server
     /**
      * Graceful drain (the SIGTERM path): stop accepting, half-close
      * every connection's read side so no *new* requests arrive,
-     * then wait up to drainTimeoutMs for in-flight requests —
-     * including ones queued in the batcher — to be answered before
-     * forcing the rest closed. An accepted request is either
-     * answered or explicitly BUSY'd, never silently dropped.
+     * then wait up to drainTimeoutMs for in-flight requests to be
+     * answered before forcing the rest closed. An accepted request
+     * is either answered or explicitly BUSY'd, never silently
+     * dropped.
      */
     void drain();
 
@@ -106,8 +137,9 @@ class Server
     /** Connections served to completion. */
     std::size_t connectionsServed() const;
 
-    /** The shared batcher (batch-size observables for benches). */
-    const Batcher &batcher() const { return coalescer; }
+    /** Identify counters (served, and batches == served), under
+     *  the name the benches read. */
+    const IdentifyGate &batcher() const { return identifies; }
 
   private:
     void acceptLoop();
@@ -119,7 +151,7 @@ class Server
 
     AttackService &svc;
     const ServerConfig cfg;
-    Batcher coalescer;
+    IdentifyGate identifies;
 
     int listenFd = -1;
     int wakeRead = -1;
@@ -138,6 +170,10 @@ class Server
     std::mutex connMutex;
     std::vector<std::thread> connections;
     std::vector<int> openFds;
+
+    /** Workers that have finished serving; the acceptor joins them
+     *  (guarded by connMutex). */
+    std::vector<std::thread::id> finished;
 
     std::thread acceptor;
 };

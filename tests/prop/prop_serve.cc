@@ -4,14 +4,13 @@
  * transport. A verdict served by pcaused over a real loopback
  * socket must be bit-identical to a direct FingerprintStore query —
  * same match flag, same label, same IEEE-754 distance bits — and
- * the same per-query diagnostics, batched or not. Plus
+ * the same per-query diagnostics, alone or concurrent. Plus
  * codec properties: encode/decode round-trips exactly, and every
  * strict prefix of a valid payload decodes to a clean error.
  */
 
 #include "prop_common.hh"
 
-#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -97,23 +96,14 @@ PCHECK_PROPERTY(PropServe, ServedVerdictEqualsDirectQuery,
 
 PCHECK_PROPERTY(PropServe, ServedDiagnosticsEqualDirectIdentify,
                 [](Ctx &ctx) {
-    // Every served identify goes through the batcher into
-    // identifyBatch; each verdict must still carry its own query's
-    // diagnostics, whether it was batched alone or with others.
+    // Each verdict must carry its own query's diagnostics, whether
+    // it was served alone or while others were in flight.
     const std::size_t records = ctx.sizeRange(1, 5, "records");
     const std::size_t nbits = 64 * records;
     const FingerprintStore direct = genStore(ctx, records, nbits);
     AttackService svc{FingerprintStore(direct)};
-
-    ServerConfig cfg;
-    const bool batched = ctx.boolean(0.5, "batched");
-    if (batched) {
-        // Gather every time, long enough for the concurrent
-        // requests below to land in shared batches.
-        cfg.batcher.gatherThreshold = 0;
-        cfg.batcher.gatherWindow = std::chrono::milliseconds(5);
-    }
-    Server server(svc, cfg);
+    Server server(svc, {});
+    const bool concurrent = ctx.boolean(0.5, "concurrent");
 
     const std::size_t queries = ctx.sizeRange(1, 4, "queries");
     std::vector<IdentifyRequest> reqs(queries);
@@ -124,7 +114,7 @@ PCHECK_PROPERTY(PropServe, ServedDiagnosticsEqualDirectIdentify,
     }
 
     std::vector<std::optional<IdentifyVerdict>> served(queries);
-    if (batched) {
+    if (concurrent) {
         // One connection per request, all in flight together.
         std::vector<std::thread> senders;
         for (std::size_t q = 0; q < queries; ++q) {

@@ -3,20 +3,21 @@
  * Tests for the pcaused serve layer: wire-protocol round trips,
  * hostile-input handling (truncated frames, oversized length
  * prefixes, garbage opcodes — every one must produce a clean Error
- * close with the server surviving), the micro-batcher's
- * backpressure path, and end-to-end served-verdict equivalence
- * against direct store queries over a real loopback socket.
+ * close with the server surviving), the BUSY backpressure path,
+ * worker reaping, and end-to-end served-verdict equivalence against
+ * direct store queries over a real loopback socket.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstring>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/service.hh"
-#include "serve/batcher.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
@@ -183,63 +184,6 @@ TEST(Protocol, RejectsMalformedFields)
 
     // Wrong opcode entirely.
     EXPECT_FALSE(decodeIdentify(encodeEmpty(Opcode::DbStats)));
-}
-
-// --- Batcher ------------------------------------------------------
-
-TEST(Batcher, ServesAndCoalesces)
-{
-    AttackService svc(makeStore(30, 0x30));
-    svc.setThreadPool(&ThreadPool::global());
-    BatcherConfig cfg;
-    Batcher batcher(svc, cfg);
-
-    Rng rng(0x31);
-    std::vector<BitVec> queries;
-    for (int i = 0; i < 24; ++i) {
-        BitVec es = svc.store()->record(i % 30).fingerprint.bits();
-        for (int b = 0; b < 8; ++b)
-            es.set(rng.nextBelow(universe));
-        queries.push_back(std::move(es));
-    }
-
-    std::vector<std::thread> clients;
-    std::vector<std::optional<IdentifyVerdict>> verdicts(
-        queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-        clients.emplace_back([&, i] {
-            IdentifyRequest req;
-            req.errorString = queries[i];
-            verdicts[i] = batcher.submit(std::move(req));
-        });
-    }
-    for (std::thread &t : clients)
-        t.join();
-
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-        ASSERT_TRUE(verdicts[i].has_value());
-        IdentifyRequest req;
-        req.errorString = queries[i];
-        const IdentifyVerdict direct = svc.identify(req);
-        EXPECT_EQ(verdicts[i]->matched, direct.matched);
-        EXPECT_EQ(verdicts[i]->label, direct.label);
-        EXPECT_TRUE(
-            sameBits(verdicts[i]->distance, direct.distance));
-    }
-    EXPECT_EQ(batcher.served(), queries.size());
-    EXPECT_GE(batcher.batches(), 1u);
-}
-
-TEST(Batcher, FullQueueRejectsInsteadOfDropping)
-{
-    AttackService svc(makeStore(5, 0x32));
-    BatcherConfig cfg;
-    cfg.queueCap = 0; // reject everything: the backpressure hook
-    Batcher batcher(svc, cfg);
-
-    IdentifyRequest req;
-    req.errorString = BitVec(universe);
-    EXPECT_FALSE(batcher.submit(std::move(req)).has_value());
 }
 
 // --- Server over a real socket -----------------------------------
@@ -425,7 +369,7 @@ TEST(Server, HostileInputsGetCleanErrorClose)
 TEST(Server, BusyBackpressureIsExplicit)
 {
     ServerConfig cfg;
-    cfg.batcher.queueCap = 0; // shed everything
+    cfg.maxInFlight = 0; // shed everything
     ServerFixture fx(5, cfg);
 
     Client c;
@@ -494,6 +438,104 @@ TEST(Server, ReadOnlyBackendRefusesCharacterize)
     EXPECT_FALSE(added->added);
     EXPECT_NE(added->error.find("read-only"), std::string::npos);
     std::remove(path.c_str());
+}
+
+/** Identifies run on their connection threads, so several enter
+ *  the mapped store's pool-sharded fallback at once; each must still
+ *  answer exactly what a direct query answers. */
+TEST(Server, ConcurrentMappedIdentifiesEqualDirect)
+{
+    const std::string path = "serve_mapped_concurrent.pcdb";
+    const FingerprintStore stored = makeStore(24, 0x71);
+    ASSERT_TRUE(saveStore(stored, path));
+    LoadResult<AttackService> svc = AttackService::open(path, true);
+    ASSERT_TRUE(svc) << svc.error;
+    ThreadPool pool(4);
+    svc->setThreadPool(&pool);
+    LoadResult<MappedStore> direct = MappedStore::open(path);
+    ASSERT_TRUE(direct) << direct.error;
+    Server server(*svc, {});
+
+    // Even queries are noisy copies of stored records (known), odd
+    // ones random patterns no record matches (reject).
+    Rng rng(0x72);
+    std::vector<BitVec> queries;
+    for (std::size_t i = 0; i < 48; ++i) {
+        BitVec es = randomPattern(rng, 64);
+        if (i % 2 == 0) {
+            es = stored.record(i % stored.size()).fingerprint.bits();
+            for (int b = 0; b < 8; ++b)
+                es.set(rng.nextBelow(universe));
+        }
+        queries.push_back(std::move(es));
+    }
+
+    constexpr std::size_t conns = 4;
+    std::vector<std::optional<IdentifyVerdict>> served(queries.size());
+    std::vector<std::thread> senders;
+    for (std::size_t c = 0; c < conns; ++c) {
+        senders.emplace_back([&, c] {
+            Client client;
+            if (!client.connect(server.port()).empty())
+                return;
+            for (std::size_t q = c; q < queries.size(); q += conns) {
+                IdentifyRequest req;
+                req.errorString = queries[q];
+                served[q] = client.identify(req);
+            }
+        });
+    }
+    for (std::thread &t : senders)
+        t.join();
+
+    std::size_t matched = 0;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+        const IdentifyResult want = direct->query(queries[q]);
+        ASSERT_TRUE(served[q].has_value()) << "query " << q;
+        EXPECT_EQ(served[q]->matched, want.match.has_value());
+        if (want.match) {
+            EXPECT_EQ(served[q]->label,
+                      std::string(direct->label(*want.match)));
+        }
+        EXPECT_TRUE(sameBits(served[q]->distance, want.bestDistance));
+        ASSERT_TRUE(want.nearest.has_value());
+        EXPECT_EQ(served[q]->nearestLabel,
+                  std::string(direct->label(*want.nearest)));
+        matched += want.match.has_value();
+    }
+    // Both branches ran: accepts and exact-scan rejects.
+    EXPECT_GT(matched, 0u);
+    EXPECT_LT(matched, queries.size());
+    std::remove(path.c_str());
+}
+
+/** Lines of /proc/self/maps: a finished but unjoined thread keeps
+ *  its stack and guard page mapped, two lines. */
+long
+mappedRegions()
+{
+    std::ifstream maps("/proc/self/maps");
+    long lines = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++lines;
+    return lines;
+}
+
+TEST(Server, FinishedConnectionsAreReaped)
+{
+    ServerFixture fx(3);
+    const auto cycle = [&] {
+        Client c;
+        ASSERT_EQ(c.connect(fx.server.port()), "");
+        const Reply r = c.exchange(encodeEmpty(Opcode::Health));
+        ASSERT_TRUE(r.ok()) << r.transportError;
+    };
+    cycle();
+    const long before = mappedRegions();
+    for (int i = 0; i < 256; ++i)
+        cycle();
+    // Unreaped, 256 finished workers would add 512 lines.
+    EXPECT_LT(mappedRegions() - before, 64);
 }
 
 // --- Robustness: health, timeouts, drain, retry ------------------
@@ -565,7 +607,7 @@ TEST(Server, DrainAnswersInFlightRequestsBeforeStopping)
     std::thread requester(
         [&] { verdict = c.identify(req); });
 
-    // Let the request reach the batcher, then drain mid-flight.
+    // Let the request reach the service, then drain mid-flight.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     fx.server.drain();
     requester.join();

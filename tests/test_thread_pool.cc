@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for util/thread_pool: partitioning, blocking fork/join
- * semantics, nested-call serialization, exception propagation, and
- * the reduce helper.
+ * semantics, concurrent outside callers, nested-call serialization,
+ * exception propagation, and the reduce helper.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hh"
@@ -54,6 +55,51 @@ TEST(ThreadPool, ParallelForHonorsNonZeroBegin)
         sum.fetch_add(i, std::memory_order_relaxed);
     });
     EXPECT_EQ(sum.load(), 145u); // 10 + 11 + ... + 19
+}
+
+/** Outside threads sharing one pool (served identifies on the mmap
+ *  backend do this): each call returns only once its own range is
+ *  done, having visited every index of it exactly once. */
+TEST(ThreadPool, ConcurrentCallersEachJoinTheirOwnRange)
+{
+    constexpr std::size_t callers = 4;
+    ThreadPool pool(4);
+    for (int round = 0; round < 50; ++round) {
+        std::vector<std::vector<std::atomic<int>>> hits;
+        for (std::size_t c = 0; c < callers; ++c)
+            hits.emplace_back(200 + 37 * c);
+        std::atomic<std::size_t> ready{0};
+        std::atomic<std::size_t> strays{0};
+        std::vector<int> joined(callers, 0);
+        std::vector<std::thread> threads;
+        for (std::size_t c = 0; c < callers; ++c) {
+            threads.emplace_back([&, c] {
+                const std::size_t begin = 1000 * c;
+                const std::size_t end = begin + hits[c].size();
+                ready.fetch_add(1);
+                while (ready.load() < callers)
+                    std::this_thread::yield();
+                pool.parallelFor(begin, end, [&](std::size_t i) {
+                    if (i < begin || i >= end)
+                        strays.fetch_add(1);
+                    else
+                        hits[c][i - begin].fetch_add(1);
+                });
+                joined[c] = 1;
+                for (const std::atomic<int> &h : hits[c])
+                    joined[c] &= h.load() == 1;
+            });
+        }
+        for (std::thread &t : threads)
+            t.join();
+        EXPECT_EQ(strays.load(), 0u) << "round " << round;
+        for (std::size_t c = 0; c < callers; ++c) {
+            EXPECT_EQ(joined[c], 1) << "round " << round << " caller "
+                                    << c;
+            for (const std::atomic<int> &h : hits[c])
+                ASSERT_EQ(h.load(), 1);
+        }
+    }
 }
 
 TEST(ThreadPool, ChunksPartitionTheRangeExactly)

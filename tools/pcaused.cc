@@ -6,14 +6,17 @@
  * over the length-prefixed binary protocol in src/serve/protocol.hh,
  * on a loopback TCP port, with every query flowing through the
  * shared AttackService facade (verdicts bit-identical to direct
- * store queries by construction). Concurrent identify requests
- * coalesce through the adaptive micro-batcher into queryBatch calls
- * across the thread pool; a full request queue answers BUSY instead
- * of silently dropping.
+ * store queries by construction). Each identify runs on its own
+ * connection's thread, so identify concurrency is the number of busy
+ * connections, at most --max-connections. An identify that arrives
+ * while --queue-cap others are in flight answers BUSY instead of
+ * being silently dropped; a connection never has more than one
+ * identify in flight, so BUSY only fires when --queue-cap is below
+ * --max-connections.
  *
  *   pcaused --db FILE [--mmap yes] [--wal FILE]
  *           [--checkpoint-every N] [--port P] [--port-file PATH]
- *           [--queue-cap N] [--batch-max N] [--max-connections N]
+ *           [--queue-cap N] [--max-connections N]
  *           [--read-timeout-ms N] [--write-timeout-ms N]
  *           [--drain-timeout-ms N]
  *
@@ -27,10 +30,9 @@
  * snapshot on open, every --checkpoint-every adds, and at exit.
  *
  * Shutdown: SIGTERM drains gracefully — stop accepting, let
- * in-flight requests (including batcher-queued ones) answer, then
- * checkpoint and exit. SIGINT and the Shutdown frame stop hard
- * (still followed by a best-effort checkpoint; the WAL already
- * holds every acked add either way).
+ * in-flight requests answer, then checkpoint and exit. SIGINT and
+ * the Shutdown frame stop hard (still followed by a best-effort
+ * checkpoint; the WAL already holds every acked add either way).
  */
 
 #include <csignal>
@@ -110,7 +112,7 @@ usage()
         "usage: pcaused --db FILE [--mmap yes] [--wal FILE]\n"
         "               [--checkpoint-every N] [--port P]\n"
         "               [--port-file PATH] [--queue-cap N]\n"
-        "               [--batch-max N] [--max-connections N]\n"
+        "               [--max-connections N]\n"
         "               [--read-timeout-ms N] [--write-timeout-ms N]\n"
         "               [--drain-timeout-ms N]\n");
     return 2;
@@ -149,10 +151,8 @@ main(int argc, char **argv)
     cfg.port = static_cast<std::uint16_t>(args.getLong("port", 0));
     cfg.maxConnections = static_cast<std::size_t>(
         args.getLong("max-connections", 256));
-    cfg.batcher.queueCap =
+    cfg.maxInFlight =
         static_cast<std::size_t>(args.getLong("queue-cap", 1024));
-    cfg.batcher.batchMax =
-        static_cast<std::size_t>(args.getLong("batch-max", 256));
     cfg.readTimeoutMs = static_cast<unsigned>(
         args.getLong("read-timeout-ms", 30000));
     cfg.writeTimeoutMs = static_cast<unsigned>(
