@@ -43,6 +43,17 @@ denseBits(const SparseView &v)
     return bits;
 }
 
+SparseFingerprintArena::SparseFingerprintArena(
+    PosVec positions, std::vector<std::uint64_t> record_offsets,
+    std::vector<std::uint64_t> record_universes)
+    : arena(std::move(positions)), offsets(std::move(record_offsets)),
+      universes(std::move(record_universes))
+{
+    PC_ASSERT(offsets.size() == universes.size() + 1 &&
+                  offsets.front() == 0 && offsets.back() == arena.size(),
+              "SparseFingerprintArena: offsets do not span the arena");
+}
+
 SparseView
 SparseFingerprintArena::view(std::size_t i) const
 {

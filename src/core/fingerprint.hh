@@ -96,6 +96,19 @@ BitVec denseBits(const SparseView &v);
 class SparseFingerprintArena : public SparseFingerprintSource
 {
   public:
+    SparseFingerprintArena() = default;
+
+    /**
+     * Adopt @p positions as the arena: record i holds positions
+     * [record_offsets[i], record_offsets[i + 1]) over
+     * @p record_universes[i] bits. Each list must already be
+     * ascending, unique and inside its universe (the loader checks
+     * them as it reads a file).
+     */
+    SparseFingerprintArena(PosVec positions,
+                           std::vector<std::uint64_t> record_offsets,
+                           std::vector<std::uint64_t> record_universes);
+
     std::size_t count() const override { return universes.size(); }
 
     SparseView view(std::size_t i) const override;

@@ -9,14 +9,6 @@
 namespace pcause
 {
 
-namespace
-{
-
-/** Sanity cap on a chip label (matches the stream loader). */
-constexpr std::uint32_t maxLabelBytes = 1u << 16;
-
-} // anonymous namespace
-
 LoadResult<MappedStore>
 MappedStore::open(const std::string &path)
 {
@@ -29,89 +21,20 @@ MappedStore::open(const std::string &path)
     if (!ms.map.open(path, &map_err))
         return fail(std::move(map_err));
 
+    // The structural check reads the header, the record table (the
+    // only per-record work at open) and the band counts; arena
+    // payloads stay untouched until a query pages them in.
     const std::uint8_t *d = ms.map.data();
-    const std::uint64_t len = ms.map.size();
-    if (len < pcdb::v3HeaderBytes)
-        return fail("file shorter than a v3 header");
-    if (std::memcmp(d, pcdb::magic, sizeof(pcdb::magic)) != 0)
-        return fail("not a Probable Cause database");
-    if (pcdb::loadU32(d + 4) != pcdb::versionV3)
-        return fail("not a v3 database (use loadStore for v1/v2)");
-
-    pcdb::V3Header &h = ms.header;
-    h.numHashes = pcdb::loadU32(d + 8);
-    h.bands = pcdb::loadU32(d + 12);
-    h.probes = pcdb::loadU32(d + 16);
-    const std::uint32_t reserved = pcdb::loadU32(d + 20);
-    h.seed = pcdb::loadU64(d + 24);
-    h.recordCount = pcdb::loadU64(d + 32);
-    h.totalPositions = pcdb::loadU64(d + 40);
-    h.labelBytes = pcdb::loadU64(d + 48);
-    h.fileSize = pcdb::loadU64(d + 56);
-    h.recordTableOff = pcdb::loadU64(d + 64);
-    h.sigOff = pcdb::loadU64(d + 72);
-    h.posOff = pcdb::loadU64(d + 80);
-    h.labelOff = pcdb::loadU64(d + 88);
-    h.lshOff = pcdb::loadU64(d + 96);
-
-    if (h.numHashes == 0 || h.bands == 0 ||
-        h.numHashes % h.bands != 0)
-        return fail("invalid minhash parameters in header");
-    if (reserved != 0)
-        return fail("nonzero reserved header field");
-    if (h.fileSize != len)
-        return fail("header file size does not match the file");
-
-    // Bound every count by what could possibly fit in the mapping
-    // before computing the canonical layout, so hostile headers
-    // cannot drive the offset arithmetic into 64-bit overflow.
-    if (h.recordCount > len / pcdb::v3RecordEntryBytes ||
-        h.totalPositions > len / sizeof(std::uint32_t) ||
-        h.labelBytes > len)
-        return fail("header counts exceed the file size");
-
-    const pcdb::V3Layout lay =
-        pcdb::v3Layout(h.recordCount, h.numHashes, h.totalPositions,
-                       h.labelBytes, h.bands);
-    if (h.recordTableOff != lay.recordTableOff ||
-        h.sigOff != lay.sigOff || h.posOff != lay.posOff ||
-        h.labelOff != lay.labelOff || h.lshOff != lay.lshOff ||
-        h.fileSize != lay.fileSize)
-        return fail("non-canonical v3 section layout");
-
-    ms.prm.numHashes = h.numHashes;
-    ms.prm.bands = h.bands;
-    ms.prm.seed = h.seed;
-    ms.prm.probes = h.probes;
-
-    // One pass over the record table: the only per-record work at
-    // open. Arena payloads (positions, signatures) stay untouched
-    // until a query pages them in.
-    std::uint64_t next_label = 0, next_pos = 0;
-    for (std::uint64_t i = 0; i < h.recordCount; ++i) {
-        const pcdb::V3RecordEntry e = ms.entry(i);
-        if (e.labelLen > maxLabelBytes)
-            return fail("implausible label length");
-        if (e.labelOff != next_label || e.posOff != next_pos ||
-            e.reserved != 0)
-            return fail("non-canonical record table");
-        if (e.sources == 0)
-            return fail("record with zero sources");
-        if (e.posCount > e.universe)
-            return fail("more positions than universe bits");
-        next_label += e.labelLen;
-        next_pos += e.posCount;
-    }
-    if (next_label != h.labelBytes)
-        return fail("label arena size mismatch");
-    if (next_pos != h.totalPositions)
-        return fail("position arena size mismatch");
-
-    for (std::uint32_t band = 0; band < h.bands; ++band) {
-        if (pcdb::loadU64(ms.bandBase(band)) != h.recordCount)
-            return fail("lsh band entry count mismatch");
-    }
-
+    const std::string err = pcdb::checkV3(
+        ms.map.size(),
+        [d](std::uint64_t off, void *dst, std::size_t len) {
+            std::memcpy(dst, d + off, len);
+            return true;
+        },
+        ms.header);
+    if (!err.empty())
+        return fail(err);
+    ms.prm = ms.header.minhashParams();
     return {std::move(ms), ""};
 }
 
@@ -120,17 +43,8 @@ MappedStore::entry(std::size_t i) const
 {
     PC_ASSERT(i < header.recordCount,
               "MappedStore record index out of range");
-    const std::uint8_t *p = map.data() + header.recordTableOff +
-                            i * pcdb::v3RecordEntryBytes;
-    pcdb::V3RecordEntry e;
-    e.labelOff = pcdb::loadU64(p);
-    e.posOff = pcdb::loadU64(p + 8);
-    e.universe = pcdb::loadU64(p + 16);
-    e.labelLen = pcdb::loadU32(p + 24);
-    e.posCount = pcdb::loadU32(p + 28);
-    e.sources = pcdb::loadU32(p + 32);
-    e.reserved = pcdb::loadU32(p + 36);
-    return e;
+    return pcdb::decodeRecordEntry(map.data() + header.recordTableOff +
+                                   i * pcdb::v3RecordEntryBytes);
 }
 
 const std::uint8_t *

@@ -2,14 +2,14 @@
  * @file
  * MappedStore: query a v3 database file in place, without loading.
  *
- * loadStore() deserializes every record before the first query —
- * unavoidable for the stream formats, but a million-record database
- * is ~100 MB of positions and signatures, and an attacker service
- * that restarts should not replay the whole build. The v3 layout
- * (core/pcdb_format.hh) is designed to be the query-time data
- * structure itself: MappedStore mmaps the file, validates the
- * structural metadata (header, canonical section offsets, the
- * record table) in one cheap pass, and then serves the same
+ * loadStore() reads every record into memory before the first
+ * query, but a million-record database is ~100 MB of positions and
+ * signatures, and an attacker service that restarts should not
+ * replay the whole build. The v3 layout (core/pcdb_format.hh) is
+ * designed to be the query-time data structure itself: MappedStore
+ * mmaps the file, runs the structural check loadStore runs too
+ * (pcdb::checkV3: header, canonical section offsets, the record
+ * table, band counts) in one cheap pass, and then serves the same
  * query()/queryLinear() API as FingerprintStore straight off the
  * mapping — the kernel pages fingerprints in on first touch.
  *
@@ -27,7 +27,7 @@
  * words[pos >> 6] unchecked, so a corrupted position (>= the
  * record's universe) in a mapped file is an out-of-bounds read, not
  * a clean failure — map only files a trusted writer produced.
- * Unlike the stream loader, positions are not checked for range or
+ * Unlike loadStore(), positions are not checked for range or
  * ascending order at open — that would touch every record page and
  * defeat the lazy mapping.
  */
@@ -57,9 +57,9 @@ class MappedStore : public SparseFingerprintSource
 {
   public:
     /**
-     * Map and validate @p path. Failure (missing file, wrong
-     * magic/version, truncation, non-canonical layout, inconsistent
-     * record table) yields an error result, never a process exit.
+     * Map and check @p path. Failure (missing file, or any reason
+     * pcdb::checkV3() gives) yields an error result, never a
+     * process exit.
      */
     static LoadResult<MappedStore> open(const std::string &path);
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * PCDB v3 on-disk layout, shared by the stream serializer
- * (core/serialize) and the mmap-backed reader (core/mapped_store).
+ * PCDB v3 on-disk layout and the one structural check both of its
+ * readers run: loadStore (core/serialize) and MappedStore::open
+ * (core/mapped_store).
  *
  * v3 is designed to be queried in place: after a fixed-size header
  * with explicit section offsets comes a fixed-stride record table,
@@ -12,14 +13,13 @@
  * milliseconds — and record payloads are paged in by the kernel on
  * first touch.
  *
- * All integers are little-endian (the library already writes v1/v2
- * scalars in native little-endian). Every section starts 8-byte
+ * All integers are little-endian. Every section starts 8-byte
  * aligned, and the layout is *canonical*: section offsets and
  * per-record arena offsets must be exactly the packed sequential
- * values a writer produces. Readers reject anything else, which
- * makes "every strict prefix of a valid file fails to load" cheap
- * to guarantee for the mmap reader too (the header's fileSize must
- * equal both the mapped length and the computed section end).
+ * values a writer produces. checkV3() rejects anything else, and the
+ * header's fileSize must equal both the file's length and the
+ * computed section end, so every strict prefix of a valid file fails
+ * to load in either reader.
  *
  * Layout:
  *
@@ -44,7 +44,8 @@
  *   record table: N entries of 40 bytes
  *     off  0  u64      label offset into label arena
  *     off  8  u64      position offset into position arena (elements)
- *     off 16  u64      fingerprint universe (bits)
+ *     off 16  u64      fingerprint universe (bits; the same for every
+ *                      record of a file, at most 2^32)
  *     off 24  u32      label length (bytes)
  *     off 28  u32      position count
  *     off 32  u32      source count (> 0)
@@ -57,11 +58,11 @@
  *     u64 entry count (= N), u64 keys[N] (sorted, ties by id),
  *     u32 ids[N] (parallel to keys), zero-padded to 8
  *
- * Structural metadata (offsets, counts, sizes) is fully validated
- * by both readers. Arena payloads — positions and signature values
- * — are trusted the same way v2 trusted its signature trailer: a
- * corrupted position panics on the bounds-checked BitVec access
- * instead of corrupting memory.
+ * Structural metadata (the header, the record table and the band
+ * entry counts) is fully checked by checkV3(). Arena payloads are
+ * not: loadStore additionally checks every position (in range,
+ * strictly ascending) as it reads the arena, while MappedStore
+ * trusts positions and signature values (see core/mapped_store.hh).
  */
 
 #ifndef PCAUSE_CORE_PCDB_FORMAT_HH
@@ -69,6 +70,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <string>
+
+#include "core/minhash.hh"
 
 namespace pcause
 {
@@ -76,8 +81,6 @@ namespace pcdb
 {
 
 constexpr char magic[4] = {'P', 'C', 'D', 'B'};
-constexpr std::uint32_t versionV1 = 1;
-constexpr std::uint32_t versionV2 = 2;
 constexpr std::uint32_t versionV3 = 3;
 
 constexpr std::uint64_t v3HeaderBytes = 104;
@@ -106,6 +109,9 @@ struct V3Header
     std::uint64_t posOff = 0;
     std::uint64_t labelOff = 0;
     std::uint64_t lshOff = 0;
+
+    /** The signature/banding parameters the file was written under. */
+    MinHashParams minhashParams() const;
 };
 
 /** One decoded record-table entry. */
@@ -137,6 +143,9 @@ loadU64(const std::uint8_t *p)
     std::memcpy(&v, p, sizeof(v));
     return v;
 }
+
+/** Decode the v3RecordEntryBytes-byte record-table entry at @p p. */
+V3RecordEntry decodeRecordEntry(const std::uint8_t *p);
 
 /** Per-band LSH section size for @p records records. */
 constexpr std::uint64_t
@@ -176,6 +185,31 @@ v3Layout(std::uint64_t records, std::uint64_t k,
     l.fileSize = l.lshOff + bands * v3BandBytes(records);
     return l;
 }
+
+/**
+ * Copy the @p len bytes at offset @p off of the file being checked
+ * into @p dst; false when they cannot be read. checkV3() asks only
+ * for ranges inside the file length it was given.
+ */
+using ReadAt =
+    std::function<bool(std::uint64_t off, void *dst, std::size_t len)>;
+
+/**
+ * The structural check of a v3 file of @p file_len bytes: magic and
+ * version, minhash parameters, header counts bounded by the file
+ * length, the canonical section layout, every record-table entry
+ * (canonical arena offsets, label length, sources, a position count
+ * within the universe, one universe of at most 2^32 bits for the
+ * whole file), the arena totals and every band's entry count.
+ *
+ * Returns the empty string and fills @p header when the file passes;
+ * otherwise returns the reason, the same text for both readers.
+ * @p on_entry (when set) sees each entry that passed, in id order.
+ */
+std::string
+checkV3(std::uint64_t file_len, const ReadAt &read, V3Header &header,
+        const std::function<void(const V3RecordEntry &)> &on_entry =
+            nullptr);
 
 } // namespace pcdb
 } // namespace pcause

@@ -1,11 +1,9 @@
 #include "core/serialize.hh"
 
-#include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <istream>
+#include <memory>
 #include <ostream>
 #include <vector>
 
@@ -23,379 +21,16 @@ namespace pcause
 namespace
 {
 
-constexpr char dbMagic[4] = {'P', 'C', 'D', 'B'};
-constexpr std::uint32_t dbVersionV1 = pcdb::versionV1;
-constexpr std::uint32_t dbVersionV2 = pcdb::versionV2;
-constexpr std::uint32_t dbVersionV3 = pcdb::versionV3;
-
-/** Pre-allocation cap for the untrusted header record count. */
-constexpr std::uint64_t maxPlausibleRecords = 1024;
-
-/** Sanity cap on a chip label: real labels are tens of bytes. */
-constexpr std::uint32_t maxLabelBytes = 1u << 16;
+struct FileCloser
+{
+    void operator()(std::FILE *f) const { std::fclose(f); }
+};
 
 template <typename T>
 void
 writeScalar(std::ostream &out, T value)
 {
     out.write(reinterpret_cast<const char *>(&value), sizeof(value));
-}
-
-/**
- * Error-returning binary reader: every read either succeeds or
- * latches a formatted error message; once failed, further reads are
- * no-ops, so parse code can check once per record.
- */
-class Reader
-{
-  public:
-    explicit Reader(std::istream &stream) : in(stream) {}
-
-    bool failed() const { return !msg.empty(); }
-    const std::string &error() const { return msg; }
-
-    void fail(const char *fmt, ...)
-        __attribute__((format(printf, 2, 3)))
-    {
-        if (failed())
-            return;
-        char buf[256];
-        va_list ap;
-        va_start(ap, fmt);
-        std::vsnprintf(buf, sizeof(buf), fmt, ap);
-        va_end(ap);
-        msg = buf;
-    }
-
-    template <typename T>
-    bool read(T &value, const char *what)
-    {
-        if (failed())
-            return false;
-        in.read(reinterpret_cast<char *>(&value), sizeof(value));
-        if (!in) {
-            fail("truncated %s", what);
-            return false;
-        }
-        return true;
-    }
-
-    bool readBytes(char *dst, std::size_t len, const char *what)
-    {
-        if (failed())
-            return false;
-        in.read(dst, static_cast<std::streamsize>(len));
-        if (!in) {
-            fail("truncated %s", what);
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    std::istream &in;
-    std::string msg;
-};
-
-/** One record's metadata as parsed off disk. */
-struct RawRecord
-{
-    std::string label;
-    std::uint32_t sources = 0;
-    MinHashSignature sig; //!< empty in v1 files
-};
-
-/** Parsed file: header parameters, record metadata, and every
- *  record's positions in one arena (record i is fps.view(i)). */
-struct RawDatabase
-{
-    std::uint32_t version = 0;
-    MinHashParams index;
-    std::vector<RawRecord> records;
-    SparseFingerprintArena fps;
-};
-
-/** Skip (and discard) @p bytes from the reader. */
-void
-skipBytes(Reader &r, std::uint64_t bytes, const char *what)
-{
-    char buf[4096];
-    while (bytes > 0 && !r.failed()) {
-        const std::size_t chunk = bytes < sizeof(buf)
-                                      ? static_cast<std::size_t>(bytes)
-                                      : sizeof(buf);
-        r.readBytes(buf, chunk, what);
-        bytes -= chunk;
-    }
-}
-
-/**
- * Parse the body of a v3 stream (magic and version already
- * consumed). Validates the canonical layout (see
- * core/pcdb_format.hh), so every strict prefix of a valid file
- * fails with a truncation error and every offset mismatch is
- * rejected before any payload is interpreted.
- */
-std::string
-parseV3(Reader &r, RawDatabase &out)
-{
-    pcdb::V3Header h;
-    std::uint32_t reserved = 0;
-    r.read(h.numHashes, "minhash header");
-    r.read(h.bands, "minhash header");
-    r.read(h.probes, "minhash header");
-    r.read(reserved, "header reserved");
-    r.read(h.seed, "minhash header");
-    r.read(h.recordCount, "record count");
-    r.read(h.totalPositions, "position total");
-    r.read(h.labelBytes, "label byte total");
-    r.read(h.fileSize, "file size");
-    r.read(h.recordTableOff, "section offsets");
-    r.read(h.sigOff, "section offsets");
-    r.read(h.posOff, "section offsets");
-    r.read(h.labelOff, "section offsets");
-    r.read(h.lshOff, "section offsets");
-    if (r.failed())
-        return r.error();
-    if (h.numHashes == 0 || h.bands == 0 ||
-        h.numHashes % h.bands != 0)
-        return "invalid minhash parameters in header";
-    if (reserved != 0)
-        return "nonzero reserved header field";
-
-    const pcdb::V3Layout lay =
-        pcdb::v3Layout(h.recordCount, h.numHashes, h.totalPositions,
-                       h.labelBytes, h.bands);
-    if (h.recordTableOff != lay.recordTableOff ||
-        h.sigOff != lay.sigOff || h.posOff != lay.posOff ||
-        h.labelOff != lay.labelOff || h.lshOff != lay.lshOff ||
-        h.fileSize != lay.fileSize)
-        return "non-canonical v3 section layout";
-
-    out.index.numHashes = h.numHashes;
-    out.index.bands = h.bands;
-    out.index.seed = h.seed;
-    out.index.probes = h.probes;
-
-    // --- record table ---------------------------------------------
-    std::vector<pcdb::V3RecordEntry> entries;
-    entries.reserve(std::min<std::uint64_t>(h.recordCount,
-                                            maxPlausibleRecords));
-    std::uint64_t next_label = 0, next_pos = 0;
-    for (std::uint64_t i = 0; i < h.recordCount; ++i) {
-        pcdb::V3RecordEntry e;
-        r.read(e.labelOff, "record table");
-        r.read(e.posOff, "record table");
-        r.read(e.universe, "record table");
-        r.read(e.labelLen, "record table");
-        r.read(e.posCount, "record table");
-        r.read(e.sources, "record table");
-        r.read(e.reserved, "record table");
-        if (r.failed())
-            return r.error();
-        if (e.labelLen > maxLabelBytes)
-            return "implausible label length";
-        if (e.labelOff != next_label || e.posOff != next_pos ||
-            e.reserved != 0)
-            return "non-canonical record table";
-        if (e.sources == 0)
-            return "record with zero sources";
-        if (e.posCount > e.universe)
-            return "more positions than universe bits";
-        next_label += e.labelLen;
-        next_pos += e.posCount;
-        entries.push_back(e);
-    }
-    if (next_label != h.labelBytes)
-        return "label arena size mismatch";
-    if (next_pos != h.totalPositions)
-        return "position arena size mismatch";
-
-    out.records.resize(entries.size());
-
-    // --- signature arena ------------------------------------------
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        out.records[i].sig.resize(h.numHashes);
-        for (auto &hash : out.records[i].sig) {
-            if (!r.read(hash, "signature arena"))
-                return r.error();
-        }
-    }
-    skipBytes(r, lay.posOff - (h.sigOff + h.recordCount *
-                                              h.numHashes * 4),
-              "signature padding");
-
-    // --- position arena -------------------------------------------
-    // Into the arena the store adopts, one validated list at a time.
-    std::vector<std::uint32_t> pos;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        out.records[i].sources = entries[i].sources;
-        pos.clear();
-        for (std::uint32_t p = 0; p < entries[i].posCount; ++p) {
-            std::uint32_t at = 0;
-            if (!r.read(at, "position arena"))
-                return r.error();
-            if (at >= entries[i].universe)
-                return "position beyond universe";
-            if (p > 0 && at <= pos.back())
-                return "positions not strictly ascending";
-            pos.push_back(at);
-        }
-        out.fps.addPositions(pos.data(), pos.size(),
-                             entries[i].universe);
-    }
-    skipBytes(r, lay.labelOff - (h.posOff + h.totalPositions * 4),
-              "position padding");
-
-    // --- label arena ----------------------------------------------
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        out.records[i].label.assign(entries[i].labelLen, '\0');
-        r.readBytes(out.records[i].label.data(), entries[i].labelLen,
-                    "label arena");
-        if (r.failed())
-            return r.error();
-    }
-    skipBytes(r, lay.lshOff - (h.labelOff + h.labelBytes),
-              "label padding");
-
-    // --- LSH section ----------------------------------------------
-    // The stream loader rebuilds the in-memory index from the
-    // signatures; the serialized buckets exist for the mmap reader.
-    // Still consume and sanity-check them so a truncated or padded
-    // tail cannot load silently.
-    for (std::uint32_t band = 0; band < h.bands; ++band) {
-        std::uint64_t count = 0;
-        if (!r.read(count, "lsh band header"))
-            return r.error();
-        if (count != h.recordCount)
-            return "lsh band entry count mismatch";
-        skipBytes(r, pcdb::v3BandBytes(h.recordCount) - 8,
-                  "lsh band");
-        if (r.failed())
-            return r.error();
-    }
-    return r.failed() ? r.error() : "";
-}
-
-/**
- * Parse a whole PCDB stream. Returns the database or an error
- * message (exactly one of the two).
- */
-std::string
-parseDatabase(std::istream &in, RawDatabase &out)
-{
-    Reader r(in);
-    char magic[4];
-    if (!r.readBytes(magic, sizeof(magic), "magic") ||
-        std::memcmp(magic, dbMagic, sizeof(dbMagic)) != 0)
-        return "not a Probable Cause database";
-    if (!r.read(out.version, "version"))
-        return r.error();
-    if (out.version == dbVersionV3)
-        return parseV3(r, out);
-    if (out.version != dbVersionV1 && out.version != dbVersionV2) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "unsupported version %u",
-                      out.version);
-        return buf;
-    }
-
-    if (out.version >= dbVersionV2) {
-        r.read(out.index.numHashes, "minhash header");
-        r.read(out.index.bands, "minhash header");
-        r.read(out.index.seed, "minhash header");
-        if (r.failed())
-            return r.error();
-        if (out.index.numHashes == 0 || out.index.bands == 0 ||
-            out.index.numHashes % out.index.bands != 0)
-            return "invalid minhash parameters in header";
-    }
-
-    std::uint64_t count = 0;
-    if (!r.read(count, "record count"))
-        return r.error();
-    // count is untrusted: a hostile or corrupt header can claim
-    // 2^64 records. Cap the pre-allocation — a fabricated count
-    // then fails cleanly on the first missing record instead of
-    // dying in reserve().
-    out.records.reserve(
-        std::min<std::uint64_t>(count, maxPlausibleRecords));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        RawRecord rec;
-        std::uint32_t label_len = 0;
-        r.read(label_len, "label length");
-        if (r.failed())
-            return r.error();
-        if (label_len > maxLabelBytes)
-            return "implausible label length";
-        rec.label.assign(label_len, '\0');
-        r.readBytes(rec.label.data(), label_len, "label");
-        r.read(rec.sources, "source count");
-        std::uint64_t universe = 0, positions = 0;
-        r.read(universe, "universe size");
-        r.read(positions, "position count");
-        if (r.failed())
-            return r.error();
-        if (rec.sources == 0)
-            return "record with zero sources";
-        if (positions > universe)
-            return "more positions than universe bits";
-
-        BitVec bits(universe);
-        for (std::uint64_t p = 0; p < positions; ++p) {
-            std::uint32_t pos = 0;
-            if (!r.read(pos, "position"))
-                return r.error();
-            if (pos >= universe)
-                return "position beyond universe";
-            bits.set(pos);
-        }
-        out.fps.add(bits);
-
-        if (out.version >= dbVersionV2) {
-            rec.sig.resize(out.index.numHashes);
-            for (auto &h : rec.sig) {
-                if (!r.read(h, "signature"))
-                    return r.error();
-            }
-        }
-        out.records.push_back(std::move(rec));
-    }
-    return "";
-}
-
-/** Write one v2 record. */
-void
-writeRecord(std::ostream &out, const FingerprintRecord &rec,
-            const MinHashSignature &sig)
-{
-    writeScalar<std::uint32_t>(
-        out, static_cast<std::uint32_t>(rec.label.size()));
-    out.write(rec.label.data(),
-              static_cast<std::streamsize>(rec.label.size()));
-    writeScalar<std::uint32_t>(out, rec.fingerprint.sources());
-    writeScalar<std::uint64_t>(out, rec.fingerprint.bits().size());
-
-    const auto positions = rec.fingerprint.bits().setBits();
-    writeScalar<std::uint64_t>(out, positions.size());
-    for (auto pos : positions)
-        writeScalar<std::uint32_t>(out,
-                                   static_cast<std::uint32_t>(pos));
-    for (auto h : sig)
-        writeScalar<std::uint32_t>(out, h);
-}
-
-/** Write the v2 header for @p params and @p count records. */
-void
-writeHeader(std::ostream &out, const MinHashParams &params,
-            std::uint64_t count)
-{
-    out.write(dbMagic, sizeof(dbMagic));
-    writeScalar<std::uint32_t>(out, dbVersionV2);
-    writeScalar<std::uint32_t>(out, params.numHashes);
-    writeScalar<std::uint32_t>(out, params.bands);
-    writeScalar<std::uint64_t>(out, params.seed);
-    writeScalar<std::uint64_t>(out, count);
 }
 
 /** Write @p n zero bytes (section padding). */
@@ -411,32 +46,9 @@ writePad(std::ostream &out, std::uint64_t n)
     }
 }
 
-} // anonymous namespace
-
+/** Write @p store to @p out as a v3 image; false on IO failure. */
 bool
-saveDatabase(const FingerprintDb &db, std::ostream &out)
-{
-    const MinHashParams params;
-    writeHeader(out, params, db.size());
-    for (std::size_t i = 0; i < db.size(); ++i) {
-        const FingerprintRecord &rec = db.record(i);
-        writeRecord(out, rec,
-                    minhashSignature(rec.fingerprint.bits(), params));
-    }
-    return out.good();
-}
-
-bool
-saveDatabase(const FingerprintDb &db, const std::string &path)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    return saveDatabase(db, out);
-}
-
-bool
-saveStore(const FingerprintStore &store, std::ostream &out)
+writeStore(const FingerprintStore &store, std::ostream &out)
 {
     const MinHashParams &prm = store.indexParams();
     const SparseFingerprintArena &sparse = store.sparseFingerprints();
@@ -451,8 +63,8 @@ saveStore(const FingerprintStore &store, std::ostream &out)
         n, prm.numHashes, total_pos, label_bytes, prm.bands);
 
     // --- header ---------------------------------------------------
-    out.write(dbMagic, sizeof(dbMagic));
-    writeScalar<std::uint32_t>(out, dbVersionV3);
+    out.write(pcdb::magic, sizeof(pcdb::magic));
+    writeScalar<std::uint32_t>(out, pcdb::versionV3);
     writeScalar<std::uint32_t>(out, prm.numHashes);
     writeScalar<std::uint32_t>(out, prm.bands);
     writeScalar<std::uint32_t>(out, prm.probes);
@@ -529,13 +141,19 @@ saveStore(const FingerprintStore &store, std::ostream &out)
     return out.good();
 }
 
+} // anonymous namespace
+
 bool
 saveStore(const FingerprintStore &store, const std::string &path)
 {
     std::ofstream out(path, std::ios::binary);
     if (!out)
         return false;
-    return saveStore(store, out);
+    writeStore(store, out);
+    // close() flushes: a write that fails only then must still fail
+    // the save.
+    out.close();
+    return !out.fail();
 }
 
 bool
@@ -557,7 +175,7 @@ saveStoreDurable(const FingerprintStore &store,
         if (!out)
             return fail("cannot open " + tmp);
         const bool wrote =
-            saveStore(store, out) && !failpoint::hit("store.save.write");
+            writeStore(store, out) && !failpoint::hit("store.save.write");
         out.flush();
         if (!wrote || !out.good()) {
             out.close();
@@ -599,80 +217,94 @@ saveStoreDurable(const FingerprintStore &store,
     return true;
 }
 
-DbLoadResult
-loadDatabase(std::istream &in)
-{
-    RawDatabase raw;
-    const std::string err = parseDatabase(in, raw);
-    if (!err.empty())
-        return {std::nullopt, "loadDatabase: " + err};
-
-    FingerprintDb db;
-    for (std::size_t i = 0; i < raw.records.size(); ++i) {
-        db.add(std::move(raw.records[i].label),
-               Fingerprint(denseBits(raw.fps.view(i)),
-                           raw.records[i].sources));
-    }
-    return {std::move(db), ""};
-}
-
-DbLoadResult
-loadDatabase(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return {std::nullopt, "loadDatabase: cannot open " + path};
-    return loadDatabase(in);
-}
-
-StoreLoadResult
-loadStore(std::istream &in)
-{
-    RawDatabase raw;
-    const std::string err = parseDatabase(in, raw);
-    if (!err.empty())
-        return {std::nullopt, "loadStore: " + err};
-
-    // One bulk add that adopts the parsed arena, so every index
-    // structure is sized once at its exact final size (and a v3
-    // record is never materialized densely).
-    std::vector<ChipLabel> labels;
-    std::vector<unsigned> sources;
-    std::vector<MinHashSignature> sigs;
-    labels.reserve(raw.records.size());
-    sources.reserve(raw.records.size());
-    sigs.reserve(raw.records.size());
-    for (RawRecord &rec : raw.records) {
-        labels.push_back(std::move(rec.label));
-        sources.push_back(rec.sources);
-        sigs.push_back(std::move(rec.sig));
-    }
-    raw.records.clear();
-
-    const MinHashParams params =
-        raw.version >= dbVersionV2 ? raw.index : MinHashParams{};
-    if (raw.version < dbVersionV2) {
-        // v1 carries no signatures: recompute on load.
-        for (std::size_t i = 0; i < sigs.size(); ++i)
-            sigs[i] = minhashSignature(denseBits(raw.fps.view(i)),
-                                       params);
-    }
-    FingerprintStore store(params);
-    store.addBatch(std::move(labels), std::move(sources),
-                   std::move(raw.fps), std::move(sigs), params);
-    return {std::move(store), ""};
-}
-
 StoreLoadResult
 loadStore(const std::string &path)
 {
+    const auto fail = [](const std::string &why) -> StoreLoadResult {
+        return {std::nullopt, "loadStore: " + why};
+    };
     if (failpoint::hit("store.load"))
-        return {std::nullopt,
-                "loadStore: injected load failure for " + path};
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return {std::nullopt, "loadStore: cannot open " + path};
-    return loadStore(in);
+        return fail("injected load failure for " + path);
+    const std::unique_ptr<std::FILE, FileCloser> file(
+        std::fopen(path.c_str(), "rb"));
+    if (!file)
+        return fail("cannot open " + path);
+    std::FILE *f = file.get();
+    struct stat st{};
+    if (::fstat(::fileno(f), &st) != 0)
+        return fail("cannot stat " + path);
+    const auto seek = [f](std::uint64_t off) {
+        return ::fseeko(f, static_cast<off_t>(off), SEEK_SET) == 0;
+    };
+    const auto readNext = [f](void *dst, std::size_t len) {
+        return len == 0 || std::fread(dst, 1, len, f) == len;
+    };
+
+    // The record table lands in the store's containers as the shared
+    // check walks it.
+    pcdb::V3Header h;
+    std::vector<std::uint32_t> label_lens;
+    std::vector<unsigned> sources;
+    std::vector<std::uint64_t> offsets{0};
+    std::vector<std::uint64_t> universes;
+    const std::string err = pcdb::checkV3(
+        static_cast<std::uint64_t>(st.st_size),
+        [&](std::uint64_t off, void *dst, std::size_t len) {
+            return seek(off) && readNext(dst, len);
+        },
+        h,
+        [&](const pcdb::V3RecordEntry &e) {
+            label_lens.push_back(e.labelLen);
+            sources.push_back(e.sources);
+            offsets.push_back(offsets.back() + e.posCount);
+            universes.push_back(e.universe);
+        });
+    if (!err.empty())
+        return fail(err);
+
+    // Each arena is read once, straight into the container the store
+    // keeps: no arena-sized staging buffer.
+    const std::size_t n = sources.size();
+    std::vector<MinHashSignature> sigs(n,
+                                       MinHashSignature(h.numHashes));
+    bool ok = seek(h.sigOff);
+    for (MinHashSignature &sig : sigs)
+        ok = ok && readNext(sig.data(), sig.size() * sizeof(sig[0]));
+    if (!ok)
+        return fail("cannot read the signature arena");
+
+    PosVec positions(h.totalPositions);
+    if (!seek(h.posOff) ||
+        !readNext(positions.data(),
+                  positions.size() * sizeof(positions[0])))
+        return fail("cannot read the position arena");
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::uint64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+            if (positions[k] >= universes[i])
+                return fail("position beyond universe");
+            if (k > offsets[i] && positions[k] <= positions[k - 1])
+                return fail("positions not strictly ascending");
+        }
+    }
+
+    std::vector<ChipLabel> labels(n);
+    ok = seek(h.labelOff);
+    for (std::size_t i = 0; i < n; ++i) {
+        labels[i].resize(label_lens[i]);
+        ok = ok && readNext(labels[i].data(), label_lens[i]);
+    }
+    if (!ok)
+        return fail("cannot read the label arena");
+
+    // The LSH index is rebuilt from the signatures; the serialized
+    // band tables exist for the mmap reader.
+    FingerprintStore store(h.minhashParams());
+    store.addBatch(std::move(labels), std::move(sources),
+                   SparseFingerprintArena(std::move(positions),
+                                          std::move(offsets),
+                                          std::move(universes)),
+                   std::move(sigs));
+    return {std::move(store), ""};
 }
 
 bool
@@ -693,7 +325,8 @@ saveBitVec(const BitVec &bits, const std::string &path)
             byte = 0;
         }
     }
-    return out.good();
+    out.close();
+    return !out.fail();
 }
 
 BitVec

@@ -11,27 +11,15 @@
  * chip's fingerprint costs ~10 KB instead of 32 KB, and scales with
  * the error budget rather than the memory size.
  *
- * Format v3 (little-endian, written by saveStore) is the
- * memory-mappable layout specified byte-for-byte in
+ * The one format is PCDB v3 (little-endian, written by saveStore),
+ * the memory-mappable layout specified byte-for-byte in
  * core/pcdb_format.hh: a fixed 104-byte header with explicit section
  * offsets, a fixed-stride record table, then contiguous signature /
  * position / label arenas and the serialized per-band LSH index.
- * MappedStore (core/mapped_store) queries a v3 file in place without
- * loading it.
- *
- * Format v2 (written by saveDatabase, read transparently):
- *   magic "PCDB", u32 version = 2,
- *   u32 minhash hashes (k), u32 minhash bands, u64 minhash seed,
- *   u64 record count, then per record:
- *     u32 label length, label bytes,
- *     u32 sources, u64 universe bits,
- *     u64 position count, u32 positions[],
- *     u32 signature[k]            (MinHash signature, core/minhash)
- *
- * loadStore()/loadDatabase() accept v1, v2 and v3 with identical
- * resulting stores: v1 files (no minhash header fields, no
- * signatures) get signatures recomputed on load, and v3's extra LSH
- * trailer is validated and then rebuilt from the signatures.
+ * loadStore() reads a v3 file into an in-memory FingerprintStore;
+ * MappedStore (core/mapped_store) queries one in place without
+ * loading it. Both run the same structural check
+ * (pcdb::checkV3) and so fail with the same reasons.
  *
  * Loading is recoverable: malformed input produces a LoadResult
  * carrying an error string instead of killing the process, so a
@@ -43,7 +31,6 @@
 #ifndef PCAUSE_CORE_SERIALIZE_HH
 #define PCAUSE_CORE_SERIALIZE_HH
 
-#include <iosfwd>
 #include <optional>
 #include <string>
 
@@ -76,22 +63,13 @@ struct LoadResult
     const T *operator->() const { return &*value; }
 };
 
-using DbLoadResult = LoadResult<FingerprintDb>;
 using StoreLoadResult = LoadResult<FingerprintStore>;
 
-/** Serialize @p db to a stream (v2, signatures computed under
- *  default MinHashParams). Returns false on IO failure. */
-bool saveDatabase(const FingerprintDb &db, std::ostream &out);
-
-/** Serialize @p db to @p path. Returns false on IO failure. */
-bool saveDatabase(const FingerprintDb &db, const std::string &path);
-
-/** Serialize @p store (its own index parameters, signatures, and
- *  LSH buckets) as a mmap-able v3 file. Returns false on IO
- *  failure. */
-bool saveStore(const FingerprintStore &store, std::ostream &out);
-
-/** Serialize @p store to @p path. Returns false on IO failure. */
+/**
+ * Write @p store (its own index parameters, signatures, and LSH
+ * buckets) to @p path as a mmap-able v3 file. Returns false on IO
+ * failure, including one that surfaces only when the file is closed.
+ */
 bool saveStore(const FingerprintStore &store, const std::string &path);
 
 /**
@@ -108,24 +86,13 @@ bool saveStoreDurable(const FingerprintStore &store,
                       std::string *error = nullptr);
 
 /**
- * Load a database from a stream. Malformed, truncated, or
- * version-incompatible input yields a failed result with an error
- * string — never a process exit. Signatures in v2 files are
- * skipped (the plain database carries none).
+ * Load a v3 file into an in-memory FingerprintStore, keeping the
+ * stored index parameters and signatures (nothing is rehashed).
+ * Besides pcdb::checkV3's structural check, every position is checked
+ * to lie inside its universe and to ascend strictly. Malformed,
+ * truncated or other-version input yields a failed result with an
+ * error string, never a process exit.
  */
-DbLoadResult loadDatabase(std::istream &in);
-
-/** Load a database from @p path. */
-DbLoadResult loadDatabase(const std::string &path);
-
-/**
- * Load an indexed FingerprintStore: v2/v3 files restore the stored
- * index parameters and per-record signatures without rehashing; v1
- * files get signatures recomputed under default MinHashParams.
- */
-StoreLoadResult loadStore(std::istream &in);
-
-/** Load a FingerprintStore from @p path. */
 StoreLoadResult loadStore(const std::string &path);
 
 /**
@@ -142,7 +109,7 @@ std::size_t recordDiskSize(std::size_t weight, std::size_t label_len,
 /**
  * Persist a raw bit vector (approximate outputs, exact patterns)
  * as a dense dump: magic "PCBV", u32 version, u64 bit count, bytes.
- * Returns false on IO failure.
+ * Returns false on IO failure, including one at close.
  */
 bool saveBitVec(const BitVec &bits, const std::string &path);
 

@@ -1,5 +1,6 @@
 #include "core/service.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 
@@ -207,6 +208,20 @@ AttackService::dispatch(const BitVec &error_string,
                           : owned->query(error_string, p, delta);
 }
 
+std::string
+AttackService::bitCountError(std::size_t bits) const
+{
+    const SparseFingerprintSource &fps =
+        owned ? static_cast<const SparseFingerprintSource &>(
+                    owned->sparseFingerprints())
+              : *mapped;
+    if (fps.count() == 0 || fps.view(0).universe == bits)
+        return {};
+    return "error string has " + std::to_string(bits) +
+           " bits; the database's records have " +
+           std::to_string(fps.view(0).universe);
+}
+
 IdentifyVerdict
 AttackService::resolve(const IdentifyResult &r, AttackStats delta) const
 {
@@ -234,9 +249,12 @@ AttackService::identify(const IdentifyRequest &req) const
     IdentifyVerdict v;
     {
         std::shared_lock<std::shared_mutex> lock(*gate);
-        const IdentifyResult r =
-            dispatch(req.errorString, req.options, &delta);
-        v = resolve(r, delta);
+        v.error = bitCountError(req.errorString.size());
+        if (v.error.empty()) {
+            const IdentifyResult r =
+                dispatch(req.errorString, req.options, &delta);
+            v = resolve(r, delta);
+        }
     }
     counters->accumulate(delta);
     return v;
@@ -252,7 +270,12 @@ AttackService::identifyBatch(const std::vector<BitVec> &error_strings,
     AttackStats total;
     {
         std::shared_lock<std::shared_mutex> lock(*gate);
-        if (owned && !options.linear) {
+        const bool all_fit = std::all_of(
+            error_strings.begin(), error_strings.end(),
+            [&](const BitVec &es) {
+                return bitCountError(es.size()).empty();
+            });
+        if (owned && !options.linear && all_fit) {
             // The batched path: queryBatch spreads queries across
             // the pool, elementwise bit-identical to query(), and
             // reports each element's own delta beside the total.
@@ -267,6 +290,12 @@ AttackService::identifyBatch(const std::vector<BitVec> &error_strings,
             // Mapped or linear backends have no batch entry; the
             // per-query dispatch is already the exact path.
             for (const BitVec &es : error_strings) {
+                IdentifyVerdict refused;
+                refused.error = bitCountError(es.size());
+                if (!refused.error.empty()) {
+                    verdicts.push_back(std::move(refused));
+                    continue;
+                }
                 AttackStats delta;
                 const IdentifyResult r = dispatch(es, options, &delta);
                 total += delta;
@@ -286,6 +315,14 @@ AttackService::addFingerprint(const ChipLabel &label,
     if (error_strings.empty()) {
         out.error = "characterize needs at least one error string";
         return out;
+    }
+    for (const BitVec &es : error_strings) {
+        if (es.size() != error_strings.front().size()) {
+            out.error = "error strings differ in bit count (" +
+                        std::to_string(error_strings.front().size()) +
+                        " and " + std::to_string(es.size()) + ")";
+            return out;
+        }
     }
     // Algorithm 1: intersect the error strings.
     Fingerprint fp(error_strings.front());
@@ -310,6 +347,9 @@ AttackService::addRecord(ChipLabel label, Fingerprint fp)
     bool want_checkpoint = false;
     {
         std::unique_lock<std::shared_mutex> lock(*gate);
+        out.error = bitCountError(fp.bits().size());
+        if (!out.error.empty())
+            return out;
         // Journal + fsync *before* the in-memory add: once the
         // caller sees added == true the record is on disk, so an
         // acked add survives kill -9 at any instruction. A failed

@@ -125,6 +125,10 @@ struct IdentifyVerdict
     /** Counters this query added (candidates scanned, fallbacks,
      *  kernel counts, wall time). */
     AttackStats delta;
+
+    /** Why the query was refused — its bit count differs from the
+     *  database's records' — or empty when it ran. */
+    std::string error;
 };
 
 /** Database diagnostics, backend-independent. */
@@ -270,7 +274,9 @@ class AttackService
      * The one identification entry point: dispatches on
      * req.options to the backend's indexed or linear path, under a
      * shared lock, and resolves labels. Verdict bit-identical to
-     * the corresponding direct backend query.
+     * the corresponding direct backend query. An error string whose
+     * bit count differs from the records' is not queried: the
+     * verdict carries the reason in IdentifyVerdict::error.
      */
     IdentifyVerdict identify(const IdentifyRequest &req) const;
 
@@ -279,7 +285,8 @@ class AttackService
      * attackers call. In-memory backends run
      * FingerprintStore::queryBatch across the thread pool; each
      * element is bit-identical to the corresponding identify()
-     * call, delta included (its counters and its own query time).
+     * call, delta included (its counters and its own query time),
+     * and a wrong-size element gets identify()'s error verdict.
      */
     std::vector<IdentifyVerdict>
     identifyBatch(const std::vector<BitVec> &error_strings,
@@ -299,7 +306,8 @@ class AttackService
         std::size_t weight = 0;
 
         /** Reason the add was refused (read-only backend, no error
-         *  strings); empty on success. */
+         *  strings, a bit count other than the records'); empty on
+         *  success. */
         std::string error;
     };
 
@@ -307,15 +315,18 @@ class AttackService
      * Characterize-and-add (Algorithm 1 behind the facade):
      * intersect @p error_strings into a fingerprint and add it
      * under @p label. Takes the exclusive lock; concurrent
-     * identifies simply wait. Refused (with a reason) on a
-     * read-only backend or an empty observation set.
+     * identifies simply wait. Refused (with a reason, and before
+     * anything is journaled) on a read-only backend, an empty
+     * observation set, or error strings whose bit counts differ
+     * from each other or from the records' — a database holds one
+     * bit count.
      */
     AddOutcome addFingerprint(const ChipLabel &label,
                               const std::vector<BitVec> &error_strings);
 
     /** Add an already-characterized fingerprint (the supply-chain
-     *  attacker's interception path). Same locking as
-     *  addFingerprint(). */
+     *  attacker's interception path). Same locking and bit-count
+     *  rule as addFingerprint(). */
     AddOutcome addRecord(ChipLabel label, Fingerprint fp);
 
     /** Backend-independent database diagnostics. */
@@ -342,6 +353,11 @@ class AttackService
     IdentifyResult dispatch(const BitVec &error_string,
                             const QueryOptions &options,
                             AttackStats *delta) const;
+
+    /** Why an error string of @p bits bits cannot be compared with
+     *  the records (record 0 has another bit count), or empty;
+     *  callers hold the lock. */
+    std::string bitCountError(std::size_t bits) const;
 
     /** Resolve an IdentifyResult into a labeled verdict; callers
      *  hold the lock. */

@@ -101,18 +101,8 @@ void
 FingerprintStore::addBatch(std::vector<ChipLabel> labels,
                            std::vector<unsigned> sources,
                            SparseFingerprintArena fps,
-                           std::vector<MinHashSignature> sigs,
-                           const MinHashParams &sig_params)
+                           std::vector<MinHashSignature> sigs)
 {
-    if (!sameSignatureSpace(sig_params, lsh.params())) {
-        // Same rule as addWithSignature(): recompute, never mix
-        // signature spaces.
-        sigs.resize(fps.count());
-        for (std::size_t i = 0; i < fps.count(); ++i) {
-            sigs[i] = minhashSignature(denseBits(fps.view(i)),
-                                       lsh.params());
-        }
-    }
     appendBatch(std::move(labels), std::move(sources), std::move(fps),
                 std::move(sigs), workers);
 }
@@ -162,26 +152,30 @@ FingerprintStore::appendBatch(std::vector<ChipLabel> new_labels,
 void
 FingerprintStore::indexPositions(std::size_t first)
 {
+    // Sized by the highest stored position, not the universe, which
+    // a file may declare far larger than any list it holds;
+    // overlapScan() stops past the last list.
     const std::size_t end = sparse.count();
-    std::size_t universe = postings.size();
+    std::size_t reach = postings.size();
     for (std::size_t i = first; i < end; ++i) {
-        universe = std::max(universe,
-                            static_cast<std::size_t>(
-                                sparse.view(i).universe));
+        const SparseView v = sparse.view(i);
+        if (v.count > 0)
+            reach = std::max<std::size_t>(
+                reach, std::size_t{v.positions[v.count - 1]} + 1);
     }
-    postings.resize(universe);
+    postings.resize(reach);
 
     if (end - first > 1) {
         // A batch sizes each touched list once, exactly: growing
         // thousands of lists by doubling would leave up to half of
         // every list as slack.
-        std::vector<std::size_t> grow(universe, 0);
+        std::vector<std::size_t> grow(reach, 0);
         for (std::size_t i = first; i < end; ++i) {
             const SparseView v = sparse.view(i);
             for (std::size_t k = 0; k < v.count; ++k)
                 ++grow[v.positions[k]];
         }
-        for (std::size_t p = 0; p < universe; ++p) {
+        for (std::size_t p = 0; p < reach; ++p) {
             if (grow[p] > 0)
                 postings[p].reserve(postings[p].size() + grow[p]);
         }

@@ -98,17 +98,16 @@ class FingerprintStore
      * Bulk add of records already in sparse form — the loader's
      * path. @p labels, @p sources and @p sigs pair up with @p fps's
      * records; an empty store adopts @p fps outright, otherwise its
-     * positions are appended. addWithSignature()'s rule applies:
-     * signatures from a foreign signature space are recomputed.
-     * Nothing else is hashed, so the band tables fill on the store's
-     * pool when one is set and serially otherwise (never the
-     * process-global pool).
+     * positions are appended. The signatures must be in this
+     * store's signature space (they are indexed verbatim). Nothing
+     * is hashed, so the band tables fill on the store's pool when
+     * one is set and serially otherwise (never the process-global
+     * pool).
      */
     void addBatch(std::vector<ChipLabel> labels,
                   std::vector<unsigned> sources,
                   SparseFingerprintArena fps,
-                  std::vector<MinHashSignature> sigs,
-                  const MinHashParams &sig_params);
+                  std::vector<MinHashSignature> sigs);
 
     /** Number of records. */
     std::size_t size() const { return chipLabels.size(); }
@@ -264,8 +263,8 @@ class FingerprintStore
     SparseFingerprintArena sparse;
     LshIndex lsh;
 
-    /** Per universe position: ascending ids of the records whose
-     *  fingerprint contains it. */
+    /** Per position up to the highest stored one: ascending ids of
+     *  the records whose fingerprint contains it. */
     std::vector<std::vector<std::uint32_t>> postings;
 
     ThreadPool *workers = nullptr;

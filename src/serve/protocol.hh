@@ -46,8 +46,10 @@
  *   Busy (0x84): empty — identifies in flight are at the cap; the
  *     connection stays open and the client may retry (explicit
  *     backpressure, never a silent drop).
- *   Error (0x85): u32 length + message bytes; the server closes the
- *     connection after sending it.
+ *   Error (0x85): u32 length + message bytes. After a malformed
+ *     frame the server closes the connection; an Identify whose bit
+ *     count differs from the database's records' is answered with
+ *     Error and the connection stays open.
  *
  * Decoding follows the serializer's every-prefix discipline: every
  * read is bounds-checked, trailing bytes are rejected, and any

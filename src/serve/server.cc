@@ -301,6 +301,10 @@ Server::handleFrame(int fd, const Payload &request)
             return sendReply(fd, encodeEmpty(Opcode::Busy));
         const IdentifyVerdict verdict = svc.identify(*req);
         identifies.leave();
+        // A wrong-size error string is the client's mistake, not a
+        // broken stream: answer it and keep the connection.
+        if (!verdict.error.empty())
+            return sendReply(fd, encodeError(verdict.error));
         return sendReply(fd, encodeVerdict(verdict));
       }
       case Opcode::Characterize: {

@@ -9,7 +9,9 @@
  * gets a worker thread that reads frames, dispatches, and writes
  * replies until the peer closes or sends something malformed
  * (answered with Error, then the connection is closed — hostile
- * bytes never take the server down). The acceptor joins finished
+ * bytes never take the server down). A well-formed Identify of the
+ * wrong bit count is answered with Error too, on a connection that
+ * stays open. The acceptor joins finished
  * workers before it spawns the next, so a long-lived server keeps
  * one thread per live connection, not one per connection ever made.
  *

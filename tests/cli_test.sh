@@ -67,6 +67,17 @@ fi
 "$PCAUSE" identify --db db.pcdb --exact exact.pcbv \
     chip2_trial3.pcbv | grep -q "match: gamma"
 
+# A database holds one bit count: a 16-bit output is refused before
+# anything is written.
+printf 'PCBV\001\000\000\000\020\000\000\000\000\000\000\000\377\377' \
+    > small.pcbv
+if "$PCAUSE" characterize --db db.pcdb --label small --exact small.pcbv \
+    small.pcbv > /dev/null 2>&1; then
+    echo "FAIL: a second bit count was characterized" >&2
+    exit 1
+fi
+"$PCAUSE" db --db db.pcdb | grep -q "3 records"
+
 # A corrupt database must fail with a message, not crash.
 echo "garbage" > broken.pcdb
 if "$PCAUSE" db --db broken.pcdb > /dev/null 2>&1; then

@@ -21,7 +21,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 #include <unistd.h>
 
@@ -89,10 +88,12 @@ genGrownStore(Ctx &ctx, std::size_t records, std::size_t nbits,
                    std::vector<Fingerprint>(fps.begin(),
                                             fps.begin() + bulk));
     if (ctx.boolean(0.5, "round_trip")) {
-        std::stringstream file;
-        PCHECK(saveStore(store, file));
-        StoreLoadResult loaded = loadStore(file);
-        PCHECK(static_cast<bool>(loaded));
+        const std::string path =
+            "prop_store_grown." + std::to_string(::getpid()) + ".pcdb";
+        PCHECK(saveStore(store, path));
+        StoreLoadResult loaded = loadStore(path);
+        std::remove(path.c_str());
+        PCHECK_MSG(static_cast<bool>(loaded), loaded.error);
         store = std::move(*loaded);
     }
     for (std::size_t i = bulk; i < records; ++i)

@@ -257,6 +257,33 @@ TEST(Server, CharacterizeOverWireAddsARecord)
     EXPECT_EQ(v->label, "wire-chip");
 }
 
+TEST(Server, WrongSizeIdentifyGetsAnError)
+{
+    // An error string of another bit count than the records' is the
+    // client's mistake: it gets an Error reply, and the connection
+    // keeps serving.
+    ServerFixture fx(5);
+    Client client;
+    ASSERT_EQ(client.connect(fx.server.port()), "");
+
+    IdentifyRequest wrong;
+    wrong.errorString = BitVec(universe / 2);
+    wrong.errorString.set(1);
+    const Reply r = client.exchange(encodeIdentify(wrong));
+    ASSERT_TRUE(r.ok()) << r.transportError;
+    ASSERT_EQ(*r.opcode, Opcode::Error);
+    LoadResult<std::string> why = decodeError(r.payload);
+    ASSERT_TRUE(why) << why.error;
+    EXPECT_NE(why->find("2048 bits"), std::string::npos) << *why;
+
+    IdentifyRequest right;
+    right.errorString = fx.svc.store()->record(2).fingerprint.bits();
+    const std::optional<IdentifyVerdict> v = client.identify(right);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_TRUE(v->matched);
+    EXPECT_EQ(v->label, "chip-2");
+}
+
 TEST(Server, DbStatsAndLiveStatsAnswerJson)
 {
     ServerFixture fx(7);

@@ -492,6 +492,51 @@ TEST(AttackService, RefusedJournalAppendRefusesTheAck)
     EXPECT_EQ(svc->size(), 1u);
 }
 
+TEST(AttackService, CharacterizeRefusesMismatchedBitCounts)
+{
+    // A database holds one bit count. A second one is refused before
+    // the journal sees it; otherwise the next reject query would
+    // compare records of two sizes, after every restart's replay too.
+    DurableFixture fx;
+    LoadResult<AttackService> svc =
+        AttackService::openDurable(fx.config());
+    ASSERT_TRUE(svc) << svc.error;
+    Rng rng(0xD2);
+    const BitVec pattern = randomPattern(rng, 32);
+    ASSERT_TRUE(svc->addFingerprint("first", {pattern, pattern}).added);
+    const std::size_t journaled = svc->walEntries();
+
+    BitVec small(16);
+    small.set(3);
+    const AttackService::AddOutcome mixed =
+        svc->addFingerprint("mixed", {pattern, small});
+    EXPECT_FALSE(mixed.added);
+    EXPECT_NE(mixed.error.find("bit count"), std::string::npos)
+        << mixed.error;
+    const AttackService::AddOutcome other =
+        svc->addFingerprint("other", {small, small});
+    EXPECT_FALSE(other.added);
+    EXPECT_NE(other.error.find("16 bits"), std::string::npos)
+        << other.error;
+    EXPECT_FALSE(svc->addRecord("direct", Fingerprint(small)).added);
+    EXPECT_EQ(svc->walEntries(), journaled);
+    EXPECT_EQ(svc->size(), 1u);
+
+    // A query of the other size is refused with the reason, not run;
+    // in a batch, only that element is.
+    IdentifyRequest req;
+    req.errorString = small;
+    const IdentifyVerdict v = svc->identify(req);
+    EXPECT_FALSE(v.matched);
+    EXPECT_NE(v.error.find("16 bits"), std::string::npos) << v.error;
+    const std::vector<IdentifyVerdict> batch =
+        svc->identifyBatch({pattern, small}, QueryOptions{});
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_TRUE(batch[0].error.empty());
+    EXPECT_TRUE(batch[0].matched);
+    EXPECT_EQ(batch[1].error, v.error);
+}
+
 TEST(AttackService, CheckpointCompactsTheJournal)
 {
     DurableFixture fx;

@@ -183,8 +183,13 @@ cmdCharacterize(const Args &args)
 
     const BitVec exact = loadBitVec(exact_path);
     std::vector<BitVec> outputs;
-    for (const auto &path : args.positional)
+    for (const auto &path : args.positional) {
         outputs.push_back(loadBitVec(path));
+        if (outputs.back().size() != exact.size())
+            fatal("characterize: %s has %zu bits, %s has %zu",
+                  path.c_str(), outputs.back().size(),
+                  exact_path.c_str(), exact.size());
+    }
 
     // Load through the store so a database reindexed under custom
     // MinHash parameters keeps them across characterize runs — the
@@ -197,6 +202,17 @@ cmdCharacterize(const Args &args)
         if (!loaded)
             fatal("characterize: %s", loaded.error.c_str());
         store = std::move(*loaded);
+    }
+    // A database holds one bit count: refuse a second one before
+    // anything is written.
+    if (!store.empty()) {
+        const std::uint64_t held =
+            store.sparseFingerprints().view(0).universe;
+        if (held != exact.size())
+            fatal("characterize: the outputs have %zu bits; %s holds "
+                  "%llu-bit fingerprints",
+                  exact.size(), db_path.c_str(),
+                  (unsigned long long)held);
     }
     const Fingerprint fp = characterize(outputs, exact);
     store.add(label, fp);
@@ -235,6 +251,8 @@ cmdIdentify(const Args &args)
     if (!svc)
         fatal("identify: %s", svc.error.c_str());
     const IdentifyVerdict v = svc->identify(req);
+    if (!v.error.empty())
+        fatal("identify: %s", v.error.c_str());
 
     if (!req.options.linear) {
         std::printf("index: %llu of %llu records shortlisted%s\n",
