@@ -19,7 +19,11 @@
  *   - purity >= 0.999 and cluster count within 1% of the fleet size
  *     at every tier — the index must not fragment chips;
  *   - the mean candidates-confirmed ceiling, which is what makes
- *     "shortlists stay small as the fleet grows" falsifiable.
+ *     "shortlists stay small as the fleet grows" falsifiable;
+ *   - fallback scans no more than clusters opened at every tier: an
+ *     output that opens a cluster takes the fallback by definition,
+ *     so every fallback beyond those is an output the shortlist
+ *     missed — the recall a faster signing scheme must not trade.
  *
  * Emits BENCH_cluster.json. The default tiers (10k warmup + gated
  * 100k) are the CI perf-smoke configuration; --full adds the
@@ -228,12 +232,14 @@ main(int argc, char **argv)
         std::printf(
             "%8llu outputs / %6zu chips: indexed %7.2f s "
             "(%9.0f out/s), %6zu clusters, purity %.6f, ari %.6f, "
-            "fragmented %zu, %5.1f cand/out, fallback %5.3f, "
-            "resigns %llu\n",
+            "fragmented %zu, %5.1f cand/out, fallback %5.3f "
+            "(%llu scans, %llu opened), resigns %llu\n",
             (unsigned long long)r.plan.outputs, r.plan.chips,
             r.indexedSeconds, r.outputsPerSecond(), r.clusters,
             r.score.purity, r.score.ari, r.score.fragmentedClasses,
             r.meanCandidates(), r.fallbackFraction(),
+            (unsigned long long)r.stats.fallbackScans,
+            (unsigned long long)r.stats.clustersOpened,
             (unsigned long long)r.stats.resigns);
         if (r.plan.pairwise) {
             std::printf(
@@ -270,6 +276,14 @@ main(int argc, char **argv)
             std::printf("FAIL: %zu clusters for %zu chips exceeds "
                         "the %.2fx fragmentation slack\n", r.clusters,
                         r.plan.chips, clusterSlack);
+            ok = false;
+        }
+        if (r.stats.fallbackScans > r.stats.clustersOpened) {
+            std::printf("FAIL: %llu fallback scans for %llu clusters "
+                        "opened at %llu outputs (shortlist misses)\n",
+                        (unsigned long long)r.stats.fallbackScans,
+                        (unsigned long long)r.stats.clustersOpened,
+                        (unsigned long long)r.plan.outputs);
             ok = false;
         }
         if (r.meanCandidates() > candidatesCeiling) {

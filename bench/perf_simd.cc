@@ -7,7 +7,7 @@
  * repetitions is the classic noise-resistant estimator for short
  * deterministic kernels — and verifies on every measured input that
  * all levels return bit-identical results (counts, bounded partial
- * counts, charged-word buffers, MinHash signatures). Then runs the
+ * counts, charged-word buffers). Then runs the
  * identification pipeline end to end (linear Algorithm 2 scan and
  * indexed FingerprintStore queries) under forced-scalar and auto
  * dispatch to show the compounded effect and to check that no
@@ -38,7 +38,6 @@
 #endif
 
 #include "core/identify.hh"
-#include "core/minhash.hh"
 #include "core/store.hh"
 #include "util/bitvec.hh"
 #include "util/rng.hh"
@@ -53,7 +52,6 @@ constexpr double speedupFloor = 4.0; //!< gated kernel, AVX2 hardware
 constexpr std::size_t smallWords = 128;  //!< one 8192-bit universe
 constexpr std::size_t largeWords = 8192; //!< 64 KiB per operand
 constexpr std::size_t sparsePositions = 256;
-constexpr std::uint32_t minhashK = 64;
 
 /** Serialized cycle (or ns fallback) timestamp. */
 std::uint64_t
@@ -231,7 +229,7 @@ microBench(std::size_t nwords, Rng &rng, std::vector<KernelRow> &rows)
     }
 }
 
-/** Sparse-scan and MinHash rows (fixed, universe-shaped operands). */
+/** Sparse-scan rows (fixed, universe-shaped operands). */
 void
 domainBench(Rng &rng, std::vector<KernelRow> &rows)
 {
@@ -264,37 +262,6 @@ domainBench(Rng &rng, std::vector<KernelRow> &rows)
                               es_weight, l);
                       return s.inter * 100000 + s.scanned;
                   }));
-
-    std::vector<std::uint64_t> keys(minhashK);
-    for (std::uint32_t j = 0; j < minhashK; ++j)
-        keys[j] = rng.next();
-    std::vector<std::uint64_t> ha(minhashK);
-    simd::prepareMinhashKeys(keys.data(), minhashK, ha.data());
-
-    const auto sigChecksum = [&](simd::Level l) {
-        std::vector<std::uint32_t> sig(minhashK, ~std::uint32_t{0});
-        simd::minhashSignatureWords(words, smallWords, ha.data(),
-                                    minhashK, sig.data(), l);
-        std::uint64_t sum = 0;
-        for (std::uint32_t v : sig)
-            sum = sum * 31 + v;
-        return sum;
-    };
-    rows.push_back(
-        runKernel("minhashSignature", smallWords, sigChecksum));
-
-    const auto sketchChecksum = [&](simd::Level l) {
-        std::vector<std::uint32_t> pri(minhashK, ~std::uint32_t{0});
-        std::vector<std::uint32_t> sec(minhashK, ~std::uint32_t{0});
-        simd::minhashSketchWords(words, smallWords, ha.data(),
-                                 minhashK, pri.data(), sec.data(), l);
-        std::uint64_t sum = 0;
-        for (std::uint32_t j = 0; j < minhashK; ++j)
-            sum = sum * 31 + pri[j] + 1000003ull * sec[j];
-        return sum;
-    };
-    rows.push_back(
-        runKernel("minhashSketch", smallWords, sketchChecksum));
 }
 
 /** End-to-end scalar-vs-auto wall time through the store. */

@@ -97,15 +97,14 @@ IndexedClusterer::augmentInto(std::size_t c, const BitVec &error_string)
     ++counters.augments;
     // augment() intersects: bits only ever clear, so an unchanged
     // popcount means an unchanged fingerprint — re-sign exactly when
-    // the fingerprint actually shrank. The re-sign is incremental:
-    // only permutations whose witness position was cleared get
-    // re-hashed, and the index entry moves only when a signature
-    // value (hence some band key) actually changed.
+    // the fingerprint actually shrank, and move the index entry only
+    // when a signature value (hence some band key) changed.
     if (clusters[c].weight() != weight_before) {
-        const MinHashSignature old = sigs[c];
-        if (minhashReSign(clusters[c].bits(), lsh.params(), sigs[c],
-                          wits[c])) {
-            lsh.update(c, old, sigs[c]);
+        MinHashSignature fresh =
+            minhashSignature(clusters[c].bits(), lsh.params());
+        if (fresh != sigs[c]) {
+            lsh.update(c, sigs[c], fresh);
+            sigs[c] = std::move(fresh);
             ++counters.resigns;
         }
     }
@@ -143,15 +142,10 @@ IndexedClusterer::ingest(const BitVec &error_string,
     }
 
     // Algorithm 4 miss: the error string opens a new cluster, whose
-    // fingerprint *is* the error string. The signature is recomputed
-    // with witness positions retained (identical values to the query
-    // signature) so later shrinks can re-sign incrementally; this
-    // runs at cluster-creation rate, not per output.
+    // fingerprint *is* the error string — and whose signature is the
+    // one the output was shortlisted with.
     clusters.emplace_back(error_string);
-    MinHashWitness witness;
-    sigs.push_back(minhashSignatureWitness(error_string, lsh.params(),
-                                           witness));
-    wits.push_back(std::move(witness));
+    sigs.push_back(sig);
     const std::size_t id = clusters.size() - 1;
     lsh.add(id, sigs.back());
     ++counters.clustersOpened;

@@ -101,9 +101,9 @@ struct ClusterStats
  * clustering regime an output and its cluster's fingerprint are
  * near-duplicates, so a primary all-band miss is already rare, the
  * bounded fallback makes any miss harmless to the verdict, and
- * skipping the second-minima sketch roughly halves the per-output
- * signing + probing cost. When no shortlisted cluster accepts, a bounded full scan
- * over all clusters decides, and its verdict is returned verbatim —
+ * skipping multi-probe spares the substitution lookups. When
+ * no shortlisted cluster accepts, a bounded full scan over all
+ * clusters decides, and its verdict is returned verbatim —
  * so whether an output joins an existing cluster or opens a new one
  * is always identical to OnlineClusterer, and *which* cluster it
  * joins is identical whenever at most one cluster sits under the
@@ -112,13 +112,10 @@ struct ClusterStats
  *
  * Re-signing rule: augment() intersects, so a cluster's fingerprint
  * bits only ever shrink; its weight is unchanged iff its bits are
- * unchanged. On every augment that changed the weight the cluster's
- * signature is brought up to date incrementally (minhashReSign via
- * the stored witness positions — only permutations whose witness bit
- * was removed are re-hashed) and the index entry moved
- * (LshIndex::update) when any signature value actually changed, so
- * the index always reflects the current fingerprints at O(removed
- * bits) amortized cost instead of a full re-hash per shrink.
+ * unchanged. On every augment that changed the weight the cluster is
+ * re-signed in full (one hash per remaining cell) and its index
+ * entry moved (LshIndex::update) when any signature value actually
+ * changed, so the index always reflects the current fingerprints.
  *
  * Externally synchronized, like FingerprintStore: concurrent calls
  * on one instance are not supported. addBatch() parallelizes only
@@ -198,7 +195,6 @@ class IndexedClusterer
     ClusterParams prm;
     std::vector<Fingerprint> clusters;
     std::vector<MinHashSignature> sigs; //!< current, per cluster
-    std::vector<MinHashWitness> wits;   //!< witness positions of sigs
     LshIndex lsh;
     std::vector<std::size_t> history;
     ThreadPool *workers = nullptr;

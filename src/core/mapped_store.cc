@@ -34,6 +34,11 @@ MappedStore::open(const std::string &path)
         ms.header);
     if (!err.empty())
         return fail(err);
+    // Candidates come from the on-disk band keys, which a
+    // retired-scheme file holds under that scheme's signatures.
+    if (ms.header.scheme != pcdb::schemeOnePermutation)
+        return fail("signed under the retired 64-hash scheme; run "
+                    "'pcause db reindex' to re-sign the file");
     ms.prm = ms.header.minhashParams();
     return {std::move(ms), ""};
 }

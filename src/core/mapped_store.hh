@@ -57,9 +57,10 @@ class MappedStore : public SparseFingerprintSource
 {
   public:
     /**
-     * Map and check @p path. Failure (missing file, or any reason
-     * pcdb::checkV3() gives) yields an error result, never a
-     * process exit.
+     * Map and check @p path. Failure (missing file, any reason
+     * pcdb::checkV3() gives, or a file signed under the retired
+     * scheme, whose band keys this reader cannot recompute) yields an
+     * error result, never a process exit.
      */
     static LoadResult<MappedStore> open(const std::string &path);
 

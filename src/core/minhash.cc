@@ -1,11 +1,11 @@
 #include "core/minhash.hh"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "util/logging.hh"
 #include "util/rng.hh"
-#include "util/simd.hh"
 #include "util/thread_pool.hh"
 
 namespace pcause
@@ -13,23 +13,6 @@ namespace pcause
 
 namespace
 {
-
-/**
- * Per-permutation hash keys, derived once per call and handed to
- * the SIMD kernels in prepared (half-evaluated mix64) form — an
- * algebraic refactoring, so signatures are unchanged (they persist
- * in PCDB files).
- */
-std::vector<std::uint64_t>
-preparedKeys(const MinHashParams &params)
-{
-    std::vector<std::uint64_t> keys(params.numHashes);
-    for (std::uint32_t j = 0; j < params.numHashes; ++j)
-        keys[j] = mix64(params.seed, j + 1);
-    simd::prepareMinhashKeys(keys.data(), params.numHashes,
-                             keys.data());
-    return keys;
-}
 
 void
 checkParams(const MinHashParams &params, const char *who)
@@ -39,24 +22,126 @@ checkParams(const MinHashParams &params, const char *who)
               who);
 }
 
+/** splitmix64's increment: the cell hash is the stream's p-th step. */
+constexpr std::uint64_t streamStep = 0x9e3779b97f4a7c15ull;
+
+/**
+ * splitmix64's output avalanche, inlined: the signing walk runs it
+ * once per set cell, and an out-of-line mix64 there doubles the
+ * cost of a signature.
+ */
+inline std::uint64_t
+avalanche(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/** Bin of 64-bit hash @p h among @p k: its high half, range-reduced. */
+inline std::uint32_t
+binOf(std::uint64_t h, std::uint32_t k)
+{
+    return static_cast<std::uint32_t>(((h >> 32) * k) >> 32);
+}
+
+/** Whether bin @p b is set in the bin mask @p filled. */
+inline bool
+isFilled(const std::vector<std::uint64_t> &filled, std::uint32_t b)
+{
+    return (filled[b >> 6] >> (b & 63)) & 1;
+}
+
+/**
+ * The bin empty bin @p j copies its value from: the first bin set
+ * in @p filled along j's probe sequence, a splitmix64 stream keyed
+ * by (@p key, j) and so the same for every set. With m of the k
+ * bins filled, a probe misses with probability 1 - m/k; after 32k
+ * misses (below e^-32 even at m = 1) a sweep from j ends the walk.
+ */
+std::uint32_t
+densifySource(const std::vector<std::uint64_t> &filled,
+              std::uint32_t k, std::uint64_t key, std::uint32_t j)
+{
+    std::uint64_t state = mix64(key, j);
+    for (std::uint64_t t = 0; t < std::uint64_t{32} * k; ++t) {
+        const std::uint32_t b = binOf(splitmix64(state), k);
+        if (isFilled(filled, b))
+            return b;
+    }
+    for (std::uint32_t b = j;; b = b + 1 == k ? 0 : b + 1) {
+        if (isFilled(filled, b))
+            return b;
+    }
+}
+
+/**
+ * One-permutation sketch of @p bits into @p primary (and, with
+ * @p WithSecond, @p second), both k entries preset to ~0. One walk
+ * over the set cells hashes each once, with a branch-free min (and
+ * second-min) update; bins are then densified.
+ */
+template <bool WithSecond>
+void
+sign(const BitVec &bits, const MinHashParams &params,
+     std::uint32_t *primary, std::uint32_t *second)
+{
+    const std::uint32_t k = params.numHashes;
+    // Which bins a cell fell into: a cell's value may itself be the
+    // all-ones sentinel, so emptiness cannot be read off the values.
+    std::vector<std::uint64_t> filled((k + 63) / 64);
+    // Cell p hashes to the p-th output of a splitmix64 stream keyed
+    // by the seed; `base` is the stream state at the word's cell 0.
+    std::uint64_t base = mix64(params.seed, 0x63656c6cull) + streamStep;
+    const auto &words = bits.words();
+    for (std::size_t wi = 0; wi < words.size();
+         ++wi, base += 64 * streamStep) {
+        for (std::uint64_t w = words[wi]; w != 0; w &= w - 1) {
+            const std::uint64_t h = avalanche(
+                base + static_cast<std::uint64_t>(std::countr_zero(w)) *
+                           streamStep);
+            const std::uint32_t b = binOf(h, k);
+            const auto v = static_cast<std::uint32_t>(h);
+            filled[b >> 6] |= std::uint64_t{1} << (b & 63);
+            const std::uint32_t lo = primary[b];
+            const std::uint32_t min = lo < v ? lo : v;
+            primary[b] = min;
+            if constexpr (WithSecond) {
+                // The larger of (old minimum, v) competes for second
+                // place, unless v repeated the old minimum.
+                const std::uint32_t up = lo < v ? v : lo;
+                const std::uint32_t sec = second[b];
+                second[b] = up == min ? sec : (sec < up ? sec : up);
+            }
+        }
+    }
+
+    if (std::all_of(filled.begin(), filled.end(),
+                    [](std::uint64_t f) { return f == 0; }))
+        return; // the empty set keeps its all-ones sentinels
+
+    const std::uint64_t dens_key =
+        mix64(params.seed, 0x64656e73ull); // "dens"
+    for (std::uint32_t j = 0; j < k; ++j) {
+        if (!isFilled(filled, j))
+            primary[j] = primary[densifySource(filled, k, dens_key, j)];
+        // Densified rows, and bins of fewer than two distinct values,
+        // repeat the minimum.
+        if constexpr (WithSecond) {
+            if (second[j] == ~std::uint32_t{0})
+                second[j] = primary[j];
+        }
+    }
+}
+
 } // anonymous namespace
 
 MinHashSignature
 minhashSignature(const BitVec &bits, const MinHashParams &params)
 {
     checkParams(params, "minhashSignature: bands must divide numHashes");
-
-    const std::uint32_t k = params.numHashes;
-    MinHashSignature sig(k, ~std::uint32_t{0});
-
-    // Permutation j is pos -> mix64(key_j, pos), a counter-based
-    // hash evaluated only at the set positions; the min-reduction
-    // over permutation lanes runs in the dispatched SIMD kernel.
-    const std::vector<std::uint64_t> ha = preparedKeys(params);
-
-    const auto &words = bits.words();
-    simd::minhashSignatureWords(words.data(), words.size(), ha.data(),
-                                k, sig.data());
+    MinHashSignature sig(params.numHashes, ~std::uint32_t{0});
+    sign<false>(bits, params, sig.data(), nullptr);
     return sig;
 }
 
@@ -64,103 +149,11 @@ MinHashSketch
 minhashSketch(const BitVec &bits, const MinHashParams &params)
 {
     checkParams(params, "minhashSketch: bands must divide numHashes");
-
-    const std::uint32_t k = params.numHashes;
     MinHashSketch sk;
-    sk.primary.assign(k, ~std::uint32_t{0});
-    sk.second.assign(k, ~std::uint32_t{0});
-
-    const std::vector<std::uint64_t> ha = preparedKeys(params);
-
-    const auto &words = bits.words();
-    simd::minhashSketchWords(words.data(), words.size(), ha.data(), k,
-                             sk.primary.data(), sk.second.data());
-    // Permutations that saw < 2 distinct values keep the sentinel
-    // in `second`; collapse it onto the minimum so substitution
-    // reproduces the primary key (which the probe loop then skips).
-    for (std::uint32_t j = 0; j < k; ++j) {
-        if (sk.second[j] == ~std::uint32_t{0})
-            sk.second[j] = sk.primary[j];
-    }
+    sk.primary.assign(params.numHashes, ~std::uint32_t{0});
+    sk.second.assign(params.numHashes, ~std::uint32_t{0});
+    sign<true>(bits, params, sk.primary.data(), sk.second.data());
     return sk;
-}
-
-MinHashSignature
-minhashSignatureWitness(const BitVec &bits,
-                        const MinHashParams &params,
-                        MinHashWitness &witness_out)
-{
-    checkParams(params,
-                "minhashSignatureWitness: bands must divide numHashes");
-    const std::uint32_t k = params.numHashes;
-    MinHashSignature sig(k, ~std::uint32_t{0});
-    witness_out.assign(k, ~std::uint32_t{0});
-
-    // Scalar mix64 walk: identical values to the SIMD kernels (the
-    // prepared-key form is algebraically mix64; prop_simd pins it),
-    // with the first position attaining each minimum retained.
-    std::vector<std::uint64_t> keys(k);
-    for (std::uint32_t j = 0; j < k; ++j)
-        keys[j] = mix64(params.seed, j + 1);
-    for (const std::size_t p : bits.setBits()) {
-        for (std::uint32_t j = 0; j < k; ++j) {
-            const auto h =
-                static_cast<std::uint32_t>(mix64(keys[j], p));
-            if (h < sig[j]) {
-                sig[j] = h;
-                witness_out[j] = static_cast<std::uint32_t>(p);
-            }
-        }
-    }
-    return sig;
-}
-
-bool
-minhashReSign(const BitVec &bits, const MinHashParams &params,
-              MinHashSignature &sig, MinHashWitness &witness)
-{
-    checkParams(params, "minhashReSign: bands must divide numHashes");
-    const std::uint32_t k = params.numHashes;
-    PC_ASSERT(sig.size() == k && witness.size() == k,
-              "minhashReSign: signature/witness length mismatch");
-
-    // Pass 1: which permutations lost their witness? A sentinel
-    // witness means every position hashed to the sentinel value,
-    // which stays the minimum of any subset — skip those too.
-    std::vector<std::uint32_t> lost;
-    for (std::uint32_t j = 0; j < k; ++j) {
-        const std::uint32_t w = witness[j];
-        if (w != ~std::uint32_t{0} && !bits.get(w))
-            lost.push_back(j);
-    }
-    if (lost.empty())
-        return false;
-
-    // Pass 2: recompute only the lost permutations over the shrunk
-    // set (one position walk for all of them together).
-    bool changed = false;
-    std::vector<std::uint64_t> keys(lost.size());
-    std::vector<std::uint32_t> best(lost.size(), ~std::uint32_t{0});
-    std::vector<std::uint32_t> at(lost.size(), ~std::uint32_t{0});
-    for (std::size_t i = 0; i < lost.size(); ++i)
-        keys[i] = mix64(params.seed, lost[i] + 1);
-    for (const std::size_t p : bits.setBits()) {
-        for (std::size_t i = 0; i < lost.size(); ++i) {
-            const auto h =
-                static_cast<std::uint32_t>(mix64(keys[i], p));
-            if (h < best[i]) {
-                best[i] = h;
-                at[i] = static_cast<std::uint32_t>(p);
-            }
-        }
-    }
-    for (std::size_t i = 0; i < lost.size(); ++i) {
-        const std::uint32_t j = lost[i];
-        changed |= sig[j] != best[i];
-        sig[j] = best[i];
-        witness[j] = at[i];
-    }
-    return changed;
 }
 
 double

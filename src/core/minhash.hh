@@ -7,16 +7,23 @@
  * scan is the whole cost of identification. A fingerprint is a set
  * of bit positions and the Algorithm 3 distance is Jaccard-shaped,
  * so the standard sublinear tool applies: hash each fingerprint to
- * a short MinHash signature (k independent permutations of the
- * position universe), band the signature into LSH buckets, and only
- * run the exact distance kernel on records that collide with the
- * query in at least one band.
+ * a short MinHash signature of k rows, band the signature into LSH
+ * buckets, and only run the exact distance kernel on records that
+ * collide with the query in at least one band.
  *
- * The permutations reuse the counter-based idiom of the DRAM decay
- * engine: h_j(pos) = mix64(seed_j, pos) is a pure function of its
- * arguments, so signatures are deterministic, independent of
- * insertion or evaluation order, and cheap to compute incrementally
- * as records are added.
+ * Signatures are one-permutation MinHash (Li, Owen & Zhang,
+ * NeurIPS 2012) with optimal densification (Shrivastava, ICML
+ * 2017). Each set position is hashed once, with a counter-based
+ * hash keyed by MinHashParams::seed: the high 32 bits pick one of
+ * the k bins, the low 32 bits are the value, and each bin keeps its
+ * minimum. A bin no position fell into copies the minimum of the
+ * first non-empty bin along its own pseudo-random probe sequence,
+ * which depends only on the seed and the bin. Row j of two
+ * signatures then agrees with probability equal to the Jaccard
+ * similarity of the sets, as with k independent permutations, at a
+ * k-th of the hashing. Signatures are pure functions of (set bits,
+ * params): deterministic and independent of insertion or
+ * evaluation order.
  *
  * Candidate-set growth is kept sublinear in the population by two
  * knobs working together: wide bands (4 rows per band, so a random
@@ -24,7 +31,7 @@
  * 1e-7 at the between-class similarity of the bench populations)
  * and query-directed multi-probe — besides each band's primary
  * bucket, the query probes the buckets obtained by substituting one
- * row's value with that permutation's *second* minimum, recovering
+ * row's value with that bin's *second* minimum, recovering
  * near-misses where a noise bit of the query stole a single row.
  * Stored records are indexed exactly once; all extra probing is on
  * the query side, so the index itself does not grow.
@@ -50,7 +57,7 @@ class ThreadPool;
  * Two signatures collide in a band when all rows of that band
  * agree, so the probability a record becomes a candidate at Jaccard
  * similarity s is 1 - (1 - s^rows)^bands per probed bucket. The
- * defaults (64 hashes, 16 bands of 4 rows, multi-probe) put the
+ * defaults (64 rows, 16 bands of 4 rows, multi-probe) put the
  * per-band primary collision probability at s = 0.8 (a noisy
  * observation of a known chip) near 0.41 — a miss of all 16 bands
  * is ~2e-4 before multi-probe even helps — while a random
@@ -60,13 +67,17 @@ class ThreadPool;
  */
 struct MinHashParams
 {
-    /** Number of hash permutations (signature length k). */
+    /** Signature rows k: the number of one-permutation bins. */
     std::uint32_t numHashes = 64;
 
     /** Number of LSH bands; must divide numHashes. */
     std::uint32_t bands = 16;
 
-    /** Base seed the per-permutation hash keys are derived from. */
+    /**
+     * Seed the signing hashes are keyed by: the per-position hash
+     * that picks a bin and a value, each empty bin's densification
+     * probe sequence, and the band-key fold.
+     */
     std::uint64_t seed = 0x6d696e68617368ull; // "minhash"
 
     /**
@@ -97,19 +108,20 @@ struct MinHashParams
 };
 
 /**
- * A MinHash signature: element j is the minimum of h_j over the
- * set-bit positions. Empty sets produce all-ones sentinels (which
- * never collide with a non-empty signature except by 2^-32 chance
- * per row).
+ * A MinHash signature: element j is the minimum value among the
+ * set positions hashed into bin j, or, for a bin none fell into,
+ * its densified copy of another bin's minimum. Empty sets produce
+ * all-ones sentinels (which never collide with a non-empty
+ * signature except by 2^-32 chance per row).
  */
 using MinHashSignature = std::vector<std::uint32_t>;
 
 /**
- * Query-side sketch: the signature plus, per permutation, the
- * second-smallest hash value — the substitution candidates
- * multi-probe uses. Positions whose permutation saw fewer than two
- * distinct values repeat the minimum (substituting it reproduces
- * the primary bucket, which the probe loop skips).
+ * Query-side sketch: the signature plus, per bin, the
+ * second-smallest distinct value — the substitution candidates
+ * multi-probe uses. Rows whose bin saw fewer than two distinct
+ * values, and densified rows, repeat the minimum (substituting it
+ * reproduces the primary bucket, which the probe loop skips).
  */
 struct MinHashSketch
 {
@@ -129,43 +141,6 @@ MinHashSignature minhashSignature(const BitVec &bits,
  *  primary component equals minhashSignature() exactly. */
 MinHashSketch minhashSketch(const BitVec &bits,
                             const MinHashParams &params);
-
-/**
- * Witness positions of a signature: element j is a set-bit position
- * achieving sig[j] (ties broken towards the lowest position), or the
- * all-ones sentinel when permutation j never beat the empty-set
- * sentinel. Witnesses are what make re-signing after a fingerprint
- * *shrink* cheap: a permutation's minimum can only change if its
- * witness position was removed.
- */
-using MinHashWitness = std::vector<std::uint32_t>;
-
-/**
- * minhashSignature() that also reports each permutation's witness
- * position. Signature values are identical to minhashSignature()
- * (same counter-based hash; prop_simd pins the kernels against
- * mix64). Intended for index-side records that will be re-signed
- * incrementally — it runs at cluster-creation rate, not per query.
- */
-MinHashSignature minhashSignatureWitness(const BitVec &bits,
-                                         const MinHashParams &params,
-                                         MinHashWitness &witness_out);
-
-/**
- * Incrementally re-sign @p sig after its underlying set shrank to
- * @p bits (every set bit of @p bits was set when @p sig/@p witness
- * were computed). Permutations whose witness position is still set
- * are untouched — removing other positions cannot lower a minimum,
- * and the witness still attains it — so only permutations that lost
- * their witness are recomputed (expected O(removed / weight) of the
- * k permutations, against k for a full re-hash). @p sig and
- * @p witness are updated in place to exactly
- * minhashSignatureWitness(bits); returns true iff any signature
- * *value* changed (band keys, and hence LSH buckets, depend only on
- * values).
- */
-bool minhashReSign(const BitVec &bits, const MinHashParams &params,
-                   MinHashSignature &sig, MinHashWitness &witness);
 
 /**
  * Fraction of signature positions on which @p a and @p b agree —

@@ -63,7 +63,7 @@ checkV3(std::uint64_t file_len, const ReadAt &read, V3Header &h,
     h.numHashes = loadU32(d + 8);
     h.bands = loadU32(d + 12);
     h.probes = loadU32(d + 16);
-    const std::uint32_t reserved = loadU32(d + 20);
+    h.scheme = loadU32(d + 20);
     h.seed = loadU64(d + 24);
     h.recordCount = loadU64(d + 32);
     h.totalPositions = loadU64(d + 40);
@@ -78,8 +78,8 @@ checkV3(std::uint64_t file_len, const ReadAt &read, V3Header &h,
     if (h.numHashes == 0 || h.bands == 0 ||
         h.numHashes % h.bands != 0)
         return "invalid minhash parameters in header";
-    if (reserved != 0)
-        return "nonzero reserved header field";
+    if (h.scheme != schemeOnePermutation && h.scheme != schemeRetired)
+        return "unknown signature scheme " + std::to_string(h.scheme);
     if (h.fileSize != file_len)
         return "header file size does not match the file";
 

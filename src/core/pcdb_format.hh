@@ -29,7 +29,11 @@
  *     off  8  u32      minhash numHashes (k)
  *     off 12  u32      minhash bands
  *     off 16  u32      minhash probes
- *     off 20  u32      reserved (0)
+ *     off 20  u32      signing scheme: 1 = one-permutation MinHash
+ *                      (what writers write), 0 = the retired
+ *                      64-hash scheme, whose signatures and band
+ *                      keys loadStore recomputes and MappedStore
+ *                      refuses; any other value is rejected
  *     off 24  u64      minhash seed
  *     off 32  u64      record count N
  *     off 40  u64      total fingerprint positions P
@@ -83,6 +87,10 @@ namespace pcdb
 constexpr char magic[4] = {'P', 'C', 'D', 'B'};
 constexpr std::uint32_t versionV3 = 3;
 
+/** Header signing schemes (offset 20). */
+constexpr std::uint32_t schemeRetired = 0;        //!< 64 hashes per cell
+constexpr std::uint32_t schemeOnePermutation = 1; //!< one hash per cell
+
 constexpr std::uint64_t v3HeaderBytes = 104;
 constexpr std::uint64_t v3RecordEntryBytes = 40;
 
@@ -99,6 +107,7 @@ struct V3Header
     std::uint32_t numHashes = 0;
     std::uint32_t bands = 0;
     std::uint32_t probes = 0;
+    std::uint32_t scheme = schemeOnePermutation;
     std::uint64_t seed = 0;
     std::uint64_t recordCount = 0;
     std::uint64_t totalPositions = 0;
@@ -196,11 +205,12 @@ using ReadAt =
 
 /**
  * The structural check of a v3 file of @p file_len bytes: magic and
- * version, minhash parameters, header counts bounded by the file
- * length, the canonical section layout, every record-table entry
- * (canonical arena offsets, label length, sources, a position count
- * within the universe, one universe of at most 2^32 bits for the
- * whole file), the arena totals and every band's entry count.
+ * version, minhash parameters and signing scheme, header counts
+ * bounded by the file length, the canonical section layout, every
+ * record-table entry (canonical arena offsets, label length,
+ * sources, a position count within the universe, one universe of at
+ * most 2^32 bits for the whole file), the arena totals and every
+ * band's entry count.
  *
  * Returns the empty string and fills @p header when the file passes;
  * otherwise returns the reason, the same text for both readers.

@@ -68,7 +68,7 @@ writeStore(const FingerprintStore &store, std::ostream &out)
     writeScalar<std::uint32_t>(out, prm.numHashes);
     writeScalar<std::uint32_t>(out, prm.bands);
     writeScalar<std::uint32_t>(out, prm.probes);
-    writeScalar<std::uint32_t>(out, 0); // reserved
+    writeScalar<std::uint32_t>(out, pcdb::schemeOnePermutation);
     writeScalar<std::uint64_t>(out, prm.seed);
     writeScalar<std::uint64_t>(out, n);
     writeScalar<std::uint64_t>(out, total_pos);
@@ -218,7 +218,7 @@ saveStoreDurable(const FingerprintStore &store,
 }
 
 StoreLoadResult
-loadStore(const std::string &path)
+loadStore(const std::string &path, std::uint32_t *scheme_out)
 {
     const auto fail = [](const std::string &why) -> StoreLoadResult {
         return {std::nullopt, "loadStore: " + why};
@@ -263,15 +263,20 @@ loadStore(const std::string &path)
         return fail(err);
 
     // Each arena is read once, straight into the container the store
-    // keeps: no arena-sized staging buffer.
+    // keeps: no arena-sized staging buffer. A retired-scheme file's
+    // signatures are not read at all: the records are re-signed from
+    // their positions below.
     const std::size_t n = sources.size();
-    std::vector<MinHashSignature> sigs(n,
-                                       MinHashSignature(h.numHashes));
-    bool ok = seek(h.sigOff);
-    for (MinHashSignature &sig : sigs)
-        ok = ok && readNext(sig.data(), sig.size() * sizeof(sig[0]));
-    if (!ok)
-        return fail("cannot read the signature arena");
+    const bool resign = h.scheme == pcdb::schemeRetired;
+    std::vector<MinHashSignature> sigs;
+    if (!resign) {
+        sigs.assign(n, MinHashSignature(h.numHashes));
+        bool ok = seek(h.sigOff);
+        for (MinHashSignature &sig : sigs)
+            ok = ok && readNext(sig.data(), sig.size() * sizeof(sig[0]));
+        if (!ok)
+            return fail("cannot read the signature arena");
+    }
 
     PosVec positions(h.totalPositions);
     if (!seek(h.posOff) ||
@@ -288,7 +293,7 @@ loadStore(const std::string &path)
     }
 
     std::vector<ChipLabel> labels(n);
-    ok = seek(h.labelOff);
+    bool ok = seek(h.labelOff);
     for (std::size_t i = 0; i < n; ++i) {
         labels[i].resize(label_lens[i]);
         ok = ok && readNext(labels[i].data(), label_lens[i]);
@@ -298,12 +303,15 @@ loadStore(const std::string &path)
 
     // The LSH index is rebuilt from the signatures; the serialized
     // band tables exist for the mmap reader.
+    SparseFingerprintArena arena(std::move(positions), std::move(offsets),
+                                 std::move(universes));
+    if (resign)
+        sigs = signArena(arena, h.minhashParams(), nullptr);
     FingerprintStore store(h.minhashParams());
     store.addBatch(std::move(labels), std::move(sources),
-                   SparseFingerprintArena(std::move(positions),
-                                          std::move(offsets),
-                                          std::move(universes)),
-                   std::move(sigs));
+                   std::move(arena), std::move(sigs));
+    if (scheme_out)
+        *scheme_out = h.scheme;
     return {std::move(store), ""};
 }
 

@@ -87,13 +87,18 @@ bool saveStoreDurable(const FingerprintStore &store,
 
 /**
  * Load a v3 file into an in-memory FingerprintStore, keeping the
- * stored index parameters and signatures (nothing is rehashed).
- * Besides pcdb::checkV3's structural check, every position is checked
- * to lie inside its universe and to ascend strictly. Malformed,
- * truncated or other-version input yields a failed result with an
- * error string, never a process exit.
+ * stored index parameters and signatures (nothing is rehashed) —
+ * unless the header names the retired signing scheme
+ * (pcdb::schemeRetired): then every record is re-signed from its
+ * positions and the signature arena is not read. The file's scheme
+ * lands in @p scheme_out when non-null. Besides pcdb::checkV3's
+ * structural check, every position is checked to lie inside its
+ * universe and to ascend strictly. Malformed, truncated or
+ * other-version input yields a failed result with an error string,
+ * never a process exit.
  */
-StoreLoadResult loadStore(const std::string &path);
+StoreLoadResult loadStore(const std::string &path,
+                          std::uint32_t *scheme_out = nullptr);
 
 /**
  * On-disk size estimate in bytes for a v3 record of @p weight

@@ -391,11 +391,21 @@ void
 FingerprintStore::reindex(const MinHashParams &new_params)
 {
     LshIndex next(new_params);
-    std::vector<MinHashSignature> sigs(size());
+    std::vector<MinHashSignature> sigs =
+        signArena(sparse, new_params, workers);
+    next.addAll(0, sigs, workers);
 
-    ThreadPool *pool = workers;
+    lsh = std::move(next);
+    signatures = std::move(sigs);
+}
+
+std::vector<MinHashSignature>
+signArena(const SparseFingerprintArena &fps, const MinHashParams &params,
+          ThreadPool *pool)
+{
+    std::vector<MinHashSignature> sigs(fps.count());
     const auto hashRecord = [&](std::size_t i) {
-        sigs[i] = minhashSignature(denseBits(sparse.view(i)), new_params);
+        sigs[i] = minhashSignature(denseBits(fps.view(i)), params);
     };
     if (pool) {
         pool->parallelFor(0, sigs.size(), hashRecord);
@@ -403,10 +413,7 @@ FingerprintStore::reindex(const MinHashParams &new_params)
         for (std::size_t i = 0; i < sigs.size(); ++i)
             hashRecord(i);
     }
-    next.addAll(0, sigs, pool);
-
-    lsh = std::move(next);
-    signatures = std::move(sigs);
+    return sigs;
 }
 
 } // namespace pcause

@@ -270,6 +270,16 @@ class FingerprintStore
     ThreadPool *workers = nullptr;
 };
 
+/**
+ * Sign every record of @p fps under @p params, across @p pool when
+ * non-null (serially otherwise): the loop behind
+ * FingerprintStore::reindex, and how loadStore re-signs a file
+ * written under the retired signing scheme.
+ */
+std::vector<MinHashSignature>
+signArena(const SparseFingerprintArena &fps, const MinHashParams &params,
+          ThreadPool *pool);
+
 } // namespace pcause
 
 #endif // PCAUSE_CORE_STORE_HH

@@ -463,6 +463,26 @@ Wal::replay(const std::string &path, FingerprintStore &store)
                     std::to_string(store.size());
         return res;
     }
+    // A store holds one universe. Check every entry before applying
+    // any, so a journal that mixes bit counts fails replay whole and
+    // never reaches a snapshot that no reader could load.
+    if (!pending.empty()) {
+        const bool have_records = store.size() > 0;
+        const std::uint64_t want =
+            have_records ? store.sparseFingerprints().view(0).universe
+                         : pending[0].universe;
+        for (std::size_t i = 0; i < pending.size(); ++i) {
+            if (pending[i].universe == want)
+                continue;
+            res.error = "wal replay: entry " + std::to_string(i) +
+                        " has " + std::to_string(pending[i].universe) +
+                        " bits; " +
+                        (have_records ? "the snapshot's record 0"
+                                      : "entry 0") +
+                        " has " + std::to_string(want);
+            return res;
+        }
+    }
     const std::size_t skip = store.size() - stats.baseRecords;
     for (std::size_t i = 0; i < pending.size(); ++i) {
         if (i < skip) {

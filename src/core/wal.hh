@@ -141,7 +141,10 @@ class Wal
      * the snapshot this journal extends (store.size() >=
      * baseRecords; entries below that mark were already
      * compacted and are skipped). Torn tails are discarded;
-     * corruption fails the load.
+     * corruption fails the load, and so does an entry whose
+     * universe differs from the store's record 0 (or, on an empty
+     * store, from entry 0's) — checked for every entry before any is
+     * applied.
      */
     static LoadResult<WalReplayStats> replay(const std::string &path,
                                              FingerprintStore &store);

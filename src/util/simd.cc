@@ -19,9 +19,9 @@
 #define PC_SIMD_X86 0
 #endif
 
-// The AVX-512 paths want F (512-bit integer ops), BW (byte
-// shuffles/SAD for popcount), DQ (64-bit multiplies for the MinHash
-// mixer), and VL (256-bit masked ops for the 32-bit min-reductions).
+// The AVX-512 paths want F (512-bit integer ops) and BW (byte
+// shuffles/SAD for popcount); the target names the whole feature set
+// levelAvailable() checks for the level, DQ and VL included.
 #define PC_AVX512_TARGET "avx512f,avx512bw,avx512dq,avx512vl"
 
 namespace pcause
@@ -31,34 +31,6 @@ namespace simd
 
 namespace
 {
-
-// splitmix64's constants, restated here so the MinHash kernels can
-// evaluate the same function lane-parallel. util/rng.cc is the
-// source of truth; prop_simd pins the factored form against mix64().
-constexpr std::uint64_t golden = 0x9e3779b97f4a7c15ull;
-constexpr std::uint64_t mixA = 0xbf58476d1ce4e5b9ull;
-constexpr std::uint64_t mixB = 0x94d049bb133111ebull;
-constexpr std::uint64_t mixC = 0xc2b2ae3d27d4eb4full;
-
-/** splitmix64's output avalanche (one scramble of a prepared state). */
-inline std::uint64_t
-scramble(std::uint64_t z)
-{
-    z = (z ^ (z >> 30)) * mixA;
-    z = (z ^ (z >> 27)) * mixB;
-    return z ^ (z >> 31);
-}
-
-/**
- * Hash one set-bit position into the per-position factor shared by
- * all permutation lanes: mix64(key, pos) == scramble((ha ^
- * posFactor(pos)) + golden) with ha = scramble(key + golden).
- */
-inline std::uint64_t
-posFactor(std::uint64_t pos)
-{
-    return scramble(pos + golden) * mixC;
-}
 
 enum CountOp
 {
@@ -171,54 +143,6 @@ sparseInterCountBoundedScalar(const std::uint64_t *words,
             return {inter, stop};
     }
     return {inter, n};
-}
-
-void
-minhashSignatureScalar(const std::uint64_t *words, std::size_t n,
-                       const std::uint64_t *ha, std::uint32_t k,
-                       std::uint32_t *sig)
-{
-    for (std::size_t wi = 0; wi < n; ++wi) {
-        std::uint64_t w = words[wi];
-        while (w) {
-            const std::uint64_t p =
-                wi * 64 + static_cast<unsigned>(std::countr_zero(w));
-            w &= w - 1;
-            const std::uint64_t t = posFactor(p);
-            for (std::uint32_t j = 0; j < k; ++j) {
-                const auto h = static_cast<std::uint32_t>(
-                    scramble((ha[j] ^ t) + golden));
-                if (h < sig[j])
-                    sig[j] = h;
-            }
-        }
-    }
-}
-
-void
-minhashSketchScalar(const std::uint64_t *words, std::size_t n,
-                    const std::uint64_t *ha, std::uint32_t k,
-                    std::uint32_t *primary, std::uint32_t *second)
-{
-    for (std::size_t wi = 0; wi < n; ++wi) {
-        std::uint64_t w = words[wi];
-        while (w) {
-            const std::uint64_t p =
-                wi * 64 + static_cast<unsigned>(std::countr_zero(w));
-            w &= w - 1;
-            const std::uint64_t t = posFactor(p);
-            for (std::uint32_t j = 0; j < k; ++j) {
-                const auto h = static_cast<std::uint32_t>(
-                    scramble((ha[j] ^ t) + golden));
-                if (h < primary[j]) {
-                    second[j] = primary[j];
-                    primary[j] = h;
-                } else if (h < second[j] && h != primary[j]) {
-                    second[j] = h;
-                }
-            }
-        }
-    }
 }
 
 #if PC_SIMD_X86
@@ -423,148 +347,9 @@ sparseInterCountBoundedAvx2(const std::uint64_t *words,
     return {inter, n};
 }
 
-/** Lane-parallel z * c mod 2^64 (no native 64-bit mullo on AVX2). */
-__attribute__((target("avx2"))) inline __m256i
-mullo64c(__m256i z, std::uint64_t c)
-{
-    const __m256i cl =
-        _mm256_set1_epi64x(static_cast<long long>(c));
-    const __m256i ch =
-        _mm256_set1_epi64x(static_cast<long long>(c >> 32));
-    const __m256i lo = _mm256_mul_epu32(z, cl);
-    const __m256i cross = _mm256_add_epi64(
-        _mm256_mul_epu32(_mm256_srli_epi64(z, 32), cl),
-        _mm256_mul_epu32(z, ch));
-    return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-__attribute__((target("avx2"))) inline __m256i
-scramble256(__m256i z)
-{
-    z = mullo64c(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)), mixA);
-    z = mullo64c(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)), mixB);
-    return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
-}
-
-/** Low 32 bits of each 64-bit lane, packed into a __m128i. */
-__attribute__((target("avx2"))) inline __m128i
-low32x4(__m256i z)
-{
-    return _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
-        z, _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6)));
-}
-
-/** Four permutation-lane hashes of one position factor @p tv. */
-__attribute__((target("avx2"))) inline __m128i
-minhash4(const std::uint64_t *ha, std::uint32_t j, __m256i tv,
-         __m256i gold)
-{
-    const __m256i z = _mm256_add_epi64(
-        _mm256_xor_si256(_mm256_loadu_si256(
-                             reinterpret_cast<const __m256i *>(ha + j)),
-                         tv),
-        gold);
-    return low32x4(scramble256(z));
-}
-
-/** Unsigned a < b per epi32 lane. */
-__attribute__((target("avx2"))) inline __m128i
-ltu32x4(__m128i a, __m128i b)
-{
-    const __m128i geq = _mm_cmpeq_epi32(_mm_max_epu32(a, b), a);
-    return _mm_andnot_si128(geq, _mm_set1_epi32(-1));
-}
-
-__attribute__((target("avx2"))) void
-minhashSignatureAvx2(const std::uint64_t *words, std::size_t n,
-                     const std::uint64_t *ha, std::uint32_t k,
-                     std::uint32_t *sig)
-{
-    const __m256i gold =
-        _mm256_set1_epi64x(static_cast<long long>(golden));
-    for (std::size_t wi = 0; wi < n; ++wi) {
-        std::uint64_t w = words[wi];
-        while (w) {
-            const std::uint64_t p =
-                wi * 64 + static_cast<unsigned>(std::countr_zero(w));
-            w &= w - 1;
-            const std::uint64_t t = posFactor(p);
-            const __m256i tv =
-                _mm256_set1_epi64x(static_cast<long long>(t));
-            std::uint32_t j = 0;
-            for (; j + 4 <= k; j += 4) {
-                const __m128i h = minhash4(ha, j, tv, gold);
-                const __m128i cur = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(sig + j));
-                _mm_storeu_si128(
-                    reinterpret_cast<__m128i *>(sig + j),
-                    _mm_min_epu32(cur, h));
-            }
-            for (; j < k; ++j) {
-                const auto h = static_cast<std::uint32_t>(
-                    scramble((ha[j] ^ t) + golden));
-                if (h < sig[j])
-                    sig[j] = h;
-            }
-        }
-    }
-}
-
-__attribute__((target("avx2"))) void
-minhashSketchAvx2(const std::uint64_t *words, std::size_t n,
-                  const std::uint64_t *ha, std::uint32_t k,
-                  std::uint32_t *primary, std::uint32_t *second)
-{
-    const __m256i gold =
-        _mm256_set1_epi64x(static_cast<long long>(golden));
-    for (std::size_t wi = 0; wi < n; ++wi) {
-        std::uint64_t w = words[wi];
-        while (w) {
-            const std::uint64_t p =
-                wi * 64 + static_cast<unsigned>(std::countr_zero(w));
-            w &= w - 1;
-            const std::uint64_t t = posFactor(p);
-            const __m256i tv =
-                _mm256_set1_epi64x(static_cast<long long>(t));
-            std::uint32_t j = 0;
-            for (; j + 4 <= k; j += 4) {
-                const __m128i h = minhash4(ha, j, tv, gold);
-                const __m128i pv = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(primary + j));
-                const __m128i sv = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(second + j));
-                // Branch-free transcription of the scalar two-min
-                // update: h<p shifts p into second; else h lands in
-                // second when h<s and h!=p.
-                const __m128i ltp = ltu32x4(h, pv);
-                const __m128i cond2 = _mm_andnot_si128(
-                    _mm_cmpeq_epi32(h, pv), ltu32x4(h, sv));
-                __m128i new_s = _mm_blendv_epi8(sv, h, cond2);
-                new_s = _mm_blendv_epi8(new_s, pv, ltp);
-                _mm_storeu_si128(
-                    reinterpret_cast<__m128i *>(primary + j),
-                    _mm_min_epu32(h, pv));
-                _mm_storeu_si128(
-                    reinterpret_cast<__m128i *>(second + j), new_s);
-            }
-            for (; j < k; ++j) {
-                const auto h = static_cast<std::uint32_t>(
-                    scramble((ha[j] ^ t) + golden));
-                if (h < primary[j]) {
-                    second[j] = primary[j];
-                    primary[j] = h;
-                } else if (h < second[j] && h != primary[j]) {
-                    second[j] = h;
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------
 // AVX-512 paths (8 x 64-bit lanes). Same structure; popcount uses
-// the BW byte shuffle (no vpopcntdq requirement), the MinHash mixer
-// uses DQ's native 64-bit mullo, min-reductions use VL masks.
+// the BW byte shuffle (no vpopcntdq requirement).
 // ---------------------------------------------------------------
 
 __attribute__((target(PC_AVX512_TARGET))) inline __m512i
@@ -726,113 +511,6 @@ sparseInterCountBoundedAvx512(const std::uint64_t *words,
             return {inter, n};
     }
     return {inter, n};
-}
-
-__attribute__((target(PC_AVX512_TARGET))) inline __m512i
-scramble512(__m512i z)
-{
-    const __m512i ma = _mm512_set1_epi64(static_cast<long long>(mixA));
-    const __m512i mb = _mm512_set1_epi64(static_cast<long long>(mixB));
-    z = _mm512_mullo_epi64(
-        _mm512_xor_si512(z, _mm512_srli_epi64(z, 30)), ma);
-    z = _mm512_mullo_epi64(
-        _mm512_xor_si512(z, _mm512_srli_epi64(z, 27)), mb);
-    return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
-}
-
-/** Eight permutation-lane hashes of one position factor @p tv. */
-__attribute__((target(PC_AVX512_TARGET))) inline __m256i
-minhash8(const std::uint64_t *ha, std::uint32_t j, __m512i tv,
-         __m512i gold)
-{
-    const __m512i z = _mm512_add_epi64(
-        _mm512_xor_si512(_mm512_loadu_si512(ha + j), tv), gold);
-    return _mm512_cvtepi64_epi32(scramble512(z));
-}
-
-__attribute__((target(PC_AVX512_TARGET))) void
-minhashSignatureAvx512(const std::uint64_t *words, std::size_t n,
-                       const std::uint64_t *ha, std::uint32_t k,
-                       std::uint32_t *sig)
-{
-    const __m512i gold =
-        _mm512_set1_epi64(static_cast<long long>(golden));
-    for (std::size_t wi = 0; wi < n; ++wi) {
-        std::uint64_t w = words[wi];
-        while (w) {
-            const std::uint64_t p =
-                wi * 64 + static_cast<unsigned>(std::countr_zero(w));
-            w &= w - 1;
-            const std::uint64_t t = posFactor(p);
-            const __m512i tv =
-                _mm512_set1_epi64(static_cast<long long>(t));
-            std::uint32_t j = 0;
-            for (; j + 8 <= k; j += 8) {
-                const __m256i h = minhash8(ha, j, tv, gold);
-                const __m256i cur = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(sig + j));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i *>(sig + j),
-                    _mm256_min_epu32(cur, h));
-            }
-            for (; j < k; ++j) {
-                const auto h = static_cast<std::uint32_t>(
-                    scramble((ha[j] ^ t) + golden));
-                if (h < sig[j])
-                    sig[j] = h;
-            }
-        }
-    }
-}
-
-__attribute__((target(PC_AVX512_TARGET))) void
-minhashSketchAvx512(const std::uint64_t *words, std::size_t n,
-                    const std::uint64_t *ha, std::uint32_t k,
-                    std::uint32_t *primary, std::uint32_t *second)
-{
-    const __m512i gold =
-        _mm512_set1_epi64(static_cast<long long>(golden));
-    for (std::size_t wi = 0; wi < n; ++wi) {
-        std::uint64_t w = words[wi];
-        while (w) {
-            const std::uint64_t p =
-                wi * 64 + static_cast<unsigned>(std::countr_zero(w));
-            w &= w - 1;
-            const std::uint64_t t = posFactor(p);
-            const __m512i tv =
-                _mm512_set1_epi64(static_cast<long long>(t));
-            std::uint32_t j = 0;
-            for (; j + 8 <= k; j += 8) {
-                const __m256i h = minhash8(ha, j, tv, gold);
-                const __m256i pv = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(primary + j));
-                const __m256i sv = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(second + j));
-                const __mmask8 ltp = _mm256_cmplt_epu32_mask(h, pv);
-                const __mmask8 cond2 = static_cast<__mmask8>(
-                    _mm256_cmplt_epu32_mask(h, sv) &
-                    ~_mm256_cmpeq_epu32_mask(h, pv));
-                __m256i new_s =
-                    _mm256_mask_blend_epi32(cond2, sv, h);
-                new_s = _mm256_mask_blend_epi32(ltp, new_s, pv);
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i *>(primary + j),
-                    _mm256_min_epu32(h, pv));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i *>(second + j), new_s);
-            }
-            for (; j < k; ++j) {
-                const auto h = static_cast<std::uint32_t>(
-                    scramble((ha[j] ^ t) + golden));
-                if (h < primary[j]) {
-                    second[j] = primary[j];
-                    primary[j] = h;
-                } else if (h < second[j] && h != primary[j]) {
-                    second[j] = h;
-                }
-            }
-        }
-    }
 }
 
 #endif // PC_SIMD_X86
@@ -1086,47 +764,6 @@ sparseInterCountBounded(const std::uint64_t *words,
 #endif
     return sparseInterCountBoundedScalar(words, pos, n, es_weight,
                                          limit);
-}
-
-void
-prepareMinhashKeys(const std::uint64_t *keys, std::uint32_t k,
-                   std::uint64_t *ha)
-{
-    for (std::uint32_t j = 0; j < k; ++j)
-        ha[j] = scramble(keys[j] + golden);
-}
-
-void
-minhashSignatureWords(const std::uint64_t *words, std::size_t n,
-                      const std::uint64_t *ha, std::uint32_t k,
-                      std::uint32_t *sig, Level level)
-{
-#if PC_SIMD_X86
-    if (level == Level::Avx512)
-        return minhashSignatureAvx512(words, n, ha, k, sig);
-    if (level == Level::Avx2)
-        return minhashSignatureAvx2(words, n, ha, k, sig);
-#else
-    (void)level;
-#endif
-    return minhashSignatureScalar(words, n, ha, k, sig);
-}
-
-void
-minhashSketchWords(const std::uint64_t *words, std::size_t n,
-                   const std::uint64_t *ha, std::uint32_t k,
-                   std::uint32_t *primary, std::uint32_t *second,
-                   Level level)
-{
-#if PC_SIMD_X86
-    if (level == Level::Avx512)
-        return minhashSketchAvx512(words, n, ha, k, primary, second);
-    if (level == Level::Avx2)
-        return minhashSketchAvx2(words, n, ha, k, primary, second);
-#else
-    (void)level;
-#endif
-    return minhashSketchScalar(words, n, ha, k, primary, second);
 }
 
 } // namespace simd

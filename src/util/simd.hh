@@ -5,17 +5,16 @@
  * Every identification verdict bottoms out in a handful of
  * word-at-a-time loops: popcounts over AND/AND-NOT/XOR combinations
  * (Algorithm 3 and its bounded variant), the sparse position-list
- * scans behind the FingerprintStore, the decay engine's
- * charged-word mask builder, and the MinHash min-reductions. This
- * header provides those kernels with three implementations selected
- * at runtime — scalar (always available), AVX2, and AVX-512 — behind
- * one dispatch level.
+ * scans behind the FingerprintStore, and the decay engine's
+ * charged-word mask builder. This header provides those kernels
+ * with three implementations selected at runtime — scalar (always
+ * available), AVX2, and AVX-512 — behind one dispatch level.
  *
  * Bit-exactness contract: for every kernel and every input, all
  * levels return identical results — identical counts, identical
  * early-exit decisions on the bounded kernels (the bound is checked
  * at the same 16-element block boundaries on every path), and
- * byte-identical MinHash signatures. The vector paths are pure
+ * identical charged-word masks. The vector paths are pure
  * speedups; no verdict anywhere in the pipeline can depend on the
  * dispatch level. tests/prop/prop_simd.cc pins this per kernel.
  *
@@ -163,39 +162,6 @@ SparseInterScan sparseInterCountBounded(const std::uint64_t *words,
                                         std::size_t es_weight,
                                         std::size_t limit,
                                         Level level = activeLevel());
-
-/**
- * Lift per-permutation MinHash keys into the partially-evaluated
- * form the signature kernels consume: ha[j] is the first splitmix64
- * stage of mix64(keys[j], ·), so each (key, position) hash costs
- * one avalanche instead of three. Algebraically identical to
- * mix64() — signatures are unchanged (they persist in PCDB files).
- */
-void prepareMinhashKeys(const std::uint64_t *keys, std::uint32_t k,
-                        std::uint64_t *ha);
-
-/**
- * Batched MinHash min-reduction: for every set bit position p of
- * words[0..n) and every permutation j < k, fold the 32-bit hash of
- * (ha[j], p) into sig[j] with min. @p sig must be initialized by
- * the caller (typically to ~0). Byte-identical across levels.
- */
-void minhashSignatureWords(const std::uint64_t *words, std::size_t n,
-                           const std::uint64_t *ha, std::uint32_t k,
-                           std::uint32_t *sig,
-                           Level level = activeLevel());
-
-/**
- * Two-minimum variant for multi-probe sketches: tracks the smallest
- * (primary) and second-smallest distinct (second) hash per
- * permutation. Both arrays caller-initialized to ~0; the sentinel
- * collapse for <2 distinct values stays in the caller. Identical
- * across levels.
- */
-void minhashSketchWords(const std::uint64_t *words, std::size_t n,
-                        const std::uint64_t *ha, std::uint32_t k,
-                        std::uint32_t *primary, std::uint32_t *second,
-                        Level level = activeLevel());
 
 } // namespace simd
 } // namespace pcause

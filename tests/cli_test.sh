@@ -67,6 +67,28 @@ fi
 "$PCAUSE" identify --db db.pcdb --exact exact.pcbv \
     chip2_trial3.pcbv | grep -q "match: gamma"
 
+# A file signed under the retired 64-hash scheme (header offset 20
+# holds 0) is re-signed on load: it still identifies, and `db stats`
+# and `db verify` say so. The mmap reader refuses it and names the
+# upgrade; `db reindex` rewrites it as scheme 1, which then maps.
+cp db.pcdb old.pcdb
+printf '\000' | dd of=old.pcdb bs=1 seek=20 count=1 conv=notrunc \
+    2>/dev/null
+"$PCAUSE" db --db old.pcdb stats | grep -q "scheme 0"
+"$PCAUSE" db --db old.pcdb verify | grep -q "db reindex"
+"$PCAUSE" identify --db old.pcdb --exact exact.pcbv \
+    chip2_trial3.pcbv | grep -q "match: gamma"
+if "$PCAUSE" identify --db old.pcdb --exact exact.pcbv --mmap yes \
+    chip2_trial3.pcbv > mapped.out 2>&1; then
+    echo "FAIL: a scheme-0 file was mapped" >&2
+    exit 1
+fi
+grep -q "pcause db reindex" mapped.out
+"$PCAUSE" db --db old.pcdb reindex | grep -q "reindexed 3 records"
+"$PCAUSE" db --db old.pcdb stats | grep -q "scheme 1"
+"$PCAUSE" identify --db old.pcdb --exact exact.pcbv --mmap yes \
+    chip2_trial3.pcbv | grep -q "match: gamma"
+
 # A database holds one bit count: a 16-bit output is refused before
 # anything is written.
 printf 'PCBV\001\000\000\000\020\000\000\000\000\000\000\000\377\377' \
@@ -104,6 +126,22 @@ rc=0
 "$PCAUSE" db --db db.pcdb verify > /dev/null || rc=$?
 if [ "$rc" -ne 1 ]; then
     echo "FAIL: torn journal tail triaged as $rc, want 1" >&2
+    exit 1
+fi
+
+# A journal whose entry holds another bit count (16 bits, against
+# the snapshot's records) is corruption: no restart could replay it.
+printf 'PCWL\001\000\000\000\003\000\000\000\000\000\000\000' \
+    > db.pcdb.wal
+printf '\036\000\000\000\346H\217\310\001\001\000\000\000x\001\000\000\000' \
+    >> db.pcdb.wal
+printf '\020\000\000\000\000\000\000\000\001\000\000\000\000\000\000\000' \
+    >> db.pcdb.wal
+printf '\003\000\000\000' >> db.pcdb.wal
+rc=0
+"$PCAUSE" db --db db.pcdb verify > verify.out || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q "entry 0 has 16 bits" verify.out; then
+    echo "FAIL: mixed-bit-count journal triaged as $rc, want 2" >&2
     exit 1
 fi
 

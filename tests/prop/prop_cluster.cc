@@ -12,7 +12,7 @@
  * The IndexedClusterer properties pin the tentpole claims: identical
  * assignments to the pairwise scan, fingerprints that only shrink
  * under augment-by-intersection with signatures kept exactly current
- * (the incremental re-sign), one cluster per chip in the separated
+ * (a shrink re-signs), one cluster per chip in the separated
  * regime, partition stability under reordering, and a discovered
  * database whose FingerprintStore queries attribute every member
  * output back to its own cluster.
@@ -131,9 +131,8 @@ PCHECK_PROPERTY(PropCluster, IndexedMatchesPairwise, [](Ctx &ctx) {
 /**
  * Augment-by-intersection monotonicity: a cluster's fingerprint bits
  * only ever shrink, and after every ingest the stored signature is
- * exactly the signature of the current fingerprint — the incremental
- * re-sign (witness positions) must be indistinguishable from a full
- * re-hash.
+ * exactly a fresh signature of the current fingerprint — a shrink
+ * re-signs, and the index entry follows it.
  */
 PCHECK_PROPERTY(PropCluster, AugmentOnlyShrinksAndResigns,
                 [](Ctx &ctx) {

@@ -1,8 +1,10 @@
 /**
  * @file
  * MinHash / LSH layer properties: signatures are pure functions of
- * the bit set and the parameters, similarity is a bounded symmetric
- * estimate that is exactly 1 for identical sets, and the candidate
+ * the bit set and the parameters, each row agrees between two sets
+ * at their Jaccard similarity (densified rows included), similarity
+ * is a bounded symmetric estimate that is exactly 1 for identical
+ * sets, and the candidate
  * index never loses an exact duplicate — the recall floor the
  * store's accept/reject equivalence stands on. The flat band tables
  * behave as a per-band std::multimap under any sequence of adds,
@@ -12,9 +14,11 @@
 #include "prop_common.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "core/minhash.hh"
+#include "util/rng.hh"
 #include "util/thread_pool.hh"
 
 using namespace pcause;
@@ -47,6 +51,71 @@ PCHECK_PROPERTY(PropMinhash, SignaturePureAndSized, [](Ctx &ctx) {
     // Pure: recomputation and copies agree exactly.
     PCHECK(sig == minhashSignature(bits, mh));
     PCHECK(sig == minhashSignature(BitVec(bits), mh));
+    // The sketch's primary is the signature, its second never below.
+    const MinHashSketch sk = minhashSketch(bits, mh);
+    PCHECK(sk.primary == sig);
+    for (std::size_t j = 0; j < sig.size(); ++j)
+        PCHECK(sk.second[j] >= sk.primary[j]);
+    // The empty set signs to all-ones sentinels.
+    if (bits.popcount() == 0)
+        PCHECK(sig == MinHashSignature(mh.numHashes, ~std::uint32_t{0}));
+})
+
+/**
+ * One-permutation signing keeps every row an unbiased estimator of
+ * the Jaccard similarity, sparse sets included: with 8 cells in 64
+ * bins most rows are densified copies. Over sampled pairs of a known
+ * overlap, the mean per-row agreement must lie within a binomial
+ * confidence interval of the exact Jaccard J. The sample unit is the
+ * signature pair (its rows are not independent); one pair's
+ * agreement fraction lies in [0, 1] with mean J, so its variance is
+ * at most J(1 - J), the binomial one.
+ */
+PCHECK_PROPERTY(PropMinhash, RowCollisionRateMatchesJaccard, 8,
+                [](Ctx &ctx) {
+    constexpr std::size_t universe = 8192;
+    constexpr std::size_t pairs = 3000;
+    constexpr double z = 4.0;
+    MinHashParams mh;
+    const std::uint32_t ks[] = {16, 32, 48, 64};
+    mh.numHashes = ks[ctx.sizeRange(0, 3, "k")];
+    mh.bands = mh.numHashes / 4;
+    mh.seed = ctx.bits("seed");
+    const std::size_t weights[] = {8, 24, 64, 256};
+    const std::size_t weight = weights[ctx.sizeRange(0, 3, "weight")];
+    // |A| = |B| = weight around a shared core: J = shared / |A u B|.
+    const std::size_t shared =
+        ctx.sizeRange(weight / 4, weight - 1, "shared");
+    const std::size_t cells = 2 * weight - shared;
+    const double j = static_cast<double>(shared) /
+                     static_cast<double>(cells);
+
+    Rng rng(ctx.bits("sample_seed"));
+    double agree = 0.0;
+    for (std::size_t t = 0; t < pairs; ++t) {
+        BitVec a(universe), b(universe), taken(universe);
+        for (std::size_t drawn = 0; drawn < cells;) {
+            const std::size_t p = rng.nextBelow(universe);
+            if (taken.get(p))
+                continue;
+            taken.set(p);
+            if (drawn < weight)
+                a.set(p);
+            if (drawn < shared || drawn >= weight)
+                b.set(p);
+            ++drawn;
+        }
+        agree += signatureSimilarity(minhashSignature(a, mh),
+                                     minhashSignature(b, mh));
+    }
+    const double mean = agree / static_cast<double>(pairs);
+    const double se =
+        std::sqrt(j * (1.0 - j) / static_cast<double>(pairs));
+    PCHECK_MSG(std::abs(mean - j) <= z * se,
+               "row agreement " + std::to_string(mean) + " vs J " +
+                   std::to_string(j) + " (SE " + std::to_string(se) +
+                   ", weight " + std::to_string(weight) + ", k " +
+                   std::to_string(mh.numHashes) + ")");
 })
 
 PCHECK_PROPERTY(PropMinhash, SimilarityIsBoundedAndSymmetric,

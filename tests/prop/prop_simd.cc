@@ -4,9 +4,9 @@
  * kernel and end to end: every dispatch level this CPU can run must
  * return exactly what the scalar path returns — identical counts,
  * identical bounded-scan early exits (including the partial count a
- * pruned scan reports), byte-identical MinHash signatures, identical
- * decay masks. On a machine without AVX the properties degenerate to
- * scalar-vs-scalar and still pass; on AVX hardware they are the
+ * pruned scan reports), identical decay masks. On a machine without
+ * AVX the properties degenerate to scalar-vs-scalar and still pass;
+ * on AVX hardware they are the
  * differential test that lets every verdict-affecting loop run
  * vectorized (see util/simd.hh).
  */
@@ -16,10 +16,8 @@
 #include <cstring>
 
 #include "core/distance.hh"
-#include "core/minhash.hh"
 #include "dram/dram_chip.hh"
 #include "util/bitvec.hh"
-#include "util/rng.hh"
 #include "util/simd.hh"
 
 using namespace pcause;
@@ -207,64 +205,10 @@ PCHECK_PROPERTY(PropSimd, ChargedWordsAgreeAcrossLevels, [](Ctx &ctx) {
     }
 })
 
-PCHECK_PROPERTY(PropSimd, MinhashKernelsAgreeAcrossLevels, [](Ctx &ctx) {
-    const std::size_t nbits = ctx.sizeRange(0, 1500, "nbits");
-    const BitVec bits = pcheck::genBitVec(ctx, nbits, 2);
-    const std::uint32_t k =
-        static_cast<std::uint32_t>(ctx.sizeRange(1, 96, "k"));
-    std::vector<std::uint64_t> keys(k);
-    for (std::uint32_t j = 0; j < k; ++j)
-        keys[j] = ctx.bits();
-
-    std::vector<std::uint64_t> ha(k);
-    simd::prepareMinhashKeys(keys.data(), k, ha.data());
-
-    const std::uint64_t *words = bits.words().data();
-    const std::size_t n = bits.words().size();
-
-    // The prepared-key factoring must reproduce mix64 itself — this
-    // is what keeps signatures persisted in PCDB files valid.
-    std::vector<std::uint32_t> brute(k, ~std::uint32_t{0});
-    for (std::size_t p : bits.setBits()) {
-        for (std::uint32_t j = 0; j < k; ++j) {
-            brute[j] = std::min(
-                brute[j],
-                static_cast<std::uint32_t>(mix64(keys[j], p)));
-        }
-    }
-
-    std::vector<std::uint32_t> sig_ref(k, ~std::uint32_t{0});
-    simd::minhashSignatureWords(words, n, ha.data(), k, sig_ref.data(),
-                                simd::Level::Scalar);
-    PCHECK(sig_ref == brute);
-
-    std::vector<std::uint32_t> pri_ref(k, ~std::uint32_t{0});
-    std::vector<std::uint32_t> sec_ref(k, ~std::uint32_t{0});
-    simd::minhashSketchWords(words, n, ha.data(), k, pri_ref.data(),
-                             sec_ref.data(), simd::Level::Scalar);
-    // The sketch's primary minimum is the signature.
-    PCHECK(pri_ref == sig_ref);
-
-    for (simd::Level lvl : availableLevels()) {
-        std::vector<std::uint32_t> sig(k, ~std::uint32_t{0});
-        simd::minhashSignatureWords(words, n, ha.data(), k, sig.data(),
-                                    lvl);
-        PCHECK(sig == sig_ref);
-
-        std::vector<std::uint32_t> pri(k, ~std::uint32_t{0});
-        std::vector<std::uint32_t> sec(k, ~std::uint32_t{0});
-        simd::minhashSketchWords(words, n, ha.data(), k, pri.data(),
-                                 sec.data(), lvl);
-        PCHECK(pri == pri_ref);
-        PCHECK(sec == sec_ref);
-    }
-})
-
 PCHECK_PROPERTY(PropSimd, DistancePipelineAgreesAcrossLevels,
                 [](Ctx &ctx) {
     // End to end through the public Algorithm 3 entry points: the
-    // dispatch level must not move a distance, a prune flag, or a
-    // signature byte.
+    // dispatch level must not move a distance or a prune flag.
     const std::size_t nbits = ctx.sizeRange(64, 2048, "nbits");
     const BitVec es = pcheck::genBitVec(ctx, nbits, 1);
     const std::size_t weight =
@@ -278,12 +222,9 @@ PCHECK_PROPERTY(PropSimd, DistancePipelineAgreesAcrossLevels,
     const SparseView view{pos.data(), pos.size(),
                           static_cast<std::uint64_t>(nbits)};
 
-    const MinHashParams mh;
-
     LevelGuard guard;
     double dense_ref = 0.0, sparse_ref = 0.0;
     bool dense_pruned_ref = false, sparse_pruned_ref = false;
-    MinHashSignature sig_ref;
     bool first = true;
     for (simd::Level lvl : availableLevels()) {
         PCHECK(simd::selectLevel(simd::levelName(lvl)).empty());
@@ -292,13 +233,11 @@ PCHECK_PROPERTY(PropSimd, DistancePipelineAgreesAcrossLevels,
             modifiedJaccardBounded(es, fp, bound, &dense_pruned);
         const double sparse = modifiedJaccardSparseBounded(
             es, es.popcount(), view, bound, &sparse_pruned);
-        const MinHashSignature sig = minhashSignature(es, mh);
         if (first) {
             dense_ref = dense;
             sparse_ref = sparse;
             dense_pruned_ref = dense_pruned;
             sparse_pruned_ref = sparse_pruned;
-            sig_ref = sig;
             first = false;
             // Cross-path sanity on the scalar reference itself.
             PCHECK_EQ(dense_pruned, sparse_pruned);
@@ -309,7 +248,6 @@ PCHECK_PROPERTY(PropSimd, DistancePipelineAgreesAcrossLevels,
             PCHECK_EQ(sparse, sparse_ref);
             PCHECK_EQ(dense_pruned, dense_pruned_ref);
             PCHECK_EQ(sparse_pruned, sparse_pruned_ref);
-            PCHECK(sig == sig_ref);
         }
     }
 })

@@ -173,8 +173,8 @@ TEST(IndexedClusterer, StatsCountTheSession)
 TEST(IndexedClusterer, SignatureTracksShrunkFingerprint)
 {
     // Augmenting with a strict subset shrinks the fingerprint; the
-    // stored signature must equal a fresh full re-hash of the
-    // current bits (the incremental re-sign is exact).
+    // stored signature must equal a fresh signature of the current
+    // bits.
     IndexedClusterer c;
     BitVec wide(1024), narrow(1024);
     for (std::size_t b = 0; b < 40; ++b)

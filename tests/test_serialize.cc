@@ -3,7 +3,8 @@
  * Unit tests for core/serialize — attacker database persistence:
  * the v3 round trip, the structural check both v3 readers share
  * (loadStore and MappedStore::open reject a damaged file with the
- * same reason), and the recoverable LoadResult error reporting.
+ * same reason), the re-sign of retired-scheme files on load, and the
+ * recoverable LoadResult error reporting.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "core/serialize.hh"
 #include "core/store.hh"
 #include "util/failpoint.hh"
+#include "util/rng.hh"
 
 namespace pcause
 {
@@ -198,9 +200,9 @@ TEST(Serialize, CorruptFilesAreRejectedByBothReaders)
         {"bands not dividing the hashes", 1,
          [](std::string &b) { patch<std::uint32_t>(b, 12, 7); },
          "invalid minhash parameters"},
-        {"nonzero reserved header field", 1,
-         [](std::string &b) { patch<std::uint32_t>(b, 20, 1); },
-         "nonzero reserved header field"},
+        {"unknown signature scheme", 1,
+         [](std::string &b) { patch<std::uint32_t>(b, 20, 2); },
+         "unknown signature scheme 2"},
         {"record count 2^64-1", 1,
          [](std::string &b) {
              patch<std::uint64_t>(b, 32, ~std::uint64_t{0});
@@ -312,6 +314,82 @@ TEST(Serialize, CorruptFilesAreRejectedByBothReaders)
         EXPECT_TRUE(loadStore(path));
         EXPECT_TRUE(MappedStore::open(path));
     }
+    std::remove(path.c_str());
+}
+
+TEST(Serialize, RetiredSchemeIsResignedOnLoadAndRefusedByMmap)
+{
+    MinHashParams custom;
+    custom.numHashes = 48;
+    custom.bands = 12;
+    custom.seed = 0x5eedull;
+    FingerprintStore store(custom);
+    Rng rng(0x736368656d65ull);
+    std::vector<BitVec> fps;
+    for (std::size_t r = 0; r < 40; ++r) {
+        BitVec bits(4096);
+        while (bits.popcount() < 64)
+            bits.set(rng.nextBelow(bits.size()));
+        store.add("chip-" + std::to_string(r), Fingerprint(bits));
+        fps.push_back(std::move(bits));
+    }
+
+    // A retired-scheme file: this writer's image marked scheme 0,
+    // its signature arena overwritten as an old signer's values
+    // would differ from today's.
+    std::string bytes = v3Bytes(store, "pcause_scheme.pcdb");
+    ASSERT_EQ(pcdb::loadU32(reinterpret_cast<const std::uint8_t *>(
+                  bytes.data() + 20)),
+              pcdb::schemeOnePermutation);
+    patch<std::uint32_t>(bytes, 20, pcdb::schemeRetired);
+    const std::uint64_t sig_off = pcdb::loadU64(
+        reinterpret_cast<const std::uint8_t *>(bytes.data() + 72));
+    std::memset(&bytes[sig_off], 0xa5,
+                store.size() * custom.numHashes * sizeof(std::uint32_t));
+    const std::string path =
+        ::testing::TempDir() + "pcause_scheme0.pcdb";
+    spit(path, bytes);
+
+    std::uint32_t scheme = pcdb::schemeOnePermutation;
+    const StoreLoadResult loaded = loadStore(path, &scheme);
+    ASSERT_TRUE(loaded) << loaded.error;
+    EXPECT_EQ(scheme, pcdb::schemeRetired);
+    ASSERT_EQ(loaded->size(), store.size());
+    EXPECT_EQ(loaded->indexParams(), custom);
+    for (std::size_t i = 0; i < store.size(); ++i) {
+        EXPECT_EQ(loaded->signature(i),
+                  minhashSignature(loaded->record(i).fingerprint.bits(),
+                                   custom))
+            << "record " << i;
+    }
+
+    // Same verdicts and shortlists as the store the file came from:
+    // noisy supersets of stored records, and foreign sets.
+    for (std::size_t q = 0; q < 2 * fps.size(); ++q) {
+        BitVec es(4096);
+        if (q < fps.size())
+            es = fps[q];
+        while (es.popcount() < (q < fps.size() ? 72u : 64u))
+            es.set(rng.nextBelow(es.size()));
+        AttackStats want_stats, got_stats;
+        const IdentifyResult want = store.query(es, {}, &want_stats);
+        const IdentifyResult got = loaded->query(es, {}, &got_stats);
+        EXPECT_EQ(got.match, want.match) << "query " << q;
+        EXPECT_EQ(got.nearest, want.nearest) << "query " << q;
+        EXPECT_EQ(got.bestDistance, want.bestDistance) << "query " << q;
+        EXPECT_EQ(got_stats.candidatesScanned,
+                  want_stats.candidatesScanned)
+            << "query " << q;
+        EXPECT_EQ(got_stats.indexFallbacks, want_stats.indexFallbacks)
+            << "query " << q;
+    }
+
+    // The mmap reader serves candidates from the on-disk band keys,
+    // so it refuses the file and names the upgrade.
+    const LoadResult<MappedStore> mapped = MappedStore::open(path);
+    EXPECT_FALSE(mapped);
+    EXPECT_NE(mapped.error.find("pcause db reindex"), std::string::npos)
+        << mapped.error;
     std::remove(path.c_str());
 }
 

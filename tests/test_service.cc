@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/serialize.hh"
 #include "core/service.hh"
 #include "core/store.hh"
@@ -535,6 +537,54 @@ TEST(AttackService, CharacterizeRefusesMismatchedBitCounts)
     EXPECT_TRUE(batch[0].error.empty());
     EXPECT_TRUE(batch[0].matched);
     EXPECT_EQ(batch[1].error, v.error);
+}
+
+TEST(AttackService, JournalOfTwoBitCountsFailsOpenAndWritesNothing)
+{
+    // Wal::append journals whatever it is handed, so a journal can
+    // hold two bit counts. Replay must refuse it before applying any
+    // entry: compacting both would write a snapshot that neither
+    // loadStore nor the next openDurable reads.
+    DurableFixture fx;
+    Rng rng(0xD4);
+    BitVec wide(1024);
+    wide.set(5);
+    {
+        LoadResult<Wal> wal = Wal::create(fx.walPath, 0);
+        ASSERT_TRUE(wal) << wal.error;
+        ASSERT_TRUE(wal->append("a", Fingerprint(randomPattern(rng, 16))));
+        ASSERT_TRUE(wal->append("b", Fingerprint(wide)));
+    }
+    const LoadResult<AttackService> svc =
+        AttackService::openDurable(fx.config());
+    EXPECT_FALSE(svc);
+    EXPECT_NE(svc.error.find("entry 1 has 1024 bits; entry 0 has 4096"),
+              std::string::npos)
+        << svc.error;
+    EXPECT_NE(::access(fx.dbPath.c_str(), F_OK), 0)
+        << "a failed open wrote a snapshot";
+
+    // Against a snapshot, the reference is its record 0.
+    FingerprintStore snapshot;
+    snapshot.add("s", Fingerprint(randomPattern(rng, 16)));
+    ASSERT_TRUE(saveStore(snapshot, fx.dbPath));
+    {
+        LoadResult<Wal> wal = Wal::create(fx.walPath, 1);
+        ASSERT_TRUE(wal) << wal.error;
+        ASSERT_TRUE(wal->append("b", Fingerprint(wide)));
+    }
+    const WalVerifyResult before = Wal::verify(fx.walPath);
+    const LoadResult<AttackService> reopened =
+        AttackService::openDurable(fx.config());
+    EXPECT_FALSE(reopened);
+    EXPECT_NE(reopened.error.find("entry 0 has 1024 bits; the "
+                                  "snapshot's record 0 has 4096"),
+              std::string::npos)
+        << reopened.error;
+    const StoreLoadResult after = loadStore(fx.dbPath);
+    ASSERT_TRUE(after) << after.error;
+    EXPECT_EQ(after->size(), 1u);
+    EXPECT_EQ(Wal::verify(fx.walPath).goodBytes, before.goodBytes);
 }
 
 TEST(AttackService, CheckpointCompactsTheJournal)

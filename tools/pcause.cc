@@ -29,6 +29,7 @@
 #include "core/cluster.hh"
 #include "core/error_string.hh"
 #include "core/identify.hh"
+#include "core/pcdb_format.hh"
 #include "core/serialize.hh"
 #include "core/service.hh"
 #include "core/store.hh"
@@ -431,8 +432,16 @@ cmdModel(const Args &args)
     return 0;
 }
 
+/** How `db stats`/`db verify` name a file's signing scheme. */
+const char *
+schemeName(std::uint32_t scheme)
+{
+    return scheme == pcdb::schemeRetired ? "retired 64-hash (scheme 0)"
+                                         : "one-permutation (scheme 1)";
+}
+
 int
-cmdDbStats(FingerprintStore store)
+cmdDbStats(FingerprintStore store, std::uint32_t scheme)
 {
     // The facade owns the backend-independent aggregation; the CLI
     // only renders it.
@@ -446,6 +455,11 @@ cmdDbStats(FingerprintStore store)
                 "(seed %llx)\n",
                 prm.numHashes, prm.bands, prm.rows(),
                 (unsigned long long)prm.seed);
+    std::printf("signing           : %s%s\n", schemeName(scheme),
+                scheme == pcdb::schemeRetired
+                    ? ", re-signed on load; 'pcause db reindex' "
+                      "upgrades the file"
+                    : "");
     std::printf("lsh buckets       : %zu (largest holds %zu "
                 "records)\n",
                 s.lshBuckets, s.largestBucket);
@@ -491,13 +505,19 @@ cmdDbReindex(const Args &args, FingerprintStore &store,
 int
 cmdDbVerify(const Args &args, const std::string &db_path)
 {
-    StoreLoadResult loaded = loadStore(db_path);
+    std::uint32_t scheme = pcdb::schemeOnePermutation;
+    StoreLoadResult loaded = loadStore(db_path, &scheme);
     if (!loaded) {
         std::printf("CORRUPT: snapshot %s: %s\n", db_path.c_str(),
                     loaded.error.c_str());
         return 2;
     }
     std::printf("snapshot: %zu records, ok\n", loaded->size());
+    if (scheme == pcdb::schemeRetired)
+        std::printf("signing : %s: the file is re-signed on every "
+                    "load and cannot be mapped; 'pcause db reindex' "
+                    "upgrades it\n",
+                    schemeName(scheme));
 
     const std::string wal_path = args.get("wal", db_path + ".wal");
     const WalVerifyResult wal = Wal::verify(wal_path);
@@ -521,6 +541,16 @@ cmdDbVerify(const Args &args, const std::string &db_path)
                     "size %zu\n",
                     (unsigned long long)wal.baseRecords,
                     loaded->size());
+        return 2;
+    }
+    // The replay a durable open would run, into the loaded snapshot:
+    // what it refuses (entries of another bit count), no restart can
+    // get past either.
+    const LoadResult<WalReplayStats> replayed =
+        Wal::replay(wal_path, *loaded);
+    if (!replayed) {
+        std::printf("CORRUPT: journal %s: %s\n", wal_path.c_str(),
+                    replayed.error.c_str());
         return 2;
     }
     if (wal.health == WalHealth::Recoverable) {
@@ -549,13 +579,14 @@ cmdDb(const Args &args)
     if (action == "verify")
         return cmdDbVerify(args, db_path);
 
-    StoreLoadResult loaded = loadStore(db_path);
+    std::uint32_t scheme = pcdb::schemeOnePermutation;
+    StoreLoadResult loaded = loadStore(db_path, &scheme);
     if (!loaded)
         fatal("db: %s", loaded.error.c_str());
     FingerprintStore &store = *loaded;
 
     if (action == "stats")
-        return cmdDbStats(std::move(store));
+        return cmdDbStats(std::move(store), scheme);
     if (action == "reindex")
         return cmdDbReindex(args, store, db_path);
     if (action != "list")
