@@ -22,7 +22,7 @@
  *     verdict, the nearest record, the distance bits and the
  *     computed/pruned kernel counters;
  *   - the 5x indexed-query speedup floor at 10k records;
- *   - the 5x fallback-scan speedup floor over the linear scan at
+ *   - the 10x fallback-scan speedup floor over the linear scan at
  *     10k records;
  *   - the mean candidates-scanned ceiling at every population — the
  *     knob that makes "candidate sets stop scaling with population"
@@ -64,7 +64,7 @@ constexpr unsigned knownPerUnknown = 15; //!< 15:1 known:unknown mix
 constexpr std::size_t rejectQueries = 32; //!< fallback-timing set
 constexpr std::size_t timingRounds = 3;   //!< best of, per path
 constexpr double speedupFloor = 5.0;
-constexpr double fallbackSpeedupFloor = 5.0;
+constexpr double fallbackSpeedupFloor = 10.0;
 constexpr std::size_t floorPopulation = 10000;
 
 /** Mean shortlist size must stay under this at every population —

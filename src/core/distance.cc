@@ -1,6 +1,7 @@
 #include "core/distance.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.hh"
 #include "util/simd.hh"
@@ -11,6 +12,7 @@ namespace pcause
 std::size_t
 boundedCountLimit(double bound, std::size_t fp_weight)
 {
+    PC_ASSERT(!std::isnan(bound), "boundedCountLimit: NaN bound");
     const double scaled = bound * static_cast<double>(fp_weight);
     std::size_t limit =
         scaled >= static_cast<double>(fp_weight)
@@ -24,6 +26,17 @@ boundedCountLimit(double bound, std::size_t fp_weight)
            static_cast<double>(limit) / fp_weight > bound)
         --limit;
     return limit;
+}
+
+PruneScreen
+pruneScreen(double bound)
+{
+    PC_ASSERT(!std::isnan(bound), "pruneScreen: NaN bound");
+    // Scaling by a power of two is exact, so the floor is the exact
+    // floor of bound * 2^16, and bound < (floor + 1) / 2^16.
+    return {static_cast<std::uint64_t>(
+                std::floor(std::clamp(bound, 0.0, 1.0) * 65536.0)) +
+            2};
 }
 
 double

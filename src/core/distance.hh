@@ -16,6 +16,8 @@
 #ifndef PCAUSE_CORE_DISTANCE_HH
 #define PCAUSE_CORE_DISTANCE_HH
 
+#include <cstdint>
+
 #include "util/bitvec.hh"
 #include "util/sparse_bitset.hh"
 
@@ -46,9 +48,39 @@ double modifiedJaccard(const BitVec &error_string,
  * runs at most a step or two). Every bounded Algorithm 3 scan — the
  * dense and sparse kernels and the store's overlap-count scan —
  * prunes a record exactly when its miss count exceeds this limit,
- * so their early-exit decisions cannot diverge.
+ * so their early-exit decisions cannot diverge. @p bound must not
+ * be NaN.
  */
 std::size_t boundedCountLimit(double bound, std::size_t fp_weight);
+
+/**
+ * A bound in 16-bit fixed point, for pruning many records without a
+ * division or a boundedCountLimit() call each: the store's overlap
+ * scan tests every record against one screen until its bound moves.
+ */
+struct PruneScreen
+{
+    /** floor(min(bound, 1) * 2^16) + 2: the +2 margin puts every
+     *  screened-out ratio more than 2^-16 above the bound. */
+    std::uint64_t scaled = 0;
+
+    /**
+     * True when @p misses of a @p fp_weight bit fingerprint give
+     * misses * 2^16 > scaled * fp_weight. Then misses / fp_weight >
+     * bound + 2^-16, so misses > boundedCountLimit(bound, fp_weight):
+     * the screen never drops a record the exact rule keeps. It drops
+     * nothing at a bound of 1 or more, and nothing of weight 0.
+     * Records it keeps may still exceed the exact limit. Weights
+     * must stay below 2^47 (positions are 32-bit).
+     */
+    bool prunes(std::uint64_t misses, std::uint64_t fp_weight) const
+    {
+        return (misses << 16) > scaled * fp_weight;
+    }
+};
+
+/** The screen for @p bound (not NaN; below 0 screens as 0). */
+PruneScreen pruneScreen(double bound);
 
 /**
  * Bounded Algorithm 3: modifiedJaccard() with an early exit once

@@ -113,6 +113,16 @@ class SparseFingerprintArena : public SparseFingerprintSource
 
     SparseView view(std::size_t i) const override;
 
+    /** view(i).count, unchecked (@p i < count()): for loops over
+     *  every record that read nothing else of it. */
+    std::size_t weight(std::size_t i) const
+    {
+        return static_cast<std::size_t>(offsets[i + 1] - offsets[i]);
+    }
+
+    /** view(i).universe, unchecked (@p i < count()). */
+    std::uint64_t universe(std::size_t i) const { return universes[i]; }
+
     /** Append @p pattern's set bits as the next record. */
     void add(const BitVec &pattern);
 

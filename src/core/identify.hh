@@ -18,6 +18,7 @@
 #ifndef PCAUSE_CORE_IDENTIFY_HH
 #define PCAUSE_CORE_IDENTIFY_HH
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -95,6 +96,18 @@ struct IdentifyParams
      */
     bool firstMatch = true;
 };
+
+/**
+ * Whether a query may carry @p threshold: finite and non-negative.
+ * The wire decoder, AttackService and the CLI refuse any other
+ * before it reaches a scan, whose integer prune limits have no
+ * value for a NaN bound.
+ */
+inline bool
+validThreshold(double threshold)
+{
+    return std::isfinite(threshold) && threshold >= 0.0;
+}
 
 /**
  * Algorithm 2 (IDENTIFY): attribute an approximate output to a

@@ -91,25 +91,34 @@ struct SparseDistAt
 };
 
 /**
+ * The bound a scan hands its next distance evaluation:
+ * max(threshold, running nearest distance), 1 before any record.
+ */
+inline double
+scanBound(const IdentifyParams &params, const ScanOutcome &out)
+{
+    return std::max(params.threshold,
+                    out.nearest ? out.nearestDist : 1.0);
+}
+
+/**
  * One step of a scan: evaluate record @p i through the bounded
  * kernel @p distAt(i, bound, &pruned) and fold it into @p out. The
- * bound is max(threshold, running nearest distance): any distance
- * the unbounded serial scan would compare against the threshold or
- * use to update the running minimum is therefore computed exactly,
- * and a pruned evaluation returns a value already above both, so
- * verdicts and reported distances match the unbounded scan bit for
- * bit — for every kernel honoring that contract. Returns true when
- * @p i matched under the threshold (first-match scans stop there).
+ * bound is scanBound(): any distance the unbounded serial scan would
+ * compare against the threshold or use to update the running
+ * minimum is therefore computed exactly, and a pruned evaluation
+ * returns a value already above both, so verdicts and reported
+ * distances match the unbounded scan bit for bit — for every kernel
+ * honoring that contract. Returns true when @p i matched under the
+ * threshold (first-match scans stop there).
  */
 template <typename DistAt>
 bool
 scanStep(std::size_t i, const IdentifyParams &params,
          const DistAt &distAt, ScanOutcome &out)
 {
-    const double bound =
-        std::max(params.threshold, out.nearest ? out.nearestDist : 1.0);
     bool pruned = false;
-    const double d = distAt(i, bound, &pruned);
+    const double d = distAt(i, scanBound(params, out), &pruned);
     ++(pruned ? out.pruned : out.computed);
     if (!out.nearest || d < out.nearestDist) {
         out.nearest = i;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <sstream>
 
 #include <unistd.h>
@@ -222,6 +223,21 @@ AttackService::bitCountError(std::size_t bits) const
            std::to_string(fps.view(0).universe);
 }
 
+std::string
+AttackService::queryError(std::size_t bits,
+                          const QueryOptions &options) const
+{
+    if (!validThreshold(options.threshold)) {
+        char buf[96];
+        std::snprintf(buf, sizeof(buf),
+                      "threshold %g is not a finite, non-negative "
+                      "distance",
+                      options.threshold);
+        return buf;
+    }
+    return bitCountError(bits);
+}
+
 IdentifyVerdict
 AttackService::resolve(const IdentifyResult &r, AttackStats delta) const
 {
@@ -249,7 +265,7 @@ AttackService::identify(const IdentifyRequest &req) const
     IdentifyVerdict v;
     {
         std::shared_lock<std::shared_mutex> lock(*gate);
-        v.error = bitCountError(req.errorString.size());
+        v.error = queryError(req.errorString.size(), req.options);
         if (v.error.empty()) {
             const IdentifyResult r =
                 dispatch(req.errorString, req.options, &delta);
@@ -273,7 +289,7 @@ AttackService::identifyBatch(const std::vector<BitVec> &error_strings,
         const bool all_fit = std::all_of(
             error_strings.begin(), error_strings.end(),
             [&](const BitVec &es) {
-                return bitCountError(es.size()).empty();
+                return queryError(es.size(), options).empty();
             });
         if (owned && !options.linear && all_fit) {
             // The batched path: queryBatch spreads queries across
@@ -291,7 +307,7 @@ AttackService::identifyBatch(const std::vector<BitVec> &error_strings,
             // per-query dispatch is already the exact path.
             for (const BitVec &es : error_strings) {
                 IdentifyVerdict refused;
-                refused.error = bitCountError(es.size());
+                refused.error = queryError(es.size(), options);
                 if (!refused.error.empty()) {
                     verdicts.push_back(std::move(refused));
                     continue;

@@ -274,9 +274,10 @@ class AttackService
      * The one identification entry point: dispatches on
      * req.options to the backend's indexed or linear path, under a
      * shared lock, and resolves labels. Verdict bit-identical to
-     * the corresponding direct backend query. An error string whose
-     * bit count differs from the records' is not queried: the
-     * verdict carries the reason in IdentifyVerdict::error.
+     * the corresponding direct backend query. A threshold the wire
+     * would refuse (validThreshold()) or an error string whose bit
+     * count differs from the records' is not queried: the verdict
+     * carries the reason in IdentifyVerdict::error.
      */
     IdentifyVerdict identify(const IdentifyRequest &req) const;
 
@@ -286,7 +287,8 @@ class AttackService
      * FingerprintStore::queryBatch across the thread pool; each
      * element is bit-identical to the corresponding identify()
      * call, delta included (its counters and its own query time),
-     * and a wrong-size element gets identify()'s error verdict.
+     * and a wrong-size element gets identify()'s error verdict (a
+     * refused threshold, every element).
      */
     std::vector<IdentifyVerdict>
     identifyBatch(const std::vector<BitVec> &error_strings,
@@ -358,6 +360,12 @@ class AttackService
      *  the records (record 0 has another bit count), or empty;
      *  callers hold the lock. */
     std::string bitCountError(std::size_t bits) const;
+
+    /** Why a query of @p bits bits under @p options is refused
+     *  (its threshold, else bitCountError()), or empty; callers
+     *  hold the lock. */
+    std::string queryError(std::size_t bits,
+                           const QueryOptions &options) const;
 
     /** Resolve an IdentifyResult into a labeled verdict; callers
      *  hold the lock. */

@@ -271,39 +271,69 @@ FingerprintStore::overlapScan(const BitVec &error_string,
                               AttackStats *stats) const
 {
     // Each record's overlap with the query, counted from the
-    // query's own positions: about weight x records-per-position
-    // increments, instead of reading every record's positions.
-    std::vector<Count> overlap(size(), 0);
+    // query's own posting lists: about weight x records-per-position
+    // increments, instead of reading every record's positions. Four
+    // lists at a time give four independent increment streams, and
+    // the next four are prefetched a cache line per 16 ids as they
+    // go: a short list (~20 lines at 10k records) otherwise spends
+    // much of its time waiting for its first lines.
+    std::vector<const std::vector<std::uint32_t> *> lists;
     for (const std::size_t p : error_string.setBits()) {
         if (p >= postings.size())
             break; // no record reaches this far into the universe
-        for (const std::uint32_t id : postings[p])
-            ++overlap[id];
+        lists.push_back(&postings[p]);
     }
+    std::vector<Count> overlap(size(), 0);
+    const auto countFrom = [&](const std::vector<std::uint32_t> &ids,
+                               std::size_t from) {
+        for (std::size_t j = from; j < ids.size(); ++j)
+            ++overlap[ids[j]];
+    };
+    std::size_t k = 0;
+    for (; k + 4 <= lists.size(); k += 4) {
+        const std::vector<std::uint32_t> &a = *lists[k];
+        const std::vector<std::uint32_t> &b = *lists[k + 1];
+        const std::vector<std::uint32_t> &c = *lists[k + 2];
+        const std::vector<std::uint32_t> &d = *lists[k + 3];
+        const std::size_t common =
+            std::min({a.size(), b.size(), c.size(), d.size()});
+        const std::size_t ahead =
+            k + 8 <= lists.size()
+                ? std::min({lists[k + 4]->size(), lists[k + 5]->size(),
+                            lists[k + 6]->size(), lists[k + 7]->size()})
+                : 0;
+        for (std::size_t j = 0; j < common; ++j) {
+            if (j % 16 == 0 && j < ahead) {
+                for (std::size_t t = k + 4; t < k + 8; ++t)
+                    __builtin_prefetch(lists[t]->data() + j);
+            }
+            ++overlap[a[j]];
+            ++overlap[b[j]];
+            ++overlap[c[j]];
+            ++overlap[d[j]];
+        }
+        for (const std::vector<std::uint32_t> *ids : {&a, &b, &c, &d})
+            countFrom(*ids, common);
+    }
+    for (; k < lists.size(); ++k)
+        countFrom(*lists[k], 0);
 
     // Walk in id order under the linear scan's rules. A bounded
     // kernel prunes a record exactly when its miss count exceeds
     // boundedCountLimit(bound, lower weight); applying that rule to
     // the exact count keeps distancesPruned equal to the linear
-    // scan's. The limit only moves with the bound (a new nearest
-    // record), so it is memoized per lower weight.
+    // scan's.
     const std::size_t universe = error_string.size();
     const bool bounded =
         params.metric == DistanceMetric::ModifiedJaccard;
-    std::vector<std::size_t> limit(es_weight + 1);
-    std::vector<double> limitBound(
-        es_weight + 1, std::numeric_limits<double>::quiet_NaN());
     const auto distAt = [&](std::size_t i, double bound,
                             bool *pruned) {
         const SparseView v = sparse.view(i);
         PC_ASSERT(v.universe == universe, "distance: size mismatch");
         const std::size_t fp_weight = std::min(es_weight, v.count);
         if (bounded && fp_weight > 0) {
-            if (!(limitBound[fp_weight] == bound)) {
-                limit[fp_weight] = boundedCountLimit(bound, fp_weight);
-                limitBound[fp_weight] = bound;
-            }
-            *pruned = fp_weight - overlap[i] > limit[fp_weight];
+            *pruned = fp_weight - overlap[i] >
+                      boundedCountLimit(bound, fp_weight);
             if (*pruned) {
                 // Any value above the bound is all a pruned
                 // evaluation promises; scanStep reads no more.
@@ -313,8 +343,32 @@ FingerprintStore::overlapScan(const BitVec &error_string,
         return overlapDistance(params.metric, es_weight, v.count,
                                overlap[i], universe);
     };
-    const detail::ScanOutcome out =
-        detail::scanRangeT(0, size(), params, nullptr, distAt);
+
+    // Almost every record of a reject sits far above the bound, so
+    // the walk screens each one in fixed point first and counts the
+    // screened-out ones as pruned without a step: the screen only
+    // drops records the exact rule prunes, and a pruned step changes
+    // nothing but the pruned counter. The screen moves with the
+    // bound, after a step; it admits everything while the bound is 1
+    // or more, and always for Jaccard and Hamming, which never
+    // prune. A record of another universe is never screened out, so
+    // its step still panics.
+    detail::ScanOutcome out;
+    PruneScreen screen = pruneScreen(1.0);
+    for (std::size_t i = 0; i < size(); ++i) {
+        const std::size_t fp_weight =
+            std::min(es_weight, sparse.weight(i));
+        if (screen.prunes(fp_weight - overlap[i], fp_weight) &&
+            sparse.universe(i) == universe) {
+            ++out.pruned;
+            continue;
+        }
+        if (detail::scanStep(i, params, distAt, out) &&
+            params.firstMatch)
+            break;
+        screen = pruneScreen(
+            bounded ? detail::scanBound(params, out) : 1.0);
+    }
     detail::mergeScanCounters(stats, out);
     return detail::outcomeToResult(out, params);
 }

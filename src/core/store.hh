@@ -25,11 +25,14 @@
  * The full scan reads an inverted position index (per universe
  * position, the ascending ids of the records containing it) instead
  * of every record: it counts each record's overlap with the query's
- * own set positions, then walks the records in id order under the
- * linear scan's rules (core/scan.hh), deriving each distance and
- * each prune decision exactly from (overlap, weights). Its verdict,
- * nearest record, distance bits and kernel counters equal
- * queryLinear()'s (docs/ALGORITHMS.md "Exact reject scan").
+ * own set positions, four posting lists at a time, then walks the
+ * records in id order under the linear scan's rules (core/scan.hh).
+ * A fixed-point screen of the current bound (PruneScreen) counts the
+ * records it proves pruned without a step; every other record takes
+ * the linear scan's step, which derives its distance and prune
+ * decision exactly from (overlap, weights). Its verdict, nearest
+ * record, distance bits and kernel counters equal queryLinear()'s
+ * (docs/ALGORITHMS.md "Exact reject scan").
  * queryLinear() itself is the serial sparse scan over the arena; the
  * independent reference outside the arena is identifyErrorString()
  * over the FingerprintDb a store was built from.

@@ -1,6 +1,5 @@
 #include "serve/protocol.hh"
 
-#include <cmath>
 #include <cstring>
 
 #include <sys/socket.h>
@@ -278,8 +277,7 @@ decodeIdentify(const Payload &payload)
             req.options.firstMatch = (flags & flagBestMatch) == 0;
             req.options.metric = static_cast<DistanceMetric>(metric);
             if (!r.f64(req.options.threshold) ||
-                !std::isfinite(req.options.threshold) ||
-                req.options.threshold < 0.0)
+                !validThreshold(req.options.threshold))
                 return false;
             return r.bits(req.errorString);
         });

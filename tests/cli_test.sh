@@ -46,6 +46,31 @@ fi
 "$PCAUSE" identify --db db.pcdb --exact exact.pcbv --mmap yes \
     chip1_trial3.pcbv | grep -q "match: beta"
 
+# A threshold the wire refuses (NaN, infinite, negative) is refused
+# with its reason, never answered (a NaN once printed "no match" for
+# this matching output); cluster refuses it before clustering.
+for t in nan inf -1; do
+    if "$PCAUSE" identify --db db.pcdb --exact exact.pcbv \
+        --threshold "$t" chip1_trial3.pcbv > threshold.out 2>&1; then
+        echo "FAIL: identify answered --threshold $t" >&2
+        exit 1
+    fi
+    if ! grep -q "threshold" threshold.out ||
+        grep -q "match" threshold.out; then
+        echo "FAIL: identify --threshold $t: $(cat threshold.out)" >&2
+        exit 1
+    fi
+    for mode in "" "--campaign yes --chips 2 --outputs 4"; do
+        # shellcheck disable=SC2086
+        if "$PCAUSE" cluster $mode --exact exact.pcbv --threshold "$t" \
+            chip0_trial0.pcbv chip1_trial0.pcbv > threshold.out 2>&1 ||
+            ! grep -q "threshold" threshold.out; then
+            echo "FAIL: cluster $mode accepted --threshold $t" >&2
+            exit 1
+        fi
+    done
+done
+
 # Index diagnostics and reindexing under new parameters.
 "$PCAUSE" db --db db.pcdb stats | grep -q "minhash"
 "$PCAUSE" db --db db.pcdb stats | grep -q "lsh_bytes [1-9]"

@@ -11,10 +11,11 @@
  * record under the threshold on the record and distance too. The
  * exact fallback scan (queryFullScan) must equal the linear scan
  * outright: verdict, nearest record, distance bits and
- * computed/pruned kernel counters. A v3 file mapped with a thread
- * pool, whose fallback is the pool-sharded scan, keeps the same
- * contract for every metric. Reindexing under different banding
- * parameters changes only speed, never verdicts.
+ * computed/pruned kernel counters, over stores of up to a few
+ * hundred records. A v3 file mapped with a thread pool, whose
+ * fallback is the pool-sharded scan, keeps the same contract for
+ * every metric. Reindexing under different banding parameters
+ * changes only speed, never verdicts.
  */
 
 #include "prop_common.hh"
@@ -168,10 +169,28 @@ PCHECK_PROPERTY(PropStore, QueryAgreesWithLinearScan, [](Ctx &ctx) {
 })
 
 PCHECK_PROPERTY(PropStore, FullScanEqualsLinearScan, [](Ctx &ctx) {
-    const std::size_t records = ctx.sizeRange(1, 6, "records");
+    // Up to a few hundred records, so the fallback's walk screens
+    // long runs of records between steps. Besides genProbe()'s
+    // probes: near copies of a late record, whose step drops the
+    // bound (and the screen) mid-scan, and probes lighter than
+    // almost every record, so w is the query's weight.
+    const std::size_t records = ctx.sizeRange(1, 320, "records");
     const std::size_t nbits = 64 * records;
     const FingerprintStore store = genGrownStore(ctx, records, nbits);
-    const BitVec probe = genProbe(ctx, store, nbits);
+    BitVec probe;
+    if (ctx.boolean(0.3, "late_near_copy")) {
+        const std::size_t target =
+            records - 1 -
+            ctx.below(std::max<std::size_t>(1, records / 4),
+                      "late_target");
+        probe = pcheck::genNoisyObservation(
+            ctx, store.record(target).fingerprint.bits(), 0.97, 2);
+    } else if (ctx.boolean(0.2, "light_probe")) {
+        probe = pcheck::genSparseBitVec(
+            ctx, nbits, ctx.sizeRange(1, 3, "light_weight"));
+    } else {
+        probe = genProbe(ctx, store, nbits);
+    }
 
     const IdentifyParams p = genQueryParams(ctx);
     AttackStats full_stats;

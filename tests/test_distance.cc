@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "core/distance.hh"
 #include "util/rng.hh"
 
@@ -257,6 +261,67 @@ TEST(ModifiedJaccardBounded, DegenerateCasesMatchUnbounded)
         EXPECT_EQ(modifiedJaccardBounded(one, empty, bound),
                   modifiedJaccard(one, empty));
     }
+}
+
+TEST(PruneScreen, NeverDropsWhatTheExactLimitKeeps)
+{
+    // Every fingerprint weight w <= 600 and every miss count m <= w,
+    // against bounds at and around each swept k / 2^16 (where the
+    // fixed point rounds), the edges and random draws: the screen
+    // may drop (m, w) only past boundedCountLimit(bound, w), and at
+    // these weights its margin keeps at most one count past it.
+    std::vector<double> bounds = {0.0, 0.1, 0.5,
+                                  std::nextafter(1.0, 0.0), 1.0, 1.5};
+    for (std::uint32_t k = 0; k <= 65536; k += 211) {
+        const double at = k / 65536.0;
+        bounds.push_back(std::nextafter(at, 0.0));
+        bounds.push_back(at);
+        bounds.push_back(std::nextafter(at, 2.0));
+    }
+    Rng rng(0x5c12);
+    for (int r = 0; r < 150; ++r)
+        bounds.push_back(rng.nextDouble());
+
+    std::size_t violations = 0;
+    std::size_t loose = 0;
+    std::size_t unmargined = 0;
+    for (const double bound : bounds) {
+        const PruneScreen screen = pruneScreen(bound);
+        // The same screen without its +2: what the margin is for.
+        const PruneScreen bare{screen.scaled - 2};
+        for (std::uint64_t w = 0; w <= 600; ++w) {
+            const std::uint64_t limit = boundedCountLimit(bound, w);
+            for (std::uint64_t m = 0; m <= w; ++m) {
+                violations += screen.prunes(m, w) && m <= limit;
+                loose += !screen.prunes(m, w) && m >= limit + 2;
+                unmargined += bare.prunes(m, w) && m <= limit;
+            }
+        }
+    }
+    EXPECT_EQ(violations, 0u);
+    EXPECT_EQ(loose, 0u);
+    EXPECT_GT(unmargined, 0u);
+}
+
+TEST(PruneScreen, AdmitsEverythingAtBoundsOfOneAndMore)
+{
+    for (const double bound :
+         {1.0, 1.5, std::numeric_limits<double>::infinity()}) {
+        const PruneScreen screen = pruneScreen(bound);
+        for (std::uint64_t w : {0ull, 1ull, 256ull, 65535ull, 1ull << 32})
+            EXPECT_FALSE(screen.prunes(w, w)) << bound << " " << w;
+    }
+    // A negative bound screens as 0: any miss of a light record.
+    EXPECT_EQ(pruneScreen(-1.0).scaled, pruneScreen(0.0).scaled);
+}
+
+TEST(BoundedCountLimitDeathTest, NanBoundPanics)
+{
+    // NaN has no integer limit (the conversion is undefined): the
+    // entry points refuse NaN thresholds, and the core asserts it.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(boundedCountLimit(nan, 10), "NaN bound");
+    EXPECT_DEATH(pruneScreen(nan), "NaN bound");
 }
 
 TEST(DistanceAblation, HammingFailsUnderAccuracyMismatch)

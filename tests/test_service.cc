@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -537,6 +538,47 @@ TEST(AttackService, CharacterizeRefusesMismatchedBitCounts)
     EXPECT_TRUE(batch[0].error.empty());
     EXPECT_TRUE(batch[0].matched);
     EXPECT_EQ(batch[1].error, v.error);
+}
+
+TEST(AttackService, RefusesThresholdsTheWireRefuses)
+{
+    // The wire decoder never passes a NaN, infinite or negative
+    // threshold; an in-process caller (the CLI) gets the same rule
+    // as an error verdict, on the indexed and the linear path, and
+    // no scan runs. The first query matches at any real threshold.
+    AttackService svc(makeStore(20, 0x7a));
+    const std::vector<BitVec> queries =
+        makeQueries(*svc.store(), 2, 0x5);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -1.0}) {
+        for (const bool linear : {false, true}) {
+            IdentifyRequest req;
+            req.errorString = queries[0];
+            req.options.threshold = bad;
+            req.options.linear = linear;
+            const IdentifyVerdict v = svc.identify(req);
+            EXPECT_FALSE(v.matched);
+            EXPECT_NE(v.error.find("threshold"), std::string::npos)
+                << v.error;
+            const std::vector<IdentifyVerdict> batch =
+                svc.identifyBatch(queries, req.options);
+            ASSERT_EQ(batch.size(), queries.size());
+            for (const IdentifyVerdict &b : batch) {
+                EXPECT_FALSE(b.matched);
+                EXPECT_EQ(b.error, v.error);
+            }
+        }
+    }
+    const AttackStats s = svc.snapshot();
+    EXPECT_EQ(s.indexQueries, 0u);
+    EXPECT_EQ(s.distancesComputed + s.distancesPruned, 0u);
+
+    IdentifyRequest ok;
+    ok.errorString = queries[0];
+    const IdentifyVerdict v = svc.identify(ok);
+    EXPECT_TRUE(v.error.empty()) << v.error;
+    EXPECT_TRUE(v.matched);
 }
 
 TEST(AttackService, JournalOfTwoBitCountsFailsOpenAndWritesNothing)

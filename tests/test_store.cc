@@ -395,6 +395,21 @@ TEST(FingerprintStoreDeathTest, UniverseMismatchStillPanics)
     jaccard.metric = DistanceMetric::Jaccard;
     EXPECT_DEATH(pop.store.queryFullScan(wider, jaccard),
                  "size mismatch");
+
+    // Once the bound is below 1 the walk screens records out
+    // without a step, but never one of another universe: a store
+    // holding two still panics at the foreign record, as the linear
+    // scan does, rather than counting it as pruned.
+    FingerprintStore mixed;
+    const BitVec first = pop.store.record(0).fingerprint.bits();
+    mixed.add("here", Fingerprint(first));
+    BitVec foreign(universe + 64);
+    foreign.set(universe + 1);
+    mixed.add("there", Fingerprint(foreign));
+    IdentifyParams strict;
+    strict.threshold = 0.0;
+    EXPECT_DEATH(mixed.queryLinear(first, strict), "size mismatch");
+    EXPECT_DEATH(mixed.queryFullScan(first, strict), "size mismatch");
 }
 
 TEST(FingerprintStore, AddBatchEqualsSerialAdds)

@@ -274,6 +274,22 @@ cmdIdentify(const Args &args)
 }
 
 /**
+ * cluster's --threshold, refused before any clustering unless a
+ * query could carry it (validThreshold(), the rule the wire and
+ * AttackService apply to identify).
+ */
+double
+clusterThreshold(const Args &args)
+{
+    const double threshold = args.getDouble("threshold", 0.1);
+    if (!validThreshold(threshold))
+        fatal("cluster: --threshold %g is not a finite, non-negative "
+              "distance",
+              threshold);
+    return threshold;
+}
+
+/**
  * cluster --campaign yes: stream a synthetic fleet campaign
  * (core/campaign.hh) through the IndexedClusterer in fixed-size
  * chunks — the eavesdropper-at-scale mode. Ground truth is known by
@@ -294,7 +310,7 @@ cmdClusterCampaign(const Args &args)
         fatal("cluster: need at least one chip and one output");
 
     ClusterParams params;
-    params.threshold = args.getDouble("threshold", 0.1);
+    params.threshold = clusterThreshold(args);
     const bool pairwise = args.get("pairwise", "no") == "yes";
 
     std::vector<BitVec> bases(spec.chips);
@@ -394,7 +410,7 @@ cmdCluster(const Args &args)
         outputs.push_back(loadBitVec(path));
 
     ClusterParams params;
-    params.threshold = args.getDouble("threshold", 0.1);
+    params.threshold = clusterThreshold(args);
     std::vector<std::size_t> assignments;
     const FingerprintDb db =
         cluster(outputs, exact, params, &assignments);
