@@ -6,8 +6,8 @@
  * supports with a tight rdtscp min-of-N loop — the minimum over many
  * repetitions is the classic noise-resistant estimator for short
  * deterministic kernels — and verifies on every measured input that
- * all levels return bit-identical results (counts, bounded partial
- * counts, charged-word buffers). Then runs the
+ * all levels return bit-identical results (counts, bounded sparse
+ * partial counts, charged-word buffers). Then runs the
  * identification pipeline end to end (linear Algorithm 2 scan and
  * indexed FingerprintStore queries) under forced-scalar and auto
  * dispatch to show the compounded effect and to check that no
@@ -17,8 +17,8 @@
  *   - zero result divergences between dispatch levels, micro and
  *     end-to-end alike;
  *   - on AVX2-capable hardware, >= 4x scalar->vector on the
- *     full-scan andNotCountBounded kernel (the Algorithm 3 hot
- *     loop) at the large operand size.
+ *     andNotCount kernel (the dense Algorithm 3 AND-NOT popcount)
+ *     at the large operand size.
  *
  * Emits BENCH_simd.json (field reference in docs/TESTING.md). Part
  * of the CI perf-smoke job.
@@ -166,7 +166,6 @@ microBench(std::size_t nwords, Rng &rng, std::vector<KernelRow> &rows)
     }
     const std::uint64_t *pa = a.data();
     const std::uint64_t *pb = b.data();
-    const std::size_t full = nwords * 64; // limit never reached
 
     rows.push_back(runKernel("popcount", nwords, [&](simd::Level l) {
         return simd::popcountWords(pa, nwords, l);
@@ -180,22 +179,6 @@ microBench(std::size_t nwords, Rng &rng, std::vector<KernelRow> &rows)
     rows.push_back(runKernel("xorCount", nwords, [&](simd::Level l) {
         return simd::xorCountWords(pa, pb, nwords, l);
     }));
-    rows.push_back(
-        runKernel("andNotCountBounded_full", nwords,
-                  [&](simd::Level l) {
-                      return simd::andNotCountBoundedWords(pa, pb,
-                                                           nwords,
-                                                           full, l);
-                  }));
-    // Early-exit case: a limit the scan clears almost immediately.
-    rows.push_back(
-        runKernel("andNotCountBounded_pruned", nwords,
-                  [&](simd::Level l) {
-                      return simd::andNotCountBoundedWords(pa, pb,
-                                                           nwords, 0,
-                                                           l);
-                  }));
-
     // Decay mask builder: ~half the words pass the retention screen.
     std::vector<float> word_min(nwords);
     for (std::size_t i = 0; i < nwords; ++i)
@@ -423,12 +406,12 @@ main()
     const bool haveAvx2 = simd::levelAvailable(simd::Level::Avx2);
     double gated = 0.0;
     for (const KernelRow &r : rows) {
-        if (r.name == "andNotCountBounded_full" &&
+        if (r.name == "andNotCount" &&
             r.words == largeWords)
             gated = r.speedup(simd::Level::Avx2);
     }
     if (haveAvx2 && gated < speedupFloor) {
-        std::printf("FAIL: andNotCountBounded full-scan avx2 speedup "
+        std::printf("FAIL: andNotCount avx2 speedup "
                     "%.2fx below the %.0fx floor\n",
                     gated, speedupFloor);
         ok = false;

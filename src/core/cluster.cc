@@ -1,6 +1,7 @@
 #include "core/cluster.hh"
 
 #include "core/error_string.hh"
+#include "core/scan.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -72,36 +73,26 @@ IndexedClusterer::IndexedClusterer(const ClusterParams &params,
 {
 }
 
-double
-IndexedClusterer::confirm(const BitVec &error_string,
-                          std::size_t es_weight, std::size_t c) const
-{
-    // The bounded kernel returns the exact distance whenever it is
-    // <= threshold and a pruned value provably > threshold
-    // otherwise, so comparing its result against the threshold gives
-    // the same accept/reject decision the unbounded metric (and
-    // therefore OnlineClusterer) would make.
-    if (prm.metric == DistanceMetric::ModifiedJaccard) {
-        return modifiedJaccardBounded(error_string, es_weight,
-                                      clusters[c].bits(),
-                                      prm.threshold);
-    }
-    return distance(prm.metric, error_string, clusters[c].bits());
-}
-
 std::size_t
 IndexedClusterer::augmentInto(std::size_t c, const BitVec &error_string)
 {
-    const std::size_t weight_before = clusters[c].weight();
-    clusters[c].augment(error_string);
+    // Algorithm 4 line 7: intersect. Each position whose bit is
+    // clear in the error string drops out, so the list stays sorted
+    // and only ever shrinks — an unchanged length is an unchanged
+    // fingerprint. Re-sign exactly when it shrank, and move the
+    // index entry only when a signature value (hence some band key)
+    // changed.
+    Cluster &cl = clusters.all[c];
+    const std::size_t weight_before = cl.positions.size();
+    const auto &words = error_string.words();
+    std::erase_if(cl.positions, [&](std::uint32_t p) {
+        return ((words[p >> 6] >> (p & 63)) & 1) == 0;
+    });
+    ++cl.sources;
     ++counters.augments;
-    // augment() intersects: bits only ever clear, so an unchanged
-    // popcount means an unchanged fingerprint — re-sign exactly when
-    // the fingerprint actually shrank, and move the index entry only
-    // when a signature value (hence some band key) changed.
-    if (clusters[c].weight() != weight_before) {
+    if (cl.positions.size() != weight_before) {
         MinHashSignature fresh =
-            minhashSignature(clusters[c].bits(), lsh.params());
+            minhashSignature(clusters.view(c), lsh.params());
         if (fresh != sigs[c]) {
             lsh.update(c, sigs[c], fresh);
             sigs[c] = std::move(fresh);
@@ -117,7 +108,20 @@ IndexedClusterer::ingest(const BitVec &error_string,
                          const MinHashSignature &sig)
 {
     ++counters.outputs;
-    const std::size_t es_weight = error_string.popcount();
+
+    // Every confirm evaluates the sparse distance at bound =
+    // threshold: it is exact at or below the bound and certified
+    // above it otherwise, so `< threshold` is the unbounded metric's
+    // verdict, and therefore OnlineClusterer's. (scanStep's bound,
+    // max(threshold, running nearest), would evaluate nearly every
+    // rejected cluster in full to track a nearest cluster the
+    // clusterer never reports.)
+    const detail::SparseDistAt distAt{error_string, error_string.popcount(),
+                                      clusters, prm.metric};
+    const auto accepts = [&](std::size_t c) {
+        bool pruned = false;
+        return distAt(c, prm.threshold, &pruned) < prm.threshold;
+    };
 
     // Shortlist clusters sharing a primary band bucket, confirmed
     // exactly in ascending id order — creation order, which is the
@@ -127,7 +131,7 @@ IndexedClusterer::ingest(const BitVec &error_string,
     const std::vector<std::size_t> shortlist = lsh.candidates(sig);
     counters.candidatesScanned += shortlist.size();
     for (const std::size_t c : shortlist) {
-        if (confirm(error_string, es_weight, c) < prm.threshold)
+        if (accepts(c))
             return augmentInto(c, error_string);
     }
 
@@ -136,17 +140,23 @@ IndexedClusterer::ingest(const BitVec &error_string,
     // identical to the pairwise scan unconditionally — the index can
     // only have *missed* a matching cluster, never invented one.
     ++counters.fallbackScans;
-    for (std::size_t c = 0; c < clusters.size(); ++c) {
-        if (confirm(error_string, es_weight, c) < prm.threshold)
+    for (std::size_t c = 0; c < clusters.count(); ++c) {
+        if (accepts(c))
             return augmentInto(c, error_string);
     }
 
     // Algorithm 4 miss: the error string opens a new cluster, whose
     // fingerprint *is* the error string — and whose signature is the
-    // one the output was shortlisted with.
-    clusters.emplace_back(error_string);
+    // one the output was shortlisted with. Every cluster holds the
+    // same bit count: the fallback just compared this error string
+    // against all of them.
+    PC_ASSERT(error_string.size() <= (std::uint64_t{1} << 32),
+              "IndexedClusterer: positions are 32-bit");
+    clusters.all.push_back(
+        {SparseBitset::fromBitVec(error_string).positions(), 1});
+    clusters.universe = error_string.size();
     sigs.push_back(sig);
-    const std::size_t id = clusters.size() - 1;
+    const std::size_t id = clusters.count() - 1;
     lsh.add(id, sigs.back());
     ++counters.clustersOpened;
     history.push_back(id);
@@ -185,11 +195,12 @@ IndexedClusterer::addBatch(const std::vector<BitVec> &error_strings)
     return ids;
 }
 
-const Fingerprint &
+Fingerprint
 IndexedClusterer::fingerprint(std::size_t i) const
 {
-    PC_ASSERT(i < clusters.size(), "cluster index out of range");
-    return clusters[i];
+    PC_ASSERT(i < clusters.count(), "cluster index out of range");
+    return Fingerprint(denseBits(clusters.view(i)),
+                       clusters.all[i].sources);
 }
 
 const MinHashSignature &
@@ -203,8 +214,8 @@ FingerprintDb
 IndexedClusterer::toDatabase(const std::string &label_prefix) const
 {
     FingerprintDb db;
-    for (std::size_t i = 0; i < clusters.size(); ++i)
-        db.add(label_prefix + std::to_string(i), clusters[i]);
+    for (std::size_t i = 0; i < clusters.count(); ++i)
+        db.add(label_prefix + std::to_string(i), fingerprint(i));
     return db;
 }
 

@@ -9,12 +9,14 @@
  * the discovered fingerprint database.
  *
  * Two implementations share the algorithm: OnlineClusterer is the
- * literal pairwise scan (the reference), and IndexedClusterer keeps
- * cluster fingerprints in the same MinHash/LSH banded bucket index
+ * literal pairwise scan over dense fingerprints (the reference), and
+ * IndexedClusterer keeps each cluster fingerprint as a sorted
+ * position list in the same MinHash/LSH banded bucket index
  * FingerprintStore uses for Algorithm 2 — bucket shortlist, exact
- * bounded-kernel confirm, full-scan fallback — so ingest stays
- * sublinear at fleet scale while accept/reject verdicts are
- * identical to the pairwise scan by construction.
+ * bounded-kernel confirm, full-scan fallback, both through core/scan's
+ * sparse distance — so ingest stays sublinear at fleet scale while
+ * accept/reject verdicts are identical to the pairwise scan by
+ * construction.
  */
 
 #ifndef PCAUSE_CORE_CLUSTER_HH
@@ -92,30 +94,34 @@ struct ClusterStats
 /**
  * Algorithm 4 on the MinHash/LSH candidate index.
  *
- * Each incoming error string is signed once; the banded bucket
- * index shortlists clusters sharing a primary band bucket with it,
- * and the exact bounded Algorithm 3 kernel confirms the shortlist in
- * ascending cluster-id order (creation order — the order the
- * pairwise scan visits). Unlike FingerprintStore's query side, the
- * clusterer probes primary buckets only (no multi-probe): in the
- * clustering regime an output and its cluster's fingerprint are
- * near-duplicates, so a primary all-band miss is already rare, the
- * bounded fallback makes any miss harmless to the verdict, and
- * skipping multi-probe spares the substitution lookups. When
- * no shortlisted cluster accepts, a bounded full scan over all
- * clusters decides, and its verdict is returned verbatim —
- * so whether an output joins an existing cluster or opens a new one
- * is always identical to OnlineClusterer, and *which* cluster it
- * joins is identical whenever at most one cluster sits under the
- * threshold (the regime the paper's separated fleets are in; see
- * docs/ALGORITHMS.md).
+ * Each cluster is its fingerprint's sorted position list plus its
+ * source count, shown to core/scan as a SparseFingerprintSource. Each
+ * incoming error string is signed once; the banded bucket index
+ * shortlists clusters sharing a primary band bucket with it, and the
+ * exact sparse distance (detail::SparseDistAt, bounded at the
+ * threshold) confirms the shortlist in ascending cluster-id order
+ * (creation order — the order the pairwise scan visits). Unlike
+ * FingerprintStore's query side, the clusterer probes primary
+ * buckets only (no multi-probe): in the clustering regime an output
+ * and its cluster's fingerprint are near-duplicates, so a primary
+ * all-band miss is already rare, the bounded fallback makes any miss
+ * harmless to the verdict, and skipping multi-probe spares the
+ * substitution lookups. When no shortlisted cluster accepts, a
+ * bounded full scan over all clusters decides, and its verdict is
+ * returned verbatim — so whether an output joins an existing cluster
+ * or opens a new one is always identical to OnlineClusterer, and
+ * *which* cluster it joins is identical whenever at most one cluster
+ * sits under the threshold (the regime the paper's separated fleets
+ * are in; see docs/ALGORITHMS.md).
  *
- * Re-signing rule: augment() intersects, so a cluster's fingerprint
- * bits only ever shrink; its weight is unchanged iff its bits are
- * unchanged. On every augment that changed the weight the cluster is
- * re-signed in full (one hash per remaining cell) and its index
- * entry moved (LshIndex::update) when any signature value actually
- * changed, so the index always reflects the current fingerprints.
+ * Re-signing rule: an augment intersects, dropping each position
+ * whose bit is clear in the error string, so a cluster's position
+ * list only ever shrinks; its length is unchanged iff its positions
+ * are. On every augment that changed the length the cluster is
+ * re-signed from its positions (one hash per remaining cell) and
+ * its index entry moved (LshIndex::update) when any signature value
+ * actually changed, so the index always reflects the current
+ * fingerprints.
  *
  * Externally synchronized, like FingerprintStore: concurrent calls
  * on one instance are not supported. addBatch() parallelizes only
@@ -155,10 +161,11 @@ class IndexedClusterer
     addBatch(const std::vector<BitVec> &error_strings);
 
     /** Number of clusters discovered so far. */
-    std::size_t numClusters() const { return clusters.size(); }
+    std::size_t numClusters() const { return clusters.count(); }
 
-    /** Fingerprint of cluster @p i. */
-    const Fingerprint &fingerprint(std::size_t i) const;
+    /** Fingerprint of cluster @p i, rebuilt dense from its
+     *  positions. */
+    Fingerprint fingerprint(std::size_t i) const;
 
     /** Current signature of cluster @p i (re-signed on shrink). */
     const MinHashSignature &signature(std::size_t i) const;
@@ -180,20 +187,37 @@ class IndexedClusterer
     const ClusterStats &stats() const { return counters; }
 
   private:
+    /** One discovered cluster. */
+    struct Cluster
+    {
+        std::vector<std::uint32_t> positions; //!< ascending
+        unsigned sources = 0; //!< error strings folded in
+    };
+
+    /** The clusters, seen by core/scan as sparse fingerprints. */
+    struct ClusterSet final : SparseFingerprintSource
+    {
+        std::vector<Cluster> all;
+        std::uint64_t universe = 0; //!< bits per error string
+
+        std::size_t count() const override { return all.size(); }
+        SparseView view(std::size_t i) const override
+        {
+            return {all[i].positions.data(), all[i].positions.size(),
+                    universe};
+        }
+    };
+
     /** Ingest one error string whose signature is already computed. */
     std::size_t ingest(const BitVec &error_string,
                        const MinHashSignature &sig);
-
-    /** Bounded confirm of @p error_string against cluster @p c. */
-    double confirm(const BitVec &error_string, std::size_t es_weight,
-                   std::size_t c) const;
 
     /** Fold an accepted error string into cluster @p c, re-signing
      *  when the intersection shrank the fingerprint. */
     std::size_t augmentInto(std::size_t c, const BitVec &error_string);
 
     ClusterParams prm;
-    std::vector<Fingerprint> clusters;
+    ClusterSet clusters;
     std::vector<MinHashSignature> sigs; //!< current, per cluster
     LshIndex lsh;
     std::vector<std::size_t> history;

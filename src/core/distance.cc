@@ -68,45 +68,6 @@ modifiedJaccard(const BitVec &error_string, const BitVec &fingerprint)
 }
 
 double
-modifiedJaccardBounded(const BitVec &error_string,
-                       const BitVec &fingerprint, double bound,
-                       bool *pruned)
-{
-    return modifiedJaccardBounded(error_string,
-                                  error_string.popcount(),
-                                  fingerprint, bound, pruned);
-}
-
-double
-modifiedJaccardBounded(const BitVec &error_string,
-                       std::size_t es_weight,
-                       const BitVec &fingerprint, double bound,
-                       bool *pruned)
-{
-    PC_ASSERT(error_string.size() == fingerprint.size(),
-              "distance: size mismatch");
-    if (pruned)
-        *pruned = false;
-
-    const std::size_t we = es_weight;
-    const std::size_t wf = fingerprint.popcount();
-    if (we == 0 && wf == 0)
-        return 0.0;
-    if (we == 0 || wf == 0)
-        return 1.0;
-
-    const BitVec &fp = (wf <= we) ? fingerprint : error_string;
-    const BitVec &es = (wf <= we) ? error_string : fingerprint;
-    const std::size_t fp_weight = (wf <= we) ? wf : we;
-
-    const std::size_t limit = boundedCountLimit(bound, fp_weight);
-    const std::size_t d = fp.andNotCountBounded(es, limit);
-    if (d > limit && pruned)
-        *pruned = true;
-    return static_cast<double>(d) / fp_weight;
-}
-
-double
 modifiedJaccardSparseBounded(const BitVec &error_string,
                              std::size_t es_weight,
                              const SparseView &fingerprint,
@@ -130,9 +91,8 @@ modifiedJaccardSparseBounded(const BitVec &error_string,
     if (wf <= we) {
         // Footnote-2 roles unchanged: the sparse operand is the
         // fingerprint, d = |fp \ es| counted over the position list
-        // with the same early-exit limit as the dense kernel (and
-        // the same simd::boundedBlock check granularity on every
-        // dispatch level).
+        // with an early exit past boundedCountLimit() (checked every
+        // simd::boundedBlock positions on every dispatch level).
         const std::size_t limit = boundedCountLimit(bound, wf);
         const std::size_t d =
             simd::sparseMissCountBounded(words, pos, wf, limit);

@@ -46,10 +46,9 @@ double modifiedJaccard(const BitVec &error_string,
  * floating-point division the unbounded metric performs. The nudge
  * loops correct any rounding in the double-precision product (each
  * runs at most a step or two). Every bounded Algorithm 3 scan — the
- * dense and sparse kernels and the store's overlap-count scan —
- * prunes a record exactly when its miss count exceeds this limit,
- * so their early-exit decisions cannot diverge. @p bound must not
- * be NaN.
+ * sparse kernel and the store's overlap-count scan — prunes a record
+ * exactly when its miss count exceeds this limit, so their early-exit
+ * decisions cannot diverge. @p bound must not be NaN.
  */
 std::size_t boundedCountLimit(double bound, std::size_t fp_weight);
 
@@ -82,57 +81,28 @@ struct PruneScreen
 /** The screen for @p bound (not NaN; below 0 screens as 0). */
 PruneScreen pruneScreen(double bound);
 
-/**
- * Bounded Algorithm 3: modifiedJaccard() with an early exit once
- * the distance provably exceeds @p bound.
- *
- * The distance is d/wf where d = |fp \ es| only ever grows as the
- * words are scanned, so the running d/wf is a monotone lower bound
- * on the final value: the moment it exceeds @p bound, no suffix of
- * the scan can bring the result back under it. Returns the exact
- * distance when it is <= @p bound; otherwise returns the (partial)
- * lower bound reached, which is itself > @p bound. Callers that
- * compare the result against thresholds <= @p bound therefore get
- * verdicts identical to the unbounded metric. When @p pruned is
- * non-null it is set to whether the scan exited early.
- */
-double modifiedJaccardBounded(const BitVec &error_string,
-                              const BitVec &fingerprint,
-                              double bound,
-                              bool *pruned = nullptr);
-
-/**
- * modifiedJaccardBounded() with the error string's popcount
- * precomputed: batch scans hash the query operand once instead of
- * once per candidate (the sparse path has always worked this way).
- * @p es_weight must equal error_string.popcount().
- */
-double modifiedJaccardBounded(const BitVec &error_string,
-                              std::size_t es_weight,
-                              const BitVec &fingerprint,
-                              double bound,
-                              bool *pruned = nullptr);
-
 /** Algorithm 3 on sparse page-level patterns. */
 double modifiedJaccard(const SparseBitset &error_string,
                        const SparseBitset &fingerprint);
 
 /**
  * Bounded Algorithm 3 with a sparse fingerprint against a dense
- * error string — the kernel behind the FingerprintStore's position
- * arena and mmap-ed v3 databases, where fingerprints are ~256
- * positions out of 8192 bits and materializing a dense BitVec per
- * record would waste ~30x the memory traffic.
+ * error string: modifiedJaccard() with an early exit once the
+ * distance provably exceeds @p bound. The one bounded Algorithm 3
+ * kernel, behind both stores' scans and the indexed clusterer, where
+ * fingerprints are ~256 positions out of 8192 bits and a dense
+ * BitVec per record would waste ~30x the memory traffic.
  *
- * Semantics are bit-identical to modifiedJaccardBounded() on
- * (error_string, dense(fingerprint)): the same footnote-2 swap rule
- * (the lower-weight operand plays the fingerprint role), the same
- * integer early-exit limit, and the same final double division, so
- * verdicts and reported distances cannot drift between the dense
- * and sparse paths. When the scan exits early the returned value is
- * a lower bound > @p bound (its exact magnitude may differ from the
- * dense kernel's partial count, which is word-granular — both are
- * pruned values that no caller compares beyond "> bound").
+ * It applies the same footnote-2 swap rule (the lower-weight operand
+ * plays the fingerprint role) and the same final double division as
+ * modifiedJaccard() on (error_string, dense(fingerprint)), so the
+ * result is bit-identical to it whenever the distance is <= @p bound.
+ * Above the bound it returns a lower bound on the distance that is
+ * itself > @p bound: callers comparing it against thresholds
+ * <= @p bound get the unbounded metric's verdicts. @p pruned, when
+ * non-null, is set exactly when the miss count exceeds
+ * boundedCountLimit(@p bound, fingerprint weight), which implies the
+ * distance is > @p bound.
  *
  * @p es_weight must equal error_string.popcount() (passed in so
  * batch scans hash it once per query, not once per record), and

@@ -75,51 +75,56 @@ densifySource(const std::vector<std::uint64_t> &filled,
     }
 }
 
+/** Key of the cell hash stream: cell p hashes to
+ *  avalanche(cellKey + (p + 1) * streamStep). */
+inline std::uint64_t
+cellKey(const MinHashParams &params)
+{
+    return mix64(params.seed, 0x63656c6cull); // "cell"
+}
+
 /**
- * One-permutation sketch of @p bits into @p primary (and, with
- * @p WithSecond, @p second), both k entries preset to ~0. One walk
- * over the set cells hashes each once, with a branch-free min (and
- * second-min) update; bins are then densified.
+ * Fold the hash @p h of one set cell into its bin among @p k: mark
+ * the bin in @p filled and keep its minimum (and, with
+ * @p WithSecond, its second-smallest distinct value), branch-free.
+ * Both signing walks run it once per set cell.
+ */
+template <bool WithSecond>
+inline void
+foldCell(std::uint64_t h, std::uint32_t k, std::uint64_t *filled,
+         std::uint32_t *primary, std::uint32_t *second)
+{
+    const std::uint32_t b = binOf(h, k);
+    const auto v = static_cast<std::uint32_t>(h);
+    filled[b >> 6] |= std::uint64_t{1} << (b & 63);
+    const std::uint32_t lo = primary[b];
+    const std::uint32_t min = lo < v ? lo : v;
+    primary[b] = min;
+    if constexpr (WithSecond) {
+        // The larger of (old minimum, v) competes for second
+        // place, unless v repeated the old minimum.
+        const std::uint32_t up = lo < v ? v : lo;
+        const std::uint32_t sec = second[b];
+        second[b] = up == min ? sec : (sec < up ? sec : up);
+    }
+}
+
+/**
+ * Finish a signing walk: each bin no cell fell into (clear in
+ * @p filled) copies its densification source's minimum. The empty
+ * set keeps its all-ones sentinels.
  */
 template <bool WithSecond>
 void
-sign(const BitVec &bits, const MinHashParams &params,
-     std::uint32_t *primary, std::uint32_t *second)
+densify(const std::vector<std::uint64_t> &filled,
+        const MinHashParams &params, std::uint32_t *primary,
+        std::uint32_t *second)
 {
-    const std::uint32_t k = params.numHashes;
-    // Which bins a cell fell into: a cell's value may itself be the
-    // all-ones sentinel, so emptiness cannot be read off the values.
-    std::vector<std::uint64_t> filled((k + 63) / 64);
-    // Cell p hashes to the p-th output of a splitmix64 stream keyed
-    // by the seed; `base` is the stream state at the word's cell 0.
-    std::uint64_t base = mix64(params.seed, 0x63656c6cull) + streamStep;
-    const auto &words = bits.words();
-    for (std::size_t wi = 0; wi < words.size();
-         ++wi, base += 64 * streamStep) {
-        for (std::uint64_t w = words[wi]; w != 0; w &= w - 1) {
-            const std::uint64_t h = avalanche(
-                base + static_cast<std::uint64_t>(std::countr_zero(w)) *
-                           streamStep);
-            const std::uint32_t b = binOf(h, k);
-            const auto v = static_cast<std::uint32_t>(h);
-            filled[b >> 6] |= std::uint64_t{1} << (b & 63);
-            const std::uint32_t lo = primary[b];
-            const std::uint32_t min = lo < v ? lo : v;
-            primary[b] = min;
-            if constexpr (WithSecond) {
-                // The larger of (old minimum, v) competes for second
-                // place, unless v repeated the old minimum.
-                const std::uint32_t up = lo < v ? v : lo;
-                const std::uint32_t sec = second[b];
-                second[b] = up == min ? sec : (sec < up ? sec : up);
-            }
-        }
-    }
-
     if (std::all_of(filled.begin(), filled.end(),
                     [](std::uint64_t f) { return f == 0; }))
-        return; // the empty set keeps its all-ones sentinels
+        return;
 
+    const std::uint32_t k = params.numHashes;
     const std::uint64_t dens_key =
         mix64(params.seed, 0x64656e73ull); // "dens"
     for (std::uint32_t j = 0; j < k; ++j) {
@@ -134,6 +139,37 @@ sign(const BitVec &bits, const MinHashParams &params,
     }
 }
 
+/**
+ * One-permutation sketch of @p bits into @p primary (and, with
+ * @p WithSecond, @p second), both k entries preset to ~0: one walk
+ * over the set cells folds each into its bin, then bins are
+ * densified.
+ */
+template <bool WithSecond>
+void
+sign(const BitVec &bits, const MinHashParams &params,
+     std::uint32_t *primary, std::uint32_t *second)
+{
+    const std::uint32_t k = params.numHashes;
+    // Which bins a cell fell into: a cell's value may itself be the
+    // all-ones sentinel, so emptiness cannot be read off the values.
+    std::vector<std::uint64_t> filled((k + 63) / 64);
+    // Cell p hashes to the p-th output of a splitmix64 stream keyed
+    // by the seed; `base` is the stream state at the word's cell 0.
+    std::uint64_t base = cellKey(params) + streamStep;
+    const auto &words = bits.words();
+    for (std::size_t wi = 0; wi < words.size();
+         ++wi, base += 64 * streamStep) {
+        for (std::uint64_t w = words[wi]; w != 0; w &= w - 1) {
+            const std::uint64_t h = avalanche(
+                base + static_cast<std::uint64_t>(std::countr_zero(w)) *
+                           streamStep);
+            foldCell<WithSecond>(h, k, filled.data(), primary, second);
+        }
+    }
+    densify<WithSecond>(filled, params, primary, second);
+}
+
 } // anonymous namespace
 
 MinHashSignature
@@ -142,6 +178,23 @@ minhashSignature(const BitVec &bits, const MinHashParams &params)
     checkParams(params, "minhashSignature: bands must divide numHashes");
     MinHashSignature sig(params.numHashes, ~std::uint32_t{0});
     sign<false>(bits, params, sig.data(), nullptr);
+    return sig;
+}
+
+MinHashSignature
+minhashSignature(const SparseView &positions, const MinHashParams &params)
+{
+    checkParams(params, "minhashSignature: bands must divide numHashes");
+    const std::uint32_t k = params.numHashes;
+    MinHashSignature sig(k, ~std::uint32_t{0});
+    std::vector<std::uint64_t> filled((k + 63) / 64);
+    const std::uint64_t key = cellKey(params);
+    for (std::size_t i = 0; i < positions.count; ++i) {
+        const std::uint64_t h = avalanche(
+            key + (std::uint64_t{positions.positions[i]} + 1) * streamStep);
+        foldCell<false>(h, k, filled.data(), sig.data(), nullptr);
+    }
+    densify<false>(filled, params, sig.data(), nullptr);
     return sig;
 }
 

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "util/bitvec.hh"
+#include "util/sparse_bitset.hh"
 
 namespace pcause
 {
@@ -135,6 +136,15 @@ struct MinHashSketch
  * signature regardless of when or where it is hashed.
  */
 MinHashSignature minhashSignature(const BitVec &bits,
+                                  const MinHashParams &params);
+
+/**
+ * minhashSignature() of the set holding exactly @p positions' cells,
+ * equal row for row to the dense entry's signature of those cells,
+ * without building the dense vector: how a stored record or a shrunk
+ * cluster is (re-)signed.
+ */
+MinHashSignature minhashSignature(const SparseView &positions,
                                   const MinHashParams &params);
 
 /** Compute the signature plus second minima (query side). The

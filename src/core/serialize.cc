@@ -358,6 +358,19 @@ loadBitVec(const std::string &path)
     in.read(reinterpret_cast<char *>(&nbits), sizeof(nbits));
     if (!in)
         fatal("loadBitVec: truncated input");
+    // Size the vector only once the file is known to hold its
+    // payload: the header alone must not trigger a huge allocation.
+    const std::streamoff payload_start = in.tellg();
+    in.seekg(0, std::ios::end);
+    const std::streamoff payload_bytes = in.tellg() - payload_start;
+    in.seekg(payload_start);
+    const std::uint64_t need = nbits / 8 + (nbits % 8 != 0);
+    if (!in || payload_bytes < 0 ||
+        static_cast<std::uint64_t>(payload_bytes) < need)
+        fatal("loadBitVec: %s is truncated: its header claims %llu "
+              "bits, %lld payload bytes follow",
+              path.c_str(), (unsigned long long)nbits,
+              (long long)payload_bytes);
 
     BitVec bits(nbits);
     std::uint8_t byte = 0;

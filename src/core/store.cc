@@ -459,7 +459,7 @@ signArena(const SparseFingerprintArena &fps, const MinHashParams &params,
 {
     std::vector<MinHashSignature> sigs(fps.count());
     const auto hashRecord = [&](std::size_t i) {
-        sigs[i] = minhashSignature(denseBits(fps.view(i)), params);
+        sigs[i] = minhashSignature(fps.view(i), params);
     };
     if (pool) {
         pool->parallelFor(0, sigs.size(), hashRecord);

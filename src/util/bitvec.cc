@@ -128,21 +128,6 @@ BitVec::andNotCount(const BitVec &other) const
                                   wordStore.size());
 }
 
-std::size_t
-BitVec::andNotCountBounded(const BitVec &other,
-                           std::size_t limit) const
-{
-    PC_ASSERT(nbits == other.nbits, "BitVec size mismatch");
-    // The bound is checked every simd::boundedBlock words on every
-    // dispatch level: often enough to bail early, rarely enough
-    // that the branch stays out of the inner loop's way — and part
-    // of the kernel contract, so vector and scalar paths return
-    // identical partial counts.
-    return simd::andNotCountBoundedWords(wordStore.data(),
-                                         other.wordStore.data(),
-                                         wordStore.size(), limit);
-}
-
 BitVec &
 BitVec::operator&=(const BitVec &other)
 {

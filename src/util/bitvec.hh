@@ -103,21 +103,11 @@ class BitVec
 
     /**
      * Count bits set here but clear in @p other (popcount of
-     * this AND NOT other). This is the inner loop of the paper's
-     * Algorithm 3 distance. Sizes must match.
+     * this AND NOT other): the inner loop of modifiedJaccard(), the
+     * dense Algorithm 3 reference (the exact scans run the bounded
+     * sparse kernel instead). Sizes must match.
      */
     std::size_t andNotCount(const BitVec &other) const;
-
-    /**
-     * andNotCount() with a word-level early exit: returns as soon
-     * as the running count exceeds @p limit. The result is exact
-     * when it is <= @p limit; otherwise it is a partial count that
-     * is > @p limit (a lower bound on the exact count). This is the
-     * kernel behind the bounded Algorithm 3 distance used by the
-     * batch identification scan. Sizes must match.
-     */
-    std::size_t andNotCountBounded(const BitVec &other,
-                                   std::size_t limit) const;
 
     /** In-place bitwise AND. Sizes must match. */
     BitVec &operator&=(const BitVec &other);

@@ -72,21 +72,6 @@ countWordsScalar(const std::uint64_t *a, const std::uint64_t *b,
 }
 
 std::size_t
-andNotCountBoundedScalar(const std::uint64_t *a, const std::uint64_t *b,
-                         std::size_t n, std::size_t limit)
-{
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < n; i += boundedBlock) {
-        const std::size_t stop = std::min(n, i + boundedBlock);
-        for (std::size_t j = i; j < stop; ++j)
-            total += std::popcount(a[j] & ~b[j]);
-        if (total > limit)
-            return total;
-    }
-    return total;
-}
-
-std::size_t
 buildChargedWordsScalar(const std::uint64_t *content, std::size_t n,
                         std::uint64_t defw, const float *word_min_eff,
                         double stress, std::uint64_t *charged_out)
@@ -219,31 +204,6 @@ countWordsAvx2(const std::uint64_t *a, const std::uint64_t *b,
     std::size_t total = hsum64x4(acc);
     for (; i < n; ++i)
         total += std::popcount(combineScalar(op, a[i], b ? b[i] : 0));
-    return total;
-}
-
-__attribute__((target("avx2"))) std::size_t
-andNotCountBoundedAvx2(const std::uint64_t *a, const std::uint64_t *b,
-                       std::size_t n, std::size_t limit)
-{
-    static_assert(boundedBlock % 4 == 0);
-    std::size_t total = 0;
-    std::size_t i = 0;
-    // Same 16-word blocks as the scalar path: partial sums at every
-    // block boundary are identical, so the early-exit decision and
-    // any pruned partial count cannot diverge.
-    for (; i + boundedBlock <= n; i += boundedBlock) {
-        __m256i acc = _mm256_setzero_si256();
-        for (std::size_t v = 0; v < boundedBlock; v += 4) {
-            acc = _mm256_add_epi64(
-                acc, popcnt256(combine256<opAndNot>(a, b, i + v)));
-        }
-        total += hsum64x4(acc);
-        if (total > limit)
-            return total;
-    }
-    for (; i < n; ++i)
-        total += std::popcount(a[i] & ~b[i]);
     return total;
 }
 
@@ -397,29 +357,6 @@ countWordsAvx512(const std::uint64_t *a, const std::uint64_t *b,
         static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc));
     for (; i < n; ++i)
         total += std::popcount(combineScalar(op, a[i], b ? b[i] : 0));
-    return total;
-}
-
-__attribute__((target(PC_AVX512_TARGET))) std::size_t
-andNotCountBoundedAvx512(const std::uint64_t *a, const std::uint64_t *b,
-                         std::size_t n, std::size_t limit)
-{
-    static_assert(boundedBlock % 8 == 0);
-    std::size_t total = 0;
-    std::size_t i = 0;
-    for (; i + boundedBlock <= n; i += boundedBlock) {
-        __m512i acc = _mm512_setzero_si512();
-        for (std::size_t v = 0; v < boundedBlock; v += 8) {
-            acc = _mm512_add_epi64(
-                acc, popcnt512(combine512<opAndNot>(a, b, i + v)));
-        }
-        total += static_cast<std::uint64_t>(
-            _mm512_reduce_add_epi64(acc));
-        if (total > limit)
-            return total;
-    }
-    for (; i < n; ++i)
-        total += std::popcount(a[i] & ~b[i]);
     return total;
 }
 
@@ -689,21 +626,6 @@ xorCountWords(const std::uint64_t *a, const std::uint64_t *b,
     (void)level;
 #endif
     return countWordsScalar<opXor>(a, b, n);
-}
-
-std::size_t
-andNotCountBoundedWords(const std::uint64_t *a, const std::uint64_t *b,
-                        std::size_t n, std::size_t limit, Level level)
-{
-#if PC_SIMD_X86
-    if (level == Level::Avx512)
-        return andNotCountBoundedAvx512(a, b, n, limit);
-    if (level == Level::Avx2)
-        return andNotCountBoundedAvx2(a, b, n, limit);
-#else
-    (void)level;
-#endif
-    return andNotCountBoundedScalar(a, b, n, limit);
 }
 
 std::size_t

@@ -4,9 +4,10 @@
  *
  * Every identification verdict bottoms out in a handful of
  * word-at-a-time loops: popcounts over AND/AND-NOT/XOR combinations
- * (Algorithm 3 and its bounded variant), the sparse position-list
- * scans behind the FingerprintStore, and the decay engine's
- * charged-word mask builder. This header provides those kernels
+ * (the dense Algorithm 3 reference and the other metrics), the
+ * bounded sparse position-list scans behind both stores and the
+ * indexed clusterer, and the decay engine's charged-word mask
+ * builder. This header provides those kernels
  * with three implementations selected at runtime — scalar (always
  * available), AVX2, and AVX-512 — behind one dispatch level.
  *
@@ -81,7 +82,7 @@ void applyEnvSpec(const char *spec);
 /**
  * Bound-check granularity of the bounded kernels: the running count
  * is compared against the limit after every block of this many
- * words (dense) or positions (sparse), on every dispatch level.
+ * positions, on every dispatch level.
  */
 inline constexpr std::size_t boundedBlock = 16;
 
@@ -101,18 +102,6 @@ std::size_t andNotCountWords(const std::uint64_t *a,
 /** Popcount of a[i] ^ b[i] over [0, n). */
 std::size_t xorCountWords(const std::uint64_t *a, const std::uint64_t *b,
                           std::size_t n, Level level = activeLevel());
-
-/**
- * Popcount of a[i] & ~b[i] with an early exit: returns as soon as
- * the running count exceeds @p limit, checking at boundedBlock-word
- * boundaries. Exact when the result is <= @p limit; otherwise a
- * partial count > @p limit. All levels return the same value on the
- * same input (the block structure is part of the contract).
- */
-std::size_t andNotCountBoundedWords(const std::uint64_t *a,
-                                    const std::uint64_t *b,
-                                    std::size_t n, std::size_t limit,
-                                    Level level = activeLevel());
 
 /**
  * Decay-engine mask builder over full words: for each i in [0, n),

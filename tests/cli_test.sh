@@ -125,6 +125,25 @@ if "$PCAUSE" characterize --db db.pcdb --label small --exact small.pcbv \
 fi
 "$PCAUSE" db --db db.pcdb | grep -q "3 records"
 
+# identify and cluster refuse an output whose bit count differs from
+# --exact's, naming both files, instead of aborting on an assertion.
+# So is a header claiming 2^62 bits over two payload bytes, before
+# anything is allocated for it.
+printf 'PCBV\001\000\000\000\000\000\000\000\000\000\000\100\377\377' \
+    > huge.pcbv
+for probe in "identify --db db.pcdb --exact exact.pcbv small.pcbv" \
+    "cluster --exact exact.pcbv chip0_trial0.pcbv small.pcbv" \
+    "cluster --exact exact.pcbv chip0_trial0.pcbv huge.pcbv"; do
+    rc=0
+    # shellcheck disable=SC2086
+    "$PCAUSE" $probe > refused.out 2>&1 || rc=$?
+    if [ "$rc" -ne 1 ] || grep -q "panic" refused.out ||
+        ! grep -qE "exact.pcbv|truncated" refused.out; then
+        echo "FAIL: $probe exited $rc: $(cat refused.out)" >&2
+        exit 1
+    fi
+done
+
 # A corrupt database must fail with a message, not crash.
 echo "garbage" > broken.pcdb
 if "$PCAUSE" db --db broken.pcdb > /dev/null 2>&1; then

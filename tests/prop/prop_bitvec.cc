@@ -1,10 +1,9 @@
 /**
  * @file
  * Properties of the BitVec word-level kernels every distance and
- * decay fast path is built on. andNotCountBounded is the repo's
- * canonical "bounded scan" contract — the same shape
- * modifiedJaccardBounded and the store's pruned queries rely on —
- * so it gets the sharpest property.
+ * decay fast path is built on: slice/blit round trips, popcount
+ * against the set-bit list, and the AND-NOT count behind the dense
+ * Algorithm 3 reference against its per-bit definition.
  */
 
 #include "prop_common.hh"
@@ -13,62 +12,6 @@
 
 using namespace pcause;
 using pcheck::Ctx;
-
-PCHECK_PROPERTY(PropBitVec, AndNotCountBoundedConsistent,
-                [](Ctx &ctx) {
-    // Large enough that the scan spans several early-exit blocks:
-    // the pruning decisions are where the off-by-ones live.
-    const std::size_t nbits = ctx.sizeRange(1, 2600, "nbits");
-    const BitVec a = pcheck::genBitVec(ctx, nbits);
-    const BitVec b = pcheck::genBitVec(ctx, nbits, 1);
-    const std::size_t exact = a.andNotCount(b);
-    ctx.note("exact", exact);
-
-    const auto checkLimit = [&](std::size_t limit) {
-        const std::size_t bounded = a.andNotCountBounded(b, limit);
-        if (exact <= limit) {
-            // Within budget the scan must return the exact count.
-            if (bounded != exact)
-                pcheck::failCheck(
-                    "limit " + std::to_string(limit) + ": bounded " +
-                    std::to_string(bounded) + " != exact " +
-                    std::to_string(exact));
-        } else {
-            // Over budget it may stop early, but whatever it
-            // returns must both certify the excess and stay a
-            // valid lower bound.
-            if (bounded <= limit)
-                pcheck::failCheck(
-                    "limit " + std::to_string(limit) + ": bounded " +
-                    std::to_string(bounded) +
-                    " failed to exceed the limit");
-            if (bounded > exact)
-                pcheck::failCheck(
-                    "limit " + std::to_string(limit) + ": bounded " +
-                    std::to_string(bounded) + " overshot exact " +
-                    std::to_string(exact));
-        }
-    };
-
-    // One arbitrary limit...
-    checkLimit(ctx.sizeRange(0, nbits, "limit"));
-    // ...plus a sweep pinned to the decision boundaries: the
-    // running count at every word edge, the exact count, and one
-    // either side of each. A uniform limit almost never lands
-    // there, and that is exactly where a miscompared early exit
-    // hides.
-    std::size_t prefix = 0;
-    for (std::size_t w = 0; w <= a.wordCount(); ++w) {
-        for (std::size_t limit :
-             {prefix - std::min<std::size_t>(prefix, 1), prefix,
-              prefix + 1})
-            checkLimit(limit);
-        if (w < a.wordCount())
-            prefix += std::popcount(a.wordAt(w) & ~b.wordAt(w));
-    }
-    checkLimit(exact - std::min<std::size_t>(exact, 1));
-    checkLimit(exact + 1);
-})
 
 PCHECK_PROPERTY(PropBitVec, SliceBlitRoundTrip, [](Ctx &ctx) {
     const std::size_t nbits = ctx.sizeRange(1, 300, "nbits");

@@ -97,17 +97,30 @@ PCHECK_PROPERTY(PropCluster, OnlineMatchesBatch, [](Ctx &ctx) {
 // ------------------------------------------------------------------
 
 /**
- * The tentpole equivalence: on randomized fleets the indexed path
- * assigns every output to exactly the cluster the pairwise scan
- * does — not just the same partition, the same cluster ids, because
- * both visit clusters in creation order and the index's fallback
- * scan returns the pairwise verdict verbatim.
+ * The tentpole equivalence, under every metric: on randomized fleets
+ * the indexed path assigns every output to exactly the cluster the
+ * pairwise scan does — not just the same partition, the same cluster
+ * ids, because both visit clusters in creation order and the index's
+ * fallback scan returns the pairwise verdict verbatim. Each drawn
+ * threshold keeps every metric where at most one cluster can sit
+ * under it: 0 matches nothing; 0.4 and 0.9 sit above within-chip and
+ * below cross-chip (modified) Jaccard distances, which are 1 for the
+ * disjoint chips; 1 matches any overlap; 1.5 matches everything. The
+ * fleet's Hamming distances all stay below 1/3, so Hamming above 0
+ * puts every output in cluster 0.
  */
 PCHECK_PROPERTY(PropCluster, IndexedMatchesPairwise, [](Ctx &ctx) {
     const FleetCampaign in = genFleetCampaign(ctx, 5, 5);
+    ClusterParams params;
+    params.metric = ctx.element<DistanceMetric>(
+        {DistanceMetric::ModifiedJaccard, DistanceMetric::Jaccard,
+         DistanceMetric::Hamming},
+        "metric");
+    params.threshold =
+        ctx.element<double>({0.4, 0.0, 0.9, 1.0, 1.5}, "threshold");
 
-    OnlineClusterer pairwise(propParams());
-    IndexedClusterer indexed(propParams());
+    OnlineClusterer pairwise(params);
+    IndexedClusterer indexed(params);
     for (const BitVec &es : in.outputs) {
         const std::size_t a = pairwise.addErrorString(es);
         const std::size_t b = indexed.addErrorString(es);
@@ -121,9 +134,9 @@ PCHECK_PROPERTY(PropCluster, IndexedMatchesPairwise, [](Ctx &ctx) {
     std::vector<std::size_t> viaBatch;
     std::vector<std::size_t> viaScan;
     const BitVec exact(in.universeBits);
-    clusterIndexed(in.outputs, exact, propParams(), MinHashParams{},
+    clusterIndexed(in.outputs, exact, params, MinHashParams{},
                    &viaBatch);
-    cluster(in.outputs, exact, propParams(), &viaScan);
+    cluster(in.outputs, exact, params, &viaScan);
     PCHECK_MSG(viaBatch == viaScan,
                "clusterIndexed() and cluster() assignments differ");
 })
@@ -142,7 +155,7 @@ PCHECK_PROPERTY(PropCluster, AugmentOnlyShrinksAndResigns,
     std::vector<BitVec> before; // fingerprint snapshot per cluster
     for (const BitVec &es : in.outputs) {
         const std::size_t c = indexed.addErrorString(es);
-        const BitVec &now = indexed.fingerprint(c).bits();
+        const BitVec now = indexed.fingerprint(c).bits();
         if (c < before.size()) {
             for (const std::size_t p : now.setBits())
                 PCHECK_MSG(before[c].get(p),

@@ -1,14 +1,18 @@
 /**
  * @file
  * Algorithm 3 (modified Jaccard) properties: metric axioms over the
- * full input space, agreement between the dense and sparse kernels,
- * and the bounded variant's contract — exact at or below the bound,
- * a certified lower bound above it. The bound consistency property
- * is what keeps every pruned fast path (store queries, bounded
- * identification) honest.
+ * full input space, agreement between the dense and sparse unbounded
+ * metrics, and the bounded sparse kernel's contract against the
+ * unbounded dense metric — exact at or below the bound, a certified
+ * lower bound above it, pruned only when the distance exceeds it.
+ * That contract is what keeps every pruned fast path (store queries,
+ * the indexed clusterer) honest.
  */
 
 #include "prop_common.hh"
+
+#include <cmath>
+#include <string>
 
 #include "core/distance.hh"
 #include "core/fingerprint.hh"
@@ -35,28 +39,50 @@ PCHECK_PROPERTY(PropDistance, MetricAxioms, [](Ctx &ctx) {
 
 PCHECK_PROPERTY(PropDistance, BoundedConsistentWithExact,
                 [](Ctx &ctx) {
+    // Independent densities put either operand in the fingerprint
+    // role, so both of the sparse kernel's branches run.
     const std::size_t nbits = ctx.sizeRange(1, 256, "nbits");
-    const BitVec es = pcheck::genBitVec(ctx, nbits, 1);
-    const BitVec fp = pcheck::genBitVec(ctx, nbits, 1);
-    const double bound = ctx.unit("bound");
-
+    const auto es_sparsity =
+        static_cast<unsigned>(ctx.sizeRange(0, 3, "es_sparsity"));
+    const BitVec es = pcheck::genBitVec(ctx, nbits, es_sparsity);
+    const auto fp_sparsity =
+        static_cast<unsigned>(ctx.sizeRange(0, 3, "fp_sparsity"));
+    const BitVec fp = pcheck::genBitVec(ctx, nbits, fp_sparsity);
     const double d = modifiedJaccard(es, fp);
-    bool pruned = false;
-    const double bd = modifiedJaccardBounded(es, fp, bound, &pruned);
     ctx.note("exact", d);
-    ctx.note("bounded", bd);
-    if (d <= bound) {
-        // Any threshold comparison at or below the bound must see
-        // the same number the unbounded metric produces.
-        PCHECK_EQ(bd, d);
-    } else {
-        PCHECK_MSG(bd > bound,
-                   "pruned distance failed to certify > bound");
-        PCHECK_MSG(bd <= d, "lower bound exceeded the exact value");
-    }
-    if (pruned)
-        PCHECK_MSG(d > bound, "scan pruned although the exact "
-                              "distance is within the bound");
+
+    SparseFingerprintArena arena;
+    arena.add(fp);
+    const auto checkBound = [&](double bound) {
+        bool pruned = false;
+        const double bd = modifiedJaccardSparseBounded(
+            es, es.popcount(), arena.view(0), bound, &pruned);
+        const std::string at = "bound " + std::to_string(bound) +
+                               ": bounded " + std::to_string(bd);
+        if (d <= bound) {
+            // Any threshold comparison at or below the bound must see
+            // the same number the unbounded metric produces.
+            PCHECK_MSG(bd == d, at + " != exact");
+        } else {
+            PCHECK_MSG(bd > bound,
+                       at + " failed to certify > bound");
+            PCHECK_MSG(bd <= d, at + " exceeded the exact value");
+        }
+        // Pruned only above the bound, and (an empty operand returns
+        // 1 without scanning) exactly there: the one early-exit
+        // decision boundedCountLimit() defines.
+        if (pruned)
+            PCHECK_MSG(d > bound, at + " pruned within the bound");
+        else if (!es.none() && !fp.none())
+            PCHECK_MSG(d <= bound, at + " not pruned above the bound");
+    };
+    // One arbitrary bound, plus the decision edge a uniform draw
+    // almost never lands on: the exact distance and the double just
+    // below it.
+    checkBound(ctx.unit("bound"));
+    checkBound(d);
+    if (d > 0.0)
+        checkBound(std::nextafter(d, 0.0));
 })
 
 PCHECK_PROPERTY(PropDistance, SparseAgreesWithDense, [](Ctx &ctx) {
@@ -67,39 +93,4 @@ PCHECK_PROPERTY(PropDistance, SparseAgreesWithDense, [](Ctx &ctx) {
     const double sparse = modifiedJaccard(SparseBitset::fromBitVec(es),
                                           SparseBitset::fromBitVec(fp));
     PCHECK_EQ(dense, sparse);
-})
-
-PCHECK_PROPERTY(PropDistance, SparseBoundedEquivalentToDenseBounded,
-                [](Ctx &ctx) {
-    // The sparse position-list kernel the store's query paths scan
-    // must be indistinguishable from the dense bounded kernel: the
-    // same early-exit decision (they share one limit computation)
-    // and, whenever the scan completes, the bit-identical double.
-    // Pruned return values may differ (word- vs position-granular
-    // exit points) but both certify > bound, so no verdict made at
-    // or below the bound can ever diverge between the two.
-    const std::size_t nbits = ctx.sizeRange(1, 256, "nbits");
-    const BitVec es = pcheck::genBitVec(ctx, nbits, 2);
-    const BitVec fp = pcheck::genBitVec(ctx, nbits, 2);
-    const double bound = ctx.unit("bound");
-
-    SparseFingerprintArena arena;
-    arena.add(fp);
-
-    bool dense_pruned = false, sparse_pruned = false;
-    const double dense =
-        modifiedJaccardBounded(es, fp, bound, &dense_pruned);
-    const double sparse = modifiedJaccardSparseBounded(
-        es, es.popcount(), arena.view(0), bound, &sparse_pruned);
-    ctx.note("dense", dense);
-    ctx.note("sparse", sparse);
-
-    PCHECK_MSG(dense_pruned == sparse_pruned,
-               "kernels disagreed on the early-exit decision");
-    if (!sparse_pruned) {
-        PCHECK_EQ(sparse, dense);
-    } else {
-        PCHECK_MSG(sparse > bound && dense > bound,
-                   "pruned value failed to certify > bound");
-    }
 })

@@ -1,8 +1,9 @@
 /**
  * @file
  * MinHash / LSH layer properties: signatures are pure functions of
- * the bit set and the parameters, each row agrees between two sets
- * at their Jaccard similarity (densified rows included), similarity
+ * the bit set and the parameters, the dense and sparse signing walks
+ * agree bit for bit, each row agrees between two sets at their
+ * Jaccard similarity (densified rows included), similarity
  * is a bounded symmetric estimate that is exactly 1 for identical
  * sets, and the candidate
  * index never loses an exact duplicate — the recall floor the
@@ -19,6 +20,7 @@
 
 #include "core/minhash.hh"
 #include "util/rng.hh"
+#include "util/sparse_bitset.hh"
 #include "util/thread_pool.hh"
 
 using namespace pcause;
@@ -44,13 +46,27 @@ genParams(Ctx &ctx)
 PCHECK_PROPERTY(PropMinhash, SignaturePureAndSized, [](Ctx &ctx) {
     const MinHashParams mh = genParams(ctx);
     const std::size_t nbits = ctx.sizeRange(1, 512, "nbits");
-    const BitVec bits = pcheck::genBitVec(ctx, nbits, 2);
+    BitVec bits = pcheck::genBitVec(ctx, nbits, 2);
+    // The cells either side of a word edge and the last cell, where
+    // the dense walk's per-word stream base and the sparse walk's
+    // per-position step could part.
+    for (const std::size_t p : {std::size_t{63}, std::size_t{64},
+                                std::size_t{65}, nbits - 1}) {
+        if (p < nbits && ctx.boolean(0.5, "edge_cell"))
+            bits.set(p);
+    }
 
     const MinHashSignature sig = minhashSignature(bits, mh);
     PCHECK_EQ(sig.size(), static_cast<std::size_t>(mh.numHashes));
     // Pure: recomputation and copies agree exactly.
     PCHECK(sig == minhashSignature(bits, mh));
     PCHECK(sig == minhashSignature(BitVec(bits), mh));
+    // The sparse entry on the same set's positions signs bit for bit
+    // as the dense walk.
+    const SparseBitset sp = SparseBitset::fromBitVec(bits);
+    PCHECK(sig == minhashSignature(SparseView{sp.positions().data(),
+                                              sp.count(), sp.universe()},
+                                   mh));
     // The sketch's primary is the signature, its second never below.
     const MinHashSketch sk = minhashSketch(bits, mh);
     PCHECK(sk.primary == sig);

@@ -3,12 +3,12 @@
  * The SIMD dispatch layer's bit-exactness contract, pinned per
  * kernel and end to end: every dispatch level this CPU can run must
  * return exactly what the scalar path returns — identical counts,
- * identical bounded-scan early exits (including the partial count a
- * pruned scan reports), identical decay masks. On a machine without
- * AVX the properties degenerate to scalar-vs-scalar and still pass;
- * on AVX hardware they are the
- * differential test that lets every verdict-affecting loop run
- * vectorized (see util/simd.hh).
+ * identical bounded sparse-scan early exits (including the partial
+ * count a pruned scan reports), identical decay masks. On a machine
+ * without AVX the properties degenerate to scalar-vs-scalar and
+ * still pass; on AVX hardware they are the differential test that
+ * lets every verdict-affecting loop run vectorized (see
+ * util/simd.hh).
  */
 
 #include "prop_common.hh"
@@ -74,50 +74,6 @@ PCHECK_PROPERTY(PropSimd, CountKernelsAgreeAcrossLevels, [](Ctx &ctx) {
         PCHECK_EQ(simd::andNotCountWords(wa, wb, n, lvl), andnot);
         PCHECK_EQ(simd::xorCountWords(wa, wb, n, lvl), lxor);
     }
-})
-
-PCHECK_PROPERTY(PropSimd, BoundedCountAgreesAcrossLevels, [](Ctx &ctx) {
-    const std::size_t nbits = ctx.sizeRange(1, 2600, "nbits");
-    const BitVec a = pcheck::genBitVec(ctx, nbits);
-    const BitVec b = pcheck::genBitVec(ctx, nbits, 1);
-    const std::uint64_t *wa = a.words().data();
-    const std::uint64_t *wb = b.words().data();
-    const std::size_t n = a.words().size();
-    const std::vector<simd::Level> levels = availableLevels();
-
-    // The contract is stronger than "same exact count": a pruned
-    // scan's partial count and the prune decision itself must match,
-    // on every limit. Sweep the decision boundaries — the running
-    // count at every bound-check block edge, +-1 — where a
-    // divergent early exit would hide.
-    const auto checkLimit = [&](std::size_t limit) {
-        const std::size_t ref = simd::andNotCountBoundedWords(
-            wa, wb, n, limit, simd::Level::Scalar);
-        for (simd::Level lvl : levels) {
-            const std::size_t got =
-                simd::andNotCountBoundedWords(wa, wb, n, limit, lvl);
-            PCHECK_MSG(got == ref,
-                       std::string("level ") + simd::levelName(lvl) +
-                           " limit " + std::to_string(limit) + ": " +
-                           std::to_string(got) + " != scalar " +
-                           std::to_string(ref));
-        }
-    };
-
-    checkLimit(ctx.sizeRange(0, nbits, "limit"));
-    std::size_t prefix = 0;
-    for (std::size_t w = 0; w < n; ++w) {
-        if (w % simd::boundedBlock == 0) {
-            for (std::size_t limit :
-                 {prefix - std::min<std::size_t>(prefix, 1), prefix,
-                  prefix + 1})
-                checkLimit(limit);
-        }
-        prefix += std::popcount(wa[w] & ~wb[w]);
-    }
-    checkLimit(prefix - std::min<std::size_t>(prefix, 1));
-    checkLimit(prefix);
-    checkLimit(prefix + 1);
 })
 
 PCHECK_PROPERTY(PropSimd, SparseKernelsAgreeAcrossLevels, [](Ctx &ctx) {
@@ -208,7 +164,9 @@ PCHECK_PROPERTY(PropSimd, ChargedWordsAgreeAcrossLevels, [](Ctx &ctx) {
 PCHECK_PROPERTY(PropSimd, DistancePipelineAgreesAcrossLevels,
                 [](Ctx &ctx) {
     // End to end through the public Algorithm 3 entry points: the
-    // dispatch level must not move a distance or a prune flag.
+    // dispatch level must not move a distance or a prune flag, and
+    // every level must honor the bounded contract against the
+    // unbounded dense reference.
     const std::size_t nbits = ctx.sizeRange(64, 2048, "nbits");
     const BitVec es = pcheck::genBitVec(ctx, nbits, 1);
     const std::size_t weight =
@@ -223,30 +181,29 @@ PCHECK_PROPERTY(PropSimd, DistancePipelineAgreesAcrossLevels,
                           static_cast<std::uint64_t>(nbits)};
 
     LevelGuard guard;
-    double dense_ref = 0.0, sparse_ref = 0.0;
-    bool dense_pruned_ref = false, sparse_pruned_ref = false;
+    const double exact = modifiedJaccard(es, fp);
+    double sparse_ref = 0.0;
+    bool sparse_pruned_ref = false;
     bool first = true;
     for (simd::Level lvl : availableLevels()) {
         PCHECK(simd::selectLevel(simd::levelName(lvl)).empty());
-        bool dense_pruned = false, sparse_pruned = false;
-        const double dense =
-            modifiedJaccardBounded(es, fp, bound, &dense_pruned);
+        bool sparse_pruned = false;
         const double sparse = modifiedJaccardSparseBounded(
             es, es.popcount(), view, bound, &sparse_pruned);
         if (first) {
-            dense_ref = dense;
             sparse_ref = sparse;
-            dense_pruned_ref = dense_pruned;
             sparse_pruned_ref = sparse_pruned;
             first = false;
-            // Cross-path sanity on the scalar reference itself.
-            PCHECK_EQ(dense_pruned, sparse_pruned);
-            if (!dense_pruned)
-                PCHECK_EQ(dense, sparse);
+            // The scalar reference itself against the unbounded
+            // metric: exact within the bound, certified above it.
+            if (exact <= bound) {
+                PCHECK(!sparse_pruned);
+                PCHECK_EQ(sparse, exact);
+            } else {
+                PCHECK(sparse > bound && sparse <= exact);
+            }
         } else {
-            PCHECK_EQ(dense, dense_ref);
             PCHECK_EQ(sparse, sparse_ref);
-            PCHECK_EQ(dense_pruned, dense_pruned_ref);
             PCHECK_EQ(sparse_pruned, sparse_pruned_ref);
         }
     }

@@ -28,6 +28,19 @@ randomPattern(std::size_t size, std::size_t weight, Rng &rng)
     return v;
 }
 
+/** The bounded sparse kernel with @p fp's positions as its sparse
+ *  operand. */
+double
+sparseBounded(const BitVec &es, const BitVec &fp, double bound,
+              bool *pruned = nullptr)
+{
+    const SparseBitset sp = SparseBitset::fromBitVec(fp);
+    const SparseView view{sp.positions().data(), sp.count(),
+                          sp.universe()};
+    return modifiedJaccardSparseBounded(es, es.popcount(), view, bound,
+                                        pruned);
+}
+
 TEST(ModifiedJaccard, IdenticalPatternsHaveZeroDistance)
 {
     Rng rng(1);
@@ -212,8 +225,7 @@ TEST(ModifiedJaccardBounded, ExactWhenAtOrUnderBound)
             if (exact > bound)
                 continue;
             bool pruned = true;
-            const double got =
-                modifiedJaccardBounded(es, fp, bound, &pruned);
+            const double got = sparseBounded(es, fp, bound, &pruned);
             EXPECT_FALSE(pruned);
             EXPECT_EQ(got, exact) << "bound " << bound;
         }
@@ -234,8 +246,7 @@ TEST(ModifiedJaccardBounded, PrunedResultsStayAboveBound)
         const double exact = modifiedJaccard(es, fp);
         for (double bound : {0.05, 0.25, 0.5}) {
             bool pruned = false;
-            const double got =
-                modifiedJaccardBounded(es, fp, bound, &pruned);
+            const double got = sparseBounded(es, fp, bound, &pruned);
             if (pruned) {
                 EXPECT_GT(got, bound);
                 EXPECT_LE(got, exact);
@@ -254,11 +265,11 @@ TEST(ModifiedJaccardBounded, DegenerateCasesMatchUnbounded)
     BitVec empty(64), one(64);
     one.set(3);
     for (double bound : {0.0, 0.5, 1.0}) {
-        EXPECT_EQ(modifiedJaccardBounded(empty, empty, bound),
+        EXPECT_EQ(sparseBounded(empty, empty, bound),
                   modifiedJaccard(empty, empty));
-        EXPECT_EQ(modifiedJaccardBounded(empty, one, bound),
+        EXPECT_EQ(sparseBounded(empty, one, bound),
                   modifiedJaccard(empty, one));
-        EXPECT_EQ(modifiedJaccardBounded(one, empty, bound),
+        EXPECT_EQ(sparseBounded(one, empty, bound),
                   modifiedJaccard(one, empty));
     }
 }

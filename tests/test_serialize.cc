@@ -470,16 +470,26 @@ TEST(Serialize, BitVecTruncationIsFatal)
         ::testing::TempDir() + "pcause_bv_cut.pcbv";
     BitVec bits(64, true);
     ASSERT_TRUE(saveBitVec(bits, path));
-    // Chop the payload in half.
     std::ifstream in(path, std::ios::binary);
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+    const std::string data((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
     in.close();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(data.data(),
-              static_cast<std::streamsize>(data.size() - 4));
-    out.close();
-    EXPECT_EXIT(loadBitVec(path), ::testing::ExitedWithCode(1), "");
+    // The payload chopped in half, and a header claiming 2^62 bits
+    // over the same 8 payload bytes: both refused before the vector
+    // is sized, never an allocation failure.
+    std::string oversized = data;
+    const std::uint64_t claimed = std::uint64_t{1} << 62;
+    oversized.replace(8, sizeof(claimed),
+                      reinterpret_cast<const char *>(&claimed),
+                      sizeof(claimed));
+    for (const std::string &cut : {data.substr(0, data.size() - 4),
+                                   oversized}) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(cut.data(), static_cast<std::streamsize>(cut.size()));
+        out.close();
+        EXPECT_EXIT(loadBitVec(path), ::testing::ExitedWithCode(1),
+                    "truncated");
+    }
     std::remove(path.c_str());
 }
 

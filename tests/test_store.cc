@@ -84,6 +84,44 @@ TEST(MinHash, SignatureIsDeterministic)
     EXPECT_NE(minhashSignature(bits, other), a);
 }
 
+TEST(MinHash, DefaultSignatureIsPinned)
+{
+    // Scheme-1 PCDB files and mapped stores bucket records by these
+    // values: a change to the signing walk that moves any of them
+    // re-keys every saved file, so every band lookup would miss.
+    BitVec bits(8192);
+    for (std::size_t i = 0; i < 100; ++i)
+        bits.set((i * 331 + 17) % 8192);
+    for (const std::size_t p : {0, 63, 64, 65, 8191})
+        bits.set(p);
+    const MinHashSignature pinned{
+        0x3dba21a5, 0x50ebb996, 0x55d10373, 0xcf75dd3c, 0x2018d9ad,
+        0x0f3643ef, 0x1249342e, 0x2f010002, 0x4016797b, 0xab4d43f7,
+        0x3f3e8561, 0x11417728, 0x253a6e98, 0x36277d2a, 0x09176e10,
+        0x09176e10, 0x2018d9ad, 0x2f010002, 0xd190c5cc, 0x56f615a9,
+        0x1a245511, 0x17e88c1f, 0x59556fe6, 0x1eefe705, 0x50ebb996,
+        0x1a7d5ebc, 0x9a044329, 0x4016797b, 0x9f38de8d, 0x59fdb721,
+        0x9f38de8d, 0x9a9e22d2, 0x03ab5e7c, 0x0f3643ef, 0x0fe53e69,
+        0x20fb8160, 0x60070d19, 0x5a24f3d7, 0x45c6a907, 0x3d506de8,
+        0x69343cf7, 0x20fb8160, 0x253a6e98, 0x67590016, 0x7e4c48d8,
+        0x636dcfba, 0x17e88c1f, 0xc61b1e45, 0x21122b99, 0x9dcbc4f8,
+        0x56f615a9, 0x95a6159b, 0x5a24f3d7, 0x22a6983d, 0x9055a02a,
+        0x636dcfba, 0x67590016, 0x597aa06c, 0x3d506de8, 0x51663371,
+        0x8522a5d9, 0x37552955, 0xb6f56d2e, 0x9f38de8d,
+    };
+    const MinHashParams prm;
+    const MinHashSignature sig = minhashSignature(bits, prm);
+    EXPECT_EQ(sig, pinned);
+    EXPECT_EQ(lshBandKey(prm, sig, 0), 0x598dc1f9c7e2ac56ull);
+
+    // The sparse entry signs the same cells to the same rows.
+    const SparseBitset sp = SparseBitset::fromBitVec(bits);
+    EXPECT_EQ(minhashSignature(SparseView{sp.positions().data(),
+                                          sp.count(), sp.universe()},
+                               prm),
+              pinned);
+}
+
 TEST(MinHash, EmptySetIsSentinel)
 {
     const MinHashSignature sig =

@@ -170,6 +170,34 @@ cmdSimulate(const Args &args)
     return 0;
 }
 
+/** An --exact value and the outputs observed against it. */
+struct Observations
+{
+    BitVec exact;
+    std::vector<BitVec> outputs;
+};
+
+/**
+ * Load @p exact_path and every output of @p output_paths, refusing
+ * (as command @p who) an output whose bit count differs from the
+ * exact value's, before anything derives an error string from it.
+ */
+Observations
+loadObservations(const char *who, const std::string &exact_path,
+                 const std::vector<std::string> &output_paths)
+{
+    Observations obs;
+    obs.exact = loadBitVec(exact_path);
+    for (const auto &path : output_paths) {
+        obs.outputs.push_back(loadBitVec(path));
+        if (obs.outputs.back().size() != obs.exact.size())
+            fatal("%s: %s has %zu bits, %s has %zu", who, path.c_str(),
+                  obs.outputs.back().size(), exact_path.c_str(),
+                  obs.exact.size());
+    }
+    return obs;
+}
+
 int
 cmdCharacterize(const Args &args)
 {
@@ -182,15 +210,8 @@ cmdCharacterize(const Args &args)
               "least one output file");
     }
 
-    const BitVec exact = loadBitVec(exact_path);
-    std::vector<BitVec> outputs;
-    for (const auto &path : args.positional) {
-        outputs.push_back(loadBitVec(path));
-        if (outputs.back().size() != exact.size())
-            fatal("characterize: %s has %zu bits, %s has %zu",
-                  path.c_str(), outputs.back().size(),
-                  exact_path.c_str(), exact.size());
-    }
+    const auto [exact, outputs] =
+        loadObservations("characterize", exact_path, args.positional);
 
     // Load through the store so a database reindexed under custom
     // MinHash parameters keeps them across characterize runs — the
@@ -237,13 +258,13 @@ cmdIdentify(const Args &args)
               "output file");
     }
 
-    const BitVec exact = loadBitVec(exact_path);
-    const BitVec output = loadBitVec(args.positional[0]);
+    const auto [exact, outputs] =
+        loadObservations("identify", exact_path, args.positional);
 
     // One facade call covers every backend combination: --mmap
     // queries the v3 file in place, --linear bypasses the index.
     IdentifyRequest req;
-    req.errorString = errorString(output, exact);
+    req.errorString = errorString(outputs[0], exact);
     req.options.threshold = args.getDouble("threshold", 0.1);
     req.options.linear = args.get("linear", "no") == "yes";
     const bool mmap = args.get("mmap", "no") == "yes";
@@ -404,10 +425,8 @@ cmdCluster(const Args &args)
     if (exact_path.empty() || args.positional.size() < 2)
         fatal("cluster: need --exact and at least two output files");
 
-    const BitVec exact = loadBitVec(exact_path);
-    std::vector<BitVec> outputs;
-    for (const auto &path : args.positional)
-        outputs.push_back(loadBitVec(path));
+    const auto [exact, outputs] =
+        loadObservations("cluster", exact_path, args.positional);
 
     ClusterParams params;
     params.threshold = clusterThreshold(args);
