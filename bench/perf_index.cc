@@ -13,17 +13,21 @@
  * the numbers. The exact fallback scan every reject ends in
  * (queryFullScan: overlap counts from the inverted position index)
  * is timed on its own against the linear scan over a set of unknown
- * chips' outputs, and checked against it on every query.
+ * chips' outputs, and checked against it on every query. Each
+ * population is then saved (PCDB v4), loaded back (loadStore, which
+ * reads the stored index instead of rebuilding it) and mapped
+ * (MappedStore), whose fallback — the same walk over counts decoded
+ * from the mapped posting lists — is timed and checked the same way.
  *
  * Enforced gates (exit nonzero):
  *   - zero accept/reject divergences from the linear Algorithm 2,
- *     for the in-memory index and the mmap-ed v3 database alike;
+ *     for the in-memory index and the mmap-ed v4 database alike;
  *   - zero fallback-scan divergences from the linear scan on the
  *     verdict, the nearest record, the distance bits and the
- *     computed/pruned kernel counters;
+ *     computed/pruned kernel counters, in memory and mapped;
  *   - the 5x indexed-query speedup floor at 10k records;
  *   - the 10x fallback-scan speedup floor over the linear scan at
- *     10k records;
+ *     10k records, and 5x for the mapped fallback;
  *   - the mean candidates-scanned ceiling at every population — the
  *     knob that makes "candidate sets stop scaling with population"
  *     falsifiable rather than aspirational;
@@ -65,6 +69,7 @@ constexpr std::size_t rejectQueries = 32; //!< fallback-timing set
 constexpr std::size_t timingRounds = 3;   //!< best of, per path
 constexpr double speedupFloor = 5.0;
 constexpr double fallbackSpeedupFloor = 10.0;
+constexpr double mappedFallbackSpeedupFloor = 5.0;
 constexpr std::size_t floorPopulation = 10000;
 
 /** Mean shortlist size must stay under this at every population —
@@ -127,12 +132,15 @@ struct PopulationResult
     std::size_t fallbackDivergences = 0;
     std::size_t wrongMatches = 0;
 
-    // mmap phase (largest population only; 0 = not measured)
+    // save / load / mmap phase
     double saveSeconds = 0.0;
+    double loadSeconds = 0.0;
+    double fileBytes = 0.0;
     double mmapOpenSeconds = 0.0;
     double mappedSeconds = 0.0;
+    double mappedFallbackSeconds = 0.0;
     std::size_t mappedDivergences = 0;
-    bool mmapMeasured = false;
+    std::size_t mappedFallbackDivergences = 0;
 
     double buildSpeedup() const
     {
@@ -143,6 +151,10 @@ struct PopulationResult
     {
         return rejectLinearSeconds / fallbackSeconds;
     }
+    double mappedFallbackSpeedup() const
+    {
+        return rejectLinearSeconds / mappedFallbackSeconds;
+    }
     double nsPerRecord(double seconds) const
     {
         return seconds * 1e9 / static_cast<double>(records);
@@ -150,9 +162,20 @@ struct PopulationResult
     double batchSpeedup() const { return linearSeconds / batchSeconds; }
 };
 
+/** Same verdict, nearest record, distance bits and kernel counters. */
+bool
+sameScan(const IdentifyResult &a, const AttackStats &as,
+         const IdentifyResult &b, const AttackStats &bs)
+{
+    return a.match == b.match && a.nearest == b.nearest &&
+           std::memcmp(&a.bestDistance, &b.bestDistance,
+                       sizeof(double)) == 0 &&
+           as.distancesComputed == bs.distancesComputed &&
+           as.distancesPruned == bs.distancesPruned;
+}
+
 PopulationResult
-runPopulation(std::size_t num_records, std::size_t num_queries,
-              bool mmap_phase)
+runPopulation(std::size_t num_records, std::size_t num_queries)
 {
     Rng rng(mix64(0x70657266696478ull, num_records));
     ThreadPool &pool = ThreadPool::global();
@@ -251,16 +274,6 @@ runPopulation(std::size_t num_records, std::size_t num_queries,
 
     // Same verdict, nearest record, distance bits and kernel
     // counters as the linear scan, on the rejects and on the mix.
-    const auto sameScan = [](const IdentifyResult &a,
-                             const AttackStats &as,
-                             const IdentifyResult &b,
-                             const AttackStats &bs) {
-        return a.match == b.match && a.nearest == b.nearest &&
-               std::memcmp(&a.bestDistance, &b.bestDistance,
-                           sizeof(double)) == 0 &&
-               as.distancesComputed == bs.distancesComputed &&
-               as.distancesPruned == bs.distancesPruned;
-    };
     for (std::size_t q = 0; q < rejectQueries; ++q) {
         if (!sameScan(reject_fallback[q], reject_fallback_stats[q],
                       reject_linear[q], reject_linear_stats[q]))
@@ -317,39 +330,74 @@ runPopulation(std::size_t num_records, std::size_t num_queries,
             ++res.wrongMatches; // reference itself must be right
     }
 
-    // --- v3 save / mmap open / mapped queries ---------------------
-    if (mmap_phase) {
-        res.mmapMeasured = true;
-        const std::string path = "perf_index_store.pcdb";
-        const auto save_start = std::chrono::steady_clock::now();
-        if (!saveStore(store, path)) {
-            std::printf("FAIL: could not write %s\n", path.c_str());
-            ++res.mappedDivergences;
-            return res;
-        }
-        res.saveSeconds = secondsSince(save_start);
-
-        const auto open_start = std::chrono::steady_clock::now();
-        const LoadResult<MappedStore> mapped = MappedStore::open(path);
-        res.mmapOpenSeconds = secondsSince(open_start);
-        if (!mapped) {
-            std::printf("FAIL: MappedStore::open: %s\n",
-                        mapped.error.c_str());
-            ++res.mappedDivergences;
-            std::remove(path.c_str());
-            return res;
-        }
-
-        const auto mapped_start = std::chrono::steady_clock::now();
-        for (std::size_t q = 0; q < num_queries; ++q) {
-            const IdentifyResult r =
-                mapped->query(queries[q].errorString, prm);
-            if (r.match != linear[q].match)
-                ++res.mappedDivergences;
-        }
-        res.mappedSeconds =
-            secondsSince(mapped_start) / num_queries;
+    // --- save / load / mmap open / mapped queries -----------------
+    // The in-memory store goes before the load, so a population's
+    // peak holds one store, not two.
+    const std::string path = "perf_index_store.pcdb";
+    auto save_start = std::chrono::steady_clock::now();
+    const bool saved = saveStore(store, path);
+    res.saveSeconds = secondsSince(save_start);
+    store = FingerprintStore();
+    if (!saved) {
+        std::printf("FAIL: could not write %s\n", path.c_str());
+        ++res.mappedDivergences;
+        return res;
+    }
+    {
+        std::ifstream in(path, std::ios::binary | std::ios::ate);
+        res.fileBytes = static_cast<double>(in.tellg());
+    }
+    const auto load_start = std::chrono::steady_clock::now();
+    StoreLoadResult loaded = loadStore(path);
+    res.loadSeconds = secondsSince(load_start);
+    if (!loaded) {
+        std::printf("FAIL: loadStore: %s\n", loaded.error.c_str());
+        ++res.mappedDivergences;
         std::remove(path.c_str());
+        return res;
+    }
+    loaded = StoreLoadResult{};
+
+    const auto open_start = std::chrono::steady_clock::now();
+    const LoadResult<MappedStore> mapped = MappedStore::open(path);
+    res.mmapOpenSeconds = secondsSince(open_start);
+    std::remove(path.c_str()); // the mapping outlives the name
+    if (!mapped) {
+        std::printf("FAIL: MappedStore::open: %s\n",
+                    mapped.error.c_str());
+        ++res.mappedDivergences;
+        return res;
+    }
+
+    const auto mapped_start = std::chrono::steady_clock::now();
+    for (std::size_t q = 0; q < num_queries; ++q) {
+        const IdentifyResult r =
+            mapped->query(queries[q].errorString, prm);
+        if (r.match != linear[q].match)
+            ++res.mappedDivergences;
+    }
+    res.mappedSeconds = secondsSince(mapped_start) / num_queries;
+
+    // The mapped fallback on the rejects, best of the rounds, and
+    // checked like the in-memory one.
+    std::vector<IdentifyResult> mapped_fallback(rejectQueries);
+    std::vector<AttackStats> mapped_fallback_stats(rejectQueries);
+    res.mappedFallbackSeconds = 1e300;
+    for (std::size_t round = 0; round < timingRounds; ++round) {
+        const auto mf_start = std::chrono::steady_clock::now();
+        for (std::size_t q = 0; q < rejectQueries; ++q) {
+            mapped_fallback_stats[q] = {};
+            mapped_fallback[q] = mapped->queryFullScan(
+                rejects[q], prm, &mapped_fallback_stats[q]);
+        }
+        res.mappedFallbackSeconds =
+            std::min(res.mappedFallbackSeconds,
+                     secondsSince(mf_start) / rejectQueries);
+    }
+    for (std::size_t q = 0; q < rejectQueries; ++q) {
+        if (!sameScan(mapped_fallback[q], mapped_fallback_stats[q],
+                      reject_linear[q], reject_linear_stats[q]))
+            ++res.mappedFallbackDivergences;
     }
     return res;
 }
@@ -378,8 +426,8 @@ main(int argc, char **argv)
     std::vector<PopulationResult> results;
     for (std::size_t p = 0; p < plans.size(); ++p) {
         const auto &[records, queries] = plans[p];
-        PopulationResult r =
-            runPopulation(records, queries, p + 1 == plans.size());
+        PopulationResult r = runPopulation(records, queries);
+        const bool largest = p + 1 == plans.size();
         results.push_back(r);
         std::printf(
             "%7zu records: build %8.1f ms (est serial %8.1f ms, "
@@ -401,14 +449,16 @@ main(int argc, char **argv)
             r.rejectLinearSeconds * 1e3,
             r.nsPerRecord(r.rejectLinearSeconds), r.fallbackSpeedup(),
             r.fallbackDivergences);
-        if (r.mmapMeasured) {
-            std::printf(
-                "%7zu records: v3 save %8.1f ms, mmap open %6.2f ms, "
-                "mapped %9.3f ms/q, mapped divergences %zu\n",
-                r.records, r.saveSeconds * 1e3,
-                r.mmapOpenSeconds * 1e3, r.mappedSeconds * 1e3,
-                r.mappedDivergences);
-        }
+        std::printf(
+            "%7zu records: save %8.1f ms (%.0f B/record), load %8.1f "
+            "ms, mmap open %6.2f ms, mapped %9.3f ms/q, mapped "
+            "fallback %9.3f ms/q (%6.1fx), mapped divergences %zu/%zu\n",
+            r.records, r.saveSeconds * 1e3,
+            r.fileBytes / static_cast<double>(r.records),
+            r.loadSeconds * 1e3, r.mmapOpenSeconds * 1e3,
+            r.mappedSeconds * 1e3, r.mappedFallbackSeconds * 1e3,
+            r.mappedFallbackSpeedup(), r.mappedDivergences,
+            r.mappedFallbackDivergences);
 
         if (r.divergences > 0) {
             std::printf("FAIL: %zu accept/reject divergences at %zu "
@@ -455,20 +505,31 @@ main(int argc, char **argv)
                         r.buildThreads);
             ok = false;
         }
-        if (r.mmapMeasured) {
-            if (r.mappedDivergences > 0) {
-                std::printf("FAIL: %zu mapped-query divergences at "
-                            "%zu records\n", r.mappedDivergences,
-                            r.records);
-                ok = false;
-            }
-            if (r.mmapOpenSeconds * 1e3 > mmapOpenBudgetMs) {
-                std::printf("FAIL: mmap open %.1f ms at %zu records "
-                            "above the %.0f ms budget\n",
-                            r.mmapOpenSeconds * 1e3, r.records,
-                            mmapOpenBudgetMs);
-                ok = false;
-            }
+        if (r.mappedDivergences > 0) {
+            std::printf("FAIL: %zu mapped-query divergences at %zu "
+                        "records\n", r.mappedDivergences, r.records);
+            ok = false;
+        }
+        if (r.mappedFallbackDivergences > 0) {
+            std::printf("FAIL: %zu mapped fallback divergences from "
+                        "the linear scan at %zu records\n",
+                        r.mappedFallbackDivergences, r.records);
+            ok = false;
+        }
+        if (r.records == floorPopulation &&
+            r.mappedFallbackSpeedup() < mappedFallbackSpeedupFloor) {
+            std::printf("FAIL: mapped fallback %.1fx over linear at %zu "
+                        "records below the %.0fx floor\n",
+                        r.mappedFallbackSpeedup(), r.records,
+                        mappedFallbackSpeedupFloor);
+            ok = false;
+        }
+        if (largest && r.mmapOpenSeconds * 1e3 > mmapOpenBudgetMs) {
+            std::printf("FAIL: mmap open %.1f ms at %zu records above "
+                        "the %.0f ms budget\n",
+                        r.mmapOpenSeconds * 1e3, r.records,
+                        mmapOpenBudgetMs);
+            ok = false;
         }
     }
 
@@ -486,6 +547,8 @@ main(int argc, char **argv)
          << "  \"speedup_floor\": " << speedupFloor << ",\n"
          << "  \"fallback_speedup_floor\": " << fallbackSpeedupFloor
          << ",\n"
+         << "  \"mapped_fallback_speedup_floor\": "
+         << mappedFallbackSpeedupFloor << ",\n"
          << "  \"floor_population\": " << floorPopulation << ",\n"
          << "  \"candidates_ceiling\": " << candidatesCeiling << ",\n"
          << "  \"build_speedup_floor\": " << buildSpeedupFloor << ",\n"
@@ -521,15 +584,20 @@ main(int argc, char **argv)
              << r.indexedFallbackFraction
              << ", \"batch_fallback_fraction\": "
              << r.batchFallbackFraction
-             << ", \"divergences\": " << r.divergences;
-        if (r.mmapMeasured) {
-            json << ", \"v3_save_ms\": " << r.saveSeconds * 1e3
-                 << ", \"mmap_open_ms\": " << r.mmapOpenSeconds * 1e3
-                 << ", \"mapped_ms_per_query\": "
-                 << r.mappedSeconds * 1e3
-                 << ", \"mapped_divergences\": "
-                 << r.mappedDivergences;
-        }
+             << ", \"divergences\": " << r.divergences
+             << ", \"save_ms\": " << r.saveSeconds * 1e3
+             << ", \"load_ms\": " << r.loadSeconds * 1e3
+             << ", \"bytes_per_record\": "
+             << r.fileBytes / static_cast<double>(r.records)
+             << ", \"mmap_open_ms\": " << r.mmapOpenSeconds * 1e3
+             << ", \"mapped_ms_per_query\": " << r.mappedSeconds * 1e3
+             << ", \"mapped_fallback_ms_per_query\": "
+             << r.mappedFallbackSeconds * 1e3
+             << ", \"mapped_fallback_speedup\": "
+             << r.mappedFallbackSpeedup()
+             << ", \"mapped_divergences\": " << r.mappedDivergences
+             << ", \"mapped_fallback_divergences\": "
+             << r.mappedFallbackDivergences;
         json << "}" << (i + 1 < results.size() ? "," : "") << "\n";
     }
     json << "  ],\n"

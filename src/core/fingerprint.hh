@@ -68,7 +68,7 @@ class Fingerprint
 /**
  * Read-only view of a collection of sparse fingerprints, indexed by
  * record id. Abstracts over where the position lists live — the
- * FingerprintStore's in-memory arena or an mmap-ed v3 database file
+ * FingerprintStore's in-memory arena or an mmap-ed v4 database file
  * — so the exact scans in core/scan run unchanged against both.
  */
 class SparseFingerprintSource
@@ -90,7 +90,7 @@ BitVec denseBits(const SparseView &v);
  * Contiguous sparse-fingerprint storage: all position lists live in
  * one arena with per-record offsets, so a million fingerprints cost
  * two flat allocations (~4 bytes per volatile cell) instead of a
- * dense BitVec apiece — the in-memory mirror of the v3 on-disk
+ * dense BitVec apiece — the in-memory mirror of the PCDB on-disk
  * position arena.
  */
 class SparseFingerprintArena : public SparseFingerprintSource
@@ -138,9 +138,9 @@ class SparseFingerprintArena : public SparseFingerprintSource
     std::size_t totalPositions() const { return arena.size(); }
 
     /** Flat position arena (record @p i occupies
-     *  [offsets[i], offsets[i+1])) — written verbatim to v3 files.
+     *  [offsets[i], offsets[i+1])) — written verbatim to PCDB files.
      *  32-byte aligned for the SIMD scan kernels; element layout is
-     *  the v3 on-disk layout. */
+     *  the PCDB on-disk layout. */
     const PosVec &positions() const { return arena; }
 
     /** Drop all records. */

@@ -22,10 +22,10 @@ MappedStore::open(const std::string &path)
         return fail(std::move(map_err));
 
     // The structural check reads the header, the record table (the
-    // only per-record work at open) and the band counts; arena
-    // payloads stay untouched until a query pages them in.
+    // only per-record work at open) and the posting offsets; arena
+    // and index payloads stay untouched until a query pages them in.
     const std::uint8_t *d = ms.map.data();
-    const std::string err = pcdb::checkV3(
+    const std::string err = pcdb::check(
         ms.map.size(),
         [d](std::uint64_t off, void *dst, std::size_t len) {
             std::memcpy(dst, d + off, len);
@@ -34,35 +34,37 @@ MappedStore::open(const std::string &path)
         ms.header);
     if (!err.empty())
         return fail(err);
-    // Candidates come from the on-disk band keys, which a
-    // retired-scheme file holds under that scheme's signatures.
-    if (ms.header.scheme != pcdb::schemeOnePermutation)
-        return fail("signed under the retired 64-hash scheme; run "
-                    "'pcause db reindex' to re-sign the file");
+    if (ms.header.version != pcdb::versionV4)
+        return fail("a PCDB v3 file holds no index to map; run "
+                    "'pcause db reindex' to rewrite it as v4");
     ms.prm = ms.header.minhashParams();
     return {std::move(ms), ""};
 }
 
-pcdb::V3RecordEntry
+pcdb::RecordEntry
 MappedStore::entry(std::size_t i) const
 {
     PC_ASSERT(i < header.recordCount,
               "MappedStore record index out of range");
-    return pcdb::decodeRecordEntry(map.data() + header.recordTableOff +
-                                   i * pcdb::v3RecordEntryBytes);
+    return pcdb::decodeRecordEntry(entryAt(i));
 }
 
-const std::uint8_t *
-MappedStore::bandBase(std::uint32_t band) const
+LshIndex::BandSlots
+MappedStore::bandSlots(std::uint32_t band) const
 {
-    return map.data() + header.lshOff +
-           band * pcdb::v3BandBytes(header.recordCount);
+    const std::uint64_t slots = header.bandSlots;
+    const std::uint8_t *base =
+        map.data() + header.bandOff +
+        band * pcdb::bandBytes(pcdb::versionV4, slots);
+    return {reinterpret_cast<const std::uint64_t *>(base),
+            reinterpret_cast<const std::uint32_t *>(base + slots * 8),
+            slots};
 }
 
 SparseView
 MappedStore::view(std::size_t i) const
 {
-    const pcdb::V3RecordEntry e = entry(i);
+    const pcdb::RecordEntry e = entry(i);
     SparseView v;
     v.positions = reinterpret_cast<const std::uint32_t *>(
         map.data() + header.posOff +
@@ -75,7 +77,7 @@ MappedStore::view(std::size_t i) const
 std::string_view
 MappedStore::label(std::size_t i) const
 {
-    const pcdb::V3RecordEntry e = entry(i);
+    const pcdb::RecordEntry e = entry(i);
     return {reinterpret_cast<const char *>(map.data() +
                                            header.labelOff +
                                            e.labelOff),
@@ -105,31 +107,59 @@ MappedStore::signature(std::size_t i) const
 std::vector<std::size_t>
 MappedStore::candidates(const MinHashSketch &sketch) const
 {
-    std::vector<std::size_t> out;
-    const std::uint64_t n = header.recordCount;
+    std::vector<std::uint32_t> hits;
+    const auto records = static_cast<std::uint32_t>(size());
     for (std::uint32_t band = 0; band < prm.bands; ++band) {
-        const std::uint8_t *base = bandBase(band);
-        const std::uint8_t *keys = base + 8;
-        const std::uint8_t *ids = keys + n * 8;
-        for (const std::uint64_t key :
-             lshProbeKeys(prm, sketch, band)) {
-            // lower_bound over the band's sorted key array.
-            std::uint64_t lo = 0, hi = n;
-            while (lo < hi) {
-                const std::uint64_t mid = lo + (hi - lo) / 2;
-                if (pcdb::loadU64(keys + mid * 8) < key)
-                    lo = mid + 1;
-                else
-                    hi = mid;
-            }
-            for (std::uint64_t j = lo;
-                 j < n && pcdb::loadU64(keys + j * 8) == key; ++j)
-                out.push_back(pcdb::loadU32(ids + j * 4));
-        }
+        const LshIndex::BandSlots table = bandSlots(band);
+        for (const std::uint64_t key : lshProbeKeys(prm, sketch, band))
+            table.find(key, records, hits);
     }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
+    std::sort(hits.begin(), hits.end());
+    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+    return std::vector<std::size_t>(hits.begin(), hits.end());
+}
+
+template <typename Count>
+IdentifyResult
+MappedStore::overlapScan(const BitVec &error_string,
+                         std::size_t es_weight,
+                         const IdentifyParams &params,
+                         AttackStats *stats) const
+{
+    // Each record's overlap with the query, decoded from the query's
+    // own posting lists. Decoding yields each list's ids strictly
+    // ascending, so no count exceeds the query's weight, and an id
+    // of a damaged list that names no record is skipped.
+    const std::uint8_t *offsets = map.data() + header.postingsOff;
+    const std::uint8_t *bytes =
+        offsets + (header.postingLists + 1) * 2 * 8;
+    const std::uint64_t n = size();
+    std::vector<Count> overlap(n, 0);
+    for (const std::size_t p : error_string.setBits()) {
+        if (p >= header.postingLists)
+            break; // no record reaches this far into the universe
+        pcdb::decodePostingList(bytes + pcdb::loadU64(offsets + p * 8),
+                                bytes + pcdb::loadU64(offsets + p * 8 + 8),
+                                [&](std::uint64_t id) {
+                                    if (id < n)
+                                        ++overlap[id];
+                                    return true;
+                                });
+    }
+    return detail::overlapWalk(error_string, es_weight, *this, overlap,
+                               params, stats);
+}
+
+IdentifyResult
+MappedStore::fullScan(const BitVec &error_string, std::size_t es_weight,
+                      const IdentifyParams &params,
+                      AttackStats *stats) const
+{
+    return es_weight <= 0xffff
+               ? overlapScan<std::uint16_t>(error_string, es_weight,
+                                            params, stats)
+               : overlapScan<std::uint32_t>(error_string, es_weight,
+                                            params, stats);
 }
 
 IdentifyResult
@@ -139,17 +169,27 @@ MappedStore::query(const BitVec &error_string,
 {
     return detail::timedQuery(stats, [&](AttackStats *local) {
         // Same contract as FingerprintStore::query(); a miss falls
-        // back to the exact scan, sharded across the pool when set.
+        // back to the exact overlap-count scan.
         return detail::indexedQuery(
             error_string, params, prm, *this, local,
             [&](const MinHashSketch &sketch) {
                 return candidates(sketch);
             },
             [&](std::size_t es_weight) {
-                return detail::sparseScan(error_string, es_weight,
-                                          *this, params, workers,
-                                          local);
+                return fullScan(error_string, es_weight, params, local);
             });
+    });
+}
+
+IdentifyResult
+MappedStore::queryFullScan(const BitVec &error_string,
+                           const IdentifyParams &params,
+                           AttackStats *stats) const
+{
+    return detail::timedQuery(stats, [&](AttackStats *local) {
+        local->recordsAvailable += size();
+        return fullScan(error_string, error_string.popcount(), params,
+                        local);
     });
 }
 

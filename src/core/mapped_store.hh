@@ -1,35 +1,45 @@
 /**
  * @file
- * MappedStore: query a v3 database file in place, without loading.
+ * MappedStore: query a v4 database file in place, without loading.
  *
  * loadStore() reads every record into memory before the first
- * query, but a million-record database is ~100 MB of positions and
- * signatures, and an attacker service that restarts should not
- * replay the whole build. The v3 layout (core/pcdb_format.hh) is
+ * query, but a million-record database is ~2 GB of positions,
+ * signatures and index, and an attacker service that restarts should
+ * not read it all first. The v4 layout (core/pcdb_format.hh) is
  * designed to be the query-time data structure itself: MappedStore
  * mmaps the file, runs the structural check loadStore runs too
- * (pcdb::checkV3: header, canonical section offsets, the record
- * table, band counts) in one cheap pass, and then serves the same
- * query()/queryLinear() API as FingerprintStore straight off the
- * mapping — the kernel pages fingerprints in on first touch.
+ * (pcdb::check: header, canonical section offsets, the record table,
+ * the band slot count and the posting offsets) in one cheap pass,
+ * and then serves the same query()/queryLinear() API as
+ * FingerprintStore straight off the mapping — the kernel pages
+ * records and index in on first touch. A v3 file holds no position
+ * index and no band tables to probe, so it is refused, naming
+ * `pcause db reindex`, which rewrites it as v4.
  *
- * Verdict equivalence: candidate sets are computed with the same
- * lshProbeKeys() fold the in-memory index uses (binary search over
- * the per-band sorted key arrays instead of a hash lookup), and
- * queries run FingerprintStore's own query body and sparse distance
- * (core/scan), for every metric, so accept/reject decisions match
- * FingerprintStore on the same data exactly. A miss falls back to
- * the linear scan, sharded across the pool when one is set.
+ * Verdict equivalence: candidate sets come from the same
+ * lshProbeKeys() fold and the same slot-array probe
+ * (LshIndex::BandSlots::find) the in-memory index runs, over the
+ * stored band tables, and queries run FingerprintStore's own query
+ * body (core/scan) for every metric. A miss falls back to the same
+ * overlap-count walk (detail::overlapWalk), over counts decoded from
+ * the mapped posting lists, so verdicts, nearest records, distance
+ * bits and kernel counters match FingerprintStore on the same file
+ * exactly.
  *
- * Trust model: structural metadata is fully validated at open;
- * position and signature *values* are trusted and never checked.
- * The sparse scan kernels index the query's words with
- * words[pos >> 6] unchecked, so a corrupted position (>= the
- * record's universe) in a mapped file is an out-of-bounds read, not
- * a clean failure — map only files a trusted writer produced.
- * Unlike loadStore(), positions are not checked for range or
- * ascending order at open — that would touch every record page and
- * defeat the lazy mapping.
+ * Trust model: structural metadata is fully validated at open. Index
+ * ids are bounded at use: a band probe stops after the table's slot
+ * count and skips slot ids of N or more, and a posting list's
+ * decoding stops at a bad gap, skips ids of N or more and never
+ * yields an id twice, so a damaged index section costs wrong
+ * shortlists or counts, never a read outside the mapping. Neither
+ * section's CRC is checked at open (that would touch every page of
+ * both; checking it once per segment is ROADMAP item 6), so such
+ * damage is not detected here, where loadStore() refuses it.
+ * Position and signature *values* are trusted and never checked: the
+ * sparse scan kernels index the query's words with words[pos >> 6]
+ * unchecked, so a corrupted position (>= the record's universe) in a
+ * mapped file is an out-of-bounds read, not a clean failure — map
+ * only files a trusted writer produced.
  */
 
 #ifndef PCAUSE_CORE_MAPPED_STORE_HH
@@ -50,17 +60,14 @@
 namespace pcause
 {
 
-class ThreadPool;
-
-/** Read-only FingerprintStore over an mmap-ed v3 database file. */
+/** Read-only FingerprintStore over an mmap-ed v4 database file. */
 class MappedStore : public SparseFingerprintSource
 {
   public:
     /**
      * Map and check @p path. Failure (missing file, any reason
-     * pcdb::checkV3() gives, or a file signed under the retired
-     * scheme, whose band keys this reader cannot recompute) yields an
-     * error result, never a process exit.
+     * pcdb::check() gives, or a v3 file, which holds no index to
+     * map) yields an error result, never a process exit.
      */
     static LoadResult<MappedStore> open(const std::string &path);
 
@@ -70,6 +77,18 @@ class MappedStore : public SparseFingerprintSource
     // SparseFingerprintSource
     std::size_t count() const override { return header.recordCount; }
     SparseView view(std::size_t i) const override;
+
+    /** view(i).count, unchecked (@p i < count()). */
+    std::size_t weight(std::size_t i) const
+    {
+        return pcdb::loadU32(entryAt(i) + 28);
+    }
+
+    /** view(i).universe, unchecked (@p i < count()). */
+    std::uint64_t universe(std::size_t i) const
+    {
+        return pcdb::loadU64(entryAt(i) + 16);
+    }
 
     /** Label of record @p i (view into the mapping). */
     std::string_view label(std::size_t i) const;
@@ -84,28 +103,32 @@ class MappedStore : public SparseFingerprintSource
     const MinHashParams &indexParams() const { return prm; }
 
     /**
-     * Use @p pool (not owned) to shard the fallback scans of
-     * query(); with none set (null) they run serially.
-     */
-    void setThreadPool(ThreadPool *pool) { workers = pool; }
-
-    /**
      * Record ids sharing any probe bucket with @p sketch in any
-     * band, ascending and deduplicated — computed from the on-disk
-     * sorted key arrays, identical to the in-memory
-     * LshIndex::candidates() on the same records.
+     * band, ascending and deduplicated — probed in the stored band
+     * tables, identical to the in-memory LshIndex::candidates() on
+     * the same records.
      */
     std::vector<std::size_t>
     candidates(const MinHashSketch &sketch) const;
 
     /**
-     * Indexed Algorithm 2, bit-identical in verdict to
-     * FingerprintStore::query() on the same records, for every
-     * metric.
+     * Indexed Algorithm 2, equal in verdict, nearest record,
+     * distance bits and kernel counters to FingerprintStore::query()
+     * on the same file, for every metric.
      */
     IdentifyResult query(const BitVec &error_string,
                          const IdentifyParams &params = {},
                          AttackStats *stats = nullptr) const;
+
+    /**
+     * The exact full scan query() falls back to, on its own: the
+     * overlap-count walk over counts decoded from the mapped posting
+     * lists. Equal to queryLinear() in verdict, nearest record,
+     * distance bits and computed/pruned counters.
+     */
+    IdentifyResult queryFullScan(const BitVec &error_string,
+                                 const IdentifyParams &params = {},
+                                 AttackStats *stats = nullptr) const;
 
     /** Reference linear scan: the serial sparse scan of
      *  FingerprintStore::queryLinear(), over the mapping. */
@@ -116,16 +139,37 @@ class MappedStore : public SparseFingerprintSource
   private:
     MappedStore() = default;
 
-    /** Record-table entry @p i decoded from the mapping. */
-    pcdb::V3RecordEntry entry(std::size_t i) const;
+    /** First byte of record @p i's table entry. */
+    const std::uint8_t *entryAt(std::size_t i) const
+    {
+        return map.data() + header.recordTableOff +
+               i * pcdb::recordEntryBytes;
+    }
 
-    /** First byte of band @p band's on-disk section. */
-    const std::uint8_t *bandBase(std::uint32_t band) const;
+    /** Record-table entry @p i decoded from the mapping. */
+    pcdb::RecordEntry entry(std::size_t i) const;
+
+    /** Band @p band's slot arrays in the mapping. */
+    LshIndex::BandSlots bandSlots(std::uint32_t band) const;
+
+    /** fullScan: counts of type @p Count from the mapped lists,
+     *  then the shared walk. Untimed. */
+    template <typename Count>
+    IdentifyResult overlapScan(const BitVec &error_string,
+                               std::size_t es_weight,
+                               const IdentifyParams &params,
+                               AttackStats *stats) const;
+
+    /** The fallback, untimed: overlapScan() at the narrowest count
+     *  type holding @p es_weight. */
+    IdentifyResult fullScan(const BitVec &error_string,
+                            std::size_t es_weight,
+                            const IdentifyParams &params,
+                            AttackStats *stats) const;
 
     MmapFile map;
-    pcdb::V3Header header;
+    pcdb::Header header;
     MinHashParams prm;
-    ThreadPool *workers = nullptr;
 };
 
 } // namespace pcause

@@ -275,8 +275,7 @@ lshProbeKeys(const MinHashParams &params, const MinHashSketch &sketch,
 namespace
 {
 
-/** Record id marking a free band-table slot. */
-constexpr std::uint32_t emptySlot = ~std::uint32_t{0};
+constexpr std::uint32_t emptySlot = LshIndex::emptySlot;
 
 /** Slots for @p entries at the ~0.7 load bulk builds size to. */
 std::size_t
@@ -288,12 +287,25 @@ slotsFor(std::size_t entries)
 } // anonymous namespace
 
 std::size_t
-LshIndex::BandTable::home(std::uint64_t key) const
+LshIndex::BandSlots::home(std::uint64_t key) const
 {
     // Band keys are mix64 outputs, so the multiply-shift range
     // reduction spreads them evenly over any table size.
     return static_cast<std::size_t>(
-        (static_cast<unsigned __int128>(key) * keys.size()) >> 64);
+        (static_cast<unsigned __int128>(key) * slots) >> 64);
+}
+
+void
+LshIndex::BandSlots::find(std::uint64_t key, std::uint32_t records,
+                          std::vector<std::uint32_t> &out) const
+{
+    std::size_t s = home(key);
+    for (std::size_t step = 0; step < slots && ids[s] != emptySlot;
+         ++step) {
+        if (keys[s] == key && ids[s] < records)
+            out.push_back(ids[s]);
+        s = s + 1 == slots ? 0 : s + 1;
+    }
 }
 
 void
@@ -320,7 +332,7 @@ LshIndex::BandTable::insert(std::uint64_t key, std::uint32_t id)
     // reserve up front and never get here.
     if ((used + 1) * 5 > keys.size() * 4)
         reserve(2 * (used + 1));
-    std::size_t s = home(key);
+    std::size_t s = slots().home(key);
     while (ids[s] != emptySlot)
         s = s + 1 == ids.size() ? 0 : s + 1;
     keys[s] = key;
@@ -334,7 +346,8 @@ LshIndex::BandTable::erase(std::uint64_t key, std::uint32_t id)
     if (ids.empty())
         return false;
     const std::size_t n = ids.size();
-    std::size_t hole = home(key);
+    const BandSlots view = slots();
+    std::size_t hole = view.home(key);
     while (ids[hole] != emptySlot &&
            !(keys[hole] == key && ids[hole] == id))
         hole = hole + 1 == n ? 0 : hole + 1;
@@ -347,7 +360,7 @@ LshIndex::BandTable::erase(std::uint64_t key, std::uint32_t id)
     // its home without tombstones.
     for (std::size_t s = hole + 1 == n ? 0 : hole + 1;
          ids[s] != emptySlot; s = s + 1 == n ? 0 : s + 1) {
-        const std::size_t h = home(keys[s]);
+        const std::size_t h = view.home(keys[s]);
         const bool stays = hole < s ? (h > hole && h <= s)
                                     : (h > hole || h <= s);
         if (!stays) {
@@ -361,23 +374,31 @@ LshIndex::BandTable::erase(std::uint64_t key, std::uint32_t id)
     return true;
 }
 
-void
-LshIndex::BandTable::find(std::uint64_t key,
-                          std::vector<std::uint32_t> &out) const
-{
-    if (ids.empty())
-        return;
-    for (std::size_t s = home(key); ids[s] != emptySlot;
-         s = s + 1 == ids.size() ? 0 : s + 1) {
-        if (keys[s] == key)
-            out.push_back(ids[s]);
-    }
-}
-
 LshIndex::LshIndex(const MinHashParams &params)
     : prm(params), bands(params.bands)
 {
     checkParams(prm, "LshIndex: bands must divide numHashes");
+}
+
+LshIndex::LshIndex(const MinHashParams &params, std::size_t records,
+                   std::vector<std::vector<std::uint64_t>> keys,
+                   std::vector<std::vector<std::uint32_t>> ids)
+    : LshIndex(params)
+{
+    PC_ASSERT(keys.size() == prm.bands && ids.size() == prm.bands &&
+                  records < emptySlot,
+              "LshIndex: one stored table per band");
+    for (std::uint32_t band = 0; band < prm.bands; ++band) {
+        BandTable &table = bands[band];
+        PC_ASSERT(keys[band].size() == ids[band].size() &&
+                      (ids[band].size() > records ||
+                       (records == 0 && ids[band].empty())),
+                  "LshIndex: stored table without a free slot");
+        table.keys = std::move(keys[band]);
+        table.ids = std::move(ids[band]);
+        table.used = records;
+    }
+    numRecords = records;
 }
 
 void
@@ -464,8 +485,10 @@ LshIndex::candidates(const MinHashSignature &sig) const
     PC_ASSERT(sig.size() == prm.numHashes,
               "LshIndex::candidates: signature length mismatch");
     std::vector<std::uint32_t> hits;
+    const auto records = static_cast<std::uint32_t>(numRecords);
     for (std::uint32_t band = 0; band < prm.bands; ++band)
-        bands[band].find(lshBandKey(prm, sig, band), hits);
+        bands[band].slots().find(lshBandKey(prm, sig, band), records,
+                                 hits);
     return shortlist(hits);
 }
 
@@ -476,9 +499,11 @@ LshIndex::candidates(const MinHashSketch &sketch) const
                   sketch.second.size() == prm.numHashes,
               "LshIndex::candidates: sketch length mismatch");
     std::vector<std::uint32_t> hits;
+    const auto records = static_cast<std::uint32_t>(numRecords);
     for (std::uint32_t band = 0; band < prm.bands; ++band) {
+        const BandSlots table = bands[band].slots();
         for (const std::uint64_t key : lshProbeKeys(prm, sketch, band))
-            bands[band].find(key, hits);
+            table.find(key, records, hits);
     }
     return shortlist(hits);
 }
@@ -522,6 +547,13 @@ LshIndex::bandEntries(std::uint32_t band) const
     }
     std::sort(entries.begin(), entries.end());
     return entries;
+}
+
+LshIndex::BandSlots
+LshIndex::bandSlots(std::uint32_t band) const
+{
+    PC_ASSERT(band < prm.bands, "LshIndex::bandSlots: band range");
+    return bands[band].slots();
 }
 
 std::size_t

@@ -162,8 +162,8 @@ double signatureSimilarity(const MinHashSignature &a,
 
 /**
  * Bucket key of band @p band of @p sig under @p params — the fold
- * the in-memory index buckets by and the v3 on-disk LSH arrays are
- * sorted by, exposed so both agree on one definition.
+ * every band table (in memory, stored, mapped) buckets by, exposed
+ * so they all agree on one definition.
  */
 std::uint64_t lshBandKey(const MinHashParams &params,
                          const MinHashSignature &sig,
@@ -197,7 +197,10 @@ std::vector<std::uint64_t> lshProbeKeys(const MinHashParams &params,
  * sized to a ~0.7 load on bulk builds — so a record costs 12 bytes
  * per band and a bucket lookup reads one contiguous run of slots.
  * Bucket contents come back sorted (candidates(), bandEntries()),
- * so slot order is never observable.
+ * so slot order is never observable. PCDB v4 stores each band's two
+ * slot arrays verbatim (bandSlots()); the loader hands them back to
+ * the adopting constructor, and the mmap reader probes them in place
+ * through the same BandSlots::find.
  *
  * The index is append-only (records are identified by the caller's
  * dense ids, as in FingerprintDb) and externally synchronized:
@@ -207,7 +210,47 @@ std::vector<std::uint64_t> lshProbeKeys(const MinHashParams &params,
 class LshIndex
 {
   public:
+    /** Record id marking a free band-table slot. */
+    static constexpr std::uint32_t emptySlot = ~std::uint32_t{0};
+
+    /**
+     * One band's slot arrays, wherever they live: a table's own
+     * vectors, or a band section of a mapped PCDB v4 file. Slot s
+     * holds (keys[s], ids[s]) unless ids[s] == emptySlot.
+     */
+    struct BandSlots
+    {
+        const std::uint64_t *keys = nullptr;
+        const std::uint32_t *ids = nullptr;
+        std::size_t slots = 0;
+
+        /** First slot of @p key's probe run. */
+        std::size_t home(std::uint64_t key) const;
+
+        /**
+         * Append the ids stored under @p key to @p out. The probe
+         * run ends at a free slot, or after every slot, and ids of
+         * @p records or more are skipped: a damaged mapped table
+         * (no free slot, a wild id) still ends and names only real
+         * records.
+         */
+        void find(std::uint64_t key, std::uint32_t records,
+                  std::vector<std::uint32_t> &out) const;
+    };
+
     explicit LshIndex(const MinHashParams &params = {});
+
+    /**
+     * Adopt stored band tables: band b's slots are @p keys[b] and
+     * @p ids[b], holding @p records records — the PCDB v4 loader's
+     * path. Each table must be one a build under @p params made:
+     * exactly @p records occupied slots, every id below @p records,
+     * and more slots than records (or none at all, for no records).
+     * The loader checks all of that before handing them over.
+     */
+    LshIndex(const MinHashParams &params, std::size_t records,
+             std::vector<std::vector<std::uint64_t>> keys,
+             std::vector<std::vector<std::uint32_t>> ids);
 
     /** Parameters the index was built with. */
     const MinHashParams &params() const { return prm; }
@@ -278,11 +321,14 @@ class LshIndex
 
     /**
      * Band @p band's buckets flattened to (bucket key, record id)
-     * pairs sorted by key then id — the v3 on-disk representation
-     * of the index.
+     * pairs sorted by key then id: the band's contents, whatever its
+     * slot order.
      */
     std::vector<std::pair<std::uint64_t, std::uint32_t>>
     bandEntries(std::uint32_t band) const;
+
+    /** Band @p band's slot arrays, as PCDB v4 stores them. */
+    BandSlots bandSlots(std::uint32_t band) const;
 
     /** Bytes held by the band tables (container capacities). */
     std::size_t memoryBytes() const;
@@ -303,11 +349,11 @@ class LshIndex
         void insert(std::uint64_t key, std::uint32_t id);
         /** Remove the (key, id) slot; false when absent. */
         bool erase(std::uint64_t key, std::uint32_t id);
-        /** Append the ids stored under @p key to @p out. */
-        void find(std::uint64_t key,
-                  std::vector<std::uint32_t> &out) const;
-        /** First slot of @p key's probe run. */
-        std::size_t home(std::uint64_t key) const;
+        /** The slot arrays. */
+        BandSlots slots() const
+        {
+            return {keys.data(), ids.data(), keys.size()};
+        }
     };
 
     MinHashParams prm;

@@ -17,10 +17,56 @@ constexpr std::uint32_t maxLabelBytes = 1u << 16;
 /** Largest fingerprint universe: positions are stored as u32. */
 constexpr std::uint64_t maxUniverseBits = std::uint64_t{1} << 32;
 
+/** Bytes of gap @p g's varint. */
+std::uint64_t
+gapBytes(std::uint64_t g)
+{
+    std::uint64_t n = 1;
+    while (g >= 0x80) {
+        g >>= 7;
+        ++n;
+    }
+    return n;
+}
+
+/** check()'s v4 posting offset pass: both arrays, a chunk at a time. */
+std::string
+checkPostingOffsets(const ReadAt &read, const Header &h)
+{
+    const std::uint64_t entries = h.postingLists + 1;
+    const std::uint64_t id_off = h.postingsOff + entries * 8;
+    constexpr std::uint64_t chunk = 4096;
+    std::vector<std::uint64_t> bytes(std::min(chunk, entries));
+    std::vector<std::uint64_t> ids(bytes.size());
+    std::uint64_t prev_byte = 0, prev_id = 0;
+    for (std::uint64_t p = 0; p < entries; ++p) {
+        const std::uint64_t k = p % chunk;
+        if (k == 0) {
+            const std::uint64_t n = std::min(chunk, entries - p) * 8;
+            if (!read(h.postingsOff + p * 8, bytes.data(), n) ||
+                !read(id_off + p * 8, ids.data(), n))
+                return "cannot read the posting offsets";
+        }
+        if (p == 0 && (bytes[0] != 0 || ids[0] != 0))
+            return "posting list offsets do not start at 0";
+        if (bytes[k] < prev_byte || ids[k] < prev_id)
+            return "non-monotone posting list offsets";
+        if (bytes[k] > h.postingBytes)
+            return "posting list offsets outside the section";
+        prev_byte = bytes[k];
+        prev_id = ids[k];
+    }
+    if (prev_byte != h.postingBytes)
+        return "posting list offsets outside the section";
+    if (prev_id != h.totalPositions)
+        return "posting id offsets do not end at the position count";
+    return {};
+}
+
 } // anonymous namespace
 
 MinHashParams
-V3Header::minhashParams() const
+Header::minhashParams() const
 {
     MinHashParams p;
     p.numHashes = numHashes;
@@ -30,10 +76,10 @@ V3Header::minhashParams() const
     return p;
 }
 
-V3RecordEntry
+RecordEntry
 decodeRecordEntry(const std::uint8_t *p)
 {
-    V3RecordEntry e;
+    RecordEntry e;
     e.labelOff = loadU64(p);
     e.posOff = loadU64(p + 8);
     e.universe = loadU64(p + 16);
@@ -44,21 +90,82 @@ decodeRecordEntry(const std::uint8_t *p)
     return e;
 }
 
+Layout
+layout(const Header &h)
+{
+    Layout l;
+    l.recordTableOff =
+        h.version == versionV3 ? v3HeaderBytes : v4HeaderBytes;
+    l.sigOff =
+        align8(l.recordTableOff + h.recordCount * recordEntryBytes);
+    l.posOff = align8(l.sigOff + h.recordCount * h.numHashes * 4);
+    l.labelOff = align8(l.posOff + h.totalPositions * 4);
+    l.bandOff = align8(l.labelOff + h.labelBytes);
+    const std::uint64_t band_end =
+        l.bandOff +
+        h.bands * bandBytes(h.version, h.version == versionV3
+                                           ? h.recordCount
+                                           : h.bandSlots);
+    if (h.version == versionV3) {
+        l.fileSize = band_end;
+    } else {
+        l.postingsOff = band_end;
+        l.fileSize = l.postingsOff + (h.postingLists + 1) * 16 +
+                     align8(h.postingBytes);
+    }
+    return l;
+}
+
+void
+encodePostingList(const std::uint32_t *ids, std::size_t n,
+                  std::vector<std::uint8_t> &out)
+{
+    std::uint64_t next = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+        std::uint64_t gap = std::uint64_t{ids[j]} + 1 - next;
+        next = std::uint64_t{ids[j]} + 1;
+        while (gap >= 0x80) {
+            out.push_back(static_cast<std::uint8_t>(gap | 0x80));
+            gap >>= 7;
+        }
+        out.push_back(static_cast<std::uint8_t>(gap));
+    }
+}
+
+std::uint64_t
+postingListBytes(const std::uint32_t *ids, std::size_t n)
+{
+    std::uint64_t bytes = 0, next = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+        bytes += gapBytes(std::uint64_t{ids[j]} + 1 - next);
+        next = std::uint64_t{ids[j]} + 1;
+    }
+    return bytes;
+}
+
 std::string
-checkV3(std::uint64_t file_len, const ReadAt &read, V3Header &h,
-        const std::function<void(const V3RecordEntry &)> &on_entry)
+check(std::uint64_t file_len, const ReadAt &read, Header &h,
+      const std::function<void(const RecordEntry &)> &on_entry)
 {
     if (file_len < v3HeaderBytes)
-        return "file shorter than a v3 header";
-    std::uint8_t d[v3HeaderBytes];
-    if (!read(0, d, sizeof(d)))
+        return "file shorter than a PCDB header";
+    std::uint8_t d[v4HeaderBytes] = {};
+    if (!read(0, d, v3HeaderBytes))
         return "cannot read the header";
     if (std::memcmp(d, magic, sizeof(magic)) != 0)
         return "not a Probable Cause database";
-    const std::uint32_t version = loadU32(d + 4);
-    if (version != versionV3)
-        return "unsupported version " + std::to_string(version) +
-               " (only PCDB v3 is read)";
+    h = Header{};
+    h.version = loadU32(d + 4);
+    if (h.version != versionV3 && h.version != versionV4)
+        return "unsupported version " + std::to_string(h.version) +
+               " (PCDB v3 and v4 are read)";
+    if (h.version == versionV4) {
+        if (file_len < v4HeaderBytes)
+            return "file shorter than a PCDB header";
+        if (!read(v3HeaderBytes, d + v3HeaderBytes,
+                  v4HeaderBytes - v3HeaderBytes))
+            return "cannot read the header";
+    }
 
     h.numHashes = loadU32(d + 8);
     h.bands = loadU32(d + 12);
@@ -73,47 +180,68 @@ checkV3(std::uint64_t file_len, const ReadAt &read, V3Header &h,
     h.sigOff = loadU64(d + 72);
     h.posOff = loadU64(d + 80);
     h.labelOff = loadU64(d + 88);
-    h.lshOff = loadU64(d + 96);
+    h.bandOff = loadU64(d + 96);
+    h.bandSlots = loadU64(d + 104);
+    h.postingLists = loadU64(d + 112);
+    h.postingBytes = loadU64(d + 120);
+    h.postingsOff = loadU64(d + 128);
+    h.bandCrc = loadU32(d + bandCrcOff);
+    h.postingsCrc = loadU32(d + postingsCrcOff);
 
     if (h.numHashes == 0 || h.bands == 0 ||
-        h.numHashes % h.bands != 0)
+        h.numHashes % h.bands != 0 || h.numHashes > maxHashes)
         return "invalid minhash parameters in header";
     if (h.scheme != schemeOnePermutation && h.scheme != schemeRetired)
         return "unknown signature scheme " + std::to_string(h.scheme);
+    if (h.version == versionV4 && h.scheme != schemeOnePermutation)
+        return "a v4 file signed under the retired scheme";
     if (h.fileSize != file_len)
         return "header file size does not match the file";
 
     // Bound every count by what could possibly fit in the file
     // before computing the canonical layout, so hostile headers
     // cannot drive the offset arithmetic into 64-bit overflow.
-    if (h.recordCount > file_len / v3RecordEntryBytes ||
+    const std::uint64_t per_band =
+        h.bandSlots > file_len / 12
+            ? 0
+            : bandBytes(h.version, h.version == versionV3
+                                       ? h.recordCount
+                                       : h.bandSlots);
+    if (h.recordCount > file_len / recordEntryBytes ||
         h.totalPositions > file_len / sizeof(std::uint32_t) ||
-        h.labelBytes > file_len)
+        h.labelBytes > file_len || h.bandSlots > file_len / 12 ||
+        h.postingLists > file_len / 16 || h.postingBytes > file_len ||
+        (h.recordCount > 0 &&
+         h.numHashes > file_len / 4 / h.recordCount) ||
+        (per_band > 0 && h.bands > file_len / per_band))
         return "header counts exceed the file size";
+    if (h.version == versionV4 &&
+        !(h.bandSlots > h.recordCount ||
+          (h.bandSlots == 0 && h.recordCount == 0)))
+        return "band slot count not above the record count";
 
-    const V3Layout lay = v3Layout(h.recordCount, h.numHashes,
-                                  h.totalPositions, h.labelBytes,
-                                  h.bands);
+    const Layout lay = layout(h);
     if (h.recordTableOff != lay.recordTableOff ||
         h.sigOff != lay.sigOff || h.posOff != lay.posOff ||
-        h.labelOff != lay.labelOff || h.lshOff != lay.lshOff ||
+        h.labelOff != lay.labelOff || h.bandOff != lay.bandOff ||
+        h.postingsOff != lay.postingsOff ||
         h.fileSize != lay.fileSize)
-        return "non-canonical v3 section layout";
+        return "non-canonical section layout";
 
     // One pass over the record table, a bounded chunk at a time.
     constexpr std::uint64_t chunk = 1024;
     std::vector<std::uint8_t> table(
-        std::min(chunk, h.recordCount) * v3RecordEntryBytes);
+        std::min(chunk, h.recordCount) * recordEntryBytes);
     std::uint64_t next_label = 0, next_pos = 0, universe = 0;
     for (std::uint64_t i = 0; i < h.recordCount; ++i) {
         if (i % chunk == 0) {
             const std::uint64_t n = std::min(chunk, h.recordCount - i);
-            if (!read(h.recordTableOff + i * v3RecordEntryBytes,
-                      table.data(), n * v3RecordEntryBytes))
+            if (!read(h.recordTableOff + i * recordEntryBytes,
+                      table.data(), n * recordEntryBytes))
                 return "cannot read the record table";
         }
-        const V3RecordEntry e = decodeRecordEntry(
-            table.data() + (i % chunk) * v3RecordEntryBytes);
+        const RecordEntry e = decodeRecordEntry(
+            table.data() + (i % chunk) * recordEntryBytes);
         if (e.labelLen > maxLabelBytes)
             return "implausible label length";
         if (e.labelOff != next_label || e.posOff != next_pos ||
@@ -139,15 +267,23 @@ checkV3(std::uint64_t file_len, const ReadAt &read, V3Header &h,
     if (next_pos != h.totalPositions)
         return "position arena size mismatch";
 
-    for (std::uint32_t band = 0; band < h.bands; ++band) {
-        std::uint8_t count[8];
-        if (!read(h.lshOff + band * v3BandBytes(h.recordCount), count,
-                  sizeof(count)))
-            return "cannot read the lsh section";
-        if (loadU64(count) != h.recordCount)
-            return "lsh band entry count mismatch";
+    if (h.version == versionV3) {
+        for (std::uint32_t band = 0; band < h.bands; ++band) {
+            std::uint8_t count[8];
+            if (!read(h.bandOff +
+                          band * bandBytes(versionV3, h.recordCount),
+                      count, sizeof(count)))
+                return "cannot read the lsh section";
+            if (loadU64(count) != h.recordCount)
+                return "lsh band entry count mismatch";
+        }
+        return {};
     }
-    return {};
+    // A list per position up to the highest one held, and none past
+    // the universe.
+    if (h.postingLists > universe)
+        return "more posting lists than universe bits";
+    return checkPostingOffsets(read, h);
 }
 
 } // namespace pcdb

@@ -4,30 +4,33 @@
  *
  * Both stores keep fingerprints only as sparse position lists
  * (SparseFingerprintSource). Every exact scan over them — the LSH
- * shortlist, the reference linear scan, the mmap backend's
- * pool-sharded fallback and the in-memory store's overlap-count
- * fallback — evaluates one distance (SparseDistAt) and visits
- * records through one step (scanStep), so the bound handed to each
- * distance evaluation, the order the running nearest record moves,
- * and when a scan stops are one definition: the reason their
- * verdicts, distances and kernel counters agree. indexedQuery() is
+ * shortlist, the reference linear scan and both stores'
+ * overlap-count fallback — visits records through one step
+ * (scanStep), so the bound handed to each distance evaluation, the
+ * order the running nearest record moves, and when a scan stops are
+ * one definition: the reason their verdicts, distances and kernel
+ * counters agree. The shortlist and the linear scan evaluate one
+ * distance (SparseDistAt); the fallback derives the same distance
+ * from each record's overlap count (overlapWalk). indexedQuery() is
  * the query body both stores share; they differ only in where
- * candidates come from and which full scan backs a miss. Internal to
- * core/: callers go through FingerprintStore, MappedStore or
- * AttackService.
+ * candidates come from and where the fallback's counts come from
+ * (posting lists in memory, or decoded from a mapped file).
+ * Internal to core/: callers go through FingerprintStore,
+ * MappedStore or AttackService.
  */
 
 #ifndef PCAUSE_CORE_SCAN_HH
 #define PCAUSE_CORE_SCAN_HH
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
 #include "core/attack_stats.hh"
+#include "core/distance.hh"
 #include "core/identify.hh"
 #include "core/minhash.hh"
 #include "util/logging.hh"
@@ -35,9 +38,6 @@
 
 namespace pcause
 {
-
-class ThreadPool;
-
 namespace detail
 {
 
@@ -135,42 +135,6 @@ scanStep(std::size_t i, const IdentifyParams &params,
     return false;
 }
 
-/**
- * Scan records [begin, end) exactly as serial identify() visits
- * them, one scanStep() each.
- *
- * @p earliest_match, when non-null (first-match mode, sharded
- * scan), carries the lowest match index found by any shard; shards
- * whose remaining records all sit above it stop scanning, and a
- * shard finding a match publishes it.
- */
-template <typename DistAt>
-ScanOutcome
-scanRangeT(std::size_t begin, std::size_t end,
-           const IdentifyParams &params,
-           std::atomic<std::size_t> *earliest_match,
-           const DistAt &distAt)
-{
-    ScanOutcome out;
-    for (std::size_t i = begin; i < end; ++i) {
-        if (earliest_match &&
-            earliest_match->load(std::memory_order_relaxed) < i)
-            break;
-        if (scanStep(i, params, distAt, out) && params.firstMatch) {
-            if (earliest_match) {
-                std::size_t cur =
-                    earliest_match->load(std::memory_order_relaxed);
-                while (i < cur &&
-                       !earliest_match->compare_exchange_weak(
-                           cur, i, std::memory_order_relaxed)) {
-                }
-            }
-            break;
-        }
-    }
-    return out;
-}
-
 /** Convert a whole-range ScanOutcome to the Algorithm 2 result. */
 inline IdentifyResult
 outcomeToResult(const ScanOutcome &out, const IdentifyParams &params)
@@ -202,20 +166,78 @@ mergeScanCounters(AttackStats *stats, const ScanOutcome &out)
 }
 
 /**
- * Exact scan of every record of @p fps in id order. Serial when
- * @p pool is null, has one lane, or holds fewer than two records
- * per lane; otherwise sharded into contiguous ranges across
- * @p pool, each shard bounded by its own running nearest distance
- * and first-match shards stopping above the earliest match any
- * shard found. Either way the verdict, nearest record and distance
- * are the serial scan's bit for bit (docs/ALGORITHMS.md); only a
- * sharded scan's kernel counters differ. @p es_weight must equal
- * es.popcount(). Untimed; @p stats receives kernel counters.
+ * The walk of both stores' overlap-count fallback: every record of
+ * @p fps in id order under the linear scan's rules, given
+ * @p overlap[i], record i's exact overlap with @p es (whose weight
+ * @p es_weight is). A bounded kernel prunes a record exactly when its
+ * miss count exceeds boundedCountLimit(bound, lower weight), and
+ * overlapDistance() derives the kernel's distance bit for bit, so
+ * the verdict, nearest record, distance bits and computed/pruned
+ * counters are the linear scan's.
+ *
+ * Almost every record of a reject sits far above the bound, so each
+ * record is screened in fixed point first (PruneScreen) and the
+ * screened-out ones count as pruned without a step: the screen only
+ * drops records the exact rule prunes, and a pruned step changes
+ * nothing but the pruned counter. The screen moves with the bound,
+ * after a step; it admits everything while the bound is 1 or more,
+ * and always for Jaccard and Hamming, which never prune. A record of
+ * another universe is never screened out, so its step still panics.
+ *
+ * @p Source needs count() and view(i), plus unchecked weight(i) and
+ * universe(i) (SparseFingerprintArena, MappedStore). A count above
+ * its record's weight, which only a damaged mapped posting list can
+ * produce, reads as the weight. Untimed; @p stats receives kernel
+ * counters.
  */
-IdentifyResult sparseScan(const BitVec &es, std::size_t es_weight,
-                          const SparseFingerprintSource &fps,
-                          const IdentifyParams &params,
-                          ThreadPool *pool, AttackStats *stats);
+template <typename Count, typename Source>
+IdentifyResult
+overlapWalk(const BitVec &es, std::size_t es_weight, const Source &fps,
+            const std::vector<Count> &overlap,
+            const IdentifyParams &params, AttackStats *stats)
+{
+    const std::size_t universe = es.size();
+    const bool bounded =
+        params.metric == DistanceMetric::ModifiedJaccard;
+    const auto distAt = [&](std::size_t i, double bound,
+                            bool *pruned) {
+        const SparseView v = fps.view(i);
+        PC_ASSERT(v.universe == universe, "distance: size mismatch");
+        const std::size_t fp_weight = std::min(es_weight, v.count);
+        const std::size_t common =
+            std::min<std::size_t>(overlap[i], fp_weight);
+        if (bounded && fp_weight > 0) {
+            *pruned = fp_weight - common >
+                      boundedCountLimit(bound, fp_weight);
+            if (*pruned) {
+                // Any value above the bound is all a pruned
+                // evaluation promises; scanStep reads no more.
+                return std::numeric_limits<double>::infinity();
+            }
+        }
+        return overlapDistance(params.metric, es_weight, v.count,
+                               common, universe);
+    };
+
+    ScanOutcome out;
+    PruneScreen screen = pruneScreen(1.0);
+    const std::size_t n = fps.count();
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t fp_weight = std::min(es_weight, fps.weight(i));
+        const std::size_t common =
+            std::min<std::size_t>(overlap[i], fp_weight);
+        if (screen.prunes(fp_weight - common, fp_weight) &&
+            fps.universe(i) == universe) {
+            ++out.pruned;
+            continue;
+        }
+        if (scanStep(i, params, distAt, out) && params.firstMatch)
+            break;
+        screen = pruneScreen(bounded ? scanBound(params, out) : 1.0);
+    }
+    mergeScanCounters(stats, out);
+    return outcomeToResult(out, params);
+}
 
 /**
  * The indexed Algorithm 2 body both stores run: sketch the query,
@@ -287,8 +309,9 @@ timedQuery(AttackStats *stats, const Body &body)
 }
 
 /**
- * queryLinear() of both stores: the timed serial sparseScan() of
- * every record of @p fps, with recordsAvailable counted.
+ * queryLinear() of both stores: the timed serial scan of every
+ * record of @p fps in id order, one scanStep() of SparseDistAt each,
+ * with recordsAvailable counted.
  */
 IdentifyResult linearQuery(const BitVec &es,
                            const IdentifyParams &params,

@@ -1,5 +1,6 @@
 #include "core/serialize.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -12,6 +13,7 @@
 #include <unistd.h>
 
 #include "core/pcdb_format.hh"
+#include "util/crc32.hh"
 #include "util/failpoint.hh"
 #include "util/logging.hh"
 
@@ -46,39 +48,78 @@ writePad(std::ostream &out, std::uint64_t n)
     }
 }
 
-/** Write @p store to @p out as a v3 image; false on IO failure. */
+/** Write @p len bytes at @p data, folding them into @p crc. */
+void
+writeCrc(std::ostream &out, const void *data, std::uint64_t len,
+         std::uint32_t &crc)
+{
+    out.write(static_cast<const char *>(data),
+              static_cast<std::streamsize>(len));
+    crc = crc32(data, len, crc);
+}
+
+/** Write @p n zero bytes (section padding), folded into @p crc. */
+void
+writePadCrc(std::ostream &out, std::uint64_t n, std::uint32_t &crc)
+{
+    static const char zeros[8] = {};
+    PC_ASSERT(n < sizeof(zeros), "section padding exceeds 7 bytes");
+    writeCrc(out, zeros, n, crc);
+}
+
+/** Write @p store to @p out as a v4 image; false on IO failure. */
 bool
 writeStore(const FingerprintStore &store, std::ostream &out)
 {
     const MinHashParams &prm = store.indexParams();
     const SparseFingerprintArena &sparse = store.sparseFingerprints();
+    const LshIndex &lsh = store.index();
+    const auto &postings = store.positionIndex();
     const std::uint64_t n = store.size();
 
-    std::uint64_t label_bytes = 0;
+    pcdb::Header h;
+    h.numHashes = prm.numHashes;
+    h.bands = prm.bands;
+    h.probes = prm.probes;
+    h.seed = prm.seed;
+    h.recordCount = n;
+    h.totalPositions = sparse.totalPositions();
     for (std::size_t i = 0; i < n; ++i)
-        label_bytes += store.label(i).size();
-    const std::uint64_t total_pos = sparse.totalPositions();
+        h.labelBytes += store.label(i).size();
+    h.bandSlots = lsh.bandSlots(0).slots;
+    h.postingLists = postings.size();
+    std::vector<std::uint64_t> byte_off{0}, id_off{0};
+    for (const std::vector<std::uint32_t> &ids : postings) {
+        byte_off.push_back(byte_off.back() +
+                           pcdb::postingListBytes(ids.data(), ids.size()));
+        id_off.push_back(id_off.back() + ids.size());
+    }
+    h.postingBytes = byte_off.back();
+    const pcdb::Layout lay = pcdb::layout(h);
 
-    const pcdb::V3Layout lay = pcdb::v3Layout(
-        n, prm.numHashes, total_pos, label_bytes, prm.bands);
-
-    // --- header ---------------------------------------------------
+    // --- header (CRCs patched in at the end) ----------------------
     out.write(pcdb::magic, sizeof(pcdb::magic));
-    writeScalar<std::uint32_t>(out, pcdb::versionV3);
-    writeScalar<std::uint32_t>(out, prm.numHashes);
-    writeScalar<std::uint32_t>(out, prm.bands);
-    writeScalar<std::uint32_t>(out, prm.probes);
+    writeScalar<std::uint32_t>(out, pcdb::versionV4);
+    writeScalar<std::uint32_t>(out, h.numHashes);
+    writeScalar<std::uint32_t>(out, h.bands);
+    writeScalar<std::uint32_t>(out, h.probes);
     writeScalar<std::uint32_t>(out, pcdb::schemeOnePermutation);
-    writeScalar<std::uint64_t>(out, prm.seed);
+    writeScalar<std::uint64_t>(out, h.seed);
     writeScalar<std::uint64_t>(out, n);
-    writeScalar<std::uint64_t>(out, total_pos);
-    writeScalar<std::uint64_t>(out, label_bytes);
+    writeScalar<std::uint64_t>(out, h.totalPositions);
+    writeScalar<std::uint64_t>(out, h.labelBytes);
     writeScalar<std::uint64_t>(out, lay.fileSize);
     writeScalar<std::uint64_t>(out, lay.recordTableOff);
     writeScalar<std::uint64_t>(out, lay.sigOff);
     writeScalar<std::uint64_t>(out, lay.posOff);
     writeScalar<std::uint64_t>(out, lay.labelOff);
-    writeScalar<std::uint64_t>(out, lay.lshOff);
+    writeScalar<std::uint64_t>(out, lay.bandOff);
+    writeScalar<std::uint64_t>(out, h.bandSlots);
+    writeScalar<std::uint64_t>(out, h.postingLists);
+    writeScalar<std::uint64_t>(out, h.postingBytes);
+    writeScalar<std::uint64_t>(out, lay.postingsOff);
+    writeScalar<std::uint32_t>(out, 0); // band section CRC
+    writeScalar<std::uint32_t>(out, 0); // postings section CRC
 
     // --- record table (canonical running arena offsets) -----------
     std::uint64_t next_label = 0, next_pos = 0;
@@ -114,8 +155,8 @@ writeStore(const FingerprintStore &store, std::ostream &out)
     out.write(reinterpret_cast<const char *>(arena.data()),
               static_cast<std::streamsize>(arena.size() *
                                            sizeof(std::uint32_t)));
-    writePad(out, lay.labelOff -
-                      (lay.posOff + total_pos * sizeof(std::uint32_t)));
+    writePad(out, lay.labelOff - (lay.posOff + h.totalPositions *
+                                                   sizeof(std::uint32_t)));
 
     // --- label arena ----------------------------------------------
     for (std::size_t i = 0; i < n; ++i) {
@@ -123,22 +164,196 @@ writeStore(const FingerprintStore &store, std::ostream &out)
         out.write(label.data(),
                   static_cast<std::streamsize>(label.size()));
     }
-    writePad(out, lay.lshOff - (lay.labelOff + label_bytes));
+    writePad(out, lay.bandOff - (lay.labelOff + h.labelBytes));
 
-    // --- LSH section: per-band sorted (key, id) arrays ------------
+    // --- band section: each table's slot arrays, as held ----------
+    std::uint32_t band_crc = 0;
     for (std::uint32_t band = 0; band < prm.bands; ++band) {
-        const auto entries = store.index().bandEntries(band);
-        PC_ASSERT(entries.size() == n,
-                  "saveStore: band entry count mismatch");
-        writeScalar<std::uint64_t>(out, entries.size());
-        for (const auto &e : entries)
-            writeScalar<std::uint64_t>(out, e.first);
-        for (const auto &e : entries)
-            writeScalar<std::uint32_t>(out, e.second);
-        writePad(out, pcdb::v3BandBytes(n) -
-                          (8 + entries.size() * 12));
+        const LshIndex::BandSlots t = lsh.bandSlots(band);
+        PC_ASSERT(t.slots == h.bandSlots,
+                  "saveStore: band tables differ in size");
+        writeCrc(out, t.keys, t.slots * sizeof(std::uint64_t), band_crc);
+        writeCrc(out, t.ids, t.slots * sizeof(std::uint32_t), band_crc);
+        writePadCrc(out, pcdb::align8(t.slots * 4) - t.slots * 4,
+                    band_crc);
     }
+
+    // --- postings section: offsets, then the gap-coded lists ------
+    std::uint32_t post_crc = 0;
+    writeCrc(out, byte_off.data(), byte_off.size() * 8, post_crc);
+    writeCrc(out, id_off.data(), id_off.size() * 8, post_crc);
+    std::vector<std::uint8_t> buf;
+    for (const std::vector<std::uint32_t> &ids : postings) {
+        pcdb::encodePostingList(ids.data(), ids.size(), buf);
+        if (buf.size() >= (1u << 16)) {
+            writeCrc(out, buf.data(), buf.size(), post_crc);
+            buf.clear();
+        }
+    }
+    writeCrc(out, buf.data(), buf.size(), post_crc);
+    writePadCrc(out, pcdb::align8(h.postingBytes) - h.postingBytes,
+                post_crc);
+
+    out.seekp(static_cast<std::streamoff>(pcdb::bandCrcOff));
+    writeScalar<std::uint32_t>(out, band_crc);
+    writeScalar<std::uint32_t>(out, post_crc);
     return out.good();
+}
+
+/** Buffered reads of one file, optionally folded into a CRC. */
+class FileReader
+{
+  public:
+    explicit FileReader(std::FILE *f) : f(f) {}
+
+    bool seek(std::uint64_t off)
+    {
+        return ::fseeko(f, static_cast<off_t>(off), SEEK_SET) == 0;
+    }
+
+    bool read(void *dst, std::size_t len)
+    {
+        return len == 0 || std::fread(dst, 1, len, f) == len;
+    }
+
+    /** read() whose bytes also extend @p crc. */
+    bool readCrc(void *dst, std::size_t len, std::uint32_t &crc)
+    {
+        if (!read(dst, len))
+            return false;
+        crc = crc32(dst, len, crc);
+        return true;
+    }
+
+  private:
+    std::FILE *f;
+};
+
+/**
+ * Read a v4 file's band section into one key and one id array per
+ * band, checking every occupied slot's id, each band's occupancy
+ * and the section CRC. Returns the reason it failed, or empty.
+ */
+std::string
+readBands(FileReader &in, const pcdb::Header &h,
+          std::vector<std::vector<std::uint64_t>> &keys,
+          std::vector<std::vector<std::uint32_t>> &ids)
+{
+    const std::uint64_t slots = h.bandSlots;
+    const std::uint64_t pad = pcdb::align8(slots * 4) - slots * 4;
+    keys.resize(h.bands);
+    ids.resize(h.bands);
+    std::uint32_t crc = 0;
+    if (!in.seek(h.bandOff))
+        return "cannot read the band section";
+    for (std::uint32_t band = 0; band < h.bands; ++band) {
+        keys[band].resize(slots);
+        ids[band].resize(slots);
+        std::uint8_t zeros[8];
+        if (!in.readCrc(keys[band].data(), slots * 8, crc) ||
+            !in.readCrc(ids[band].data(), slots * 4, crc) ||
+            !in.readCrc(zeros, pad, crc))
+            return "cannot read the band section";
+        std::uint64_t occupied = 0;
+        for (const std::uint32_t id : ids[band]) {
+            if (id == LshIndex::emptySlot)
+                continue;
+            if (id >= h.recordCount)
+                return "band slot id out of range";
+            ++occupied;
+        }
+        if (occupied != h.recordCount)
+            return "band occupied slot count mismatch";
+    }
+    if (crc != h.bandCrc)
+        return "band section CRC mismatch";
+    return {};
+}
+
+/**
+ * Read a v4 file's postings section, decoding list p straight into
+ * @p postings[p] through a window of the file a chunk (or one long
+ * list) wide, after checking the lists against @p position_sum, the
+ * sum of every record's positions. Returns the reason it failed, or
+ * empty.
+ */
+std::string
+readPostings(FileReader &in, const pcdb::Header &h,
+             std::uint64_t position_sum,
+             std::vector<std::vector<std::uint32_t>> &postings)
+{
+    const std::uint64_t lists = h.postingLists;
+    const std::uint64_t total = h.postingBytes;
+    std::vector<std::uint64_t> byte_off(lists + 1), id_off(lists + 1);
+    std::uint32_t crc = 0;
+    if (!in.seek(h.postingsOff) ||
+        !in.readCrc(byte_off.data(), byte_off.size() * 8, crc) ||
+        !in.readCrc(id_off.data(), id_off.size() * 8, crc))
+        return "cannot read the postings section";
+    std::uint64_t list_sum = 0;
+    for (std::uint64_t p = 0; p < lists; ++p)
+        list_sum += p * (id_off[p + 1] - id_off[p]);
+    if (list_sum != position_sum)
+        return "posting lists do not match the position arena";
+
+    constexpr std::uint64_t chunk = 1u << 20;
+    std::vector<std::uint8_t> window;
+    std::uint64_t win_begin = 0, win_end = 0; // section byte range
+    postings.resize(lists);
+    for (std::uint64_t p = 0; p < lists; ++p) {
+        const std::uint64_t b0 = byte_off[p], b1 = byte_off[p + 1];
+        const std::uint64_t count = id_off[p + 1] - id_off[p];
+        // pcdb::check() passed these offsets; the window arithmetic
+        // below relies on it, so restate it where it is relied on.
+        if (b0 < win_begin || b1 < b0 || b1 > total ||
+            id_off[p + 1] < id_off[p] || count > h.totalPositions)
+            return "non-monotone posting list offsets";
+        if (b1 > win_end) {
+            // Keep the list's bytes already read, then read on to
+            // the chunk's end (or the list's, if it is longer).
+            const std::uint64_t keep = win_end - b0;
+            if (keep > 0)
+                std::memmove(window.data(),
+                             window.data() + (b0 - win_begin), keep);
+            const std::uint64_t fill_to =
+                std::min(total, b0 + std::max(chunk, b1 - b0));
+            if (window.size() < fill_to - b0)
+                window.resize(fill_to - b0);
+            if (!in.readCrc(window.data() + keep, fill_to - win_end, crc))
+                return "cannot read the postings section";
+            win_begin = b0;
+            win_end = fill_to;
+        }
+
+        std::vector<std::uint32_t> &ids = postings[p];
+        ids.resize(count);
+        std::size_t j = 0;
+        const char *why = "zero or malformed posting gap";
+        const std::uint8_t *list = window.data() + (b0 - win_begin);
+        const bool whole = pcdb::decodePostingList(
+            list, list + (b1 - b0), [&](std::uint64_t id) {
+                if (j == count) {
+                    why = "posting list bytes do not match its id count";
+                    return false;
+                }
+                if (id >= h.recordCount) {
+                    why = "posting id out of range";
+                    return false;
+                }
+                ids[j++] = static_cast<std::uint32_t>(id);
+                return true;
+            });
+        if (!whole)
+            return why;
+        if (j != count)
+            return "posting list bytes do not match its id count";
+    }
+    std::uint8_t zeros[8];
+    if (!in.readCrc(zeros, pcdb::align8(total) - total, crc))
+        return "cannot read the postings section";
+    if (crc != h.postingsCrc)
+        return "postings section CRC mismatch";
+    return {};
 }
 
 } // anonymous namespace
@@ -218,7 +433,8 @@ saveStoreDurable(const FingerprintStore &store,
 }
 
 StoreLoadResult
-loadStore(const std::string &path, std::uint32_t *scheme_out)
+loadStore(const std::string &path, std::uint32_t *scheme_out,
+          std::uint32_t *version_out)
 {
     const auto fail = [](const std::string &why) -> StoreLoadResult {
         return {std::nullopt, "loadStore: " + why};
@@ -229,31 +445,25 @@ loadStore(const std::string &path, std::uint32_t *scheme_out)
         std::fopen(path.c_str(), "rb"));
     if (!file)
         return fail("cannot open " + path);
-    std::FILE *f = file.get();
     struct stat st{};
-    if (::fstat(::fileno(f), &st) != 0)
+    if (::fstat(::fileno(file.get()), &st) != 0)
         return fail("cannot stat " + path);
-    const auto seek = [f](std::uint64_t off) {
-        return ::fseeko(f, static_cast<off_t>(off), SEEK_SET) == 0;
-    };
-    const auto readNext = [f](void *dst, std::size_t len) {
-        return len == 0 || std::fread(dst, 1, len, f) == len;
-    };
+    FileReader in(file.get());
 
     // The record table lands in the store's containers as the shared
     // check walks it.
-    pcdb::V3Header h;
+    pcdb::Header h;
     std::vector<std::uint32_t> label_lens;
     std::vector<unsigned> sources;
     std::vector<std::uint64_t> offsets{0};
     std::vector<std::uint64_t> universes;
-    const std::string err = pcdb::checkV3(
+    const std::string err = pcdb::check(
         static_cast<std::uint64_t>(st.st_size),
         [&](std::uint64_t off, void *dst, std::size_t len) {
-            return seek(off) && readNext(dst, len);
+            return in.seek(off) && in.read(dst, len);
         },
         h,
-        [&](const pcdb::V3RecordEntry &e) {
+        [&](const pcdb::RecordEntry &e) {
             label_lens.push_back(e.labelLen);
             sources.push_back(e.sources);
             offsets.push_back(offsets.back() + e.posCount);
@@ -271,48 +481,76 @@ loadStore(const std::string &path, std::uint32_t *scheme_out)
     std::vector<MinHashSignature> sigs;
     if (!resign) {
         sigs.assign(n, MinHashSignature(h.numHashes));
-        bool ok = seek(h.sigOff);
+        bool ok = in.seek(h.sigOff);
         for (MinHashSignature &sig : sigs)
-            ok = ok && readNext(sig.data(), sig.size() * sizeof(sig[0]));
+            ok = ok && in.read(sig.data(), sig.size() * sizeof(sig[0]));
         if (!ok)
             return fail("cannot read the signature arena");
     }
 
+    // Positions are checked as they are read, and summed: a v4
+    // file's posting lists must hold the same sum (each list's
+    // position times its length), so no position the lists do not
+    // hold gets past the loader.
     PosVec positions(h.totalPositions);
-    if (!seek(h.posOff) ||
-        !readNext(positions.data(),
-                  positions.size() * sizeof(positions[0])))
+    if (!in.seek(h.posOff) ||
+        !in.read(positions.data(),
+                 positions.size() * sizeof(positions[0])))
         return fail("cannot read the position arena");
+    std::uint64_t position_sum = 0;
     for (std::size_t i = 0; i < n; ++i) {
         for (std::uint64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-            if (positions[k] >= universes[i])
+            const std::uint32_t pos = positions[k];
+            if (pos >= universes[i])
                 return fail("position beyond universe");
-            if (k > offsets[i] && positions[k] <= positions[k - 1])
+            if (k > offsets[i] && pos <= positions[k - 1])
                 return fail("positions not strictly ascending");
+            position_sum += pos;
         }
     }
 
     std::vector<ChipLabel> labels(n);
-    bool ok = seek(h.labelOff);
+    bool ok = in.seek(h.labelOff);
     for (std::size_t i = 0; i < n; ++i) {
         labels[i].resize(label_lens[i]);
-        ok = ok && readNext(labels[i].data(), label_lens[i]);
+        ok = ok && in.read(labels[i].data(), label_lens[i]);
     }
     if (!ok)
         return fail("cannot read the label arena");
 
-    // The LSH index is rebuilt from the signatures; the serialized
-    // band tables exist for the mmap reader.
     SparseFingerprintArena arena(std::move(positions), std::move(offsets),
                                  std::move(universes));
-    if (resign)
-        sigs = signArena(arena, h.minhashParams(), nullptr);
-    FingerprintStore store(h.minhashParams());
-    store.addBatch(std::move(labels), std::move(sources),
-                   std::move(arena), std::move(sigs));
     if (scheme_out)
         *scheme_out = h.scheme;
-    return {std::move(store), ""};
+    if (version_out)
+        *version_out = h.version;
+    if (h.version == pcdb::versionV3) {
+        // A v3 file holds no position index and its band trailer is
+        // not a table: both are rebuilt from the records.
+        if (resign)
+            sigs = signArena(arena, h.minhashParams(), nullptr);
+        FingerprintStore store(h.minhashParams());
+        store.addBatch(std::move(labels), std::move(sources),
+                       std::move(arena), std::move(sigs));
+        return {std::move(store), ""};
+    }
+
+    // v4: the index sections are read as stored.
+    std::vector<std::vector<std::uint64_t>> keys;
+    std::vector<std::vector<std::uint32_t>> ids;
+    std::string why = readBands(in, h, keys, ids);
+    std::vector<std::vector<std::uint32_t>> postings;
+    if (why.empty())
+        why = readPostings(in, h, position_sum, postings);
+    if (!why.empty())
+        return fail(why);
+    return {FingerprintStore::adopt(
+                std::move(labels), std::move(sources), std::move(arena),
+                std::move(sigs),
+                LshIndex(h.minhashParams(), n, std::move(keys),
+                         std::move(ids)),
+                std::move(postings)),
+            ""};
 }
 
 bool
@@ -389,12 +627,17 @@ loadBitVec(const std::string &path)
 
 std::size_t
 recordDiskSize(std::size_t weight, std::size_t label_len,
-               std::size_t signature_hashes)
+               std::size_t signature_hashes, std::size_t bands)
 {
-    return pcdb::v3RecordEntryBytes            // record-table entry
+    return pcdb::recordEntryBytes              // record-table entry
         + label_len                            // label arena share
         + weight * sizeof(std::uint32_t)       // position arena share
-        + signature_hashes * sizeof(std::uint32_t); // signature arena
+        + signature_hashes * sizeof(std::uint32_t) // signature arena
+        // a 12-byte slot per band at the bulk build's ~0.7 load
+        + bands * 12 * 10 / 7
+        // a one-byte gap per posting: a position shared by more
+        // than 1 in 128 records
+        + weight;
 }
 
 } // namespace pcause

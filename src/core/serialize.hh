@@ -11,15 +11,18 @@
  * chip's fingerprint costs ~10 KB instead of 32 KB, and scales with
  * the error budget rather than the memory size.
  *
- * The one format is PCDB v3 (little-endian, written by saveStore),
- * the memory-mappable layout specified byte-for-byte in
- * core/pcdb_format.hh: a fixed 104-byte header with explicit section
- * offsets, a fixed-stride record table, then contiguous signature /
- * position / label arenas and the serialized per-band LSH index.
- * loadStore() reads a v3 file into an in-memory FingerprintStore;
- * MappedStore (core/mapped_store) queries one in place without
- * loading it. Both run the same structural check
- * (pcdb::checkV3) and so fail with the same reasons.
+ * Writers write PCDB v4 (little-endian), the memory-mappable layout
+ * specified byte-for-byte in core/pcdb_format.hh: a fixed 144-byte
+ * header with explicit section offsets, a fixed-stride record table,
+ * contiguous signature / position / label arenas, then the index as
+ * it is held in memory — each LSH band's slot arrays and the
+ * inverted position index as gap-coded lists, both under a CRC-32.
+ * loadStore() reads a file into an in-memory FingerprintStore,
+ * taking the index sections as stored; MappedStore
+ * (core/mapped_store) queries one in place without loading it. Both
+ * run the same structural check (pcdb::check) and so fail with the
+ * same reasons. loadStore() also reads v3, the format before,
+ * rebuilding the index v3 does not carry.
  *
  * Loading is recoverable: malformed input produces a LoadResult
  * carrying an error string instead of killing the process, so a
@@ -66,14 +69,17 @@ struct LoadResult
 using StoreLoadResult = LoadResult<FingerprintStore>;
 
 /**
- * Write @p store (its own index parameters, signatures, and LSH
- * buckets) to @p path as a mmap-able v3 file. Returns false on IO
- * failure, including one that surfaces only when the file is closed.
+ * Write @p store (its own index parameters, signatures, band tables
+ * and position index) to @p path as a mmap-able v4 file. The file is
+ * truncated first, so a failed write loses what it held:
+ * saveStoreDurable() is the save for a file that matters. Returns
+ * false on IO failure, including one that surfaces only when the
+ * file is closed.
  */
 bool saveStore(const FingerprintStore &store, const std::string &path);
 
 /**
- * Crash-safe saveStore: the v3 image is written to a temp file in
+ * Crash-safe saveStore: the v4 image is written to a temp file in
  * the same directory, fsynced, atomically renamed over @p path, and
  * the parent directory fsynced — a reader (or a recovery after
  * kill -9 at any instruction) sees either the complete old file or
@@ -86,30 +92,41 @@ bool saveStoreDurable(const FingerprintStore &store,
                       std::string *error = nullptr);
 
 /**
- * Load a v3 file into an in-memory FingerprintStore, keeping the
- * stored index parameters and signatures (nothing is rehashed) —
- * unless the header names the retired signing scheme
+ * Load a v4 or v3 file into an in-memory FingerprintStore, keeping
+ * the stored index parameters and signatures (nothing is rehashed).
+ * A v4 file's band tables and position index are read as stored,
+ * each checked as it is read (slot ids, occupancy, gaps, posting
+ * ids, list lengths against the positions, both CRCs; see
+ * core/pcdb_format.hh); a v3 file's are rebuilt from the records.
+ * A v3 file may name the retired signing scheme
  * (pcdb::schemeRetired): then every record is re-signed from its
  * positions and the signature arena is not read. The file's scheme
- * lands in @p scheme_out when non-null. Besides pcdb::checkV3's
+ * and format version land in @p scheme_out and @p version_out when
+ * non-null. Besides pcdb::check's
  * structural check, every position is checked to lie inside its
  * universe and to ascend strictly. Malformed, truncated or
  * other-version input yields a failed result with an error string,
  * never a process exit.
  */
 StoreLoadResult loadStore(const std::string &path,
-                          std::uint32_t *scheme_out = nullptr);
+                          std::uint32_t *scheme_out = nullptr,
+                          std::uint32_t *version_out = nullptr);
 
 /**
- * On-disk size estimate in bytes for a v3 record of @p weight
- * volatile cells, a @p label_len-byte label, and a
- * @p signature_hashes-entry MinHash signature (record-table entry
- * plus its arena shares; the per-band LSH trailer adds ~12 bytes per
- * record on top) — the "1% of bits" storage claim made measurable.
+ * On-disk size estimate in bytes for a v4 record of @p weight
+ * volatile cells, a @p label_len-byte label, a
+ * @p signature_hashes-entry MinHash signature and @p bands band
+ * tables: its record-table entry, its arena shares, its band slots
+ * at the ~0.7 load a bulk build sizes to, and a one-byte gap in
+ * each of its @p weight posting lists (gaps stay under 128 while a
+ * position is shared by more than 1 in 128 records). A file adds a
+ * 144-byte header and 16 bytes per posting list. The "1% of bits"
+ * storage claim made measurable.
  */
 std::size_t recordDiskSize(std::size_t weight, std::size_t label_len,
                            std::size_t signature_hashes =
-                               MinHashParams{}.numHashes);
+                               MinHashParams{}.numHashes,
+                           std::size_t bands = MinHashParams{}.bands);
 
 /**
  * Persist a raw bit vector (approximate outputs, exact patterns)

@@ -190,8 +190,6 @@ AttackService::setThreadPool(ThreadPool *pool)
 {
     if (owned)
         owned->setThreadPool(pool);
-    else
-        mapped->setThreadPool(pool);
 }
 
 IdentifyResult
@@ -424,7 +422,8 @@ AttackService::dbStats() const
         if (v.universe > s.universeBits)
             s.universeBits = static_cast<std::size_t>(v.universe);
         s.diskBytesEstimate += recordDiskSize(v.count, label_len,
-                                              s.indexParams.numHashes);
+                                              s.indexParams.numHashes,
+                                              s.indexParams.bands);
     }
     return s;
 }

@@ -4,7 +4,7 @@
  *
  * Every frontend (CLI, benches, attackers, and the pcaused network
  * server) identifies through this facade. It owns one backend (an
- * in-memory FingerprintStore or a read-only MappedStore over a v3
+ * in-memory FingerprintStore or a read-only MappedStore over a v4
  * file; both run the one query body in core/scan, for every
  * metric), exposes a single QueryOptions-driven identify entry
  * point plus the batch variant the attackers call, and resolves
@@ -150,7 +150,7 @@ struct ServiceDbStats
     std::size_t lshBytes = 0;
     std::size_t postingsBytes = 0;
 
-    /** "store" (in-memory) or "mmap" (v3 file queried in place). */
+    /** "store" (in-memory) or "mmap" (v4 file queried in place). */
     const char *backend = "store";
 };
 
@@ -194,14 +194,14 @@ class AttackService
     /** Serve an in-memory (mutable) store. */
     explicit AttackService(FingerprintStore store);
 
-    /** Serve a read-only mmap-ed v3 database in place. */
+    /** Serve a read-only mmap-ed v4 database in place. */
     explicit AttackService(MappedStore store);
 
     AttackService(AttackService &&) = default;
     AttackService &operator=(AttackService &&) = default;
 
     /**
-     * Load a service from a database file: @p mmap queries the v3
+     * Load a service from a database file: @p mmap queries the v4
      * file in place (read-only), otherwise the store is
      * deserialized into memory. Malformed input yields an error
      * result, never a process exit.
@@ -212,7 +212,7 @@ class AttackService
     /** How a durable service persists (openDurable). */
     struct DurabilityConfig
     {
-        /** v3 snapshot path (loaded on open, rewritten by
+        /** Snapshot path (loaded on open, rewritten by
          *  checkpoints via saveStoreDurable). */
         std::string dbPath;
 
@@ -262,11 +262,10 @@ class AttackService
     std::size_t size() const;
 
     /**
-     * Hand @p pool (not owned) to the backend: the mmap backend
-     * shards its fallback scans on it, the in-memory backend spreads
-     * identifyBatch() queries across it. With none set (null), the
-     * mmap backend's fallback scans run serially and the in-memory
-     * backend's batch queries use the process-global pool.
+     * Hand @p pool (not owned) to the in-memory backend, which
+     * spreads identifyBatch() queries across it; with none set
+     * (null) they use the process-global pool. The mmap backend runs
+     * every query serially and ignores it.
      */
     void setThreadPool(ThreadPool *pool);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
 #include "core/error_string.hh"
 #include "core/scan.hh"
@@ -42,6 +41,29 @@ FingerprintStore::fromDb(FingerprintDb db, const MinHashParams &index_params)
         FingerprintRecord &rec = db.record(i);
         store.add(std::move(rec.label), std::move(rec.fingerprint));
     }
+    return store;
+}
+
+FingerprintStore
+FingerprintStore::adopt(std::vector<ChipLabel> labels,
+                        std::vector<unsigned> sources,
+                        SparseFingerprintArena fps,
+                        std::vector<MinHashSignature> sigs,
+                        LshIndex index,
+                        std::vector<std::vector<std::uint32_t>> postings)
+{
+    PC_ASSERT(labels.size() == fps.count() &&
+                  sources.size() == fps.count() &&
+                  sigs.size() == fps.count() &&
+                  index.size() == fps.count(),
+              "FingerprintStore::adopt: record count mismatch");
+    FingerprintStore store(index.params());
+    store.chipLabels = std::move(labels);
+    store.sourceCounts = std::move(sources);
+    store.signatures = std::move(sigs);
+    store.sparse = std::move(fps);
+    store.lsh = std::move(index);
+    store.postings = std::move(postings);
     return store;
 }
 
@@ -318,59 +340,8 @@ FingerprintStore::overlapScan(const BitVec &error_string,
     for (; k < lists.size(); ++k)
         countFrom(*lists[k], 0);
 
-    // Walk in id order under the linear scan's rules. A bounded
-    // kernel prunes a record exactly when its miss count exceeds
-    // boundedCountLimit(bound, lower weight); applying that rule to
-    // the exact count keeps distancesPruned equal to the linear
-    // scan's.
-    const std::size_t universe = error_string.size();
-    const bool bounded =
-        params.metric == DistanceMetric::ModifiedJaccard;
-    const auto distAt = [&](std::size_t i, double bound,
-                            bool *pruned) {
-        const SparseView v = sparse.view(i);
-        PC_ASSERT(v.universe == universe, "distance: size mismatch");
-        const std::size_t fp_weight = std::min(es_weight, v.count);
-        if (bounded && fp_weight > 0) {
-            *pruned = fp_weight - overlap[i] >
-                      boundedCountLimit(bound, fp_weight);
-            if (*pruned) {
-                // Any value above the bound is all a pruned
-                // evaluation promises; scanStep reads no more.
-                return std::numeric_limits<double>::infinity();
-            }
-        }
-        return overlapDistance(params.metric, es_weight, v.count,
-                               overlap[i], universe);
-    };
-
-    // Almost every record of a reject sits far above the bound, so
-    // the walk screens each one in fixed point first and counts the
-    // screened-out ones as pruned without a step: the screen only
-    // drops records the exact rule prunes, and a pruned step changes
-    // nothing but the pruned counter. The screen moves with the
-    // bound, after a step; it admits everything while the bound is 1
-    // or more, and always for Jaccard and Hamming, which never
-    // prune. A record of another universe is never screened out, so
-    // its step still panics.
-    detail::ScanOutcome out;
-    PruneScreen screen = pruneScreen(1.0);
-    for (std::size_t i = 0; i < size(); ++i) {
-        const std::size_t fp_weight =
-            std::min(es_weight, sparse.weight(i));
-        if (screen.prunes(fp_weight - overlap[i], fp_weight) &&
-            sparse.universe(i) == universe) {
-            ++out.pruned;
-            continue;
-        }
-        if (detail::scanStep(i, params, distAt, out) &&
-            params.firstMatch)
-            break;
-        screen = pruneScreen(
-            bounded ? detail::scanBound(params, out) : 1.0);
-    }
-    detail::mergeScanCounters(stats, out);
-    return detail::outcomeToResult(out, params);
+    return detail::overlapWalk(error_string, es_weight, sparse, overlap,
+                               params, stats);
 }
 
 IdentifyResult

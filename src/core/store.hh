@@ -4,7 +4,7 @@
  *
  * Holds each record as the paper's database does — "only tracking
  * the fast decaying bits": a label, a source count and the
- * fingerprint's position list in one sparse arena (the v3 on-disk
+ * fingerprint's position list in one sparse arena (the PCDB on-disk
  * layout), never a dense bit vector. A MinHash/LSH candidate index
  * (core/minhash) makes identification sublinear in the number of
  * known chips: a query hashes its error string to a signature,
@@ -26,13 +26,20 @@
  * position, the ascending ids of the records containing it) instead
  * of every record: it counts each record's overlap with the query's
  * own set positions, four posting lists at a time, then walks the
- * records in id order under the linear scan's rules (core/scan.hh).
- * A fixed-point screen of the current bound (PruneScreen) counts the
- * records it proves pruned without a step; every other record takes
- * the linear scan's step, which derives its distance and prune
- * decision exactly from (overlap, weights). Its verdict, nearest
- * record, distance bits and kernel counters equal queryLinear()'s
- * (docs/ALGORITHMS.md "Exact reject scan").
+ * records in id order under the linear scan's rules
+ * (detail::overlapWalk, core/scan.hh), which MappedStore runs too
+ * over counts decoded from a mapped file. A fixed-point screen of
+ * the current bound (PruneScreen) counts the records it proves
+ * pruned without a step; every other record takes the linear scan's
+ * step, which derives its distance and prune decision exactly from
+ * (overlap, weights). Its verdict, nearest record, distance bits and
+ * kernel counters equal queryLinear()'s (docs/ALGORITHMS.md "Exact
+ * reject scan").
+ *
+ * The LSH band tables and the position index are what PCDB v4
+ * stores: loadStore() reads them back as they were written (adopt())
+ * instead of rebuilding them, and a v3 file, which holds neither,
+ * is rebuilt through addBatch().
  * queryLinear() itself is the serial sparse scan over the arena; the
  * independent reference outside the arena is identifyErrorString()
  * over the FingerprintDb a store was built from.
@@ -112,6 +119,21 @@ class FingerprintStore
                   SparseFingerprintArena fps,
                   std::vector<MinHashSignature> sigs);
 
+    /**
+     * A store over records whose index was built before: the PCDB v4
+     * loader's path, which reads the band tables and the position
+     * index from the file. @p index must hold exactly these records
+     * under @p sigs, and @p postings[p] the ascending ids of the
+     * records holding position p, for every p up to the highest one
+     * held: what addBatch() builds. The loader checks each list's
+     * length against the positions and both sections' CRCs first.
+     */
+    static FingerprintStore
+    adopt(std::vector<ChipLabel> labels, std::vector<unsigned> sources,
+          SparseFingerprintArena fps, std::vector<MinHashSignature> sigs,
+          LshIndex index,
+          std::vector<std::vector<std::uint32_t>> postings);
+
     /** Number of records. */
     std::size_t size() const { return chipLabels.size(); }
 
@@ -143,11 +165,22 @@ class FingerprintStore
 
     /**
      * The fingerprints, as one sparse position arena: what every
-     * query path scans and the v3 writer persists verbatim.
+     * query path scans and the PCDB writer persists verbatim.
      */
     const SparseFingerprintArena &sparseFingerprints() const
     {
         return sparse;
+    }
+
+    /**
+     * The inverted position index: list p holds the ascending ids of
+     * the records whose fingerprint contains position p, for every
+     * p up to the highest one held. What the full scan counts from,
+     * and what the v4 writer stores gap-coded.
+     */
+    const std::vector<std::vector<std::uint32_t>> &positionIndex() const
+    {
+        return postings;
     }
 
     /** Bytes held by the inverted position index (capacities). */

@@ -245,29 +245,6 @@ scanWal(const std::string &path, WalReplayStats &stats,
 
 } // anonymous namespace
 
-std::uint32_t
-crc32(const void *data, std::size_t len, std::uint32_t seed)
-{
-    // Standard reflected CRC-32 (poly 0xEDB88320), table built on
-    // first use. Throughput is irrelevant here — entries are small
-    // and the fsync dominates by orders of magnitude.
-    static const std::uint32_t *table = [] {
-        static std::uint32_t t[256];
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    std::uint32_t c = seed ^ 0xFFFFFFFFu;
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    for (std::size_t i = 0; i < len; ++i)
-        c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFu;
-}
-
 Wal::~Wal()
 {
     if (fd >= 0)

@@ -2,7 +2,7 @@
  * @file
  * Write-ahead journal for online fingerprint adds.
  *
- * The PCDB snapshot (core/serialize, v3) is rewritten wholesale; a
+ * The PCDB snapshot (core/serialize) is rewritten wholesale; a
  * long-running service that characterizes new chips cannot rewrite a
  * million-record file per add. The WAL closes that gap: every
  * addRecord/addFingerprint appends one checksummed entry and fsyncs
@@ -33,6 +33,8 @@
  *       u64 position count P
  *       u32 positions[P]   strictly ascending, < U
  *
+ *   The CRC is util/crc32's.
+ *
  * Torn-tail discipline: a crash mid-append leaves a strict prefix
  * of a valid entry at EOF (single appender, sequential write).
  * Replay accepts every complete, checksummed entry and *discards*
@@ -54,6 +56,7 @@
 
 #include "core/serialize.hh"
 #include "core/store.hh"
+#include "util/crc32.hh"
 
 namespace pcause
 {
@@ -61,11 +64,6 @@ namespace pcause
 /** Ceiling on one WAL entry's payload bytes; a larger length
  *  prefix is corruption, not a big record. */
 constexpr std::uint32_t maxWalPayload = 64u << 20;
-
-/** CRC-32 (IEEE 802.3, the zlib polynomial) of @p len bytes.
- *  @p seed chains partial computations (pass a previous result). */
-std::uint32_t crc32(const void *data, std::size_t len,
-                    std::uint32_t seed = 0);
 
 /** What a replay did. */
 struct WalReplayStats

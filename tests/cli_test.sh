@@ -13,6 +13,8 @@ if [ ! -x "$PCAUSE" ]; then
     echo "FAIL: pcause binary not found or not executable: $PCAUSE" >&2
     exit 1
 fi
+# Committed inputs: a PCDB v3 file and an output of its chip-3.
+DATA="$(cd "$(dirname "$0")" && pwd)/data"
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT INT TERM HUP
@@ -92,27 +94,77 @@ done
 "$PCAUSE" identify --db db.pcdb --exact exact.pcbv \
     chip2_trial3.pcbv | grep -q "match: gamma"
 
-# A file signed under the retired 64-hash scheme (header offset 20
-# holds 0) is re-signed on load: it still identifies, and `db stats`
-# and `db verify` say so. The mmap reader refuses it and names the
-# upgrade; `db reindex` rewrites it as scheme 1, which then maps.
-cp db.pcdb old.pcdb
+# A database rewrite never truncates the file it replaces: under a
+# file-size limit too small for the new image (SIGXFSZ ignored, so
+# the write fails with EFBIG instead of killing the process),
+# characterize and reindex fail, and the database is byte-identical
+# and still verifies.
+cp db.pcdb before.pcdb
+for rewrite in "characterize --db db.pcdb --label delta --exact exact.pcbv chip2_trial0.pcbv" \
+    "db --db db.pcdb reindex --hashes 64 --bands 16"; do
+    rc=0
+    # shellcheck disable=SC2086
+    (ulimit -f 16 && trap '' XFSZ && exec "$PCAUSE" $rewrite) \
+        > rewrite.out 2>&1 || rc=$?
+    if [ "$rc" -eq 0 ]; then
+        echo "FAIL: $rewrite succeeded under an 8 KB file limit" >&2
+        exit 1
+    fi
+    if ! cmp -s before.pcdb db.pcdb; then
+        echo "FAIL: a failed '$rewrite' changed the database" >&2
+        exit 1
+    fi
+done
+if ls db.pcdb.tmp.* > /dev/null 2>&1; then
+    echo "FAIL: a failed rewrite left its temp file behind" >&2
+    exit 1
+fi
+"$PCAUSE" db --db db.pcdb verify | grep -q "3 records, PCDB v4, ok"
+
+# A v3 file (written by the v3 writer) loads, rebuilding its index,
+# and `db stats`/`db verify` say which version it is. The mmap reader
+# refuses it and names the upgrade; `db reindex` rewrites it as v4,
+# which then maps.
+printf 'PCBV\001\000\000\000\000\001\000\000\000\000\000\000' \
+    > zero256.pcbv
+head -c 32 /dev/zero >> zero256.pcbv
+cp "$DATA/pcdb_v3_small.pcdb" v3.pcdb
+cp "$DATA/pcdb_v3_small_chip3.pcbv" chip3.pcbv
+"$PCAUSE" db --db v3.pcdb stats | grep -q "format            : PCDB v3"
+"$PCAUSE" db --db v3.pcdb verify | grep -q "24 records, PCDB v3"
+"$PCAUSE" identify --db v3.pcdb --exact zero256.pcbv chip3.pcbv \
+    | grep -q "match: chip-3"
+if "$PCAUSE" identify --db v3.pcdb --exact zero256.pcbv --mmap yes \
+    chip3.pcbv > mapped.out 2>&1; then
+    echo "FAIL: a v3 file was mapped" >&2
+    exit 1
+fi
+grep -q "pcause db reindex" mapped.out
+
+# A v3 file signed under the retired 64-hash scheme (header offset
+# 20 holds 0) is re-signed on load: it still identifies, and
+# `db stats` and `db verify` say so. `db reindex` rewrites it as a
+# scheme-1 v4 file, which maps.
+cp v3.pcdb old.pcdb
 printf '\000' | dd of=old.pcdb bs=1 seek=20 count=1 conv=notrunc \
     2>/dev/null
 "$PCAUSE" db --db old.pcdb stats | grep -q "scheme 0"
 "$PCAUSE" db --db old.pcdb verify | grep -q "db reindex"
-"$PCAUSE" identify --db old.pcdb --exact exact.pcbv \
-    chip2_trial3.pcbv | grep -q "match: gamma"
-if "$PCAUSE" identify --db old.pcdb --exact exact.pcbv --mmap yes \
-    chip2_trial3.pcbv > mapped.out 2>&1; then
+"$PCAUSE" identify --db old.pcdb --exact zero256.pcbv chip3.pcbv \
+    | grep -q "match: chip-3"
+if "$PCAUSE" identify --db old.pcdb --exact zero256.pcbv --mmap yes \
+    chip3.pcbv > mapped.out 2>&1; then
     echo "FAIL: a scheme-0 file was mapped" >&2
     exit 1
 fi
 grep -q "pcause db reindex" mapped.out
-"$PCAUSE" db --db old.pcdb reindex | grep -q "reindexed 3 records"
-"$PCAUSE" db --db old.pcdb stats | grep -q "scheme 1"
-"$PCAUSE" identify --db old.pcdb --exact exact.pcbv --mmap yes \
-    chip2_trial3.pcbv | grep -q "match: gamma"
+for f in v3.pcdb old.pcdb; do
+    "$PCAUSE" db --db "$f" reindex | grep -q "reindexed 24 records"
+    "$PCAUSE" db --db "$f" stats | grep -q "scheme 1"
+    "$PCAUSE" db --db "$f" stats | grep -q "format            : PCDB v4"
+    "$PCAUSE" identify --db "$f" --exact zero256.pcbv --mmap yes \
+        chip3.pcbv | grep -q "match: chip-3"
+done
 
 # A database holds one bit count: a 16-bit output is refused before
 # anything is written.

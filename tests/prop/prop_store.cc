@@ -12,10 +12,11 @@
  * exact fallback scan (queryFullScan) must equal the linear scan
  * outright: verdict, nearest record, distance bits and
  * computed/pruned kernel counters, over stores of up to a few
- * hundred records. A v3 file mapped with a thread pool, whose
- * fallback is the pool-sharded scan, keeps the same contract for
- * every metric. Reindexing under different banding parameters
- * changes only speed, never verdicts.
+ * hundred records. A v4 file mapped in place, whose fallback walks
+ * the same way over counts decoded from its stored posting lists,
+ * keeps the same contract for every metric, and answers as the
+ * store it was saved from. Reindexing under different banding
+ * parameters changes only speed, never verdicts.
  */
 
 #include "prop_common.hh"
@@ -227,13 +228,11 @@ PCHECK_PROPERTY(PropStore, LinearScanEqualsAlgorithm2, [](Ctx &ctx) {
     PCHECK(sameBits(linear.bestDistance, literal.bestDistance));
 })
 
-PCHECK_PROPERTY(PropStore, PooledMappedQueryEqualsLinearScan,
-                [](Ctx &ctx) {
-    // pcaused gives its service a pool, so every mmap reject runs
-    // the pool-sharded fallback scan. At least two records per lane
-    // keep the scan sharded (fewer run it serially).
-    static ThreadPool pool(4);
-    const std::size_t records = ctx.sizeRange(8, 16, "records");
+PCHECK_PROPERTY(PropStore, MappedQueryEqualsLinearScan, [](Ctx &ctx) {
+    // pcaused serves a mapped file's rejects from the overlap-count
+    // walk over counts decoded from the file's posting lists. Up to
+    // a few dozen records, so the walk screens runs of records.
+    const std::size_t records = ctx.sizeRange(1, 64, "records");
     const std::size_t nbits = 64 * records;
     const FingerprintStore store = genGrownStore(ctx, records, nbits);
     const std::string path =
@@ -242,23 +241,45 @@ PCHECK_PROPERTY(PropStore, PooledMappedQueryEqualsLinearScan,
     LoadResult<MappedStore> mapped = MappedStore::open(path);
     std::remove(path.c_str()); // the mapping outlives the name
     PCHECK_MSG(static_cast<bool>(mapped), mapped.error);
-    mapped->setThreadPool(&pool);
     const BitVec probe = genProbe(ctx, store, nbits);
 
     const IdentifyParams p = genQueryParams(ctx);
-    AttackStats stats;
+    AttackStats stats, store_stats, linear_stats;
     const IdentifyResult got = mapped->query(probe, p, &stats);
-    const IdentifyResult linear = store.queryLinear(probe, p);
+    const IdentifyResult linear =
+        store.queryLinear(probe, p, &linear_stats);
+    const IdentifyResult direct = store.query(probe, p, &store_stats);
     PCHECK_EQ(got.match.has_value(), linear.match.has_value());
-    PCHECK_EQ(got.match.has_value(),
-              store.query(probe, p).match.has_value());
+    PCHECK_EQ(got.match.has_value(), direct.match.has_value());
     if (stats.indexFallbacks > 0) {
-        // The answer is the sharded scan's verbatim: the serial
-        // scan's verdict, nearest record and distance bits.
+        // The answer is the fallback's verbatim: the linear scan's
+        // verdict, nearest record and distance bits.
         PCHECK(got.match == linear.match);
         PCHECK(got.nearest == linear.nearest);
         PCHECK(sameBits(got.bestDistance, linear.bestDistance));
     }
+    // The same tables and lists as the store it was saved from: the
+    // same answer, shortlist and kernel counters.
+    PCHECK(got.match == direct.match);
+    PCHECK(got.nearest == direct.nearest);
+    PCHECK(sameBits(got.bestDistance, direct.bestDistance));
+    PCHECK_EQ(stats.candidatesScanned, store_stats.candidatesScanned);
+    PCHECK_EQ(stats.indexFallbacks, store_stats.indexFallbacks);
+    PCHECK_EQ(stats.distancesComputed, store_stats.distancesComputed);
+    PCHECK_EQ(stats.distancesPruned, store_stats.distancesPruned);
+
+    // The fallback on its own equals the linear scan outright.
+    AttackStats full_stats;
+    const IdentifyResult full =
+        mapped->queryFullScan(probe, p, &full_stats);
+    PCHECK(full.match == linear.match);
+    PCHECK(full.nearest == linear.nearest);
+    PCHECK(sameBits(full.bestDistance, linear.bestDistance));
+    PCHECK_EQ(full_stats.distancesComputed,
+              linear_stats.distancesComputed);
+    PCHECK_EQ(full_stats.distancesPruned, linear_stats.distancesPruned);
+    PCHECK_EQ(full_stats.recordsAvailable,
+              linear_stats.recordsAvailable);
 })
 
 PCHECK_PROPERTY(PropStore, BatchAgreesWithSingleQueries,

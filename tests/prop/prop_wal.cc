@@ -4,9 +4,11 @@
  * adds that went through it (labels, bits, sources); *every* crash
  * prefix of a journal recovers cleanly — complete entries survive, a
  * torn tail is discarded, never a crash or a half-applied record;
- * flipped payload bytes are refused as corruption, not replayed; and
+ * flipped payload bytes are refused as corruption, not replayed;
  * compacting through AttackService::openDurable is equivalent to
- * replaying the journal by hand.
+ * replaying the journal by hand; and the slicing-by-8 CRC-32 that
+ * checks entries (and PCDB v4's index sections) equals the bytewise
+ * reflected CRC-32 on any bytes, however a computation is chained.
  */
 
 #include "prop_common.hh"
@@ -250,4 +252,43 @@ PCHECK_PROPERTY(PropWal, CheckpointEqualsReplay, [](Ctx &ctx) {
     PCHECK_EQ(v.baseRecords, count);
     std::remove(dbPath.c_str());
     std::remove(walPath.c_str());
+})
+
+namespace
+{
+
+/** The bytewise reflected CRC-32 (poly 0xEDB88320), bit by bit. */
+std::uint32_t
+referenceCrc32(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (const std::uint8_t b : bytes) {
+        c ^= b;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+} // namespace
+
+TEST(PropWal, Crc32CheckValue)
+{
+    // The CRC-32 catalogue's check value: journals written before the
+    // slicing-by-8 table stay readable.
+    const char *check = "123456789";
+    EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
+    EXPECT_EQ(crc32(check, 0), 0u);
+}
+
+PCHECK_PROPERTY(PropWal, Crc32EqualsBytewiseReference, [](Ctx &ctx) {
+    std::vector<std::uint8_t> bytes(ctx.sizeRange(0, 100, "len"));
+    for (std::uint8_t &b : bytes)
+        b = static_cast<std::uint8_t>(ctx.below(256, "byte"));
+    const std::size_t split = ctx.below(bytes.size() + 1, "split");
+    const std::uint32_t want = referenceCrc32(bytes);
+    PCHECK_EQ(crc32(bytes.data(), bytes.size()), want);
+    PCHECK_EQ(crc32(bytes.data() + split, bytes.size() - split,
+                    crc32(bytes.data(), split)),
+              want);
 })

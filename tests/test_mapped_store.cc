@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for core/mapped_store — querying a v3 database file in
+ * Unit tests for core/mapped_store — querying a v4 database file in
  * place: verdict equivalence with the in-memory FingerprintStore
  * and accessor fidelity. Damaged files are rejected by the check
  * MappedStore::open shares with loadStore; test_serialize sweeps
@@ -60,7 +60,7 @@ makeStore(std::size_t n, std::uint64_t seed = 42)
     return store;
 }
 
-/** Save @p store to a fresh temp v3 file; returns the path. */
+/** Save @p store to a fresh temp v4 file; returns the path. */
 std::string
 saveTemp(const FingerprintStore &store, const std::string &name)
 {

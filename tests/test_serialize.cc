@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for core/serialize — attacker database persistence:
- * the v3 round trip, the structural check both v3 readers share
- * (loadStore and MappedStore::open reject a damaged file with the
- * same reason), the re-sign of retired-scheme files on load, and the
- * recoverable LoadResult error reporting.
+ * the v4 round trip, a v4 load equal to a rebuild, the structural
+ * check both readers share (loadStore and MappedStore::open reject a
+ * damaged file with the same reason) and the payload checks only the
+ * loader makes, v3 files (a fixture written by the v3 writer) and
+ * the re-sign of retired-scheme ones on load, the disk-size
+ * estimate, and the recoverable LoadResult error reporting.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -24,6 +27,7 @@
 #include "core/store.hh"
 #include "util/failpoint.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 
 namespace pcause
 {
@@ -70,9 +74,59 @@ patch(std::string &bytes, std::size_t off, T value)
     std::memcpy(&bytes[off], &value, sizeof(value));
 }
 
-/** The v3 image of @p store, read back from a file. */
+/** tests/data/pcdb_v3_small.pcdb: a PCDB v3 file. */
+const std::string v3FixturePath =
+    std::string(PCAUSE_TEST_DATA) + "/pcdb_v3_small.pcdb";
+
+/**
+ * The store the v3 fixture holds. The fixture was written by the v3
+ * writer (saveStore before PCDB v4) from exactly this function;
+ * V3FixtureLoadsAsItsStore pins the two together.
+ */
+FingerprintStore
+v3FixtureStore()
+{
+    MinHashParams custom;
+    custom.numHashes = 48;
+    custom.bands = 12;
+    custom.seed = 0x5eedull;
+    FingerprintStore store(custom);
+    Rng rng(0x7633666978747572ull);
+    for (std::size_t r = 0; r < 24; ++r) {
+        BitVec bits(256);
+        while (bits.popcount() < 12)
+            bits.set(rng.nextBelow(bits.size()));
+        Fingerprint fp(bits);
+        for (std::size_t s = 1; s < 1 + r % 3; ++s)
+            fp.augment(bits);
+        store.add("chip-" + std::to_string(r), fp);
+    }
+    return store;
+}
+
+/** @p got holds exactly @p want's records, parameters, signatures,
+ *  band table contents and position index. */
+void
+expectSameStore(const FingerprintStore &got, const FingerprintStore &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(got.indexParams(), want.indexParams());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got.label(i), want.label(i));
+        EXPECT_EQ(got.sources(i), want.sources(i));
+        EXPECT_EQ(got.signature(i), want.signature(i));
+        EXPECT_EQ(got.record(i).fingerprint.bits(),
+                  want.record(i).fingerprint.bits());
+    }
+    for (std::uint32_t b = 0; b < want.indexParams().bands; ++b)
+        EXPECT_EQ(got.index().bandEntries(b), want.index().bandEntries(b))
+            << "band " << b;
+    EXPECT_EQ(got.positionIndex(), want.positionIndex());
+}
+
+/** The v4 image of @p store, read back from a file. */
 std::string
-v3Bytes(const FingerprintStore &store, const std::string &name)
+v4Bytes(const FingerprintStore &store, const std::string &name)
 {
     const std::string path = ::testing::TempDir() + name;
     EXPECT_TRUE(saveStore(store, path));
@@ -93,8 +147,61 @@ reasonOf(const std::string &error)
 std::size_t
 entryOff(std::size_t i, std::size_t field)
 {
-    return pcdb::v3HeaderBytes + i * pcdb::v3RecordEntryBytes + field;
+    return pcdb::v4HeaderBytes + i * pcdb::recordEntryBytes + field;
 }
+
+std::uint32_t
+u32At(const std::string &b, std::size_t off)
+{
+    return pcdb::loadU32(
+        reinterpret_cast<const std::uint8_t *>(b.data() + off));
+}
+
+std::uint64_t
+u64At(const std::string &b, std::size_t off)
+{
+    return pcdb::loadU64(
+        reinterpret_cast<const std::uint8_t *>(b.data() + off));
+}
+
+/** Where a v4 image's index sections sit. */
+struct V4Sections
+{
+    std::uint64_t slots = 0;   //!< per band
+    std::uint64_t band0Ids = 0; //!< band 0's id array
+    std::uint64_t lists = 0;
+    std::uint64_t byteOffs = 0; //!< byte offset array
+    std::uint64_t idOffs = 0;   //!< id offset array
+    std::uint64_t bytes = 0;    //!< the gap-coded lists
+
+    explicit V4Sections(const std::string &b)
+        : slots(u64At(b, 104)),
+          band0Ids(u64At(b, 96) + slots * 8),
+          lists(u64At(b, 112)),
+          byteOffs(u64At(b, 128)),
+          idOffs(byteOffs + (lists + 1) * 8),
+          bytes(idOffs + (lists + 1) * 8)
+    {
+    }
+
+    /** Band 0's first slot that is (@p used) or is not occupied. */
+    std::uint64_t band0Slot(const std::string &b, bool used) const
+    {
+        for (std::uint64_t s = 0; s < slots; ++s) {
+            if ((u32At(b, band0Ids + s * 4) != LshIndex::emptySlot) ==
+                used)
+                return s;
+        }
+        ADD_FAILURE() << "no such slot";
+        return 0;
+    }
+
+    /** First byte of posting list @p p. */
+    std::uint64_t list(const std::string &b, std::uint64_t p) const
+    {
+        return bytes + u64At(b, byteOffs + p * 8);
+    }
+};
 
 TEST(Serialize, StoreRoundTripKeepsSignaturesAndParams)
 {
@@ -125,45 +232,119 @@ TEST(Serialize, StoreRoundTripKeepsSignaturesAndParams)
     }
 }
 
+TEST(Serialize, V4LoadEqualsRebuild)
+{
+    // The loader adopts the stored band tables and position index
+    // instead of rebuilding them: what it adopts must be what a
+    // rebuild from the same records makes, for stores grown by
+    // addBatch and by single adds (whose tables size differently).
+    Rng rng(0x6c6f6164ull);
+    std::vector<ChipLabel> labels;
+    std::vector<Fingerprint> fps;
+    for (std::size_t r = 0; r < 300; ++r) {
+        BitVec bits(2048);
+        while (bits.popcount() < 40)
+            bits.set(rng.nextBelow(bits.size()));
+        labels.push_back("chip-" + std::to_string(r));
+        fps.emplace_back(bits, static_cast<unsigned>(1 + r % 3));
+    }
+    ThreadPool pool(2); // joined here: death tests fork later
+    FingerprintStore batch;
+    batch.setThreadPool(&pool);
+    batch.addBatch(labels, fps);
+    FingerprintStore single;
+    for (std::size_t r = 0; r < labels.size(); ++r)
+        single.add(labels[r], fps[r]);
+
+    for (const FingerprintStore *store : {&batch, &single}) {
+        const std::string path =
+            ::testing::TempDir() + "pcause_rebuild.pcdb";
+        ASSERT_TRUE(saveStore(*store, path));
+        std::uint32_t version = 0;
+        const StoreLoadResult loaded = loadStore(path, nullptr, &version);
+        std::remove(path.c_str());
+        ASSERT_TRUE(loaded) << loaded.error;
+        EXPECT_EQ(version, pcdb::versionV4);
+
+        // A rebuild: the same records added again to a new store.
+        FingerprintStore rebuilt(store->indexParams());
+        for (std::size_t i = 0; i < store->size(); ++i)
+            rebuilt.add(store->label(i), store->record(i).fingerprint);
+        expectSameStore(*loaded, rebuilt);
+        expectSameStore(*loaded, *store);
+
+        // The slot arrays themselves come back as they were held.
+        for (std::uint32_t b = 0; b < store->indexParams().bands; ++b) {
+            const LshIndex::BandSlots want = store->index().bandSlots(b);
+            const LshIndex::BandSlots got = loaded->index().bandSlots(b);
+            ASSERT_EQ(got.slots, want.slots);
+            EXPECT_TRUE(std::equal(got.ids, got.ids + got.slots,
+                                   want.ids));
+            for (std::size_t k = 0; k < got.slots; ++k) {
+                if (want.ids[k] != LshIndex::emptySlot) {
+                    EXPECT_EQ(got.keys[k], want.keys[k]);
+                }
+            }
+        }
+    }
+}
+
 TEST(Serialize, EveryV3PrefixIsRejected)
 {
-    // Exhaustive prefix sweep over a small v3 file: no strict
-    // prefix may load, crash, or loop in either reader — each must
-    // fail with a clean error.
+    // Exhaustive prefix sweep over a small v4 file: no strict prefix
+    // may load, crash, or loop in either reader — each must fail
+    // with a clean error. The same over the v3 fixture in loadStore,
+    // its one reader.
     FingerprintStore store;
     store.add("chip-a", makeFingerprint({1, 2, 3}, 2, 256));
     store.add("chip-b", makeFingerprint({9, 200}, 1, 256));
-    const std::string bytes = v3Bytes(store, "pcause_prefix.pcdb");
+    const std::string v4 = v4Bytes(store, "pcause_prefix.pcdb");
+    const std::string v3 = slurp(v3FixturePath);
+    ASSERT_FALSE(v3.empty());
     const std::string path =
         ::testing::TempDir() + "pcause_prefix_cut.pcdb";
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-        spit(path, bytes.substr(0, cut));
-        const StoreLoadResult r = loadStore(path);
-        ASSERT_FALSE(r) << "prefix of " << cut << " of "
-                        << bytes.size() << " bytes loaded";
-        ASSERT_FALSE(r.error.empty());
-        const LoadResult<MappedStore> m = MappedStore::open(path);
-        ASSERT_FALSE(m) << "prefix of " << cut << " of "
-                        << bytes.size() << " bytes opened";
-        ASSERT_FALSE(m.error.empty());
+    for (const std::string *bytes : {&v4, &v3}) {
+        for (std::size_t cut = 0; cut < bytes->size(); ++cut) {
+            spit(path, bytes->substr(0, cut));
+            const StoreLoadResult r = loadStore(path);
+            ASSERT_FALSE(r) << "prefix of " << cut << " of "
+                            << bytes->size() << " bytes loaded";
+            ASSERT_FALSE(r.error.empty());
+            if (bytes == &v3)
+                continue;
+            const LoadResult<MappedStore> m = MappedStore::open(path);
+            ASSERT_FALSE(m) << "prefix of " << cut << " of "
+                            << bytes->size() << " bytes opened";
+            ASSERT_FALSE(m.error.empty());
+        }
     }
-    // ... and the full file loads in both.
-    spit(path, bytes);
+    // ... and the full files load.
+    spit(path, v4);
     const StoreLoadResult full = loadStore(path);
     ASSERT_TRUE(full) << full.error;
     EXPECT_EQ(full->size(), 2u);
     EXPECT_TRUE(MappedStore::open(path));
+    spit(path, v3);
+    EXPECT_TRUE(loadStore(path));
     std::remove(path.c_str());
 }
 
-/** One damaged v3 file and the reason both readers must give. */
+/** What the mmap reader must do with a damaged file. */
+enum class Mapped
+{
+    SameReason,      //!< refuse it with the loader's reason
+    OpensAndAnswers, //!< index payload it bounds instead of checking
+    NotTried,        //!< positions, which it trusts
+};
+
+/** One damaged file and the reason the loader must give. */
 struct CorruptRow
 {
     const char *what;
-    std::size_t records; //!< 1 or 3 records of 256 bits
+    const std::string *good; //!< the undamaged image
     std::function<void(std::string &)> damage;
     const char *reason;
-    bool mappedToo = true; //!< false: positions, which mmap trusts
+    Mapped mapped = Mapped::SameReason;
 };
 
 TEST(Serialize, CorruptFilesAreRejectedByBothReaders)
@@ -174,124 +355,239 @@ TEST(Serialize, CorruptFilesAreRejectedByBothReaders)
     three.add("chip-a", makeFingerprint({1, 2, 3}, 2, 256));
     three.add("chip-b", makeFingerprint({9, 200}, 1, 256));
     three.add("chip-c", makeFingerprint({7, 70, 170}, 3, 256));
-    const std::string good[] = {v3Bytes(one, "pcause_one.pcdb"),
-                                v3Bytes(three, "pcause_three.pcdb")};
-    const auto u32At = [](const std::string &b, std::size_t off) {
-        return pcdb::loadU32(
-            reinterpret_cast<const std::uint8_t *>(b.data() + off));
-    };
-    const auto u64At = [](const std::string &b, std::size_t off) {
-        return pcdb::loadU64(
-            reinterpret_cast<const std::uint8_t *>(b.data() + off));
-    };
-    // Header fields and sections of the one-record file.
-    const std::uint64_t pos_off = u64At(good[0], 80);
-    const std::uint64_t lsh_off = u64At(good[0], 96);
+    const std::string g0 = v4Bytes(FingerprintStore(), "pcause_zero.pcdb");
+    const std::string g1 = v4Bytes(one, "pcause_one.pcdb");
+    const std::string g3 = v4Bytes(three, "pcause_three.pcdb");
+    const std::string gv3 = slurp(v3FixturePath);
+    // Sections of the one- and three-record files.
+    const std::uint64_t pos_off = u64At(g1, 80);
+    const V4Sections s1(g1), s3(g3);
+    const std::uint64_t used = s1.band0Slot(g1, true);
+    const std::uint64_t free_slot = s1.band0Slot(g1, false);
 
     const std::vector<CorruptRow> rows = {
-        {"bad magic", 1, [](std::string &b) { b[0] = 'X'; },
+        {"bad magic", &g1, [](std::string &b) { b[0] = 'X'; },
          "not a Probable Cause database"},
-        {"a v2 file", 1,
+        {"a v2 file", &g1,
          [](std::string &b) { patch<std::uint32_t>(b, 4, 2); },
          "unsupported version 2"},
-        {"an unknown version", 1,
+        {"an unknown version", &g1,
          [](std::string &b) { patch<std::uint32_t>(b, 4, 99); },
          "unsupported version 99"},
-        {"bands not dividing the hashes", 1,
+        {"bands not dividing the hashes", &g1,
          [](std::string &b) { patch<std::uint32_t>(b, 12, 7); },
          "invalid minhash parameters"},
-        {"unknown signature scheme", 1,
+        {"2^24 hashes in an empty file", &g0,
+         [](std::string &b) {
+             patch<std::uint32_t>(b, 8, 1u << 24);
+             patch<std::uint32_t>(b, 12, 1u << 20);
+         },
+         "invalid minhash parameters"},
+        {"unknown signature scheme", &g1,
          [](std::string &b) { patch<std::uint32_t>(b, 20, 2); },
          "unknown signature scheme 2"},
-        {"record count 2^64-1", 1,
+        {"a v4 file of the retired scheme", &g1,
+         [](std::string &b) {
+             patch<std::uint32_t>(b, 20, pcdb::schemeRetired);
+         },
+         "a v4 file signed under the retired scheme"},
+        {"record count 2^64-1", &g1,
          [](std::string &b) {
              patch<std::uint64_t>(b, 32, ~std::uint64_t{0});
          },
          "header counts exceed the file size"},
-        {"inflated record count", 3,
+        {"inflated record count", &g3,
          [](std::string &b) { patch<std::uint64_t>(b, 32, 4); },
-         "non-canonical v3 section layout"},
-        {"file size field off by one", 1,
+         "non-canonical section layout"},
+        {"file size field off by one", &g1,
          [&](std::string &b) {
              patch<std::uint64_t>(b, 56, b.size() + 1);
          },
          "header file size does not match the file"},
-        {"trailing garbage", 1,
+        {"trailing garbage", &g1,
          [](std::string &b) { b += "garbage"; },
          "header file size does not match the file"},
-        {"moved signature arena", 1,
+        {"moved signature arena", &g1,
          [&](std::string &b) {
              patch<std::uint64_t>(b, 72, u64At(b, 72) + 8);
          },
-         "non-canonical v3 section layout"},
-        {"label length 2^32-1", 1,
+         "non-canonical section layout"},
+        {"label length 2^32-1", &g1,
          [](std::string &b) {
              patch<std::uint32_t>(b, entryOff(0, 24),
                                   ~std::uint32_t{0});
          },
          "implausible label length"},
-        {"label offset off by one", 3,
+        {"label offset off by one", &g3,
          [](std::string &b) {
              patch<std::uint64_t>(b, entryOff(1, 0), 1);
          },
          "non-canonical record table"},
-        {"nonzero reserved entry field", 3,
+        {"nonzero reserved entry field", &g3,
          [](std::string &b) {
              patch<std::uint32_t>(b, entryOff(2, 36), 1);
          },
          "non-canonical record table"},
-        {"zero sources", 3,
+        {"zero sources", &g3,
          [](std::string &b) {
              patch<std::uint32_t>(b, entryOff(1, 32), 0);
          },
          "record with zero sources"},
-        {"universe 2^40+256", 1,
+        {"universe 2^40+256", &g1,
          [](std::string &b) {
              patch<std::uint64_t>(b, entryOff(0, 16),
                                   (std::uint64_t{1} << 40) + 256);
          },
          "universe exceeds 2^32 bits"},
-        {"a second universe", 3,
+        {"a second universe", &g3,
          [](std::string &b) {
              patch<std::uint64_t>(b, entryOff(2, 16), 512);
          },
          "universe differs from record 0's"},
-        {"more positions than universe bits", 1,
+        {"more positions than universe bits", &g1,
          [](std::string &b) {
              patch<std::uint64_t>(b, entryOff(0, 16), 2);
          },
          "more positions than universe bits"},
-        {"last label one byte longer", 3,
+        {"last label one byte longer", &g3,
          [&](std::string &b) {
              patch<std::uint32_t>(b, entryOff(2, 24),
                                   u32At(b, entryOff(2, 24)) + 1);
          },
          "label arena size mismatch"},
-        {"last position count one higher", 3,
+        {"last position count one higher", &g3,
          [&](std::string &b) {
              patch<std::uint32_t>(b, entryOff(2, 28),
                                   u32At(b, entryOff(2, 28)) + 1);
          },
          "position arena size mismatch"},
-        {"band entry count", 1,
-         [&](std::string &b) { patch<std::uint64_t>(b, lsh_off, 2); },
+
+        // v4 header fields and index sections.
+        {"slot count equal to the record count", &g1,
+         [](std::string &b) { patch<std::uint64_t>(b, 104, 1); },
+         "band slot count not above the record count"},
+        {"posting byte count 2^64-1", &g1,
+         [](std::string &b) {
+             patch<std::uint64_t>(b, 120, ~std::uint64_t{0});
+         },
+         "header counts exceed the file size"},
+        {"posting list count one higher", &g1,
+         [&](std::string &b) {
+             patch<std::uint64_t>(b, 112, s1.lists + 1);
+         },
+         "non-canonical section layout"},
+        {"moved postings section", &g1,
+         [](std::string &b) {
+             patch<std::uint64_t>(b, 128, u64At(b, 128) + 8);
+         },
+         "non-canonical section layout"},
+        {"byte offsets not starting at 0", &g1,
+         [&](std::string &b) { patch<std::uint64_t>(b, s1.byteOffs, 1); },
+         "posting list offsets do not start at 0"},
+        {"non-monotone byte offsets", &g3,
+         [&](std::string &b) {
+             patch<std::uint64_t>(b, s3.byteOffs + 2 * 8, 5);
+         },
+         "non-monotone posting list offsets"},
+        {"non-monotone id offsets", &g3,
+         [&](std::string &b) {
+             patch<std::uint64_t>(b, s3.idOffs + 2 * 8, 5);
+         },
+         "non-monotone posting list offsets"},
+        {"byte offsets past the section", &g3,
+         [&](std::string &b) {
+             patch<std::uint64_t>(b, s3.byteOffs + s3.lists * 8,
+                                  u64At(b, 120) + 1);
+         },
+         "posting list offsets outside the section"},
+        {"id offsets not ending at P", &g3,
+         [&](std::string &b) {
+             patch<std::uint64_t>(b, s3.idOffs + s3.lists * 8, 9);
+         },
+         "posting id offsets do not end at the position count"},
+        {"band slot id of N", &g1,
+         [&](std::string &b) {
+             patch<std::uint32_t>(b, s1.band0Ids + used * 4, 1);
+         },
+         "band slot id out of range", Mapped::OpensAndAnswers},
+        {"a free slot occupied", &g1,
+         [&](std::string &b) {
+             patch<std::uint32_t>(b, s1.band0Ids + free_slot * 4, 0);
+         },
+         "band occupied slot count mismatch", Mapped::OpensAndAnswers},
+        {"a zero gap", &g1,
+         [&](std::string &b) { b[s1.list(b, 1)] = 0; },
+         "zero or malformed posting gap", Mapped::OpensAndAnswers},
+        {"a decoded id of N", &g1,
+         [&](std::string &b) { b[s1.list(b, 1)] = 2; },
+         "posting id out of range", Mapped::OpensAndAnswers},
+        {"a list's bytes holding another id", &g3,
+         [&](std::string &b) {
+             patch<std::uint64_t>(b, s3.byteOffs + 2 * 8, 2);
+         },
+         "posting list bytes do not match its id count",
+         Mapped::OpensAndAnswers},
+        {"a list longer than its position's records", &g3,
+         [&](std::string &b) {
+             patch<std::uint64_t>(b, s3.idOffs + 2 * 8, 2);
+         },
+         "posting lists do not match the position arena",
+         Mapped::OpensAndAnswers},
+        {"a changed band key", &g1,
+         [&](std::string &b) {
+             const std::uint64_t key = u64At(b, 96) + used * 8;
+             b[key] = static_cast<char>(b[key] ^ 0x40);
+         },
+         "band section CRC mismatch", Mapped::OpensAndAnswers},
+        {"band CRC field", &g1,
+         [](std::string &b) {
+             patch<std::uint32_t>(b, pcdb::bandCrcOff,
+                                  u32At(b, pcdb::bandCrcOff) ^ 1);
+         },
+         "band section CRC mismatch", Mapped::OpensAndAnswers},
+        {"a changed id in range", &g3,
+         [&](std::string &b) { b[s3.list(b, 1)] = 2; },
+         "postings section CRC mismatch", Mapped::OpensAndAnswers},
+        {"postings CRC field", &g3,
+         [](std::string &b) {
+             patch<std::uint32_t>(b, pcdb::postingsCrcOff,
+                                  u32At(b, pcdb::postingsCrcOff) ^ 1);
+         },
+         "postings section CRC mismatch", Mapped::OpensAndAnswers},
+
+        // v3 (the fixture), which both readers check.
+        {"v3 band entry count", &gv3,
+         [](std::string &b) { patch<std::uint64_t>(b, u64At(b, 96), 2); },
          "lsh band entry count mismatch"},
-        {"position past the universe", 1,
+        {"v3 record count one higher", &gv3,
+         [](std::string &b) {
+             patch<std::uint64_t>(b, 32, u64At(b, 32) + 1);
+         },
+         "non-canonical section layout"},
+
+        // Positions, which only the loader reads.
+        {"position past the universe", &g1,
          [&](std::string &b) {
              patch<std::uint32_t>(b, pos_off + 8, 256);
          },
-         "position beyond universe", false},
-        {"repeated position", 1,
+         "position beyond universe", Mapped::NotTried},
+        {"repeated position", &g1,
          [&](std::string &b) {
              patch<std::uint32_t>(b, pos_off + 4, 1);
          },
-         "positions not strictly ascending", false},
+         "positions not strictly ascending", Mapped::NotTried},
+        {"position moved past the last list", &g1,
+         [&](std::string &b) {
+             patch<std::uint32_t>(b, pos_off + 8, 4);
+         },
+         "posting lists do not match the position arena",
+         Mapped::NotTried},
     };
 
     const std::string path =
         ::testing::TempDir() + "pcause_corrupt.pcdb";
     for (const CorruptRow &row : rows) {
-        std::string bytes = good[row.records == 1 ? 0 : 1];
+        std::string bytes = *row.good;
         row.damage(bytes);
         spit(path, bytes);
 
@@ -299,52 +595,85 @@ TEST(Serialize, CorruptFilesAreRejectedByBothReaders)
         EXPECT_FALSE(loaded) << row.what;
         EXPECT_NE(loaded.error.find(row.reason), std::string::npos)
             << row.what << ": " << loaded.error;
-        if (!row.mappedToo)
-            continue;
         const LoadResult<MappedStore> mapped = MappedStore::open(path);
-        EXPECT_FALSE(mapped) << row.what;
-        // One check, one reason.
-        EXPECT_EQ(reasonOf(mapped.error), reasonOf(loaded.error))
-            << row.what;
+        switch (row.mapped) {
+          case Mapped::SameReason:
+            EXPECT_FALSE(mapped) << row.what;
+            // One check, one reason.
+            EXPECT_EQ(reasonOf(mapped.error), reasonOf(loaded.error))
+                << row.what;
+            break;
+          case Mapped::OpensAndAnswers: {
+            // The mapped reader checks no index payload at open (nor
+            // any CRC, ROADMAP item 6): it opens the file and every
+            // query answers, shortlist and fallback alike.
+            ASSERT_TRUE(mapped) << row.what << ": " << mapped.error;
+            for (std::size_t i = 0; i < mapped->size(); ++i) {
+                const BitVec es = denseBits(mapped->view(i));
+                mapped->query(es);
+                mapped->queryFullScan(es);
+            }
+            break;
+          }
+          case Mapped::NotTried:
+            break;
+        }
     }
 
-    // The undamaged files load in both readers.
-    for (const std::string &bytes : good) {
-        spit(path, bytes);
+    // The undamaged files load in both readers (v3 in the loader).
+    for (const std::string *bytes : {&g0, &g1, &g3, &gv3}) {
+        spit(path, *bytes);
         EXPECT_TRUE(loadStore(path));
-        EXPECT_TRUE(MappedStore::open(path));
+        EXPECT_EQ(static_cast<bool>(MappedStore::open(path)),
+                  bytes != &gv3);
     }
+    std::remove(path.c_str());
+}
+
+TEST(Serialize, V3FixtureLoadsAsItsStore)
+{
+    // The fixture holds v3FixtureStore(): loadStore rebuilds its
+    // index, the mmap reader refuses it naming the upgrade, and a
+    // save writes it as v4, which maps.
+    const FingerprintStore want = v3FixtureStore();
+    std::uint32_t version = 0, scheme = 0;
+    const StoreLoadResult loaded =
+        loadStore(v3FixturePath, &scheme, &version);
+    ASSERT_TRUE(loaded) << loaded.error;
+    EXPECT_EQ(version, pcdb::versionV3);
+    EXPECT_EQ(scheme, pcdb::schemeOnePermutation);
+    expectSameStore(*loaded, want);
+
+    const LoadResult<MappedStore> refused =
+        MappedStore::open(v3FixturePath);
+    EXPECT_FALSE(refused);
+    EXPECT_NE(refused.error.find("pcause db reindex"), std::string::npos)
+        << refused.error;
+
+    const std::string path = ::testing::TempDir() + "pcause_upgrade.pcdb";
+    ASSERT_TRUE(saveStore(*loaded, path));
+    const StoreLoadResult upgraded = loadStore(path, nullptr, &version);
+    ASSERT_TRUE(upgraded) << upgraded.error;
+    EXPECT_EQ(version, pcdb::versionV4);
+    expectSameStore(*upgraded, want);
+    const LoadResult<MappedStore> mapped = MappedStore::open(path);
+    ASSERT_TRUE(mapped) << mapped.error;
+    EXPECT_EQ(mapped->size(), want.size());
     std::remove(path.c_str());
 }
 
 TEST(Serialize, RetiredSchemeIsResignedOnLoadAndRefusedByMmap)
 {
-    MinHashParams custom;
-    custom.numHashes = 48;
-    custom.bands = 12;
-    custom.seed = 0x5eedull;
-    FingerprintStore store(custom);
-    Rng rng(0x736368656d65ull);
-    std::vector<BitVec> fps;
-    for (std::size_t r = 0; r < 40; ++r) {
-        BitVec bits(4096);
-        while (bits.popcount() < 64)
-            bits.set(rng.nextBelow(bits.size()));
-        store.add("chip-" + std::to_string(r), Fingerprint(bits));
-        fps.push_back(std::move(bits));
-    }
+    const FingerprintStore store = v3FixtureStore();
+    const MinHashParams custom = store.indexParams();
 
-    // A retired-scheme file: this writer's image marked scheme 0,
-    // its signature arena overwritten as an old signer's values
-    // would differ from today's.
-    std::string bytes = v3Bytes(store, "pcause_scheme.pcdb");
-    ASSERT_EQ(pcdb::loadU32(reinterpret_cast<const std::uint8_t *>(
-                  bytes.data() + 20)),
-              pcdb::schemeOnePermutation);
+    // A retired-scheme file: the v3 fixture marked scheme 0, its
+    // signature arena overwritten as an old signer's values would
+    // differ from today's.
+    std::string bytes = slurp(v3FixturePath);
+    ASSERT_EQ(u32At(bytes, 20), pcdb::schemeOnePermutation);
     patch<std::uint32_t>(bytes, 20, pcdb::schemeRetired);
-    const std::uint64_t sig_off = pcdb::loadU64(
-        reinterpret_cast<const std::uint8_t *>(bytes.data() + 72));
-    std::memset(&bytes[sig_off], 0xa5,
+    std::memset(&bytes[u64At(bytes, 72)], 0xa5,
                 store.size() * custom.numHashes * sizeof(std::uint32_t));
     const std::string path =
         ::testing::TempDir() + "pcause_scheme0.pcdb";
@@ -365,11 +694,12 @@ TEST(Serialize, RetiredSchemeIsResignedOnLoadAndRefusedByMmap)
 
     // Same verdicts and shortlists as the store the file came from:
     // noisy supersets of stored records, and foreign sets.
-    for (std::size_t q = 0; q < 2 * fps.size(); ++q) {
-        BitVec es(4096);
-        if (q < fps.size())
-            es = fps[q];
-        while (es.popcount() < (q < fps.size() ? 72u : 64u))
+    Rng rng(0x736368656d65ull);
+    for (std::size_t q = 0; q < 2 * store.size(); ++q) {
+        BitVec es(256);
+        if (q < store.size())
+            es = store.record(q).fingerprint.bits();
+        while (es.popcount() < (q < store.size() ? 14u : 12u))
             es.set(rng.nextBelow(es.size()));
         AttackStats want_stats, got_stats;
         const IdentifyResult want = store.query(es, {}, &want_stats);
@@ -384,13 +714,46 @@ TEST(Serialize, RetiredSchemeIsResignedOnLoadAndRefusedByMmap)
             << "query " << q;
     }
 
-    // The mmap reader serves candidates from the on-disk band keys,
-    // so it refuses the file and names the upgrade.
+    // The mmap reader maps v4 only, and names the upgrade.
     const LoadResult<MappedStore> mapped = MappedStore::open(path);
     EXPECT_FALSE(mapped);
     EXPECT_NE(mapped.error.find("pcause db reindex"), std::string::npos)
         << mapped.error;
     std::remove(path.c_str());
+}
+
+TEST(Serialize, DiskSizeEstimateTracksTheFile)
+{
+    // The estimate `db stats` and the DbStats reply report, summed
+    // over a 10k-record store of the bench's shape (8192-bit chips,
+    // ~256 volatile cells), must land within 2% of the file.
+    Rng rng(0x6469736bull);
+    std::vector<ChipLabel> labels;
+    std::vector<Fingerprint> fps;
+    for (std::size_t r = 0; r < 10000; ++r) {
+        BitVec bits(8192);
+        for (int k = 0; k < 256; ++k)
+            bits.set(rng.nextBelow(bits.size()));
+        labels.push_back("chip-" + std::to_string(r));
+        fps.emplace_back(bits, 3u);
+    }
+    ThreadPool pool(2); // joined here: death tests fork later
+    FingerprintStore store;
+    store.setThreadPool(&pool);
+    store.addBatch(std::move(labels), std::move(fps));
+    std::size_t estimate = 0;
+    for (std::size_t i = 0; i < store.size(); ++i) {
+        estimate += recordDiskSize(
+            store.sparseFingerprints().view(i).count,
+            store.label(i).size(), store.indexParams().numHashes,
+            store.indexParams().bands);
+    }
+    const std::string path = ::testing::TempDir() + "pcause_size.pcdb";
+    ASSERT_TRUE(saveStore(store, path));
+    const double file = static_cast<double>(slurp(path).size());
+    std::remove(path.c_str());
+    EXPECT_NEAR(static_cast<double>(estimate) / file, 1.0, 0.02)
+        << "estimate " << estimate << " bytes, file " << file;
 }
 
 TEST(Serialize, EmptyStoreRoundTripsWithCustomParams)

@@ -108,7 +108,7 @@ usage()
         "               [--linear yes] [--mmap yes] OUT\n"
         "               attribute an output (Algorithm 2, via the\n"
         "               MinHash/LSH candidate index by default;\n"
-        "               --mmap queries a v3 file in place)\n"
+        "               --mmap queries a v4 file in place)\n"
         "  cluster      --exact FILE [--threshold T] OUT...\n"
         "               group outputs by source chip (Algorithm 4);\n"
         "               --campaign yes [--chips N] [--outputs M]\n"
@@ -121,7 +121,7 @@ usage()
         "  db           --db FILE [stats|reindex|verify]\n"
         "               list records; 'stats' prints index/disk\n"
         "               diagnostics, 'reindex' rewrites the file\n"
-        "               under new [--hashes K] [--bands B],\n"
+        "               as v4 under new [--hashes K] [--bands B],\n"
         "               'verify' [--wal FILE] triages crash damage\n"
         "               (exit 0 healthy, 1 recoverable torn tail,\n"
         "               2 corrupt)\n");
@@ -238,8 +238,10 @@ cmdCharacterize(const Args &args)
     }
     const Fingerprint fp = characterize(outputs, exact);
     store.add(label, fp);
-    if (!saveStore(store, db_path))
-        fatal("characterize: cannot write %s", db_path.c_str());
+    std::string err;
+    if (!saveStoreDurable(store, db_path, &err))
+        fatal("characterize: cannot write %s: %s", db_path.c_str(),
+              err.c_str());
     std::printf("added '%s' (%zu volatile cells from %zu outputs); "
                 "database now holds %zu records\n",
                 label.c_str(), fp.weight(), outputs.size(),
@@ -262,7 +264,7 @@ cmdIdentify(const Args &args)
         loadObservations("identify", exact_path, args.positional);
 
     // One facade call covers every backend combination: --mmap
-    // queries the v3 file in place, --linear bypasses the index.
+    // queries the v4 file in place, --linear bypasses the index.
     IdentifyRequest req;
     req.errorString = errorString(outputs[0], exact);
     req.options.threshold = args.getDouble("threshold", 0.1);
@@ -407,8 +409,10 @@ cmdClusterCampaign(const Args &args)
             const auto &rec = db.record(i);
             store.add(rec.label, rec.fingerprint);
         }
-        if (!saveStore(store, db_path))
-            fatal("cluster: cannot write %s", db_path.c_str());
+        std::string err;
+        if (!saveStoreDurable(store, db_path, &err))
+            fatal("cluster: cannot write %s: %s", db_path.c_str(),
+                  err.c_str());
         std::printf("  wrote %zu discovered fingerprints to %s\n",
                     store.size(), db_path.c_str());
     }
@@ -475,14 +479,26 @@ schemeName(std::uint32_t scheme)
                                          : "one-permutation (scheme 1)";
 }
 
+/** How `db stats`/`db verify` name a file's format version. */
+const char *
+versionName(std::uint32_t version)
+{
+    return version == pcdb::versionV3
+               ? "PCDB v3 (index rebuilt on every load; 'pcause db "
+                 "reindex' rewrites it as v4)"
+               : "PCDB v4";
+}
+
 int
-cmdDbStats(FingerprintStore store, std::uint32_t scheme)
+cmdDbStats(FingerprintStore store, std::uint32_t scheme,
+           std::uint32_t version)
 {
     // The facade owns the backend-independent aggregation; the CLI
     // only renders it.
     const AttackService svc(std::move(store));
     const ServiceDbStats s = svc.dbStats();
     const MinHashParams &prm = s.indexParams;
+    std::printf("format            : %s\n", versionName(version));
     std::printf("records           : %zu\n", s.records);
     std::printf("universe          : %zu bits\n", s.universeBits);
     std::printf("volatile cells    : %zu total\n", s.volatileCells);
@@ -522,9 +538,13 @@ cmdDbReindex(const Args &args, FingerprintStore &store,
     if (prm.numHashes == 0 || prm.bands == 0 ||
         prm.numHashes % prm.bands != 0)
         fatal("db reindex: bands must divide hashes");
+    if (prm.numHashes > pcdb::maxHashes)
+        fatal("db reindex: at most %u hashes", pcdb::maxHashes);
     store.reindex(prm);
-    if (!saveStore(store, db_path))
-        fatal("db reindex: cannot write %s", db_path.c_str());
+    std::string err;
+    if (!saveStoreDurable(store, db_path, &err))
+        fatal("db reindex: cannot write %s: %s", db_path.c_str(),
+              err.c_str());
     std::printf("reindexed %zu records: %u hashes, %u bands x %u "
                 "rows\n",
                 store.size(), prm.numHashes, prm.bands, prm.rows());
@@ -541,13 +561,15 @@ int
 cmdDbVerify(const Args &args, const std::string &db_path)
 {
     std::uint32_t scheme = pcdb::schemeOnePermutation;
-    StoreLoadResult loaded = loadStore(db_path, &scheme);
+    std::uint32_t version = pcdb::versionV4;
+    StoreLoadResult loaded = loadStore(db_path, &scheme, &version);
     if (!loaded) {
         std::printf("CORRUPT: snapshot %s: %s\n", db_path.c_str(),
                     loaded.error.c_str());
         return 2;
     }
-    std::printf("snapshot: %zu records, ok\n", loaded->size());
+    std::printf("snapshot: %zu records, %s, ok\n", loaded->size(),
+                versionName(version));
     if (scheme == pcdb::schemeRetired)
         std::printf("signing : %s: the file is re-signed on every "
                     "load and cannot be mapped; 'pcause db reindex' "
@@ -615,13 +637,14 @@ cmdDb(const Args &args)
         return cmdDbVerify(args, db_path);
 
     std::uint32_t scheme = pcdb::schemeOnePermutation;
-    StoreLoadResult loaded = loadStore(db_path, &scheme);
+    std::uint32_t version = pcdb::versionV4;
+    StoreLoadResult loaded = loadStore(db_path, &scheme, &version);
     if (!loaded)
         fatal("db: %s", loaded.error.c_str());
     FingerprintStore &store = *loaded;
 
     if (action == "stats")
-        return cmdDbStats(std::move(store), scheme);
+        return cmdDbStats(std::move(store), scheme, version);
     if (action == "reindex")
         return cmdDbReindex(args, store, db_path);
     if (action != "list")
