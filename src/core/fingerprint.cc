@@ -67,7 +67,7 @@ SparseFingerprintArena::view(std::size_t i) const
 }
 
 void
-SparseFingerprintArena::add(const BitVec &pattern)
+writePositions(const BitVec &pattern, std::uint32_t *out)
 {
     const auto &words = pattern.words();
     for (std::size_t wi = 0; wi < words.size(); ++wi) {
@@ -75,29 +75,31 @@ SparseFingerprintArena::add(const BitVec &pattern)
         while (w) {
             const auto bit = static_cast<std::uint32_t>(
                 std::countr_zero(w));
-            arena.push_back(static_cast<std::uint32_t>(
-                wi * BitVec::wordBits + bit));
+            *out++ = static_cast<std::uint32_t>(wi * BitVec::wordBits + bit);
             w &= w - 1;
         }
     }
+}
+
+void
+SparseFingerprintArena::add(const BitVec &pattern)
+{
+    const std::size_t at = arena.size();
+    arena.resize(at + pattern.popcount());
+    writePositions(pattern, arena.data() + at);
     offsets.push_back(arena.size());
     universes.push_back(pattern.size());
 }
 
 void
-SparseFingerprintArena::addPositions(const std::uint32_t *positions,
-                                     std::size_t position_count,
-                                     std::uint64_t universe_bits)
+SparseFingerprintArena::append(const SparseFingerprintArena &more)
 {
-    for (std::size_t p = 0; p < position_count; ++p) {
-        PC_ASSERT(positions[p] < universe_bits &&
-                      (p == 0 || positions[p - 1] < positions[p]),
-                  "addPositions: positions must be ascending and in "
-                  "universe");
-        arena.push_back(positions[p]);
-    }
-    offsets.push_back(arena.size());
-    universes.push_back(universe_bits);
+    const std::uint64_t base = arena.size();
+    arena.insert(arena.end(), more.arena.begin(), more.arena.end());
+    for (std::size_t i = 1; i < more.offsets.size(); ++i)
+        offsets.push_back(base + more.offsets[i]);
+    universes.insert(universes.end(), more.universes.begin(),
+                     more.universes.end());
 }
 
 void

@@ -86,6 +86,10 @@ class SparseFingerprintSource
 /** The dense bit vector holding exactly @p v's positions. */
 BitVec denseBits(const SparseView &v);
 
+/** Write @p pattern's set bits, ascending, to @p out, which has room
+ *  for pattern.popcount() of them. */
+void writePositions(const BitVec &pattern, std::uint32_t *out);
+
 /**
  * Contiguous sparse-fingerprint storage: all position lists live in
  * one arena with per-record offsets, so a million fingerprints cost
@@ -123,16 +127,15 @@ class SparseFingerprintArena : public SparseFingerprintSource
     /** view(i).universe, unchecked (@p i < count()). */
     std::uint64_t universe(std::size_t i) const { return universes[i]; }
 
+    /** Where record @p i's positions start in positions(), unchecked
+     *  (@p i <= count(); offset(count()) is the total). */
+    std::uint64_t offset(std::size_t i) const { return offsets[i]; }
+
     /** Append @p pattern's set bits as the next record. */
     void add(const BitVec &pattern);
 
-    /**
-     * Append an already-sorted position list (ascending, unique,
-     * each < @p universe_bits) as the next record.
-     */
-    void addPositions(const std::uint32_t *positions,
-                      std::size_t position_count,
-                      std::uint64_t universe_bits);
+    /** Append @p more's records, in order, after this arena's. */
+    void append(const SparseFingerprintArena &more);
 
     /** Total positions stored across all records. */
     std::size_t totalPositions() const { return arena.size(); }

@@ -87,7 +87,8 @@
  * the header, the layout, the record table, v3's band entry counts
  * and v4's slot count and posting offsets: everything but the
  * payloads, in one pass over the record table and the offset arrays.
- * loadStore then reads every payload and checks it as it goes: each
+ * loadStore then reads every payload, in tasks on a thread pool,
+ * and checks it as it goes: each
  * position inside its universe and strictly ascending, each band
  * slot id below N with exactly N occupied, each gap above 0 and each
  * decoded id below N, each list's bytes holding exactly its ids,

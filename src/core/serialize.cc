@@ -1,11 +1,13 @@
 #include "core/serialize.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
+#include <functional>
 #include <ostream>
+#include <thread>
 #include <vector>
 
 #include <fcntl.h>
@@ -16,17 +18,13 @@
 #include "util/crc32.hh"
 #include "util/failpoint.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace pcause
 {
 
 namespace
 {
-
-struct FileCloser
-{
-    void operator()(std::FILE *f) const { std::fclose(f); }
-};
 
 template <typename T>
 void
@@ -200,138 +198,405 @@ writeStore(const FingerprintStore &store, std::ostream &out)
     return out.good();
 }
 
-/** Buffered reads of one file, optionally folded into a CRC. */
-class FileReader
+/** Bytes a load task reads at a time, straight into the store's
+ *  containers or into a buffer of its own. */
+constexpr std::size_t readChunk = 1u << 18;
+
+/** Bytes of file a load task takes at least, and a load's own pool
+ *  gets a lane per: below that a lane costs more than it saves. */
+constexpr std::uint64_t taskBytes = 1u << 20;
+
+/** A file open for reads at any offset, from any thread. */
+class LoadFile
 {
   public:
-    explicit FileReader(std::FILE *f) : f(f) {}
-
-    bool seek(std::uint64_t off)
+    explicit LoadFile(const std::string &path)
+        : fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC))
     {
-        return ::fseeko(f, static_cast<off_t>(off), SEEK_SET) == 0;
     }
-
-    bool read(void *dst, std::size_t len)
+    ~LoadFile()
     {
-        return len == 0 || std::fread(dst, 1, len, f) == len;
+        if (fd >= 0)
+            ::close(fd);
     }
+    LoadFile(const LoadFile &) = delete;
+    LoadFile &operator=(const LoadFile &) = delete;
 
-    /** read() whose bytes also extend @p crc. */
-    bool readCrc(void *dst, std::size_t len, std::uint32_t &crc)
+    bool isOpen() const { return fd >= 0; }
+
+    /** Its size in bytes; false when it cannot be stat'ed. */
+    bool size(std::uint64_t &bytes) const
     {
-        if (!read(dst, len))
+        struct stat st{};
+        if (::fstat(fd, &st) != 0)
             return false;
-        crc = crc32(dst, len, crc);
+        bytes = static_cast<std::uint64_t>(st.st_size);
+        return true;
+    }
+
+    /** Read exactly @p len bytes at @p off into @p dst. */
+    bool readAt(std::uint64_t off, void *dst, std::size_t len) const
+    {
+        auto *p = static_cast<char *>(dst);
+        while (len > 0) {
+            const ssize_t got =
+                ::pread(fd, p, len, static_cast<off_t>(off));
+            if (got < 0 && errno == EINTR)
+                continue;
+            if (got <= 0)
+                return false;
+            p += got;
+            off += static_cast<std::uint64_t>(got);
+            len -= static_cast<std::size_t>(got);
+        }
         return true;
     }
 
   private:
-    std::FILE *f;
+    int fd;
 };
 
 /**
- * Read a v4 file's band section into one key and one id array per
- * band, checking every occupied slot's id, each band's occupancy
- * and the section CRC. Returns the reason it failed, or empty.
+ * The reasons a load's checks give, one slot per check and task, in
+ * the order a serial read of the file reaches them. Tasks fill their
+ * own slots, in any order; the load reports the first filled slot,
+ * so its reason does not depend on the lane count or on which task
+ * ends first.
  */
-std::string
-readBands(FileReader &in, const pcdb::Header &h,
-          std::vector<std::vector<std::uint64_t>> &keys,
-          std::vector<std::vector<std::uint32_t>> &ids)
+class Failures
 {
-    const std::uint64_t slots = h.bandSlots;
-    const std::uint64_t pad = pcdb::align8(slots * 4) - slots * 4;
-    keys.resize(h.bands);
-    ids.resize(h.bands);
-    std::uint32_t crc = 0;
-    if (!in.seek(h.bandOff))
-        return "cannot read the band section";
-    for (std::uint32_t band = 0; band < h.bands; ++band) {
-        keys[band].resize(slots);
-        ids[band].resize(slots);
-        std::uint8_t zeros[8];
-        if (!in.readCrc(keys[band].data(), slots * 8, crc) ||
-            !in.readCrc(ids[band].data(), slots * 4, crc) ||
-            !in.readCrc(zeros, pad, crc))
-            return "cannot read the band section";
-        std::uint64_t occupied = 0;
-        for (const std::uint32_t id : ids[band]) {
-            if (id == LshIndex::emptySlot)
-                continue;
-            if (id >= h.recordCount)
-                return "band slot id out of range";
-            ++occupied;
-        }
-        if (occupied != h.recordCount)
-            return "band occupied slot count mismatch";
+  public:
+    /** Claim @p n slots after those claimed so far; returns the
+     *  first. */
+    std::size_t claim(std::size_t n)
+    {
+        why.resize(why.size() + n, nullptr);
+        return why.size() - n;
     }
-    if (crc != h.bandCrc)
-        return "band section CRC mismatch";
-    return {};
-}
+
+    void set(std::size_t slot, const char *reason) { why[slot] = reason; }
+
+    /** The first recorded reason, or empty. */
+    std::string first() const
+    {
+        for (const char *w : why) {
+            if (w)
+                return w;
+        }
+        return {};
+    }
+
+  private:
+    std::vector<const char *> why;
+};
 
 /**
- * Read a v4 file's postings section, decoding list p straight into
- * @p postings[p] through a window of the file a chunk (or one long
- * list) wide, after checking the lists against @p position_sum, the
- * sum of every record's positions. Returns the reason it failed, or
- * empty.
+ * The payload half of a load of a file pcdb::check() passed. Every
+ * section is read straight into the container the store keeps (no
+ * arena-sized staging buffer) and checked as it lands, in tasks a
+ * pool runs in any order, so each page is first touched by the lane
+ * that fills it:
+ *  - record shards of about equal bytes: signatures, then positions
+ *    (each inside its universe and strictly ascending, and summed),
+ *    then labels;
+ *  - v4: one task per band, which checks its slot ids and
+ *    occupancy; posting-list ranges of about equal bytes, each list
+ *    decoded straight into its own (gaps, ids, lengths); and each
+ *    section's CRC over the file's bytes.
+ * Then the lists' position sum (each list's position times its
+ * length) must equal the positions', so no position the lists do not
+ * hold gets past the loader.
  */
-std::string
-readPostings(FileReader &in, const pcdb::Header &h,
-             std::uint64_t position_sum,
-             std::vector<std::vector<std::uint32_t>> &postings)
+class PayloadReader
 {
-    const std::uint64_t lists = h.postingLists;
-    const std::uint64_t total = h.postingBytes;
-    std::vector<std::uint64_t> byte_off(lists + 1), id_off(lists + 1);
-    std::uint32_t crc = 0;
-    if (!in.seek(h.postingsOff) ||
-        !in.readCrc(byte_off.data(), byte_off.size() * 8, crc) ||
-        !in.readCrc(id_off.data(), id_off.size() * 8, crc))
-        return "cannot read the postings section";
-    std::uint64_t list_sum = 0;
-    for (std::uint64_t p = 0; p < lists; ++p)
-        list_sum += p * (id_off[p + 1] - id_off[p]);
-    if (list_sum != position_sum)
-        return "posting lists do not match the position arena";
+  public:
+    PayloadReader(const LoadFile &file, const pcdb::Header &header,
+                  std::size_t lanes, std::vector<std::uint64_t> offsets,
+                  std::vector<std::uint64_t> label_offsets,
+                  std::vector<std::uint64_t> universes);
 
-    constexpr std::uint64_t chunk = 1u << 20;
+    /** Read and check every payload on @p pool; returns the first
+     *  failure's reason in file order, or empty. */
+    std::string run(ThreadPool &pool);
+
+    // What the store adopts. A retired-scheme file's signatures are
+    // not read (it is re-signed from its positions), and only v4
+    // holds the band tables and posting lists.
+    std::vector<MinHashSignature> sigs;
+    PosVec positions;
+    std::vector<std::uint64_t> offsets; //!< per record, and the total
+    std::vector<std::uint64_t> universes;
+    std::vector<ChipLabel> labels;
+    std::vector<std::vector<std::uint64_t>> keys;
+    std::vector<std::vector<std::uint32_t>> ids;
+    std::vector<std::vector<std::uint32_t>> postings;
+
+  private:
+    void readRecords(std::size_t shard);
+    void readBand(std::uint32_t band);
+    void readLists(std::size_t range);
+    /** Check the CRC-32 of the @p len bytes at @p off against
+     *  @p want, a chunk at a time. */
+    void checkCrc(std::size_t slot, std::uint64_t off, std::uint64_t len,
+                  std::uint32_t want, const char *unreadable,
+                  const char *mismatch);
+
+    const LoadFile &file;
+    const pcdb::Header &h;
+    const bool v4;
+    const bool resign;
+    std::vector<std::uint64_t> labelOff; //!< per record, and the total
+    std::vector<std::size_t> shards;     //!< record shard bounds
+    std::vector<std::uint64_t> positionSums; //!< per record shard
+    std::vector<std::uint64_t> byteOff, idOff; //!< posting offsets
+    std::vector<std::size_t> ranges;           //!< list range bounds
+    std::uint64_t listsAt = 0; //!< file offset of the first list
+    std::uint64_t listSum = 0;
+
+    Failures failures;
+    std::size_t sigSlot = 0, posReadSlot = 0, posSlot = 0,
+                labelSlot = 0, bandSlot = 0, bandCrcSlot = 0,
+                listSumSlot = 0, rangeSlot = 0, postingsCrcSlot = 0;
+};
+
+PayloadReader::PayloadReader(const LoadFile &file,
+                             const pcdb::Header &header, std::size_t lanes,
+                             std::vector<std::uint64_t> record_offsets,
+                             std::vector<std::uint64_t> label_offsets,
+                             std::vector<std::uint64_t> record_universes)
+    : offsets(std::move(record_offsets)),
+      universes(std::move(record_universes)), file(file), h(header),
+      v4(header.version == pcdb::versionV4),
+      resign(header.scheme == pcdb::schemeRetired),
+      labelOff(std::move(label_offsets))
+{
+    const std::size_t n = universes.size();
+    const std::uint64_t sig_bytes = std::uint64_t{h.numHashes} * 4;
+    const auto record_bytes = [&](std::size_t i) {
+        return offsets[i] * 4 + i * sig_bytes + labelOff[i];
+    };
+    shards = splitByWeight(
+        n,
+        std::min<std::uint64_t>(4 * lanes,
+                                1 + record_bytes(n) / taskBytes),
+        record_bytes);
+    sigs.resize(resign ? 0 : n);
+    positions.resize(h.totalPositions);
+    labels.resize(n);
+    positionSums.resize(shards.size() - 1);
+    // Slots in the order a serial read reaches the checks: every
+    // signature read, every position read, every position check,
+    // every label read, then the index sections.
+    sigSlot = failures.claim(positionSums.size());
+    posReadSlot = failures.claim(positionSums.size());
+    posSlot = failures.claim(positionSums.size());
+    labelSlot = failures.claim(positionSums.size());
+    if (!v4)
+        return;
+
+    keys.resize(h.bands);
+    ids.resize(h.bands);
+    bandSlot = failures.claim(h.bands);
+    bandCrcSlot = failures.claim(1);
+    // The offset arrays, which place every list, are read up front.
+    const std::size_t offsets_slot = failures.claim(1);
+    listSumSlot = failures.claim(1);
+    const std::uint64_t lists = h.postingLists;
+    listsAt = h.postingsOff + (lists + 1) * 16;
+    byteOff.resize(lists + 1);
+    idOff.resize(lists + 1);
+    if (!file.readAt(h.postingsOff, byteOff.data(), byteOff.size() * 8) ||
+        !file.readAt(h.postingsOff + (lists + 1) * 8, idOff.data(),
+                     idOff.size() * 8)) {
+        failures.set(offsets_slot, "cannot read the postings section");
+        byteOff.assign(1, 0);
+        idOff.assign(1, 0);
+    }
+    for (std::uint64_t p = 0; p + 1 < idOff.size(); ++p)
+        listSum += p * (idOff[p + 1] - idOff[p]);
+    postings.resize(idOff.size() - 1);
+    ranges = splitByWeight(
+        postings.size(),
+        std::min<std::uint64_t>(4 * lanes,
+                                1 + h.postingBytes / taskBytes),
+        [&](std::size_t p) { return byteOff[p]; });
+    rangeSlot = failures.claim(ranges.size() - 1);
+    postingsCrcSlot = failures.claim(1);
+}
+
+std::string
+PayloadReader::run(ThreadPool &pool)
+{
+    std::vector<std::function<void()>> tasks;
+    if (v4) {
+        // The CRCs, the largest single tasks, go first.
+        tasks.push_back([this] {
+            checkCrc(bandCrcSlot, h.bandOff,
+                     h.bands * pcdb::bandBytes(h.version, h.bandSlots),
+                     h.bandCrc, "cannot read the band section",
+                     "band section CRC mismatch");
+        });
+        tasks.push_back([this] {
+            checkCrc(postingsCrcSlot, h.postingsOff,
+                     listsAt - h.postingsOff +
+                         pcdb::align8(h.postingBytes),
+                     h.postingsCrc, "cannot read the postings section",
+                     "postings section CRC mismatch");
+        });
+    }
+    for (std::size_t s = 0; s + 1 < shards.size(); ++s)
+        tasks.push_back([this, s] { readRecords(s); });
+    for (std::size_t r = 0; r + 1 < ranges.size(); ++r)
+        tasks.push_back([this, r] { readLists(r); });
+    for (std::uint32_t band = 0; band < keys.size(); ++band)
+        tasks.push_back([this, band] { readBand(band); });
+    pool.parallelTasks(tasks.size(), [&](std::size_t t) { tasks[t](); });
+
+    std::uint64_t position_sum = 0;
+    for (const std::uint64_t sum : positionSums)
+        position_sum += sum;
+    if (v4 && listSum != position_sum)
+        failures.set(listSumSlot,
+                     "posting lists do not match the position arena");
+    return failures.first();
+}
+
+void
+PayloadReader::readRecords(std::size_t s)
+{
+    const std::size_t r0 = shards[s], r1 = shards[s + 1];
+    // The end of the records from @p i on whose bytes, as @p prefix
+    // counts them, make one read (one record at least).
+    const auto readEnd = [r1](std::size_t i, auto prefix) {
+        std::size_t j = i + 1;
+        while (j < r1 && prefix(j + 1) - prefix(i) <= readChunk)
+            ++j;
+        return j;
+    };
+    const std::uint64_t sig_bytes = std::uint64_t{h.numHashes} * 4;
+    std::vector<std::uint32_t> buf;
+    for (std::size_t i = r0, j; i < r1 && !resign; i = j) {
+        j = readEnd(i, [&](std::size_t r) { return r * sig_bytes; });
+        buf.resize((j - i) * h.numHashes);
+        if (!file.readAt(h.sigOff + i * sig_bytes, buf.data(),
+                         buf.size() * 4)) {
+            failures.set(sigSlot + s, "cannot read the signature arena");
+            break;
+        }
+        for (std::size_t r = i; r < j; ++r) {
+            const std::uint32_t *sig = buf.data() + (r - i) * h.numHashes;
+            sigs[r].assign(sig, sig + h.numHashes);
+        }
+    }
+
+    std::uint64_t sum = 0;
+    for (std::size_t i = r0, j; i < r1; i = j) {
+        j = readEnd(i, [&](std::size_t r) { return offsets[r] * 4; });
+        if (!file.readAt(h.posOff + offsets[i] * 4,
+                         positions.data() + offsets[i],
+                         (offsets[j] - offsets[i]) * 4)) {
+            failures.set(posReadSlot + s, "cannot read the position arena");
+            break;
+        }
+        for (std::uint64_t k = offsets[i], r = i; k < offsets[j]; ++k) {
+            while (k == offsets[r + 1])
+                ++r; // record r holds position k
+            const std::uint32_t pos = positions[k];
+            const char *why =
+                pos >= universes[r] ? "position beyond universe"
+                : k > offsets[r] && pos <= positions[k - 1]
+                    ? "positions not strictly ascending"
+                    : nullptr;
+            if (why) {
+                failures.set(posSlot + s, why);
+                j = r1;
+                break;
+            }
+            sum += pos;
+        }
+    }
+    positionSums[s] = sum;
+
+    std::string text;
+    for (std::size_t i = r0, j; i < r1; i = j) {
+        j = readEnd(i, [&](std::size_t r) { return labelOff[r]; });
+        text.resize(labelOff[j] - labelOff[i]);
+        if (!file.readAt(h.labelOff + labelOff[i], text.data(),
+                         text.size())) {
+            failures.set(labelSlot + s, "cannot read the label arena");
+            break;
+        }
+        for (std::size_t r = i; r < j; ++r)
+            labels[r].assign(text, labelOff[r] - labelOff[i],
+                             labelOff[r + 1] - labelOff[r]);
+    }
+}
+
+void
+PayloadReader::readBand(std::uint32_t band)
+{
+    const std::uint64_t slots = h.bandSlots;
+    keys[band].resize(slots);
+    ids[band].resize(slots);
+    const std::uint64_t at =
+        h.bandOff + band * pcdb::bandBytes(h.version, slots);
+    if (!file.readAt(at, keys[band].data(), slots * 8) ||
+        !file.readAt(at + slots * 8, ids[band].data(), slots * 4)) {
+        failures.set(bandSlot + band, "cannot read the band section");
+        return;
+    }
+    std::uint64_t occupied = 0;
+    for (const std::uint32_t id : ids[band]) {
+        if (id == LshIndex::emptySlot)
+            continue;
+        if (id >= h.recordCount) {
+            failures.set(bandSlot + band, "band slot id out of range");
+            return;
+        }
+        ++occupied;
+    }
+    if (occupied != h.recordCount)
+        failures.set(bandSlot + band, "band occupied slot count mismatch");
+}
+
+void
+PayloadReader::readLists(std::size_t r)
+{
+    // The lists' bytes come through a window a chunk wide (or one
+    // long list wide), so the buffer stays small.
     std::vector<std::uint8_t> window;
-    std::uint64_t win_begin = 0, win_end = 0; // section byte range
-    postings.resize(lists);
-    for (std::uint64_t p = 0; p < lists; ++p) {
-        const std::uint64_t b0 = byte_off[p], b1 = byte_off[p + 1];
-        const std::uint64_t count = id_off[p + 1] - id_off[p];
+    std::uint64_t win_begin = 0, win_end = 0; // list-byte range held
+    const std::uint64_t range_end = byteOff[ranges[r + 1]];
+    for (std::size_t p = ranges[r]; p < ranges[r + 1]; ++p) {
+        const std::uint64_t b0 = byteOff[p], b1 = byteOff[p + 1];
+        const std::uint64_t count = idOff[p + 1] - idOff[p];
         // pcdb::check() passed these offsets; the window arithmetic
         // below relies on it, so restate it where it is relied on.
-        if (b0 < win_begin || b1 < b0 || b1 > total ||
-            id_off[p + 1] < id_off[p] || count > h.totalPositions)
-            return "non-monotone posting list offsets";
+        if (b1 < b0 || b1 > h.postingBytes || idOff[p + 1] < idOff[p] ||
+            count > h.totalPositions) {
+            failures.set(rangeSlot + r, "non-monotone posting list offsets");
+            return;
+        }
         if (b1 > win_end) {
-            // Keep the list's bytes already read, then read on to
-            // the chunk's end (or the list's, if it is longer).
-            const std::uint64_t keep = win_end - b0;
-            if (keep > 0)
-                std::memmove(window.data(),
-                             window.data() + (b0 - win_begin), keep);
-            const std::uint64_t fill_to =
-                std::min(total, b0 + std::max(chunk, b1 - b0));
-            if (window.size() < fill_to - b0)
-                window.resize(fill_to - b0);
-            if (!in.readCrc(window.data() + keep, fill_to - win_end, crc))
-                return "cannot read the postings section";
             win_begin = b0;
-            win_end = fill_to;
+            win_end = std::min(
+                range_end, b0 + std::max<std::uint64_t>(readChunk, b1 - b0));
+            window.resize(win_end - win_begin);
+            if (!file.readAt(listsAt + win_begin, window.data(),
+                             window.size())) {
+                failures.set(rangeSlot + r,
+                             "cannot read the postings section");
+                return;
+            }
         }
 
-        std::vector<std::uint32_t> &ids = postings[p];
-        ids.resize(count);
+        std::vector<std::uint32_t> &list = postings[p];
+        list.resize(count);
         std::size_t j = 0;
         const char *why = "zero or malformed posting gap";
-        const std::uint8_t *list = window.data() + (b0 - win_begin);
+        const std::uint8_t *bytes = window.data() + (b0 - win_begin);
         const bool whole = pcdb::decodePostingList(
-            list, list + (b1 - b0), [&](std::uint64_t id) {
+            bytes, bytes + (b1 - b0), [&](std::uint64_t id) {
                 if (j == count) {
                     why = "posting list bytes do not match its id count";
                     return false;
@@ -340,20 +605,35 @@ readPostings(FileReader &in, const pcdb::Header &h,
                     why = "posting id out of range";
                     return false;
                 }
-                ids[j++] = static_cast<std::uint32_t>(id);
+                list[j++] = static_cast<std::uint32_t>(id);
                 return true;
             });
-        if (!whole)
-            return why;
-        if (j != count)
-            return "posting list bytes do not match its id count";
+        if (whole && j != count)
+            why = "posting list bytes do not match its id count";
+        if (!whole || j != count) {
+            failures.set(rangeSlot + r, why);
+            return;
+        }
     }
-    std::uint8_t zeros[8];
-    if (!in.readCrc(zeros, pcdb::align8(total) - total, crc))
-        return "cannot read the postings section";
-    if (crc != h.postingsCrc)
-        return "postings section CRC mismatch";
-    return {};
+}
+
+void
+PayloadReader::checkCrc(std::size_t slot, std::uint64_t off,
+                        std::uint64_t len, std::uint32_t want,
+                        const char *unreadable, const char *mismatch)
+{
+    std::vector<std::uint8_t> buf(std::min<std::uint64_t>(len, readChunk));
+    std::uint32_t crc = 0;
+    for (std::uint64_t done = 0; done < len; done += buf.size()) {
+        buf.resize(std::min<std::uint64_t>(len - done, buf.size()));
+        if (!file.readAt(off + done, buf.data(), buf.size())) {
+            failures.set(slot, unreadable);
+            return;
+        }
+        crc = crc32(buf.data(), buf.size(), crc);
+    }
+    if (crc != want)
+        failures.set(slot, mismatch);
 }
 
 } // anonymous namespace
@@ -433,38 +713,34 @@ saveStoreDurable(const FingerprintStore &store,
 }
 
 StoreLoadResult
-loadStore(const std::string &path, std::uint32_t *scheme_out,
-          std::uint32_t *version_out)
+loadStore(const std::string &path, ThreadPool &pool,
+          std::uint32_t *scheme_out, std::uint32_t *version_out)
 {
     const auto fail = [](const std::string &why) -> StoreLoadResult {
         return {std::nullopt, "loadStore: " + why};
     };
     if (failpoint::hit("store.load"))
         return fail("injected load failure for " + path);
-    const std::unique_ptr<std::FILE, FileCloser> file(
-        std::fopen(path.c_str(), "rb"));
-    if (!file)
+    const LoadFile file(path);
+    if (!file.isOpen())
         return fail("cannot open " + path);
-    struct stat st{};
-    if (::fstat(::fileno(file.get()), &st) != 0)
+    std::uint64_t file_len = 0;
+    if (!file.size(file_len))
         return fail("cannot stat " + path);
-    FileReader in(file.get());
 
     // The record table lands in the store's containers as the shared
     // check walks it.
     pcdb::Header h;
-    std::vector<std::uint32_t> label_lens;
     std::vector<unsigned> sources;
-    std::vector<std::uint64_t> offsets{0};
-    std::vector<std::uint64_t> universes;
+    std::vector<std::uint64_t> offsets{0}, label_off{0}, universes;
     const std::string err = pcdb::check(
-        static_cast<std::uint64_t>(st.st_size),
+        file_len,
         [&](std::uint64_t off, void *dst, std::size_t len) {
-            return in.seek(off) && in.read(dst, len);
+            return file.readAt(off, dst, len);
         },
         h,
         [&](const pcdb::RecordEntry &e) {
-            label_lens.push_back(e.labelLen);
+            label_off.push_back(label_off.back() + e.labelLen);
             sources.push_back(e.sources);
             offsets.push_back(offsets.back() + e.posCount);
             universes.push_back(e.universe);
@@ -472,85 +748,57 @@ loadStore(const std::string &path, std::uint32_t *scheme_out,
     if (!err.empty())
         return fail(err);
 
-    // Each arena is read once, straight into the container the store
-    // keeps: no arena-sized staging buffer. A retired-scheme file's
-    // signatures are not read at all: the records are re-signed from
-    // their positions below.
     const std::size_t n = sources.size();
-    const bool resign = h.scheme == pcdb::schemeRetired;
-    std::vector<MinHashSignature> sigs;
-    if (!resign) {
-        sigs.assign(n, MinHashSignature(h.numHashes));
-        bool ok = in.seek(h.sigOff);
-        for (MinHashSignature &sig : sigs)
-            ok = ok && in.read(sig.data(), sig.size() * sizeof(sig[0]));
-        if (!ok)
-            return fail("cannot read the signature arena");
-    }
+    PayloadReader in(file, h, pool.size(), std::move(offsets),
+                     std::move(label_off), std::move(universes));
+    const std::string why = in.run(pool);
+    if (!why.empty())
+        return fail(why);
 
-    // Positions are checked as they are read, and summed: a v4
-    // file's posting lists must hold the same sum (each list's
-    // position times its length), so no position the lists do not
-    // hold gets past the loader.
-    PosVec positions(h.totalPositions);
-    if (!in.seek(h.posOff) ||
-        !in.read(positions.data(),
-                 positions.size() * sizeof(positions[0])))
-        return fail("cannot read the position arena");
-    std::uint64_t position_sum = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::uint64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-            const std::uint32_t pos = positions[k];
-            if (pos >= universes[i])
-                return fail("position beyond universe");
-            if (k > offsets[i] && pos <= positions[k - 1])
-                return fail("positions not strictly ascending");
-            position_sum += pos;
-        }
-    }
-
-    std::vector<ChipLabel> labels(n);
-    bool ok = in.seek(h.labelOff);
-    for (std::size_t i = 0; i < n; ++i) {
-        labels[i].resize(label_lens[i]);
-        ok = ok && in.read(labels[i].data(), label_lens[i]);
-    }
-    if (!ok)
-        return fail("cannot read the label arena");
-
-    SparseFingerprintArena arena(std::move(positions), std::move(offsets),
-                                 std::move(universes));
+    SparseFingerprintArena arena(std::move(in.positions),
+                                 std::move(in.offsets),
+                                 std::move(in.universes));
     if (scheme_out)
         *scheme_out = h.scheme;
     if (version_out)
         *version_out = h.version;
     if (h.version == pcdb::versionV3) {
         // A v3 file holds no position index and its band trailer is
-        // not a table: both are rebuilt from the records.
-        if (resign)
-            sigs = signArena(arena, h.minhashParams(), nullptr);
+        // not a table: both are rebuilt from the records, on the
+        // load's pool.
+        if (h.scheme == pcdb::schemeRetired)
+            in.sigs = signArena(arena, h.minhashParams(), &pool);
         FingerprintStore store(h.minhashParams());
-        store.addBatch(std::move(labels), std::move(sources),
-                       std::move(arena), std::move(sigs));
+        store.setThreadPool(&pool);
+        store.addBatch(std::move(in.labels), std::move(sources),
+                       std::move(arena), std::move(in.sigs));
+        store.setThreadPool(nullptr);
         return {std::move(store), ""};
     }
-
-    // v4: the index sections are read as stored.
-    std::vector<std::vector<std::uint64_t>> keys;
-    std::vector<std::vector<std::uint32_t>> ids;
-    std::string why = readBands(in, h, keys, ids);
-    std::vector<std::vector<std::uint32_t>> postings;
-    if (why.empty())
-        why = readPostings(in, h, position_sum, postings);
-    if (!why.empty())
-        return fail(why);
     return {FingerprintStore::adopt(
-                std::move(labels), std::move(sources), std::move(arena),
-                std::move(sigs),
-                LshIndex(h.minhashParams(), n, std::move(keys),
-                         std::move(ids)),
-                std::move(postings)),
+                std::move(in.labels), std::move(sources), std::move(arena),
+                std::move(in.sigs),
+                LshIndex(h.minhashParams(), n,
+                         std::move(in.keys), std::move(in.ids)),
+                std::move(in.postings)),
             ""};
+}
+
+StoreLoadResult
+loadStore(const std::string &path, std::uint32_t *scheme_out,
+          std::uint32_t *version_out)
+{
+    // A pool of this load's own, joined before it returns: a lane
+    // per task's worth of file, up to one per hardware thread.
+    struct stat st{};
+    const std::uint64_t bytes =
+        ::stat(path.c_str(), &st) == 0 ? static_cast<std::uint64_t>(st.st_size)
+                                       : 0;
+    const std::uint64_t hardware =
+        std::max(1u, std::thread::hardware_concurrency());
+    ThreadPool pool(static_cast<std::size_t>(
+        std::clamp<std::uint64_t>(bytes / taskBytes, 1, hardware)));
+    return loadStore(path, pool, scheme_out, version_out);
 }
 
 bool

@@ -17,8 +17,8 @@
  * contiguous signature / position / label arenas, then the index as
  * it is held in memory — each LSH band's slot arrays and the
  * inverted position index as gap-coded lists, both under a CRC-32.
- * loadStore() reads a file into an in-memory FingerprintStore,
- * taking the index sections as stored; MappedStore
+ * loadStore() reads a file into an in-memory FingerprintStore on a
+ * thread pool, taking the index sections as stored; MappedStore
  * (core/mapped_store) queries one in place without loading it. Both
  * run the same structural check (pcdb::check) and so fail with the
  * same reasons. loadStore() also reads v3, the format before,
@@ -42,6 +42,8 @@
 
 namespace pcause
 {
+
+class ThreadPool;
 
 /**
  * Outcome of a recoverable load: either the value or a
@@ -97,16 +99,45 @@ bool saveStoreDurable(const FingerprintStore &store,
  * A v4 file's band tables and position index are read as stored,
  * each checked as it is read (slot ids, occupancy, gaps, posting
  * ids, list lengths against the positions, both CRCs; see
- * core/pcdb_format.hh); a v3 file's are rebuilt from the records.
- * A v3 file may name the retired signing scheme
- * (pcdb::schemeRetired): then every record is re-signed from its
- * positions and the signature arena is not read. The file's scheme
- * and format version land in @p scheme_out and @p version_out when
- * non-null. Besides pcdb::check's
- * structural check, every position is checked to lie inside its
- * universe and to ascend strictly. Malformed, truncated or
- * other-version input yields a failed result with an error string,
- * never a process exit.
+ * core/pcdb_format.hh); a v3 file's are rebuilt from the records
+ * (FingerprintStore::addBatch, on @p pool). A v3 file may name the
+ * retired signing scheme (pcdb::schemeRetired): then every record is
+ * re-signed from its positions and the signature arena is not read.
+ * The file's scheme and format version land in @p scheme_out and
+ * @p version_out when non-null. Besides pcdb::check's structural
+ * check, every position is checked to lie inside its universe and to
+ * ascend strictly. Malformed, truncated or other-version input
+ * yields a failed result with an error string, never a process exit.
+ *
+ * The structural check walks the header, the record table and the
+ * posting offsets on the calling thread; then every payload is read
+ * with pread() straight into the container the store keeps, and
+ * checked as it lands, in tasks on @p pool:
+ *  - record shards of about equal bytes (signatures, positions,
+ *    labels);
+ *  - one task per band (its slot arrays);
+ *  - posting-list ranges of about equal bytes, each list decoded
+ *    into its own;
+ *  - one task per index section's CRC.
+ * Each task reads through a buffer of at most a few hundred KB (or
+ * one long list), whatever the file's size, and the lane that fills
+ * a page touches it first. A one-lane pool runs the same tasks
+ * inline. When several checks fail, the reason is the one a serial
+ * read of the file would reach first (payloads in file order, the
+ * lists' position sum before the lists, each CRC after its
+ * section's own checks), whichever task ends first.
+ */
+StoreLoadResult loadStore(const std::string &path, ThreadPool &pool,
+                          std::uint32_t *scheme_out = nullptr,
+                          std::uint32_t *version_out = nullptr);
+
+/**
+ * loadStore() on a pool of the load's own, joined before it returns,
+ * so no thread outlives the load (a process that forks later, as the
+ * death tests do, has no pool threads to lose): one lane per
+ * megabyte of file, up to one per hardware thread, so a small file
+ * loads inline. How the service (AttackService::open, openDurable)
+ * and the tools load.
  */
 StoreLoadResult loadStore(const std::string &path,
                           std::uint32_t *scheme_out = nullptr,

@@ -203,8 +203,10 @@ class AttackService
     /**
      * Load a service from a database file: @p mmap queries the v4
      * file in place (read-only), otherwise the store is
-     * deserialized into memory. Malformed input yields an error
-     * result, never a process exit.
+     * deserialized into memory by loadStore(path), on a pool of the
+     * load's own that is joined before this returns (the service's
+     * own pool, setThreadPool(), does not exist yet). Malformed
+     * input yields an error result, never a process exit.
      */
     static LoadResult<AttackService> open(const std::string &path,
                                           bool mmap = false);
@@ -230,7 +232,8 @@ class AttackService
 
     /**
      * Open a crash-safe, mutable service: load the snapshot (or
-     * start empty), replay the journal tail (discarding a torn
+     * start empty; loaded as open() loads, on a pool of its own),
+     * replay the journal tail (discarding a torn
      * tail; refusing corruption), then compact — the service
      * starts from snapshot ≡ store and an empty journal, and every
      * subsequent addRecord/addFingerprint is journaled + fsynced

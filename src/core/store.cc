@@ -26,6 +26,31 @@ sameSignatureSpace(const MinHashParams &a, const MinHashParams &b)
     return a.numHashes == b.numHashes && a.seed == b.seed;
 }
 
+/** Positions a batch shard holds at least: below that a lane's
+ *  wake-up and count array outweigh its work. */
+constexpr std::uint64_t shardPositions = 1u << 16;
+
+/** @p fps's patterns as one arena, sized once and filled in record
+ *  shards across @p pool. */
+SparseFingerprintArena
+packPatterns(const std::vector<Fingerprint> &fps, ThreadPool &pool)
+{
+    const std::size_t n = fps.size();
+    std::vector<std::uint64_t> offsets(n + 1, 0), universes(n);
+    pool.parallelFor(0, n, [&](std::size_t i) {
+        offsets[i + 1] = fps[i].weight();
+        universes[i] = fps[i].bits().size();
+    });
+    for (std::size_t i = 0; i < n; ++i)
+        offsets[i + 1] += offsets[i];
+    PosVec positions(offsets[n]);
+    pool.parallelFor(0, n, [&](std::size_t i) {
+        writePositions(fps[i].bits(), positions.data() + offsets[i]);
+    });
+    return SparseFingerprintArena(std::move(positions), std::move(offsets),
+                                  std::move(universes));
+}
+
 } // anonymous namespace
 
 FingerprintStore::FingerprintStore(const MinHashParams &index_params)
@@ -94,7 +119,12 @@ FingerprintStore::addWithSignature(ChipLabel label, Fingerprint fp,
     sourceCounts.push_back(fp.sources());
     lsh.add(i, sig);
     signatures.push_back(std::move(sig));
-    indexPositions(i);
+    // O(weight): each of the record's lists takes its id at the end.
+    const SparseView v = sparse.view(i);
+    if (v.count > 0 && v.positions[v.count - 1] >= postings.size())
+        postings.resize(std::size_t{v.positions[v.count - 1]} + 1);
+    for (std::size_t k = 0; k < v.count; ++k)
+        postings[v.positions[k]].push_back(static_cast<std::uint32_t>(i));
     return i;
 }
 
@@ -102,21 +132,20 @@ void
 FingerprintStore::addBatch(std::vector<ChipLabel> labels,
                            std::vector<Fingerprint> fps)
 {
-    // Signatures are pure functions of (fingerprint, params):
-    // hashing them across the pool cannot change their values.
+    // The batch's arena first, then the signatures from it: a
+    // signature is a pure function of (positions, params), the sparse
+    // walk's equal to the dense one's, so hashing across the pool
+    // cannot change its value. The dense patterns go once packed.
     ThreadPool &pool = workers ? *workers : ThreadPool::global();
-    std::vector<MinHashSignature> sigs(fps.size());
-    pool.parallelFor(0, fps.size(), [&](std::size_t i) {
-        sigs[i] = minhashSignature(fps[i].bits(), lsh.params());
-    });
+    SparseFingerprintArena arena = packPatterns(fps, pool);
     std::vector<unsigned> sources;
-    SparseFingerprintArena arena;
-    for (const Fingerprint &fp : fps) {
+    for (const Fingerprint &fp : fps)
         sources.push_back(fp.sources());
-        arena.add(fp.bits());
-    }
+    fps = {};
+    std::vector<MinHashSignature> sigs =
+        signArena(arena, lsh.params(), &pool);
     appendBatch(std::move(labels), std::move(sources), std::move(arena),
-                std::move(sigs), &pool);
+                std::move(sigs), pool);
 }
 
 void
@@ -125,8 +154,9 @@ FingerprintStore::addBatch(std::vector<ChipLabel> labels,
                            SparseFingerprintArena fps,
                            std::vector<MinHashSignature> sigs)
 {
+    ThreadPool inline_lane(1);
     appendBatch(std::move(labels), std::move(sources), std::move(fps),
-                std::move(sigs), workers);
+                std::move(sigs), workers ? *workers : inline_lane);
 }
 
 void
@@ -134,7 +164,7 @@ FingerprintStore::appendBatch(std::vector<ChipLabel> new_labels,
                               std::vector<unsigned> sources,
                               SparseFingerprintArena fps,
                               std::vector<MinHashSignature> sigs,
-                              ThreadPool *pool)
+                              ThreadPool &pool)
 {
     PC_ASSERT(new_labels.size() == fps.count() &&
                   sources.size() == fps.count() &&
@@ -148,18 +178,14 @@ FingerprintStore::appendBatch(std::vector<ChipLabel> new_labels,
     if (fps.count() == 0)
         return;
 
-    // Band-sharded table fill, each band sized once for the batch.
     const std::size_t first = size();
-    lsh.addAll(first, sigs, pool);
-
-    if (first == 0) {
+    if (first == 0)
         sparse = std::move(fps);
-    } else {
-        for (std::size_t i = 0; i < fps.count(); ++i) {
-            const SparseView v = fps.view(i);
-            sparse.addPositions(v.positions, v.count, v.universe);
-        }
-    }
+    else
+        sparse.append(fps);
+    indexPositions(first, pool);
+    // Band-sharded table fill, each band sized once for the batch.
+    lsh.addAll(first, sigs, &pool);
     chipLabels.insert(chipLabels.end(),
                       std::make_move_iterator(new_labels.begin()),
                       std::make_move_iterator(new_labels.end()));
@@ -168,15 +194,18 @@ FingerprintStore::appendBatch(std::vector<ChipLabel> new_labels,
     signatures.insert(signatures.end(),
                       std::make_move_iterator(sigs.begin()),
                       std::make_move_iterator(sigs.end()));
-    indexPositions(first);
 }
 
 void
-FingerprintStore::indexPositions(std::size_t first)
+FingerprintStore::indexPositions(std::size_t first, ThreadPool &pool)
 {
-    // Sized by the highest stored position, not the universe, which
-    // a file may declare far larger than any list it holds;
-    // overlapScan() stops past the last list.
+    // A counting sort over record shards, taken in id order: shard s
+    // counts its records' positions, each touched list is sized once,
+    // exactly, and shard s writes its ids after those of every
+    // earlier shard, so each list stays ascending. The lists reach
+    // the highest stored position, not the universe, which a file may
+    // declare far larger than any list it holds; overlapScan() stops
+    // past the last list.
     const std::size_t end = sparse.count();
     std::size_t reach = postings.size();
     for (std::size_t i = first; i < end; ++i) {
@@ -187,28 +216,48 @@ FingerprintStore::indexPositions(std::size_t first)
     }
     postings.resize(reach);
 
-    if (end - first > 1) {
-        // A batch sizes each touched list once, exactly: growing
-        // thousands of lists by doubling would leave up to half of
-        // every list as slack.
-        std::vector<std::size_t> grow(reach, 0);
-        for (std::size_t i = first; i < end; ++i) {
+    const std::vector<std::size_t> bounds = splitByWeight(
+        end - first,
+        std::min<std::uint64_t>(
+            pool.size(), 1 + (sparse.offset(end) - sparse.offset(first)) /
+                                 shardPositions),
+        [&](std::size_t i) { return sparse.offset(first + i); });
+    const std::size_t shards = bounds.size() - 1;
+
+    // at[s][p]: shard s's count at position p, then where it writes.
+    std::vector<std::vector<std::uint32_t>> at(shards);
+    pool.parallelFor(0, shards, [&](std::size_t s) {
+        at[s].assign(reach, 0);
+        for (std::size_t i = first + bounds[s]; i < first + bounds[s + 1];
+             ++i) {
             const SparseView v = sparse.view(i);
             for (std::size_t k = 0; k < v.count; ++k)
-                ++grow[v.positions[k]];
+                ++at[s][v.positions[k]];
         }
-        for (std::size_t p = 0; p < reach; ++p) {
-            if (grow[p] > 0)
-                postings[p].reserve(postings[p].size() + grow[p]);
+    });
+    const auto sizeLists = [&](std::size_t p) {
+        std::size_t next = postings[p].size();
+        for (std::vector<std::uint32_t> &count : at) {
+            const std::uint32_t c = count[p];
+            count[p] = static_cast<std::uint32_t>(next);
+            next += c;
         }
-    }
-    for (std::size_t i = first; i < end; ++i) {
-        const SparseView v = sparse.view(i);
-        for (std::size_t k = 0; k < v.count; ++k) {
-            postings[v.positions[k]].push_back(
-                static_cast<std::uint32_t>(i));
+        if (next > postings[p].size()) {
+            postings[p].reserve(next);
+            postings[p].resize(next);
         }
-    }
+    };
+    pool.parallelFor(0, reach, sizeLists);
+    pool.parallelFor(0, shards, [&](std::size_t s) {
+        std::vector<std::uint32_t> &next = at[s];
+        for (std::size_t i = first + bounds[s]; i < first + bounds[s + 1];
+             ++i) {
+            const SparseView v = sparse.view(i);
+            for (std::size_t k = 0; k < v.count; ++k)
+                postings[v.positions[k]][next[v.positions[k]]++] =
+                    static_cast<std::uint32_t>(i);
+        }
+    });
 }
 
 std::size_t

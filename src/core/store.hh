@@ -92,27 +92,31 @@ class FingerprintStore
                                  const MinHashParams &sig_params);
 
     /**
-     * Bulk add with a parallel index build: signatures are computed
-     * across the thread pool (setThreadPool(), else the process
-     * global), the LSH band tables are filled band-sharded, and
-     * every index structure is sized once for the whole batch. The
-     * resulting store answers every query exactly as after serial
-     * add() calls in order — signatures are order-independent and
-     * records keep their ids. @p labels and @p fps pair up
-     * elementwise and are consumed.
+     * Bulk add with a parallel index build, all of it on the thread
+     * pool (setThreadPool(), else the process global): signatures
+     * are computed per record, the batch's position arena is sized
+     * once and filled in record shards, the position index is filled
+     * by a counting sort over record shards (indexPositions()), and
+     * the LSH band tables band-sharded; every index structure is
+     * sized once for the whole batch. The resulting store answers
+     * every query exactly as after serial add() calls in order, at
+     * any lane count — signatures are order-independent and records
+     * keep their ids. @p labels and @p fps pair up elementwise and
+     * are consumed.
      */
     void addBatch(std::vector<ChipLabel> labels,
                   std::vector<Fingerprint> fps);
 
     /**
-     * Bulk add of records already in sparse form — the loader's
+     * Bulk add of records already in sparse form — the v3 loader's
      * path. @p labels, @p sources and @p sigs pair up with @p fps's
      * records; an empty store adopts @p fps outright, otherwise its
      * positions are appended. The signatures must be in this
      * store's signature space (they are indexed verbatim). Nothing
-     * is hashed, so the band tables fill on the store's pool when
-     * one is set and serially otherwise (never the process-global
-     * pool).
+     * is hashed: the position index and the band tables fill on the
+     * store's pool when one is set (loadStore sets its own) and
+     * serially otherwise — never on the process-global pool, whose
+     * threads would outlive the load.
      */
     void addBatch(std::vector<ChipLabel> labels,
                   std::vector<unsigned> sources,
@@ -191,6 +195,7 @@ class FingerprintStore
      * reindexing. With no pool set (null), addBatch() of
      * fingerprints and queryBatch() run on the process-global pool,
      * while reindex() and the sparse addBatch() run serially.
+     * A store loadStore() returns has none set.
      */
     void setThreadPool(ThreadPool *pool) { workers = pool; }
 
@@ -281,17 +286,22 @@ class FingerprintStore
 
     /** Shared tail of both addBatch() overloads: append @p fps's
      *  records (an empty store adopts the arena) with signatures in
-     *  this store's signature space, filling the band tables on
-     *  @p pool (serially when null). */
+     *  this store's signature space, then fill the position index
+     *  (indexPositions()) and the band tables on @p pool. */
     void appendBatch(std::vector<ChipLabel> new_labels,
                      std::vector<unsigned> sources,
                      SparseFingerprintArena fps,
                      std::vector<MinHashSignature> sigs,
-                     ThreadPool *pool);
+                     ThreadPool &pool);
 
-    /** Post records [first, size()) to the position index; a batch
-     *  sizes each touched list once, exactly. */
-    void indexPositions(std::size_t first);
+    /**
+     * Post the arena's records [first, count()) to the position
+     * index: a counting sort over record shards on @p pool that
+     * sizes each touched list once, exactly, and keeps every list
+     * ascending. O(batch + highest position): a single add() posts
+     * its own positions instead.
+     */
+    void indexPositions(std::size_t first, ThreadPool &pool);
 
     std::vector<ChipLabel> chipLabels;
     std::vector<unsigned> sourceCounts;

@@ -24,8 +24,13 @@ namespace pcause
 /** Alignment (bytes) of SIMD-scanned buffers: one AVX2 vector. */
 inline constexpr std::size_t simdAlignment = 32;
 
-/** Minimal allocator handing out @p Alignment-aligned buffers. */
-template <typename T, std::size_t Alignment>
+/**
+ * Minimal allocator handing out @p Alignment-aligned buffers. With
+ * @p ZeroFill false, a sized construction or resize() leaves the new
+ * elements unwritten, so the code that fills them also touches their
+ * pages first, on whichever thread fills each part.
+ */
+template <typename T, std::size_t Alignment, bool ZeroFill = true>
 struct AlignedAlloc
 {
     static_assert((Alignment & (Alignment - 1)) == 0,
@@ -38,14 +43,14 @@ struct AlignedAlloc
     AlignedAlloc() = default;
 
     template <typename U>
-    AlignedAlloc(const AlignedAlloc<U, Alignment> &) noexcept
+    AlignedAlloc(const AlignedAlloc<U, Alignment, ZeroFill> &) noexcept
     {
     }
 
     template <typename U>
     struct rebind
     {
-        using other = AlignedAlloc<U, Alignment>;
+        using other = AlignedAlloc<U, Alignment, ZeroFill>;
     };
 
     T *allocate(std::size_t n)
@@ -60,6 +65,15 @@ struct AlignedAlloc
                           std::align_val_t{Alignment});
     }
 
+    /** Default-initialize (leave unwritten) where a zero-filling
+     *  allocator would value-initialize. */
+    template <typename U>
+        requires(!ZeroFill)
+    void construct(U *p) noexcept
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+
     friend bool operator==(const AlignedAlloc &,
                            const AlignedAlloc &) noexcept
     {
@@ -71,9 +85,10 @@ struct AlignedAlloc
 using WordVec =
     std::vector<std::uint64_t, AlignedAlloc<std::uint64_t, simdAlignment>>;
 
-/** Sparse position arenas, 32-byte aligned. */
-using PosVec =
-    std::vector<std::uint32_t, AlignedAlloc<std::uint32_t, simdAlignment>>;
+/** Sparse position arenas, 32-byte aligned; sized ones start
+ *  unwritten (the loader and the batch build fill them in shards). */
+using PosVec = std::vector<std::uint32_t,
+                           AlignedAlloc<std::uint32_t, simdAlignment, false>>;
 
 // The PCDB v3 on-disk layout stores these vectors verbatim; the
 // allocator must not change what a serialized element looks like.

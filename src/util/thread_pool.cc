@@ -1,5 +1,6 @@
 #include "util/thread_pool.hh"
 
+#include <atomic>
 #include <exception>
 
 namespace pcause
@@ -150,6 +151,21 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
                    [&body](std::size_t b, std::size_t e,
                            std::size_t) {
                        for (std::size_t i = b; i < e; ++i)
+                           body(i);
+                   });
+}
+
+void
+ThreadPool::parallelTasks(std::size_t count,
+                          const std::function<void(std::size_t)> &body)
+{
+    // One puller per lane; each takes the next unclaimed index until
+    // none is left.
+    std::atomic<std::size_t> next{0};
+    parallelChunks(0, count < lanes ? count : lanes,
+                   [&](std::size_t, std::size_t, std::size_t) {
+                       for (std::size_t i = next++; i < count;
+                            i = next++)
                            body(i);
                    });
 }

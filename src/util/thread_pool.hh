@@ -74,6 +74,15 @@ class ThreadPool
                                  std::size_t)> &body);
 
     /**
+     * Run body(i) for every i in [0, @p count), each index a task of
+     * its own that the next free lane takes, in index order: for
+     * tasks of unequal cost (put the largest first). Blocks until
+     * done; inline on one lane.
+     */
+    void parallelTasks(std::size_t count,
+                       const std::function<void(std::size_t)> &body);
+
+    /**
      * Map-reduce over [begin, end): fold map(i) into a per-chunk
      * accumulator with @p reduce, then combine the per-chunk
      * partials pairwise (tree-wise, so a non-strictly-associative
@@ -125,6 +134,40 @@ class ThreadPool
     std::deque<std::function<void()>> queue;
     bool stopping = false;
 };
+
+/**
+ * Split items [0, @p n) into at most @p parts contiguous ranges of
+ * about equal weight, where @p prefix(i) is the ascending running
+ * weight before item i (prefix(n) after the last). Returns the
+ * boundaries 0 = b[0] < b[1] < ... < b[k] = n (just {0} for no
+ * items): range r is [b[r], b[r + 1]).
+ */
+template <typename Prefix>
+std::vector<std::size_t>
+splitByWeight(std::size_t n, std::size_t parts, Prefix prefix)
+{
+    std::vector<std::size_t> bounds{0};
+    const auto first = prefix(std::size_t{0});
+    const auto total = prefix(n) - first;
+    for (std::size_t r = 1; r < parts; ++r) {
+        // The first item whose running weight reaches r parts' worth.
+        const auto target = first + total / parts * r +
+                            total % parts * r / parts;
+        std::size_t lo = bounds.back(), hi = n;
+        while (lo < hi) {
+            const std::size_t mid = lo + (hi - lo) / 2;
+            if (prefix(mid) < target)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        if (lo > bounds.back() && lo < n)
+            bounds.push_back(lo);
+    }
+    if (n > 0)
+        bounds.push_back(n);
+    return bounds;
+}
 
 } // namespace pcause
 

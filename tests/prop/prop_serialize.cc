@@ -3,18 +3,21 @@
  * On-disk format properties: any store survives a save/load round
  * trip bit-for-bit (records, sources, index parameters, cached
  * signatures), and the loaded store, which adopts the stored band
- * tables and position index, answers every query exactly as a store
- * rebuilt from the same records; *every* strict prefix of a valid
+ * tables and position index, is the same at one lane and at four and
+ * answers every query exactly as a store rebuilt from the same
+ * records; *every* strict prefix of a valid
  * file is rejected with a useful error — never a crash, never a
  * silently short database; a file with any one byte flipped either
  * fails to load with an error or loads a store that saves and
- * reloads unchanged; and the mmap reader, given a file with any byte
+ * reloads unchanged, with the same outcome at one lane and at four;
+ * and the mmap reader, given a file with any byte
  * of its index sections (or their header fields) flipped, refuses it
  * or answers queries — never a crash or a sanitizer report.
  */
 
 #include "prop_common.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -143,12 +146,18 @@ PCHECK_PROPERTY(PropSerialize, AnyByteFlipLoadsOrFailsCleanly,
     spit(path, bytes);
     StoreLoadResult loaded = loadStore(path);
     ctx.note("file_bytes", bytes.size());
+    // Four lanes check the file in concurrent tasks and report the
+    // same outcome.
+    static ThreadPool four(4);
+    const StoreLoadResult pooled = loadStore(path, four);
+    PCHECK_EQ(pooled.error, loaded.error);
     if (!loaded) {
         std::remove(path.c_str());
         PCHECK_MSG(!loaded.error.empty(),
                    "failed load carried no error message");
         return;
     }
+    checkSameStore(*pooled, *loaded);
     // What the checks let through (a signature, a label byte, a
     // probe count; the index sections are under CRCs) is a store
     // like any other: it saves and reloads unchanged.
@@ -204,10 +213,23 @@ PCHECK_PROPERTY(PropSerialize, V4LoadAnswersAsARebuild, [](Ctx &ctx) {
     const FingerprintStore store = genGrownStore(ctx, records, nbits);
     const std::string path = tempPath("rebuild");
     PCHECK_MSG(saveStore(store, path), "save failed");
-    StoreLoadResult loaded = loadStore(path);
+    // The same store at one lane and at four.
+    static ThreadPool one(1), four(4);
+    StoreLoadResult loaded = loadStore(path, one);
+    StoreLoadResult pooled = loadStore(path, four);
     std::remove(path.c_str());
     PCHECK_MSG(static_cast<bool>(loaded), loaded.error);
+    PCHECK_MSG(static_cast<bool>(pooled), pooled.error);
     checkSameStore(*loaded, store);
+    checkSameStore(*pooled, *loaded);
+    PCHECK(pooled->positionIndex() == loaded->positionIndex());
+    for (std::uint32_t b = 0; b < store.indexParams().bands; ++b) {
+        const LshIndex::BandSlots a = loaded->index().bandSlots(b);
+        const LshIndex::BandSlots c = pooled->index().bandSlots(b);
+        PCHECK_EQ(a.slots, c.slots);
+        PCHECK(std::equal(a.ids, a.ids + a.slots, c.ids));
+        PCHECK(std::equal(a.keys, a.keys + a.slots, c.keys));
+    }
 
     // A rebuild: the same records added one by one to a new store.
     FingerprintStore rebuilt(store.indexParams());

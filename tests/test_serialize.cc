@@ -1,12 +1,15 @@
 /**
  * @file
  * Unit tests for core/serialize — attacker database persistence:
- * the v4 round trip, a v4 load equal to a rebuild, the structural
- * check both readers share (loadStore and MappedStore::open reject a
- * damaged file with the same reason) and the payload checks only the
- * loader makes, v3 files (a fixture written by the v3 writer) and
- * the re-sign of retired-scheme ones on load, the disk-size
- * estimate, and the recoverable LoadResult error reporting.
+ * the v4 round trip, a v4 load equal to a rebuild at one lane and at
+ * four, the structural check both readers share (loadStore and
+ * MappedStore::open reject a damaged file with the same reason) and
+ * the payload checks only the loader makes, the first failure in
+ * file order reported whichever task finds its own first, no thread
+ * left running after a load, v3 files (a fixture written by the v3
+ * writer) and the re-sign of retired-scheme ones on load, the
+ * disk-size estimate, and the recoverable LoadResult error
+ * reporting.
  */
 
 #include <gtest/gtest.h>
@@ -19,11 +22,15 @@
 #include <string>
 #include <vector>
 
+#include <chrono>
+#include <thread>
+
 #include <unistd.h>
 
 #include "core/mapped_store.hh"
 #include "core/pcdb_format.hh"
 #include "core/serialize.hh"
+#include "core/service.hh"
 #include "core/store.hh"
 #include "util/failpoint.hh"
 #include "util/rng.hh"
@@ -102,6 +109,50 @@ v3FixtureStore()
         store.add("chip-" + std::to_string(r), fp);
     }
     return store;
+}
+
+/**
+ * A store of @p n records of 400 positions over 8192 bits, built on
+ * a four-lane pool of its own: its v4 file runs to megabytes, so a
+ * four-lane load splits the records and the posting lists into
+ * several tasks each.
+ */
+FingerprintStore
+largeStore(std::size_t n)
+{
+    Rng rng(0x6c61726765ull);
+    std::vector<ChipLabel> labels;
+    std::vector<Fingerprint> fps;
+    for (std::size_t r = 0; r < n; ++r) {
+        BitVec bits(8192);
+        for (int k = 0; k < 400; ++k)
+            bits.set(rng.nextBelow(bits.size()));
+        labels.push_back("chip-" + std::to_string(r));
+        fps.emplace_back(bits, static_cast<unsigned>(1 + r % 3));
+    }
+    ThreadPool pool(4); // joined here: death tests fork later
+    FingerprintStore store;
+    store.setThreadPool(&pool);
+    store.addBatch(std::move(labels), std::move(fps));
+    store.setThreadPool(nullptr);
+    return store;
+}
+
+/** The band slot arrays of @p got and @p want are the same. */
+void
+expectSameSlots(const FingerprintStore &got, const FingerprintStore &want)
+{
+    for (std::uint32_t b = 0; b < want.indexParams().bands; ++b) {
+        const LshIndex::BandSlots w = want.index().bandSlots(b);
+        const LshIndex::BandSlots g = got.index().bandSlots(b);
+        ASSERT_EQ(g.slots, w.slots);
+        EXPECT_TRUE(std::equal(g.ids, g.ids + g.slots, w.ids));
+        for (std::size_t k = 0; k < g.slots; ++k) {
+            if (w.ids[k] != LshIndex::emptySlot) {
+                EXPECT_EQ(g.keys[k], w.keys[k]);
+            }
+        }
+    }
 }
 
 /** @p got holds exactly @p want's records, parameters, signatures,
@@ -237,7 +288,10 @@ TEST(Serialize, V4LoadEqualsRebuild)
     // The loader adopts the stored band tables and position index
     // instead of rebuilding them: what it adopts must be what a
     // rebuild from the same records makes, for stores grown by
-    // addBatch and by single adds (whose tables size differently).
+    // addBatch and by single adds (whose tables size differently),
+    // and it must be the same store at one lane and at four, for a
+    // file small enough to be one task per section and one large
+    // enough to split.
     Rng rng(0x6c6f6164ull);
     std::vector<ChipLabel> labels;
     std::vector<Fingerprint> fps;
@@ -255,15 +309,22 @@ TEST(Serialize, V4LoadEqualsRebuild)
     FingerprintStore single;
     for (std::size_t r = 0; r < labels.size(); ++r)
         single.add(labels[r], fps[r]);
+    const FingerprintStore large = largeStore(2500);
 
-    for (const FingerprintStore *store : {&batch, &single}) {
+    ThreadPool one(1), four(4);
+    const std::vector<const FingerprintStore *> stores = {&batch, &single,
+                                                          &large};
+    for (const FingerprintStore *store : stores) {
         const std::string path =
             ::testing::TempDir() + "pcause_rebuild.pcdb";
         ASSERT_TRUE(saveStore(*store, path));
         std::uint32_t version = 0;
-        const StoreLoadResult loaded = loadStore(path, nullptr, &version);
+        const StoreLoadResult loaded =
+            loadStore(path, one, nullptr, &version);
+        const StoreLoadResult pooled = loadStore(path, four);
         std::remove(path.c_str());
         ASSERT_TRUE(loaded) << loaded.error;
+        ASSERT_TRUE(pooled) << pooled.error;
         EXPECT_EQ(version, pcdb::versionV4);
 
         // A rebuild: the same records added again to a new store.
@@ -272,20 +333,11 @@ TEST(Serialize, V4LoadEqualsRebuild)
             rebuilt.add(store->label(i), store->record(i).fingerprint);
         expectSameStore(*loaded, rebuilt);
         expectSameStore(*loaded, *store);
+        expectSameStore(*pooled, *loaded);
 
         // The slot arrays themselves come back as they were held.
-        for (std::uint32_t b = 0; b < store->indexParams().bands; ++b) {
-            const LshIndex::BandSlots want = store->index().bandSlots(b);
-            const LshIndex::BandSlots got = loaded->index().bandSlots(b);
-            ASSERT_EQ(got.slots, want.slots);
-            EXPECT_TRUE(std::equal(got.ids, got.ids + got.slots,
-                                   want.ids));
-            for (std::size_t k = 0; k < got.slots; ++k) {
-                if (want.ids[k] != LshIndex::emptySlot) {
-                    EXPECT_EQ(got.keys[k], want.keys[k]);
-                }
-            }
-        }
+        expectSameSlots(*loaded, *store);
+        expectSameSlots(*pooled, *store);
     }
 }
 
@@ -586,15 +638,20 @@ TEST(Serialize, CorruptFilesAreRejectedByBothReaders)
 
     const std::string path =
         ::testing::TempDir() + "pcause_corrupt.pcdb";
+    ThreadPool one_lane(1), four(4);
     for (const CorruptRow &row : rows) {
         std::string bytes = *row.good;
         row.damage(bytes);
         spit(path, bytes);
 
-        const StoreLoadResult loaded = loadStore(path);
+        // The same reason at any lane count, whichever task ends
+        // first (a damaged list also breaks the postings CRC).
+        const StoreLoadResult loaded = loadStore(path, four);
         EXPECT_FALSE(loaded) << row.what;
         EXPECT_NE(loaded.error.find(row.reason), std::string::npos)
             << row.what << ": " << loaded.error;
+        const StoreLoadResult inline_load = loadStore(path, one_lane);
+        EXPECT_EQ(inline_load.error, loaded.error) << row.what;
         const LoadResult<MappedStore> mapped = MappedStore::open(path);
         switch (row.mapped) {
           case Mapped::SameReason:
@@ -628,6 +685,138 @@ TEST(Serialize, CorruptFilesAreRejectedByBothReaders)
                   bytes != &gv3);
     }
     std::remove(path.c_str());
+}
+
+TEST(Serialize, FirstFailureInFileOrderAtAnyLaneCount)
+{
+    // A file damaged in several sections at once fails with the
+    // reason a serial read of it would reach first: the payload
+    // sections in file order, then the postings CRC. The file is
+    // large enough that four lanes check its parts in several tasks
+    // at once, and the damages sit in different ones.
+    const FingerprintStore store = largeStore(2500);
+    const std::string good = v4Bytes(store, "pcause_order.pcdb");
+    const std::uint64_t n = store.size();
+    const std::uint64_t pos_off = u64At(good, 80);
+    const V4Sections sec(good);
+    const std::uint64_t band_bytes =
+        sec.slots * 8 + pcdb::align8(sec.slots * 4);
+    // Position k of record r, and the slot arrays of band 9.
+    const auto position = [&](std::uint64_t r, std::uint64_t k) {
+        return pos_off + 4 * (u64At(good, entryOff(r, 8)) + k);
+    };
+    const std::uint64_t band9 = u64At(good, 96) + 9 * band_bytes;
+    std::uint64_t used = 0;
+    while (u32At(good, band9 + sec.slots * 8 + used * 4) ==
+           LshIndex::emptySlot)
+        ++used;
+
+    using Damage = std::function<void(std::string &)>;
+    const Damage first_position_past_universe = [&](std::string &b) {
+        patch<std::uint32_t>(b, position(0, 0), 8192);
+    };
+    const Damage last_position_repeated = [&](std::string &b) {
+        patch<std::uint32_t>(b, position(n - 1, 1),
+                             u32At(b, position(n - 1, 0)));
+    };
+    const Damage band_id_out_of_range = [&](std::string &b) {
+        patch<std::uint32_t>(b, band9 + sec.slots * 8 + used * 4,
+                             static_cast<std::uint32_t>(n));
+    };
+    const Damage band_key_changed = [&](std::string &b) {
+        b[band9 + used * 8] ^= 0x40;
+    };
+    const Damage zero_gap = [&](std::string &b) {
+        b[sec.list(b, sec.lists * 3 / 4)] = 0;
+    };
+    const struct
+    {
+        std::vector<Damage> damages;
+        const char *reason;
+    } cases[] = {
+        {{zero_gap, band_key_changed, band_id_out_of_range,
+          last_position_repeated, first_position_past_universe},
+         "position beyond universe"},
+        {{zero_gap, band_key_changed, band_id_out_of_range,
+          last_position_repeated},
+         "positions not strictly ascending"},
+        {{zero_gap, band_key_changed, band_id_out_of_range},
+         "band slot id out of range"},
+        {{zero_gap, band_key_changed}, "band section CRC mismatch"},
+        {{zero_gap}, "zero or malformed posting gap"},
+    };
+    const std::string path = ::testing::TempDir() + "pcause_order.pcdb";
+    ThreadPool one(1), four(4);
+    for (const auto &c : cases) {
+        std::string bytes = good;
+        for (const Damage &d : c.damages)
+            d(bytes);
+        spit(path, bytes);
+        for (ThreadPool *pool : {&one, &four}) {
+            const StoreLoadResult r = loadStore(path, *pool);
+            EXPECT_FALSE(r);
+            EXPECT_EQ(reasonOf(r.error), c.reason)
+                << pool->size() << " lanes, " << c.damages.size()
+                << " damages";
+        }
+    }
+    std::remove(path.c_str());
+}
+
+/** The process's thread count, as the kernel reports it. */
+int
+threadCount()
+{
+    std::ifstream in("/proc/self/status");
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("Threads:", 0) == 0)
+            return std::stoi(line.substr(8));
+    }
+    return -1;
+}
+
+/** The thread count once it is back to @p before, or after a second:
+ *  a joined thread may still be counted while its exit finishes. */
+int
+settledThreadCount(int before)
+{
+    int now = threadCount();
+    for (int i = 0; i < 100 && now != before; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        now = threadCount();
+    }
+    return now;
+}
+
+TEST(Serialize, LoadLeavesNoThreadRunning)
+{
+    // A load with no pool of the caller's runs on one of its own,
+    // sized to the file (a file of megabytes gets several lanes),
+    // and joins it before returning: the service's open and durable
+    // open, and the tools, load this way.
+    const std::string path = ::testing::TempDir() + "pcause_threads.pcdb";
+    ASSERT_TRUE(saveStore(largeStore(2500), path));
+    const int before = threadCount();
+    ASSERT_GT(before, 0);
+
+    const StoreLoadResult loaded = loadStore(path);
+    ASSERT_TRUE(loaded) << loaded.error;
+    EXPECT_EQ(settledThreadCount(before), before) << "loadStore";
+
+    const LoadResult<AttackService> opened = AttackService::open(path);
+    ASSERT_TRUE(opened) << opened.error;
+    EXPECT_EQ(settledThreadCount(before), before) << "AttackService::open";
+
+    AttackService::DurabilityConfig durable;
+    durable.dbPath = path;
+    durable.walPath = path + ".wal";
+    const LoadResult<AttackService> reopened =
+        AttackService::openDurable(durable);
+    ASSERT_TRUE(reopened) << reopened.error;
+    EXPECT_EQ(settledThreadCount(before), before)
+        << "AttackService::openDurable";
+    std::remove(path.c_str());
+    std::remove(durable.walPath.c_str());
 }
 
 TEST(Serialize, V3FixtureLoadsAsItsStore)

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <vector>
 
 #include "core/minhash.hh"
@@ -488,6 +489,76 @@ TEST(FingerprintStore, AddBatchEqualsSerialAdds)
     for (std::uint32_t b = 0; b < serial.indexParams().bands; ++b)
         EXPECT_EQ(batch.index().bandEntries(b),
                   serial.index().bandEntries(b));
+}
+
+TEST(FingerprintStore, AddBatchIsTheSameAtAnyLaneCount)
+{
+    // Batches large enough to split into record shards on four lanes
+    // (the arena fill, the position counting sort): at one lane and
+    // at four, a batch into an empty store and one appended behind
+    // it give the same slot arrays and posting lists, and the store
+    // answers as after serial add() calls.
+    Rng rng(0x6c616e6573ull);
+    std::vector<ChipLabel> labels;
+    std::vector<Fingerprint> fps;
+    for (int i = 0; i < 1200; ++i) {
+        labels.push_back("c" + std::to_string(i));
+        fps.emplace_back(randomPattern(rng, 256), 2u);
+    }
+    FingerprintStore serial;
+    for (std::size_t i = 0; i < fps.size(); ++i)
+        serial.add(labels[i], fps[i]);
+
+    ThreadPool one(1), four(4);
+    std::vector<FingerprintStore> built;
+    for (ThreadPool *pool : {&one, &four}) {
+        FingerprintStore &batch = built.emplace_back();
+        batch.setThreadPool(pool);
+        batch.addBatch({labels.begin(), labels.begin() + 700},
+                       {fps.begin(), fps.begin() + 700});
+        batch.addBatch({labels.begin() + 700, labels.end()},
+                       {fps.begin() + 700, fps.end()});
+        batch.setThreadPool(nullptr);
+
+        ASSERT_EQ(batch.size(), serial.size());
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            ASSERT_EQ(batch.label(i), serial.label(i));
+            ASSERT_EQ(batch.signature(i), serial.signature(i));
+            const SparseView bv = batch.sparseFingerprints().view(i);
+            const SparseView sv = serial.sparseFingerprints().view(i);
+            ASSERT_TRUE(bv.count == sv.count &&
+                        std::equal(bv.positions, bv.positions + bv.count,
+                                   sv.positions));
+        }
+        for (std::uint32_t b = 0; b < serial.indexParams().bands; ++b)
+            EXPECT_EQ(batch.index().bandEntries(b),
+                      serial.index().bandEntries(b));
+        EXPECT_EQ(batch.positionIndex(), serial.positionIndex());
+        for (std::size_t q = 0; q < 40; ++q) {
+            BitVec es = q % 4 == 3 ? randomPattern(rng, 256)
+                                   : serial.record(q * 29).fingerprint.bits();
+            for (int b = 0; b < 32; ++b)
+                es.set(rng.nextBelow(universe));
+            AttackStats got_stats, want_stats;
+            const IdentifyResult got = batch.query(es, {}, &got_stats);
+            const IdentifyResult want = serial.query(es, {}, &want_stats);
+            EXPECT_EQ(got.match, want.match) << "query " << q;
+            EXPECT_EQ(got.nearest, want.nearest) << "query " << q;
+            EXPECT_EQ(std::memcmp(&got.bestDistance, &want.bestDistance,
+                                  sizeof(double)),
+                      0);
+            EXPECT_EQ(got_stats.distancesComputed,
+                      want_stats.distancesComputed);
+        }
+    }
+    // The two lane counts built the very same slot arrays.
+    for (std::uint32_t b = 0; b < serial.indexParams().bands; ++b) {
+        const LshIndex::BandSlots a = built[0].index().bandSlots(b);
+        const LshIndex::BandSlots c = built[1].index().bandSlots(b);
+        ASSERT_EQ(a.slots, c.slots);
+        EXPECT_TRUE(std::equal(a.ids, a.ids + a.slots, c.ids));
+        EXPECT_TRUE(std::equal(a.keys, a.keys + a.slots, c.keys));
+    }
 }
 
 TEST(FingerprintStore, ForeignSignatureSpaceIsRecomputed)
