@@ -55,6 +55,7 @@
 #include "core/identify.hh"
 #include "core/mapped_store.hh"
 #include "core/serialize.hh"
+#include "core/service.hh"
 #include "core/store.hh"
 #include "util/bitvec.hh"
 #include "util/rng.hh"
@@ -346,18 +347,20 @@ runPopulation(std::size_t num_records, std::size_t num_queries)
         static_cast<double>(indexed_stats.indexFallbacks) /
         num_queries;
 
-    // --- Batch over the pool (its own counters, not cumulative) ---
+    // --- Batch over the pool, through the service that serves the
+    // store (its counters hold the batch alone) ------------------
     std::vector<BitVec> error_strings;
     error_strings.reserve(num_queries);
     for (const Query &q : queries)
         error_strings.push_back(q.errorString);
-    AttackStats batch_stats;
-    std::vector<IdentifyResult> batched;
+    AttackService svc(std::move(store));
+    svc.setThreadPool(&pool);
     const auto batch_start = std::chrono::steady_clock::now();
-    batched = store.queryBatch(error_strings, prm, &batch_stats);
+    const std::vector<IdentifyVerdict> batched =
+        svc.identifyBatch(error_strings, QueryOptions{});
     res.batchSeconds = secondsSince(batch_start) / num_queries;
     res.batchFallbackFraction =
-        static_cast<double>(batch_stats.indexFallbacks) / num_queries;
+        static_cast<double>(svc.snapshot().indexFallbacks) / num_queries;
 
     // --- Equivalence ----------------------------------------------
     // Accept/reject and matched record must agree with the linear
@@ -366,7 +369,7 @@ runPopulation(std::size_t num_records, std::size_t num_queries)
     for (std::size_t q = 0; q < num_queries; ++q) {
         const bool same =
             linear[q].match == indexed[q].match &&
-            linear[q].match == batched[q].match;
+            linear[q].match == batched[q].record;
         if (!same)
             ++res.divergences;
         if (queries[q].truth != linear[q].match)
@@ -378,9 +381,9 @@ runPopulation(std::size_t num_records, std::size_t num_queries)
     // peak holds one store, not two.
     const std::string path = "perf_index_store.pcdb";
     auto save_start = std::chrono::steady_clock::now();
-    const bool saved = saveStore(store, path);
+    const bool saved = saveStore(*svc.store(), path);
     res.saveSeconds = secondsSince(save_start);
-    store = FingerprintStore();
+    svc = AttackService(FingerprintStore());
     if (!saved) {
         std::printf("FAIL: could not write %s\n", path.c_str());
         ++res.mappedDivergences;

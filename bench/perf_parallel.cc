@@ -3,10 +3,10 @@
  * Serial-vs-parallel throughput of the batch attack engine.
  *
  * Sweeps a 1000-record fingerprint store with serial indexed
- * queries and with queryBatch() spread across a thread pool,
- * verifies the batch results are bit-identical to serial, and
- * reports the speedup — the trackable perf metric for this
- * reproduction's attacker hot path. Also times parallel
+ * queries and with AttackService::identifyBatch() spread across a
+ * thread pool, verifies the batch results are bit-identical to
+ * serial, and reports the speedup — the trackable perf metric for
+ * this reproduction's attacker hot path. Also times parallel
  * characterization and batched stitching ingest.
  */
 
@@ -18,6 +18,7 @@
 #include "core/attack_stats.hh"
 #include "core/characterize.hh"
 #include "core/identify.hh"
+#include "core/service.hh"
 #include "core/stitcher.hh"
 #include "core/store.hh"
 #include "dram/modeled_dram.hh"
@@ -52,10 +53,10 @@ now()
 }
 
 bool
-sameResult(const IdentifyResult &a, const IdentifyResult &b)
+sameResult(const IdentifyResult &a, const IdentifyVerdict &b)
 {
-    return a.match == b.match && a.nearest == b.nearest &&
-        a.bestDistance == b.bestDistance;
+    return a.match == b.record && a.nearest == b.nearest &&
+        a.bestDistance == b.distance;
 }
 
 } // anonymous namespace
@@ -99,21 +100,22 @@ main()
         }
     }
 
-    FingerprintStore store = FingerprintStore::fromDb(std::move(db));
-    store.setThreadPool(&pool);
-    const IdentifyParams params;
+    AttackService svc(FingerprintStore::fromDb(std::move(db)));
+    svc.setThreadPool(&pool);
+    const QueryOptions options;
     const double t_serial = now();
     std::vector<IdentifyResult> serial;
     serial.reserve(queries.size());
     for (const auto &es : queries)
-        serial.push_back(store.query(es, params));
+        serial.push_back(
+            svc.store()->query(es, options.identifyParams()));
     const double serial_secs = now() - t_serial;
 
-    AttackStats stats;
     const double t_par = now();
-    const std::vector<IdentifyResult> parallel =
-        store.queryBatch(queries, params, &stats);
+    const std::vector<IdentifyVerdict> parallel =
+        svc.identifyBatch(queries, options);
     const double par_secs = now() - t_par;
+    const AttackStats stats = svc.snapshot();
 
     std::size_t mismatches = 0;
     for (std::size_t q = 0; q < queries.size(); ++q)

@@ -1,9 +1,7 @@
 #include "core/mapped_store.hh"
 
-#include <algorithm>
 #include <cstring>
 
-#include "core/scan.hh"
 #include "util/logging.hh"
 
 namespace pcause
@@ -104,37 +102,18 @@ MappedStore::signature(std::size_t i) const
     return sig;
 }
 
-std::vector<std::size_t>
-MappedStore::candidates(const MinHashSketch &sketch) const
-{
-    std::vector<std::uint32_t> hits;
-    const auto records = static_cast<std::uint32_t>(size());
-    for (std::uint32_t band = 0; band < prm.bands; ++band) {
-        const LshIndex::BandSlots table = bandSlots(band);
-        for (const std::uint64_t key : lshProbeKeys(prm, sketch, band))
-            table.find(key, records, hits);
-    }
-    std::sort(hits.begin(), hits.end());
-    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
-    return std::vector<std::size_t>(hits.begin(), hits.end());
-}
-
 template <typename Count>
-IdentifyResult
-MappedStore::overlapScan(const BitVec &error_string,
-                         std::size_t es_weight,
-                         const IdentifyParams &params,
-                         AttackStats *stats) const
+void
+MappedStore::countOverlaps(const BitVec &error_string,
+                           std::vector<Count> &overlap) const
 {
-    // Each record's overlap with the query, decoded from the query's
-    // own posting lists. Decoding yields each list's ids strictly
-    // ascending, so no count exceeds the query's weight, and an id
-    // of a damaged list that names no record is skipped.
+    // Decoding yields each list's ids strictly ascending, so no count
+    // exceeds the query's weight, and an id of a damaged list that
+    // names no record is skipped.
     const std::uint8_t *offsets = map.data() + header.postingsOff;
     const std::uint8_t *bytes =
         offsets + (header.postingLists + 1) * 2 * 8;
     const std::uint64_t n = size();
-    std::vector<Count> overlap(n, 0);
     for (const std::size_t p : error_string.setBits()) {
         if (p >= header.postingLists)
             break; // no record reaches this far into the universe
@@ -146,59 +125,8 @@ MappedStore::overlapScan(const BitVec &error_string,
                                     return true;
                                 });
     }
-    return detail::overlapWalk(error_string, es_weight, *this, overlap,
-                               params, stats);
 }
 
-IdentifyResult
-MappedStore::fullScan(const BitVec &error_string, std::size_t es_weight,
-                      const IdentifyParams &params,
-                      AttackStats *stats) const
-{
-    return es_weight <= 0xffff
-               ? overlapScan<std::uint16_t>(error_string, es_weight,
-                                            params, stats)
-               : overlapScan<std::uint32_t>(error_string, es_weight,
-                                            params, stats);
-}
-
-IdentifyResult
-MappedStore::query(const BitVec &error_string,
-                   const IdentifyParams &params,
-                   AttackStats *stats) const
-{
-    return detail::timedQuery(stats, [&](AttackStats *local) {
-        // Same contract as FingerprintStore::query(); a miss falls
-        // back to the exact overlap-count scan.
-        return detail::indexedQuery(
-            error_string, params, prm, *this, local,
-            [&](const MinHashSketch &sketch) {
-                return candidates(sketch);
-            },
-            [&](std::size_t es_weight) {
-                return fullScan(error_string, es_weight, params, local);
-            });
-    });
-}
-
-IdentifyResult
-MappedStore::queryFullScan(const BitVec &error_string,
-                           const IdentifyParams &params,
-                           AttackStats *stats) const
-{
-    return detail::timedQuery(stats, [&](AttackStats *local) {
-        local->recordsAvailable += size();
-        return fullScan(error_string, error_string.popcount(), params,
-                        local);
-    });
-}
-
-IdentifyResult
-MappedStore::queryLinear(const BitVec &error_string,
-                         const IdentifyParams &params,
-                         AttackStats *stats) const
-{
-    return detail::linearQuery(error_string, params, *this, stats);
-}
+template class QueryEngine<MappedStore>;
 
 } // namespace pcause

@@ -10,21 +10,19 @@
  * mmaps the file, runs the structural check loadStore runs too
  * (pcdb::check: header, canonical section offsets, the record table,
  * the band slot count and the posting offsets) in one cheap pass,
- * and then serves the same query()/queryLinear() API as
- * FingerprintStore straight off the mapping — the kernel pages
- * records and index in on first touch. A v3 file holds no position
- * index and no band tables to probe, so it is refused, naming
+ * and then keeps only its bytes: accessors that read records, band
+ * tables and posting lists straight off the mapping — the kernel
+ * pages them in on first touch. A v3 file holds no position index
+ * and no band tables to probe, so it is refused, naming
  * `pcause db reindex`, which rewrites it as v4.
  *
- * Verdict equivalence: candidate sets come from the same
- * lshProbeKeys() fold and the same slot-array probe
- * (LshIndex::BandSlots::find) the in-memory index runs, over the
- * stored band tables, and queries run FingerprintStore's own query
- * body (core/scan) for every metric. A miss falls back to the same
- * overlap-count walk (detail::overlapWalk), over counts decoded from
- * the mapped posting lists, so verdicts, nearest records, distance
- * bits and kernel counters match FingerprintStore on the same file
- * exactly.
+ * Verdict equivalence: the queries are FingerprintStore's own
+ * (QueryEngine, core/scan.hh): the same probe loop over the stored
+ * band tables, the same shortlist scan and the same overlap-count
+ * walk, for every metric. The one step of its own is counting the
+ * fallback's overlaps by decoding the mapped posting lists
+ * (countOverlaps()), so verdicts, nearest records, distance bits and
+ * kernel counters match FingerprintStore on the same file exactly.
  *
  * Trust model: structural metadata is fully validated at open. Index
  * ids are bounded at use: a band probe stops after the table's slot
@@ -50,10 +48,8 @@
 #include <string_view>
 #include <vector>
 
-#include "core/attack_stats.hh"
-#include "core/identify.hh"
-#include "core/minhash.hh"
 #include "core/pcdb_format.hh"
+#include "core/scan.hh"
 #include "core/serialize.hh"
 #include "util/mmap_file.hh"
 
@@ -61,7 +57,8 @@ namespace pcause
 {
 
 /** Read-only FingerprintStore over an mmap-ed v4 database file. */
-class MappedStore : public SparseFingerprintSource
+class MappedStore : public SparseFingerprintSource,
+                    public QueryEngine<MappedStore>
 {
   public:
     /**
@@ -90,6 +87,9 @@ class MappedStore : public SparseFingerprintSource
         return pcdb::loadU64(entryAt(i) + 16);
     }
 
+    /** The records, as the source every scan reads: this mapping. */
+    const MappedStore &sparseFingerprints() const { return *this; }
+
     /** Label of record @p i (view into the mapping). */
     std::string_view label(std::size_t i) const;
 
@@ -102,41 +102,9 @@ class MappedStore : public SparseFingerprintSource
     /** Signature/banding parameters stored in the file. */
     const MinHashParams &indexParams() const { return prm; }
 
-    /**
-     * Record ids sharing any probe bucket with @p sketch in any
-     * band, ascending and deduplicated — probed in the stored band
-     * tables, identical to the in-memory LshIndex::candidates() on
-     * the same records.
-     */
-    std::vector<std::size_t>
-    candidates(const MinHashSketch &sketch) const;
-
-    /**
-     * Indexed Algorithm 2, equal in verdict, nearest record,
-     * distance bits and kernel counters to FingerprintStore::query()
-     * on the same file, for every metric.
-     */
-    IdentifyResult query(const BitVec &error_string,
-                         const IdentifyParams &params = {},
-                         AttackStats *stats = nullptr) const;
-
-    /**
-     * The exact full scan query() falls back to, on its own: the
-     * overlap-count walk over counts decoded from the mapped posting
-     * lists. Equal to queryLinear() in verdict, nearest record,
-     * distance bits and computed/pruned counters.
-     */
-    IdentifyResult queryFullScan(const BitVec &error_string,
-                                 const IdentifyParams &params = {},
-                                 AttackStats *stats = nullptr) const;
-
-    /** Reference linear scan: the serial sparse scan of
-     *  FingerprintStore::queryLinear(), over the mapping. */
-    IdentifyResult queryLinear(const BitVec &error_string,
-                               const IdentifyParams &params = {},
-                               AttackStats *stats = nullptr) const;
-
   private:
+    friend class QueryEngine<MappedStore>;
+
     MappedStore() = default;
 
     /** First byte of record @p i's table entry. */
@@ -152,25 +120,21 @@ class MappedStore : public SparseFingerprintSource
     /** Band @p band's slot arrays in the mapping. */
     LshIndex::BandSlots bandSlots(std::uint32_t band) const;
 
-    /** fullScan: counts of type @p Count from the mapped lists,
-     *  then the shared walk. Untimed. */
+    /**
+     * Add each record's overlap with @p error_string to
+     * @p overlap[id] (QueryEngine's fallback), decoded from the
+     * query's own mapped posting lists.
+     */
     template <typename Count>
-    IdentifyResult overlapScan(const BitVec &error_string,
-                               std::size_t es_weight,
-                               const IdentifyParams &params,
-                               AttackStats *stats) const;
-
-    /** The fallback, untimed: overlapScan() at the narrowest count
-     *  type holding @p es_weight. */
-    IdentifyResult fullScan(const BitVec &error_string,
-                            std::size_t es_weight,
-                            const IdentifyParams &params,
-                            AttackStats *stats) const;
+    void countOverlaps(const BitVec &error_string,
+                       std::vector<Count> &overlap) const;
 
     MmapFile map;
     pcdb::Header header;
     MinHashParams prm;
 };
+
+extern template class QueryEngine<MappedStore>;
 
 } // namespace pcause
 

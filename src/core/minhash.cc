@@ -1,6 +1,7 @@
 #include "core/minhash.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <utility>
 
@@ -465,31 +466,18 @@ LshIndex::update(std::size_t record, const MinHashSignature &old_sig,
     }
 }
 
-namespace
-{
-
-/** Sorted, deduplicated widening of collected bucket hits. */
-std::vector<std::size_t>
-shortlist(std::vector<std::uint32_t> &hits)
-{
-    std::sort(hits.begin(), hits.end());
-    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
-    return std::vector<std::size_t>(hits.begin(), hits.end());
-}
-
-} // anonymous namespace
-
 std::vector<std::size_t>
 LshIndex::candidates(const MinHashSignature &sig) const
 {
     PC_ASSERT(sig.size() == prm.numHashes,
               "LshIndex::candidates: signature length mismatch");
-    std::vector<std::uint32_t> hits;
-    const auto records = static_cast<std::uint32_t>(numRecords);
-    for (std::uint32_t band = 0; band < prm.bands; ++band)
-        bands[band].slots().find(lshBandKey(prm, sig, band), records,
-                                 hits);
-    return shortlist(hits);
+    return probe(
+        prm, numRecords,
+        [&](std::uint32_t band) { return bands[band].slots(); },
+        [&](std::uint32_t band) {
+            return std::array<std::uint64_t, 1>{
+                lshBandKey(prm, sig, band)};
+        });
 }
 
 std::vector<std::size_t>
@@ -498,21 +486,12 @@ LshIndex::candidates(const MinHashSketch &sketch) const
     PC_ASSERT(sketch.primary.size() == prm.numHashes &&
                   sketch.second.size() == prm.numHashes,
               "LshIndex::candidates: sketch length mismatch");
-    std::vector<std::uint32_t> hits;
-    const auto records = static_cast<std::uint32_t>(numRecords);
-    for (std::uint32_t band = 0; band < prm.bands; ++band) {
-        const BandSlots table = bands[band].slots();
-        for (const std::uint64_t key : lshProbeKeys(prm, sketch, band))
-            table.find(key, records, hits);
-    }
-    return shortlist(hits);
-}
-
-void
-LshIndex::clear()
-{
-    bands.assign(prm.bands, BandTable{});
-    numRecords = 0;
+    return probe(
+        prm, numRecords,
+        [&](std::uint32_t band) { return bands[band].slots(); },
+        [&](std::uint32_t band) {
+            return lshProbeKeys(prm, sketch, band);
+        });
 }
 
 LshIndex::Occupancy

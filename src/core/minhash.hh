@@ -40,6 +40,7 @@
 #ifndef PCAUSE_CORE_MINHASH_HH
 #define PCAUSE_CORE_MINHASH_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -200,7 +201,7 @@ std::vector<std::uint64_t> lshProbeKeys(const MinHashParams &params,
  * so slot order is never observable. PCDB v4 stores each band's two
  * slot arrays verbatim (bandSlots()); the loader hands them back to
  * the adopting constructor, and the mmap reader probes them in place
- * through the same BandSlots::find.
+ * through the same probe().
  *
  * The index is append-only (records are identified by the caller's
  * dense ids, as in FingerprintDb) and externally synchronized:
@@ -237,6 +238,18 @@ class LshIndex
         void find(std::uint64_t key, std::uint32_t records,
                   std::vector<std::uint32_t> &out) const;
     };
+
+    /**
+     * The one probe loop every candidate lookup runs, in memory or
+     * mapped: for each of @p params.bands bands, look up every key
+     * of @p keysOf(band) in @p slotsOf(band) (a BandSlots) over
+     * @p records records, then return the ids hit, ascending and
+     * deduplicated — the shortlist the exact kernel scans.
+     */
+    template <typename SlotsOf, typename KeysOf>
+    static std::vector<std::size_t>
+    probe(const MinHashParams &params, std::size_t records,
+          const SlotsOf &slotsOf, const KeysOf &keysOf);
 
     explicit LshIndex(const MinHashParams &params = {});
 
@@ -305,9 +318,6 @@ class LshIndex
     std::vector<std::size_t>
     candidates(const MinHashSketch &sketch) const;
 
-    /** Drop all entries (for a rebuild under new parameters). */
-    void clear();
-
     /**
      * Occupancy snapshot for diagnostics: bucket count and largest
      * bucket across all bands (sorts each band's keys: O(n log n)).
@@ -360,6 +370,23 @@ class LshIndex
     std::size_t numRecords = 0;
     std::vector<BandTable> bands;
 };
+
+template <typename SlotsOf, typename KeysOf>
+std::vector<std::size_t>
+LshIndex::probe(const MinHashParams &params, std::size_t records,
+                const SlotsOf &slotsOf, const KeysOf &keysOf)
+{
+    std::vector<std::uint32_t> hits;
+    const auto bound = static_cast<std::uint32_t>(records);
+    for (std::uint32_t band = 0; band < params.bands; ++band) {
+        const BandSlots table = slotsOf(band);
+        for (const std::uint64_t key : keysOf(band))
+            table.find(key, bound, hits);
+    }
+    std::sort(hits.begin(), hits.end());
+    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+    return std::vector<std::size_t>(hits.begin(), hits.end());
+}
 
 } // namespace pcause
 

@@ -11,9 +11,6 @@ namespace pcdb
 namespace
 {
 
-/** Sanity cap on a chip label: real labels are tens of bytes. */
-constexpr std::uint32_t maxLabelBytes = 1u << 16;
-
 /** Largest fingerprint universe: positions are stored as u32. */
 constexpr std::uint64_t maxUniverseBits = std::uint64_t{1} << 32;
 

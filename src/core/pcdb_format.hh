@@ -127,6 +127,11 @@ constexpr std::uint32_t schemeOnePermutation = 1; //!< one hash per cell
  *  arena bounds it, and an empty file's arenas bound nothing. */
 constexpr std::uint32_t maxHashes = 1u << 16;
 
+/** Longest chip label a file may hold (real labels are tens of
+ *  bytes): check() refuses a longer one, so AttackService and
+ *  `pcause characterize` refuse one before writing it. */
+constexpr std::uint32_t maxLabelBytes = 1u << 16;
+
 constexpr std::uint64_t v3HeaderBytes = 104;
 constexpr std::uint64_t v4HeaderBytes = 144;
 constexpr std::uint64_t recordEntryBytes = 40;

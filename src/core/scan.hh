@@ -1,22 +1,29 @@
 /**
  * @file
- * The one exact scan every indexed Algorithm 2 query runs.
+ * The one query engine: the read half of both stores.
+ *
+ * QueryEngine<Store> is everything a store answers Algorithm 2 with
+ * — candidates(), query(), queryFullScan() and queryLinear() —
+ * written once over what each store supplies: its sparse records
+ * (sparseFingerprints(), size()), its signature and banding
+ * parameters (indexParams()), band b's slot arrays (bandSlots(b)),
+ * and the one step that differs between memory and a mapped file,
+ * counting every record's overlap with a query from the posting
+ * lists (countOverlaps()). FingerprintStore and MappedStore derive
+ * from it (CRTP: no virtual call is added), so a probe, a width
+ * choice or a timing rule changes in one place for both.
  *
  * Both stores keep fingerprints only as sparse position lists
  * (SparseFingerprintSource). Every exact scan over them — the LSH
- * shortlist, the reference linear scan and both stores'
- * overlap-count fallback — visits records through one step
- * (scanStep), so the bound handed to each distance evaluation, the
- * order the running nearest record moves, and when a scan stops are
- * one definition: the reason their verdicts, distances and kernel
- * counters agree. The shortlist and the linear scan evaluate one
- * distance (SparseDistAt); the fallback derives the same distance
- * from each record's overlap count (overlapWalk). indexedQuery() is
- * the query body both stores share; they differ only in where
- * candidates come from and where the fallback's counts come from
- * (posting lists in memory, or decoded from a mapped file).
- * Internal to core/: callers go through FingerprintStore,
- * MappedStore or AttackService.
+ * shortlist, the reference linear scan and the overlap-count
+ * fallback — visits records through one step (scanStep), so the
+ * bound handed to each distance evaluation, the order the running
+ * nearest record moves, and when a scan stops are one definition:
+ * the reason their verdicts, distances and kernel counters agree.
+ * The shortlist and the linear scan evaluate one distance
+ * (SparseDistAt); the fallback derives the same distance from each
+ * record's overlap count (overlapWalk). The detail helpers are
+ * internal to core/: callers go through a store or AttackService.
  */
 
 #ifndef PCAUSE_CORE_SCAN_HH
@@ -239,49 +246,6 @@ overlapWalk(const BitVec &es, std::size_t es_weight, const Source &fps,
     return outcomeToResult(out, params);
 }
 
-/**
- * The indexed Algorithm 2 body both stores run: sketch the query,
- * scan the shortlist @p candidates(sketch) returns in the order
- * given, and when it yields no accept return @p fallback(es_weight)
- * — an exact full scan — verbatim, which pins accept/reject to the
- * linear scan. Untimed; @p stats receives index and kernel
- * counters.
- */
-template <typename Candidates, typename Fallback>
-IdentifyResult
-indexedQuery(const BitVec &es, const IdentifyParams &params,
-             const MinHashParams &index_params,
-             const SparseFingerprintSource &fps, AttackStats *stats,
-             const Candidates &candidates, const Fallback &fallback)
-{
-    if (stats) {
-        ++stats->indexQueries;
-        stats->recordsAvailable += fps.count();
-    }
-    const std::vector<std::size_t> cand =
-        candidates(minhashSketch(es, index_params));
-    if (stats)
-        stats->candidatesScanned += cand.size();
-
-    // The query operand is hashed once here, never per candidate.
-    const std::size_t es_weight = es.popcount();
-    if (!cand.empty()) {
-        const SparseDistAt distAt{es, es_weight, fps, params.metric};
-        ScanOutcome out;
-        for (const std::size_t i : cand) {
-            if (scanStep(i, params, distAt, out) && params.firstMatch)
-                break;
-        }
-        mergeScanCounters(stats, out);
-        const IdentifyResult res = outcomeToResult(out, params);
-        if (res.match)
-            return res;
-    }
-    if (stats)
-        ++stats->indexFallbacks;
-    return fallback(es_weight);
-}
-
 /** Seconds elapsed since @p start. */
 inline double
 secondsSince(std::chrono::steady_clock::time_point start)
@@ -319,6 +283,168 @@ IdentifyResult linearQuery(const BitVec &es,
                            AttackStats *stats);
 
 } // namespace detail
+
+/**
+ * The read half of a store (see file comment). @p Store derives from
+ * QueryEngine<Store> and supplies size(), sparseFingerprints() (a
+ * source with the unchecked weight(i) and universe(i) overlapWalk
+ * reads), indexParams(), bandSlots(band), and
+ * countOverlaps(es, overlap), which adds to overlap[i] record i's
+ * exact overlap with @p es, for 16- and 32-bit counters. Every
+ * public query is timed once (detail::timedQuery): @p stats, when
+ * non-null, accumulates its counters and its wall time.
+ */
+template <typename Store>
+class QueryEngine
+{
+  public:
+    /**
+     * Record ids sharing any probe bucket (lshProbeKeys) with
+     * @p sketch in any band, ascending and deduplicated: the
+     * shortlist query() scans.
+     */
+    std::vector<std::size_t> candidates(const MinHashSketch &sketch) const;
+
+    /**
+     * Indexed Algorithm 2 from a precomputed error string: the exact
+     * bounded scan of the LSH shortlist, and the exact full scan
+     * (queryFullScan()) when the shortlist yields no accept, whose
+     * result is returned verbatim. @p stats receives index
+     * (candidates scanned against database size, fallbacks) and
+     * kernel counters.
+     */
+    IdentifyResult query(const BitVec &error_string,
+                         const IdentifyParams &params = {},
+                         AttackStats *stats = nullptr) const;
+
+    /**
+     * The exact full scan query() falls back to, on its own: every
+     * record's overlap with the query counted from the posting
+     * lists, then walked in id order under the linear scan's rules
+     * (detail::overlapWalk). Verdict, nearest record, distance bits
+     * and computed/pruned counters equal queryLinear()'s; @p stats
+     * accumulates the same fields queryLinear() reports.
+     */
+    IdentifyResult queryFullScan(const BitVec &error_string,
+                                 const IdentifyParams &params = {},
+                                 AttackStats *stats = nullptr) const;
+
+    /**
+     * Reference linear Algorithm 2: the serial sparse scan over
+     * every record, bit-identical in verdict, nearest record and
+     * distance to identifyErrorString() — the baseline the index is
+     * measured against.
+     */
+    IdentifyResult queryLinear(const BitVec &error_string,
+                               const IdentifyParams &params = {},
+                               AttackStats *stats = nullptr) const;
+
+  private:
+    const Store &self() const { return static_cast<const Store &>(*this); }
+
+    /** queryFullScan() untimed; @p es_weight must equal
+     *  error_string.popcount(). */
+    IdentifyResult fullScan(const BitVec &error_string,
+                            std::size_t es_weight,
+                            const IdentifyParams &params,
+                            AttackStats *stats) const;
+};
+
+template <typename Store>
+std::vector<std::size_t>
+QueryEngine<Store>::candidates(const MinHashSketch &sketch) const
+{
+    const Store &s = self();
+    PC_ASSERT(sketch.primary.size() == s.indexParams().numHashes &&
+                  sketch.second.size() == s.indexParams().numHashes,
+              "candidates: sketch length mismatch");
+    return LshIndex::probe(
+        s.indexParams(), s.size(),
+        [&](std::uint32_t band) { return s.bandSlots(band); },
+        [&](std::uint32_t band) {
+            return lshProbeKeys(s.indexParams(), sketch, band);
+        });
+}
+
+template <typename Store>
+IdentifyResult
+QueryEngine<Store>::query(const BitVec &error_string,
+                          const IdentifyParams &params,
+                          AttackStats *stats) const
+{
+    return detail::timedQuery(stats, [&](AttackStats *local) {
+        const auto &fps = self().sparseFingerprints();
+        ++local->indexQueries;
+        local->recordsAvailable += fps.count();
+        const std::vector<std::size_t> cand =
+            candidates(minhashSketch(error_string, self().indexParams()));
+        local->candidatesScanned += cand.size();
+
+        // The query operand is hashed once here, never per candidate.
+        const std::size_t es_weight = error_string.popcount();
+        if (!cand.empty()) {
+            const detail::SparseDistAt distAt{error_string, es_weight, fps,
+                                              params.metric};
+            detail::ScanOutcome out;
+            for (const std::size_t i : cand) {
+                if (detail::scanStep(i, params, distAt, out) &&
+                    params.firstMatch)
+                    break;
+            }
+            detail::mergeScanCounters(local, out);
+            const IdentifyResult res = detail::outcomeToResult(out, params);
+            if (res.match)
+                return res;
+        }
+        ++local->indexFallbacks;
+        return fullScan(error_string, es_weight, params, local);
+    });
+}
+
+template <typename Store>
+IdentifyResult
+QueryEngine<Store>::queryFullScan(const BitVec &error_string,
+                                  const IdentifyParams &params,
+                                  AttackStats *stats) const
+{
+    return detail::timedQuery(stats, [&](AttackStats *local) {
+        local->recordsAvailable += self().size();
+        return fullScan(error_string, error_string.popcount(), params,
+                        local);
+    });
+}
+
+template <typename Store>
+IdentifyResult
+QueryEngine<Store>::queryLinear(const BitVec &error_string,
+                                const IdentifyParams &params,
+                                AttackStats *stats) const
+{
+    return detail::linearQuery(error_string, params,
+                               self().sparseFingerprints(), stats);
+}
+
+template <typename Store>
+IdentifyResult
+QueryEngine<Store>::fullScan(const BitVec &error_string,
+                             std::size_t es_weight,
+                             const IdentifyParams &params,
+                             AttackStats *stats) const
+{
+    const auto walk = [&](auto zero) {
+        std::vector<decltype(zero)> overlap(self().size(), zero);
+        self().countOverlaps(error_string, overlap);
+        return detail::overlapWalk(error_string, es_weight,
+                                   self().sparseFingerprints(), overlap,
+                                   params, stats);
+    };
+    // An overlap never exceeds the query's weight, so 16-bit
+    // counters serve every realistic query and halve the counting
+    // traffic.
+    return es_weight <= 0xffff ? walk(std::uint16_t{0})
+                               : walk(std::uint32_t{0});
+}
+
 } // namespace pcause
 
 #endif // PCAUSE_CORE_SCAN_HH

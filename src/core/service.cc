@@ -1,14 +1,16 @@
 #include "core/service.hh"
 
-#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <sstream>
 
 #include <unistd.h>
 
+#include "core/pcdb_format.hh"
 #include "util/failpoint.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace pcause
 {
@@ -58,14 +60,14 @@ ServiceStats::snapshot() const
 }
 
 AttackService::AttackService(FingerprintStore store)
-    : owned(std::move(store)),
+    : backend(std::move(store)),
       gate(std::make_unique<std::shared_mutex>()),
       counters(std::make_unique<ServiceStats>())
 {
 }
 
 AttackService::AttackService(MappedStore store)
-    : mapped(std::move(store)),
+    : backend(std::move(store)),
       gate(std::make_unique<std::shared_mutex>()),
       counters(std::make_unique<ServiceStats>())
 {
@@ -161,9 +163,9 @@ std::string
 AttackService::checkpointLocked()
 {
     std::string err;
-    if (!saveStoreDurable(*owned, dur.dbPath, &err))
+    if (!saveStoreDurable(*store(), dur.dbPath, &err))
         return err;
-    LoadResult<Wal> fresh = Wal::create(dur.walPath, owned->size());
+    LoadResult<Wal> fresh = Wal::create(dur.walPath, store()->size());
     if (!fresh)
         return fresh.error;
     wal = std::make_unique<Wal>(std::move(*fresh));
@@ -182,43 +184,20 @@ AttackService::checkpoint()
 std::size_t
 AttackService::size() const
 {
-    return owned ? owned->size() : mapped->size();
-}
-
-void
-AttackService::setThreadPool(ThreadPool *pool)
-{
-    if (owned)
-        owned->setThreadPool(pool);
-}
-
-IdentifyResult
-AttackService::dispatch(const BitVec &error_string,
-                        const QueryOptions &options,
-                        AttackStats *delta) const
-{
-    const IdentifyParams p = options.identifyParams();
-    if (mapped) {
-        return options.linear
-                   ? mapped->queryLinear(error_string, p, delta)
-                   : mapped->query(error_string, p, delta);
-    }
-    return options.linear ? owned->queryLinear(error_string, p, delta)
-                          : owned->query(error_string, p, delta);
+    return withStore([](const auto &s) { return s.size(); });
 }
 
 std::string
 AttackService::bitCountError(std::size_t bits) const
 {
-    const SparseFingerprintSource &fps =
-        owned ? static_cast<const SparseFingerprintSource &>(
-                    owned->sparseFingerprints())
-              : *mapped;
-    if (fps.count() == 0 || fps.view(0).universe == bits)
-        return {};
-    return "error string has " + std::to_string(bits) +
-           " bits; the database's records have " +
-           std::to_string(fps.view(0).universe);
+    return withStore([&](const auto &s) -> std::string {
+        const auto &fps = s.sparseFingerprints();
+        if (fps.count() == 0 || fps.view(0).universe == bits)
+            return {};
+        return "error string has " + std::to_string(bits) +
+               " bits; the database's records have " +
+               std::to_string(fps.view(0).universe);
+    });
 }
 
 std::string
@@ -237,9 +216,18 @@ AttackService::queryError(std::size_t bits,
 }
 
 IdentifyVerdict
-AttackService::resolve(const IdentifyResult &r, AttackStats delta) const
+AttackService::identifyLocked(const BitVec &error_string,
+                              const QueryOptions &options) const
 {
     IdentifyVerdict v;
+    v.error = queryError(error_string.size(), options);
+    if (!v.error.empty())
+        return v;
+    const IdentifyParams p = options.identifyParams();
+    const IdentifyResult r = withStore([&](const auto &s) {
+        return options.linear ? s.queryLinear(error_string, p, &v.delta)
+                              : s.query(error_string, p, &v.delta);
+    });
     v.matched = r.match.has_value();
     v.distance = r.bestDistance;
     v.record = r.match;
@@ -248,7 +236,6 @@ AttackService::resolve(const IdentifyResult &r, AttackStats delta) const
         v.label = label(*r.match);
     if (r.nearest)
         v.nearestLabel = label(*r.nearest);
-    v.delta = std::move(delta);
     return v;
 }
 
@@ -259,18 +246,12 @@ AttackService::identify(const IdentifyRequest &req) const
     // delay and crash actions (slow-query and kill-mid-query
     // injection); an error arm is a no-op here.
     (void)failpoint::hit("service.query");
-    AttackStats delta;
     IdentifyVerdict v;
     {
         std::shared_lock<std::shared_mutex> lock(*gate);
-        v.error = queryError(req.errorString.size(), req.options);
-        if (v.error.empty()) {
-            const IdentifyResult r =
-                dispatch(req.errorString, req.options, &delta);
-            v = resolve(r, delta);
-        }
+        v = identifyLocked(req.errorString, req.options);
     }
-    counters->accumulate(delta);
+    counters->accumulate(v.delta);
     return v;
 }
 
@@ -279,44 +260,25 @@ AttackService::identifyBatch(const std::vector<BitVec> &error_strings,
                              const QueryOptions &options) const
 {
     (void)failpoint::hit("service.query");
-    std::vector<IdentifyVerdict> verdicts;
-    verdicts.reserve(error_strings.size());
-    AttackStats total;
+    std::vector<IdentifyVerdict> verdicts(error_strings.size());
+    ThreadPool &pool = workers ? *workers : ThreadPool::global();
+    double seconds = 0.0;
     {
         std::shared_lock<std::shared_mutex> lock(*gate);
-        const bool all_fit = std::all_of(
-            error_strings.begin(), error_strings.end(),
-            [&](const BitVec &es) {
-                return queryError(es.size(), options).empty();
-            });
-        if (owned && !options.linear && all_fit) {
-            // The batched path: queryBatch spreads queries across
-            // the pool, elementwise bit-identical to query(), and
-            // reports each element's own delta beside the total.
-            std::vector<AttackStats> each;
-            const std::vector<IdentifyResult> results =
-                owned->queryBatch(error_strings,
-                                  options.identifyParams(), &total,
-                                  &each);
-            for (std::size_t i = 0; i < results.size(); ++i)
-                verdicts.push_back(resolve(results[i], each[i]));
-        } else {
-            // Mapped or linear backends have no batch entry; the
-            // per-query dispatch is already the exact path.
-            for (const BitVec &es : error_strings) {
-                IdentifyVerdict refused;
-                refused.error = queryError(es.size(), options);
-                if (!refused.error.empty()) {
-                    verdicts.push_back(std::move(refused));
-                    continue;
-                }
-                AttackStats delta;
-                const IdentifyResult r = dispatch(es, options, &delta);
-                total += delta;
-                verdicts.push_back(resolve(r, delta));
-            }
-        }
+        const auto start = std::chrono::steady_clock::now();
+        pool.parallelFor(0, verdicts.size(), [&](std::size_t i) {
+            verdicts[i] = identifyLocked(error_strings[i], options);
+        });
+        seconds = detail::secondsSince(start);
     }
+    // The total carries one wall-time stamp for the whole batch.
+    AttackStats total;
+    bool ran = false;
+    for (const IdentifyVerdict &v : verdicts) {
+        total += v.delta;
+        ran = ran || v.error.empty();
+    }
+    total.identifySeconds = ran ? seconds : 0.0;
     counters->accumulate(total);
     return verdicts;
 }
@@ -353,6 +315,17 @@ AttackService::addRecord(ChipLabel label, Fingerprint fp)
         out.error = "database is served read-only (mmap backend)";
         return out;
     }
+    if (fp.empty()) {
+        out.error = "the fingerprint folds no error string";
+        return out;
+    }
+    if (label.size() > pcdb::maxLabelBytes) {
+        out.error = "label of " + std::to_string(label.size()) +
+                    " bytes is longer than the " +
+                    std::to_string(pcdb::maxLabelBytes) +
+                    "-byte limit";
+        return out;
+    }
     if (failpoint::hit("service.add")) {
         out.error = "injected add failure";
         return out;
@@ -378,7 +351,8 @@ AttackService::addRecord(ChipLabel label, Fingerprint fp)
             want_checkpoint = dur.checkpointEvery > 0 &&
                               wal->entries() >= dur.checkpointEvery;
         }
-        out.record = owned->add(std::move(label), std::move(fp));
+        out.record = std::get<FingerprintStore>(backend).add(
+            std::move(label), std::move(fp));
     }
     out.added = true;
     if (want_checkpoint) {
@@ -398,33 +372,29 @@ AttackService::dbStats() const
     ServiceDbStats s;
     std::shared_lock<std::shared_mutex> lock(*gate);
     s.records = size();
-    const SparseFingerprintSource *fps = nullptr;
-    if (owned) {
-        s.backend = "store";
-        s.indexParams = owned->indexParams();
+    if (const FingerprintStore *owned = store()) {
         const LshIndex::Occupancy occ = owned->index().occupancy();
         s.hasOccupancy = true;
         s.lshBuckets = occ.buckets;
         s.largestBucket = occ.largestBucket;
         s.lshBytes = owned->index().memoryBytes();
         s.postingsBytes = owned->postingsBytes();
-        fps = &owned->sparseFingerprints();
     } else {
         s.backend = "mmap";
-        s.indexParams = mapped->indexParams();
-        fps = &*mapped;
     }
-    for (std::size_t i = 0; i < fps->count(); ++i) {
-        const SparseView v = fps->view(i);
-        const std::size_t label_len = owned ? owned->label(i).size()
-                                            : mapped->label(i).size();
-        s.volatileCells += v.count;
-        if (v.universe > s.universeBits)
-            s.universeBits = static_cast<std::size_t>(v.universe);
-        s.diskBytesEstimate += recordDiskSize(v.count, label_len,
-                                              s.indexParams.numHashes,
-                                              s.indexParams.bands);
-    }
+    withStore([&](const auto &st) {
+        s.indexParams = st.indexParams();
+        const auto &fps = st.sparseFingerprints();
+        for (std::size_t i = 0; i < fps.count(); ++i) {
+            const SparseView v = fps.view(i);
+            s.volatileCells += v.count;
+            if (v.universe > s.universeBits)
+                s.universeBits = static_cast<std::size_t>(v.universe);
+            s.diskBytesEstimate += recordDiskSize(
+                v.count, st.label(i).size(), s.indexParams.numHashes,
+                s.indexParams.bands);
+        }
+    });
     return s;
 }
 
@@ -470,9 +440,7 @@ AttackService::statsJson() const
 std::string
 AttackService::label(std::size_t i) const
 {
-    if (owned)
-        return owned->label(i);
-    return std::string(mapped->label(i));
+    return withStore([&](const auto &s) { return std::string(s.label(i)); });
 }
 
 } // namespace pcause

@@ -3,13 +3,15 @@
  * AttackService: one identification API for every frontend.
  *
  * Every frontend (CLI, benches, attackers, and the pcaused network
- * server) identifies through this facade. It owns one backend (an
+ * server) identifies through this facade. It owns one backend, an
  * in-memory FingerprintStore or a read-only MappedStore over a v4
- * file; both run the one query body in core/scan, for every
- * metric), exposes a single QueryOptions-driven identify entry
- * point plus the batch variant the attackers call, and resolves
- * record indices to labels so callers never reach into the backend
- * for presentation.
+ * file, and reads it in one place (withStore()): both stores answer
+ * through the one query engine (QueryEngine, core/scan.hh), so every
+ * read path — identify, the batch, labels, diagnostics — is written
+ * once for both. It exposes a single QueryOptions-driven identify
+ * entry point plus the batch variant the attackers call, and
+ * resolves record indices to labels so callers never reach into the
+ * backend for presentation.
  *
  * Verdicts are bit-identical to direct FingerprintStore /
  * MappedStore queries by construction: the facade adds locking,
@@ -33,6 +35,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/attack_stats.hh"
@@ -259,18 +262,16 @@ class AttackService
     std::string checkpoint();
 
     /** True when the backend cannot accept new records. */
-    bool readOnly() const { return mapped.has_value(); }
+    bool readOnly() const { return store() == nullptr; }
 
     /** Number of records. */
     std::size_t size() const;
 
     /**
-     * Hand @p pool (not owned) to the in-memory backend, which
-     * spreads identifyBatch() queries across it; with none set
-     * (null) they use the process-global pool. The mmap backend runs
-     * every query serially and ignores it.
+     * Run identifyBatch() on @p pool (not owned), for either
+     * backend; with none set (null), on the process-global pool.
      */
-    void setThreadPool(ThreadPool *pool);
+    void setThreadPool(ThreadPool *pool) { workers = pool; }
 
     /**
      * The one identification entry point: dispatches on
@@ -285,12 +286,15 @@ class AttackService
 
     /**
      * Batch identification under one option set — the entry the
-     * attackers call. In-memory backends run
-     * FingerprintStore::queryBatch across the thread pool; each
-     * element is bit-identical to the corresponding identify()
-     * call, delta included (its counters and its own query time),
-     * and a wrong-size element gets identify()'s error verdict (a
-     * refused threshold, every element).
+     * attackers call: the elements are identified across the thread
+     * pool (setThreadPool()) under one shared lock, for either
+     * backend and either QueryOptions::linear. Each element is
+     * bit-identical to the corresponding identify() call, delta
+     * included (its counters and its own query time), and a refused
+     * element gets identify()'s error verdict (a refused threshold,
+     * every element). The service's counters take the elements'
+     * counters once, with the batch's wall time as identify time
+     * (none when no element ran).
      */
     std::vector<IdentifyVerdict>
     identifyBatch(const std::vector<BitVec> &error_strings,
@@ -310,8 +314,8 @@ class AttackService
         std::size_t weight = 0;
 
         /** Reason the add was refused (read-only backend, no error
-         *  strings, a bit count other than the records'); empty on
-         *  success. */
+         *  strings, an empty fingerprint, an over-long label, a bit
+         *  count other than the records'); empty on success. */
         std::string error;
     };
 
@@ -323,14 +327,20 @@ class AttackService
      * anything is journaled) on a read-only backend, an empty
      * observation set, or error strings whose bit counts differ
      * from each other or from the records' — a database holds one
-     * bit count.
+     * bit count — and for any reason addRecord() refuses.
      */
     AddOutcome addFingerprint(const ChipLabel &label,
                               const std::vector<BitVec> &error_strings);
 
-    /** Add an already-characterized fingerprint (the supply-chain
-     *  attacker's interception path). Same locking and bit-count
-     *  rule as addFingerprint(). */
+    /**
+     * Add an already-characterized fingerprint (the supply-chain
+     * attacker's interception path). Same locking and bit-count
+     * rule as addFingerprint(); an empty fingerprint (no error
+     * string folded in) and a label longer than pcdb::maxLabelBytes
+     * are refused too, before anything is journaled: no database
+     * file may hold either, so a snapshot holding one would never
+     * load again.
+     */
     AddOutcome addRecord(ChipLabel label, Fingerprint fp);
 
     /** Backend-independent database diagnostics. */
@@ -346,17 +356,25 @@ class AttackService
     /** The in-memory backend, or null when serving a mapped file. */
     const FingerprintStore *store() const
     {
-        return owned ? &*owned : nullptr;
+        return std::get_if<FingerprintStore>(&backend);
     }
 
     /** Label of record @p i (copied; safe past the call). */
     std::string label(std::size_t i) const;
 
   private:
-    /** Backend query dispatch; callers hold the lock. */
-    IdentifyResult dispatch(const BitVec &error_string,
-                            const QueryOptions &options,
-                            AttackStats *delta) const;
+    /** The one place the backend is read: @p f(store), whichever
+     *  store it is. */
+    template <typename F>
+    decltype(auto) withStore(F &&f) const
+    {
+        return std::visit(std::forward<F>(f), backend);
+    }
+
+    /** identify() of one error string, untallied; callers hold the
+     *  lock. */
+    IdentifyVerdict identifyLocked(const BitVec &error_string,
+                                   const QueryOptions &options) const;
 
     /** Why an error string of @p bits bits cannot be compared with
      *  the records (record 0 has another bit count), or empty;
@@ -378,8 +396,10 @@ class AttackService
      *  sole ownership during openDurable). */
     std::string checkpointLocked();
 
-    std::optional<FingerprintStore> owned;
-    std::optional<MappedStore> mapped;
+    std::variant<FingerprintStore, MappedStore> backend;
+
+    /** identifyBatch()'s pool; null means the process-global one. */
+    ThreadPool *workers = nullptr;
 
     /** Journal + paths when durable; null otherwise. */
     std::unique_ptr<Wal> wal;

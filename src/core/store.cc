@@ -1,10 +1,7 @@
 #include "core/store.hh"
 
 #include <algorithm>
-#include <chrono>
 
-#include "core/error_string.hh"
-#include "core/scan.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -13,18 +10,6 @@ namespace pcause
 
 namespace
 {
-
-/**
- * Whether a signature computed under @p a is valid content under
- * @p b: signature values depend on the hash count and seed only
- * (banding and probing are how signatures are *used*, not what they
- * contain).
- */
-bool
-sameSignatureSpace(const MinHashParams &a, const MinHashParams &b)
-{
-    return a.numHashes == b.numHashes && a.seed == b.seed;
-}
 
 /** Positions a batch shard holds at least: below that a lane's
  *  wake-up and count array outweigh its work. */
@@ -95,24 +80,7 @@ FingerprintStore::adopt(std::vector<ChipLabel> labels,
 std::size_t
 FingerprintStore::add(ChipLabel label, Fingerprint fp)
 {
-    MinHashSignature sig =
-        minhashSignature(fp.bits(), lsh.params());
-    return addWithSignature(std::move(label), std::move(fp),
-                            std::move(sig), lsh.params());
-}
-
-std::size_t
-FingerprintStore::addWithSignature(ChipLabel label, Fingerprint fp,
-                                   MinHashSignature sig,
-                                   const MinHashParams &sig_params)
-{
-    if (!sameSignatureSpace(sig_params, lsh.params())) {
-        // A foreign-space signature indexed as-is would silently
-        // miss every honest query; recompute instead of trusting.
-        sig = minhashSignature(fp.bits(), lsh.params());
-    }
-    PC_ASSERT(sig.size() == lsh.params().numHashes,
-              "FingerprintStore: signature length mismatch");
+    MinHashSignature sig = minhashSignature(fp.bits(), lsh.params());
     const std::size_t i = size();
     sparse.add(fp.bits());
     chipLabels.push_back(std::move(label));
@@ -204,7 +172,7 @@ FingerprintStore::indexPositions(std::size_t first, ThreadPool &pool)
     // exactly, and shard s writes its ids after those of every
     // earlier shard, so each list stays ascending. The lists reach
     // the highest stored position, not the universe, which a file may
-    // declare far larger than any list it holds; overlapScan() stops
+    // declare far larger than any list it holds; countOverlaps() stops
     // past the last list.
     const std::size_t end = sparse.count();
     std::size_t reach = postings.size();
@@ -303,58 +271,23 @@ FingerprintStore::signature(std::size_t i) const
     return signatures[i];
 }
 
-IdentifyResult
-FingerprintStore::queryImpl(const BitVec &error_string,
-                            const IdentifyParams &params,
-                            AttackStats *stats) const
-{
-    return detail::indexedQuery(
-        error_string, params, lsh.params(), sparse, stats,
-        [&](const MinHashSketch &sketch) {
-            return lsh.candidates(sketch);
-        },
-        [&](std::size_t es_weight) {
-            return fullScan(error_string, es_weight, params, stats);
-        });
-}
-
-IdentifyResult
-FingerprintStore::fullScan(const BitVec &error_string,
-                           std::size_t es_weight,
-                           const IdentifyParams &params,
-                           AttackStats *stats) const
-{
-    // An overlap never exceeds the query's weight, so 16-bit
-    // counters serve every realistic query and halve the counting
-    // traffic.
-    return es_weight <= 0xffff
-               ? overlapScan<std::uint16_t>(error_string, es_weight,
-                                            params, stats)
-               : overlapScan<std::uint32_t>(error_string, es_weight,
-                                            params, stats);
-}
-
 template <typename Count>
-IdentifyResult
-FingerprintStore::overlapScan(const BitVec &error_string,
-                              std::size_t es_weight,
-                              const IdentifyParams &params,
-                              AttackStats *stats) const
+void
+FingerprintStore::countOverlaps(const BitVec &error_string,
+                                std::vector<Count> &overlap) const
 {
-    // Each record's overlap with the query, counted from the
-    // query's own posting lists: about weight x records-per-position
-    // increments, instead of reading every record's positions. Four
-    // lists at a time give four independent increment streams, and
-    // the next four are prefetched a cache line per 16 ids as they
-    // go: a short list (~20 lines at 10k records) otherwise spends
-    // much of its time waiting for its first lines.
+    // About weight x records-per-position increments, instead of
+    // reading every record's positions. Four lists at a time give
+    // four independent increment streams, and the next four are
+    // prefetched a cache line per 16 ids as they go: a short list
+    // (~20 lines at 10k records) otherwise spends much of its time
+    // waiting for its first lines.
     std::vector<const std::vector<std::uint32_t> *> lists;
     for (const std::size_t p : error_string.setBits()) {
         if (p >= postings.size())
             break; // no record reaches this far into the universe
         lists.push_back(&postings[p]);
     }
-    std::vector<Count> overlap(size(), 0);
     const auto countFrom = [&](const std::vector<std::uint32_t> &ids,
                                std::size_t from) {
         for (std::size_t j = from; j < ids.size(); ++j)
@@ -388,77 +321,6 @@ FingerprintStore::overlapScan(const BitVec &error_string,
     }
     for (; k < lists.size(); ++k)
         countFrom(*lists[k], 0);
-
-    return detail::overlapWalk(error_string, es_weight, sparse, overlap,
-                               params, stats);
-}
-
-IdentifyResult
-FingerprintStore::query(const BitVec &error_string,
-                        const IdentifyParams &params,
-                        AttackStats *stats) const
-{
-    return detail::timedQuery(stats, [&](AttackStats *local) {
-        return queryImpl(error_string, params, local);
-    });
-}
-
-IdentifyResult
-FingerprintStore::query(const BitVec &approx, const BitVec &exact,
-                        const IdentifyParams &params,
-                        AttackStats *stats) const
-{
-    return query(errorString(approx, exact), params, stats);
-}
-
-std::vector<IdentifyResult>
-FingerprintStore::queryBatch(const std::vector<BitVec> &error_strings,
-                             const IdentifyParams &params,
-                             AttackStats *stats,
-                             std::vector<AttackStats> *per_query) const
-{
-    const std::size_t n = error_strings.size();
-    std::vector<IdentifyResult> results(n);
-    std::vector<AttackStats> each(n);
-
-    ThreadPool &pool = workers ? *workers : ThreadPool::global();
-    const auto start = std::chrono::steady_clock::now();
-    pool.parallelFor(0, n, [&](std::size_t q) {
-        const auto query_start = std::chrono::steady_clock::now();
-        results[q] = queryImpl(error_strings[q], params, &each[q]);
-        each[q].identifySeconds = detail::secondsSince(query_start);
-    });
-
-    // The total carries one wall-time stamp for the whole batch.
-    AttackStats total;
-    for (const AttackStats &one : each)
-        total += one;
-    total.identifySeconds = n > 0 ? detail::secondsSince(start) : 0.0;
-    if (stats)
-        *stats += total;
-    if (per_query)
-        *per_query = std::move(each);
-    return results;
-}
-
-IdentifyResult
-FingerprintStore::queryLinear(const BitVec &error_string,
-                              const IdentifyParams &params,
-                              AttackStats *stats) const
-{
-    return detail::linearQuery(error_string, params, sparse, stats);
-}
-
-IdentifyResult
-FingerprintStore::queryFullScan(const BitVec &error_string,
-                                const IdentifyParams &params,
-                                AttackStats *stats) const
-{
-    return detail::timedQuery(stats, [&](AttackStats *local) {
-        local->recordsAvailable += size();
-        return fullScan(error_string, error_string.popcount(), params,
-                        local);
-    });
 }
 
 void
@@ -489,5 +351,7 @@ signArena(const SparseFingerprintArena &fps, const MinHashParams &params,
     }
     return sigs;
 }
+
+template class QueryEngine<FingerprintStore>;
 
 } // namespace pcause

@@ -9,40 +9,36 @@
  * (core/minhash) makes identification sublinear in the number of
  * known chips: a query hashes its error string to a signature,
  * pulls the records colliding in at least one LSH band, and runs
- * the exact sparse kernel (core/scan) on that shortlist only.
+ * the exact sparse kernel on that shortlist only.
+ *
+ * The queries themselves — query(), queryFullScan(), queryLinear()
+ * and candidates() — are the one engine both stores share
+ * (QueryEngine, core/scan.hh). This class holds the records, the
+ * band tables and the inverted position index (per universe
+ * position, the ascending ids of the records containing it), and
+ * supplies the engine the one step that is its own: counting each
+ * record's overlap with a query from the posting lists in memory,
+ * four lists at a time (countOverlaps()).
  *
  * Accept/reject equivalence with the paper's linear Algorithm 2 is
  * guaranteed by construction: a shortlist accept implies a record
  * under threshold exists (the exact kernel verified it), and a
  * shortlist miss falls back to the full scan, whose result is
- * returned verbatim. The only permitted divergence is *which*
+ * returned verbatim and equals queryLinear()'s in verdict, nearest
+ * record, distance bits and kernel counters (docs/ALGORITHMS.md
+ * "Exact reject scan"). The only permitted divergence is *which*
  * record is reported when several sit under the threshold — the
  * shortlist may surface a later record than the linear scan's first
  * hit, or in best-match mode its own best rather than the global one
  * (distinct chips are never that close at a working threshold; see
  * docs/ALGORITHMS.md "Fingerprint index").
  *
- * The full scan reads an inverted position index (per universe
- * position, the ascending ids of the records containing it) instead
- * of every record: it counts each record's overlap with the query's
- * own set positions, four posting lists at a time, then walks the
- * records in id order under the linear scan's rules
- * (detail::overlapWalk, core/scan.hh), which MappedStore runs too
- * over counts decoded from a mapped file. A fixed-point screen of
- * the current bound (PruneScreen) counts the records it proves
- * pruned without a step; every other record takes the linear scan's
- * step, which derives its distance and prune decision exactly from
- * (overlap, weights). Its verdict, nearest record, distance bits and
- * kernel counters equal queryLinear()'s (docs/ALGORITHMS.md "Exact
- * reject scan").
- *
  * The LSH band tables and the position index are what PCDB v4
  * stores: loadStore() reads them back as they were written (adopt())
  * instead of rebuilding them, and a v3 file, which holds neither,
- * is rebuilt through addBatch().
- * queryLinear() itself is the serial sparse scan over the arena; the
- * independent reference outside the arena is identifyErrorString()
- * over the FingerprintDb a store was built from.
+ * is rebuilt through addBatch(). The independent reference outside
+ * the arena is identifyErrorString() over the FingerprintDb a store
+ * was built from.
  */
 
 #ifndef PCAUSE_CORE_STORE_HH
@@ -51,9 +47,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/attack_stats.hh"
 #include "core/identify.hh"
 #include "core/minhash.hh"
+#include "core/scan.hh"
 
 namespace pcause
 {
@@ -61,7 +57,7 @@ namespace pcause
 class ThreadPool;
 
 /** Indexed attacker database: sparse records + LSH candidate index. */
-class FingerprintStore
+class FingerprintStore : public QueryEngine<FingerprintStore>
 {
   public:
     explicit FingerprintStore(const MinHashParams &index_params = {});
@@ -75,21 +71,6 @@ class FingerprintStore
      * incrementally, no rebuild. Returns the record index.
      */
     std::size_t add(ChipLabel label, Fingerprint fp);
-
-    /**
-     * Add a record whose signature is already known (the on-disk
-     * formats carry signatures). @p sig_params must state the
-     * parameters the signature was computed under: when its
-     * signature space matches this store's (same hash count and
-     * seed — banding does not affect signature content), the
-     * signature is adopted verbatim; otherwise it is recomputed
-     * under the store's parameters, so a caller can never silently
-     * mix signature spaces (e.g. by adding a default-params
-     * signature to a store loaded from a custom-params file).
-     */
-    std::size_t addWithSignature(ChipLabel label, Fingerprint fp,
-                                 MinHashSignature sig,
-                                 const MinHashParams &sig_params);
 
     /**
      * Bulk add with a parallel index build, all of it on the thread
@@ -191,67 +172,14 @@ class FingerprintStore
     std::size_t postingsBytes() const;
 
     /**
-     * Use @p pool (not owned) for batch adds, batch queries and
-     * reindexing. With no pool set (null), addBatch() of
-     * fingerprints and queryBatch() run on the process-global pool,
-     * while reindex() and the sparse addBatch() run serially.
-     * A store loadStore() returns has none set.
+     * Use @p pool (not owned) for batch adds and reindexing. With
+     * no pool set (null), addBatch() of fingerprints runs on the
+     * process-global pool, while reindex() and the sparse addBatch()
+     * run serially. A store loadStore() returns has none set.
+     * Queries never use it: batches of them run on the pool of the
+     * AttackService that serves the store.
      */
     void setThreadPool(ThreadPool *pool) { workers = pool; }
-
-    /**
-     * Indexed Algorithm 2 from a precomputed error string: exact
-     * bounded-distance scan of the LSH shortlist, exact full scan
-     * (queryFullScan()) when the shortlist yields no accept.
-     * @p stats, when non-null, accumulates candidates-scanned vs
-     * database-size counters, kernel counters, and identify wall
-     * time.
-     */
-    IdentifyResult query(const BitVec &error_string,
-                         const IdentifyParams &params = {},
-                         AttackStats *stats = nullptr) const;
-
-    /** Indexed Algorithm 2 from an output and its exact value. */
-    IdentifyResult query(const BitVec &approx, const BitVec &exact,
-                         const IdentifyParams &params = {},
-                         AttackStats *stats = nullptr) const;
-
-    /**
-     * Batch query: elementwise equal to query() on each error
-     * string, spread across the thread pool (the process-global
-     * pool when none is set). @p stats receives the batch total
-     * (identify time = the batch's wall time); @p per_query, when
-     * non-null, is resized to one entry per error string holding
-     * exactly what query() would have added for it, including its
-     * own query time.
-     */
-    std::vector<IdentifyResult>
-    queryBatch(const std::vector<BitVec> &error_strings,
-               const IdentifyParams &params = {},
-               AttackStats *stats = nullptr,
-               std::vector<AttackStats> *per_query = nullptr) const;
-
-    /**
-     * Reference linear Algorithm 2: the serial sparse scan over
-     * every record (core/scan), bit-identical in verdict, nearest
-     * record and distance to identifyErrorString() — the baseline
-     * the index is measured against.
-     */
-    IdentifyResult queryLinear(const BitVec &error_string,
-                               const IdentifyParams &params = {},
-                               AttackStats *stats = nullptr) const;
-
-    /**
-     * The exact full scan query() falls back to, on its own: every
-     * record's overlap with the query counted from the inverted
-     * position index, then walked in id order under the linear
-     * scan's rules. Verdict, nearest record, distance bits and
-     * computed/pruned counters equal queryLinear()'s; @p stats
-     * accumulates the same fields queryLinear() reports.
-     */
-    IdentifyResult queryFullScan(const BitVec &error_string,
-                                 const IdentifyParams &params = {},
-                                 AttackStats *stats = nullptr) const;
 
     /**
      * Rebuild the index under new signature/banding parameters;
@@ -261,28 +189,22 @@ class FingerprintStore
     void reindex(const MinHashParams &new_params);
 
   private:
+    friend class QueryEngine<FingerprintStore>;
+
+    /** Band @p band's slot arrays (QueryEngine's probe). */
+    LshIndex::BandSlots bandSlots(std::uint32_t band) const
+    {
+        return lsh.bandSlots(band);
+    }
+
     /**
-     * query() body accumulating into @p stats without timing; the
-     * public entry points add wall time around it.
+     * Add each record's overlap with @p error_string to
+     * @p overlap[id] (QueryEngine's fallback), counted from the
+     * query's own posting lists, four at a time.
      */
-    IdentifyResult queryImpl(const BitVec &error_string,
-                             const IdentifyParams &params,
-                             AttackStats *stats) const;
-
-    /** queryFullScan() body: kernel counters only, untimed.
-     *  @p es_weight must equal error_string.popcount(). */
-    IdentifyResult fullScan(const BitVec &error_string,
-                            std::size_t es_weight,
-                            const IdentifyParams &params,
-                            AttackStats *stats) const;
-
-    /** fullScan() with overlap counters of type @p Count, which
-     *  must hold @p es_weight. */
     template <typename Count>
-    IdentifyResult overlapScan(const BitVec &error_string,
-                               std::size_t es_weight,
-                               const IdentifyParams &params,
-                               AttackStats *stats) const;
+    void countOverlaps(const BitVec &error_string,
+                       std::vector<Count> &overlap) const;
 
     /** Shared tail of both addBatch() overloads: append @p fps's
      *  records (an empty store adopts the arena) with signatures in
@@ -315,6 +237,8 @@ class FingerprintStore
 
     ThreadPool *workers = nullptr;
 };
+
+extern template class QueryEngine<FingerprintStore>;
 
 /**
  * Sign every record of @p fps under @p params, across @p pool when

@@ -44,7 +44,7 @@ fi
 "$PCAUSE" identify --db db.pcdb --exact exact.pcbv --linear yes \
     chip1_trial3.pcbv | grep -q "match: beta"
 
-# So must querying the v3 file in place, without loading it.
+# So must querying the v4 file in place, without loading it.
 "$PCAUSE" identify --db db.pcdb --exact exact.pcbv --mmap yes \
     chip1_trial3.pcbv | grep -q "match: beta"
 
@@ -176,6 +176,20 @@ if "$PCAUSE" characterize --db db.pcdb --label small --exact small.pcbv \
     exit 1
 fi
 "$PCAUSE" db --db db.pcdb | grep -q "3 records"
+
+# A label longer than any database file may hold is refused before
+# anything is written: written, it would make every later load of
+# the file fail. The database still loads and answers.
+long_label=$(head -c 70000 /dev/zero | tr '\000' x)
+if "$PCAUSE" characterize --db db.pcdb --label "$long_label" \
+    --exact exact.pcbv chip2_trial0.pcbv > label.out 2>&1; then
+    echo "FAIL: a 70000-byte label was characterized" >&2
+    exit 1
+fi
+grep -q "label has 70000 bytes" label.out
+"$PCAUSE" db --db db.pcdb | grep -q "3 records"
+"$PCAUSE" identify --db db.pcdb --exact exact.pcbv \
+    chip1_trial3.pcbv | grep -q "match: beta"
 
 # identify and cluster refuse an output whose bit count differs from
 # --exact's, naming both files, instead of aborting on an assertion.

@@ -3,10 +3,11 @@
  * Algorithm 2 (IDENTIFY) invariances. The attack's verdict must be
  * a function of the *sets* involved, not of incidental ordering:
  * permuting the database cannot change accept/reject or the best
- * distance (best-match mode), a pool-batched store query keeps the
- * serial reference's verdicts, and permuting a batch permutes its
- * results and nothing else. (The store's scans against the
- * reference, linear and sharded, are pinned in prop_store.)
+ * distance (best-match mode), a pool-batched AttackService
+ * identifyBatch keeps the serial reference's verdicts, and permuting
+ * a batch permutes its results and nothing else. (The store's scans
+ * against the reference, linear and sharded, are pinned in
+ * prop_store.)
  */
 
 #include "prop_common.hh"
@@ -17,6 +18,7 @@
 
 #include "core/distance.hh"
 #include "core/identify.hh"
+#include "core/service.hh"
 #include "core/store.hh"
 #include "util/thread_pool.hh"
 
@@ -119,12 +121,14 @@ PCHECK_PROPERTY(PropIdentify, BatchEqualsSerialEverywhere,
             probes.push_back(
                 pcheck::genBitVec(ctx, 64 * records, 2));
     }
-    IdentifyParams p;
-    p.firstMatch = ctx.boolean(0.5, "first_match");
+    QueryOptions options;
+    options.firstMatch = ctx.boolean(0.5, "first_match");
+    const IdentifyParams p = options.identifyParams();
 
-    FingerprintStore store = FingerprintStore::fromDb(db);
-    store.setThreadPool(&pool);
-    const std::vector<IdentifyResult> batch = store.queryBatch(probes, p);
+    AttackService svc(FingerprintStore::fromDb(db));
+    svc.setThreadPool(&pool);
+    const std::vector<IdentifyVerdict> batch =
+        svc.identifyBatch(probes, options);
     PCHECK_EQ(batch.size(), probes.size());
     for (std::size_t q = 0; q < queries; ++q) {
         // The indexed contract: the serial reference's verdict; on a
@@ -133,11 +137,11 @@ PCHECK_PROPERTY(PropIdentify, BatchEqualsSerialEverywhere,
         // apart, so at most one sits under the threshold).
         const IdentifyResult one =
             identifyErrorString(probes[q], db, p);
-        PCHECK_EQ(batch[q].match.has_value(), one.match.has_value());
+        PCHECK_EQ(batch[q].record.has_value(), one.match.has_value());
         if (!one.match || !p.firstMatch) {
-            PCHECK(batch[q].match == one.match);
+            PCHECK(batch[q].record == one.match);
             PCHECK(batch[q].nearest == one.nearest);
-            PCHECK(sameBits(batch[q].bestDistance, one.bestDistance));
+            PCHECK(sameBits(batch[q].distance, one.bestDistance));
         }
     }
 })
@@ -159,15 +163,17 @@ PCHECK_PROPERTY(PropIdentify, QueryPermutationInvariant,
     for (std::size_t i : perm)
         shuffled.push_back(probes[i]);
 
-    FingerprintStore store = FingerprintStore::fromDb(db);
-    store.setThreadPool(&pool);
-    const std::vector<IdentifyResult> base = store.queryBatch(probes);
-    const std::vector<IdentifyResult> moved = store.queryBatch(shuffled);
+    AttackService svc(FingerprintStore::fromDb(db));
+    svc.setThreadPool(&pool);
+    const std::vector<IdentifyVerdict> base =
+        svc.identifyBatch(probes, QueryOptions{});
+    const std::vector<IdentifyVerdict> moved =
+        svc.identifyBatch(shuffled, QueryOptions{});
     for (std::size_t q = 0; q < queries; ++q) {
-        const IdentifyResult &x = base[perm[q]];
-        const IdentifyResult &y = moved[q];
-        PCHECK(x.match == y.match);
+        const IdentifyVerdict &x = base[perm[q]];
+        const IdentifyVerdict &y = moved[q];
+        PCHECK(x.record == y.record);
         PCHECK(x.nearest == y.nearest);
-        PCHECK(sameBits(x.bestDistance, y.bestDistance));
+        PCHECK(sameBits(x.distance, y.distance));
     }
 })

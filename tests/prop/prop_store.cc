@@ -28,6 +28,7 @@
 
 #include "core/mapped_store.hh"
 #include "core/serialize.hh"
+#include "core/service.hh"
 #include "core/store.hh"
 #include "util/thread_pool.hh"
 
@@ -287,41 +288,40 @@ PCHECK_PROPERTY(PropStore, BatchAgreesWithSingleQueries,
     static ThreadPool pool(4);
     const std::size_t records = ctx.sizeRange(1, 5, "records");
     const std::size_t nbits = 64 * records;
-    FingerprintStore store = genStore(ctx, records, nbits);
-    store.setThreadPool(&pool);
+    AttackService svc(genStore(ctx, records, nbits));
+    svc.setThreadPool(&pool);
+    const FingerprintStore &store = *svc.store();
 
     const std::size_t queries = ctx.sizeRange(1, 6, "queries");
     std::vector<BitVec> probes;
     for (std::size_t q = 0; q < queries; ++q)
         probes.push_back(genProbe(ctx, store, nbits));
 
-    IdentifyParams p;
-    p.firstMatch = ctx.boolean(0.5, "first_match");
-    AttackStats total;
-    std::vector<AttackStats> each;
-    const std::vector<IdentifyResult> batch =
-        store.queryBatch(probes, p, &total, &each);
+    QueryOptions options;
+    options.firstMatch = ctx.boolean(0.5, "first_match");
+    const IdentifyParams p = options.identifyParams();
+    const std::vector<IdentifyVerdict> batch =
+        svc.identifyBatch(probes, options);
+    const AttackStats total = svc.snapshot();
     PCHECK_EQ(batch.size(), probes.size());
-    PCHECK_EQ(each.size(), probes.size());
     AttackStats summed;
     for (std::size_t q = 0; q < queries; ++q) {
         AttackStats one_stats;
         const IdentifyResult one = store.query(probes[q], p, &one_stats);
-        PCHECK_EQ(batch[q].match.has_value(), one.match.has_value());
+        const AttackStats &each = batch[q].delta;
+        PCHECK_EQ(batch[q].record.has_value(), one.match.has_value());
         if (one.match)
-            PCHECK_EQ(*batch[q].match, *one.match);
-        PCHECK_EQ(batch[q].bestDistance, one.bestDistance);
+            PCHECK_EQ(*batch[q].record, *one.match);
+        PCHECK_EQ(batch[q].distance, one.bestDistance);
         // Each element's delta is exactly its own query()'s.
-        PCHECK_EQ(each[q].indexQueries, one_stats.indexQueries);
-        PCHECK_EQ(each[q].indexFallbacks, one_stats.indexFallbacks);
-        PCHECK_EQ(each[q].candidatesScanned,
-                  one_stats.candidatesScanned);
-        PCHECK_EQ(each[q].recordsAvailable, one_stats.recordsAvailable);
-        PCHECK_EQ(each[q].distancesComputed,
-                  one_stats.distancesComputed);
-        PCHECK_EQ(each[q].distancesPruned, one_stats.distancesPruned);
-        PCHECK(each[q].identifySeconds > 0.0);
-        summed += each[q];
+        PCHECK_EQ(each.indexQueries, one_stats.indexQueries);
+        PCHECK_EQ(each.indexFallbacks, one_stats.indexFallbacks);
+        PCHECK_EQ(each.candidatesScanned, one_stats.candidatesScanned);
+        PCHECK_EQ(each.recordsAvailable, one_stats.recordsAvailable);
+        PCHECK_EQ(each.distancesComputed, one_stats.distancesComputed);
+        PCHECK_EQ(each.distancesPruned, one_stats.distancesPruned);
+        PCHECK(each.identifySeconds > 0.0);
+        summed += each;
     }
     // The total is unchanged: the elements' counters, batch time.
     PCHECK_EQ(total.indexQueries, summed.indexQueries);

@@ -3,13 +3,15 @@
  * Unit tests for core/service — the AttackService facade. The
  * load-bearing property is that facade verdicts are bit-identical
  * to direct FingerprintStore / MappedStore queries, for every
- * QueryOptions combination, and that the per-worker stats slots
- * merge without tearing or double-counting.
+ * QueryOptions combination, that identifyBatch() equals identify()
+ * element for element on either backend across a pool, and that the
+ * per-worker stats slots merge without tearing or double-counting.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -18,6 +20,7 @@
 
 #include <unistd.h>
 
+#include "core/pcdb_format.hh"
 #include "core/serialize.hh"
 #include "core/service.hh"
 #include "core/store.hh"
@@ -139,6 +142,139 @@ TEST(AttackService, BatchElementwiseEqualsIdentify)
                   batch[i].delta.distancesPruned);
         EXPECT_GT(batch[i].delta.identifySeconds, 0.0);
     }
+}
+
+TEST(AttackService, BatchEqualsSerial)
+{
+    AttackService svc(makeStore(48, 31));
+    const std::vector<BitVec> queries = makeQueries(*svc.store(), 12, 0x31);
+    const std::vector<IdentifyVerdict> batched =
+        svc.identifyBatch(queries, QueryOptions{});
+    ASSERT_EQ(batched.size(), queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+        const IdentifyResult serial = svc.store()->query(queries[q]);
+        EXPECT_EQ(batched[q].record, serial.match) << "query " << q;
+        EXPECT_DOUBLE_EQ(batched[q].distance, serial.bestDistance);
+    }
+    // Direct store queries leave the service's counters alone.
+    const AttackStats batch_stats = svc.snapshot();
+    EXPECT_EQ(batch_stats.indexQueries, queries.size());
+    EXPECT_GT(batch_stats.identifySeconds, 0.0);
+}
+
+TEST(AttackService, BatchHonoursThreadPool)
+{
+    AttackService svc(makeStore(48, 37));
+    const std::vector<BitVec> queries = makeQueries(*svc.store(), 12, 0x37);
+    ThreadPool pool(3);
+    svc.setThreadPool(&pool);
+    const std::vector<IdentifyVerdict> pooled =
+        svc.identifyBatch(queries, QueryOptions{});
+    svc.setThreadPool(nullptr);
+    const std::vector<IdentifyVerdict> unpooled =
+        svc.identifyBatch(queries, QueryOptions{});
+    for (std::size_t q = 0; q < queries.size(); ++q)
+        EXPECT_EQ(pooled[q].record, unpooled[q].record);
+}
+
+TEST(AttackService, BatchStatsCountEachQueryExactlyOnce)
+{
+    // Each miss query's fallback scan must contribute counters but
+    // no extra time stamp: the batch total carries one, its wall
+    // time.
+    AttackService svc(makeStore(32, 71));
+    const std::size_t records = svc.size();
+    const std::vector<BitVec> queries = makeQueries(*svc.store(), 8, 0x71);
+    ThreadPool pool(4);
+    svc.setThreadPool(&pool);
+
+    const std::vector<BitVec> misses(queries.end() - 3, queries.end());
+    ASSERT_LT(misses.size(), pool.size());
+
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<IdentifyVerdict> res =
+        svc.identifyBatch(misses, QueryOptions{});
+    const double outer = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - start).count();
+    for (const IdentifyVerdict &v : res)
+        EXPECT_FALSE(v.matched);
+    const AttackStats stats = svc.snapshot();
+    EXPECT_EQ(stats.indexQueries, misses.size());
+    EXPECT_EQ(stats.indexFallbacks, misses.size());
+    EXPECT_EQ(stats.distancesComputed + stats.distancesPruned,
+              stats.candidatesScanned + misses.size() * records);
+    EXPECT_GT(stats.identifySeconds, 0.0);
+    EXPECT_LE(stats.identifySeconds, outer);
+}
+
+TEST(AttackService, MappedBatchOnAPoolEqualsIdentify)
+{
+    // The mapped backend's batch runs on the service's pool too, and
+    // each element is what its own identify() reports: verdict,
+    // record, nearest, distance bits and delta counters, with the
+    // linear scan off and on, around a refused element.
+    const std::string path = "service_mapped_batch_test.pcdb";
+    const FingerprintStore direct = makeStore(40, 0x4d);
+    ASSERT_TRUE(saveStore(direct, path));
+    LoadResult<AttackService> svc = AttackService::open(path, true);
+    ASSERT_TRUE(svc) << svc.error;
+    ASSERT_TRUE(svc->readOnly());
+    ThreadPool pool(4);
+    svc->setThreadPool(&pool);
+
+    std::vector<BitVec> queries = makeQueries(direct, 8, 0x4e);
+    BitVec other(16);
+    other.set(3);
+    const std::size_t refused = queries.size() / 2;
+    queries.insert(queries.begin() + refused, other);
+
+    for (const bool linear : {false, true}) {
+        QueryOptions options;
+        options.linear = linear;
+        const AttackStats before = svc->snapshot();
+        const std::vector<IdentifyVerdict> batch =
+            svc->identifyBatch(queries, options);
+        const AttackStats after = svc->snapshot();
+        ASSERT_EQ(batch.size(), queries.size());
+        EXPECT_NE(batch[refused].error.find("16 bits"), std::string::npos)
+            << batch[refused].error;
+
+        AttackStats summed;
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+            const IdentifyVerdict solo = svc->identify({queries[i], options});
+            EXPECT_EQ(batch[i].error, solo.error) << "element " << i;
+            EXPECT_EQ(batch[i].matched, solo.matched);
+            EXPECT_EQ(batch[i].record, solo.record);
+            EXPECT_EQ(batch[i].nearest, solo.nearest);
+            EXPECT_EQ(batch[i].label, solo.label);
+            EXPECT_EQ(batch[i].nearestLabel, solo.nearestLabel);
+            EXPECT_TRUE(sameBits(batch[i].distance, solo.distance));
+            EXPECT_EQ(batch[i].delta.indexQueries, solo.delta.indexQueries);
+            EXPECT_EQ(batch[i].delta.indexFallbacks,
+                      solo.delta.indexFallbacks);
+            EXPECT_EQ(batch[i].delta.candidatesScanned,
+                      solo.delta.candidatesScanned);
+            EXPECT_EQ(batch[i].delta.recordsAvailable,
+                      solo.delta.recordsAvailable);
+            EXPECT_EQ(batch[i].delta.distancesComputed,
+                      solo.delta.distancesComputed);
+            EXPECT_EQ(batch[i].delta.distancesPruned,
+                      solo.delta.distancesPruned);
+            EXPECT_EQ(batch[i].delta.identifySeconds > 0.0,
+                      solo.error.empty());
+            summed += batch[i].delta;
+        }
+        EXPECT_EQ(after.indexQueries - before.indexQueries,
+                  summed.indexQueries);
+        EXPECT_EQ(after.recordsAvailable - before.recordsAvailable,
+                  summed.recordsAvailable);
+        EXPECT_EQ(after.distancesComputed - before.distancesComputed,
+                  summed.distancesComputed);
+        EXPECT_EQ(after.distancesPruned - before.distancesPruned,
+                  summed.distancesPruned);
+        EXPECT_GT(after.identifySeconds, before.identifySeconds);
+    }
+    std::remove(path.c_str());
 }
 
 TEST(AttackService, AddsWhileReadersQuery)
@@ -493,6 +629,48 @@ TEST(AttackService, RefusedJournalAppendRefusesTheAck)
         svc->addRecord("kept", Fingerprint(randomPattern(rng, 16)));
     EXPECT_TRUE(retry.added);
     EXPECT_EQ(svc->size(), 1u);
+}
+
+TEST(AttackService, RefusesRecordsNoDatabaseFileHolds)
+{
+    // A snapshot holding an empty fingerprint or an over-long label
+    // fails every later load, so such an add is refused with its
+    // reason before the journal sees it, and the reopen succeeds.
+    DurableFixture fx;
+    Rng rng(0xD6);
+    const BitVec pattern = randomPattern(rng, 16);
+    const std::string too_long(70000, 'x');
+    const std::string longest(pcdb::maxLabelBytes, 'y');
+    {
+        LoadResult<AttackService> svc =
+            AttackService::openDurable(fx.config());
+        ASSERT_TRUE(svc) << svc.error;
+        const std::size_t journaled = svc->walEntries();
+
+        const AttackService::AddOutcome empty =
+            svc->addRecord("empty", Fingerprint());
+        EXPECT_FALSE(empty.added);
+        EXPECT_NE(empty.error.find("no error string"), std::string::npos)
+            << empty.error;
+        const AttackService::AddOutcome labelled =
+            svc->addRecord(too_long, Fingerprint(pattern));
+        EXPECT_FALSE(labelled.added);
+        EXPECT_NE(labelled.error.find("70000 bytes"), std::string::npos)
+            << labelled.error;
+        EXPECT_FALSE(svc->addFingerprint(too_long, {pattern}).added);
+        EXPECT_EQ(svc->walEntries(), journaled);
+        EXPECT_EQ(svc->size(), 0u);
+
+        // A label at the limit is a label the loader reads.
+        ASSERT_TRUE(svc->addRecord(longest, Fingerprint(pattern)).added);
+        const std::string err = svc->checkpoint();
+        EXPECT_TRUE(err.empty()) << err;
+    }
+    LoadResult<AttackService> back =
+        AttackService::openDurable(fx.config());
+    ASSERT_TRUE(back) << back.error;
+    ASSERT_EQ(back->size(), 1u);
+    EXPECT_EQ(back->label(0), longest);
 }
 
 TEST(AttackService, CharacterizeRefusesMismatchedBitCounts)

@@ -182,20 +182,6 @@ TEST(LshIndex, IdenticalSignaturesCollide)
               cand.end()); // deduplicated
 }
 
-TEST(LshIndex, ClearEmptiesTheIndex)
-{
-    const MinHashParams prm;
-    LshIndex index(prm);
-    Rng rng(5);
-    const MinHashSignature sig =
-        minhashSignature(randomPattern(rng, 80), prm);
-    index.add(0, sig);
-    ASSERT_FALSE(index.candidates(sig).empty());
-    index.clear();
-    EXPECT_EQ(index.size(), 0u);
-    EXPECT_TRUE(index.candidates(sig).empty());
-}
-
 // --- FingerprintStore ---------------------------------------------
 
 TEST(FingerprintStore, IndexedMatchesLinearOnRandomPopulations)
@@ -246,37 +232,6 @@ TEST(FingerprintStore, SignaturesIndependentOfAddOrder)
         EXPECT_EQ(fwd.signature(i),
                   rev.signature(fps.size() - 1 - i));
     }
-}
-
-TEST(FingerprintStore, BatchEqualsSerial)
-{
-    TestPopulation pop = makePopulation(48, 31);
-    AttackStats batch_stats;
-    const std::vector<IdentifyResult> batched =
-        pop.store.queryBatch(pop.queries, {}, &batch_stats);
-    ASSERT_EQ(batched.size(), pop.queries.size());
-    for (std::size_t q = 0; q < pop.queries.size(); ++q) {
-        const IdentifyResult serial = pop.store.query(pop.queries[q]);
-        EXPECT_EQ(batched[q].match, serial.match) << "query " << q;
-        EXPECT_DOUBLE_EQ(batched[q].bestDistance,
-                         serial.bestDistance);
-    }
-    EXPECT_EQ(batch_stats.indexQueries, pop.queries.size());
-    EXPECT_GT(batch_stats.identifySeconds, 0.0);
-}
-
-TEST(FingerprintStore, BatchHonoursThreadPool)
-{
-    TestPopulation pop = makePopulation(48, 37);
-    ThreadPool pool(3);
-    pop.store.setThreadPool(&pool);
-    const std::vector<IdentifyResult> pooled =
-        pop.store.queryBatch(pop.queries);
-    pop.store.setThreadPool(nullptr);
-    const std::vector<IdentifyResult> unpooled =
-        pop.store.queryBatch(pop.queries);
-    for (std::size_t q = 0; q < pop.queries.size(); ++q)
-        EXPECT_EQ(pooled[q].match, unpooled[q].match);
 }
 
 TEST(FingerprintStore, ReindexPreservesVerdicts)
@@ -366,7 +321,7 @@ TEST(FingerprintStore, StatsCountersAccount)
 TEST(FingerprintStore, StatsCountEachQueryExactlyOnce)
 {
     // Regression: the pool-sharded fallback used to stamp its own
-    // wall time inside queryImpl, so a single query's time was
+    // wall time inside the query body, so a single query's time was
     // counted twice (inner scan + outer query). Each query's work
     // must appear in the counters exactly once, and identifySeconds
     // must not exceed the wall time of the call that produced it.
@@ -386,35 +341,6 @@ TEST(FingerprintStore, StatsCountEachQueryExactlyOnce)
     EXPECT_EQ(stats.indexFallbacks, 1u);
     EXPECT_EQ(stats.distancesComputed + stats.distancesPruned,
               stats.candidatesScanned + pop.store.size());
-    EXPECT_GT(stats.identifySeconds, 0.0);
-    EXPECT_LE(stats.identifySeconds, outer);
-}
-
-TEST(FingerprintStore, BatchStatsCountEachQueryExactlyOnce)
-{
-    // Same regression at the batch level: each miss query's fallback
-    // scan must contribute counters but no extra time stamp.
-    TestPopulation pop = makePopulation(32, 71);
-    ThreadPool pool(4);
-    pop.store.setThreadPool(&pool);
-
-    const std::vector<BitVec> misses(pop.queries.end() - 3,
-                                     pop.queries.end());
-    ASSERT_LT(misses.size(), pool.size());
-
-    AttackStats stats;
-    const auto start = std::chrono::steady_clock::now();
-    const std::vector<IdentifyResult> res =
-        pop.store.queryBatch(misses, {}, &stats);
-    const double outer = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start).count();
-    for (const IdentifyResult &r : res)
-        EXPECT_FALSE(r.match.has_value());
-    EXPECT_EQ(stats.indexQueries, misses.size());
-    EXPECT_EQ(stats.indexFallbacks, misses.size());
-    EXPECT_EQ(stats.distancesComputed + stats.distancesPruned,
-              stats.candidatesScanned +
-                  misses.size() * pop.store.size());
     EXPECT_GT(stats.identifySeconds, 0.0);
     EXPECT_LE(stats.identifySeconds, outer);
 }
@@ -559,47 +485,6 @@ TEST(FingerprintStore, AddBatchIsTheSameAtAnyLaneCount)
         EXPECT_TRUE(std::equal(a.ids, a.ids + a.slots, c.ids));
         EXPECT_TRUE(std::equal(a.keys, a.keys + a.slots, c.keys));
     }
-}
-
-TEST(FingerprintStore, ForeignSignatureSpaceIsRecomputed)
-{
-    // Adding a record whose signature was computed under different
-    // hash-count/seed parameters must not silently mix signature
-    // spaces (the record would never collide with honest queries):
-    // the store recomputes under its own parameters.
-    MinHashParams mine;
-    mine.numHashes = 32;
-    mine.bands = 8;
-    mine.seed = 0x1234;
-
-    MinHashParams foreign; // defaults: different seed
-    Rng rng(79);
-    Fingerprint fp(randomPattern(rng, 64), 3u);
-    const MinHashSignature foreign_sig =
-        minhashSignature(fp.bits(), foreign);
-
-    FingerprintStore store(mine);
-    store.addWithSignature("chip", fp, foreign_sig, foreign);
-    EXPECT_EQ(store.signature(0),
-              minhashSignature(fp.bits(), mine));
-
-    // Same signature space (hash count + seed; banding differs):
-    // adopted verbatim, no rehash needed.
-    MinHashParams rebanded = mine;
-    rebanded.bands = 4;
-    const MinHashSignature same_space_sig =
-        minhashSignature(fp.bits(), rebanded);
-    store.addWithSignature("chip2", fp, same_space_sig, rebanded);
-    EXPECT_EQ(store.signature(1), same_space_sig);
-
-    // Either way the record is findable through the index.
-    BitVec es = fp.bits();
-    for (int i = 0; i < 8; ++i)
-        es.set(rng.nextBelow(universe));
-    AttackStats stats;
-    const IdentifyResult r = store.query(es, {}, &stats);
-    ASSERT_TRUE(r.match.has_value());
-    EXPECT_EQ(stats.indexFallbacks, 0u);
 }
 
 TEST(LshIndex, MultiProbeExtendsPrimaryCandidates)

@@ -209,6 +209,11 @@ cmdCharacterize(const Args &args)
         fatal("characterize: need --db, --label, --exact, and at "
               "least one output file");
     }
+    // No database file may hold a longer label: written, it would
+    // make the file unloadable.
+    if (label.size() > pcdb::maxLabelBytes)
+        fatal("characterize: the label has %zu bytes; at most %u fit",
+              label.size(), pcdb::maxLabelBytes);
 
     const auto [exact, outputs] =
         loadObservations("characterize", exact_path, args.positional);
