@@ -18,8 +18,8 @@
  *
  * Verdict equivalence: the queries are FingerprintStore's own
  * (QueryEngine, core/scan.hh): the same probe loop over the stored
- * band tables, the same shortlist scan and the same overlap-count
- * walk, for every metric. The one step of its own is counting the
+ * band tables, the same primary-then-substitution shortlist scans
+ * and the same overlap-count walk, for every metric. The one step of its own is counting the
  * fallback's overlaps by decoding the mapped posting lists
  * (countOverlaps()), so verdicts, nearest records, distance bits and
  * kernel counters match FingerprintStore on the same file exactly.

@@ -1,7 +1,6 @@
 #include "core/minhash.hh"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <utility>
 
@@ -222,55 +221,25 @@ signatureSimilarity(const MinHashSignature &a, const MinHashSignature &b)
 }
 
 std::uint64_t
-lshBandKey(const MinHashParams &params, const MinHashSignature &sig,
-           std::uint32_t band)
+lshBandSeed(const MinHashParams &params, std::uint32_t band)
 {
-    // Fold the band's rows into one 64-bit key; the band index is
-    // mixed in so identical row values in different bands do not
-    // alias (each band has its own bucket map anyway, but distinct
-    // keys keep the occupancy diagnostics honest).
-    const std::uint32_t r = params.rows();
-    std::uint64_t key = mix64(params.seed, 0x62616e64ull + band);
-    for (std::uint32_t j = 0; j < r; ++j)
-        key = mix64(key, sig[band * r + j]);
-    return key;
+    // The band index is mixed in so identical row values in
+    // different bands do not alias (each band has its own bucket map
+    // anyway, but distinct keys keep the occupancy diagnostics
+    // honest).
+    return mix64(params.seed, 0x62616e64ull + band);
 }
 
 std::uint64_t
-lshBandKeySub(const MinHashParams &params, const MinHashSignature &sig,
-              std::uint32_t band, std::uint32_t sub_row,
-              std::uint32_t sub_val)
+lshBandKey(const MinHashParams &params, const MinHashSignature &sig,
+           std::uint32_t band)
 {
+    // Fold the band's rows into one 64-bit key.
     const std::uint32_t r = params.rows();
-    std::uint64_t key = mix64(params.seed, 0x62616e64ull + band);
-    for (std::uint32_t j = 0; j < r; ++j) {
-        key = mix64(key, j == sub_row ? sub_val
-                                      : sig[band * r + j]);
-    }
+    std::uint64_t key = lshBandSeed(params, band);
+    for (std::uint32_t j = 0; j < r; ++j)
+        key = mix64(key, sig[band * r + j]);
     return key;
-}
-
-std::vector<std::uint64_t>
-lshProbeKeys(const MinHashParams &params, const MinHashSketch &sketch,
-             std::uint32_t band)
-{
-    const std::uint32_t probes = params.effectiveProbes();
-    std::vector<std::uint64_t> keys;
-    keys.reserve(probes);
-    const std::uint64_t primary =
-        lshBandKey(params, sketch.primary, band);
-    keys.push_back(primary);
-    const std::uint32_t r = params.rows();
-    for (std::uint32_t row = 0;
-         row < r && keys.size() < probes; ++row) {
-        const std::uint32_t sub =
-            sketch.second[band * r + row];
-        if (sub == sketch.primary[band * r + row])
-            continue; // substitution reproduces the primary bucket
-        keys.push_back(
-            lshBandKeySub(params, sketch.primary, band, row, sub));
-    }
-    return keys;
 }
 
 namespace
@@ -287,18 +256,9 @@ slotsFor(std::size_t entries)
 
 } // anonymous namespace
 
-std::size_t
-LshIndex::BandSlots::home(std::uint64_t key) const
-{
-    // Band keys are mix64 outputs, so the multiply-shift range
-    // reduction spreads them evenly over any table size.
-    return static_cast<std::size_t>(
-        (static_cast<unsigned __int128>(key) * slots) >> 64);
-}
-
 void
 LshIndex::BandSlots::find(std::uint64_t key, std::uint32_t records,
-                          std::vector<std::uint32_t> &out) const
+                          std::vector<std::size_t> &out) const
 {
     std::size_t s = home(key);
     for (std::size_t step = 0; step < slots && ids[s] != emptySlot;
@@ -471,13 +431,15 @@ LshIndex::candidates(const MinHashSignature &sig) const
 {
     PC_ASSERT(sig.size() == prm.numHashes,
               "LshIndex::candidates: signature length mismatch");
-    return probe(
+    std::vector<std::size_t> hits;
+    probe(
         prm, numRecords,
         [&](std::uint32_t band) { return bands[band].slots(); },
-        [&](std::uint32_t band) {
-            return std::array<std::uint64_t, 1>{
-                lshBandKey(prm, sig, band)};
-        });
+        [&](std::uint32_t band, const auto &emit) {
+            emit(lshBandKey(prm, sig, band));
+        },
+        hits);
+    return hits;
 }
 
 std::vector<std::size_t>
@@ -486,12 +448,15 @@ LshIndex::candidates(const MinHashSketch &sketch) const
     PC_ASSERT(sketch.primary.size() == prm.numHashes &&
                   sketch.second.size() == prm.numHashes,
               "LshIndex::candidates: sketch length mismatch");
-    return probe(
+    std::vector<std::size_t> hits;
+    probe(
         prm, numRecords,
         [&](std::uint32_t band) { return bands[band].slots(); },
-        [&](std::uint32_t band) {
-            return lshProbeKeys(prm, sketch, band);
-        });
+        [&](std::uint32_t band, const auto &emit) {
+            lshProbeKeys(prm, sketch, band, emit);
+        },
+        hits);
+    return hits;
 }
 
 LshIndex::Occupancy

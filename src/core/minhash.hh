@@ -34,7 +34,9 @@
  * row's value with that bin's *second* minimum, recovering
  * near-misses where a noise bit of the query stole a single row.
  * Stored records are indexed exactly once; all extra probing is on
- * the query side, so the index itself does not grow.
+ * the query side, so the index itself does not grow. A store's query
+ * looks up the substitution keys only when nothing under the primary
+ * keys accepts (QueryEngine::query, core/scan.hh).
  */
 
 #ifndef PCAUSE_CORE_MINHASH_HH
@@ -42,10 +44,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
 #include "util/bitvec.hh"
+#include "util/rng.hh"
 #include "util/sparse_bitset.hh"
 
 namespace pcause
@@ -162,6 +166,12 @@ double signatureSimilarity(const MinHashSignature &a,
                            const MinHashSignature &b);
 
 /**
+ * Where band @p band's bucket keys start under @p params: the fold
+ * lshBandKey() continues with one mix64() per row of the band.
+ */
+std::uint64_t lshBandSeed(const MinHashParams &params, std::uint32_t band);
+
+/**
  * Bucket key of band @p band of @p sig under @p params — the fold
  * every band table (in memory, stored, mapped) buckets by, exposed
  * so they all agree on one definition.
@@ -171,24 +181,53 @@ std::uint64_t lshBandKey(const MinHashParams &params,
                          std::uint32_t band);
 
 /**
- * lshBandKey() with row @p sub_row's value replaced by @p sub_val —
- * the multi-probe variant keys.
+ * Call @p emit(key) for each substitution key band @p band of
+ * @p sketch probes after its primary key: row by row, lshBandKey()
+ * of the band with that row's second minimum in place of its
+ * minimum, skipping rows whose second minimum repeats the minimum
+ * (that key is the primary one), at most effectiveProbes() - 1
+ * keys. What a query widens to when no primary candidate accepts.
+ * Each key branches off the primary fold at its row, so the walk
+ * folds the primary key on the way and returns it.
  */
-std::uint64_t lshBandKeySub(const MinHashParams &params,
-                            const MinHashSignature &sig,
-                            std::uint32_t band, std::uint32_t sub_row,
-                            std::uint32_t sub_val);
+template <typename Emit>
+std::uint64_t
+lshSubstitutionKeys(const MinHashParams &params,
+                    const MinHashSketch &sketch, std::uint32_t band,
+                    const Emit &emit)
+{
+    const std::uint32_t r = params.rows();
+    const std::uint32_t *mins = sketch.primary.data() + band * r;
+    const std::uint32_t *seconds = sketch.second.data() + band * r;
+    std::uint32_t left = params.effectiveProbes() - 1;
+    // The primary fold over rows [0, row).
+    std::uint64_t prefix = lshBandSeed(params, band);
+    for (std::uint32_t row = 0; row < r; ++row) {
+        if (left > 0 && seconds[row] != mins[row]) {
+            std::uint64_t key = mix64(prefix, seconds[row]);
+            for (std::uint32_t j = row + 1; j < r; ++j)
+                key = mix64(key, mins[j]);
+            emit(key);
+            --left;
+        }
+        prefix = mix64(prefix, mins[row]);
+    }
+    return prefix;
+}
 
 /**
- * All bucket keys band @p band of @p sketch probes under @p params:
- * the primary key first, then single-row substitutions in row order,
- * capped at effectiveProbes() and with keys equal to the primary
- * skipped. Shared by the in-memory index and the mmap-ed store so
- * their candidate sets are identical by construction.
+ * Call @p emit(key) for every bucket key band @p band of @p sketch
+ * probes under @p params: lshSubstitutionKeys(), then the primary
+ * key. Shared by the in-memory index and the mmap-ed store so their
+ * candidate sets are identical by construction.
  */
-std::vector<std::uint64_t> lshProbeKeys(const MinHashParams &params,
-                                        const MinHashSketch &sketch,
-                                        std::uint32_t band);
+template <typename Emit>
+void
+lshProbeKeys(const MinHashParams &params, const MinHashSketch &sketch,
+             std::uint32_t band, const Emit &emit)
+{
+    emit(lshSubstitutionKeys(params, sketch, band, emit));
+}
 
 /**
  * Banded LSH bucket index mapping signatures to record ids.
@@ -226,7 +265,22 @@ class LshIndex
         std::size_t slots = 0;
 
         /** First slot of @p key's probe run. */
-        std::size_t home(std::uint64_t key) const;
+        std::size_t home(std::uint64_t key) const
+        {
+            // Band keys are mix64 outputs, so the multiply-shift
+            // range reduction spreads them evenly over any size.
+            return static_cast<std::size_t>(
+                (static_cast<unsigned __int128>(key) * slots) >> 64);
+        }
+
+        /** Start loading the cache lines of @p key's home slot (a
+         *  prefetch never faults, even of an empty table). */
+        void prefetch(std::uint64_t key) const
+        {
+            const std::size_t s = home(key);
+            __builtin_prefetch(keys + s);
+            __builtin_prefetch(ids + s);
+        }
 
         /**
          * Append the ids stored under @p key to @p out. The probe
@@ -236,20 +290,25 @@ class LshIndex
          * records.
          */
         void find(std::uint64_t key, std::uint32_t records,
-                  std::vector<std::uint32_t> &out) const;
+                  std::vector<std::size_t> &out) const;
     };
 
     /**
      * The one probe loop every candidate lookup runs, in memory or
-     * mapped: for each of @p params.bands bands, look up every key
-     * of @p keysOf(band) in @p slotsOf(band) (a BandSlots) over
-     * @p records records, then return the ids hit, ascending and
-     * deduplicated — the shortlist the exact kernel scans.
+     * mapped. For each of @p params.bands bands, @p keysOf(band,
+     * emit) calls emit(key) for each key to look up in
+     * @p slotsOf(band) (a BandSlots) over @p records records. The
+     * keys of every band are kept in one buffer on the stack, and
+     * every key's home slot is prefetched before any is looked up,
+     * so the lookups' cache misses overlap; nothing is allocated per
+     * band. The ids hit are appended to @p hits, and that appended
+     * run is sorted and deduplicated — the shortlist the exact
+     * kernel scans.
      */
     template <typename SlotsOf, typename KeysOf>
-    static std::vector<std::size_t>
-    probe(const MinHashParams &params, std::size_t records,
-          const SlotsOf &slotsOf, const KeysOf &keysOf);
+    static void probe(const MinHashParams &params, std::size_t records,
+                      const SlotsOf &slotsOf, const KeysOf &keysOf,
+                      std::vector<std::size_t> &hits);
 
     explicit LshIndex(const MinHashParams &params = {});
 
@@ -312,7 +371,8 @@ class LshIndex
     /**
      * Multi-probe candidates: ids sharing any of the sketch's probe
      * buckets (lshProbeKeys) in any band, ascending and
-     * deduplicated. With params().probes == 1 this equals
+     * deduplicated — every id a store's query can scan before its
+     * fallback. With params().probes == 1 this equals
      * candidates(sketch.primary).
      */
     std::vector<std::size_t>
@@ -372,20 +432,42 @@ class LshIndex
 };
 
 template <typename SlotsOf, typename KeysOf>
-std::vector<std::size_t>
+void
 LshIndex::probe(const MinHashParams &params, std::size_t records,
-                const SlotsOf &slotsOf, const KeysOf &keysOf)
+                const SlotsOf &slotsOf, const KeysOf &keysOf,
+                std::vector<std::size_t> &hits)
 {
-    std::vector<std::uint32_t> hits;
+    // Every band's keys go into one buffer on the stack, then each
+    // key's home slot is prefetched, and only then are they looked
+    // up, so the lookups' cache misses overlap. The buffer holds a
+    // default full probe (16 bands x 5 keys); more keys are looked up
+    // a buffer at a time.
+    struct Pending
+    {
+        std::uint32_t band;
+        std::uint64_t key;
+    };
+    Pending pending[128];
+    std::size_t held = 0;
+    const std::size_t first = hits.size();
     const auto bound = static_cast<std::uint32_t>(records);
+    const auto lookUp = [&] {
+        for (std::size_t k = 0; k < held; ++k)
+            slotsOf(pending[k].band).prefetch(pending[k].key);
+        for (std::size_t k = 0; k < held; ++k)
+            slotsOf(pending[k].band).find(pending[k].key, bound, hits);
+        held = 0;
+    };
     for (std::uint32_t band = 0; band < params.bands; ++band) {
-        const BandSlots table = slotsOf(band);
-        for (const std::uint64_t key : keysOf(band))
-            table.find(key, bound, hits);
+        keysOf(band, [&](std::uint64_t key) {
+            pending[held++] = {band, key};
+            if (held == std::size(pending))
+                lookUp();
+        });
     }
-    std::sort(hits.begin(), hits.end());
-    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
-    return std::vector<std::size_t>(hits.begin(), hits.end());
+    lookUp();
+    std::sort(hits.begin() + first, hits.end());
+    hits.erase(std::unique(hits.begin() + first, hits.end()), hits.end());
 }
 
 } // namespace pcause

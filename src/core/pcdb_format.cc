@@ -11,9 +11,6 @@ namespace pcdb
 namespace
 {
 
-/** Largest fingerprint universe: positions are stored as u32. */
-constexpr std::uint64_t maxUniverseBits = std::uint64_t{1} << 32;
-
 /** Bytes of gap @p g's varint. */
 std::uint64_t
 gapBytes(std::uint64_t g)

@@ -132,6 +132,9 @@ constexpr std::uint32_t maxHashes = 1u << 16;
  *  `pcause characterize` refuse one before writing it. */
 constexpr std::uint32_t maxLabelBytes = 1u << 16;
 
+/** Largest fingerprint universe: positions are stored as u32. */
+constexpr std::uint64_t maxUniverseBits = std::uint64_t{1} << 32;
+
 constexpr std::uint64_t v3HeaderBytes = 104;
 constexpr std::uint64_t v4HeaderBytes = 144;
 constexpr std::uint64_t recordEntryBytes = 40;

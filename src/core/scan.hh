@@ -13,6 +13,15 @@
  * from it (CRTP: no virtual call is added), so a probe, a width
  * choice or a timing rule changes in one place for both.
  *
+ * A query widens only on a miss: it scans the ids under every band's
+ * primary key, then, only when none accepts, the ids under the
+ * substitution keys that it has not scanned yet, then, only when
+ * none of those accepts, every record (the exact fallback). A known
+ * chip's record is nearly always under a primary key, so an accept
+ * costs the 16 primary lookups, not all 80, while the fallback still
+ * runs exactly when nothing the full multi-probe would shortlist is
+ * under the threshold.
+ *
  * Both stores keep fingerprints only as sparse position lists
  * (SparseFingerprintSource). Every exact scan over them — the LSH
  * shortlist, the reference linear scan and the overlap-count
@@ -300,18 +309,22 @@ class QueryEngine
   public:
     /**
      * Record ids sharing any probe bucket (lshProbeKeys) with
-     * @p sketch in any band, ascending and deduplicated: the
-     * shortlist query() scans.
+     * @p sketch in any band, ascending and deduplicated: every id
+     * query() can scan before it falls back.
      */
     std::vector<std::size_t> candidates(const MinHashSketch &sketch) const;
 
     /**
-     * Indexed Algorithm 2 from a precomputed error string: the exact
-     * bounded scan of the LSH shortlist, and the exact full scan
-     * (queryFullScan()) when the shortlist yields no accept, whose
-     * result is returned verbatim. @p stats receives index
-     * (candidates scanned against database size, fallbacks) and
-     * kernel counters.
+     * Indexed Algorithm 2 from a precomputed error string, in three
+     * stages, each run only when the one before yields no accept:
+     * the exact bounded scan of the ids under every band's primary
+     * key; the same scan of the ids under the substitution keys
+     * (lshSubstitutionKeys) that the first stage did not scan; and
+     * the exact full scan (queryFullScan()), whose result is
+     * returned verbatim. So a query falls back exactly when no id of
+     * candidates() is under the threshold. @p stats receives index
+     * (ids scanned before any fallback, against database size;
+     * fallbacks) and kernel counters.
      */
     IdentifyResult query(const BitVec &error_string,
                          const IdentifyParams &params = {},
@@ -342,6 +355,18 @@ class QueryEngine
   private:
     const Store &self() const { return static_cast<const Store &>(*this); }
 
+    /** LshIndex::probe() over this store's band tables, with
+     *  @p keysOf(band, emit) naming each band's keys. */
+    template <typename KeysOf>
+    void probe(const KeysOf &keysOf, std::vector<std::size_t> &hits) const
+    {
+        const Store &s = self();
+        LshIndex::probe(
+            s.indexParams(), s.size(),
+            [&](std::uint32_t band) { return s.bandSlots(band); }, keysOf,
+            hits);
+    }
+
     /** queryFullScan() untimed; @p es_weight must equal
      *  error_string.popcount(). */
     IdentifyResult fullScan(const BitVec &error_string,
@@ -354,16 +379,17 @@ template <typename Store>
 std::vector<std::size_t>
 QueryEngine<Store>::candidates(const MinHashSketch &sketch) const
 {
-    const Store &s = self();
-    PC_ASSERT(sketch.primary.size() == s.indexParams().numHashes &&
-                  sketch.second.size() == s.indexParams().numHashes,
+    const MinHashParams &prm = self().indexParams();
+    PC_ASSERT(sketch.primary.size() == prm.numHashes &&
+                  sketch.second.size() == prm.numHashes,
               "candidates: sketch length mismatch");
-    return LshIndex::probe(
-        s.indexParams(), s.size(),
-        [&](std::uint32_t band) { return s.bandSlots(band); },
-        [&](std::uint32_t band) {
-            return lshProbeKeys(s.indexParams(), sketch, band);
-        });
+    std::vector<std::size_t> hits;
+    probe(
+        [&](std::uint32_t band, const auto &emit) {
+            lshProbeKeys(prm, sketch, band, emit);
+        },
+        hits);
+    return hits;
 }
 
 template <typename Store>
@@ -374,28 +400,61 @@ QueryEngine<Store>::query(const BitVec &error_string,
 {
     return detail::timedQuery(stats, [&](AttackStats *local) {
         const auto &fps = self().sparseFingerprints();
+        const MinHashParams &prm = self().indexParams();
         ++local->indexQueries;
         local->recordsAvailable += fps.count();
-        const std::vector<std::size_t> cand =
-            candidates(minhashSketch(error_string, self().indexParams()));
-        local->candidatesScanned += cand.size();
+        const MinHashSketch sketch = minhashSketch(error_string, prm);
 
         // The query operand is hashed once here, never per candidate.
         const std::size_t es_weight = error_string.popcount();
-        if (!cand.empty()) {
-            const detail::SparseDistAt distAt{error_string, es_weight, fps,
-                                              params.metric};
-            detail::ScanOutcome out;
-            for (const std::size_t i : cand) {
-                if (detail::scanStep(i, params, distAt, out) &&
+        const detail::SparseDistAt distAt{error_string, es_weight, fps,
+                                          params.metric};
+        detail::ScanOutcome out;
+        std::vector<std::size_t> cand;
+        cand.reserve(prm.bands);
+        // Scan cand[from, end) in ascending id order into out; an id
+        // under the threshold (out.anyUnderThreshold) decides the
+        // query.
+        const auto scanFrom = [&](std::size_t from) {
+            local->candidatesScanned += cand.size() - from;
+            for (std::size_t k = from; k < cand.size(); ++k) {
+                if (detail::scanStep(cand[k], params, distAt, out) &&
                     params.firstMatch)
                     break;
             }
-            detail::mergeScanCounters(local, out);
-            const IdentifyResult res = detail::outcomeToResult(out, params);
-            if (res.match)
-                return res;
+        };
+
+        // Stage 1: the primary keys, which hold a known chip's record
+        // on nearly every query.
+        probe(
+            [&](std::uint32_t band, const auto &emit) {
+                emit(lshBandKey(prm, sketch.primary, band));
+            },
+            cand);
+        scanFrom(0);
+        if (!out.anyUnderThreshold) {
+            // Stage 2: the substitution keys, minus the ids stage 1
+            // scanned (a prefix of cand, ascending), so no id is
+            // scanned twice.
+            const std::size_t seen = cand.size();
+            probe(
+                [&](std::uint32_t band, const auto &emit) {
+                    lshSubstitutionKeys(prm, sketch, band, emit);
+                },
+                cand);
+            const auto scanned = [&](std::size_t id) {
+                return std::binary_search(cand.begin(),
+                                          cand.begin() + seen, id);
+            };
+            cand.erase(std::remove_if(cand.begin() + seen, cand.end(),
+                                      scanned),
+                       cand.end());
+            scanFrom(seen);
         }
+        detail::mergeScanCounters(local, out);
+        if (out.anyUnderThreshold)
+            return detail::outcomeToResult(out, params);
+        // Stage 3: nothing in candidates() is under the threshold.
         ++local->indexFallbacks;
         return fullScan(error_string, es_weight, params, local);
     });

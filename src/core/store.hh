@@ -7,9 +7,10 @@
  * fingerprint's position list in one sparse arena (the PCDB on-disk
  * layout), never a dense bit vector. A MinHash/LSH candidate index
  * (core/minhash) makes identification sublinear in the number of
- * known chips: a query hashes its error string to a signature,
- * pulls the records colliding in at least one LSH band, and runs
- * the exact sparse kernel on that shortlist only.
+ * known chips: a query sketches its error string, pulls the records
+ * under its primary key in any LSH band, and runs the exact sparse
+ * kernel on that shortlist only — widening to the substitution keys
+ * (multi-probe) only when nothing on it accepts.
  *
  * The queries themselves — query(), queryFullScan(), queryLinear()
  * and candidates() — are the one engine both stores share
@@ -22,16 +23,17 @@
  *
  * Accept/reject equivalence with the paper's linear Algorithm 2 is
  * guaranteed by construction: a shortlist accept implies a record
- * under threshold exists (the exact kernel verified it), and a
- * shortlist miss falls back to the full scan, whose result is
+ * under threshold exists (the exact kernel verified it), and a miss
+ * of both shortlists falls back to the full scan, whose result is
  * returned verbatim and equals queryLinear()'s in verdict, nearest
  * record, distance bits and kernel counters (docs/ALGORITHMS.md
  * "Exact reject scan"). The only permitted divergence is *which*
  * record is reported when several sit under the threshold — the
  * shortlist may surface a later record than the linear scan's first
- * hit, or in best-match mode its own best rather than the global one
- * (distinct chips are never that close at a working threshold; see
- * docs/ALGORITHMS.md "Fingerprint index").
+ * hit (one under a primary key before one reachable only through a
+ * substitution key), or in best-match mode its own best rather than
+ * the global one (distinct chips are never that close at a working
+ * threshold; see docs/ALGORITHMS.md "Fingerprint index").
  *
  * The LSH band tables and the position index are what PCDB v4
  * stores: loadStore() reads them back as they were written (adopt())

@@ -11,6 +11,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include "core/pcdb_format.hh"
 #include "util/failpoint.hh"
 
 namespace pcause
@@ -140,8 +141,13 @@ decodeEntry(const std::uint8_t *p, std::size_t n, WalEntry &entry)
         return "unknown entry kind " + std::to_string(kind);
     if (n - off < 4)
         return "truncated label length";
+    // pcdb::check()'s per-record rules, in its words: an entry no
+    // database file may hold is corruption, refused before replay
+    // applies anything.
     const std::uint32_t label_len = getU32(p + off);
     off += 4;
+    if (label_len > pcdb::maxLabelBytes)
+        return "implausible label length";
     if (n - off < label_len)
         return "truncated label";
     entry.label.assign(reinterpret_cast<const char *>(p + off),
@@ -151,8 +157,12 @@ decodeEntry(const std::uint8_t *p, std::size_t n, WalEntry &entry)
         return "truncated fingerprint header";
     entry.sources = getU32(p + off);
     off += 4;
+    if (entry.sources == 0)
+        return "record with zero sources";
     entry.universe = getU64(p + off);
     off += 8;
+    if (entry.universe > pcdb::maxUniverseBits)
+        return "universe exceeds 2^32 bits";
     const std::uint64_t count = getU64(p + off);
     off += 8;
     if ((n - off) / 4 < count)

@@ -255,6 +255,45 @@ if [ "$rc" -ne 2 ] || ! grep -q "entry 0 has 16 bits" verify.out; then
     exit 1
 fi
 
+# So is an entry no database file may hold, named in the words the
+# snapshot check uses: zero sources (replay used to abort), a universe
+# of 2^40 bits, a label of 65,537 bytes (replay used to apply both).
+journal_refused() {
+    rc=0
+    "$PCAUSE" db --db db.pcdb verify > verify.out || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -qF "entry 0: $1" verify.out; then
+        echo "FAIL: journal entry with $1 triaged as $rc, want 2:" \
+            "$(cat verify.out)" >&2
+        exit 1
+    fi
+}
+printf 'PCWL\001\000\000\000\003\000\000\000\000\000\000\000' \
+    > db.pcdb.wal
+printf '\036\000\000\000\342Q\304\242\001\001\000\000\000x\000\000\000\000' \
+    >> db.pcdb.wal
+printf '\000\000\004\000\000\000\000\000\001\000\000\000\000\000\000\000' \
+    >> db.pcdb.wal
+printf '\003\000\000\000' >> db.pcdb.wal
+journal_refused "record with zero sources"
+
+printf 'PCWL\001\000\000\000\003\000\000\000\000\000\000\000' \
+    > db.pcdb.wal
+printf '\036\000\000\000\0538\262\221\001\001\000\000\000x\001\000\000\000' \
+    >> db.pcdb.wal
+printf '\000\000\000\000\000\001\000\000\001\000\000\000\000\000\000\000' \
+    >> db.pcdb.wal
+printf '\003\000\000\000' >> db.pcdb.wal
+journal_refused "universe exceeds 2^32 bits"
+
+printf 'PCWL\001\000\000\000\003\000\000\000\000\000\000\000' \
+    > db.pcdb.wal
+printf '\036\000\001\000N\353g\337\001\001\000\001\000' >> db.pcdb.wal
+head -c 65537 /dev/zero | tr '\000' x >> db.pcdb.wal
+printf '\001\000\000\000\000\000\004\000\000\000\000\000\001\000\000\000' \
+    >> db.pcdb.wal
+printf '\000\000\000\000\003\000\000\000' >> db.pcdb.wal
+journal_refused "implausible label length"
+
 # A journal with a damaged magic is corruption, not a torn tail.
 printf 'XWAL\001\000\000\000\000\000\000\000\000\000\000\000' \
     > db.pcdb.wal

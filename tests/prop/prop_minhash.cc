@@ -200,12 +200,24 @@ modelCandidates(const MinHashParams &mh,
                 const MinHashSketch &sketch, bool multi_probe)
 {
     std::vector<std::size_t> ids;
+    const std::uint32_t rows = mh.rows();
     for (std::uint32_t band = 0; band < mh.bands; ++band) {
-        const std::vector<std::uint64_t> keys =
-            multi_probe
-                ? lshProbeKeys(mh, sketch, band)
-                : std::vector<std::uint64_t>{
-                      lshBandKey(mh, sketch.primary, band)};
+        // The primary key, then (multi-probe) the key of the
+        // signature with one row's second minimum in place of its
+        // minimum, row by row, where the two differ, up to the probe
+        // budget.
+        std::vector<std::uint64_t> keys{
+            lshBandKey(mh, sketch.primary, band)};
+        for (std::uint32_t row = 0;
+             multi_probe && row < rows && keys.size() < mh.effectiveProbes();
+             ++row) {
+            const std::uint32_t at = band * rows + row;
+            if (sketch.second[at] == sketch.primary[at])
+                continue;
+            MinHashSignature substituted = sketch.primary;
+            substituted[at] = sketch.second[at];
+            keys.push_back(lshBandKey(mh, substituted, band));
+        }
         for (const std::uint64_t key : keys) {
             const auto [lo, hi] = model[band].equal_range(key);
             for (auto it = lo; it != hi; ++it)

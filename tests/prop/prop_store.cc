@@ -8,8 +8,12 @@
  * agree with queryLinear on every accept/reject verdict — on a
  * reject also on the nearest record and the distance bits (what a
  * served reject carries), and in best-match mode with a single
- * record under the threshold on the record and distance too. The
- * exact fallback scan (queryFullScan) must equal the linear scan
+ * record under the threshold on the record and distance too; with
+ * several under it, the record reported is one of them, at its own
+ * exact distance. The query widens from the primary keys' ids to the
+ * substitution keys' only on a miss, and falls back exactly when no
+ * id of candidates() is under the threshold, scanning none twice.
+ * The exact fallback scan (queryFullScan) must equal the linear scan
  * outright: verdict, nearest record, distance bits and
  * computed/pruned kernel counters, over stores of up to a few
  * hundred records. A v4 file mapped in place, whose fallback walks
@@ -21,6 +25,7 @@
 
 #include "prop_common.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -141,6 +146,70 @@ sameBits(double a, double b)
     return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
 
+/** @p store saved as a v4 file and mapped in place; the file's name
+ *  is removed at once, and the mapping outlives it. */
+MappedStore
+mapStore(const FingerprintStore &store)
+{
+    const std::string path =
+        "prop_store_mapped." + std::to_string(::getpid()) + ".pcdb";
+    PCHECK(saveStore(store, path));
+    LoadResult<MappedStore> mapped = MappedStore::open(path);
+    std::remove(path.c_str());
+    PCHECK_MSG(static_cast<bool>(mapped), mapped.error);
+    return std::move(*mapped);
+}
+
+/** Record @p i's exact distance from @p probe: the dense metric. */
+double
+exactDistance(const FingerprintStore &store, std::size_t i,
+              const BitVec &probe, DistanceMetric metric)
+{
+    return distance(metric, probe, store.record(i).fingerprint.bits());
+}
+
+/**
+ * query() of @p engine (either store of @p store's records) against
+ * the exact distance of every id in its candidates(): the query falls
+ * back exactly when none is under the threshold, and no id is
+ * scanned twice on the way.
+ */
+template <typename Engine>
+void
+checkWidening(const Engine &engine, const FingerprintStore &store,
+              const BitVec &probe, const IdentifyParams &p)
+{
+    const std::vector<std::size_t> cand =
+        engine.candidates(minhashSketch(probe, engine.indexParams()));
+    bool any_under = false;
+    for (const std::size_t id : cand)
+        any_under = any_under ||
+                    exactDistance(store, id, probe, p.metric) < p.threshold;
+
+    AttackStats st;
+    const IdentifyResult res = engine.query(probe, p, &st);
+    PCHECK_EQ(st.indexFallbacks, std::uint64_t{any_under ? 0u : 1u});
+    PCHECK(st.candidatesScanned <= cand.size());
+    const std::uint64_t steps = st.distancesComputed + st.distancesPruned;
+    if (st.indexFallbacks > 0) {
+        // Both stages scanned every candidate, then the fallback
+        // every record (up to its first hit in first-match mode),
+        // each exactly once.
+        PCHECK_EQ(st.candidatesScanned, std::uint64_t{cand.size()});
+        if (p.firstMatch && res.match)
+            PCHECK(steps <= cand.size() + store.size());
+        else
+            PCHECK_EQ(steps, std::uint64_t{cand.size() + store.size()});
+        return;
+    }
+    PCHECK(res.match.has_value());
+    PCHECK(std::binary_search(cand.begin(), cand.end(), *res.match));
+    // Only first-match mode stops a stage's scan early.
+    PCHECK(steps <= st.candidatesScanned);
+    if (!p.firstMatch)
+        PCHECK_EQ(steps, st.candidatesScanned);
+}
+
 } // namespace
 
 PCHECK_PROPERTY(PropStore, QueryAgreesWithLinearScan, [](Ctx &ctx) {
@@ -236,17 +305,12 @@ PCHECK_PROPERTY(PropStore, MappedQueryEqualsLinearScan, [](Ctx &ctx) {
     const std::size_t records = ctx.sizeRange(1, 64, "records");
     const std::size_t nbits = 64 * records;
     const FingerprintStore store = genGrownStore(ctx, records, nbits);
-    const std::string path =
-        "prop_store_mapped." + std::to_string(::getpid()) + ".pcdb";
-    PCHECK(saveStore(store, path));
-    LoadResult<MappedStore> mapped = MappedStore::open(path);
-    std::remove(path.c_str()); // the mapping outlives the name
-    PCHECK_MSG(static_cast<bool>(mapped), mapped.error);
+    const MappedStore mapped = mapStore(store);
     const BitVec probe = genProbe(ctx, store, nbits);
 
     const IdentifyParams p = genQueryParams(ctx);
     AttackStats stats, store_stats, linear_stats;
-    const IdentifyResult got = mapped->query(probe, p, &stats);
+    const IdentifyResult got = mapped.query(probe, p, &stats);
     const IdentifyResult linear =
         store.queryLinear(probe, p, &linear_stats);
     const IdentifyResult direct = store.query(probe, p, &store_stats);
@@ -272,7 +336,7 @@ PCHECK_PROPERTY(PropStore, MappedQueryEqualsLinearScan, [](Ctx &ctx) {
     // The fallback on its own equals the linear scan outright.
     AttackStats full_stats;
     const IdentifyResult full =
-        mapped->queryFullScan(probe, p, &full_stats);
+        mapped.queryFullScan(probe, p, &full_stats);
     PCHECK(full.match == linear.match);
     PCHECK(full.nearest == linear.nearest);
     PCHECK(sameBits(full.bestDistance, linear.bestDistance));
@@ -281,6 +345,76 @@ PCHECK_PROPERTY(PropStore, MappedQueryEqualsLinearScan, [](Ctx &ctx) {
     PCHECK_EQ(full_stats.distancesPruned, linear_stats.distancesPruned);
     PCHECK_EQ(full_stats.recordsAvailable,
               linear_stats.recordsAvailable);
+})
+
+PCHECK_PROPERTY(PropStore, WideningLosesNoRecall, [](Ctx &ctx) {
+    // A query scans the primary keys' ids, then only on a miss the
+    // substitution keys' other ids, then falls back. The fallback is
+    // exact, so it would hide a widening that loses ids from every
+    // verdict check: pin the fallback to the candidates themselves.
+    // Besides genProbe()'s probes: supersets of a record under heavy
+    // noise, whose primary keys often all miss.
+    const std::size_t records = ctx.sizeRange(1, 64, "records");
+    const std::size_t nbits = 64 * records;
+    const FingerprintStore store = genGrownStore(ctx, records, nbits);
+    BitVec probe;
+    if (ctx.boolean(0.6, "heavy_noise")) {
+        const BitVec fp =
+            store.record(ctx.below(records, "target")).fingerprint.bits();
+        probe = pcheck::genNoisyObservation(
+            ctx, fp, 1.0, std::max<std::size_t>(2, fp.popcount()));
+    } else {
+        probe = genProbe(ctx, store, nbits);
+    }
+    const IdentifyParams p = genQueryParams(ctx);
+    checkWidening(store, store, probe, p);
+    checkWidening(mapStore(store), store, probe, p);
+})
+
+PCHECK_PROPERTY(PropStore, NearDuplicatesReportARecordUnderTheThreshold,
+                [](Ctx &ctx) {
+    // The one permitted divergence: with two records under the
+    // threshold, the shortlist may report either. A near duplicate of
+    // a target record, at any id, and a probe near both: in either
+    // mode and from either store, the verdict is the linear scan's,
+    // and the record reported is under the threshold, with its own
+    // exact distance bits.
+    const std::size_t records = ctx.sizeRange(1, 24, "records");
+    const std::size_t nbits = 64 * records;
+    const FingerprintDb db = pcheck::genDb(ctx, nbits, records);
+    const std::size_t target = ctx.below(records, "target");
+    const BitVec &fp = db.record(target).fingerprint.bits();
+    const BitVec twin = pcheck::genNoisyObservation(ctx, fp, 0.9, 2);
+    const std::size_t twin_at = ctx.sizeRange(0, records, "twin_at");
+    FingerprintStore store(genIndexParams(ctx));
+    for (std::size_t i = 0; i <= records; ++i) {
+        if (i == twin_at)
+            store.add("twin", Fingerprint(twin, 1u));
+        if (i < records)
+            store.add(db.record(i).label, db.record(i).fingerprint);
+    }
+    const BitVec probe = pcheck::genNoisyObservation(
+        ctx, ctx.boolean(0.5, "probe_twin") ? twin : fp, 0.93,
+        std::max<std::size_t>(1, fp.popcount() / 4));
+
+    IdentifyParams p = genQueryParams(ctx);
+    const double thresholds[] = {0.1, 0.25, 0.5, 1.5};
+    p.threshold = thresholds[ctx.sizeRange(0, 3, "dup_threshold")];
+    const MappedStore mapped = mapStore(store);
+    for (const bool first_match : {true, false}) {
+        p.firstMatch = first_match;
+        const IdentifyResult linear = store.queryLinear(probe, p);
+        for (const IdentifyResult &got :
+             {store.query(probe, p), mapped.query(probe, p)}) {
+            PCHECK_EQ(got.match.has_value(), linear.match.has_value());
+            if (!got.match)
+                continue;
+            const double d =
+                exactDistance(store, *got.match, probe, p.metric);
+            PCHECK(d < p.threshold);
+            PCHECK(sameBits(got.bestDistance, d));
+        }
+    }
 })
 
 PCHECK_PROPERTY(PropStore, BatchAgreesWithSingleQueries,

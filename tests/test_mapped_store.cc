@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/mapped_store.hh"
@@ -147,6 +150,50 @@ TEST(MappedStore, CandidatesMatchInMemoryIndex)
             minhashSketch(es, store.indexParams());
         EXPECT_EQ(mapped->candidates(sketch),
                   store.index().candidates(sketch));
+    }
+    std::remove(path.c_str());
+}
+
+TEST(MappedStore, SubstitutionKeysFindWhatPrimaryKeysMiss)
+{
+    // A query first scans the ids under its primary keys and widens
+    // to the substitution keys only when none accepts. Find a noisy
+    // superset of a record that shares no primary bucket with it but
+    // a substitution bucket: both stores accept it without falling
+    // back.
+    const FingerprintStore store = makeStore(64);
+    const std::string path = saveTemp(store, "pc_mapped_widen.pcdb");
+    const LoadResult<MappedStore> mapped = MappedStore::open(path);
+    ASSERT_TRUE(mapped) << mapped.error;
+
+    std::optional<BitVec> query;
+    std::size_t target = 0;
+    for (std::uint64_t seed = 0; seed < 4096 && !query; ++seed) {
+        Rng rng(seed);
+        target = seed % store.size();
+        BitVec es = store.record(target).fingerprint.bits();
+        for (int b = 0; b < 48; ++b)
+            es.set(rng.nextBelow(universeBits));
+        const MinHashSketch sketch =
+            minhashSketch(es, store.indexParams());
+        const auto primary = store.index().candidates(sketch.primary);
+        const auto widened = store.index().candidates(sketch);
+        if (!std::binary_search(primary.begin(), primary.end(), target) &&
+            std::binary_search(widened.begin(), widened.end(), target))
+            query = es;
+    }
+    ASSERT_TRUE(query) << "no noise seed hid a record from its primary "
+                          "keys alone";
+
+    AttackStats in_memory, in_file;
+    const IdentifyResult a = store.query(*query, {}, &in_memory);
+    const IdentifyResult b = mapped->query(*query, {}, &in_file);
+    for (const auto &[res, stats] :
+         {std::pair{a, in_memory}, std::pair{b, in_file}}) {
+        ASSERT_TRUE(res.match.has_value());
+        EXPECT_EQ(*res.match, target);
+        EXPECT_EQ(stats.indexFallbacks, 0u);
+        EXPECT_GE(stats.candidatesScanned, 1u);
     }
     std::remove(path.c_str());
 }

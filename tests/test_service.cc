@@ -807,6 +807,81 @@ TEST(AttackService, JournalOfTwoBitCountsFailsOpenAndWritesNothing)
     EXPECT_EQ(Wal::verify(fx.walPath).goodBytes, before.goodBytes);
 }
 
+/**
+ * Append to the journal at @p path one add entry framed as
+ * Wal::append frames it, with whatever fields it is given: how a
+ * damaged or older writer's journal is made.
+ */
+void
+appendRawEntry(const std::string &path, const std::string &label,
+               std::uint32_t sources, std::uint64_t universe_bits,
+               const std::vector<std::uint32_t> &positions)
+{
+    std::vector<std::uint8_t> payload{1}; // kind: add a record
+    const auto put = [](std::vector<std::uint8_t> &buf, std::uint64_t v,
+                        int bytes) {
+        for (int i = 0; i < bytes; ++i)
+            buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    put(payload, label.size(), 4);
+    payload.insert(payload.end(), label.begin(), label.end());
+    put(payload, sources, 4);
+    put(payload, universe_bits, 8);
+    put(payload, positions.size(), 8);
+    for (const std::uint32_t pos : positions)
+        put(payload, pos, 4);
+    std::vector<std::uint8_t> framed;
+    put(framed, payload.size(), 4);
+    put(framed, crc32(payload.data(), payload.size()), 4);
+    framed.insert(framed.end(), payload.begin(), payload.end());
+    std::FILE *f = std::fopen(path.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(std::fwrite(framed.data(), 1, framed.size(), f),
+              framed.size());
+    std::fclose(f);
+}
+
+TEST(AttackService, JournalEntriesNoDatabaseFileHoldsFailOpen)
+{
+    // An entry pcdb::check() would refuse in a file is corruption,
+    // named in check()'s words. Replaying one used to abort the
+    // process (zero sources), allocate the entry's whole universe
+    // (2^32 bits and up), or compact a label no later open reads.
+    struct Case
+    {
+        const char *why;
+        std::string label;
+        std::uint32_t sources;
+        std::uint64_t universe_bits;
+    };
+    const Case cases[] = {
+        {"record with zero sources", "a", 0, universe},
+        {"universe exceeds 2^32 bits", "a", 1,
+         pcdb::maxUniverseBits + 64},
+        {"implausible label length",
+         std::string(pcdb::maxLabelBytes + 1, 'x'), 1, universe},
+    };
+    for (const Case &c : cases) {
+        DurableFixture fx;
+        {
+            LoadResult<Wal> wal = Wal::create(fx.walPath, 0);
+            ASSERT_TRUE(wal) << wal.error;
+        }
+        appendRawEntry(fx.walPath, c.label, c.sources, c.universe_bits,
+                       {3});
+        const WalVerifyResult verdict = Wal::verify(fx.walPath);
+        EXPECT_EQ(verdict.health, WalHealth::Corrupt) << c.why;
+        EXPECT_EQ(verdict.detail, std::string("entry 0: ") + c.why);
+
+        const LoadResult<AttackService> svc =
+            AttackService::openDurable(fx.config());
+        EXPECT_FALSE(svc) << c.why;
+        EXPECT_NE(svc.error.find(c.why), std::string::npos) << svc.error;
+        EXPECT_NE(::access(fx.dbPath.c_str(), F_OK), 0)
+            << c.why << ": a failed open wrote a snapshot";
+    }
+}
+
 TEST(AttackService, CheckpointCompactsTheJournal)
 {
     DurableFixture fx;
