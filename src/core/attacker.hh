@@ -140,9 +140,11 @@ class EavesdropperAttacker
                                   {});
 
     /**
-     * Use @p pool (not owned; null reverts to serial) to
-     * parallelize the page-probing phase of ingest and matching,
-     * batch truncation, and error-string sketching.
+     * Use @p pool (not owned) to parallelize the page-probing phase
+     * of ingest and matching, batch truncation, and error-string
+     * sketching. With none set (null), probing and truncation run
+     * serially and the sketching runs on the process-global pool
+     * (IndexedClusterer::setThreadPool()).
      */
     void setThreadPool(ThreadPool *pool);
 

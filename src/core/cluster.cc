@@ -107,6 +107,7 @@ std::size_t
 IndexedClusterer::ingest(const BitVec &error_string,
                          const MinHashSignature &sig)
 {
+    detail::checkQueryBits(error_string, clusters);
     ++counters.outputs;
 
     // Every confirm evaluates the sparse distance at bound =
@@ -148,8 +149,7 @@ IndexedClusterer::ingest(const BitVec &error_string,
     // Algorithm 4 miss: the error string opens a new cluster, whose
     // fingerprint *is* the error string — and whose signature is the
     // one the output was shortlisted with. Every cluster holds the
-    // same bit count: the fallback just compared this error string
-    // against all of them.
+    // same bit count, checked against this error string on entry.
     PC_ASSERT(error_string.size() <= (std::uint64_t{1} << 32),
               "IndexedClusterer: positions are 32-bit");
     clusters.all.push_back(

@@ -136,8 +136,8 @@ class IndexedClusterer
                               const MinHashParams &index_params = {});
 
     /**
-     * Use @p pool (not owned, may be null to go serial) for
-     * addBatch()'s sketching phase.
+     * Use @p pool (not owned) for addBatch()'s sketching phase. With
+     * no pool set (null), it signs on the process-global pool.
      */
     void setThreadPool(ThreadPool *pool) { workers = pool; }
 
@@ -240,8 +240,8 @@ FingerprintDb cluster(const std::vector<BitVec> &approx_results,
 /**
  * cluster() through an IndexedClusterer: same contract and (in the
  * separated-fleet regime) same assignments, sublinear in the number
- * of clusters. @p pool, when non-null, parallelizes the error-string
- * and sketch precomputation.
+ * of clusters. The error-string and sketch precomputation runs on
+ * @p pool, or on the process-global pool when it is null.
  */
 FingerprintDb clusterIndexed(const std::vector<BitVec> &approx_results,
                              const BitVec &exact,

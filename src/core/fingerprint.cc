@@ -45,24 +45,23 @@ denseBits(const SparseView &v)
 
 SparseFingerprintArena::SparseFingerprintArena(
     PosVec positions, std::vector<std::uint64_t> record_offsets,
-    std::vector<std::uint64_t> record_universes)
+    std::uint64_t bits)
     : arena(std::move(positions)), offsets(std::move(record_offsets)),
-      universes(std::move(record_universes))
+      universe(bits)
 {
-    PC_ASSERT(offsets.size() == universes.size() + 1 &&
-                  offsets.front() == 0 && offsets.back() == arena.size(),
+    PC_ASSERT(!offsets.empty() && offsets.front() == 0 &&
+                  offsets.back() == arena.size(),
               "SparseFingerprintArena: offsets do not span the arena");
 }
 
 SparseView
 SparseFingerprintArena::view(std::size_t i) const
 {
-    PC_ASSERT(i < universes.size(),
-              "SparseFingerprintArena index out of range");
+    PC_ASSERT(i < count(), "SparseFingerprintArena index out of range");
     SparseView v;
     v.positions = arena.data() + offsets[i];
     v.count = static_cast<std::size_t>(offsets[i + 1] - offsets[i]);
-    v.universe = universes[i];
+    v.universe = universe;
     return v;
 }
 
@@ -84,30 +83,27 @@ writePositions(const BitVec &pattern, std::uint32_t *out)
 void
 SparseFingerprintArena::add(const BitVec &pattern)
 {
+    PC_ASSERT(count() == 0 || pattern.size() == universe,
+              "SparseFingerprintArena: a second bit count");
     const std::size_t at = arena.size();
     arena.resize(at + pattern.popcount());
     writePositions(pattern, arena.data() + at);
     offsets.push_back(arena.size());
-    universes.push_back(pattern.size());
+    universe = pattern.size();
 }
 
 void
 SparseFingerprintArena::append(const SparseFingerprintArena &more)
 {
+    if (more.count() == 0)
+        return;
+    PC_ASSERT(count() == 0 || more.universe == universe,
+              "SparseFingerprintArena: a second bit count");
     const std::uint64_t base = arena.size();
     arena.insert(arena.end(), more.arena.begin(), more.arena.end());
     for (std::size_t i = 1; i < more.offsets.size(); ++i)
         offsets.push_back(base + more.offsets[i]);
-    universes.insert(universes.end(), more.universes.begin(),
-                     more.universes.end());
-}
-
-void
-SparseFingerprintArena::clear()
-{
-    arena.clear();
-    offsets.assign(1, 0);
-    universes.clear();
+    universe = more.universe;
 }
 
 } // namespace pcause

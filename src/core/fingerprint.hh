@@ -95,7 +95,7 @@ void writePositions(const BitVec &pattern, std::uint32_t *out);
  * one arena with per-record offsets, so a million fingerprints cost
  * two flat allocations (~4 bytes per volatile cell) instead of a
  * dense BitVec apiece — the in-memory mirror of the PCDB on-disk
- * position arena.
+ * position arena. Every record has the same bit count, held once.
  */
 class SparseFingerprintArena : public SparseFingerprintSource
 {
@@ -104,16 +104,15 @@ class SparseFingerprintArena : public SparseFingerprintSource
 
     /**
      * Adopt @p positions as the arena: record i holds positions
-     * [record_offsets[i], record_offsets[i + 1]) over
-     * @p record_universes[i] bits. Each list must already be
-     * ascending, unique and inside its universe (the loader checks
-     * them as it reads a file).
+     * [record_offsets[i], record_offsets[i + 1]) over @p bits bits.
+     * Each list must already be ascending, unique and below @p bits
+     * (the loader checks them as it reads a file).
      */
     SparseFingerprintArena(PosVec positions,
                            std::vector<std::uint64_t> record_offsets,
-                           std::vector<std::uint64_t> record_universes);
+                           std::uint64_t bits);
 
-    std::size_t count() const override { return universes.size(); }
+    std::size_t count() const override { return offsets.size() - 1; }
 
     SparseView view(std::size_t i) const override;
 
@@ -124,17 +123,19 @@ class SparseFingerprintArena : public SparseFingerprintSource
         return static_cast<std::size_t>(offsets[i + 1] - offsets[i]);
     }
 
-    /** view(i).universe, unchecked (@p i < count()). */
-    std::uint64_t universe(std::size_t i) const { return universes[i]; }
+    /** Every record's universe in bits (0 while there is none). */
+    std::uint64_t bitCount() const { return universe; }
 
     /** Where record @p i's positions start in positions(), unchecked
      *  (@p i <= count(); offset(count()) is the total). */
     std::uint64_t offset(std::size_t i) const { return offsets[i]; }
 
-    /** Append @p pattern's set bits as the next record. */
+    /** Append @p pattern's set bits as the next record; after the
+     *  first, @p pattern must have bitCount() bits. */
     void add(const BitVec &pattern);
 
-    /** Append @p more's records, in order, after this arena's. */
+    /** Append @p more's records, in order, after this arena's; both
+     *  must have one bit count when both hold records. */
     void append(const SparseFingerprintArena &more);
 
     /** Total positions stored across all records. */
@@ -146,13 +147,10 @@ class SparseFingerprintArena : public SparseFingerprintSource
      *  the PCDB on-disk layout. */
     const PosVec &positions() const { return arena; }
 
-    /** Drop all records. */
-    void clear();
-
   private:
     PosVec arena;
     std::vector<std::uint64_t> offsets{0};
-    std::vector<std::uint64_t> universes;
+    std::uint64_t universe = 0;
 };
 
 } // namespace pcause

@@ -68,7 +68,7 @@ MappedStore::view(std::size_t i) const
         map.data() + header.posOff +
         e.posOff * sizeof(std::uint32_t));
     v.count = e.posCount;
-    v.universe = e.universe;
+    v.universe = header.universe;
     return v;
 }
 

@@ -24,9 +24,10 @@
  * (countOverlaps()), so verdicts, nearest records, distance bits and
  * kernel counters match FingerprintStore on the same file exactly.
  *
- * Trust model: structural metadata is fully validated at open. Index
- * ids are bounded at use: a band probe stops after the table's slot
- * count and skips slot ids of N or more, and a posting list's
+ * Trust model: structural metadata is fully validated at open, each
+ * record entry by the per-record rule and the file's one universe.
+ * Index ids are bounded at use: a band probe stops after the table's
+ * slot count and skips slot ids of N or more, and a posting list's
  * decoding stops at a bad gap, skips ids of N or more and never
  * yields an id twice, so a damaged index section costs wrong
  * shortlists or counts, never a read outside the mapping. Neither
@@ -35,7 +36,7 @@
  * damage is not detected here, where loadStore() refuses it.
  * Position and signature *values* are trusted and never checked: the
  * sparse scan kernels index the query's words with words[pos >> 6]
- * unchecked, so a corrupted position (>= the record's universe) in a
+ * unchecked, so a corrupted position (>= the file's universe) in a
  * mapped file is an out-of-bounds read, not a clean failure — map
  * only files a trusted writer produced.
  */
@@ -81,11 +82,8 @@ class MappedStore : public SparseFingerprintSource,
         return pcdb::loadU32(entryAt(i) + 28);
     }
 
-    /** view(i).universe, unchecked (@p i < count()). */
-    std::uint64_t universe(std::size_t i) const
-    {
-        return pcdb::loadU64(entryAt(i) + 16);
-    }
+    /** Every record's universe in bits (0 with no record). */
+    std::uint64_t bitCount() const { return header.universe; }
 
     /** The records, as the source every scan reads: this mapping. */
     const MappedStore &sparseFingerprints() const { return *this; }

@@ -59,6 +59,42 @@ checkPostingOffsets(const ReadAt &read, const Header &h)
 
 } // anonymous namespace
 
+std::string
+minhashError(std::uint64_t hashes, std::uint64_t bands)
+{
+    if (hashes == 0 || bands == 0 || hashes % bands != 0 ||
+        hashes > maxHashes)
+        return "invalid minhash parameters: " + std::to_string(hashes) +
+               " hashes in " + std::to_string(bands) +
+               " bands (the bands must divide the hashes, at most " +
+               std::to_string(maxHashes) + ")";
+    return {};
+}
+
+const char *
+recordError(std::uint64_t label_bytes, std::uint64_t sources,
+            std::uint64_t universe, std::string *detail)
+{
+    const auto refuse = [&](const char *why, const std::string &what) {
+        if (detail)
+            *detail = std::string(why) + ": " + what;
+        return why;
+    };
+    if (label_bytes > maxLabelBytes)
+        return refuse("implausible label length",
+                      "the label has " + std::to_string(label_bytes) +
+                          " bytes; at most " +
+                          std::to_string(maxLabelBytes) + " fit");
+    if (sources == 0)
+        return refuse("record with zero sources",
+                      "the fingerprint folds no error string");
+    if (universe > maxUniverseBits)
+        return refuse("universe exceeds 2^32 bits",
+                      "the fingerprint has " + std::to_string(universe) +
+                          " bits");
+    return nullptr;
+}
+
 MinHashParams
 Header::minhashParams() const
 {
@@ -182,9 +218,9 @@ check(std::uint64_t file_len, const ReadAt &read, Header &h,
     h.bandCrc = loadU32(d + bandCrcOff);
     h.postingsCrc = loadU32(d + postingsCrcOff);
 
-    if (h.numHashes == 0 || h.bands == 0 ||
-        h.numHashes % h.bands != 0 || h.numHashes > maxHashes)
-        return "invalid minhash parameters in header";
+    if (std::string why = minhashError(h.numHashes, h.bands);
+        !why.empty())
+        return why;
     if (h.scheme != schemeOnePermutation && h.scheme != schemeRetired)
         return "unknown signature scheme " + std::to_string(h.scheme);
     if (h.version == versionV4 && h.scheme != schemeOnePermutation)
@@ -226,7 +262,7 @@ check(std::uint64_t file_len, const ReadAt &read, Header &h,
     constexpr std::uint64_t chunk = 1024;
     std::vector<std::uint8_t> table(
         std::min(chunk, h.recordCount) * recordEntryBytes);
-    std::uint64_t next_label = 0, next_pos = 0, universe = 0;
+    std::uint64_t next_label = 0, next_pos = 0;
     for (std::uint64_t i = 0; i < h.recordCount; ++i) {
         if (i % chunk == 0) {
             const std::uint64_t n = std::min(chunk, h.recordCount - i);
@@ -236,18 +272,15 @@ check(std::uint64_t file_len, const ReadAt &read, Header &h,
         }
         const RecordEntry e = decodeRecordEntry(
             table.data() + (i % chunk) * recordEntryBytes);
-        if (e.labelLen > maxLabelBytes)
-            return "implausible label length";
+        if (const char *why =
+                recordError(e.labelLen, e.sources, e.universe))
+            return why;
         if (e.labelOff != next_label || e.posOff != next_pos ||
             e.reserved != 0)
             return "non-canonical record table";
-        if (e.sources == 0)
-            return "record with zero sources";
-        if (e.universe > maxUniverseBits)
-            return "universe exceeds 2^32 bits";
         if (i == 0)
-            universe = e.universe;
-        else if (e.universe != universe)
+            h.universe = e.universe;
+        else if (e.universe != h.universe)
             return "universe differs from record 0's";
         if (e.posCount > e.universe)
             return "more positions than universe bits";
@@ -275,7 +308,7 @@ check(std::uint64_t file_len, const ReadAt &read, Header &h,
     }
     // A list per position up to the highest one held, and none past
     // the universe.
-    if (h.postingLists > universe)
+    if (h.postingLists > h.universe)
         return "more posting lists than universe bits";
     return checkPostingOffsets(read, h);
 }

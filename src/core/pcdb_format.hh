@@ -87,15 +87,20 @@
  * the header, the layout, the record table, v3's band entry counts
  * and v4's slot count and posting offsets: everything but the
  * payloads, in one pass over the record table and the offset arrays.
- * loadStore then reads every payload, in tasks on a thread pool,
- * and checks it as it goes: each
- * position inside its universe and strictly ascending, each band
- * slot id below N with exactly N occupied, each gap above 0 and each
- * decoded id below N, each list's bytes holding exactly its ids,
- * the lists' position sum (each list's position times its length)
- * equal to the position arena's, and both CRCs. MappedStore checks no payload at open: it bounds
- * slot and posting ids at use and trusts positions and signature
- * values (see core/mapped_store.hh).
+ * Both readers keep the file's one universe (Header::universe) as
+ * their one bit count. loadStore then reads every payload, in tasks
+ * on a thread pool, and checks it as it goes: each position inside
+ * the universe and strictly ascending, each band slot id below N
+ * with exactly N occupied, each gap above 0 and each decoded id
+ * below N, each list's bytes holding exactly its ids, the lists'
+ * position sum (each list's position times its length) equal to the
+ * position arena's, and both CRCs. MappedStore checks no payload at
+ * open: it bounds slot and posting ids at use and trusts positions
+ * and signature values (see core/mapped_store.hh).
+ *
+ * What a file may hold is stated once, here (minhashError(),
+ * recordError()); the journal, `pcause db reindex` and the store's
+ * admission check ask the same rules.
  */
 
 #ifndef PCAUSE_CORE_PCDB_FORMAT_HH
@@ -128,12 +133,28 @@ constexpr std::uint32_t schemeOnePermutation = 1; //!< one hash per cell
 constexpr std::uint32_t maxHashes = 1u << 16;
 
 /** Longest chip label a file may hold (real labels are tens of
- *  bytes): check() refuses a longer one, so AttackService and
- *  `pcause characterize` refuse one before writing it. */
+ *  bytes); the wire bounds labels by it too. */
 constexpr std::uint32_t maxLabelBytes = 1u << 16;
 
 /** Largest fingerprint universe: positions are stored as u32. */
 constexpr std::uint64_t maxUniverseBits = std::uint64_t{1} << 32;
+
+/** The header's MinHash parameter rule: why no file may declare
+ *  @p hashes rows in @p bands bands (the bands must divide the
+ *  hashes, at most maxHashes), or empty. */
+std::string minhashError(std::uint64_t hashes, std::uint64_t bands);
+
+/**
+ * The per-record rule: check()'s reason for refusing a record of a
+ * @p label_bytes-byte label (at most maxLabelBytes), @p sources
+ * sources (at least 1) and a @p universe-bit fingerprint (at most
+ * maxUniverseBits), or null. @p detail, when non-null, receives the
+ * reason with the refused value: "implausible label length: the
+ * label has 70000 bytes; at most 65536 fit".
+ */
+const char *recordError(std::uint64_t label_bytes, std::uint64_t sources,
+                        std::uint64_t universe,
+                        std::string *detail = nullptr);
 
 constexpr std::uint64_t v3HeaderBytes = 104;
 constexpr std::uint64_t v4HeaderBytes = 144;
@@ -174,6 +195,10 @@ struct Header
     std::uint64_t postingsOff = 0;
     std::uint32_t bandCrc = 0;
     std::uint32_t postingsCrc = 0;
+
+    /** Not on disk: every record's universe, one per file (check()
+     *  reads it from the record table; 0 with no record). */
+    std::uint64_t universe = 0;
 
     /** The signature/banding parameters the file was written under. */
     MinHashParams minhashParams() const;
@@ -315,16 +340,16 @@ using ReadAt =
 
 /**
  * The structural check of a v3 or v4 file of @p file_len bytes:
- * magic and version, minhash parameters and signing scheme, header
- * counts bounded by the file length, the canonical section layout,
- * every record-table entry (canonical arena offsets, label length,
- * sources, a position count within the universe, one universe of at
- * most 2^32 bits for the whole file) and the arena totals; for v3
- * every band's entry count, for v4 the slot count and the posting
- * offset arrays.
+ * magic and version, minhash parameters (minhashError()) and signing
+ * scheme, header counts bounded by the file length, the canonical
+ * section layout, every record-table entry (recordError(), canonical
+ * arena offsets, a position count within the universe, one universe
+ * for the whole file) and the arena totals; for v3 every band's
+ * entry count, for v4 the slot count and the posting offset arrays.
  *
- * Returns the empty string and fills @p header when the file passes;
- * otherwise returns the reason, the same text for both readers.
+ * Returns the empty string and fills @p header (its universe too)
+ * when the file passes; otherwise returns the reason, the same text
+ * for both readers.
  * @p on_entry (when set) sees each entry that passed, in id order.
  */
 std::string

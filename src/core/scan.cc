@@ -7,6 +7,7 @@ IdentifyResult
 linearQuery(const BitVec &es, const IdentifyParams &params,
             const SparseFingerprintSource &fps, AttackStats *stats)
 {
+    checkQueryBits(es, fps);
     return timedQuery(stats, [&](AttackStats *local) {
         local->recordsAvailable += fps.count();
         const SparseDistAt distAt{es, es.popcount(), fps,

@@ -75,6 +75,16 @@ struct ScanOutcome
     std::uint64_t pruned = 0;
 };
 
+/** Panic unless @p es has the bit count of @p fps's records, which
+ *  share one: every public query checks it once, so no scan step
+ *  checks it per record. */
+inline void
+checkQueryBits(const BitVec &es, const SparseFingerprintSource &fps)
+{
+    PC_ASSERT(fps.count() == 0 || fps.view(0).universe == es.size(),
+              "distance: size mismatch");
+}
+
 /**
  * The distance from a query error string to sparse record i, for
  * every metric. ModifiedJaccard runs the bounded sparse Algorithm 3
@@ -97,7 +107,6 @@ struct SparseDistAt
         if (metric == DistanceMetric::ModifiedJaccard)
             return modifiedJaccardSparseBounded(es, esWeight, v, bound,
                                                 pruned);
-        PC_ASSERT(v.universe == es.size(), "distance: size mismatch");
         *pruned = false;
         const std::size_t misses = simd::sparseMissCountBounded(
             es.words().data(), v.positions, v.count, v.count);
@@ -197,14 +206,13 @@ mergeScanCounters(AttackStats *stats, const ScanOutcome &out)
  * drops records the exact rule prunes, and a pruned step changes
  * nothing but the pruned counter. The screen moves with the bound,
  * after a step; it admits everything while the bound is 1 or more,
- * and always for Jaccard and Hamming, which never prune. A record of
- * another universe is never screened out, so its step still panics.
+ * and always for Jaccard and Hamming, which never prune. A screened
+ * record reads only its weight and count (checkQueryBits() ran).
  *
- * @p Source needs count() and view(i), plus unchecked weight(i) and
- * universe(i) (SparseFingerprintArena, MappedStore). A count above
- * its record's weight, which only a damaged mapped posting list can
- * produce, reads as the weight. Untimed; @p stats receives kernel
- * counters.
+ * @p Source needs count() and view(i), plus an unchecked weight(i)
+ * (SparseFingerprintArena, MappedStore). A count above its record's
+ * weight, which only a damaged mapped posting list can produce,
+ * reads as the weight. Untimed; @p stats receives kernel counters.
  */
 template <typename Count, typename Source>
 IdentifyResult
@@ -218,7 +226,6 @@ overlapWalk(const BitVec &es, std::size_t es_weight, const Source &fps,
     const auto distAt = [&](std::size_t i, double bound,
                             bool *pruned) {
         const SparseView v = fps.view(i);
-        PC_ASSERT(v.universe == universe, "distance: size mismatch");
         const std::size_t fp_weight = std::min(es_weight, v.count);
         const std::size_t common =
             std::min<std::size_t>(overlap[i], fp_weight);
@@ -242,8 +249,7 @@ overlapWalk(const BitVec &es, std::size_t es_weight, const Source &fps,
         const std::size_t fp_weight = std::min(es_weight, fps.weight(i));
         const std::size_t common =
             std::min<std::size_t>(overlap[i], fp_weight);
-        if (screen.prunes(fp_weight - common, fp_weight) &&
-            fps.universe(i) == universe) {
+        if (screen.prunes(fp_weight - common, fp_weight)) {
             ++out.pruned;
             continue;
         }
@@ -284,7 +290,7 @@ timedQuery(AttackStats *stats, const Body &body)
 /**
  * queryLinear() of both stores: the timed serial scan of every
  * record of @p fps in id order, one scanStep() of SparseDistAt each,
- * with recordsAvailable counted.
+ * with recordsAvailable counted, after checkQueryBits().
  */
 IdentifyResult linearQuery(const BitVec &es,
                            const IdentifyParams &params,
@@ -296,12 +302,13 @@ IdentifyResult linearQuery(const BitVec &es,
 /**
  * The read half of a store (see file comment). @p Store derives from
  * QueryEngine<Store> and supplies size(), sparseFingerprints() (a
- * source with the unchecked weight(i) and universe(i) overlapWalk
- * reads), indexParams(), bandSlots(band), and
- * countOverlaps(es, overlap), which adds to overlap[i] record i's
- * exact overlap with @p es, for 16- and 32-bit counters. Every
- * public query is timed once (detail::timedQuery): @p stats, when
- * non-null, accumulates its counters and its wall time.
+ * source with the unchecked weight(i) overlapWalk reads),
+ * indexParams(), bandSlots(band), and countOverlaps(es, overlap),
+ * which adds to overlap[i] record i's exact overlap with @p es, for
+ * 16- and 32-bit counters. Every public query is timed once
+ * (detail::timedQuery): @p stats, when non-null, accumulates its
+ * counters and its wall time. Each panics on an error string of
+ * another bit count than the records' (detail::checkQueryBits()).
  */
 template <typename Store>
 class QueryEngine
@@ -398,8 +405,9 @@ QueryEngine<Store>::query(const BitVec &error_string,
                           const IdentifyParams &params,
                           AttackStats *stats) const
 {
+    const auto &fps = self().sparseFingerprints();
+    detail::checkQueryBits(error_string, fps);
     return detail::timedQuery(stats, [&](AttackStats *local) {
-        const auto &fps = self().sparseFingerprints();
         const MinHashParams &prm = self().indexParams();
         ++local->indexQueries;
         local->recordsAvailable += fps.count();
@@ -466,6 +474,7 @@ QueryEngine<Store>::queryFullScan(const BitVec &error_string,
                                   const IdentifyParams &params,
                                   AttackStats *stats) const
 {
+    detail::checkQueryBits(error_string, self().sparseFingerprints());
     return detail::timedQuery(stats, [&](AttackStats *local) {
         local->recordsAvailable += self().size();
         return fullScan(error_string, error_string.popcount(), params,

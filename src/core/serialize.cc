@@ -126,7 +126,7 @@ writeStore(const FingerprintStore &store, std::ostream &out)
         const SparseView v = sparse.view(i);
         writeScalar<std::uint64_t>(out, next_label);
         writeScalar<std::uint64_t>(out, next_pos);
-        writeScalar<std::uint64_t>(out, v.universe);
+        writeScalar<std::uint64_t>(out, sparse.bitCount());
         writeScalar<std::uint32_t>(
             out, static_cast<std::uint32_t>(label_len));
         writeScalar<std::uint32_t>(
@@ -297,8 +297,8 @@ class Failures
  * pool runs in any order, so each page is first touched by the lane
  * that fills it:
  *  - record shards of about equal bytes: signatures, then positions
- *    (each inside its universe and strictly ascending, and summed),
- *    then labels;
+ *    (each inside the file's universe and strictly ascending, and
+ *    summed), then labels;
  *  - v4: one task per band, which checks its slot ids and
  *    occupancy; posting-list ranges of about equal bytes, each list
  *    decoded straight into its own (gaps, ids, lengths); and each
@@ -312,8 +312,7 @@ class PayloadReader
   public:
     PayloadReader(const LoadFile &file, const pcdb::Header &header,
                   std::size_t lanes, std::vector<std::uint64_t> offsets,
-                  std::vector<std::uint64_t> label_offsets,
-                  std::vector<std::uint64_t> universes);
+                  std::vector<std::uint64_t> label_offsets);
 
     /** Read and check every payload on @p pool; returns the first
      *  failure's reason in file order, or empty. */
@@ -325,7 +324,6 @@ class PayloadReader
     std::vector<MinHashSignature> sigs;
     PosVec positions;
     std::vector<std::uint64_t> offsets; //!< per record, and the total
-    std::vector<std::uint64_t> universes;
     std::vector<ChipLabel> labels;
     std::vector<std::vector<std::uint64_t>> keys;
     std::vector<std::vector<std::uint32_t>> ids;
@@ -362,15 +360,13 @@ class PayloadReader
 PayloadReader::PayloadReader(const LoadFile &file,
                              const pcdb::Header &header, std::size_t lanes,
                              std::vector<std::uint64_t> record_offsets,
-                             std::vector<std::uint64_t> label_offsets,
-                             std::vector<std::uint64_t> record_universes)
-    : offsets(std::move(record_offsets)),
-      universes(std::move(record_universes)), file(file), h(header),
+                             std::vector<std::uint64_t> label_offsets)
+    : offsets(std::move(record_offsets)), file(file), h(header),
       v4(header.version == pcdb::versionV4),
       resign(header.scheme == pcdb::schemeRetired),
       labelOff(std::move(label_offsets))
 {
-    const std::size_t n = universes.size();
+    const std::size_t n = offsets.size() - 1;
     const std::uint64_t sig_bytes = std::uint64_t{h.numHashes} * 4;
     const auto record_bytes = [&](std::size_t i) {
         return offsets[i] * 4 + i * sig_bytes + labelOff[i];
@@ -503,7 +499,7 @@ PayloadReader::readRecords(std::size_t s)
                 ++r; // record r holds position k
             const std::uint32_t pos = positions[k];
             const char *why =
-                pos >= universes[r] ? "position beyond universe"
+                pos >= h.universe ? "position beyond universe"
                 : k > offsets[r] && pos <= positions[k - 1]
                     ? "positions not strictly ascending"
                     : nullptr;
@@ -729,10 +725,10 @@ loadStore(const std::string &path, ThreadPool &pool,
         return fail("cannot stat " + path);
 
     // The record table lands in the store's containers as the shared
-    // check walks it.
+    // check walks it; the file's one universe comes with the header.
     pcdb::Header h;
     std::vector<unsigned> sources;
-    std::vector<std::uint64_t> offsets{0}, label_off{0}, universes;
+    std::vector<std::uint64_t> offsets{0}, label_off{0};
     const std::string err = pcdb::check(
         file_len,
         [&](std::uint64_t off, void *dst, std::size_t len) {
@@ -743,21 +739,19 @@ loadStore(const std::string &path, ThreadPool &pool,
             label_off.push_back(label_off.back() + e.labelLen);
             sources.push_back(e.sources);
             offsets.push_back(offsets.back() + e.posCount);
-            universes.push_back(e.universe);
         });
     if (!err.empty())
         return fail(err);
 
     const std::size_t n = sources.size();
     PayloadReader in(file, h, pool.size(), std::move(offsets),
-                     std::move(label_off), std::move(universes));
+                     std::move(label_off));
     const std::string why = in.run(pool);
     if (!why.empty())
         return fail(why);
 
     SparseFingerprintArena arena(std::move(in.positions),
-                                 std::move(in.offsets),
-                                 std::move(in.universes));
+                                 std::move(in.offsets), h.universe);
     if (scheme_out)
         *scheme_out = h.scheme;
     if (version_out)

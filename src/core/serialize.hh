@@ -105,8 +105,8 @@ bool saveStoreDurable(const FingerprintStore &store,
  * re-signed from its positions and the signature arena is not read.
  * The file's scheme and format version land in @p scheme_out and
  * @p version_out when non-null. Besides pcdb::check's structural
- * check, every position is checked to lie inside its universe and to
- * ascend strictly. Malformed, truncated or other-version input
+ * check, every position is checked to lie inside the file's universe
+ * and to ascend strictly. Malformed, truncated or other-version input
  * yields a failed result with an error string, never a process exit.
  *
  * The structural check walks the header, the record table and the

@@ -7,7 +7,6 @@
 
 #include <unistd.h>
 
-#include "core/pcdb_format.hh"
 #include "util/failpoint.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -191,12 +190,11 @@ std::string
 AttackService::bitCountError(std::size_t bits) const
 {
     return withStore([&](const auto &s) -> std::string {
-        const auto &fps = s.sparseFingerprints();
-        if (fps.count() == 0 || fps.view(0).universe == bits)
+        if (s.size() == 0 || s.bitCount() == bits)
             return {};
         return "error string has " + std::to_string(bits) +
                " bits; the database's records have " +
-               std::to_string(fps.view(0).universe);
+               std::to_string(s.bitCount());
     });
 }
 
@@ -315,28 +313,19 @@ AttackService::addRecord(ChipLabel label, Fingerprint fp)
         out.error = "database is served read-only (mmap backend)";
         return out;
     }
-    if (fp.empty()) {
-        out.error = "the fingerprint folds no error string";
-        return out;
-    }
-    if (label.size() > pcdb::maxLabelBytes) {
-        out.error = "label of " + std::to_string(label.size()) +
-                    " bytes is longer than the " +
-                    std::to_string(pcdb::maxLabelBytes) +
-                    "-byte limit";
-        return out;
-    }
     if (failpoint::hit("service.add")) {
         out.error = "injected add failure";
         return out;
     }
-    out.weight = fp.weight();
     bool want_checkpoint = false;
     {
         std::unique_lock<std::shared_mutex> lock(*gate);
-        out.error = bitCountError(fp.bits().size());
+        FingerprintStore &store = std::get<FingerprintStore>(backend);
+        out.error =
+            store.admitError(label.size(), fp.sources(), fp.bits().size());
         if (!out.error.empty())
             return out;
+        out.weight = fp.weight();
         // Journal + fsync *before* the in-memory add: once the
         // caller sees added == true the record is on disk, so an
         // acked add survives kill -9 at any instruction. A failed
@@ -351,8 +340,7 @@ AttackService::addRecord(ChipLabel label, Fingerprint fp)
             want_checkpoint = dur.checkpointEvery > 0 &&
                               wal->entries() >= dur.checkpointEvery;
         }
-        out.record = std::get<FingerprintStore>(backend).add(
-            std::move(label), std::move(fp));
+        out.record = store.add(std::move(label), std::move(fp));
     }
     out.added = true;
     if (want_checkpoint) {
@@ -384,14 +372,13 @@ AttackService::dbStats() const
     }
     withStore([&](const auto &st) {
         s.indexParams = st.indexParams();
+        s.universeBits = static_cast<std::size_t>(st.bitCount());
         const auto &fps = st.sparseFingerprints();
         for (std::size_t i = 0; i < fps.count(); ++i) {
-            const SparseView v = fps.view(i);
-            s.volatileCells += v.count;
-            if (v.universe > s.universeBits)
-                s.universeBits = static_cast<std::size_t>(v.universe);
+            const std::size_t cells = fps.weight(i);
+            s.volatileCells += cells;
             s.diskBytesEstimate += recordDiskSize(
-                v.count, st.label(i).size(), s.indexParams.numHashes,
+                cells, st.label(i).size(), s.indexParams.numHashes,
                 s.indexParams.bands);
         }
     });

@@ -314,8 +314,8 @@ class AttackService
         std::size_t weight = 0;
 
         /** Reason the add was refused (read-only backend, no error
-         *  strings, an empty fingerprint, an over-long label, a bit
-         *  count other than the records'); empty on success. */
+         *  strings, or what the store's admission check refuses);
+         *  empty on success. */
         std::string error;
     };
 
@@ -324,22 +324,23 @@ class AttackService
      * intersect @p error_strings into a fingerprint and add it
      * under @p label. Takes the exclusive lock; concurrent
      * identifies simply wait. Refused (with a reason, and before
-     * anything is journaled) on a read-only backend, an empty
-     * observation set, or error strings whose bit counts differ
-     * from each other or from the records' — a database holds one
-     * bit count — and for any reason addRecord() refuses.
+     * anything is journaled) on an empty observation set or error
+     * strings whose bit counts differ from each other, and for any
+     * reason addRecord() refuses.
      */
     AddOutcome addFingerprint(const ChipLabel &label,
                               const std::vector<BitVec> &error_strings);
 
     /**
      * Add an already-characterized fingerprint (the supply-chain
-     * attacker's interception path). Same locking and bit-count
-     * rule as addFingerprint(); an empty fingerprint (no error
-     * string folded in) and a label longer than pcdb::maxLabelBytes
-     * are refused too, before anything is journaled: no database
-     * file may hold either, so a snapshot holding one would never
-     * load again.
+     * attacker's interception path), under the exclusive lock.
+     * Refused with a reason, before anything is journaled, on a
+     * read-only backend and for whatever the store's admission
+     * check refuses (FingerprintStore::admitError: a record no
+     * database file may hold, such as an empty fingerprint, an
+     * over-long label or a universe over 2^32 bits, or a bit count
+     * other than the records'), so no acked add makes a snapshot
+     * unloadable.
      */
     AddOutcome addRecord(ChipLabel label, Fingerprint fp);
 
@@ -377,8 +378,8 @@ class AttackService
                                    const QueryOptions &options) const;
 
     /** Why an error string of @p bits bits cannot be compared with
-     *  the records (record 0 has another bit count), or empty;
-     *  callers hold the lock. */
+     *  the records (they have another bit count), or empty; callers
+     *  hold the lock. */
     std::string bitCountError(std::size_t bits) const;
 
     /** Why a query of @p bits bits under @p options is refused

@@ -1,7 +1,9 @@
 #include "core/store.hh"
 
 #include <algorithm>
+#include <string>
 
+#include "core/pcdb_format.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -15,16 +17,18 @@ namespace
  *  wake-up and count array outweigh its work. */
 constexpr std::uint64_t shardPositions = 1u << 16;
 
-/** @p fps's patterns as one arena, sized once and filled in record
- *  shards across @p pool. */
+/** @p fps's patterns, all of one bit count, as one arena, sized once
+ *  and filled in record shards across @p pool. */
 SparseFingerprintArena
 packPatterns(const std::vector<Fingerprint> &fps, ThreadPool &pool)
 {
     const std::size_t n = fps.size();
-    std::vector<std::uint64_t> offsets(n + 1, 0), universes(n);
+    const std::uint64_t bits = n == 0 ? 0 : fps[0].bits().size();
+    std::vector<std::uint64_t> offsets(n + 1, 0);
     pool.parallelFor(0, n, [&](std::size_t i) {
+        PC_ASSERT(fps[i].bits().size() == bits,
+                  "SparseFingerprintArena: a second bit count");
         offsets[i + 1] = fps[i].weight();
-        universes[i] = fps[i].bits().size();
     });
     for (std::size_t i = 0; i < n; ++i)
         offsets[i + 1] += offsets[i];
@@ -33,7 +37,7 @@ packPatterns(const std::vector<Fingerprint> &fps, ThreadPool &pool)
         writePositions(fps[i].bits(), positions.data() + offsets[i]);
     });
     return SparseFingerprintArena(std::move(positions), std::move(offsets),
-                                  std::move(universes));
+                                  bits);
 }
 
 } // anonymous namespace
@@ -77,9 +81,28 @@ FingerprintStore::adopt(std::vector<ChipLabel> labels,
     return store;
 }
 
+std::string
+FingerprintStore::admitError(std::uint64_t label_bytes,
+                             std::uint64_t sources,
+                             std::uint64_t bits) const
+{
+    std::string why;
+    if (pcdb::recordError(label_bytes, sources, bits, &why))
+        return why;
+    if (!empty() && bits != bitCount())
+        return "the fingerprint has " + std::to_string(bits) +
+               " bits; the database's records have " +
+               std::to_string(bitCount());
+    return {};
+}
+
 std::size_t
 FingerprintStore::add(ChipLabel label, Fingerprint fp)
 {
+    const std::string why =
+        admitError(label.size(), fp.sources(), fp.bits().size());
+    if (!why.empty())
+        panic("FingerprintStore::add: %s", why.c_str());
     MinHashSignature sig = minhashSignature(fp.bits(), lsh.params());
     const std::size_t i = size();
     sparse.add(fp.bits());
@@ -142,6 +165,12 @@ FingerprintStore::appendBatch(std::vector<ChipLabel> new_labels,
     for (const MinHashSignature &sig : sigs) {
         PC_ASSERT(sig.size() == lsh.params().numHashes,
                   "FingerprintStore: signature length mismatch");
+    }
+    for (std::size_t i = 0; i < fps.count(); ++i) {
+        const std::string why = admitError(new_labels[i].size(),
+                                           sources[i], fps.bitCount());
+        if (!why.empty())
+            panic("FingerprintStore::addBatch: %s", why.c_str());
     }
     if (fps.count() == 0)
         return;
@@ -241,10 +270,7 @@ FingerprintStore::postingsBytes() const
 FingerprintRecord
 FingerprintStore::record(std::size_t i) const
 {
-    BitVec bits = denseBits(sparse.view(i));
-    return {label(i), sourceCounts[i] > 0
-                          ? Fingerprint(std::move(bits), sourceCounts[i])
-                          : Fingerprint()};
+    return {label(i), Fingerprint(denseBits(sparse.view(i)), sources(i))};
 }
 
 const ChipLabel &

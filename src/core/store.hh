@@ -47,6 +47,7 @@
 #define PCAUSE_CORE_STORE_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/identify.hh"
@@ -69,8 +70,19 @@ class FingerprintStore : public QueryEngine<FingerprintStore>
                                    const MinHashParams &index_params = {});
 
     /**
-     * Add a record: the signature is computed and indexed
-     * incrementally, no rebuild. Returns the record index.
+     * The one admission check: why a record of a @p label_bytes-byte
+     * label, @p sources sources and a @p bits-bit fingerprint may not
+     * join this store (pcdb::recordError(), so every store saveStore()
+     * writes loads back, or a bit count other than the records'), or
+     * empty. add() and addBatch() assert it; writers ask it first.
+     */
+    std::string admitError(std::uint64_t label_bytes,
+                           std::uint64_t sources,
+                           std::uint64_t bits) const;
+
+    /**
+     * Add a record admitError() admits: the signature is computed and
+     * indexed incrementally, no rebuild. Returns the record index.
      */
     std::size_t add(ChipLabel label, Fingerprint fp);
 
@@ -84,8 +96,8 @@ class FingerprintStore : public QueryEngine<FingerprintStore>
      * sized once for the whole batch. The resulting store answers
      * every query exactly as after serial add() calls in order, at
      * any lane count — signatures are order-independent and records
-     * keep their ids. @p labels and @p fps pair up elementwise and
-     * are consumed.
+     * keep their ids. @p labels and @p fps (of one bit count) pair
+     * up elementwise and are consumed.
      */
     void addBatch(std::vector<ChipLabel> labels,
                   std::vector<Fingerprint> fps);
@@ -126,6 +138,9 @@ class FingerprintStore : public QueryEngine<FingerprintStore>
 
     /** True when no record has been added. */
     bool empty() const { return chipLabels.empty(); }
+
+    /** Every record's universe in bits (0 while there is none). */
+    std::uint64_t bitCount() const { return sparse.bitCount(); }
 
     /**
      * Record @p i, rebuilt as a dense copy from the arena (the store

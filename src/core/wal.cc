@@ -141,13 +141,8 @@ decodeEntry(const std::uint8_t *p, std::size_t n, WalEntry &entry)
         return "unknown entry kind " + std::to_string(kind);
     if (n - off < 4)
         return "truncated label length";
-    // pcdb::check()'s per-record rules, in its words: an entry no
-    // database file may hold is corruption, refused before replay
-    // applies anything.
     const std::uint32_t label_len = getU32(p + off);
     off += 4;
-    if (label_len > pcdb::maxLabelBytes)
-        return "implausible label length";
     if (n - off < label_len)
         return "truncated label";
     entry.label.assign(reinterpret_cast<const char *>(p + off),
@@ -157,12 +152,14 @@ decodeEntry(const std::uint8_t *p, std::size_t n, WalEntry &entry)
         return "truncated fingerprint header";
     entry.sources = getU32(p + off);
     off += 4;
-    if (entry.sources == 0)
-        return "record with zero sources";
     entry.universe = getU64(p + off);
     off += 8;
-    if (entry.universe > pcdb::maxUniverseBits)
-        return "universe exceeds 2^32 bits";
+    // pcdb::check()'s per-record rule, in its words: an entry no
+    // database file may hold is corruption, refused before replay
+    // applies anything.
+    if (const char *why =
+            pcdb::recordError(label_len, entry.sources, entry.universe))
+        return why;
     const std::uint64_t count = getU64(p + off);
     off += 8;
     if ((n - off) / 4 < count)
@@ -331,47 +328,6 @@ Wal::create(const std::string &path, std::uint64_t base_records)
     return res;
 }
 
-LoadResult<Wal>
-Wal::openExisting(const std::string &path, std::uint64_t keep_bytes,
-                  std::size_t entry_count)
-{
-    LoadResult<Wal> res;
-    const int afd = ::open(path.c_str(), O_WRONLY);
-    if (afd < 0) {
-        res.error = "wal open: " + errnoString("open");
-        return res;
-    }
-    // Drop a torn tail before new appends land behind it — a new
-    // entry after garbage would be unreachable at replay.
-    if (::ftruncate(afd, static_cast<off_t>(keep_bytes)) != 0 ||
-        ::lseek(afd, 0, SEEK_END) < 0 || ::fsync(afd) != 0) {
-        res.error = "wal open: " + errnoString("truncate tail");
-        ::close(afd);
-        return res;
-    }
-    std::uint8_t header[walHeaderBytes];
-    {
-        const int rfd = ::open(path.c_str(), O_RDONLY);
-        if (rfd < 0 ||
-            ::read(rfd, header, sizeof(header)) !=
-                static_cast<ssize_t>(sizeof(header))) {
-            res.error = "wal open: cannot read header";
-            if (rfd >= 0)
-                ::close(rfd);
-            ::close(afd);
-            return res;
-        }
-        ::close(rfd);
-    }
-    Wal wal;
-    wal.fd = afd;
-    wal.filePath = path;
-    wal.base = getU64(header + 8);
-    wal.entryCount = entry_count;
-    res.value.emplace(std::move(wal));
-    return res;
-}
-
 bool
 Wal::append(const ChipLabel &label, const Fingerprint &fp,
             std::string *error)
@@ -450,26 +406,6 @@ Wal::replay(const std::string &path, FingerprintStore &store)
                     std::to_string(store.size());
         return res;
     }
-    // A store holds one universe. Check every entry before applying
-    // any, so a journal that mixes bit counts fails replay whole and
-    // never reaches a snapshot that no reader could load.
-    if (!pending.empty()) {
-        const bool have_records = store.size() > 0;
-        const std::uint64_t want =
-            have_records ? store.sparseFingerprints().view(0).universe
-                         : pending[0].universe;
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-            if (pending[i].universe == want)
-                continue;
-            res.error = "wal replay: entry " + std::to_string(i) +
-                        " has " + std::to_string(pending[i].universe) +
-                        " bits; " +
-                        (have_records ? "the snapshot's record 0"
-                                      : "entry 0") +
-                        " has " + std::to_string(want);
-            return res;
-        }
-    }
     const std::size_t skip = store.size() - stats.baseRecords;
     for (std::size_t i = 0; i < pending.size(); ++i) {
         if (i < skip) {
@@ -477,6 +413,17 @@ Wal::replay(const std::string &path, FingerprintStore &store)
             continue;
         }
         WalEntry &e = pending[i];
+        // The store's admission check, asked before each add: an
+        // entry it refuses (another bit count than the records
+        // before it) fails the replay, so no snapshot holding it is
+        // ever written.
+        const std::string why =
+            store.admitError(e.label.size(), e.sources, e.universe);
+        if (!why.empty()) {
+            res.error = "wal replay: entry " + std::to_string(i) + ": " +
+                        why;
+            return res;
+        }
         BitVec bits(static_cast<std::size_t>(e.universe));
         for (const std::uint32_t pos : e.positions)
             bits.set(pos);

@@ -117,15 +117,6 @@ class Wal
                                   std::uint64_t base_records);
 
     /**
-     * Reopen an existing journal for appending. @p keep_bytes (a
-     * verify()/replay() goodBytes value) truncates a torn tail
-     * before the first new append lands behind it.
-     */
-    static LoadResult<Wal> openExisting(const std::string &path,
-                                        std::uint64_t keep_bytes,
-                                        std::size_t entry_count);
-
-    /**
      * Append one add and fsync. True only once the entry is
      * durable — the caller acks after, never before. On false the
      * entry must be treated as not written (an error string lands
@@ -139,10 +130,10 @@ class Wal
      * the snapshot this journal extends (store.size() >=
      * baseRecords; entries below that mark were already
      * compacted and are skipped). Torn tails are discarded;
-     * corruption fails the load, and so does an entry whose
-     * universe differs from the store's record 0 (or, on an empty
-     * store, from entry 0's) — checked for every entry before any is
-     * applied.
+     * corruption fails the replay before any entry is applied. Each
+     * entry is asked of store.admitError() before it is added, and
+     * one it refuses (another bit count) fails the replay, leaving
+     * the entries before it added: callers discard @p store then.
      */
     static LoadResult<WalReplayStats> replay(const std::string &path,
                                              FingerprintStore &store);

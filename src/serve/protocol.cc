@@ -5,6 +5,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "core/pcdb_format.hh"
+
 namespace pcause::serve
 {
 
@@ -289,7 +291,7 @@ decodeCharacterize(const Payload &payload)
     return decodePayload<CharacterizeRequest>(
         payload, Opcode::Characterize, "characterize",
         [](WireReader &r, CharacterizeRequest &req) {
-            if (!r.str(req.label, maxLabelBytes))
+            if (!r.str(req.label, pcdb::maxLabelBytes))
                 return false;
             std::uint32_t count;
             if (!r.u32(count) || count == 0 ||
@@ -315,8 +317,8 @@ decodeVerdict(const Payload &payload)
                 return false;
             v.matched = matched != 0;
             if (!r.f64(v.distance) ||
-                !r.str(v.label, maxLabelBytes) ||
-                !r.str(v.nearestLabel, maxLabelBytes) ||
+                !r.str(v.label, pcdb::maxLabelBytes) ||
+                !r.str(v.nearestLabel, pcdb::maxLabelBytes) ||
                 !r.u64(v.delta.candidatesScanned) ||
                 !r.u64(v.delta.recordsAvailable) ||
                 !r.u8(fell_back) || fell_back > 1)

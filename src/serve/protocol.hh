@@ -21,7 +21,8 @@
  *     u8  bits[(B+7)/8]    error string, bit i at byte i/8 bit i%8
  *
  *   Characterize (0x02):
- *     u32 label length L (<= maxLabelBytes), u8 label[L]
+ *     u32 label length L (<= pcdb::maxLabelBytes, the longest label a
+ *     database holds), u8 label[L]
  *     u32 error-string count K (1 <= K <= maxCharacterizeStrings)
  *     K * { u64 bit count B, u8 bits[(B+7)/8] }
  *
@@ -38,6 +39,7 @@
  *     u8  matched, f64 distance,
  *     u32 label length + bytes          (matched record, or empty)
  *     u32 nearest label length + bytes  (nearest record, or empty)
+ *     (each label <= pcdb::maxLabelBytes; two fit a frame)
  *     u64 candidates scanned, u64 records available, u8 fell back
  *   Added (0x82):
  *     u8 added, u64 record index, u64 weight,
@@ -74,9 +76,6 @@ namespace pcause::serve
  *  answered with Error and a connection close before any body
  *  bytes are read. */
 constexpr std::uint32_t maxFramePayload = 8u << 20;
-
-/** Label ceiling (matches the serializer's hostile-input cap). */
-constexpr std::uint32_t maxLabelBytes = 4096;
 
 /** Error strings per Characterize request. */
 constexpr std::uint32_t maxCharacterizeStrings = 1024;

@@ -2,16 +2,12 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define PCAUSE_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace pcause
 {
@@ -36,8 +32,6 @@ MmapFile::operator=(MmapFile &&other) noexcept
         base = std::exchange(other.base, nullptr);
         length = std::exchange(other.length, 0);
         opened = std::exchange(other.opened, false);
-        heapCopy = std::move(other.heapCopy);
-        usingHeap = std::exchange(other.usingHeap, false);
     }
     return *this;
 }
@@ -47,7 +41,6 @@ MmapFile::open(const std::string &path, std::string *error)
 {
     close();
 
-#if PCAUSE_HAVE_MMAP
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
         setError(error, "cannot open " + path + ": " +
@@ -79,43 +72,16 @@ MmapFile::open(const std::string &path, std::string *error)
     base = static_cast<const std::uint8_t *>(map);
     opened = true;
     return true;
-#else
-    // No mmap on this platform: fall back to reading the file whole.
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) {
-        setError(error, "cannot open " + path);
-        return false;
-    }
-    const std::streamsize bytes = in.tellg();
-    in.seekg(0);
-    heapCopy.resize(static_cast<std::size_t>(bytes));
-    if (bytes > 0 &&
-        !in.read(reinterpret_cast<char *>(heapCopy.data()), bytes)) {
-        heapCopy.clear();
-        setError(error, "short read of " + path);
-        return false;
-    }
-    base = heapCopy.empty() ? nullptr : heapCopy.data();
-    length = heapCopy.size();
-    usingHeap = true;
-    opened = true;
-    return true;
-#endif
 }
 
 void
 MmapFile::close()
 {
-#if PCAUSE_HAVE_MMAP
-    if (base != nullptr && !usingHeap) {
+    if (base != nullptr)
         ::munmap(const_cast<std::uint8_t *>(base), length);
-    }
-#endif
-    heapCopy.clear();
     base = nullptr;
     length = 0;
     opened = false;
-    usingHeap = false;
 }
 
 } // namespace pcause

@@ -2,13 +2,11 @@
  * @file
  * Read-only memory-mapped file.
  *
- * The v3 on-disk database is laid out so a million-record store can
+ * The v4 on-disk database is laid out so a million-record store can
  * be queried straight out of the page cache: open maps the file and
  * hands back a byte span, and the kernel pages record data in on
  * first touch instead of the loader deserializing every record up
- * front. On platforms without mmap the whole file is read into a
- * heap buffer instead — same interface, just without the lazy
- * paging.
+ * front.
  */
 
 #ifndef PCAUSE_UTIL_MMAP_FILE_HH
@@ -17,7 +15,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace pcause
 {
@@ -58,10 +55,6 @@ class MmapFile
     const std::uint8_t *base = nullptr;
     std::size_t length = 0;
     bool opened = false;
-
-    /** Heap fallback storage for platforms without mmap. */
-    std::vector<std::uint8_t> heapCopy;
-    bool usingHeap = false;
 };
 
 } // namespace pcause

@@ -121,6 +121,24 @@ if ls db.pcdb.tmp.* > /dev/null 2>&1; then
 fi
 "$PCAUSE" db --db db.pcdb verify | grep -q "3 records, PCDB v4, ok"
 
+# MinHash parameters no file may declare (bands that do not divide
+# the hashes, more than 65,536 hashes) are refused with the reason
+# the file check gives, before anything is written.
+for params in "--hashes 64 --bands 7" "--hashes 131072 --bands 16"; do
+    rc=0
+    # shellcheck disable=SC2086
+    "$PCAUSE" db --db db.pcdb reindex $params > reindex.out 2>&1 || rc=$?
+    if [ "$rc" -eq 0 ] ||
+        ! grep -q "invalid minhash parameters" reindex.out; then
+        echo "FAIL: db reindex $params exited $rc: $(cat reindex.out)" >&2
+        exit 1
+    fi
+    if ! cmp -s before.pcdb db.pcdb; then
+        echo "FAIL: a refused 'db reindex $params' changed the database" >&2
+        exit 1
+    fi
+done
+
 # A v3 file (written by the v3 writer) loads, rebuilding its index,
 # and `db stats`/`db verify` say which version it is. The mmap reader
 # refuses it and names the upgrade; `db reindex` rewrites it as v4,
@@ -250,7 +268,8 @@ printf '\020\000\000\000\000\000\000\000\001\000\000\000\000\000\000\000' \
 printf '\003\000\000\000' >> db.pcdb.wal
 rc=0
 "$PCAUSE" db --db db.pcdb verify > verify.out || rc=$?
-if [ "$rc" -ne 2 ] || ! grep -q "entry 0 has 16 bits" verify.out; then
+if [ "$rc" -ne 2 ] ||
+    ! grep -q "entry 0: the fingerprint has 16 bits" verify.out; then
     echo "FAIL: mixed-bit-count journal triaged as $rc, want 2" >&2
     exit 1
 fi

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/pcdb_format.hh"
 #include "core/service.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
@@ -178,12 +179,41 @@ TEST(Protocol, RejectsMalformedFields)
     c.label = "x";
     c.errorStrings = {randomPattern(rng, 8)};
     Payload cp = encodeCharacterize(c);
-    const std::uint32_t huge = maxLabelBytes + 1;
+    const std::uint32_t huge = pcdb::maxLabelBytes + 1;
     std::memcpy(cp.data() + 1, &huge, sizeof(huge));
     EXPECT_FALSE(decodeCharacterize(cp));
 
     // Wrong opcode entirely.
     EXPECT_FALSE(decodeIdentify(encodeEmpty(Opcode::DbStats)));
+}
+
+TEST(Protocol, LabelsUpToTheDatabaseCapRoundTrip)
+{
+    // The wire carries any label a database holds, up to
+    // pcdb::maxLabelBytes: in a Characterize and in both of a
+    // Verdict's label fields, which still fit one frame.
+    Rng rng(0x5);
+    const std::string longest(pcdb::maxLabelBytes, 'L');
+    CharacterizeRequest c;
+    c.label = longest;
+    c.errorStrings = {randomPattern(rng, 8)};
+    const LoadResult<CharacterizeRequest> request =
+        decodeCharacterize(encodeCharacterize(c));
+    ASSERT_TRUE(request) << request.error;
+    EXPECT_EQ(request->label, longest);
+
+    IdentifyVerdict v;
+    v.matched = true;
+    v.distance = 0.25;
+    v.label = longest;
+    v.nearestLabel = longest;
+    const Payload verdict = encodeVerdict(v);
+    EXPECT_LE(verdict.size(), maxFramePayload);
+    const LoadResult<IdentifyVerdict> back = decodeVerdict(verdict);
+    ASSERT_TRUE(back) << back.error;
+    EXPECT_EQ(back->label, longest);
+    EXPECT_EQ(back->nearestLabel, longest);
+    EXPECT_TRUE(sameBits(back->distance, v.distance));
 }
 
 // --- Server over a real socket -----------------------------------
@@ -255,6 +285,41 @@ TEST(Server, CharacterizeOverWireAddsARecord)
     ASSERT_TRUE(v.has_value());
     EXPECT_TRUE(v->matched);
     EXPECT_EQ(v->label, "wire-chip");
+}
+
+TEST(Server, LongLabelsTravelBothWays)
+{
+    // A 5,000-byte label, which a database holds: characterized over
+    // the wire, then named by a served verdict that the client
+    // decodes and that equals the direct one.
+    ServerFixture fx(3);
+    Client client;
+    ASSERT_EQ(client.connect(fx.server.port()), "");
+
+    Rng rng(0x43);
+    const BitVec pattern = randomPattern(rng, 64);
+    CharacterizeRequest req;
+    req.label = std::string(5000, 'q');
+    req.errorStrings = {pattern};
+    const Reply r = client.exchange(encodeCharacterize(req));
+    ASSERT_TRUE(r.ok()) << r.transportError;
+    ASSERT_EQ(*r.opcode, Opcode::Added);
+    LoadResult<AddReply> added = decodeAdded(r.payload);
+    ASSERT_TRUE(added) << added.error;
+    EXPECT_TRUE(added->added) << added->error;
+
+    IdentifyRequest idreq;
+    idreq.errorString = pattern;
+    const std::optional<IdentifyVerdict> served =
+        client.identify(idreq, 4);
+    ASSERT_TRUE(served.has_value());
+    const IdentifyVerdict direct = fx.svc.identify(idreq);
+    ASSERT_TRUE(direct.matched);
+    EXPECT_EQ(direct.label, req.label);
+    EXPECT_EQ(served->matched, direct.matched);
+    EXPECT_EQ(served->label, direct.label);
+    EXPECT_EQ(served->nearestLabel, direct.nearestLabel);
+    EXPECT_TRUE(sameBits(served->distance, direct.distance));
 }
 
 TEST(Server, WrongSizeIdentifyGetsAnError)

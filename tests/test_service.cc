@@ -673,6 +673,40 @@ TEST(AttackService, RefusesRecordsNoDatabaseFileHolds)
     EXPECT_EQ(back->label(0), longest);
 }
 
+TEST(AttackService, RefusesAUniverseNoFileHolds)
+{
+#if defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "the 2^32 + 64-bit fingerprint takes 512 MB";
+#else
+    // Positions are stored as u32, so no database file holds a
+    // universe over 2^32 bits (the paper's 1 GB machine has 2^33).
+    // A first record of one must be refused with the reason before
+    // the journal sees it, or the snapshot it reaches never loads.
+    DurableFixture fx;
+    {
+        LoadResult<AttackService> svc =
+            AttackService::openDurable(fx.config());
+        ASSERT_TRUE(svc) << svc.error;
+        BitVec huge(pcdb::maxUniverseBits + 64);
+        huge.set(3);
+        const AttackService::AddOutcome out =
+            svc->addRecord("huge", Fingerprint(std::move(huge)));
+        EXPECT_FALSE(out.added);
+        EXPECT_NE(out.error.find("universe exceeds 2^32 bits"),
+                  std::string::npos)
+            << out.error;
+        EXPECT_EQ(svc->walEntries(), 0u);
+        EXPECT_EQ(svc->size(), 0u);
+        const std::string err = svc->checkpoint();
+        EXPECT_TRUE(err.empty()) << err;
+    }
+    LoadResult<AttackService> back =
+        AttackService::openDurable(fx.config());
+    ASSERT_TRUE(back) << back.error;
+    EXPECT_EQ(back->size(), 0u);
+#endif
+}
+
 TEST(AttackService, CharacterizeRefusesMismatchedBitCounts)
 {
     // A database holds one bit count. A second one is refused before
@@ -762,9 +796,10 @@ TEST(AttackService, RefusesThresholdsTheWireRefuses)
 TEST(AttackService, JournalOfTwoBitCountsFailsOpenAndWritesNothing)
 {
     // Wal::append journals whatever it is handed, so a journal can
-    // hold two bit counts. Replay must refuse it before applying any
-    // entry: compacting both would write a snapshot that neither
-    // loadStore nor the next openDurable reads.
+    // hold two bit counts. Replay asks the store's admission check
+    // before each add and refuses the second: compacting both would
+    // write a snapshot that neither loadStore nor the next
+    // openDurable reads.
     DurableFixture fx;
     Rng rng(0xD4);
     BitVec wide(1024);
@@ -778,13 +813,14 @@ TEST(AttackService, JournalOfTwoBitCountsFailsOpenAndWritesNothing)
     const LoadResult<AttackService> svc =
         AttackService::openDurable(fx.config());
     EXPECT_FALSE(svc);
-    EXPECT_NE(svc.error.find("entry 1 has 1024 bits; entry 0 has 4096"),
+    EXPECT_NE(svc.error.find("entry 1: the fingerprint has 1024 bits; "
+                             "the database's records have 4096"),
               std::string::npos)
         << svc.error;
     EXPECT_NE(::access(fx.dbPath.c_str(), F_OK), 0)
         << "a failed open wrote a snapshot";
 
-    // Against a snapshot, the reference is its record 0.
+    // Against a snapshot, the reference is its records' bit count.
     FingerprintStore snapshot;
     snapshot.add("s", Fingerprint(randomPattern(rng, 16)));
     ASSERT_TRUE(saveStore(snapshot, fx.dbPath));
@@ -797,8 +833,9 @@ TEST(AttackService, JournalOfTwoBitCountsFailsOpenAndWritesNothing)
     const LoadResult<AttackService> reopened =
         AttackService::openDurable(fx.config());
     EXPECT_FALSE(reopened);
-    EXPECT_NE(reopened.error.find("entry 0 has 1024 bits; the "
-                                  "snapshot's record 0 has 4096"),
+    EXPECT_NE(reopened.error.find("entry 0: the fingerprint has 1024 "
+                                  "bits; the database's records have "
+                                  "4096"),
               std::string::npos)
         << reopened.error;
     const StoreLoadResult after = loadStore(fx.dbPath);

@@ -2,7 +2,7 @@
  * @file
  * The SIMD dispatch plumbing: level detection, the PCAUSE_SIMD /
  * selectLevel() override surface, and the 32-byte word-storage
- * alignment the vector kernels (and the PCDB v3 mmap layout) rely
+ * alignment the vector kernels (and the PCDB v4 mmap layout) rely
  * on. The kernels' bit-exactness itself lives in
  * tests/prop/prop_simd.cc; this file covers the state machine around
  * them.
@@ -143,7 +143,7 @@ TEST_F(SimdTest, WordStorageIsSimdAligned)
 
 TEST_F(SimdTest, AlignedStorageKeepsElementLayout)
 {
-    // The PCDB v3 writer streams these arrays verbatim; alignment
+    // The PCDB v4 writer streams these arrays verbatim; alignment
     // must change where they live, never what they hold.
     static_assert(sizeof(WordVec::value_type) == 8);
     static_assert(sizeof(PosVec::value_type) == 4);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/minhash.hh"
+#include "core/pcdb_format.hh"
 #include "core/store.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
@@ -347,10 +348,10 @@ TEST(FingerprintStore, StatsCountEachQueryExactlyOnce)
 
 TEST(FingerprintStoreDeathTest, UniverseMismatchStillPanics)
 {
-    // The overlap-count fallback reads no record positions, so it
-    // checks each record's universe itself: a query from another
-    // universe must panic as the scan kernels always did, not
-    // answer from overlap counts.
+    // The overlap-count fallback reads no record positions, so the
+    // query checks its bit count against the records' itself, once:
+    // a query from another universe must panic as the scan kernels
+    // always did, not answer from overlap counts.
     TestPopulation pop = makePopulation(16, 79);
     const BitVec wider(universe + 64);
     const BitVec narrower(universe / 2);
@@ -360,21 +361,78 @@ TEST(FingerprintStoreDeathTest, UniverseMismatchStillPanics)
     jaccard.metric = DistanceMetric::Jaccard;
     EXPECT_DEATH(pop.store.queryFullScan(wider, jaccard),
                  "size mismatch");
+    EXPECT_DEATH(pop.store.queryLinear(narrower), "size mismatch");
 
-    // Once the bound is below 1 the walk screens records out
-    // without a step, but never one of another universe: a store
-    // holding two still panics at the foreign record, as the linear
-    // scan does, rather than counting it as pruned.
+    // Once the bound is below 1 the walk screens records out without
+    // a step, so it must never meet a record of another universe: a
+    // store holds one, and adding a second panics at the add, alone
+    // or in a batch.
+    ThreadPool inline_lane(1); // no worker thread for a fork to lose
     FingerprintStore mixed;
+    mixed.setThreadPool(&inline_lane);
     const BitVec first = pop.store.record(0).fingerprint.bits();
     mixed.add("here", Fingerprint(first));
     BitVec foreign(universe + 64);
     foreign.set(universe + 1);
-    mixed.add("there", Fingerprint(foreign));
-    IdentifyParams strict;
-    strict.threshold = 0.0;
-    EXPECT_DEATH(mixed.queryLinear(first, strict), "size mismatch");
-    EXPECT_DEATH(mixed.queryFullScan(first, strict), "size mismatch");
+    EXPECT_DEATH(mixed.add("there", Fingerprint(foreign)),
+                 "4160 bits; the database's records have 4096");
+    EXPECT_DEATH(mixed.addBatch({"there"}, {Fingerprint(foreign)}),
+                 "4160 bits; the database's records have 4096");
+    FingerprintStore fresh;
+    fresh.setThreadPool(&inline_lane);
+    EXPECT_DEATH(fresh.addBatch({"here", "there"},
+                                {Fingerprint(first), Fingerprint(foreign)}),
+                 "a second bit count");
+}
+
+TEST(FingerprintStore, AdmissionRefusesWhatNoFileHolds)
+{
+    // The one admission check, asked with numbers: no fingerprint is
+    // built, so the 2^32-bit case allocates nothing. Each rule
+    // refuses in check()'s words, naming the refused value; a store
+    // of records admits only their bit count.
+    FingerprintStore empty_store;
+    FingerprintStore held;
+    Rng rng(0xAD);
+    held.add("held", Fingerprint(randomPattern(rng, 64), 2));
+    struct Case
+    {
+        const char *what;
+        std::uint64_t label_bytes, sources, bits;
+        const char *why;
+    };
+    const Case record_rule[] = {
+        {"a label of 65,537 bytes", pcdb::maxLabelBytes + 1, 1, universe,
+         "implausible label length: the label has 65537 bytes"},
+        {"zero sources", 4, 0, universe,
+         "record with zero sources: the fingerprint folds no error "
+         "string"},
+        {"2^32 + 1 bits", 4, 1, pcdb::maxUniverseBits + 1,
+         "universe exceeds 2^32 bits: the fingerprint has 4294967297 "
+         "bits"},
+    };
+    for (const FingerprintStore *store : {&empty_store, &held}) {
+        for (const Case &c : record_rule) {
+            const std::string why =
+                store->admitError(c.label_bytes, c.sources, c.bits);
+            EXPECT_EQ(why.rfind(c.why, 0), 0u)
+                << c.what << " (" << store->size() << " records): " << why;
+        }
+    }
+    const Case second = {"a second bit count", 4, 1, universe + 64,
+                         "the fingerprint has 4160 bits; the database's "
+                         "records have 4096"};
+    EXPECT_EQ(held.admitError(second.label_bytes, second.sources,
+                              second.bits),
+              second.why);
+
+    // What the rules admit: a label at the limit, and on an empty
+    // store any bit count up to 2^32.
+    EXPECT_EQ(held.admitError(pcdb::maxLabelBytes, 1, universe), "");
+    EXPECT_EQ(empty_store.admitError(0, 1, pcdb::maxUniverseBits), "");
+    EXPECT_EQ(held.size(), 1u);
+    EXPECT_EQ(held.bitCount(), universe);
+    EXPECT_EQ(empty_store.bitCount(), 0u);
 }
 
 TEST(FingerprintStore, AddBatchEqualsSerialAdds)

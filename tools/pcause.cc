@@ -25,7 +25,6 @@
 
 #include "bench/bench_common.hh"
 #include "core/campaign.hh"
-#include "core/characterize.hh"
 #include "core/cluster.hh"
 #include "core/error_string.hh"
 #include "core/identify.hh"
@@ -209,11 +208,6 @@ cmdCharacterize(const Args &args)
         fatal("characterize: need --db, --label, --exact, and at "
               "least one output file");
     }
-    // No database file may hold a longer label: written, it would
-    // make the file unloadable.
-    if (label.size() > pcdb::maxLabelBytes)
-        fatal("characterize: the label has %zu bytes; at most %u fit",
-              label.size(), pcdb::maxLabelBytes);
 
     const auto [exact, outputs] =
         loadObservations("characterize", exact_path, args.positional);
@@ -230,27 +224,24 @@ cmdCharacterize(const Args &args)
             fatal("characterize: %s", loaded.error.c_str());
         store = std::move(*loaded);
     }
-    // A database holds one bit count: refuse a second one before
-    // anything is written.
-    if (!store.empty()) {
-        const std::uint64_t held =
-            store.sparseFingerprints().view(0).universe;
-        if (held != exact.size())
-            fatal("characterize: the outputs have %zu bits; %s holds "
-                  "%llu-bit fingerprints",
-                  exact.size(), db_path.c_str(),
-                  (unsigned long long)held);
-    }
-    const Fingerprint fp = characterize(outputs, exact);
-    store.add(label, fp);
+    // Algorithm 1 behind the service, whose store refuses, before
+    // anything is written, a record no database file may hold or a
+    // second bit count.
+    AttackService svc(std::move(store));
+    std::vector<BitVec> error_strings;
+    for (const BitVec &out : outputs)
+        error_strings.push_back(errorString(out, exact));
+    const AttackService::AddOutcome added =
+        svc.addFingerprint(label, error_strings);
+    if (!added.added)
+        fatal("characterize: %s", added.error.c_str());
     std::string err;
-    if (!saveStoreDurable(store, db_path, &err))
+    if (!saveStoreDurable(*svc.store(), db_path, &err))
         fatal("characterize: cannot write %s: %s", db_path.c_str(),
               err.c_str());
     std::printf("added '%s' (%zu volatile cells from %zu outputs); "
                 "database now holds %zu records\n",
-                label.c_str(), fp.weight(), outputs.size(),
-                store.size());
+                label.c_str(), added.weight, outputs.size(), svc.size());
     return 0;
 }
 
@@ -540,11 +531,9 @@ cmdDbReindex(const Args &args, FingerprintStore &store,
             "hashes", static_cast<long>(prm.numHashes)));
     prm.bands = static_cast<std::uint32_t>(
         args.getLong("bands", static_cast<long>(prm.bands)));
-    if (prm.numHashes == 0 || prm.bands == 0 ||
-        prm.numHashes % prm.bands != 0)
-        fatal("db reindex: bands must divide hashes");
-    if (prm.numHashes > pcdb::maxHashes)
-        fatal("db reindex: at most %u hashes", pcdb::maxHashes);
+    const std::string why = pcdb::minhashError(prm.numHashes, prm.bands);
+    if (!why.empty())
+        fatal("db reindex: %s", why.c_str());
     store.reindex(prm);
     std::string err;
     if (!saveStoreDurable(store, db_path, &err))
