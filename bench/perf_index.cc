@@ -14,7 +14,7 @@
  * (queryFullScan: overlap counts from the inverted position index)
  * is timed on its own against the linear scan over a set of unknown
  * chips' outputs, and checked against it on every query. Each
- * population is then saved (PCDB v4), loaded back (loadStore, which
+ * population is then saved (PCDB v5), loaded back (loadStore, which
  * reads the stored index instead of rebuilding it: once on a pool of
  * the load's own, as the tools and the service load, and once on one
  * lane) and mapped (MappedStore), whose fallback — the same walk
@@ -23,7 +23,7 @@
  *
  * Enforced gates (exit nonzero):
  *   - zero accept/reject divergences from the linear Algorithm 2,
- *     for the in-memory index and the mmap-ed v4 database alike;
+ *     for the in-memory index and the mmap-ed v5 database alike;
  *   - zero fallback-scan divergences from the linear scan on the
  *     verdict, the nearest record, the distance bits and the
  *     computed/pruned kernel counters, in memory and mapped;

@@ -42,7 +42,9 @@ class SupplyChainAttacker
      * Characterize an intercepted device: run @p num_outputs
      * worst-case trials across the given temperatures (the paper
      * intersects 3 outputs at 1% error and different temperatures)
-     * and store the resulting fingerprint.
+     * and store the resulting fingerprint. A fingerprint the store
+     * refuses (pcdb::recordError(), a second bit count) is a panic
+     * naming the reason, as a zero @p num_outputs is.
      *
      * @return index of the new database record
      */

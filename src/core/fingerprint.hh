@@ -68,7 +68,7 @@ class Fingerprint
 /**
  * Read-only view of a collection of sparse fingerprints, indexed by
  * record id. Abstracts over where the position lists live — the
- * FingerprintStore's in-memory arena or an mmap-ed v4 database file
+ * FingerprintStore's in-memory arena or an mmap-ed v5 database file
  * — so the exact scans in core/scan run unchanged against both.
  */
 class SparseFingerprintSource

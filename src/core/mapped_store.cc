@@ -32,9 +32,9 @@ MappedStore::open(const std::string &path)
         ms.header);
     if (!err.empty())
         return fail(err);
-    if (ms.header.version != pcdb::versionV4)
+    if (ms.header.version == pcdb::versionV3)
         return fail("a PCDB v3 file holds no index to map; run "
-                    "'pcause db reindex' to rewrite it as v4");
+                    "'pcause db reindex' to rewrite it as v5");
     ms.prm = ms.header.minhashParams();
     return {std::move(ms), ""};
 }
@@ -53,7 +53,7 @@ MappedStore::bandSlots(std::uint32_t band) const
     const std::uint64_t slots = header.bandSlots;
     const std::uint8_t *base =
         map.data() + header.bandOff +
-        band * pcdb::bandBytes(pcdb::versionV4, slots);
+        band * pcdb::bandBytes(header.version, slots);
     return {reinterpret_cast<const std::uint64_t *>(base),
             reinterpret_cast<const std::uint32_t *>(base + slots * 8),
             slots};
@@ -86,20 +86,6 @@ std::uint32_t
 MappedStore::sources(std::size_t i) const
 {
     return entry(i).sources;
-}
-
-MinHashSignature
-MappedStore::signature(std::size_t i) const
-{
-    PC_ASSERT(i < header.recordCount,
-              "MappedStore record index out of range");
-    MinHashSignature sig(prm.numHashes);
-    std::memcpy(sig.data(),
-                map.data() + header.sigOff +
-                    i * std::uint64_t{prm.numHashes} *
-                        sizeof(std::uint32_t),
-                prm.numHashes * sizeof(std::uint32_t));
-    return sig;
 }
 
 template <typename Count>

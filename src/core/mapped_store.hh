@@ -1,20 +1,22 @@
 /**
  * @file
- * MappedStore: query a v4 database file in place, without loading.
+ * MappedStore: query a v5 or v4 database file in place, without
+ * loading.
  *
  * loadStore() reads every record into memory before the first
- * query, but a million-record database is ~2 GB of positions,
- * signatures and index, and an attacker service that restarts should
- * not read it all first. The v4 layout (core/pcdb_format.hh) is
- * designed to be the query-time data structure itself: MappedStore
+ * query, but a million-record database is ~1.6 GB of positions and
+ * index, and an attacker service that restarts should not read it
+ * all first. The v5 layout (core/pcdb_format.hh) is designed to be
+ * the query-time data structure itself: MappedStore
  * mmaps the file, runs the structural check loadStore runs too
  * (pcdb::check: header, canonical section offsets, the record table,
  * the band slot count and the posting offsets) in one cheap pass,
  * and then keeps only its bytes: accessors that read records, band
  * tables and posting lists straight off the mapping — the kernel
- * pages them in on first touch. A v3 file holds no position index
- * and no band tables to probe, so it is refused, naming
- * `pcause db reindex`, which rewrites it as v4.
+ * pages them in on first touch. A v4 file differs only by a
+ * signature arena, which nothing here reads. A v3 file holds no
+ * position index and no band tables to probe, so it is refused,
+ * naming `pcause db reindex`, which rewrites it as v5.
  *
  * Verdict equivalence: the queries are FingerprintStore's own
  * (QueryEngine, core/scan.hh): the same probe loop over the stored
@@ -34,9 +36,9 @@
  * section's CRC is checked at open (that would touch every page of
  * both; checking it once per segment is ROADMAP item 6), so such
  * damage is not detected here, where loadStore() refuses it.
- * Position and signature *values* are trusted and never checked: the
- * sparse scan kernels index the query's words with words[pos >> 6]
- * unchecked, so a corrupted position (>= the file's universe) in a
+ * Position *values* are trusted and never checked: the sparse scan
+ * kernels index the query's words with words[pos >> 6] unchecked,
+ * so a corrupted position (>= the file's universe) in a
  * mapped file is an out-of-bounds read, not a clean failure — map
  * only files a trusted writer produced.
  */
@@ -57,7 +59,8 @@
 namespace pcause
 {
 
-/** Read-only FingerprintStore over an mmap-ed v4 database file. */
+/** Read-only FingerprintStore over an mmap-ed v5 or v4 database
+ *  file. */
 class MappedStore : public SparseFingerprintSource,
                     public QueryEngine<MappedStore>
 {
@@ -93,9 +96,6 @@ class MappedStore : public SparseFingerprintSource,
 
     /** Source count of record @p i. */
     std::uint32_t sources(std::size_t i) const;
-
-    /** MinHash signature of record @p i (copied out of the arena). */
-    MinHashSignature signature(std::size_t i) const;
 
     /** Signature/banding parameters stored in the file. */
     const MinHashParams &indexParams() const { return prm; }

@@ -237,7 +237,7 @@ lshProbeKeys(const MinHashParams &params, const MinHashSketch &sketch,
  * sized to a ~0.7 load on bulk builds — so a record costs 12 bytes
  * per band and a bucket lookup reads one contiguous run of slots.
  * Bucket contents come back sorted (candidates(), bandEntries()),
- * so slot order is never observable. PCDB v4 stores each band's two
+ * so slot order is never observable. PCDB v5 stores each band's two
  * slot arrays verbatim (bandSlots()); the loader hands them back to
  * the adopting constructor, and the mmap reader probes them in place
  * through the same probe().
@@ -255,7 +255,7 @@ class LshIndex
 
     /**
      * One band's slot arrays, wherever they live: a table's own
-     * vectors, or a band section of a mapped PCDB v4 file. Slot s
+     * vectors, or a band section of a mapped PCDB v5 file. Slot s
      * holds (keys[s], ids[s]) unless ids[s] == emptySlot.
      */
     struct BandSlots
@@ -314,7 +314,7 @@ class LshIndex
 
     /**
      * Adopt stored band tables: band b's slots are @p keys[b] and
-     * @p ids[b], holding @p records records — the PCDB v4 loader's
+     * @p ids[b], holding @p records records — the PCDB v5 loader's
      * path. Each table must be one a build under @p params made:
      * exactly @p records occupied slots, every id below @p records,
      * and more slots than records (or none at all, for no records).
@@ -397,7 +397,7 @@ class LshIndex
     std::vector<std::pair<std::uint64_t, std::uint32_t>>
     bandEntries(std::uint32_t band) const;
 
-    /** Band @p band's slot arrays, as PCDB v4 stores them. */
+    /** Band @p band's slot arrays, as PCDB v5 stores them. */
     BandSlots bandSlots(std::uint32_t band) const;
 
     /** Bytes held by the band tables (container capacities). */

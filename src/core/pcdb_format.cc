@@ -23,7 +23,15 @@ gapBytes(std::uint64_t g)
     return n;
 }
 
-/** check()'s v4 posting offset pass: both arrays, a chunk at a time. */
+/** Bytes of @p h's signature arena: N * k u32 in v3 and v4, none in
+ *  v5, which keeps no signature. */
+std::uint64_t
+sigArenaBytes(const Header &h)
+{
+    return h.version == versionV5 ? 0 : h.recordCount * h.numHashes * 4;
+}
+
+/** check()'s posting offset pass: both arrays, a chunk at a time. */
 std::string
 checkPostingOffsets(const ReadAt &read, const Header &h)
 {
@@ -128,7 +136,7 @@ layout(const Header &h)
         h.version == versionV3 ? v3HeaderBytes : v4HeaderBytes;
     l.sigOff =
         align8(l.recordTableOff + h.recordCount * recordEntryBytes);
-    l.posOff = align8(l.sigOff + h.recordCount * h.numHashes * 4);
+    l.posOff = align8(l.sigOff + sigArenaBytes(h));
     l.labelOff = align8(l.posOff + h.totalPositions * 4);
     l.bandOff = align8(l.labelOff + h.labelBytes);
     const std::uint64_t band_end =
@@ -186,10 +194,11 @@ check(std::uint64_t file_len, const ReadAt &read, Header &h,
         return "not a Probable Cause database";
     h = Header{};
     h.version = loadU32(d + 4);
-    if (h.version != versionV3 && h.version != versionV4)
+    if (h.version != versionV3 && h.version != versionV4 &&
+        h.version != versionV5)
         return "unsupported version " + std::to_string(h.version) +
-               " (PCDB v3 and v4 are read)";
-    if (h.version == versionV4) {
+               " (PCDB v3, v4 and v5 are read)";
+    if (h.version != versionV3) {
         if (file_len < v4HeaderBytes)
             return "file shorter than a PCDB header";
         if (!read(v3HeaderBytes, d + v3HeaderBytes,
@@ -223,14 +232,17 @@ check(std::uint64_t file_len, const ReadAt &read, Header &h,
         return why;
     if (h.scheme != schemeOnePermutation && h.scheme != schemeRetired)
         return "unknown signature scheme " + std::to_string(h.scheme);
-    if (h.version == versionV4 && h.scheme != schemeOnePermutation)
-        return "a v4 file signed under the retired scheme";
+    if (h.version != versionV3 && h.scheme != schemeOnePermutation)
+        return "a v" + std::to_string(h.version) +
+               " file signed under the retired scheme";
     if (h.fileSize != file_len)
         return "header file size does not match the file";
 
     // Bound every count by what could possibly fit in the file
     // before computing the canonical layout, so hostile headers
-    // cannot drive the offset arithmetic into 64-bit overflow.
+    // cannot drive the offset arithmetic into 64-bit overflow. The
+    // hash count is bounded by the signature arena where there is
+    // one; in v5, only by maxHashes.
     const std::uint64_t per_band =
         h.bandSlots > file_len / 12
             ? 0
@@ -241,11 +253,11 @@ check(std::uint64_t file_len, const ReadAt &read, Header &h,
         h.totalPositions > file_len / sizeof(std::uint32_t) ||
         h.labelBytes > file_len || h.bandSlots > file_len / 12 ||
         h.postingLists > file_len / 16 || h.postingBytes > file_len ||
-        (h.recordCount > 0 &&
+        (h.version != versionV5 && h.recordCount > 0 &&
          h.numHashes > file_len / 4 / h.recordCount) ||
         (per_band > 0 && h.bands > file_len / per_band))
         return "header counts exceed the file size";
-    if (h.version == versionV4 &&
+    if (h.version != versionV3 &&
         !(h.bandSlots > h.recordCount ||
           (h.bandSlots == 0 && h.recordCount == 0)))
         return "band slot count not above the record count";

@@ -4,18 +4,25 @@
  * readers run: loadStore (core/serialize) and MappedStore::open
  * (core/mapped_store).
  *
- * v4 (what every writer writes) is designed to be opened without
+ * v5 (what every writer writes) is designed to be opened without
  * rebuilding anything: after a fixed-size header with explicit
  * section offsets comes a fixed-stride record table, then contiguous
- * arenas (signatures, fingerprint positions, labels), then the
- * index itself — each LSH band's open-addressing slot arrays exactly
- * as LshIndex holds them, and the inverted position index as one
- * gap-coded list per universe position. loadStore reads both index
- * sections straight into the store's structures; MappedStore probes
- * and decodes them in place. v3, the format before, ends in a sorted
- * (bucket key, record id) array per band instead and carries no
- * position index: loadStore still reads it (rebuilding both), and
- * `pcause db reindex` rewrites it as v4. MappedStore refuses it.
+ * arenas (fingerprint positions, labels), then the index itself —
+ * each LSH band's open-addressing slot arrays exactly as LshIndex
+ * holds them, and the inverted position index as one gap-coded list
+ * per universe position. loadStore reads both index sections
+ * straight into the store's structures; MappedStore probes and
+ * decodes them in place. No file keeps a record's MinHash signature
+ * for a reader: a signature exists only while band tables are
+ * filled, and the tables are what a query probes.
+ *
+ * Two earlier versions are read. v4 is v5 plus a signature arena
+ * (N * k u32) between the record table and the positions, which
+ * neither reader reads; re-saved, it is written as v5. v3 ends in a
+ * sorted (bucket key, record id) array per band instead and carries
+ * no position index: loadStore rebuilds both, re-signing every
+ * record from its positions, and `pcause db reindex` rewrites it as
+ * v5. MappedStore refuses it.
  *
  * All integers are little-endian. Every section starts 8-byte
  * aligned, and the layout is *canonical*: section offsets and
@@ -29,26 +36,27 @@
  *
  *   header (144 bytes; v3: the first 104)
  *     off  0  char[4]  magic "PCDB"
- *     off  4  u32      version = 4 (or 3)
+ *     off  4  u32      version = 5 (or 4, 3)
  *     off  8  u32      minhash numHashes (k)
  *     off 12  u32      minhash bands
  *     off 16  u32      minhash probes
- *     off 20  u32      signing scheme: 1 = one-permutation MinHash.
- *                      A v3 file may hold 0, the retired 64-hash
- *                      scheme, whose signatures and band keys
- *                      loadStore recomputes and MappedStore refuses;
- *                      any other value is rejected
+ *     off 20  u32      signing scheme: 1 = one-permutation MinHash,
+ *                      the scheme of every band key. A v3 file may
+ *                      hold 0, the retired 64-hash scheme (loadStore
+ *                      re-signs every v3 file, and MappedStore
+ *                      refuses v3); any other value is rejected
  *     off 24  u64      minhash seed
  *     off 32  u64      record count N
  *     off 40  u64      total fingerprint positions P
  *     off 48  u64      label arena bytes L
  *     off 56  u64      file size in bytes
  *     off 64  u64      record table offset   (= header size)
- *     off 72  u64      signature arena offset
+ *     off 72  u64      signature arena offset (v5: the empty
+ *                      arena's, equal to the position arena's)
  *     off 80  u64      position arena offset
  *     off 88  u64      label arena offset
  *     off 96  u64      band section offset
- *     -- v4 only --
+ *     -- v4 and v5 only --
  *     off 104 u64      slots per band table S (> N; 0 when N = 0)
  *     off 112 u64      posting list count Q (<= the universe)
  *     off 120 u64      posting bytes B
@@ -66,13 +74,14 @@
  *     off 32  u32      source count (> 0)
  *     off 36  u32      reserved (0)
  *
- *   signature arena: N * k u32 (record-major), zero-padded to 8
+ *   signature arena: v3 and v4, N * k u32 (record-major),
+ *                    zero-padded to 8, read by no reader; v5, empty
  *   position arena:  P u32 (ascending within each record), padded
  *   label arena:     L raw bytes, padded
- *   band section (v4), per band b in [0, bands):
+ *   band section (v4, v5), per band b in [0, bands):
  *     u64 keys[S], u32 ids[S] (LshIndex::emptySlot marks a free
  *     slot; a key under a free slot means nothing), zero-padded to 8
- *   postings section (v4):
+ *   postings section (v4, v5):
  *     u64 byte offsets[Q + 1], u64 id offsets[Q + 1], then B bytes,
  *     zero-padded to 8. List p holds the ascending ids of the
  *     records containing position p: idOff[p + 1] - idOff[p] ids,
@@ -85,8 +94,9 @@
  *
  * What each reader checks. check() (both readers, at open) covers
  * the header, the layout, the record table, v3's band entry counts
- * and v4's slot count and posting offsets: everything but the
- * payloads, in one pass over the record table and the offset arrays.
+ * and the slot count and posting offsets of v4 and v5: everything
+ * but the payloads, in one pass over the record table and the offset
+ * arrays.
  * Both readers keep the file's one universe (Header::universe) as
  * their one bit count. loadStore then reads every payload, in tasks
  * on a thread pool, and checks it as it goes: each position inside
@@ -96,7 +106,7 @@
  * position sum (each list's position times its length) equal to the
  * position arena's, and both CRCs. MappedStore checks no payload at
  * open: it bounds slot and posting ids at use and trusts positions
- * and signature values (see core/mapped_store.hh).
+ * (see core/mapped_store.hh). A signature arena is read by neither.
  *
  * What a file may hold is stated once, here (minhashError(),
  * recordError()); the journal, `pcause db reindex` and the store's
@@ -122,6 +132,7 @@ namespace pcdb
 constexpr char magic[4] = {'P', 'C', 'D', 'B'};
 constexpr std::uint32_t versionV3 = 3;
 constexpr std::uint32_t versionV4 = 4;
+constexpr std::uint32_t versionV5 = 5;
 
 /** Header signing schemes (offset 20). */
 constexpr std::uint32_t schemeRetired = 0;        //!< 64 hashes per cell
@@ -157,10 +168,10 @@ const char *recordError(std::uint64_t label_bytes, std::uint64_t sources,
                         std::string *detail = nullptr);
 
 constexpr std::uint64_t v3HeaderBytes = 104;
-constexpr std::uint64_t v4HeaderBytes = 144;
+constexpr std::uint64_t v4HeaderBytes = 144; //!< v4 and v5
 constexpr std::uint64_t recordEntryBytes = 40;
 
-/** Header offsets of the two v4 section CRCs. */
+/** Header offsets of the two index section CRCs (v4, v5). */
 constexpr std::uint64_t bandCrcOff = 136;
 constexpr std::uint64_t postingsCrcOff = 140;
 
@@ -171,10 +182,10 @@ align8(std::uint64_t x)
     return (x + 7) & ~std::uint64_t{7};
 }
 
-/** Decoded header (v4 fields stay 0 in a v3 file). */
+/** Decoded header (the fields past v3's stay 0 in a v3 file). */
 struct Header
 {
-    std::uint32_t version = versionV4;
+    std::uint32_t version = versionV5;
     std::uint32_t numHashes = 0;
     std::uint32_t bands = 0;
     std::uint32_t probes = 0;
@@ -237,7 +248,8 @@ loadU64(const std::uint8_t *p)
 /** Decode the recordEntryBytes-byte record-table entry at @p p. */
 RecordEntry decodeRecordEntry(const std::uint8_t *p);
 
-/** Per-band section size: v3 for @p n records, v4 for @p n slots. */
+/** Per-band section size: v3 for @p n records, v4 and v5 for @p n
+ *  slots. */
 constexpr std::uint64_t
 bandBytes(std::uint32_t version, std::uint64_t n)
 {
@@ -248,7 +260,7 @@ bandBytes(std::uint32_t version, std::uint64_t n)
 /**
  * The canonical section offsets and total size of a file with
  * @p h's version and counts (record count, hashes, positions, label
- * bytes, bands, and for v4 slots, posting lists and posting bytes).
+ * bytes, bands, and past v3 slots, posting lists and posting bytes).
  * Readers reject files whose header offsets differ.
  */
 struct Layout
@@ -258,7 +270,7 @@ struct Layout
     std::uint64_t posOff = 0;
     std::uint64_t labelOff = 0;
     std::uint64_t bandOff = 0;
-    std::uint64_t postingsOff = 0; //!< v4 only
+    std::uint64_t postingsOff = 0; //!< past v3 only
     std::uint64_t fileSize = 0;
 };
 
@@ -339,13 +351,13 @@ using ReadAt =
     std::function<bool(std::uint64_t off, void *dst, std::size_t len)>;
 
 /**
- * The structural check of a v3 or v4 file of @p file_len bytes:
+ * The structural check of a v3, v4 or v5 file of @p file_len bytes:
  * magic and version, minhash parameters (minhashError()) and signing
  * scheme, header counts bounded by the file length, the canonical
  * section layout, every record-table entry (recordError(), canonical
  * arena offsets, a position count within the universe, one universe
  * for the whole file) and the arena totals; for v3 every band's
- * entry count, for v4 the slot count and the posting offset arrays.
+ * entry count, past v3 the slot count and the posting offset arrays.
  *
  * Returns the empty string and fills @p header (its universe too)
  * when the file passes; otherwise returns the reason, the same text

@@ -65,7 +65,7 @@ writePadCrc(std::ostream &out, std::uint64_t n, std::uint32_t &crc)
     writeCrc(out, zeros, n, crc);
 }
 
-/** Write @p store to @p out as a v4 image; false on IO failure. */
+/** Write @p store to @p out as a v5 image; false on IO failure. */
 bool
 writeStore(const FingerprintStore &store, std::ostream &out)
 {
@@ -97,7 +97,7 @@ writeStore(const FingerprintStore &store, std::ostream &out)
 
     // --- header (CRCs patched in at the end) ----------------------
     out.write(pcdb::magic, sizeof(pcdb::magic));
-    writeScalar<std::uint32_t>(out, pcdb::versionV4);
+    writeScalar<std::uint32_t>(out, pcdb::versionV5);
     writeScalar<std::uint32_t>(out, h.numHashes);
     writeScalar<std::uint32_t>(out, h.bands);
     writeScalar<std::uint32_t>(out, h.probes);
@@ -136,17 +136,6 @@ writeStore(const FingerprintStore &store, std::ostream &out)
         next_label += label_len;
         next_pos += v.count;
     }
-
-    // --- signature arena ------------------------------------------
-    for (std::size_t i = 0; i < n; ++i) {
-        const MinHashSignature &sig = store.signature(i);
-        out.write(reinterpret_cast<const char *>(sig.data()),
-                  static_cast<std::streamsize>(sig.size() *
-                                               sizeof(std::uint32_t)));
-    }
-    writePad(out, lay.posOff -
-                      (lay.sigOff + n * prm.numHashes *
-                                        sizeof(std::uint32_t)));
 
     // --- position arena (the sparse arena, verbatim) --------------
     const auto &arena = sparse.positions();
@@ -292,14 +281,14 @@ class Failures
 
 /**
  * The payload half of a load of a file pcdb::check() passed. Every
- * section is read straight into the container the store keeps (no
+ * section the store keeps is read straight into its container (no
  * arena-sized staging buffer) and checked as it lands, in tasks a
  * pool runs in any order, so each page is first touched by the lane
- * that fills it:
- *  - record shards of about equal bytes: signatures, then positions
- *    (each inside the file's universe and strictly ascending, and
- *    summed), then labels;
- *  - v4: one task per band, which checks its slot ids and
+ * that fills it; a signature arena (v3, v4) is not read:
+ *  - record shards of about equal bytes: positions (each inside the
+ *    file's universe and strictly ascending, and summed), then
+ *    labels;
+ *  - past v3: one task per band, which checks its slot ids and
  *    occupancy; posting-list ranges of about equal bytes, each list
  *    decoded straight into its own (gaps, ids, lengths); and each
  *    section's CRC over the file's bytes.
@@ -318,10 +307,8 @@ class PayloadReader
      *  failure's reason in file order, or empty. */
     std::string run(ThreadPool &pool);
 
-    // What the store adopts. A retired-scheme file's signatures are
-    // not read (it is re-signed from its positions), and only v4
-    // holds the band tables and posting lists.
-    std::vector<MinHashSignature> sigs;
+    // What the store adopts; a v3 file holds no band tables or
+    // posting lists.
     PosVec positions;
     std::vector<std::uint64_t> offsets; //!< per record, and the total
     std::vector<ChipLabel> labels;
@@ -341,8 +328,7 @@ class PayloadReader
 
     const LoadFile &file;
     const pcdb::Header &h;
-    const bool v4;
-    const bool resign;
+    const bool indexed; //!< the file holds the index (past v3)
     std::vector<std::uint64_t> labelOff; //!< per record, and the total
     std::vector<std::size_t> shards;     //!< record shard bounds
     std::vector<std::uint64_t> positionSums; //!< per record shard
@@ -352,8 +338,7 @@ class PayloadReader
     std::uint64_t listSum = 0;
 
     Failures failures;
-    std::size_t sigSlot = 0, posReadSlot = 0, posSlot = 0,
-                labelSlot = 0, bandSlot = 0, bandCrcSlot = 0,
+    std::size_t posReadSlot = 0, posSlot = 0, labelSlot = 0, bandSlot = 0, bandCrcSlot = 0,
                 listSumSlot = 0, rangeSlot = 0, postingsCrcSlot = 0;
 };
 
@@ -362,32 +347,27 @@ PayloadReader::PayloadReader(const LoadFile &file,
                              std::vector<std::uint64_t> record_offsets,
                              std::vector<std::uint64_t> label_offsets)
     : offsets(std::move(record_offsets)), file(file), h(header),
-      v4(header.version == pcdb::versionV4),
-      resign(header.scheme == pcdb::schemeRetired),
-      labelOff(std::move(label_offsets))
+      indexed(header.version != pcdb::versionV3), labelOff(std::move(label_offsets))
 {
     const std::size_t n = offsets.size() - 1;
-    const std::uint64_t sig_bytes = std::uint64_t{h.numHashes} * 4;
     const auto record_bytes = [&](std::size_t i) {
-        return offsets[i] * 4 + i * sig_bytes + labelOff[i];
+        return offsets[i] * 4 + labelOff[i];
     };
     shards = splitByWeight(
         n,
         std::min<std::uint64_t>(4 * lanes,
                                 1 + record_bytes(n) / taskBytes),
         record_bytes);
-    sigs.resize(resign ? 0 : n);
     positions.resize(h.totalPositions);
     labels.resize(n);
     positionSums.resize(shards.size() - 1);
     // Slots in the order a serial read reaches the checks: every
-    // signature read, every position read, every position check,
-    // every label read, then the index sections.
-    sigSlot = failures.claim(positionSums.size());
+    // position read, every position check, every label read, then
+    // the index sections.
     posReadSlot = failures.claim(positionSums.size());
     posSlot = failures.claim(positionSums.size());
     labelSlot = failures.claim(positionSums.size());
-    if (!v4)
+    if (!indexed)
         return;
 
     keys.resize(h.bands);
@@ -424,7 +404,7 @@ std::string
 PayloadReader::run(ThreadPool &pool)
 {
     std::vector<std::function<void()>> tasks;
-    if (v4) {
+    if (indexed) {
         // The CRCs, the largest single tasks, go first.
         tasks.push_back([this] {
             checkCrc(bandCrcSlot, h.bandOff,
@@ -451,7 +431,7 @@ PayloadReader::run(ThreadPool &pool)
     std::uint64_t position_sum = 0;
     for (const std::uint64_t sum : positionSums)
         position_sum += sum;
-    if (v4 && listSum != position_sum)
+    if (indexed && listSum != position_sum)
         failures.set(listSumSlot,
                      "posting lists do not match the position arena");
     return failures.first();
@@ -469,22 +449,6 @@ PayloadReader::readRecords(std::size_t s)
             ++j;
         return j;
     };
-    const std::uint64_t sig_bytes = std::uint64_t{h.numHashes} * 4;
-    std::vector<std::uint32_t> buf;
-    for (std::size_t i = r0, j; i < r1 && !resign; i = j) {
-        j = readEnd(i, [&](std::size_t r) { return r * sig_bytes; });
-        buf.resize((j - i) * h.numHashes);
-        if (!file.readAt(h.sigOff + i * sig_bytes, buf.data(),
-                         buf.size() * 4)) {
-            failures.set(sigSlot + s, "cannot read the signature arena");
-            break;
-        }
-        for (std::size_t r = i; r < j; ++r) {
-            const std::uint32_t *sig = buf.data() + (r - i) * h.numHashes;
-            sigs[r].assign(sig, sig + h.numHashes);
-        }
-    }
-
     std::uint64_t sum = 0;
     for (std::size_t i = r0, j; i < r1; i = j) {
         j = readEnd(i, [&](std::size_t r) { return offsets[r] * 4; });
@@ -758,20 +722,17 @@ loadStore(const std::string &path, ThreadPool &pool,
         *version_out = h.version;
     if (h.version == pcdb::versionV3) {
         // A v3 file holds no position index and its band trailer is
-        // not a table: both are rebuilt from the records, on the
-        // load's pool.
-        if (h.scheme == pcdb::schemeRetired)
-            in.sigs = signArena(arena, h.minhashParams(), &pool);
+        // not a table: both are rebuilt from the records, which are
+        // signed again, on the load's pool.
         FingerprintStore store(h.minhashParams());
         store.setThreadPool(&pool);
         store.addBatch(std::move(in.labels), std::move(sources),
-                       std::move(arena), std::move(in.sigs));
+                       std::move(arena));
         store.setThreadPool(nullptr);
         return {std::move(store), ""};
     }
     return {FingerprintStore::adopt(
                 std::move(in.labels), std::move(sources), std::move(arena),
-                std::move(in.sigs),
                 LshIndex(h.minhashParams(), n,
                          std::move(in.keys), std::move(in.ids)),
                 std::move(in.postings)),
@@ -869,12 +830,11 @@ loadBitVec(const std::string &path)
 
 std::size_t
 recordDiskSize(std::size_t weight, std::size_t label_len,
-               std::size_t signature_hashes, std::size_t bands)
+               std::size_t bands)
 {
     return pcdb::recordEntryBytes              // record-table entry
         + label_len                            // label arena share
         + weight * sizeof(std::uint32_t)       // position arena share
-        + signature_hashes * sizeof(std::uint32_t) // signature arena
         // a 12-byte slot per band at the bulk build's ~0.7 load
         + bands * 12 * 10 / 7
         // a one-byte gap per posting: a position shared by more

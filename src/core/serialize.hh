@@ -11,18 +11,19 @@
  * chip's fingerprint costs ~10 KB instead of 32 KB, and scales with
  * the error budget rather than the memory size.
  *
- * Writers write PCDB v4 (little-endian), the memory-mappable layout
+ * Writers write PCDB v5 (little-endian), the memory-mappable layout
  * specified byte-for-byte in core/pcdb_format.hh: a fixed 144-byte
  * header with explicit section offsets, a fixed-stride record table,
- * contiguous signature / position / label arenas, then the index as
- * it is held in memory — each LSH band's slot arrays and the
- * inverted position index as gap-coded lists, both under a CRC-32.
- * loadStore() reads a file into an in-memory FingerprintStore on a
- * thread pool, taking the index sections as stored; MappedStore
- * (core/mapped_store) queries one in place without loading it. Both
- * run the same structural check (pcdb::check) and so fail with the
- * same reasons. loadStore() also reads v3, the format before,
- * rebuilding the index v3 does not carry.
+ * contiguous position and label arenas, then the index as it is held
+ * in memory — each LSH band's slot arrays and the inverted position
+ * index as gap-coded lists, both under a CRC-32. No signature is
+ * written: the band tables are the index. loadStore() reads a file
+ * into an in-memory FingerprintStore on a thread pool, taking the
+ * index sections as stored; MappedStore (core/mapped_store) queries
+ * one in place without loading it. Both run the same structural
+ * check (pcdb::check) and so fail with the same reasons, and both
+ * read v4 too, skipping its signature arena. loadStore() also reads
+ * v3, rebuilding the index v3 does not carry.
  *
  * Loading is recoverable: malformed input produces a LoadResult
  * carrying an error string instead of killing the process, so a
@@ -71,8 +72,8 @@ struct LoadResult
 using StoreLoadResult = LoadResult<FingerprintStore>;
 
 /**
- * Write @p store (its own index parameters, signatures, band tables
- * and position index) to @p path as a mmap-able v4 file. The file is
+ * Write @p store (its own index parameters, band tables and position
+ * index) to @p path as a mmap-able v5 file. The file is
  * truncated first, so a failed write loses what it held:
  * saveStoreDurable() is the save for a file that matters. Returns
  * false on IO failure, including one that surfaces only when the
@@ -81,7 +82,7 @@ using StoreLoadResult = LoadResult<FingerprintStore>;
 bool saveStore(const FingerprintStore &store, const std::string &path);
 
 /**
- * Crash-safe saveStore: the v4 image is written to a temp file in
+ * Crash-safe saveStore: the v5 image is written to a temp file in
  * the same directory, fsynced, atomically renamed over @p path, and
  * the parent directory fsynced — a reader (or a recovery after
  * kill -9 at any instruction) sees either the complete old file or
@@ -94,27 +95,25 @@ bool saveStoreDurable(const FingerprintStore &store,
                       std::string *error = nullptr);
 
 /**
- * Load a v4 or v3 file into an in-memory FingerprintStore, keeping
- * the stored index parameters and signatures (nothing is rehashed).
- * A v4 file's band tables and position index are read as stored,
- * each checked as it is read (slot ids, occupancy, gaps, posting
- * ids, list lengths against the positions, both CRCs; see
- * core/pcdb_format.hh); a v3 file's are rebuilt from the records
- * (FingerprintStore::addBatch, on @p pool). A v3 file may name the
- * retired signing scheme (pcdb::schemeRetired): then every record is
- * re-signed from its positions and the signature arena is not read.
- * The file's scheme and format version land in @p scheme_out and
- * @p version_out when non-null. Besides pcdb::check's structural
- * check, every position is checked to lie inside the file's universe
- * and to ascend strictly. Malformed, truncated or other-version input
+ * Load a v5, v4 or v3 file into an in-memory FingerprintStore,
+ * keeping the stored index parameters. A v5 or v4 file's band tables
+ * and position index are read as stored (nothing is hashed), each
+ * checked as it is read (slot ids, occupancy, gaps, posting ids, list
+ * lengths against the positions, both CRCs; see core/pcdb_format.hh);
+ * a v3 file's are rebuilt from the records, each signed again from
+ * its positions under the stored parameters, whichever scheme the
+ * file names (FingerprintStore::addBatch, on @p pool). No signature
+ * arena is read. The file's scheme and format version land in
+ * @p scheme_out and @p version_out when non-null. Besides
+ * pcdb::check's structural check, every position is checked to lie
+ * inside the file's universe and to ascend strictly. Malformed, truncated or other-version input
  * yields a failed result with an error string, never a process exit.
  *
  * The structural check walks the header, the record table and the
  * posting offsets on the calling thread; then every payload is read
  * with pread() straight into the container the store keeps, and
  * checked as it lands, in tasks on @p pool:
- *  - record shards of about equal bytes (signatures, positions,
- *    labels);
+ *  - record shards of about equal bytes (positions, labels);
  *  - one task per band (its slot arrays);
  *  - posting-list ranges of about equal bytes, each list decoded
  *    into its own;
@@ -144,9 +143,8 @@ StoreLoadResult loadStore(const std::string &path,
                           std::uint32_t *version_out = nullptr);
 
 /**
- * On-disk size estimate in bytes for a v4 record of @p weight
- * volatile cells, a @p label_len-byte label, a
- * @p signature_hashes-entry MinHash signature and @p bands band
+ * On-disk size estimate in bytes for a v5 record of @p weight
+ * volatile cells, a @p label_len-byte label and @p bands band
  * tables: its record-table entry, its arena shares, its band slots
  * at the ~0.7 load a bulk build sizes to, and a one-byte gap in
  * each of its @p weight posting lists (gaps stay under 128 while a
@@ -155,8 +153,6 @@ StoreLoadResult loadStore(const std::string &path,
  * storage claim made measurable.
  */
 std::size_t recordDiskSize(std::size_t weight, std::size_t label_len,
-                           std::size_t signature_hashes =
-                               MinHashParams{}.numHashes,
                            std::size_t bands = MinHashParams{}.bands);
 
 /**

@@ -378,8 +378,7 @@ AttackService::dbStats() const
             const std::size_t cells = fps.weight(i);
             s.volatileCells += cells;
             s.diskBytesEstimate += recordDiskSize(
-                cells, st.label(i).size(), s.indexParams.numHashes,
-                s.indexParams.bands);
+                cells, st.label(i).size(), s.indexParams.bands);
         }
     });
     return s;

@@ -4,7 +4,7 @@
  *
  * Every frontend (CLI, benches, attackers, and the pcaused network
  * server) identifies through this facade. It owns one backend, an
- * in-memory FingerprintStore or a read-only MappedStore over a v4
+ * in-memory FingerprintStore or a read-only MappedStore over a v5
  * file, and reads it in one place (withStore()): both stores answer
  * through the one query engine (QueryEngine, core/scan.hh), so every
  * read path — identify, the batch, labels, diagnostics — is written
@@ -153,7 +153,7 @@ struct ServiceDbStats
     std::size_t lshBytes = 0;
     std::size_t postingsBytes = 0;
 
-    /** "store" (in-memory) or "mmap" (v4 file queried in place). */
+    /** "store" (in-memory) or "mmap" (v5 file queried in place). */
     const char *backend = "store";
 };
 
@@ -197,14 +197,14 @@ class AttackService
     /** Serve an in-memory (mutable) store. */
     explicit AttackService(FingerprintStore store);
 
-    /** Serve a read-only mmap-ed v4 database in place. */
+    /** Serve a read-only mmap-ed v5 database in place. */
     explicit AttackService(MappedStore store);
 
     AttackService(AttackService &&) = default;
     AttackService &operator=(AttackService &&) = default;
 
     /**
-     * Load a service from a database file: @p mmap queries the v4
+     * Load a service from a database file: @p mmap queries the v5
      * file in place (read-only), otherwise the store is
      * deserialized into memory by loadStore(path), on a pool of the
      * load's own that is joined before this returns (the service's
@@ -387,11 +387,6 @@ class AttackService
      *  hold the lock. */
     std::string queryError(std::size_t bits,
                            const QueryOptions &options) const;
-
-    /** Resolve an IdentifyResult into a labeled verdict; callers
-     *  hold the lock. */
-    IdentifyVerdict resolve(const IdentifyResult &r,
-                            AttackStats delta) const;
 
     /** checkpoint() body; the caller holds the exclusive lock (or
      *  sole ownership during openDurable). */

@@ -40,6 +40,26 @@ packPatterns(const std::vector<Fingerprint> &fps, ThreadPool &pool)
                                   bits);
 }
 
+/** Sign every record of @p fps under @p params, across @p pool when
+ *  non-null (serially otherwise): the signatures a batch's or a
+ *  reindex's band tables are filled from. */
+std::vector<MinHashSignature>
+signArena(const SparseFingerprintArena &fps, const MinHashParams &params,
+          ThreadPool *pool)
+{
+    std::vector<MinHashSignature> sigs(fps.count());
+    const auto hashRecord = [&](std::size_t i) {
+        sigs[i] = minhashSignature(fps.view(i), params);
+    };
+    if (pool) {
+        pool->parallelFor(0, sigs.size(), hashRecord);
+    } else {
+        for (std::size_t i = 0; i < sigs.size(); ++i)
+            hashRecord(i);
+    }
+    return sigs;
+}
+
 } // anonymous namespace
 
 FingerprintStore::FingerprintStore(const MinHashParams &index_params)
@@ -61,20 +81,16 @@ FingerprintStore::fromDb(FingerprintDb db, const MinHashParams &index_params)
 FingerprintStore
 FingerprintStore::adopt(std::vector<ChipLabel> labels,
                         std::vector<unsigned> sources,
-                        SparseFingerprintArena fps,
-                        std::vector<MinHashSignature> sigs,
-                        LshIndex index,
+                        SparseFingerprintArena fps, LshIndex index,
                         std::vector<std::vector<std::uint32_t>> postings)
 {
     PC_ASSERT(labels.size() == fps.count() &&
                   sources.size() == fps.count() &&
-                  sigs.size() == fps.count() &&
                   index.size() == fps.count(),
               "FingerprintStore::adopt: record count mismatch");
     FingerprintStore store(index.params());
     store.chipLabels = std::move(labels);
     store.sourceCounts = std::move(sources);
-    store.signatures = std::move(sigs);
     store.sparse = std::move(fps);
     store.lsh = std::move(index);
     store.postings = std::move(postings);
@@ -103,13 +119,12 @@ FingerprintStore::add(ChipLabel label, Fingerprint fp)
         admitError(label.size(), fp.sources(), fp.bits().size());
     if (!why.empty())
         panic("FingerprintStore::add: %s", why.c_str());
-    MinHashSignature sig = minhashSignature(fp.bits(), lsh.params());
+    const MinHashSignature sig = minhashSignature(fp.bits(), lsh.params());
     const std::size_t i = size();
     sparse.add(fp.bits());
     chipLabels.push_back(std::move(label));
     sourceCounts.push_back(fp.sources());
     lsh.add(i, sig);
-    signatures.push_back(std::move(sig));
     // O(weight): each of the record's lists takes its id at the end.
     const SparseView v = sparse.view(i);
     if (v.count > 0 && v.positions[v.count - 1] >= postings.size())
@@ -123,49 +138,36 @@ void
 FingerprintStore::addBatch(std::vector<ChipLabel> labels,
                            std::vector<Fingerprint> fps)
 {
-    // The batch's arena first, then the signatures from it: a
-    // signature is a pure function of (positions, params), the sparse
-    // walk's equal to the dense one's, so hashing across the pool
-    // cannot change its value. The dense patterns go once packed.
+    // The batch's arena first; appendBatch() signs from it. The dense
+    // patterns go once packed.
     ThreadPool &pool = workers ? *workers : ThreadPool::global();
     SparseFingerprintArena arena = packPatterns(fps, pool);
     std::vector<unsigned> sources;
     for (const Fingerprint &fp : fps)
         sources.push_back(fp.sources());
     fps = {};
-    std::vector<MinHashSignature> sigs =
-        signArena(arena, lsh.params(), &pool);
     appendBatch(std::move(labels), std::move(sources), std::move(arena),
-                std::move(sigs), pool);
+                pool);
 }
 
 void
 FingerprintStore::addBatch(std::vector<ChipLabel> labels,
                            std::vector<unsigned> sources,
-                           SparseFingerprintArena fps,
-                           std::vector<MinHashSignature> sigs)
+                           SparseFingerprintArena fps)
 {
     ThreadPool inline_lane(1);
     appendBatch(std::move(labels), std::move(sources), std::move(fps),
-                std::move(sigs), workers ? *workers : inline_lane);
+                workers ? *workers : inline_lane);
 }
 
 void
 FingerprintStore::appendBatch(std::vector<ChipLabel> new_labels,
                               std::vector<unsigned> sources,
-                              SparseFingerprintArena fps,
-                              std::vector<MinHashSignature> sigs,
-                              ThreadPool &pool)
+                              SparseFingerprintArena fps, ThreadPool &pool)
 {
     PC_ASSERT(new_labels.size() == fps.count() &&
-                  sources.size() == fps.count() &&
-                  sigs.size() == fps.count(),
-              "addBatch: label/source/fingerprint/signature count "
-              "mismatch");
-    for (const MinHashSignature &sig : sigs) {
-        PC_ASSERT(sig.size() == lsh.params().numHashes,
-                  "FingerprintStore: signature length mismatch");
-    }
+                  sources.size() == fps.count(),
+              "addBatch: label/source/fingerprint count mismatch");
     for (std::size_t i = 0; i < fps.count(); ++i) {
         const std::string why = admitError(new_labels[i].size(),
                                            sources[i], fps.bitCount());
@@ -175,6 +177,12 @@ FingerprintStore::appendBatch(std::vector<ChipLabel> new_labels,
     if (fps.count() == 0)
         return;
 
+    // A signature is a pure function of (positions, params), the
+    // sparse walk's equal to the dense one's, so signing across the
+    // pool cannot change its value; it lives until its keys are in
+    // the band tables.
+    const std::vector<MinHashSignature> sigs =
+        signArena(fps, lsh.params(), &pool);
     const std::size_t first = size();
     if (first == 0)
         sparse = std::move(fps);
@@ -188,9 +196,6 @@ FingerprintStore::appendBatch(std::vector<ChipLabel> new_labels,
                       std::make_move_iterator(new_labels.end()));
     sourceCounts.insert(sourceCounts.end(), sources.begin(),
                         sources.end());
-    signatures.insert(signatures.end(),
-                      std::make_move_iterator(sigs.begin()),
-                      std::make_move_iterator(sigs.end()));
 }
 
 void
@@ -289,14 +294,6 @@ FingerprintStore::sources(std::size_t i) const
     return sourceCounts[i];
 }
 
-const MinHashSignature &
-FingerprintStore::signature(std::size_t i) const
-{
-    PC_ASSERT(i < signatures.size(),
-              "FingerprintStore signature index out of range");
-    return signatures[i];
-}
-
 template <typename Count>
 void
 FingerprintStore::countOverlaps(const BitVec &error_string,
@@ -353,29 +350,8 @@ void
 FingerprintStore::reindex(const MinHashParams &new_params)
 {
     LshIndex next(new_params);
-    std::vector<MinHashSignature> sigs =
-        signArena(sparse, new_params, workers);
-    next.addAll(0, sigs, workers);
-
+    next.addAll(0, signArena(sparse, new_params, workers), workers);
     lsh = std::move(next);
-    signatures = std::move(sigs);
-}
-
-std::vector<MinHashSignature>
-signArena(const SparseFingerprintArena &fps, const MinHashParams &params,
-          ThreadPool *pool)
-{
-    std::vector<MinHashSignature> sigs(fps.count());
-    const auto hashRecord = [&](std::size_t i) {
-        sigs[i] = minhashSignature(fps.view(i), params);
-    };
-    if (pool) {
-        pool->parallelFor(0, sigs.size(), hashRecord);
-    } else {
-        for (std::size_t i = 0; i < sigs.size(); ++i)
-            hashRecord(i);
-    }
-    return sigs;
 }
 
 template class QueryEngine<FingerprintStore>;

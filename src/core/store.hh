@@ -35,12 +35,15 @@
  * the global one (distinct chips are never that close at a working
  * threshold; see docs/ALGORITHMS.md "Fingerprint index").
  *
- * The LSH band tables and the position index are what PCDB v4
- * stores: loadStore() reads them back as they were written (adopt())
- * instead of rebuilding them, and a v3 file, which holds neither,
- * is rebuilt through addBatch(). The independent reference outside
- * the arena is identifyErrorString() over the FingerprintDb a store
- * was built from.
+ * No record's MinHash signature is kept: a signature is computed
+ * from the record's positions wherever band tables are filled (add(),
+ * addBatch(), reindex()) and dropped once its keys are in them, since
+ * the tables are all a query probes. The band tables and the position
+ * index are what PCDB v5 stores: loadStore() reads them back as they
+ * were written (adopt()) instead of rebuilding them, and a v3 file,
+ * which holds neither, is rebuilt through addBatch(). The independent
+ * reference outside the arena is identifyErrorString() over the
+ * FingerprintDb a store was built from.
  */
 
 #ifndef PCAUSE_CORE_STORE_HH
@@ -104,33 +107,30 @@ class FingerprintStore : public QueryEngine<FingerprintStore>
 
     /**
      * Bulk add of records already in sparse form — the v3 loader's
-     * path. @p labels, @p sources and @p sigs pair up with @p fps's
-     * records; an empty store adopts @p fps outright, otherwise its
-     * positions are appended. The signatures must be in this
-     * store's signature space (they are indexed verbatim). Nothing
-     * is hashed: the position index and the band tables fill on the
-     * store's pool when one is set (loadStore sets its own) and
-     * serially otherwise — never on the process-global pool, whose
-     * threads would outlive the load.
+     * path. @p labels and @p sources pair up with @p fps's records;
+     * an empty store adopts @p fps outright, otherwise its positions
+     * are appended. The records are signed, the position index and
+     * the band tables filled, on the store's pool when one is set
+     * (loadStore sets its own) and serially otherwise — never on the
+     * process-global pool, whose threads would outlive the load.
      */
     void addBatch(std::vector<ChipLabel> labels,
                   std::vector<unsigned> sources,
-                  SparseFingerprintArena fps,
-                  std::vector<MinHashSignature> sigs);
+                  SparseFingerprintArena fps);
 
     /**
-     * A store over records whose index was built before: the PCDB v4
-     * loader's path, which reads the band tables and the position
-     * index from the file. @p index must hold exactly these records
-     * under @p sigs, and @p postings[p] the ascending ids of the
-     * records holding position p, for every p up to the highest one
-     * held: what addBatch() builds. The loader checks each list's
-     * length against the positions and both sections' CRCs first.
+     * A store over records whose index was built before: the PCDB
+     * v4/v5 loader's path, which reads the band tables and the
+     * position index from the file. @p index must hold exactly these
+     * records under their signatures, and @p postings[p] the
+     * ascending ids of the records holding position p, for every p up
+     * to the highest one held: what addBatch() builds. The loader
+     * checks each list's length against the positions and both
+     * sections' CRCs first.
      */
     static FingerprintStore
     adopt(std::vector<ChipLabel> labels, std::vector<unsigned> sources,
-          SparseFingerprintArena fps, std::vector<MinHashSignature> sigs,
-          LshIndex index,
+          SparseFingerprintArena fps, LshIndex index,
           std::vector<std::vector<std::uint32_t>> postings);
 
     /** Number of records. */
@@ -156,9 +156,6 @@ class FingerprintStore : public QueryEngine<FingerprintStore>
     /** Number of error strings record @p i's fingerprint folds. */
     unsigned sources(std::size_t i) const;
 
-    /** MinHash signature of record @p i. */
-    const MinHashSignature &signature(std::size_t i) const;
-
     /** Signature/banding parameters of the current index. */
     const MinHashParams &indexParams() const { return lsh.params(); }
 
@@ -178,7 +175,7 @@ class FingerprintStore : public QueryEngine<FingerprintStore>
      * The inverted position index: list p holds the ascending ids of
      * the records whose fingerprint contains position p, for every
      * p up to the highest one held. What the full scan counts from,
-     * and what the v4 writer stores gap-coded.
+     * and what the writer stores gap-coded.
      */
     const std::vector<std::vector<std::uint32_t>> &positionIndex() const
     {
@@ -199,9 +196,9 @@ class FingerprintStore : public QueryEngine<FingerprintStore>
     void setThreadPool(ThreadPool *pool) { workers = pool; }
 
     /**
-     * Rebuild the index under new signature/banding parameters;
-     * signatures are recomputed from the arena (across the pool
-     * when one is set, serially otherwise).
+     * Rebuild the index under new signature/banding parameters,
+     * signing every record from the arena (across the pool when one
+     * is set, serially otherwise).
      */
     void reindex(const MinHashParams &new_params);
 
@@ -224,14 +221,12 @@ class FingerprintStore : public QueryEngine<FingerprintStore>
                        std::vector<Count> &overlap) const;
 
     /** Shared tail of both addBatch() overloads: append @p fps's
-     *  records (an empty store adopts the arena) with signatures in
-     *  this store's signature space, then fill the position index
-     *  (indexPositions()) and the band tables on @p pool. */
+     *  records (an empty store adopts the arena), then sign them and
+     *  fill the position index (indexPositions()) and the band tables
+     *  on @p pool. */
     void appendBatch(std::vector<ChipLabel> new_labels,
                      std::vector<unsigned> sources,
-                     SparseFingerprintArena fps,
-                     std::vector<MinHashSignature> sigs,
-                     ThreadPool &pool);
+                     SparseFingerprintArena fps, ThreadPool &pool);
 
     /**
      * Post the arena's records [first, count()) to the position
@@ -244,7 +239,6 @@ class FingerprintStore : public QueryEngine<FingerprintStore>
 
     std::vector<ChipLabel> chipLabels;
     std::vector<unsigned> sourceCounts;
-    std::vector<MinHashSignature> signatures;
     SparseFingerprintArena sparse;
     LshIndex lsh;
 
@@ -256,16 +250,6 @@ class FingerprintStore : public QueryEngine<FingerprintStore>
 };
 
 extern template class QueryEngine<FingerprintStore>;
-
-/**
- * Sign every record of @p fps under @p params, across @p pool when
- * non-null (serially otherwise): the loop behind
- * FingerprintStore::reindex, and how loadStore re-signs a file
- * written under the retired signing scheme.
- */
-std::vector<MinHashSignature>
-signArena(const SparseFingerprintArena &fps, const MinHashParams &params,
-          ThreadPool *pool);
 
 } // namespace pcause
 

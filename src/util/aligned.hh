@@ -90,7 +90,7 @@ using WordVec =
 using PosVec = std::vector<std::uint32_t,
                            AlignedAlloc<std::uint32_t, simdAlignment, false>>;
 
-// The PCDB v4 on-disk layout stores these vectors verbatim; the
+// The PCDB v5 on-disk layout stores these vectors verbatim; the
 // allocator must not change what a serialized element looks like.
 static_assert(sizeof(WordVec::value_type) == 8 &&
                   sizeof(PosVec::value_type) == 4,

@@ -1,7 +1,7 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, the zlib polynomial): the checksum of the
- * write-ahead journal's entries (core/wal) and of the PCDB v4 index
+ * write-ahead journal's entries (core/wal) and of the PCDB v5 index
  * sections (core/pcdb_format).
  *
  * Slicing-by-8: eight 256-entry tables fold eight input bytes per

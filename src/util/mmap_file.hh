@@ -2,7 +2,7 @@
  * @file
  * Read-only memory-mapped file.
  *
- * The v4 on-disk database is laid out so a million-record store can
+ * The v5 on-disk database is laid out so a million-record store can
  * be queried straight out of the page cache: open maps the file and
  * hands back a byte span, and the kernel pages record data in on
  * first touch instead of the loader deserializing every record up

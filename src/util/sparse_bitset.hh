@@ -24,8 +24,8 @@ class BitVec;
 /**
  * Non-owning view of a sorted, deduplicated position list — the
  * zero-copy form sparse fingerprints take inside the store's
- * position arena and in mmap-ed v3 database files. The pointed-to
- * storage must outlive the view.
+ * position arena and in mmap-ed v5 and v4 database files. The
+ * pointed-to storage must outlive the view.
  */
 struct SparseView
 {

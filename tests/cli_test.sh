@@ -13,7 +13,8 @@ if [ ! -x "$PCAUSE" ]; then
     echo "FAIL: pcause binary not found or not executable: $PCAUSE" >&2
     exit 1
 fi
-# Committed inputs: a PCDB v3 file and an output of its chip-3.
+# Committed inputs: a PCDB v3 file, a PCDB v4 file of the same store,
+# and an output of its chip-3.
 DATA="$(cd "$(dirname "$0")" && pwd)/data"
 
 WORK="$(mktemp -d)"
@@ -119,7 +120,7 @@ if ls db.pcdb.tmp.* > /dev/null 2>&1; then
     echo "FAIL: a failed rewrite left its temp file behind" >&2
     exit 1
 fi
-"$PCAUSE" db --db db.pcdb verify | grep -q "3 records, PCDB v4, ok"
+"$PCAUSE" db --db db.pcdb verify | grep -q "3 records, PCDB v5, ok"
 
 # MinHash parameters no file may declare (bands that do not divide
 # the hashes, more than 65,536 hashes) are refused with the reason
@@ -139,9 +140,28 @@ for params in "--hashes 64 --bands 7" "--hashes 131072 --bands 16"; do
     fi
 done
 
+# Flags are read strictly: a number that is not the whole value, and
+# a flag the command does not take, are refused naming the flag
+# (exit 1, never an abort) before anything is written.
+for bad in "reindex --hashes abc" "reindex --hashes 64x" \
+    "--treshold 0.5 stats"; do
+    rc=0
+    # shellcheck disable=SC2086
+    "$PCAUSE" db --db db.pcdb $bad > flag.out 2>&1 || rc=$?
+    flag=$(echo "$bad" | grep -o -- '--[a-z]*')
+    if [ "$rc" -ne 1 ] || ! grep -q -- "$flag" flag.out; then
+        echo "FAIL: db $bad exited $rc: $(cat flag.out)" >&2
+        exit 1
+    fi
+    if ! cmp -s before.pcdb db.pcdb; then
+        echo "FAIL: a refused 'db $bad' changed the database" >&2
+        exit 1
+    fi
+done
+
 # A v3 file (written by the v3 writer) loads, rebuilding its index,
 # and `db stats`/`db verify` say which version it is. The mmap reader
-# refuses it and names the upgrade; `db reindex` rewrites it as v4,
+# refuses it and names the upgrade; `db reindex` rewrites it as v5,
 # which then maps.
 printf 'PCBV\001\000\000\000\000\001\000\000\000\000\000\000' \
     > zero256.pcbv
@@ -162,7 +182,7 @@ grep -q "pcause db reindex" mapped.out
 # A v3 file signed under the retired 64-hash scheme (header offset
 # 20 holds 0) is re-signed on load: it still identifies, and
 # `db stats` and `db verify` say so. `db reindex` rewrites it as a
-# scheme-1 v4 file, which maps.
+# scheme-1 v5 file, which maps.
 cp v3.pcdb old.pcdb
 printf '\000' | dd of=old.pcdb bs=1 seek=20 count=1 conv=notrunc \
     2>/dev/null
@@ -179,10 +199,42 @@ grep -q "pcause db reindex" mapped.out
 for f in v3.pcdb old.pcdb; do
     "$PCAUSE" db --db "$f" reindex | grep -q "reindexed 24 records"
     "$PCAUSE" db --db "$f" stats | grep -q "scheme 1"
-    "$PCAUSE" db --db "$f" stats | grep -q "format            : PCDB v4"
+    "$PCAUSE" db --db "$f" stats | grep -q "format            : PCDB v5"
     "$PCAUSE" identify --db "$f" --exact zero256.pcbv --mmap yes \
         chip3.pcbv | grep -q "match: chip-3"
 done
+
+# A v4 file (written by the v4 writer, of the v3 file's store) loads
+# and maps, both readers skipping its signature arena, and `db stats`
+# and `db verify` say it is v4. `db reindex` rewrites it as v5, and
+# chip-3's output gets the same answer before and after.
+cp "$DATA/pcdb_v4_small.pcdb" v4.pcdb
+"$PCAUSE" db --db v4.pcdb stats | grep -q "format            : PCDB v4"
+"$PCAUSE" db --db v4.pcdb verify | grep -q "24 records, PCDB v4"
+"$PCAUSE" identify --db v4.pcdb --exact zero256.pcbv chip3.pcbv \
+    > v4_before.out
+grep -q "match: chip-3" v4_before.out
+"$PCAUSE" identify --db v4.pcdb --exact zero256.pcbv --mmap yes \
+    chip3.pcbv | grep -q "match: chip-3"
+"$PCAUSE" db --db v4.pcdb reindex | grep -q "reindexed 24 records"
+"$PCAUSE" db --db v4.pcdb stats | grep -q "format            : PCDB v5"
+"$PCAUSE" identify --db v4.pcdb --exact zero256.pcbv chip3.pcbv \
+    > v4_after.out
+if ! cmp -s v4_before.out v4_after.out; then
+    echo "FAIL: the v4 file answered '$(cat v4_before.out)'," \
+        "rewritten as v5 '$(cat v4_after.out)'" >&2
+    exit 1
+fi
+
+# Without a signature arena the file's length bounds no hash count:
+# 1024 hashes over 24 records make a file of about 14 KB, which loads
+# and maps.
+cp "$DATA/pcdb_v4_small.pcdb" wide.pcdb
+"$PCAUSE" db --db wide.pcdb reindex --hashes 1024 --bands 16 \
+    | grep -q "reindexed 24 records"
+"$PCAUSE" db --db wide.pcdb stats | grep -q "1024 hashes"
+"$PCAUSE" identify --db wide.pcdb --exact zero256.pcbv --mmap yes \
+    chip3.pcbv | grep -q "match: chip-3"
 
 # A database holds one bit count: a 16-bit output is refused before
 # anything is written.

@@ -1,18 +1,20 @@
 /**
  * @file
  * On-disk format properties: any store survives a save/load round
- * trip bit-for-bit (records, sources, index parameters, cached
- * signatures), and the loaded store, which adopts the stored band
- * tables and position index, is the same at one lane and at four and
+ * trip bit-for-bit (records, sources, index parameters, band
+ * tables), and the loaded store, which adopts the stored band tables
+ * and position index, is the same at one lane and at four and
  * answers every query exactly as a store rebuilt from the same
- * records; *every* strict prefix of a valid
+ * records; the v4 image of any store (its v5 image with the
+ * signature arena put back) loads to the same store as the v5 one
+ * and maps to the same answers; *every* strict prefix of a valid
  * file is rejected with a useful error — never a crash, never a
  * silently short database; a file with any one byte flipped either
  * fails to load with an error or loads a store that saves and
  * reloads unchanged, with the same outcome at one lane and at four;
- * and the mmap reader, given a file with any byte
- * of its index sections (or their header fields) flipped, refuses it
- * or answers queries — never a crash or a sanitizer report.
+ * and the mmap reader, given a file with any byte of its index
+ * sections (or their header fields) flipped, refuses it or answers
+ * queries — never a crash or a sanitizer report.
  */
 
 #include "prop_common.hh"
@@ -29,6 +31,8 @@
 #include "core/serialize.hh"
 #include "core/store.hh"
 #include "util/thread_pool.hh"
+
+#include "../pcdb_v4_image.hh"
 
 using namespace pcause;
 using pcheck::Ctx;
@@ -79,8 +83,8 @@ spit(const std::string &path, const std::string &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
-/** @p back holds exactly @p store's records, parameters and
- *  signatures. Compares the sparse lists, never a dense copy: a
+/** @p back holds exactly @p store's records, parameters and band
+ *  table contents. Compares the sparse lists, never a dense copy: a
  *  loaded universe may be up to 2^32 bits. */
 void
 checkSameStore(const FingerprintStore &back,
@@ -91,8 +95,6 @@ checkSameStore(const FingerprintStore &back,
     for (std::size_t i = 0; i < store.size(); ++i) {
         PCHECK_EQ(back.label(i), store.label(i));
         PCHECK_EQ(back.sources(i), store.sources(i));
-        // v3 carries signatures verbatim — no recompute drift.
-        PCHECK(back.signature(i) == store.signature(i));
         const SparseView a = back.sparseFingerprints().view(i);
         const SparseView b = store.sparseFingerprints().view(i);
         PCHECK_EQ(a.universe, b.universe);
@@ -100,6 +102,9 @@ checkSameStore(const FingerprintStore &back,
         for (std::size_t k = 0; k < a.count; ++k)
             PCHECK_EQ(a.positions[k], b.positions[k]);
     }
+    // The stored band keys, not recomputed ones.
+    for (std::uint32_t b = 0; b < store.indexParams().bands; ++b)
+        PCHECK(back.index().bandEntries(b) == store.index().bandEntries(b));
 }
 
 } // namespace
@@ -158,9 +163,9 @@ PCHECK_PROPERTY(PropSerialize, AnyByteFlipLoadsOrFailsCleanly,
         return;
     }
     checkSameStore(*pooled, *loaded);
-    // What the checks let through (a signature, a label byte, a
-    // probe count; the index sections are under CRCs) is a store
-    // like any other: it saves and reloads unchanged.
+    // What the checks let through (a label byte, a probe count; the
+    // index sections are under CRCs) is a store like any other: it
+    // saves and reloads unchanged.
     PCHECK_MSG(saveStore(*loaded, path), "re-save failed");
     StoreLoadResult again = loadStore(path);
     std::remove(path.c_str());
@@ -264,6 +269,55 @@ PCHECK_PROPERTY(PropSerialize, V4LoadAnswersAsARebuild, [](Ctx &ctx) {
     PCHECK_EQ(got_stats.indexFallbacks, want_stats.indexFallbacks);
     PCHECK_EQ(got_stats.distancesComputed, want_stats.distancesComputed);
     PCHECK_EQ(got_stats.distancesPruned, want_stats.distancesPruned);
+})
+
+PCHECK_PROPERTY(PropSerialize, V4ImageLoadsAndMapsAsTheV5Image,
+                [](Ctx &ctx) {
+    // No writer writes v4 any more: v4Image() gives the image the v4
+    // writer wrote (test_serialize pins it to the committed v4
+    // fixture), so both readers' v4 path sees any store. It loads to
+    // the v5 image's store at one lane and at four, and maps to the
+    // same answers.
+    const FingerprintStore store = genStore(ctx);
+    const std::string v5_path = tempPath("v5"), v4_path = tempPath("v4");
+    PCHECK_MSG(saveStore(store, v5_path), "save failed");
+    spit(v4_path, v4Image(slurp(v5_path)));
+    static ThreadPool one(1), four(4);
+    for (ThreadPool *pool : {&one, &four}) {
+        std::uint32_t version = 0;
+        const StoreLoadResult v5 = loadStore(v5_path, *pool);
+        const StoreLoadResult v4 = loadStore(v4_path, *pool, nullptr,
+                                             &version);
+        PCHECK_MSG(static_cast<bool>(v5), v5.error);
+        PCHECK_MSG(static_cast<bool>(v4), v4.error);
+        PCHECK_EQ(version, pcdb::versionV4);
+        checkSameStore(*v4, *v5);
+        PCHECK(v4->positionIndex() == v5->positionIndex());
+    }
+    const LoadResult<MappedStore> m5 = MappedStore::open(v5_path);
+    const LoadResult<MappedStore> m4 = MappedStore::open(v4_path);
+    std::remove(v5_path.c_str());
+    std::remove(v4_path.c_str());
+    PCHECK_MSG(static_cast<bool>(m5), m5.error);
+    PCHECK_MSG(static_cast<bool>(m4), m4.error);
+    if (store.empty())
+        return;
+
+    // A noisy observation of every record, and a foreign set.
+    std::vector<BitVec> queries;
+    for (std::size_t i = 0; i < store.size(); ++i)
+        queries.push_back(pcheck::genNoisyObservation(
+            ctx, store.record(i).fingerprint.bits(), 0.93, 2));
+    queries.push_back(pcheck::genBitVec(ctx, store.bitCount(), 2));
+    IdentifyParams p;
+    p.firstMatch = ctx.boolean(0.5, "first_match");
+    for (const BitVec &q : queries) {
+        const IdentifyResult r5 = m5->query(q, p);
+        const IdentifyResult r4 = m4->query(q, p);
+        PCHECK(r4.match == r5.match);
+        PCHECK(r4.nearest == r5.nearest);
+        PCHECK(sameBits(r4.bestDistance, r5.bestDistance));
+    }
 })
 
 PCHECK_PROPERTY(PropSerialize, MappedIndexByteFlipOpensOrFailsCleanly,

@@ -30,6 +30,23 @@ cd "$WORK"
 
 "$LOADGEN" mkdb --out smoke.pcdb --records 500 | grep -q "500 records"
 
+# Flags are read strictly: a value that is not a number in its flag's
+# range is refused naming the flag (exit 1, never an abort), before
+# anything is written or served.
+refused() { # refused FLAG COMMAND...
+    flag="$1"
+    shift
+    rc=0
+    "$@" > refused.out 2>&1 || rc=$?
+    if [ "$rc" -ne 1 ] || ! grep -q -- "$flag" refused.out; then
+        echo "FAIL: $* exited $rc: $(cat refused.out)" >&2
+        exit 1
+    fi
+}
+refused --records "$LOADGEN" mkdb --out negative.pcdb --records -5
+[ ! -e negative.pcdb ] || { echo "FAIL: a refused mkdb wrote" >&2; exit 1; }
+refused --port "$PCAUSED" --db smoke.pcdb --port abc
+
 "$PCAUSED" --db smoke.pcdb --port-file port.txt > server.log 2>&1 &
 SERVER_PID=$!
 

@@ -10,6 +10,7 @@
 
 #include "core/attacker.hh"
 #include "core/error_string.hh"
+#include "core/pcdb_format.hh"
 #include "platform/platform.hh"
 #include "util/thread_pool.hh"
 
@@ -221,6 +222,20 @@ TEST(SupplyChainAttacker, InterceptValidatesArguments)
     SupplyChainAttacker attacker;
     TestHarness h = platform.harness(0);
     EXPECT_DEATH(attacker.interceptChip(h, "x", 0), "");
+}
+
+TEST(SupplyChainAttacker, RefusedInterceptionDiesInsteadOfNamingChip0)
+{
+    // A label no database may hold is refused by the store; the
+    // interception must not answer with record 0, chip 0's id.
+    Platform platform = Platform::legacy(2);
+    SupplyChainAttacker attacker;
+    TestHarness first = platform.harness(0);
+    attacker.interceptChip(first, "victim-0");
+    TestHarness second = platform.harness(1);
+    const std::string label(std::size_t{pcdb::maxLabelBytes} + 1, 'x');
+    EXPECT_DEATH(attacker.interceptChip(second, label),
+                 "interceptChip: implausible label length");
 }
 
 class EavesdropperTest : public ::testing::Test

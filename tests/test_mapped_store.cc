@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for core/mapped_store — querying a v4 database file in
+ * Unit tests for core/mapped_store — querying a v5 database file in
  * place: verdict equivalence with the in-memory FingerprintStore
  * and accessor fidelity. Damaged files are rejected by the check
  * MappedStore::open shares with loadStore; test_serialize sweeps
@@ -63,7 +63,7 @@ makeStore(std::size_t n, std::uint64_t seed = 42)
     return store;
 }
 
-/** Save @p store to a fresh temp v4 file; returns the path. */
+/** Save @p store to a fresh temp v5 file; returns the path. */
 std::string
 saveTemp(const FingerprintStore &store, const std::string &name)
 {
@@ -86,7 +86,6 @@ TEST(MappedStore, ServesRecordsInPlace)
         EXPECT_EQ(mapped->label(i), store.record(i).label);
         EXPECT_EQ(mapped->sources(i),
                   store.record(i).fingerprint.sources());
-        EXPECT_EQ(mapped->signature(i), store.signature(i));
 
         const SparseView mv = mapped->view(i);
         const SparseView sv = store.sparseFingerprints().view(i);

@@ -1,14 +1,14 @@
 /**
  * @file
  * Unit tests for core/serialize — attacker database persistence:
- * the v4 round trip, a v4 load equal to a rebuild at one lane and at
+ * the v5 round trip, a v5 load equal to a rebuild at one lane and at
  * four, the structural check both readers share (loadStore and
  * MappedStore::open reject a damaged file with the same reason) and
  * the payload checks only the loader makes, the first failure in
  * file order reported whichever task finds its own first, no thread
- * left running after a load, v3 files (a fixture written by the v3
- * writer) and the re-sign of retired-scheme ones on load, the
- * disk-size estimate, and the recoverable LoadResult error
+ * left running after a load, v4 and v3 files (fixtures written by
+ * the v4 and v3 writers) and the re-sign of every v3 file on load,
+ * the disk-size estimate, and the recoverable LoadResult error
  * reporting.
  */
 
@@ -32,6 +32,7 @@
 #include "core/serialize.hh"
 #include "core/service.hh"
 #include "core/store.hh"
+#include "pcdb_v4_image.hh"
 #include "util/failpoint.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
@@ -85,10 +86,16 @@ patch(std::string &bytes, std::size_t off, T value)
 const std::string v3FixturePath =
     std::string(PCAUSE_TEST_DATA) + "/pcdb_v3_small.pcdb";
 
+/** tests/data/pcdb_v4_small.pcdb: a PCDB v4 file. */
+const std::string v4FixturePath =
+    std::string(PCAUSE_TEST_DATA) + "/pcdb_v4_small.pcdb";
+
 /**
- * The store the v3 fixture holds. The fixture was written by the v3
- * writer (saveStore before PCDB v4) from exactly this function;
- * V3FixtureLoadsAsItsStore pins the two together.
+ * The store both fixtures hold. The v3 fixture was written by the v3
+ * writer (saveStore before PCDB v4), the v4 fixture by the v4 writer
+ * (saveStore before PCDB v5), each from exactly this function;
+ * V3FixtureLoadsAsItsStore and V4FixtureLoadsAsItsStore pin them
+ * together (docs/TESTING.md).
  */
 FingerprintStore
 v3FixtureStore()
@@ -113,7 +120,7 @@ v3FixtureStore()
 
 /**
  * A store of @p n records of 400 positions over 8192 bits, built on
- * a four-lane pool of its own: its v4 file runs to megabytes, so a
+ * a four-lane pool of its own: its file runs to megabytes, so a
  * four-lane load splits the records and the posting lists into
  * several tasks each.
  */
@@ -155,35 +162,71 @@ expectSameSlots(const FingerprintStore &got, const FingerprintStore &want)
     }
 }
 
-/** @p got holds exactly @p want's records, parameters, signatures,
- *  band table contents and position index. */
+/** @p got holds exactly @p want's records, parameters, band table
+ *  contents and position index, and its band tables hold what those
+ *  of a store built by add() from the same records hold. */
 void
 expectSameStore(const FingerprintStore &got, const FingerprintStore &want)
 {
     ASSERT_EQ(got.size(), want.size());
     EXPECT_EQ(got.indexParams(), want.indexParams());
+    FingerprintStore added(want.indexParams());
     for (std::size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(got.label(i), want.label(i));
         EXPECT_EQ(got.sources(i), want.sources(i));
-        EXPECT_EQ(got.signature(i), want.signature(i));
         EXPECT_EQ(got.record(i).fingerprint.bits(),
                   want.record(i).fingerprint.bits());
+        added.add(want.label(i), want.record(i).fingerprint);
     }
-    for (std::uint32_t b = 0; b < want.indexParams().bands; ++b)
+    for (std::uint32_t b = 0; b < want.indexParams().bands; ++b) {
         EXPECT_EQ(got.index().bandEntries(b), want.index().bandEntries(b))
             << "band " << b;
+        EXPECT_EQ(got.index().bandEntries(b), added.index().bandEntries(b))
+            << "band " << b;
+    }
     EXPECT_EQ(got.positionIndex(), want.positionIndex());
 }
 
-/** The v4 image of @p store, read back from a file. */
+/** The image saveStore() writes of @p store, read back from a file. */
 std::string
-v4Bytes(const FingerprintStore &store, const std::string &name)
+savedImage(const FingerprintStore &store, const std::string &name)
 {
     const std::string path = ::testing::TempDir() + name;
     EXPECT_TRUE(saveStore(store, path));
     const std::string bytes = slurp(path);
     std::remove(path.c_str());
     return bytes;
+}
+
+/**
+ * @p got answers as @p want does (verdict, nearest record, distance,
+ * shortlist and fallback counts) every query of a set over the
+ * fixture store's shape (12 of 256 bits): a noisy superset of each
+ * of @p want's records, and as many foreign sets.
+ */
+template <typename Got, typename Want>
+void
+expectSameAnswers(const Got &got, const Want &want)
+{
+    Rng rng(0x736368656d65ull);
+    for (std::size_t q = 0; q < 2 * want.size(); ++q) {
+        BitVec es(want.bitCount());
+        if (q < want.size())
+            es = denseBits(want.sparseFingerprints().view(q));
+        while (es.popcount() < (q < want.size() ? 14u : 12u))
+            es.set(rng.nextBelow(es.size()));
+        AttackStats want_stats, got_stats;
+        const IdentifyResult w = want.query(es, {}, &want_stats);
+        const IdentifyResult g = got.query(es, {}, &got_stats);
+        EXPECT_EQ(g.match, w.match) << "query " << q;
+        EXPECT_EQ(g.nearest, w.nearest) << "query " << q;
+        EXPECT_EQ(g.bestDistance, w.bestDistance) << "query " << q;
+        EXPECT_EQ(got_stats.candidatesScanned,
+                  want_stats.candidatesScanned)
+            << "query " << q;
+        EXPECT_EQ(got_stats.indexFallbacks, want_stats.indexFallbacks)
+            << "query " << q;
+    }
 }
 
 /** An error's reason: the text after the reader's "name: " prefix. */
@@ -215,8 +258,8 @@ u64At(const std::string &b, std::size_t off)
         reinterpret_cast<const std::uint8_t *>(b.data() + off));
 }
 
-/** Where a v4 image's index sections sit. */
-struct V4Sections
+/** Where a saved image's index sections sit. */
+struct IndexSections
 {
     std::uint64_t slots = 0;   //!< per band
     std::uint64_t band0Ids = 0; //!< band 0's id array
@@ -225,7 +268,7 @@ struct V4Sections
     std::uint64_t idOffs = 0;   //!< id offset array
     std::uint64_t bytes = 0;    //!< the gap-coded lists
 
-    explicit V4Sections(const std::string &b)
+    explicit IndexSections(const std::string &b)
         : slots(u64At(b, 104)),
           band0Ids(u64At(b, 96) + slots * 8),
           lists(u64At(b, 112)),
@@ -254,7 +297,7 @@ struct V4Sections
     }
 };
 
-TEST(Serialize, StoreRoundTripKeepsSignaturesAndParams)
+TEST(Serialize, StoreRoundTripKeepsIndexAndParams)
 {
     MinHashParams custom;
     custom.numHashes = 48;
@@ -279,11 +322,14 @@ TEST(Serialize, StoreRoundTripKeepsSignaturesAndParams)
                   store.record(i).fingerprint.bits());
         EXPECT_EQ(loaded->record(i).fingerprint.sources(),
                   store.record(i).fingerprint.sources());
-        EXPECT_EQ(loaded->signature(i), store.signature(i));
     }
+    for (std::uint32_t b = 0; b < custom.bands; ++b)
+        EXPECT_EQ(loaded->index().bandEntries(b),
+                  store.index().bandEntries(b))
+            << "band " << b;
 }
 
-TEST(Serialize, V4LoadEqualsRebuild)
+TEST(Serialize, V5LoadEqualsRebuild)
 {
     // The loader adopts the stored band tables and position index
     // instead of rebuilding them: what it adopts must be what a
@@ -325,7 +371,7 @@ TEST(Serialize, V4LoadEqualsRebuild)
         std::remove(path.c_str());
         ASSERT_TRUE(loaded) << loaded.error;
         ASSERT_TRUE(pooled) << pooled.error;
-        EXPECT_EQ(version, pcdb::versionV4);
+        EXPECT_EQ(version, pcdb::versionV5);
 
         // A rebuild: the same records added again to a new store.
         FingerprintStore rebuilt(store->indexParams());
@@ -343,19 +389,21 @@ TEST(Serialize, V4LoadEqualsRebuild)
 
 TEST(Serialize, EveryV3PrefixIsRejected)
 {
-    // Exhaustive prefix sweep over a small v4 file: no strict prefix
-    // may load, crash, or loop in either reader — each must fail
-    // with a clean error. The same over the v3 fixture in loadStore,
-    // its one reader.
+    // Exhaustive prefix sweep over a small v5 file and the v4
+    // fixture: no strict prefix may load, crash, or loop in either
+    // reader — each must fail with a clean error. The same over the
+    // v3 fixture in loadStore, its one reader.
     FingerprintStore store;
     store.add("chip-a", makeFingerprint({1, 2, 3}, 2, 256));
     store.add("chip-b", makeFingerprint({9, 200}, 1, 256));
-    const std::string v4 = v4Bytes(store, "pcause_prefix.pcdb");
+    const std::string v5 = savedImage(store, "pcause_prefix.pcdb");
+    const std::string v4 = slurp(v4FixturePath);
     const std::string v3 = slurp(v3FixturePath);
+    ASSERT_FALSE(v4.empty());
     ASSERT_FALSE(v3.empty());
     const std::string path =
         ::testing::TempDir() + "pcause_prefix_cut.pcdb";
-    for (const std::string *bytes : {&v4, &v3}) {
+    for (const std::string *bytes : {&v5, &v4, &v3}) {
         for (std::size_t cut = 0; cut < bytes->size(); ++cut) {
             spit(path, bytes->substr(0, cut));
             const StoreLoadResult r = loadStore(path);
@@ -371,10 +419,13 @@ TEST(Serialize, EveryV3PrefixIsRejected)
         }
     }
     // ... and the full files load.
-    spit(path, v4);
+    spit(path, v5);
     const StoreLoadResult full = loadStore(path);
     ASSERT_TRUE(full) << full.error;
     EXPECT_EQ(full->size(), 2u);
+    EXPECT_TRUE(MappedStore::open(path));
+    spit(path, v4);
+    EXPECT_TRUE(loadStore(path));
     EXPECT_TRUE(MappedStore::open(path));
     spit(path, v3);
     EXPECT_TRUE(loadStore(path));
@@ -407,13 +458,14 @@ TEST(Serialize, CorruptFilesAreRejectedByBothReaders)
     three.add("chip-a", makeFingerprint({1, 2, 3}, 2, 256));
     three.add("chip-b", makeFingerprint({9, 200}, 1, 256));
     three.add("chip-c", makeFingerprint({7, 70, 170}, 3, 256));
-    const std::string g0 = v4Bytes(FingerprintStore(), "pcause_zero.pcdb");
-    const std::string g1 = v4Bytes(one, "pcause_one.pcdb");
-    const std::string g3 = v4Bytes(three, "pcause_three.pcdb");
+    const std::string g0 = savedImage(FingerprintStore(), "pcause_zero.pcdb");
+    const std::string g1 = savedImage(one, "pcause_one.pcdb");
+    const std::string g3 = savedImage(three, "pcause_three.pcdb");
     const std::string gv3 = slurp(v3FixturePath);
+    const std::string gv4 = slurp(v4FixturePath);
     // Sections of the one- and three-record files.
     const std::uint64_t pos_off = u64At(g1, 80);
-    const V4Sections s1(g1), s3(g3);
+    const IndexSections s1(g1), s3(g3);
     const std::uint64_t used = s1.band0Slot(g1, true);
     const std::uint64_t free_slot = s1.band0Slot(g1, false);
 
@@ -438,7 +490,12 @@ TEST(Serialize, CorruptFilesAreRejectedByBothReaders)
         {"unknown signature scheme", &g1,
          [](std::string &b) { patch<std::uint32_t>(b, 20, 2); },
          "unknown signature scheme 2"},
-        {"a v4 file of the retired scheme", &g1,
+        {"a v5 file of the retired scheme", &g1,
+         [](std::string &b) {
+             patch<std::uint32_t>(b, 20, pcdb::schemeRetired);
+         },
+         "a v5 file signed under the retired scheme"},
+        {"a v4 file of the retired scheme", &gv4,
          [](std::string &b) {
              patch<std::uint32_t>(b, 20, pcdb::schemeRetired);
          },
@@ -514,7 +571,24 @@ TEST(Serialize, CorruptFilesAreRejectedByBothReaders)
          },
          "position arena size mismatch"},
 
-        // v4 header fields and index sections.
+        // The version decides whether a signature arena is there.
+        {"a v4 file marked v5", &gv4,
+         [](std::string &b) {
+             patch<std::uint32_t>(b, 4, pcdb::versionV5);
+         },
+         "non-canonical section layout"},
+        {"a v5 file marked v4", &g3,
+         [](std::string &b) {
+             patch<std::uint32_t>(b, 4, pcdb::versionV4);
+         },
+         "non-canonical section layout"},
+        {"v4 signature arena one record short", &gv4,
+         [&](std::string &b) {
+             patch<std::uint64_t>(b, 80, u64At(b, 80) - 48 * 4);
+         },
+         "non-canonical section layout"},
+
+        // Header fields and index sections past v3.
         {"slot count equal to the record count", &g1,
          [](std::string &b) { patch<std::uint64_t>(b, 104, 1); },
          "band slot count not above the record count"},
@@ -678,7 +752,7 @@ TEST(Serialize, CorruptFilesAreRejectedByBothReaders)
     }
 
     // The undamaged files load in both readers (v3 in the loader).
-    for (const std::string *bytes : {&g0, &g1, &g3, &gv3}) {
+    for (const std::string *bytes : {&g0, &g1, &g3, &gv4, &gv3}) {
         spit(path, *bytes);
         EXPECT_TRUE(loadStore(path));
         EXPECT_EQ(static_cast<bool>(MappedStore::open(path)),
@@ -695,10 +769,10 @@ TEST(Serialize, FirstFailureInFileOrderAtAnyLaneCount)
     // large enough that four lanes check its parts in several tasks
     // at once, and the damages sit in different ones.
     const FingerprintStore store = largeStore(2500);
-    const std::string good = v4Bytes(store, "pcause_order.pcdb");
+    const std::string good = savedImage(store, "pcause_order.pcdb");
     const std::uint64_t n = store.size();
     const std::uint64_t pos_off = u64At(good, 80);
-    const V4Sections sec(good);
+    const IndexSections sec(good);
     const std::uint64_t band_bytes =
         sec.slots * 8 + pcdb::align8(sec.slots * 4);
     // Position k of record r, and the slot arrays of band 9.
@@ -823,7 +897,7 @@ TEST(Serialize, V3FixtureLoadsAsItsStore)
 {
     // The fixture holds v3FixtureStore(): loadStore rebuilds its
     // index, the mmap reader refuses it naming the upgrade, and a
-    // save writes it as v4, which maps.
+    // save writes it as v5, which maps.
     const FingerprintStore want = v3FixtureStore();
     std::uint32_t version = 0, scheme = 0;
     const StoreLoadResult loaded =
@@ -843,12 +917,75 @@ TEST(Serialize, V3FixtureLoadsAsItsStore)
     ASSERT_TRUE(saveStore(*loaded, path));
     const StoreLoadResult upgraded = loadStore(path, nullptr, &version);
     ASSERT_TRUE(upgraded) << upgraded.error;
-    EXPECT_EQ(version, pcdb::versionV4);
+    EXPECT_EQ(version, pcdb::versionV5);
     expectSameStore(*upgraded, want);
     const LoadResult<MappedStore> mapped = MappedStore::open(path);
     ASSERT_TRUE(mapped) << mapped.error;
     EXPECT_EQ(mapped->size(), want.size());
     std::remove(path.c_str());
+}
+
+TEST(Serialize, V4FixtureLoadsAsItsStore)
+{
+    // The fixture holds v3FixtureStore() as the v4 writer saved it,
+    // and both readers skip its signature arena: the loaded store is
+    // that store at one lane and at four, the mapped file answers as
+    // it does, and a re-save writes the v5 image the store itself
+    // saves.
+    const FingerprintStore want = v3FixtureStore();
+    std::uint32_t version = 0, scheme = 0;
+    const StoreLoadResult loaded =
+        loadStore(v4FixturePath, &scheme, &version);
+    ASSERT_TRUE(loaded) << loaded.error;
+    EXPECT_EQ(version, pcdb::versionV4);
+    EXPECT_EQ(scheme, pcdb::schemeOnePermutation);
+    expectSameStore(*loaded, want);
+    ThreadPool four(4);
+    const StoreLoadResult pooled = loadStore(v4FixturePath, four);
+    ASSERT_TRUE(pooled) << pooled.error;
+    expectSameStore(*pooled, want);
+
+    const LoadResult<MappedStore> mapped = MappedStore::open(v4FixturePath);
+    ASSERT_TRUE(mapped) << mapped.error;
+    EXPECT_EQ(mapped->indexParams(), want.indexParams());
+    expectSameAnswers(*mapped, *loaded);
+
+    EXPECT_EQ(savedImage(*loaded, "pcause_v4_resave.pcdb"),
+              savedImage(want, "pcause_v4_want.pcdb"));
+}
+
+TEST(Serialize, V4FixtureIsTheV4ImageOfTheV5One)
+{
+    // v4Image() (pcdb_v4_image.hh) rebuilds the fixture the v4 writer
+    // wrote from the v5 image of the same store, byte for byte, so a
+    // property over v4Image() covers the files written before v5.
+    const std::string v5 = savedImage(v3FixtureStore(), "pcause_v5.pcdb");
+    const std::string v4 = slurp(v4FixturePath);
+    EXPECT_EQ(v4Image(v5), v4);
+    EXPECT_EQ(v4.size() - v5.size(), pcdb::align8(24 * 48 * 4));
+}
+
+TEST(Serialize, HashCountIsNotBoundByTheLengthWithoutSignatures)
+{
+    // Where a signature arena holds k words per record, the file's
+    // length bounds k; a v5 file has none. The fixture's store at
+    // 1024 hashes saves to a file shorter than 24 x 1024 words, which
+    // loads and maps.
+    FingerprintStore store = v3FixtureStore();
+    MinHashParams wide = store.indexParams();
+    wide.numHashes = 1024;
+    wide.bands = 16;
+    store.reindex(wide);
+    const std::string path = ::testing::TempDir() + "pcause_wide.pcdb";
+    ASSERT_TRUE(saveStore(store, path));
+    EXPECT_LT(slurp(path).size() / 4 / store.size(), wide.numHashes);
+    const StoreLoadResult loaded = loadStore(path);
+    const LoadResult<MappedStore> mapped = MappedStore::open(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(loaded) << loaded.error;
+    ASSERT_TRUE(mapped) << mapped.error;
+    expectSameStore(*loaded, store);
+    expectSameAnswers(*mapped, store);
 }
 
 TEST(Serialize, RetiredSchemeIsResignedOnLoadAndRefusedByMmap)
@@ -874,36 +1011,16 @@ TEST(Serialize, RetiredSchemeIsResignedOnLoadAndRefusedByMmap)
     EXPECT_EQ(scheme, pcdb::schemeRetired);
     ASSERT_EQ(loaded->size(), store.size());
     EXPECT_EQ(loaded->indexParams(), custom);
-    for (std::size_t i = 0; i < store.size(); ++i) {
-        EXPECT_EQ(loaded->signature(i),
-                  minhashSignature(loaded->record(i).fingerprint.bits(),
-                                   custom))
-            << "record " << i;
-    }
+    // Signed again from its positions, it holds the band tables, and
+    // gives the verdicts and shortlists, of the store the file came
+    // from.
+    for (std::uint32_t b = 0; b < custom.bands; ++b)
+        EXPECT_EQ(loaded->index().bandEntries(b),
+                  store.index().bandEntries(b))
+            << "band " << b;
+    expectSameAnswers(*loaded, store);
 
-    // Same verdicts and shortlists as the store the file came from:
-    // noisy supersets of stored records, and foreign sets.
-    Rng rng(0x736368656d65ull);
-    for (std::size_t q = 0; q < 2 * store.size(); ++q) {
-        BitVec es(256);
-        if (q < store.size())
-            es = store.record(q).fingerprint.bits();
-        while (es.popcount() < (q < store.size() ? 14u : 12u))
-            es.set(rng.nextBelow(es.size()));
-        AttackStats want_stats, got_stats;
-        const IdentifyResult want = store.query(es, {}, &want_stats);
-        const IdentifyResult got = loaded->query(es, {}, &got_stats);
-        EXPECT_EQ(got.match, want.match) << "query " << q;
-        EXPECT_EQ(got.nearest, want.nearest) << "query " << q;
-        EXPECT_EQ(got.bestDistance, want.bestDistance) << "query " << q;
-        EXPECT_EQ(got_stats.candidatesScanned,
-                  want_stats.candidatesScanned)
-            << "query " << q;
-        EXPECT_EQ(got_stats.indexFallbacks, want_stats.indexFallbacks)
-            << "query " << q;
-    }
-
-    // The mmap reader maps v4 only, and names the upgrade.
+    // The mmap reader refuses v3, and names the upgrade.
     const LoadResult<MappedStore> mapped = MappedStore::open(path);
     EXPECT_FALSE(mapped);
     EXPECT_NE(mapped.error.find("pcause db reindex"), std::string::npos)
@@ -932,10 +1049,9 @@ TEST(Serialize, DiskSizeEstimateTracksTheFile)
     store.addBatch(std::move(labels), std::move(fps));
     std::size_t estimate = 0;
     for (std::size_t i = 0; i < store.size(); ++i) {
-        estimate += recordDiskSize(
-            store.sparseFingerprints().view(i).count,
-            store.label(i).size(), store.indexParams().numHashes,
-            store.indexParams().bands);
+        estimate += recordDiskSize(store.sparseFingerprints().view(i).count,
+                                   store.label(i).size(),
+                                   store.indexParams().bands);
     }
     const std::string path = ::testing::TempDir() + "pcause_size.pcdb";
     ASSERT_TRUE(saveStore(store, path));
@@ -1111,15 +1227,16 @@ TEST(Serialize, SparseFormatBeatsRawDump)
 {
     // The paper's storage claim: tracking only the ~1% volatile
     // bits. A 32 KB chip's record must be far below the 32 KB a raw
-    // bitmap would cost, even with the signature trailer.
+    // bitmap would cost, even with its share of the index.
     const std::size_t weight = 2621; // 1% of 262144
     const std::size_t disk = recordDiskSize(weight, 16);
     EXPECT_LT(disk, 262144 / 8 / 2);
     EXPECT_GT(disk, weight * sizeof(std::uint32_t));
 
-    // The trailer itself is the signature, a fixed k words.
-    EXPECT_EQ(recordDiskSize(weight, 16) - recordDiskSize(weight, 16, 0),
-              MinHashParams{}.numHashes * sizeof(std::uint32_t));
+    // What grows with the fingerprint is a position and a posting
+    // gap byte per volatile cell; the rest of a record is fixed.
+    EXPECT_EQ(recordDiskSize(weight + 1, 16) - recordDiskSize(weight, 16),
+              sizeof(std::uint32_t) + 1);
 }
 
 } // anonymous namespace

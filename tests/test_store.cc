@@ -68,6 +68,21 @@ makePopulation(std::size_t n, std::uint64_t seed,
     return pop;
 }
 
+/** @p store's band tables hold exactly what a fresh index of its
+ *  records' signatures holds, each signed from the record's positions
+ *  under the store's parameters. */
+void
+expectIndexedAsSigned(const FingerprintStore &store)
+{
+    LshIndex want(store.indexParams());
+    for (std::size_t i = 0; i < store.size(); ++i)
+        want.add(i, minhashSignature(store.sparseFingerprints().view(i),
+                                     store.indexParams()));
+    for (std::uint32_t b = 0; b < store.indexParams().bands; ++b)
+        EXPECT_EQ(store.index().bandEntries(b), want.bandEntries(b))
+            << "band " << b;
+}
+
 // --- MinHash signatures -------------------------------------------
 
 TEST(MinHash, SignatureIsDeterministic)
@@ -229,9 +244,14 @@ TEST(FingerprintStore, SignaturesIndependentOfAddOrder)
     for (std::size_t i = fps.size(); i-- > 0;)
         rev.add("c" + std::to_string(i), fps[i]);
 
-    for (std::size_t i = 0; i < fps.size(); ++i) {
-        EXPECT_EQ(fwd.signature(i),
-                  rev.signature(fps.size() - 1 - i));
+    // Each fingerprint lands in the same buckets under either id.
+    for (std::uint32_t b = 0; b < fwd.indexParams().bands; ++b) {
+        auto renamed = rev.index().bandEntries(b);
+        for (auto &entry : renamed)
+            entry.second =
+                static_cast<std::uint32_t>(fps.size() - 1 - entry.second);
+        std::sort(renamed.begin(), renamed.end());
+        EXPECT_EQ(fwd.index().bandEntries(b), renamed) << "band " << b;
     }
 }
 
@@ -248,11 +268,7 @@ TEST(FingerprintStore, ReindexPreservesVerdicts)
     coarse.seed = 99;
     pop.store.reindex(coarse);
     EXPECT_EQ(pop.store.indexParams(), coarse);
-    for (std::size_t i = 0; i < pop.store.size(); ++i) {
-        EXPECT_EQ(pop.store.signature(i),
-                  minhashSignature(
-                      pop.store.record(i).fingerprint.bits(), coarse));
-    }
+    expectIndexedAsSigned(pop.store);
     for (std::size_t q = 0; q < pop.queries.size(); ++q)
         EXPECT_EQ(pop.store.query(pop.queries[q]).match, before[q]);
 }
@@ -270,8 +286,9 @@ TEST(FingerprintStore, FromDbEqualsIncrementalAdds)
     const FingerprintStore bulk =
         FingerprintStore::fromDb(std::move(db));
     ASSERT_EQ(bulk.size(), incremental.size());
-    for (std::size_t i = 0; i < bulk.size(); ++i)
-        EXPECT_EQ(bulk.signature(i), incremental.signature(i));
+    for (std::uint32_t b = 0; b < bulk.indexParams().bands; ++b)
+        EXPECT_EQ(bulk.index().bandEntries(b),
+                  incremental.index().bandEntries(b));
 }
 
 TEST(FingerprintStore, EmptyStoreRejects)
@@ -462,17 +479,20 @@ TEST(FingerprintStore, AddBatchEqualsSerialAdds)
     ASSERT_EQ(batch.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(batch.record(i).label, serial.record(i).label);
-        EXPECT_EQ(batch.signature(i), serial.signature(i));
+        EXPECT_EQ(batch.sources(i), serial.sources(i));
         const SparseView bv = batch.sparseFingerprints().view(i);
         const SparseView sv = serial.sparseFingerprints().view(i);
         ASSERT_EQ(bv.count, sv.count);
         for (std::size_t p = 0; p < bv.count; ++p)
             EXPECT_EQ(bv.positions[p], sv.positions[p]);
     }
-    // The banded index is bit-identical too.
+    // The banded index is bit-identical too, and so is the position
+    // index.
     for (std::uint32_t b = 0; b < serial.indexParams().bands; ++b)
         EXPECT_EQ(batch.index().bandEntries(b),
                   serial.index().bandEntries(b));
+    EXPECT_EQ(batch.positionIndex(), serial.positionIndex());
+    expectIndexedAsSigned(batch);
 }
 
 TEST(FingerprintStore, AddBatchIsTheSameAtAnyLaneCount)
@@ -507,7 +527,7 @@ TEST(FingerprintStore, AddBatchIsTheSameAtAnyLaneCount)
         ASSERT_EQ(batch.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
             ASSERT_EQ(batch.label(i), serial.label(i));
-            ASSERT_EQ(batch.signature(i), serial.signature(i));
+            ASSERT_EQ(batch.sources(i), serial.sources(i));
             const SparseView bv = batch.sparseFingerprints().view(i);
             const SparseView sv = serial.sparseFingerprints().view(i);
             ASSERT_TRUE(bv.count == sv.count &&

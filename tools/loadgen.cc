@@ -40,10 +40,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "args.hh"
 #include "core/serialize.hh"
 #include "serve/client.hh"
 #include "serve/loadgen.hh"
@@ -54,49 +54,6 @@ namespace
 {
 
 using namespace pcause;
-
-/** Minimal --flag value parser (the pcause CLI's). */
-struct Args
-{
-    std::map<std::string, std::string> flags;
-    std::vector<std::string> positional;
-
-    static Args parse(int argc, char **argv, int first)
-    {
-        Args args;
-        for (int i = first; i < argc; ++i) {
-            std::string tok = argv[i];
-            if (tok.rfind("--", 0) == 0) {
-                const std::string key = tok.substr(2);
-                if (i + 1 >= argc)
-                    fatal("missing value for --%s", key.c_str());
-                args.flags[key] = argv[++i];
-            } else {
-                args.positional.push_back(std::move(tok));
-            }
-        }
-        return args;
-    }
-
-    std::string get(const std::string &key,
-                    const std::string &fallback) const
-    {
-        auto it = flags.find(key);
-        return it == flags.end() ? fallback : it->second;
-    }
-
-    double getDouble(const std::string &key, double fallback) const
-    {
-        auto it = flags.find(key);
-        return it == flags.end() ? fallback : std::stod(it->second);
-    }
-
-    long getLong(const std::string &key, long fallback) const
-    {
-        auto it = flags.find(key);
-        return it == flags.end() ? fallback : std::stol(it->second);
-    }
-};
 
 int
 usage()
@@ -122,12 +79,12 @@ constexpr std::uint64_t querySeed = 0x6c6f616467656e31ull;
 int
 cmdMkdb(const Args &args)
 {
+    args.only("mkdb", {"out", "records"});
     const std::string out = args.get("out", "");
     if (out.empty())
         fatal("mkdb: need --out");
     serve::PopulationParams prm;
-    prm.records =
-        static_cast<std::size_t>(args.getLong("records", 10000));
+    prm.records = args.number<std::uint32_t>("records", 10000, 0);
     const FingerprintStore store = serve::buildPopulation(prm);
     if (!saveStore(store, out))
         fatal("mkdb: cannot write %s", out.c_str());
@@ -139,17 +96,18 @@ cmdMkdb(const Args &args)
 int
 cmdRun(const Args &args)
 {
+    args.only("run", {"db", "port", "requests", "connections", "open-rps",
+                      "verify", "min-rps", "json"});
     const std::string db_path = args.get("db", "");
-    const long port = args.getLong("port", 0);
-    if (db_path.empty() || port <= 0 || port > 65535)
+    const auto port = args.number<std::uint16_t>("port", 0, 0);
+    if (db_path.empty() || port == 0)
         fatal("run: need --db and --port");
-    const auto requests =
-        static_cast<std::size_t>(args.getLong("requests", 512));
+    const auto requests = args.number<std::size_t>("requests", 512, 0);
     const auto connections =
-        static_cast<std::size_t>(args.getLong("connections", 4));
-    const double open_rps = args.getDouble("open-rps", 200.0);
-    const bool verify = args.get("verify", "no") == "yes";
-    const double min_rps = args.getDouble("min-rps", 0.0);
+        args.number<std::size_t>("connections", 4, 0);
+    const double open_rps = args.number("open-rps", 200.0, 0.0);
+    const bool verify = args.yes("verify");
+    const double min_rps = args.number("min-rps", 0.0, 0.0);
     const std::string json_path =
         args.get("json", "BENCH_serve.json");
 
@@ -171,8 +129,7 @@ cmdRun(const Args &args)
     closed.connections = connections;
     closed.requests = requests;
     tiers.push_back(serve::runTier(
-        static_cast<std::uint16_t>(port), queries,
-        verify ? &expected : nullptr, options, closed));
+        port, queries, verify ? &expected : nullptr, options, closed));
     serve::printTier(tiers.back());
 
     serve::TierSpec open;
@@ -182,8 +139,7 @@ cmdRun(const Args &args)
     open.requests = requests;
     open.targetRps = open_rps;
     tiers.push_back(serve::runTier(
-        static_cast<std::uint16_t>(port), queries,
-        verify ? &expected : nullptr, options, open));
+        port, queries, verify ? &expected : nullptr, options, open));
     serve::printTier(tiers.back());
 
     bool ok = true;
@@ -221,23 +177,20 @@ cmdRun(const Args &args)
 int
 cmdIngest(const Args &args)
 {
-    const long port = args.getLong("port", 0);
-    if (port <= 0 || port > 65535)
+    args.only("ingest", {"port", "records", "seed", "prefix", "start",
+                         "deadline-ms", "acked-file"});
+    const auto port = args.number<std::uint16_t>("port", 0, 0);
+    if (port == 0)
         fatal("ingest: need --port");
 
     serve::IngestSpec spec;
-    spec.records =
-        static_cast<std::size_t>(args.getLong("records", 256));
-    spec.seed = static_cast<std::uint64_t>(
-        args.getLong("seed", 0x70636861));
+    spec.records = args.number<std::size_t>("records", 256, 0);
+    spec.seed = args.number<std::uint64_t>("seed", 0x70636861, 0);
     spec.labelPrefix = args.get("prefix", "chaos-");
-    spec.startIndex =
-        static_cast<std::size_t>(args.getLong("start", 0));
-    spec.deadlineMs = static_cast<unsigned>(
-        args.getLong("deadline-ms", 2000));
+    spec.startIndex = args.number<std::size_t>("start", 0, 0);
+    spec.deadlineMs = args.number("deadline-ms", 2000u, 0u);
 
-    const serve::IngestResult res =
-        serve::runIngest(static_cast<std::uint16_t>(port), spec);
+    const serve::IngestResult res = serve::runIngest(port, spec);
     std::printf("ingest: acked %zu of %zu attempted%s%s%s\n",
                 res.acked, res.attempted,
                 res.serverDied ? " (server died)" : "",
@@ -257,22 +210,21 @@ cmdIngest(const Args &args)
 int
 cmdVerifyIngest(const Args &args)
 {
-    const long port = args.getLong("port", 0);
-    const long acked = args.getLong("acked", -1);
-    if (port <= 0 || port > 65535 || acked < 0)
+    args.only("verify-ingest", {"port", "acked", "seed", "prefix", "start"});
+    const auto port = args.number<std::uint16_t>("port", 0, 0);
+    const long acked = args.number<long>("acked", -1, 0);
+    if (port == 0 || acked < 0)
         fatal("verify-ingest: need --port and --acked");
 
-    const std::uint64_t seed = static_cast<std::uint64_t>(
-        args.getLong("seed", 0x70636861));
+    const std::uint64_t seed =
+        args.number<std::uint64_t>("seed", 0x70636861, 0);
     const std::string prefix = args.get("prefix", "chaos-");
-    const std::size_t start =
-        static_cast<std::size_t>(args.getLong("start", 0));
+    const std::size_t start = args.number<std::size_t>("start", 0, 0);
 
     serve::Client client;
     client.setDeadline(5000);
     serve::RetryPolicy policy;
-    const std::string err =
-        client.connect(static_cast<std::uint16_t>(port));
+    const std::string err = client.connect(port);
     if (!err.empty())
         fatal("verify-ingest: %s", err.c_str());
 

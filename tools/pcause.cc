@@ -19,10 +19,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "args.hh"
 #include "bench/bench_common.hh"
 #include "core/campaign.hh"
 #include "core/cluster.hh"
@@ -44,49 +45,6 @@ namespace
 
 using namespace pcause;
 
-/** Minimal --flag value parser: flags first, positionals after. */
-struct Args
-{
-    std::map<std::string, std::string> flags;
-    std::vector<std::string> positional;
-
-    static Args parse(int argc, char **argv, int first)
-    {
-        Args args;
-        for (int i = first; i < argc; ++i) {
-            std::string tok = argv[i];
-            if (tok.rfind("--", 0) == 0) {
-                const std::string key = tok.substr(2);
-                if (i + 1 >= argc)
-                    fatal("missing value for --%s", key.c_str());
-                args.flags[key] = argv[++i];
-            } else {
-                args.positional.push_back(std::move(tok));
-            }
-        }
-        return args;
-    }
-
-    std::string get(const std::string &key,
-                    const std::string &fallback) const
-    {
-        auto it = flags.find(key);
-        return it == flags.end() ? fallback : it->second;
-    }
-
-    double getDouble(const std::string &key, double fallback) const
-    {
-        auto it = flags.find(key);
-        return it == flags.end() ? fallback : std::stod(it->second);
-    }
-
-    long getLong(const std::string &key, long fallback) const
-    {
-        auto it = flags.find(key);
-        return it == flags.end() ? fallback : std::stol(it->second);
-    }
-};
-
 int
 usage()
 {
@@ -107,7 +65,7 @@ usage()
         "               [--linear yes] [--mmap yes] OUT\n"
         "               attribute an output (Algorithm 2, via the\n"
         "               MinHash/LSH candidate index by default;\n"
-        "               --mmap queries a v4 file in place)\n"
+        "               --mmap queries a v5 or v4 file in place)\n"
         "  cluster      --exact FILE [--threshold T] OUT...\n"
         "               group outputs by source chip (Algorithm 4);\n"
         "               --campaign yes [--chips N] [--outputs M]\n"
@@ -120,34 +78,44 @@ usage()
         "  db           --db FILE [stats|reindex|verify]\n"
         "               list records; 'stats' prints index/disk\n"
         "               diagnostics, 'reindex' rewrites the file\n"
-        "               as v4 under new [--hashes K] [--bands B],\n"
+        "               as v5 under new [--hashes K] [--bands B],\n"
         "               'verify' [--wal FILE] triages crash damage\n"
         "               (exit 0 healthy, 1 recoverable torn tail,\n"
         "               2 corrupt)\n");
     return 2;
 }
 
+/** simulate's and model's --accuracy, inside (0, 1) as the DRAM
+ *  and fingerprint-space models take it. */
+double
+accuracyFlag(const Args &args)
+{
+    const double accuracy = args.number("accuracy", 0.99, 0.0, 1.0);
+    if (accuracy == 0.0 || accuracy == 1.0)
+        fatal("--accuracy %g: want a number in (0, 1)", accuracy);
+    return accuracy;
+}
+
 int
 cmdSimulate(const Args &args)
 {
-    const auto chips = args.getLong("chips", 2);
-    const auto trials = args.getLong("trials", 3);
-    const auto seed = static_cast<std::uint64_t>(
-        args.getLong("seed", 0x1464));
-    const double accuracy = args.getDouble("accuracy", 0.99);
-    const double temp = args.getDouble("temp", 40.0);
+    args.only("simulate",
+              {"chips", "trials", "seed", "accuracy", "temp", "out"});
+    const auto chips = args.number<unsigned>("chips", 2, 1);
+    const auto trials = args.number<long>("trials", 3, 1);
+    const auto seed = args.number<std::uint64_t>("seed", 0x1464, 0);
+    const double accuracy = accuracyFlag(args);
+    const double temp = args.number(
+        "temp", 40.0, -273.15, std::numeric_limits<double>::infinity());
     const std::string dir = args.get("out", ".");
-    if (chips < 1 || trials < 1)
-        fatal("simulate: need at least one chip and one trial");
 
-    Platform platform(DramConfig::km41464a(),
-                      static_cast<unsigned>(chips), seed);
+    Platform platform(DramConfig::km41464a(), chips, seed);
     const BitVec exact = platform.chip(0).worstCasePattern();
     if (!saveBitVec(exact, dir + "/exact.pcbv"))
         fatal("simulate: cannot write %s/exact.pcbv", dir.c_str());
 
     std::uint64_t key = 0;
-    for (long c = 0; c < chips; ++c) {
+    for (unsigned c = 0; c < chips; ++c) {
         TestHarness h = platform.harness(c);
         for (long k = 0; k < trials; ++k) {
             TrialSpec spec;
@@ -157,13 +125,13 @@ cmdSimulate(const Args &args)
             const BitVec out = h.runWorstCaseTrial(spec).approx;
             char name[128];
             std::snprintf(name, sizeof(name),
-                          "%s/chip%ld_trial%ld.pcbv", dir.c_str(),
+                          "%s/chip%u_trial%ld.pcbv", dir.c_str(),
                           c, k);
             if (!saveBitVec(out, name))
                 fatal("simulate: cannot write %s", name);
         }
     }
-    std::printf("wrote %ld outputs from %ld chips under %s "
+    std::printf("wrote %ld outputs from %u chips under %s "
                 "(accuracy %.2f, %.0f C)\n",
                 chips * trials, chips, dir.c_str(), accuracy, temp);
     return 0;
@@ -197,9 +165,22 @@ loadObservations(const char *who, const std::string &exact_path,
     return obs;
 }
 
+/**
+ * identify's and cluster's --threshold: a finite, non-negative
+ * distance (validThreshold(), the rule the wire and AttackService
+ * apply to identify), refused before any work.
+ */
+double
+threshold(const Args &args)
+{
+    return args.number("threshold", 0.1, 0.0,
+                       std::numeric_limits<double>::infinity());
+}
+
 int
 cmdCharacterize(const Args &args)
 {
+    args.only("characterize", {"db", "label", "exact"});
     const std::string db_path = args.get("db", "");
     const std::string label = args.get("label", "");
     const std::string exact_path = args.get("exact", "");
@@ -248,6 +229,7 @@ cmdCharacterize(const Args &args)
 int
 cmdIdentify(const Args &args)
 {
+    args.only("identify", {"db", "exact", "threshold", "linear", "mmap"});
     const std::string db_path = args.get("db", "");
     const std::string exact_path = args.get("exact", "");
     if (db_path.empty() || exact_path.empty() ||
@@ -260,12 +242,12 @@ cmdIdentify(const Args &args)
         loadObservations("identify", exact_path, args.positional);
 
     // One facade call covers every backend combination: --mmap
-    // queries the v4 file in place, --linear bypasses the index.
+    // queries the file in place, --linear bypasses the index.
     IdentifyRequest req;
     req.errorString = errorString(outputs[0], exact);
-    req.options.threshold = args.getDouble("threshold", 0.1);
-    req.options.linear = args.get("linear", "no") == "yes";
-    const bool mmap = args.get("mmap", "no") == "yes";
+    req.options.threshold = threshold(args);
+    req.options.linear = args.yes("linear");
+    const bool mmap = args.yes("mmap");
 
     LoadResult<AttackService> svc = AttackService::open(db_path, mmap);
     if (!svc)
@@ -293,22 +275,6 @@ cmdIdentify(const Args &args)
 }
 
 /**
- * cluster's --threshold, refused before any clustering unless a
- * query could carry it (validThreshold(), the rule the wire and
- * AttackService apply to identify).
- */
-double
-clusterThreshold(const Args &args)
-{
-    const double threshold = args.getDouble("threshold", 0.1);
-    if (!validThreshold(threshold))
-        fatal("cluster: --threshold %g is not a finite, non-negative "
-              "distance",
-              threshold);
-    return threshold;
-}
-
-/**
  * cluster --campaign yes: stream a synthetic fleet campaign
  * (core/campaign.hh) through the IndexedClusterer in fixed-size
  * chunks — the eavesdropper-at-scale mode. Ground truth is known by
@@ -320,17 +286,13 @@ int
 cmdClusterCampaign(const Args &args)
 {
     CampaignSpec spec;
-    spec.chips = static_cast<std::size_t>(args.getLong("chips", 100));
-    spec.outputs =
-        static_cast<std::uint64_t>(args.getLong("outputs", 10000));
-    spec.seed = static_cast<std::uint64_t>(
-        args.getLong("seed", static_cast<long>(spec.seed)));
-    if (spec.chips < 1 || spec.outputs < 1)
-        fatal("cluster: need at least one chip and one output");
+    spec.chips = args.number<std::size_t>("chips", 100, 1);
+    spec.outputs = args.number<std::uint64_t>("outputs", 10000, 1);
+    spec.seed = args.number<std::uint64_t>("seed", spec.seed, 0);
 
     ClusterParams params;
-    params.threshold = clusterThreshold(args);
-    const bool pairwise = args.get("pairwise", "no") == "yes";
+    params.threshold = threshold(args);
+    const bool pairwise = args.yes("pairwise");
 
     std::vector<BitVec> bases(spec.chips);
     for (std::size_t c = 0; c < spec.chips; ++c)
@@ -418,7 +380,9 @@ cmdClusterCampaign(const Args &args)
 int
 cmdCluster(const Args &args)
 {
-    if (args.get("campaign", "no") == "yes")
+    args.only("cluster", {"exact", "threshold", "campaign", "chips",
+                          "outputs", "seed", "pairwise", "db"});
+    if (args.yes("campaign"))
         return cmdClusterCampaign(args);
 
     const std::string exact_path = args.get("exact", "");
@@ -429,7 +393,7 @@ cmdCluster(const Args &args)
         loadObservations("cluster", exact_path, args.positional);
 
     ClusterParams params;
-    params.threshold = clusterThreshold(args);
+    params.threshold = threshold(args);
     std::vector<std::size_t> assignments;
     const FingerprintDb db =
         cluster(outputs, exact, params, &assignments);
@@ -446,9 +410,10 @@ cmdCluster(const Args &args)
 int
 cmdModel(const Args &args)
 {
-    const auto memory_bits = static_cast<std::uint64_t>(
-        args.getLong("memory-bits", 32768));
-    const double accuracy = args.getDouble("accuracy", 0.99);
+    args.only("model", {"memory-bits", "accuracy"});
+    const auto memory_bits =
+        args.number<std::uint64_t>("memory-bits", 32768, 1);
+    const double accuracy = accuracyFlag(args);
     const auto params =
         FingerprintSpaceParams::fromAccuracy(memory_bits, accuracy);
     const auto r = evaluateFingerprintSpace(params);
@@ -481,8 +446,11 @@ versionName(std::uint32_t version)
 {
     return version == pcdb::versionV3
                ? "PCDB v3 (index rebuilt on every load; 'pcause db "
-                 "reindex' rewrites it as v4)"
-               : "PCDB v4";
+                 "reindex' rewrites it as v5)"
+           : version == pcdb::versionV4
+               ? "PCDB v4 (signature arena skipped on every load; "
+                 "'pcause db reindex' rewrites it as v5)"
+               : "PCDB v5";
 }
 
 int
@@ -526,11 +494,8 @@ cmdDbReindex(const Args &args, FingerprintStore &store,
              const std::string &db_path)
 {
     MinHashParams prm = store.indexParams();
-    prm.numHashes =
-        static_cast<std::uint32_t>(args.getLong(
-            "hashes", static_cast<long>(prm.numHashes)));
-    prm.bands = static_cast<std::uint32_t>(
-        args.getLong("bands", static_cast<long>(prm.bands)));
+    prm.numHashes = args.number<std::uint32_t>("hashes", prm.numHashes, 0);
+    prm.bands = args.number<std::uint32_t>("bands", prm.bands, 0);
     const std::string why = pcdb::minhashError(prm.numHashes, prm.bands);
     if (!why.empty())
         fatal("db reindex: %s", why.c_str());
@@ -555,7 +520,7 @@ int
 cmdDbVerify(const Args &args, const std::string &db_path)
 {
     std::uint32_t scheme = pcdb::schemeOnePermutation;
-    std::uint32_t version = pcdb::versionV4;
+    std::uint32_t version = pcdb::versionV5;
     StoreLoadResult loaded = loadStore(db_path, &scheme, &version);
     if (!loaded) {
         std::printf("CORRUPT: snapshot %s: %s\n", db_path.c_str(),
@@ -625,13 +590,23 @@ cmdDb(const Args &args)
 
     const std::string action =
         args.positional.empty() ? "list" : args.positional[0];
+    if (action == "list" || action == "stats")
+        args.only(("db " + action).c_str(), {"db"});
+    else if (action == "reindex")
+        args.only("db reindex", {"db", "hashes", "bands"});
+    else if (action == "verify")
+        args.only("db verify", {"db", "wal"});
+    else
+        fatal("db: unknown action '%s' (want stats, reindex, or "
+              "verify)",
+              action.c_str());
     // verify triages load failures instead of dying on them, so it
     // runs before the generic strict load below.
     if (action == "verify")
         return cmdDbVerify(args, db_path);
 
     std::uint32_t scheme = pcdb::schemeOnePermutation;
-    std::uint32_t version = pcdb::versionV4;
+    std::uint32_t version = pcdb::versionV5;
     StoreLoadResult loaded = loadStore(db_path, &scheme, &version);
     if (!loaded)
         fatal("db: %s", loaded.error.c_str());
@@ -641,10 +616,6 @@ cmdDb(const Args &args)
         return cmdDbStats(std::move(store), scheme, version);
     if (action == "reindex")
         return cmdDbReindex(args, store, db_path);
-    if (action != "list")
-        fatal("db: unknown action '%s' (want stats, reindex, or "
-              "verify)",
-              action.c_str());
 
     std::printf("%zu records\n", store.size());
     for (std::size_t i = 0; i < store.size(); ++i) {

@@ -40,13 +40,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
-#include <vector>
 
 #include <poll.h>
 #include <unistd.h>
 
+#include "args.hh"
 #include "core/service.hh"
 #include "serve/server.hh"
 #include "util/logging.hh"
@@ -68,41 +67,6 @@ onSignal(int sig)
     (void)!::write(sigPipe[1], &c, 1);
 }
 
-/** Minimal --flag value parser (the pcause CLI's). */
-struct Args
-{
-    std::map<std::string, std::string> flags;
-
-    static Args parse(int argc, char **argv)
-    {
-        Args args;
-        for (int i = 1; i < argc; ++i) {
-            std::string tok = argv[i];
-            if (tok.rfind("--", 0) != 0)
-                fatal("pcaused: unexpected argument '%s'",
-                      tok.c_str());
-            const std::string key = tok.substr(2);
-            if (i + 1 >= argc)
-                fatal("missing value for --%s", key.c_str());
-            args.flags[key] = argv[++i];
-        }
-        return args;
-    }
-
-    std::string get(const std::string &key,
-                    const std::string &fallback) const
-    {
-        auto it = flags.find(key);
-        return it == flags.end() ? fallback : it->second;
-    }
-
-    long getLong(const std::string &key, long fallback) const
-    {
-        auto it = flags.find(key);
-        return it == flags.end() ? fallback : std::stol(it->second);
-    }
-};
-
 int
 usage()
 {
@@ -123,11 +87,18 @@ usage()
 int
 main(int argc, char **argv)
 {
-    const Args args = Args::parse(argc, argv);
+    const Args args = Args::parse(argc, argv, 1);
+    if (!args.positional.empty())
+        fatal("pcaused: unexpected argument '%s'",
+              args.positional[0].c_str());
+    args.only("pcaused",
+              {"db", "mmap", "wal", "checkpoint-every", "port", "port-file",
+               "queue-cap", "max-connections", "read-timeout-ms",
+               "write-timeout-ms", "drain-timeout-ms"});
     const std::string db_path = args.get("db", "");
     if (db_path.empty())
         return usage();
-    const bool mmap = args.get("mmap", "no") == "yes";
+    const bool mmap = args.yes("mmap");
     const std::string wal_path = args.get("wal", "");
 
     LoadResult<AttackService> svc = [&] {
@@ -139,8 +110,8 @@ main(int argc, char **argv)
         AttackService::DurabilityConfig dur;
         dur.dbPath = db_path;
         dur.walPath = wal_path;
-        dur.checkpointEvery = static_cast<std::size_t>(
-            args.getLong("checkpoint-every", 1024));
+        dur.checkpointEvery =
+            args.number<std::size_t>("checkpoint-every", 1024, 0);
         return AttackService::openDurable(dur);
     }();
     if (!svc)
@@ -148,17 +119,13 @@ main(int argc, char **argv)
     svc->setThreadPool(&ThreadPool::global());
 
     serve::ServerConfig cfg;
-    cfg.port = static_cast<std::uint16_t>(args.getLong("port", 0));
-    cfg.maxConnections = static_cast<std::size_t>(
-        args.getLong("max-connections", 256));
-    cfg.maxInFlight =
-        static_cast<std::size_t>(args.getLong("queue-cap", 1024));
-    cfg.readTimeoutMs = static_cast<unsigned>(
-        args.getLong("read-timeout-ms", 30000));
-    cfg.writeTimeoutMs = static_cast<unsigned>(
-        args.getLong("write-timeout-ms", 5000));
-    cfg.drainTimeoutMs = static_cast<unsigned>(
-        args.getLong("drain-timeout-ms", 5000));
+    cfg.port = args.number<std::uint16_t>("port", 0, 0);
+    cfg.maxConnections =
+        args.number<std::size_t>("max-connections", 256, 0);
+    cfg.maxInFlight = args.number<std::size_t>("queue-cap", 1024, 0);
+    cfg.readTimeoutMs = args.number("read-timeout-ms", 30000u, 0u);
+    cfg.writeTimeoutMs = args.number("write-timeout-ms", 5000u, 0u);
+    cfg.drainTimeoutMs = args.number("drain-timeout-ms", 5000u, 0u);
 
     if (::pipe(sigPipe) < 0)
         fatal("pcaused: pipe: %s", std::strerror(errno));
