@@ -25,9 +25,9 @@
  *     so every fallback beyond those is an output the shortlist
  *     missed — the recall a faster signing scheme must not trade.
  *
- * Emits BENCH_cluster.json. The default tiers (10k warmup + gated
- * 100k) are the CI perf-smoke configuration; --full adds the
- * 1M-output / 10k-chip campaign the nightly job runs.
+ * Emits BENCH_cluster.json. The default tiers are a 10k warmup and
+ * the gated 100k tier; --full adds the 1M-output / 10k-chip
+ * campaign, which CI's perf-smoke job runs.
  */
 
 #include <algorithm>
@@ -233,14 +233,14 @@ main(int argc, char **argv)
             "%8llu outputs / %6zu chips: indexed %7.2f s "
             "(%9.0f out/s), %6zu clusters, purity %.6f, ari %.6f, "
             "fragmented %zu, %5.1f cand/out, fallback %5.3f "
-            "(%llu scans, %llu opened), resigns %llu\n",
+            "(%llu scans, %llu opened), augments %llu\n",
             (unsigned long long)r.plan.outputs, r.plan.chips,
             r.indexedSeconds, r.outputsPerSecond(), r.clusters,
             r.score.purity, r.score.ari, r.score.fragmentedClasses,
             r.meanCandidates(), r.fallbackFraction(),
             (unsigned long long)r.stats.fallbackScans,
             (unsigned long long)r.stats.clustersOpened,
-            (unsigned long long)r.stats.resigns);
+            (unsigned long long)r.stats.augments);
         if (r.plan.pairwise) {
             std::printf(
                 "%8llu outputs / %6zu chips: pairwise %6.2f s "
@@ -329,7 +329,6 @@ main(int argc, char **argv)
              << r.score.fragmentedClasses
              << ", \"mean_candidates\": " << r.meanCandidates()
              << ", \"fallback_fraction\": " << r.fallbackFraction()
-             << ", \"resigns\": " << r.stats.resigns
              << ", \"augments\": " << r.stats.augments;
         if (r.plan.pairwise) {
             json << ", \"pairwise_s\": " << r.pairwiseSeconds

@@ -78,27 +78,15 @@ IndexedClusterer::augmentInto(std::size_t c, const BitVec &error_string)
 {
     // Algorithm 4 line 7: intersect. Each position whose bit is
     // clear in the error string drops out, so the list stays sorted
-    // and only ever shrinks — an unchanged length is an unchanged
-    // fingerprint. Re-sign exactly when it shrank, and move the
-    // index entry only when a signature value (hence some band key)
-    // changed.
+    // and only ever shrinks. The index entry stays under the opening
+    // output's keys (see the class comment).
     Cluster &cl = clusters.all[c];
-    const std::size_t weight_before = cl.positions.size();
     const auto &words = error_string.words();
     std::erase_if(cl.positions, [&](std::uint32_t p) {
         return ((words[p >> 6] >> (p & 63)) & 1) == 0;
     });
     ++cl.sources;
     ++counters.augments;
-    if (cl.positions.size() != weight_before) {
-        MinHashSignature fresh =
-            minhashSignature(clusters.view(c), lsh.params());
-        if (fresh != sigs[c]) {
-            lsh.update(c, sigs[c], fresh);
-            sigs[c] = std::move(fresh);
-            ++counters.resigns;
-        }
-    }
     history.push_back(c);
     return c;
 }
@@ -147,17 +135,16 @@ IndexedClusterer::ingest(const BitVec &error_string,
     }
 
     // Algorithm 4 miss: the error string opens a new cluster, whose
-    // fingerprint *is* the error string — and whose signature is the
-    // one the output was shortlisted with. Every cluster holds the
-    // same bit count, checked against this error string on entry.
+    // fingerprint *is* the error string, indexed for good under the
+    // signature the output was shortlisted with. Every cluster holds
+    // the same bit count, checked against this error string on entry.
     PC_ASSERT(error_string.size() <= (std::uint64_t{1} << 32),
               "IndexedClusterer: positions are 32-bit");
     clusters.all.push_back(
         {SparseBitset::fromBitVec(error_string).positions(), 1});
     clusters.universe = error_string.size();
-    sigs.push_back(sig);
     const std::size_t id = clusters.count() - 1;
-    lsh.add(id, sigs.back());
+    lsh.add(id, sig);
     ++counters.clustersOpened;
     history.push_back(id);
     return id;
@@ -201,13 +188,6 @@ IndexedClusterer::fingerprint(std::size_t i) const
     PC_ASSERT(i < clusters.count(), "cluster index out of range");
     return Fingerprint(denseBits(clusters.view(i)),
                        clusters.all[i].sources);
-}
-
-const MinHashSignature &
-IndexedClusterer::signature(std::size_t i) const
-{
-    PC_ASSERT(i < sigs.size(), "cluster index out of range");
-    return sigs[i];
 }
 
 FingerprintDb

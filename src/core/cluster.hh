@@ -86,7 +86,10 @@ struct ClusterStats
     std::uint64_t outputs = 0;          //!< error strings ingested
     std::uint64_t clustersOpened = 0;   //!< misses that opened clusters
     std::uint64_t augments = 0;         //!< hits folded by intersection
-    std::uint64_t resigns = 0;          //!< augments that moved buckets
+    /** Always 0: a cluster keeps the keys it opened with (see
+     *  IndexedClusterer). Kept only because the benchmark's
+     *  perfbench/clustered.cc reads it. */
+    std::uint64_t resigns = 0;
     std::uint64_t candidatesScanned = 0; //!< shortlist confirms run
     std::uint64_t fallbackScans = 0;    //!< full-scan fallbacks taken
 };
@@ -102,26 +105,30 @@ struct ClusterStats
  * threshold) confirms the shortlist in ascending cluster-id order
  * (creation order — the order the pairwise scan visits). Unlike
  * FingerprintStore's query side, the clusterer probes primary
- * buckets only (no multi-probe): in the clustering regime an output
- * and its cluster's fingerprint are near-duplicates, so a primary
- * all-band miss is already rare, the bounded fallback makes any miss
- * harmless to the verdict, and skipping multi-probe spares the
- * substitution lookups. When no shortlisted cluster accepts, a
- * bounded full scan over all clusters decides, and its verdict is
- * returned verbatim — so whether an output joins an existing cluster
- * or opens a new one is always identical to OnlineClusterer, and
- * *which* cluster it joins is identical whenever at most one cluster
- * sits under the threshold (the regime the paper's separated fleets
- * are in; see docs/ALGORITHMS.md).
+ * buckets only (no multi-probe): in the clustering regime a new
+ * output of a chip and the output that opened the chip's cluster
+ * are near-duplicates, so a primary all-band miss is already rare,
+ * the bounded fallback makes any miss harmless to the verdict, and
+ * skipping multi-probe spares the substitution lookups. When no
+ * shortlisted cluster accepts, a bounded full scan over all
+ * clusters decides, and its verdict is returned verbatim — so
+ * whether an output joins an existing cluster or opens a new one is
+ * always identical to OnlineClusterer, and *which* cluster it joins
+ * is identical whenever at most one cluster sits under the threshold
+ * (the regime the paper's separated fleets are in; see
+ * docs/ALGORITHMS.md).
  *
- * Re-signing rule: an augment intersects, dropping each position
- * whose bit is clear in the error string, so a cluster's position
- * list only ever shrinks; its length is unchanged iff its positions
- * are. On every augment that changed the length the cluster is
- * re-signed from its positions (one hash per remaining cell) and
- * its index entry moved (LshIndex::update) when any signature value
- * actually changed, so the index always reflects the current
- * fingerprints.
+ * Index-keys rule: a cluster is indexed once, under the signature
+ * of the output that opened it, and its entry never moves. An
+ * augment only intersects, dropping each position whose bit is
+ * clear in the error string, so the fingerprint shrinks toward its
+ * chip's steadiest cells, while each new output of the chip still
+ * carries nearly all of them. The opening output is the key that
+ * finds them: in bench/perf_cluster's 1M-output campaign, a chip's
+ * 101st output has a mean Jaccard similarity of 0.965 with the
+ * chip's opening output but 0.728 with the intersection of its
+ * first 100. The keys only propose candidates; the exact confirm
+ * and the fallback decide.
  *
  * Externally synchronized, like FingerprintStore: concurrent calls
  * on one instance are not supported. addBatch() parallelizes only
@@ -167,9 +174,6 @@ class IndexedClusterer
      *  positions. */
     Fingerprint fingerprint(std::size_t i) const;
 
-    /** Current signature of cluster @p i (re-signed on shrink). */
-    const MinHashSignature &signature(std::size_t i) const;
-
     /** Cluster index assigned to each added error string, in order. */
     const std::vector<std::size_t> &assignments() const
     {
@@ -180,7 +184,7 @@ class IndexedClusterer
     FingerprintDb toDatabase(const std::string &label_prefix =
                              "cluster-") const;
 
-    /** Index parameters the cluster signatures are banded under. */
+    /** Index parameters the opening signatures are banded under. */
     const MinHashParams &indexParams() const { return lsh.params(); }
 
     /** Session counters. */
@@ -212,13 +216,12 @@ class IndexedClusterer
     std::size_t ingest(const BitVec &error_string,
                        const MinHashSignature &sig);
 
-    /** Fold an accepted error string into cluster @p c, re-signing
-     *  when the intersection shrank the fingerprint. */
+    /** Fold an accepted error string into cluster @p c by
+     *  intersection. */
     std::size_t augmentInto(std::size_t c, const BitVec &error_string);
 
     ClusterParams prm;
     ClusterSet clusters;
-    std::vector<MinHashSignature> sigs; //!< current, per cluster
     LshIndex lsh;
     std::vector<std::size_t> history;
     ThreadPool *workers = nullptr;

@@ -301,40 +301,6 @@ LshIndex::BandTable::insert(std::uint64_t key, std::uint32_t id)
     ++used;
 }
 
-bool
-LshIndex::BandTable::erase(std::uint64_t key, std::uint32_t id)
-{
-    if (ids.empty())
-        return false;
-    const std::size_t n = ids.size();
-    const BandSlots view = slots();
-    std::size_t hole = view.home(key);
-    while (ids[hole] != emptySlot &&
-           !(keys[hole] == key && ids[hole] == id))
-        hole = hole + 1 == n ? 0 : hole + 1;
-    if (ids[hole] == emptySlot)
-        return false;
-
-    // Backward-shift deletion: pull each later slot of the probe
-    // run into the hole unless its home lies cyclically in
-    // (hole, slot], so every remaining entry stays reachable from
-    // its home without tombstones.
-    for (std::size_t s = hole + 1 == n ? 0 : hole + 1;
-         ids[s] != emptySlot; s = s + 1 == n ? 0 : s + 1) {
-        const std::size_t h = view.home(keys[s]);
-        const bool stays = hole < s ? (h > hole && h <= s)
-                                    : (h > hole || h <= s);
-        if (!stays) {
-            keys[hole] = keys[s];
-            ids[hole] = ids[s];
-            hole = s;
-        }
-    }
-    ids[hole] = emptySlot;
-    --used;
-    return true;
-}
-
 LshIndex::LshIndex(const MinHashParams &params)
     : prm(params), bands(params.bands)
 {
@@ -404,26 +370,6 @@ LshIndex::addAll(std::size_t first_record,
             insertBand(band);
     }
     numRecords += sigs.size();
-}
-
-void
-LshIndex::update(std::size_t record, const MinHashSignature &old_sig,
-                 const MinHashSignature &new_sig)
-{
-    PC_ASSERT(old_sig.size() == prm.numHashes &&
-                  new_sig.size() == prm.numHashes,
-              "LshIndex::update: signature length mismatch");
-    const auto id = static_cast<std::uint32_t>(record);
-    for (std::uint32_t band = 0; band < prm.bands; ++band) {
-        const std::uint64_t old_key = lshBandKey(prm, old_sig, band);
-        const std::uint64_t new_key = lshBandKey(prm, new_sig, band);
-        if (old_key == new_key)
-            continue;
-        const bool was_indexed = bands[band].erase(old_key, id);
-        PC_ASSERT(was_indexed,
-                  "LshIndex::update: record not under old signature");
-        bands[band].insert(new_key, id);
-    }
 }
 
 std::vector<std::size_t>

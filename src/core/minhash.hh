@@ -243,9 +243,11 @@ lshProbeKeys(const MinHashParams &params, const MinHashSketch &sketch,
  * through the same probe().
  *
  * The index is append-only (records are identified by the caller's
- * dense ids, as in FingerprintDb) and externally synchronized:
- * concurrent candidates() calls are safe against each other but not
- * against add() / addAll() / update().
+ * dense ids, as in FingerprintDb) for both of its users: a store
+ * indexes each record once, and IndexedClusterer each cluster once,
+ * under the signature of the output that opened it. It is
+ * externally synchronized: concurrent candidates() calls are safe
+ * against each other but not against add() / addAll().
  */
 class LshIndex
 {
@@ -348,19 +350,6 @@ class LshIndex
                 ThreadPool *pool = nullptr);
 
     /**
-     * Move @p record from the buckets of @p old_sig to those of
-     * @p new_sig, leaving bands whose bucket key is unchanged
-     * untouched. @p old_sig must be the signature the record is
-     * currently indexed under (as passed to add()); the record keeps
-     * its id, so a subsequent candidates() behaves exactly as if the
-     * record had originally been added under @p new_sig. This is the
-     * re-signing hook the indexed clusterer uses when intersection
-     * shrinks a cluster's fingerprint.
-     */
-    void update(std::size_t record, const MinHashSignature &old_sig,
-                const MinHashSignature &new_sig);
-
-    /**
      * Record ids sharing at least one band bucket with @p sig,
      * ascending and deduplicated — the shortlist the exact distance
      * kernel then scans. Primary buckets only (no multi-probe).
@@ -417,8 +406,6 @@ class LshIndex
         /** Make room for @p entries at no more than the bulk load. */
         void reserve(std::size_t entries);
         void insert(std::uint64_t key, std::uint32_t id);
-        /** Remove the (key, id) slot; false when absent. */
-        bool erase(std::uint64_t key, std::uint32_t id);
         /** The slot arrays. */
         BandSlots slots() const
         {

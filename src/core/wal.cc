@@ -11,6 +11,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include "core/fingerprint.hh"
 #include "core/pcdb_format.hh"
 #include "util/failpoint.hh"
 
@@ -109,17 +110,18 @@ struct WalEntry
 std::vector<std::uint8_t>
 encodeEntry(const ChipLabel &label, const Fingerprint &fp)
 {
+    const BitVec &bits = fp.bits();
+    std::vector<std::uint32_t> positions(fp.weight());
+    writePositions(bits, positions.data());
     std::vector<std::uint8_t> payload;
     payload.push_back(entryKindAddRecord);
     putU32(payload, static_cast<std::uint32_t>(label.size()));
     payload.insert(payload.end(), label.begin(), label.end());
     putU32(payload, fp.sources());
-    const BitVec &bits = fp.bits();
     putU64(payload, bits.size());
-    putU64(payload, fp.weight());
-    for (std::size_t i = 0; i < bits.size(); ++i)
-        if (bits.get(i))
-            putU32(payload, static_cast<std::uint32_t>(i));
+    putU64(payload, positions.size());
+    for (const std::uint32_t p : positions)
+        putU32(payload, p);
 
     std::vector<std::uint8_t> framed;
     framed.reserve(8 + payload.size());

@@ -9,13 +9,13 @@
  * known; clustering must recover it from any presentation order —
  * the paper's attacker cannot control the order outputs arrive in.
  *
- * The IndexedClusterer properties pin the tentpole claims: identical
+ * The IndexedClusterer properties pin what it claims: identical
  * assignments to the pairwise scan, fingerprints that only shrink
- * under augment-by-intersection with signatures kept exactly current
- * (a shrink re-signs), one cluster per chip in the separated
- * regime, partition stability under reordering, and a discovered
- * database whose FingerprintStore queries attribute every member
- * output back to its own cluster.
+ * under augment-by-intersection while each cluster keeps the index
+ * keys of the output that opened it, one cluster per chip in the
+ * separated regime, partition stability under reordering, and a
+ * discovered database whose FingerprintStore queries attribute every
+ * member output back to its own cluster.
  */
 
 #include "prop_common.hh"
@@ -143,18 +143,20 @@ PCHECK_PROPERTY(PropCluster, IndexedMatchesPairwise, [](Ctx &ctx) {
 
 /**
  * Augment-by-intersection monotonicity: a cluster's fingerprint bits
- * only ever shrink, and after every ingest the stored signature is
- * exactly a fresh signature of the current fingerprint — a shrink
- * re-signs, and the index entry follows it.
+ * only ever shrink, and the cluster stays indexed under the keys of
+ * the output that opened it — after every ingest, re-sending any
+ * cluster's opening output (to a copy of the clusterer) returns that
+ * cluster from the shortlist, with no fallback.
  */
-PCHECK_PROPERTY(PropCluster, AugmentOnlyShrinksAndResigns,
+PCHECK_PROPERTY(PropCluster, AugmentOnlyShrinksAndKeepsItsKeys,
                 [](Ctx &ctx) {
     const FleetCampaign in = genFleetCampaign(ctx, 3, 5);
 
     IndexedClusterer indexed(propParams());
     std::vector<BitVec> before; // fingerprint snapshot per cluster
-    for (const BitVec &es : in.outputs) {
-        const std::size_t c = indexed.addErrorString(es);
+    std::vector<std::size_t> opener; // output that opened each cluster
+    for (std::size_t i = 0; i < in.outputs.size(); ++i) {
+        const std::size_t c = indexed.addErrorString(in.outputs[i]);
         const BitVec now = indexed.fingerprint(c).bits();
         if (c < before.size()) {
             for (const std::size_t p : now.setBits())
@@ -166,11 +168,15 @@ PCHECK_PROPERTY(PropCluster, AugmentOnlyShrinksAndResigns,
             before[c] = now;
         } else {
             before.push_back(now);
+            opener.push_back(i);
         }
-        PCHECK_MSG(indexed.signature(c) ==
-                       minhashSignature(now, indexed.indexParams()),
-                   "stored signature diverged from the current "
-                   "fingerprint's signature");
+        for (std::size_t k = 0; k < opener.size(); ++k) {
+            IndexedClusterer copy = indexed;
+            PCHECK_EQ(copy.addErrorString(in.outputs[opener[k]]), k);
+            PCHECK_MSG(copy.stats().fallbackScans ==
+                           indexed.stats().fallbackScans,
+                       "a cluster's opening output took the fallback");
+        }
     }
 })
 

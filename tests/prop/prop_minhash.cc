@@ -8,8 +8,8 @@
  * sets, and the candidate
  * index never loses an exact duplicate — the recall floor the
  * store's accept/reject equivalence stands on. The flat band tables
- * behave as a per-band std::multimap under any sequence of adds,
- * bulk adds and re-signing updates.
+ * behave as a per-band std::multimap under any sequence of adds and
+ * bulk adds.
  */
 
 #include "prop_common.hh"
@@ -255,14 +255,14 @@ PCHECK_PROPERTY(PropMinhash, FlatIndexMatchesMultimapModel,
 
     const std::size_t ops = ctx.sizeRange(1, 24, "ops");
     for (std::size_t op = 0; op < ops; ++op) {
-        switch (ctx.sizeRange(0, 2, "op")) {
+        switch (ctx.sizeRange(0, 1, "op")) {
           case 0: { // add
             sigs.push_back(genCollidingSignature(ctx, mh));
             index.add(sigs.size() - 1, sigs.back());
             indexModel(sigs.size() - 1, sigs.back());
             break;
           }
-          case 1: { // addAll, serial or band-sharded
+          default: { // addAll, serial or band-sharded
             const std::size_t first = sigs.size();
             std::vector<MinHashSignature> batch(
                 ctx.sizeRange(0, 40, "batch"));
@@ -274,33 +274,6 @@ PCHECK_PROPERTY(PropMinhash, FlatIndexMatchesMultimapModel,
                 indexModel(sigs.size(), sig);
                 sigs.push_back(std::move(sig));
             }
-            break;
-          }
-          default: { // update an existing record
-            if (sigs.empty())
-                break;
-            const std::size_t id = ctx.below(sigs.size(), "target");
-            MinHashSignature next = sigs[id];
-            const std::size_t changes = ctx.sizeRange(1, 4, "changes");
-            for (std::size_t c = 0; c < changes; ++c) {
-                next[ctx.below(next.size(), "row")] =
-                    static_cast<std::uint32_t>(ctx.below(3, "value"));
-            }
-            index.update(id, sigs[id], next);
-            for (std::uint32_t band = 0; band < mh.bands; ++band) {
-                const std::uint64_t old_key =
-                    lshBandKey(mh, sigs[id], band);
-                const auto [lo, hi] = model[band].equal_range(old_key);
-                for (auto it = lo; it != hi; ++it) {
-                    if (it->second == id) {
-                        model[band].erase(it);
-                        break;
-                    }
-                }
-                model[band].emplace(lshBandKey(mh, next, band),
-                                    static_cast<std::uint32_t>(id));
-            }
-            sigs[id] = std::move(next);
             break;
           }
         }

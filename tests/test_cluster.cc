@@ -164,30 +164,36 @@ TEST(IndexedClusterer, StatsCountTheSession)
     EXPECT_EQ(s.outputs, 3u);
     EXPECT_EQ(s.clustersOpened, 2u);
     EXPECT_EQ(s.augments, 1u);
-    // {1,2,3,4,99} ∩ {1,2,3,4} leaves the fingerprint unchanged, so
-    // no bucket move was needed.
+    // A cluster keeps the keys it opened with: nothing re-signs.
     EXPECT_EQ(s.resigns, 0u);
     EXPECT_EQ(s.outputs, s.augments + s.clustersOpened);
 }
 
-TEST(IndexedClusterer, SignatureTracksShrunkFingerprint)
+TEST(IndexedClusterer, OpeningOutputStaysOnTheShortlist)
 {
-    // Augmenting with a strict subset shrinks the fingerprint; the
-    // stored signature must equal a fresh signature of the current
-    // bits.
+    // Augmenting with ever smaller subsets shrinks the fingerprint to
+    // a quarter of its opening weight; the cluster's index entry
+    // stays under the opening output's keys, so re-sending that
+    // output finds the cluster on the shortlist, with no fallback.
+    BitVec opening(8192), half(8192), quarter(8192);
+    for (std::size_t b = 0; b < 256; ++b) {
+        opening.set(b * 31);
+        if (b % 2 == 0)
+            half.set(b * 31);
+        if (b % 4 == 0)
+            quarter.set(b * 31);
+    }
     IndexedClusterer c;
-    BitVec wide(1024), narrow(1024);
-    for (std::size_t b = 0; b < 40; ++b)
-        wide.set(b * 5);
-    narrow = wide;
-    narrow.clear(0);
-    narrow.clear(5);
-    c.addErrorString(wide);
-    EXPECT_EQ(c.addErrorString(narrow), 0u);
-    EXPECT_EQ(c.fingerprint(0).weight(), 38u);
-    EXPECT_EQ(c.signature(0),
-              minhashSignature(c.fingerprint(0).bits(),
-                               c.indexParams()));
+    EXPECT_EQ(c.addErrorString(opening), 0u);
+    EXPECT_EQ(c.addErrorString(half), 0u);
+    EXPECT_EQ(c.addErrorString(quarter), 0u);
+    ASSERT_EQ(c.fingerprint(0).weight(), 64u);
+
+    const ClusterStats before = c.stats();
+    EXPECT_EQ(c.addErrorString(opening), 0u);
+    EXPECT_EQ(c.stats().candidatesScanned, before.candidatesScanned + 1);
+    EXPECT_EQ(c.stats().fallbackScans, before.fallbackScans);
+    EXPECT_EQ(c.numClusters(), 1u);
 }
 
 TEST(IndexedClusterer, FingerprintIndexOutOfRangeDies)
@@ -196,12 +202,6 @@ TEST(IndexedClusterer, FingerprintIndexOutOfRangeDies)
     EXPECT_DEATH(c.fingerprint(0), "");
     c.addErrorString(pattern({1, 2, 3}));
     EXPECT_DEATH(c.fingerprint(1), "");
-}
-
-TEST(IndexedClusterer, SignatureIndexOutOfRangeDies)
-{
-    IndexedClusterer c;
-    EXPECT_DEATH(c.signature(0), "");
 }
 
 TEST(Cluster, AssignmentsOutLengthContract)

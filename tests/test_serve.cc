@@ -626,6 +626,18 @@ TEST(Server, FinishedConnectionsAreReaped)
     const long before = mappedRegions();
     for (int i = 0; i < 256; ++i)
         cycle();
+    // A worker counts itself served only after it has queued itself
+    // for joining, and the acceptor joins the queue on its next
+    // accept. So wait until all 257 workers have finished, then run
+    // one more cycle: under load, a worker may still be running when
+    // its client has its reply, and its stack is not yet reapable.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (fx.server.connectionsServed() < 257 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(fx.server.connectionsServed(), 257u);
+    cycle();
     // Unreaped, 256 finished workers would add 512 lines.
     EXPECT_LT(mappedRegions() - before, 64);
 }

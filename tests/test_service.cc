@@ -14,6 +14,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "core/wal.hh"
 #include "util/failpoint.hh"
 #include "util/rng.hh"
+#include "util/sparse_bitset.hh"
 #include "util/thread_pool.hh"
 
 namespace pcause
@@ -917,6 +920,47 @@ TEST(AttackService, JournalEntriesNoDatabaseFileHoldsFailOpen)
         EXPECT_NE(::access(fx.dbPath.c_str(), F_OK), 0)
             << c.why << ": a failed open wrote a snapshot";
     }
+}
+
+/** Every byte of the file at @p path. */
+std::vector<std::uint8_t>
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST(AttackService, JournalEntriesHoldTheSetBits)
+{
+    // Past its 16-byte header, a journal Wal::append wrote is byte
+    // for byte the entries appendRawEntry frames from each add's set
+    // bits, ascending — both ends of the universe included.
+    DurableFixture fx;
+    Rng rng(0xD5);
+    BitVec first = randomPattern(rng, 64);
+    first.set(0);
+    first.set(universe - 1);
+    const BitVec second = randomPattern(rng, 16);
+    {
+        LoadResult<Wal> wal = Wal::create(fx.walPath, 0);
+        ASSERT_TRUE(wal) << wal.error;
+        ASSERT_TRUE(wal->append("first", Fingerprint(first, 3)));
+        ASSERT_TRUE(wal->append("second", Fingerprint(second)));
+    }
+    const std::string framedPath = fx.walPath + ".framed";
+    std::remove(framedPath.c_str());
+    appendRawEntry(framedPath, "first", 3, universe,
+                   SparseBitset::fromBitVec(first).positions());
+    appendRawEntry(framedPath, "second", 1, universe,
+                   SparseBitset::fromBitVec(second).positions());
+
+    const std::vector<std::uint8_t> journal = fileBytes(fx.walPath);
+    ASSERT_GT(journal.size(), 16u);
+    EXPECT_EQ(std::vector<std::uint8_t>(journal.begin() + 16,
+                                        journal.end()),
+              fileBytes(framedPath));
+    std::remove(framedPath.c_str());
 }
 
 TEST(AttackService, CheckpointCompactsTheJournal)
